@@ -81,9 +81,9 @@ void BM_ReuseScaling(benchmark::State& state) {
       SCI_ASSERT(sci.enroll(*app, range).is_ok());
       const std::string qid = "q" + std::to_string(i);
       const std::string xml =
-          query::QueryBuilder(qid, app->id())
-              .pattern(entity::types::kPathUpdate, "",
-                       entity::types::kSemRoute)
+          query::Builder(qid, app->id())
+              .what_pattern(entity::types::kPathUpdate)
+              .semantic(entity::types::kSemRoute)
               .about(john.id())
               .relative_to(bob.id())
               .mode(query::QueryMode::kEventSubscription)

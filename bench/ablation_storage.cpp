@@ -119,8 +119,8 @@ void BM_PullQueryEndToEnd(benchmark::State& state) {
   int round = 0;
   for (auto _ : state) {
     const std::string qid = "q" + std::to_string(round++);
-    const std::string xml = query::QueryBuilder(qid, app.id())
-                                .pattern(entity::types::kTemperature)
+    const std::string xml = query::Builder(qid, app.id())
+                                .what_pattern(entity::types::kTemperature)
                                 .about(sensor.id())
                                 .with_history(10)
                                 .mode(query::QueryMode::kProfileRequest)

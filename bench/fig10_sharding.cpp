@@ -164,9 +164,10 @@ ScalingResult run_scaling(std::uint64_t seed, unsigned shard_count) {
       SCI_ASSERT(monitors.back()
                      ->submit_query(
                          "s" + std::to_string(p),
-                         query::QueryBuilder("s" + std::to_string(p),
-                                             monitors.back()->id())
-                             .named(cold[static_cast<std::size_t>(p)]->id())
+                         query::Builder("s" + std::to_string(p),
+                                        monitors.back()->id())
+                             .what_named(
+                                 cold[static_cast<std::size_t>(p)]->id())
                              .mode(query::QueryMode::kEventSubscription)
                              .to_xml())
                      .is_ok());
@@ -346,16 +347,16 @@ void BM_ShardFailoverIsolation(benchmark::State& state) {
     SCI_ASSERT(sci.enroll(survivor_monitor, lead).is_ok());
     SCI_ASSERT(victim_monitor
                    .submit_query("sub",
-                                 query::QueryBuilder("sub", victim_monitor.id())
-                                     .named(victim_pulse.id())
+                                 query::Builder("sub", victim_monitor.id())
+                                     .what_named(victim_pulse.id())
                                      .mode(query::QueryMode::kEventSubscription)
                                      .to_xml())
                    .is_ok());
     SCI_ASSERT(
         survivor_monitor
             .submit_query("sub",
-                          query::QueryBuilder("sub", survivor_monitor.id())
-                              .named(survivor_pulse.id())
+                          query::Builder("sub", survivor_monitor.id())
+                              .what_named(survivor_pulse.id())
                               .mode(query::QueryMode::kEventSubscription)
                               .to_xml())
             .is_ok());

@@ -117,8 +117,8 @@ struct Deployment {
     SCI_ASSERT(sci.enroll(monitor, *level_b).is_ok());
     SCI_ASSERT(monitor
                    .submit_query("sub",
-                                 query::QueryBuilder("sub", monitor.id())
-                                     .pattern("pulse")
+                                 query::Builder("sub", monitor.id())
+                                     .what_pattern("pulse")
                                      .mode(query::QueryMode::kEventSubscription)
                                      .to_xml())
                    .is_ok());

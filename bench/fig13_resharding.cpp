@@ -119,10 +119,10 @@ void BM_ReshardingLiveMigration(benchmark::State& state) {
       SCI_ASSERT(monitors.back()
                      ->submit_query(
                          "s" + std::to_string(i),
-                         query::QueryBuilder("s" + std::to_string(i),
-                                             monitors.back()->id())
-                             .named(producers[static_cast<std::size_t>(i)]
-                                        ->id())
+                         query::Builder("s" + std::to_string(i),
+                                        monitors.back()->id())
+                             .what_named(
+                                 producers[static_cast<std::size_t>(i)]->id())
                              .mode(query::QueryMode::kEventSubscription)
                              .to_xml())
                      .is_ok());

@@ -70,7 +70,7 @@ void BM_OverlayRouting(benchmark::State& state) {
       const auto& to = scinet.nodes()[traffic.next_below(scinet.size())];
       serde::Writer w;
       w.svarint(simulator.now().micros());
-      (void)from->route(to->id(), 1, w.take());
+      (void)from->route(to->id(), 1, w.take_ref());
     }
     scinet.settle(Duration::seconds(30));
     benchmark::DoNotOptimize(baseline_forwarded);
@@ -151,7 +151,7 @@ void BM_HierarchyRouting(benchmark::State& state) {
       const auto to = traffic.next_below(tree.size());
       serde::Writer w;
       w.svarint(simulator.now().micros());
-      (void)tree.node(from).send(tree.node(to).id(), 1, w.take());
+      (void)tree.node(from).send(tree.node(to).id(), 1, w.take_ref());
     }
     simulator.run_all();
   }

@@ -145,9 +145,9 @@ void BM_ConfigurationSetup(benchmark::State& state) {
   for (auto _ : state) {
     const std::string qid = "q" + std::to_string(round++);
     const std::string xml =
-        query::QueryBuilder(qid, app.id())
-            .pattern(entity::types::kPathUpdate, "",
-                     entity::types::kSemRoute)
+        query::Builder(qid, app.id())
+            .what_pattern(entity::types::kPathUpdate)
+            .semantic(entity::types::kSemRoute)
             .about(world.john->id())
             .relative_to(world.bob->id())
             .mode(query::QueryMode::kEventSubscription)
@@ -176,8 +176,9 @@ void BM_EventRipple(benchmark::State& state) {
               entity::EntityKind::kSoftware);
   SCI_ASSERT(world.sci.enroll(app, *world.range).is_ok());
   const std::string xml =
-      query::QueryBuilder("q", app.id())
-          .pattern(entity::types::kPathUpdate, "", entity::types::kSemRoute)
+      query::Builder("q", app.id())
+          .what_pattern(entity::types::kPathUpdate)
+          .semantic(entity::types::kSemRoute)
           .about(world.john->id())
           .relative_to(world.bob->id())
           .mode(query::QueryMode::kEventSubscription)
@@ -235,8 +236,8 @@ void BM_RecompositionAfterFailure(benchmark::State& state) {
     PathApp app(sci.network(), sci.new_guid(), "app",
                 entity::EntityKind::kSoftware);
     SCI_ASSERT(sci.enroll(app, range).is_ok());
-    const std::string xml = query::QueryBuilder("q", app.id())
-                                .pattern(entity::types::kTemperature)
+    const std::string xml = query::Builder("q", app.id())
+                                .what_pattern(entity::types::kTemperature)
                                 .mode(query::QueryMode::kEventSubscription)
                                 .to_xml();
     SCI_ASSERT(app.submit_query("q", xml).is_ok());

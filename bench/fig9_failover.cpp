@@ -122,8 +122,8 @@ void BM_Failover(benchmark::State& state) {
                          entity::EntityKind::kSoftware);
     SCI_ASSERT(sci.enroll(monitor, level_b).is_ok());
     SCI_ASSERT(monitor
-                   .submit_query("sub", query::QueryBuilder("sub", monitor.id())
-                                            .pattern("pulse")
+                   .submit_query("sub", query::Builder("sub", monitor.id())
+                                            .what_pattern("pulse")
                                             .mode(query::QueryMode::kEventSubscription)
                                             .to_xml())
                    .is_ok());

@@ -180,8 +180,8 @@ int main() {
   // printer when he reaches his office (L10 room 0 — "Room L10.01").
   const auto office = building.room_path(1, 0);
   const std::string bob_query =
-      sci::query::QueryBuilder("q-bob-print", capa_bob.id())
-          .entity_type("printing")
+      sci::query::Builder("q-bob-print", capa_bob.id())
+          .what_entity_type("printing")
           .in(office)
           .when_enters(bob.id(), office)
           .select(sci::query::SelectPolicy::kClosest)
@@ -213,8 +213,8 @@ int main() {
   if (!sci.enroll(capa_john, level10)) return 1;
 
   const std::string john_query =
-      sci::query::QueryBuilder("q-john-print", capa_john.id())
-          .entity_type("printing")
+      sci::query::Builder("q-john-print", capa_john.id())
+          .what_entity_type("printing")
           .closest_to(john.id())
           .select(sci::query::SelectPolicy::kClosest)
           .require("has_paper", sci::Value(true))

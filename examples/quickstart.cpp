@@ -78,8 +78,9 @@ int main() {
 
   // Subscribe to temperature updates (the Fig 6 XML document on the wire).
   const std::string xml =
-      sci::query::QueryBuilder("q-temp", app.id())
-          .pattern(sci::entity::types::kTemperature, "celsius")
+      sci::query::Builder("q-temp", app.id())
+          .what_pattern(sci::entity::types::kTemperature)
+          .unit("celsius")
           .mode(sci::query::QueryMode::kEventSubscription)
           .to_xml();
   std::printf("submitting query:\n%s\n", xml.c_str());

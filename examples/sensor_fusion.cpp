@@ -106,8 +106,8 @@ int main() {
                  sci::entity::EntityKind::kSoftware);
   if (!sci.enroll(app, range)) return 1;
   const std::string xml =
-      sci::query::QueryBuilder("q-pos", app.id())
-          .pattern("", "", sci::entity::types::kSemPosition)
+      sci::query::Builder("q-pos", app.id())
+          .semantic(sci::entity::types::kSemPosition)
           .about(bob.id())
           .min_confidence(0.2)
           .mode(sci::query::QueryMode::kEventSubscription)

@@ -97,9 +97,9 @@ int main() {
         sci::entity::EntityKind::kSoftware);
     if (!sci.enroll(*app, *floors[f])) return 1;
     const std::string xml =
-        sci::query::QueryBuilder("q-floor" + std::to_string(f), app->id())
-            .pattern(sci::entity::types::kLocationUpdate, "",
-                     sci::entity::types::kSemPosition)
+        sci::query::Builder("q-floor" + std::to_string(f), app->id())
+            .what_pattern(sci::entity::types::kLocationUpdate)
+            .semantic(sci::entity::types::kSemPosition)
             .mode(sci::query::QueryMode::kEventSubscription)
             .to_xml();
     (void)app->submit_query("q-floor" + std::to_string(f), xml);

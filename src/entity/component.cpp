@@ -152,7 +152,7 @@ std::uint64_t Component::invoke_service(Guid provider, std::string method,
 }
 
 void Component::send(Guid to, std::uint32_t type,
-                     std::vector<std::byte> payload) {
+                     serde::BufferRef payload) {
   net::Message message;
   message.type = type;
   message.from = id_;
@@ -166,7 +166,7 @@ void Component::send(Guid to, std::uint32_t type,
 }
 
 void Component::send_reliable(Guid to, std::uint32_t type,
-                              std::vector<std::byte> payload) {
+                              serde::BufferRef payload) {
   channel_.send(to, type, std::move(payload));
 }
 

@@ -158,13 +158,13 @@ class Component {
   // arrives via on_service_reply.
   std::uint64_t invoke_service(Guid provider, std::string method, Value args);
 
-  void send(Guid to, std::uint32_t type, std::vector<std::byte> payload);
+  void send(Guid to, std::uint32_t type, serde::BufferRef payload);
 
   // Sends over the reliable channel: retransmitted with backoff until the
   // receiver acks, deduplicated there. Used for the frames that must not
   // vanish on a lossy segment (publishes, queries, service traffic).
   void send_reliable(Guid to, std::uint32_t type,
-                     std::vector<std::byte> payload);
+                     serde::BufferRef payload);
 
   [[nodiscard]] reliable::ReliableChannel& channel() { return channel_; }
   [[nodiscard]] net::Network& network() { return network_; }

@@ -12,11 +12,11 @@ void write_optional_ad(serde::Writer& w,
 
 }  // namespace
 
-std::vector<std::byte> HelloBody::encode() const {
+serde::BufferRef HelloBody::encode() const {
   serde::Writer w;
   w.boolean(is_app);
   w.string(name);
-  return w.take();
+  return w.take_ref();
 }
 
 Expected<HelloBody> HelloBody::decode(serde::FrameView bytes) {
@@ -29,11 +29,11 @@ Expected<HelloBody> HelloBody::decode(serde::FrameView bytes) {
   return b;
 }
 
-std::vector<std::byte> RangeInfoBody::encode() const {
+serde::BufferRef RangeInfoBody::encode() const {
   serde::Writer w;
   write_guid(w, range);
   write_guid(w, registrar);
-  return w.take();
+  return w.take_ref();
 }
 
 Expected<RangeInfoBody> RangeInfoBody::decode(
@@ -47,12 +47,12 @@ Expected<RangeInfoBody> RangeInfoBody::decode(
   return b;
 }
 
-std::vector<std::byte> RegisterRequestBody::encode() const {
+serde::BufferRef RegisterRequestBody::encode() const {
   serde::Writer w;
   w.boolean(is_app);
   profile.encode(w);
   write_optional_ad(w, advertisement);
-  return w.take();
+  return w.take_ref();
 }
 
 Expected<RegisterRequestBody> RegisterRequestBody::decode(
@@ -71,7 +71,7 @@ Expected<RegisterRequestBody> RegisterRequestBody::decode(
   return b;
 }
 
-std::vector<std::byte> RegisterAckBody::encode() const {
+serde::BufferRef RegisterAckBody::encode() const {
   serde::Writer w;
   w.boolean(accepted);
   w.string(reason);
@@ -79,7 +79,7 @@ std::vector<std::byte> RegisterAckBody::encode() const {
   write_guid(w, context_server);
   write_guid(w, event_mediator);
   w.varint(lease_renew_micros);
-  return w.take();
+  return w.take_ref();
 }
 
 Expected<RegisterAckBody> RegisterAckBody::decode(
@@ -101,10 +101,10 @@ Expected<RegisterAckBody> RegisterAckBody::decode(
   return b;
 }
 
-std::vector<std::byte> PublishBody::encode() const {
+serde::BufferRef PublishBody::encode() const {
   serde::Writer w;
   event.encode(w);
-  return w.take();
+  return w.take_ref();
 }
 
 Expected<PublishBody> PublishBody::decode(
@@ -116,12 +116,12 @@ Expected<PublishBody> PublishBody::decode(
   return b;
 }
 
-std::vector<std::byte> DeliverBody::encode() const {
+serde::BufferRef DeliverBody::encode() const {
   serde::Writer w;
   w.varint(subscription);
   w.varint(owner_tag);
   event.encode(w);
-  return w.take();
+  return w.take_ref();
 }
 
 Expected<DeliverBody> DeliverBody::decode(
@@ -137,11 +137,11 @@ Expected<DeliverBody> DeliverBody::decode(
   return b;
 }
 
-std::vector<std::byte> ConfigureBody::encode() const {
+serde::BufferRef ConfigureBody::encode() const {
   serde::Writer w;
   w.varint(config_tag);
   params.encode(w);
-  return w.take();
+  return w.take_ref();
 }
 
 Expected<ConfigureBody> ConfigureBody::decode(
@@ -155,11 +155,11 @@ Expected<ConfigureBody> ConfigureBody::decode(
   return b;
 }
 
-std::vector<std::byte> QuerySubmitBody::encode() const {
+serde::BufferRef QuerySubmitBody::encode() const {
   serde::Writer w;
   w.string(query_id);
   w.string(xml);
-  return w.take();
+  return w.take_ref();
 }
 
 Expected<QuerySubmitBody> QuerySubmitBody::decode(
@@ -173,13 +173,13 @@ Expected<QuerySubmitBody> QuerySubmitBody::decode(
   return b;
 }
 
-std::vector<std::byte> QueryResultBody::encode() const {
+serde::BufferRef QueryResultBody::encode() const {
   serde::Writer w;
   w.string(query_id);
   w.u8(status);
   w.string(message);
   result.encode(w);
-  return w.take();
+  return w.take_ref();
 }
 
 Expected<QueryResultBody> QueryResultBody::decode(
@@ -197,12 +197,12 @@ Expected<QueryResultBody> QueryResultBody::decode(
   return b;
 }
 
-std::vector<std::byte> ServiceInvokeBody::encode() const {
+serde::BufferRef ServiceInvokeBody::encode() const {
   serde::Writer w;
   w.varint(invoke_id);
   w.string(method);
   args.encode(w);
-  return w.take();
+  return w.take_ref();
 }
 
 Expected<ServiceInvokeBody> ServiceInvokeBody::decode(
@@ -218,13 +218,13 @@ Expected<ServiceInvokeBody> ServiceInvokeBody::decode(
   return b;
 }
 
-std::vector<std::byte> ServiceReplyBody::encode() const {
+serde::BufferRef ServiceReplyBody::encode() const {
   serde::Writer w;
   w.varint(invoke_id);
   w.u8(status);
   w.string(message);
   result.encode(w);
-  return w.take();
+  return w.take_ref();
 }
 
 Expected<ServiceReplyBody> ServiceReplyBody::decode(
@@ -242,10 +242,10 @@ Expected<ServiceReplyBody> ServiceReplyBody::decode(
   return b;
 }
 
-std::vector<std::byte> ProfileUpdateBody::encode() const {
+serde::BufferRef ProfileUpdateBody::encode() const {
   serde::Writer w;
   profile.encode(w);
-  return w.take();
+  return w.take_ref();
 }
 
 Expected<ProfileUpdateBody> ProfileUpdateBody::decode(
@@ -257,11 +257,11 @@ Expected<ProfileUpdateBody> ProfileUpdateBody::decode(
   return b;
 }
 
-std::vector<std::byte> RedirectBody::encode() const {
+serde::BufferRef RedirectBody::encode() const {
   serde::Writer w;
   write_guid(w, context_server);
   write_guid(w, event_mediator);
-  return w.take();
+  return w.take_ref();
 }
 
 Expected<RedirectBody> RedirectBody::decode(

@@ -63,7 +63,7 @@ struct HelloBody {
   bool is_app = false;
   std::string name;
 
-  [[nodiscard]] std::vector<std::byte> encode() const;
+  [[nodiscard]] serde::BufferRef encode() const;
   static Expected<HelloBody> decode(serde::FrameView bytes);
 };
 
@@ -71,7 +71,7 @@ struct RangeInfoBody {
   Guid range;
   Guid registrar;  // network address (node) of the registrar
 
-  [[nodiscard]] std::vector<std::byte> encode() const;
+  [[nodiscard]] serde::BufferRef encode() const;
   static Expected<RangeInfoBody> decode(serde::FrameView bytes);
 };
 
@@ -80,7 +80,7 @@ struct RegisterRequestBody {
   Profile profile;
   std::optional<Advertisement> advertisement;
 
-  [[nodiscard]] std::vector<std::byte> encode() const;
+  [[nodiscard]] serde::BufferRef encode() const;
   static Expected<RegisterRequestBody> decode(serde::FrameView bytes);
 };
 
@@ -94,14 +94,14 @@ struct RegisterAckBody {
   // send kLeaseRenew at this cadence or its subscriptions are reaped.
   std::uint64_t lease_renew_micros = 0;
 
-  [[nodiscard]] std::vector<std::byte> encode() const;
+  [[nodiscard]] serde::BufferRef encode() const;
   static Expected<RegisterAckBody> decode(serde::FrameView bytes);
 };
 
 struct PublishBody {
   event::Event event;
 
-  [[nodiscard]] std::vector<std::byte> encode() const;
+  [[nodiscard]] serde::BufferRef encode() const;
   static Expected<PublishBody> decode(serde::FrameView bytes);
 };
 
@@ -110,7 +110,7 @@ struct DeliverBody {
   std::uint64_t owner_tag = 0;  // configuration / query handle
   event::Event event;
 
-  [[nodiscard]] std::vector<std::byte> encode() const;
+  [[nodiscard]] serde::BufferRef encode() const;
   static Expected<DeliverBody> decode(serde::FrameView bytes);
 };
 
@@ -120,7 +120,7 @@ struct ConfigureBody {
   std::uint64_t config_tag = 0;
   Value params;
 
-  [[nodiscard]] std::vector<std::byte> encode() const;
+  [[nodiscard]] serde::BufferRef encode() const;
   static Expected<ConfigureBody> decode(serde::FrameView bytes);
 };
 
@@ -128,7 +128,7 @@ struct QuerySubmitBody {
   std::string query_id;
   std::string xml;  // the Figure 6 document
 
-  [[nodiscard]] std::vector<std::byte> encode() const;
+  [[nodiscard]] serde::BufferRef encode() const;
   static Expected<QuerySubmitBody> decode(serde::FrameView bytes);
 };
 
@@ -138,7 +138,7 @@ struct QueryResultBody {
   std::string message;
   Value result;
 
-  [[nodiscard]] std::vector<std::byte> encode() const;
+  [[nodiscard]] serde::BufferRef encode() const;
   static Expected<QueryResultBody> decode(serde::FrameView bytes);
 };
 
@@ -147,7 +147,7 @@ struct ServiceInvokeBody {
   std::string method;
   Value args;
 
-  [[nodiscard]] std::vector<std::byte> encode() const;
+  [[nodiscard]] serde::BufferRef encode() const;
   static Expected<ServiceInvokeBody> decode(serde::FrameView bytes);
 };
 
@@ -157,14 +157,14 @@ struct ServiceReplyBody {
   std::string message;
   Value result;
 
-  [[nodiscard]] std::vector<std::byte> encode() const;
+  [[nodiscard]] serde::BufferRef encode() const;
   static Expected<ServiceReplyBody> decode(serde::FrameView bytes);
 };
 
 struct ProfileUpdateBody {
   Profile profile;
 
-  [[nodiscard]] std::vector<std::byte> encode() const;
+  [[nodiscard]] serde::BufferRef encode() const;
   static Expected<ProfileUpdateBody> decode(serde::FrameView bytes);
 };
 
@@ -176,7 +176,7 @@ struct RedirectBody {
   Guid context_server;
   Guid event_mediator;
 
-  [[nodiscard]] std::vector<std::byte> encode() const;
+  [[nodiscard]] serde::BufferRef encode() const;
   static Expected<RedirectBody> decode(serde::FrameView bytes);
 };
 

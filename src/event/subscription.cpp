@@ -102,30 +102,6 @@ std::vector<Subscription> SubscriptionTable::expire_before(SimTime now) {
   return expired;
 }
 
-std::vector<Subscription> SubscriptionTable::collect_matches(
-    const Event& event) {
-  std::vector<Subscription> matched;
-  const auto it = by_type_.find(event.type);
-  if (it == by_type_.end()) return matched;
-  std::vector<SubscriptionId> one_shots;
-  for (const SubscriptionId id : it->second) {
-    auto sub_it = subscriptions_.find(id);
-    if (sub_it == subscriptions_.end()) continue;
-    Subscription& subscription = sub_it->second;
-    if (subscription.producer.has_value() &&
-        *subscription.producer != event.source) {
-      continue;
-    }
-    if (!subscription.filter.matches(event)) continue;
-    subscription.delivered += 1;
-    ++total_delivered_;
-    matched.push_back(subscription);
-    if (subscription.one_time) one_shots.push_back(id);
-  }
-  for (const SubscriptionId id : one_shots) (void)remove(id);
-  return matched;
-}
-
 void SubscriptionTable::collect_matches_into(const Event& event,
                                              std::vector<MatchRef>& out) {
   out.clear();

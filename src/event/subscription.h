@@ -83,16 +83,11 @@ class SubscriptionTable {
   std::size_t renew_subscriber(Guid subscriber, SimTime new_expiry);
   std::vector<Subscription> expire_before(SimTime now);
 
-  // Returns the subscriptions matching `event`, bumping their delivery
-  // counters and dropping the one-time ones. The returned snapshot is safe
-  // to iterate while the table mutates.
-  std::vector<Subscription> collect_matches(const Event& event);
-
-  // Allocation-free variant for the fan-out hot path: fills `out` (cleared,
-  // capacity reused across calls) with flat per-match records instead of
-  // copying whole Subscriptions — no string or filter copies per delivery.
-  // Same side effects as collect_matches (counters bumped, one-time
-  // subscriptions dropped).
+  // Fills `out` (cleared, capacity reused across calls) with the
+  // subscriptions matching `event`, bumping their delivery counters and
+  // dropping the one-time ones. Flat per-match records instead of whole
+  // Subscriptions keep the fan-out hot path free of string or filter
+  // copies, and `out` stays safe to iterate while the table mutates.
   void collect_matches_into(const Event& event, std::vector<MatchRef>& out);
 
   [[nodiscard]] const Subscription* find(SubscriptionId id) const;

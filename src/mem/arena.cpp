@@ -7,9 +7,6 @@ namespace sci::mem {
 
 namespace {
 
-bool g_pooling_enabled = true;
-bool g_zero_copy_enabled = true;
-
 BufferArena::Block* heap_block(std::size_t capacity) {
   void* raw = ::operator new(sizeof(BufferArena::Block) + capacity);
   auto* block = new (raw) BufferArena::Block();
@@ -38,11 +35,6 @@ std::size_t BufferArena::class_for(std::size_t n) {
 
 BufferArena::Block* BufferArena::acquire(std::size_t min_capacity) {
   if (min_capacity == 0) min_capacity = 1;
-  if (!g_pooling_enabled) {
-    ++stats_.block_allocs;
-    ++stats_.outstanding;
-    return heap_block(min_capacity);
-  }
   const std::size_t cls = class_for(min_capacity);
   if (cls >= kClassCount) {
     ++stats_.oversize;
@@ -82,7 +74,7 @@ void BufferArena::release(Block* block) {
   ++stats_.releases;
   --stats_.outstanding;
   if (block->size_class >= kClassCount) {
-    // Oversize (or pool-disabled fallback): never parked.
+    // Oversize: never parked.
     stats_.bytes_reserved -= block->capacity;
     heap_free(block);
     return;
@@ -107,11 +99,5 @@ BufferArena& BufferArena::global() {
   static BufferArena arena;
   return arena;
 }
-
-void set_pooling_enabled(bool enabled) { g_pooling_enabled = enabled; }
-bool pooling_enabled() { return g_pooling_enabled; }
-
-void set_zero_copy_enabled(bool enabled) { g_zero_copy_enabled = enabled; }
-bool zero_copy_enabled() { return g_zero_copy_enabled; }
 
 }  // namespace sci::mem

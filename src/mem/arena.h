@@ -1,12 +1,11 @@
 // SCI — size-classed slab pool for hot-path byte buffers (docs/MEMORY.md).
 //
-// Every frame crossing the simulated fabric used to be a fresh
-// std::vector<std::byte>: encoded once per layer, copied at every boundary
-// (mediator → reliable envelope → network → retransmit map → replication →
-// WAL) and freed just as often. BufferArena replaces that churn with a pool
-// of reference-counted blocks drawn from intrusive per-size-class
-// freelists (the snmalloc slab/freelist idiom, scaled down to a
-// single-threaded discrete-event simulation):
+// Every frame crossing the simulated fabric is held by several layers at
+// once (mediator → reliable envelope → network → retransmit map →
+// replication → WAL). BufferArena backs those frames with a pool of
+// reference-counted blocks drawn from intrusive per-size-class freelists
+// (the snmalloc slab/freelist idiom, scaled down to a single-threaded
+// discrete-event simulation), so no boundary copies or frees a frame:
 //
 //  * acquire() rounds the request up to a power-of-two size class
 //    (64 B … 64 KiB) and pops the class freelist; only a cold class — or
@@ -23,13 +22,6 @@
 //
 // Threading: the whole simulation is single-threaded by design (DESIGN.md
 // §2), so reference counts and freelists are deliberately unsynchronised.
-//
-// Ablation: set_pooling_enabled(false) makes acquire()/release() degrade to
-// plain heap new/delete, and set_zero_copy_enabled(false) tells the layers
-// that *share* frames (mediator fan-out, reliable channel, network) to deep
-// copy at each boundary instead — together they reproduce the pre-pool
-// data path so fig2 can report an honest before/after throughput ratio
-// from one binary.
 #pragma once
 
 #include <cstddef>
@@ -107,18 +99,5 @@ class BufferArena {
   Block* free_[kClassCount] = {};
   ArenaStats stats_;
 };
-
-// --- ablation switches (fig2 legacy mode; see header comment) --------------
-
-// Pool on/off: off = every acquire is a heap allocation, every release a
-// free — the allocator behaviour of the pre-arena code.
-void set_pooling_enabled(bool enabled);
-[[nodiscard]] bool pooling_enabled();
-
-// Frame sharing on/off: off = layers that would share a BufferRef deep-copy
-// it at each boundary instead (mediator re-encodes per subscriber, the
-// network copies per hop), reproducing the pre-refactor byte traffic.
-void set_zero_copy_enabled(bool enabled);
-[[nodiscard]] bool zero_copy_enabled();
 
 }  // namespace sci::mem

@@ -9,7 +9,7 @@ namespace sci::overlay {
 
 namespace {
 
-std::vector<std::byte> encode(const HierMessage& m) {
+serde::BufferRef encode(const HierMessage& m) {
   serde::Writer w(m.payload.size() + 48);
   w.u64(m.destination.hi());
   w.u64(m.destination.lo());
@@ -19,10 +19,11 @@ std::vector<std::byte> encode(const HierMessage& m) {
   w.u32(m.hops);
   w.varint(m.payload.size());
   w.raw(m.payload.data(), m.payload.size());
-  return w.take();
+  return w.take_ref();
 }
 
-Expected<HierMessage> decode(serde::FrameView bytes) {
+// The payload is a zero-copy slice of `bytes`.
+Expected<HierMessage> decode(const serde::BufferRef& bytes) {
   serde::Reader r(bytes);
   HierMessage m;
   SCI_TRY_ASSIGN(dhi, r.u64());
@@ -38,10 +39,7 @@ Expected<HierMessage> decode(serde::FrameView bytes) {
   SCI_TRY_ASSIGN(len, r.varint());
   if (len > r.remaining())
     return make_error(ErrorCode::kParseError, "hier payload truncated");
-  m.payload.resize(static_cast<std::size_t>(len));
-  const std::size_t offset = bytes.size() - r.remaining();
-  std::copy_n(bytes.data() + static_cast<std::ptrdiff_t>(offset),
-              static_cast<std::size_t>(len), m.payload.begin());
+  m.payload = bytes.slice(r.position(), static_cast<std::size_t>(len));
   return m;
 }
 
@@ -59,7 +57,7 @@ HierNode::~HierNode() {
 }
 
 Status HierNode::send(Guid destination, std::uint32_t app_type,
-                      std::vector<std::byte> payload) {
+                      serde::BufferRef payload) {
   forward(HierMessage{destination, id_, app_type, 0, std::move(payload)});
   return Status::ok();
 }

@@ -26,7 +26,7 @@ struct HierMessage {
   Guid source;
   std::uint32_t app_type = 0;
   std::uint32_t hops = 0;
-  std::vector<std::byte> payload;
+  serde::BufferRef payload;
 };
 
 struct HierNodeStats {
@@ -57,7 +57,7 @@ class HierNode {
   }
 
   Status send(Guid destination, std::uint32_t app_type,
-              std::vector<std::byte> payload);
+              serde::BufferRef payload);
 
   [[nodiscard]] Guid id() const { return id_; }
   [[nodiscard]] const HierNodeStats& stats() const { return stats_; }

@@ -55,9 +55,9 @@ struct RoutedWire {
   std::uint32_t hops = 0;
   std::uint32_t ttl = 0;
   std::uint64_t ticket = 0;  // non-zero: the source wants an e2e receipt
-  std::vector<std::byte> payload;
+  serde::BufferRef payload;
 
-  [[nodiscard]] std::vector<std::byte> encode() const {
+  [[nodiscard]] serde::BufferRef encode() const {
     serde::Writer w(payload.size() + 64);
     write_guid(w, key);
     write_guid(w, source);
@@ -67,10 +67,11 @@ struct RoutedWire {
     w.varint(ticket);
     w.varint(payload.size());
     w.raw(payload.data(), payload.size());
-    return w.take();
+    return w.take_ref();
   }
 
-  static Expected<RoutedWire> decode(serde::FrameView bytes) {
+  // The payload is a zero-copy slice of `bytes`.
+  static Expected<RoutedWire> decode(const serde::BufferRef& bytes) {
     serde::Reader r(bytes);
     RoutedWire out;
     SCI_TRY_ASSIGN(key, read_guid(r));
@@ -88,10 +89,7 @@ struct RoutedWire {
     SCI_TRY_ASSIGN(len, r.varint());
     if (len > r.remaining())
       return make_error(ErrorCode::kParseError, "routed payload truncated");
-    out.payload.resize(static_cast<std::size_t>(len));
-    const std::size_t offset = bytes.size() - r.remaining();
-    std::copy_n(bytes.data() + static_cast<std::ptrdiff_t>(offset),
-                static_cast<std::size_t>(len), out.payload.begin());
+    out.payload = bytes.slice(r.position(), static_cast<std::size_t>(len));
     return out;
   }
 };
@@ -184,7 +182,7 @@ void ScinetNode::send_join() {
   serde::Writer w;
   write_guid(w, id_);
   w.varint(0);
-  send(join_bootstrap_, kJoin, w.take());
+  send(join_bootstrap_, kJoin, w.take_ref());
   if (join_attempts_ < kMaxJoinAttempts) {
     join_retry_ = network_.simulator().schedule(
         Duration::millis(500), [this] {
@@ -200,8 +198,9 @@ void ScinetNode::leave() {
   const std::vector<Guid> neighbours = leaf_;
   serde::Writer w;
   write_guid_list(w, neighbours);
+  const serde::BufferRef frame = w.take_ref();
   for (const Guid neighbour : neighbours) {
-    send(neighbour, kLeave, w.bytes());
+    send(neighbour, kLeave, frame);
   }
   heartbeat_timer_.reset();
   for (auto& [ticket, pending] : pending_routes_) {
@@ -215,7 +214,7 @@ void ScinetNode::leave() {
 }
 
 Status ScinetNode::route(Guid key, std::uint32_t app_type,
-                         std::vector<std::byte> payload) {
+                         serde::BufferRef payload) {
   if (!ready_)
     return make_error(ErrorCode::kUnavailable, "node not joined to overlay");
   ++stats_.routed_originated;
@@ -234,7 +233,7 @@ Status ScinetNode::route(Guid key, std::uint32_t app_type,
 }
 
 Expected<RouteTicket> ScinetNode::route_acked(Guid key, std::uint32_t app_type,
-                                              std::vector<std::byte> payload,
+                                              serde::BufferRef payload,
                                               ReceiptHandler on_receipt) {
   if (!ready_)
     return make_error(ErrorCode::kUnavailable, "node not joined to overlay");
@@ -455,7 +454,7 @@ void ScinetNode::on_join(const net::Message& message) {
       w.u8(col);
       write_guid(w, g);
     }
-    send(hop, kJoin, w.take());
+    send(hop, kJoin, w.take_ref());
     return;
   }
 
@@ -471,7 +470,7 @@ void ScinetNode::on_join(const net::Message& message) {
   std::vector<Guid> leaf_plus_self = leaf_;
   leaf_plus_self.push_back(id_);
   write_guid_list(w, leaf_plus_self);
-  send(joiner, kJoinReply, w.take());
+  send(joiner, kJoinReply, w.take_ref());
   learn(joiner);
 }
 
@@ -537,7 +536,7 @@ void ScinetNode::on_leaf_set_request(const net::Message& message) {
   learn(message.from);
   serde::Writer w;
   write_guid_list(w, leaf_);
-  send(message.from, kLeafSetReply, w.take());
+  send(message.from, kLeafSetReply, w.take_ref());
 }
 
 void ScinetNode::on_failure_notice(const net::Message& message) {
@@ -693,7 +692,7 @@ void ScinetNode::rebuild_leaf_set() {
 }
 
 void ScinetNode::send(Guid to, std::uint32_t type,
-                      std::vector<std::byte> payload) {
+                      serde::BufferRef payload) {
   net::Message message;
   message.type = type;
   message.from = id_;
@@ -710,7 +709,7 @@ void ScinetNode::send(Guid to, std::uint32_t type,
 }
 
 void ScinetNode::send_reliable(Guid to, std::uint32_t type,
-                               std::vector<std::byte> payload) {
+                               serde::BufferRef payload) {
   // ROUTED and receipt frames go over the reliable channel: retransmitted
   // with backoff on loss; a dead-lettered hop lands in on_hop_give_up.
   channel_.send(to, type, std::move(payload));
@@ -766,9 +765,10 @@ void ScinetNode::heartbeat_tick() {
     // keep black-holing traffic through it.
     serde::Writer w;
     write_guid(w, node);
+    const serde::BufferRef frame = w.take_ref();
     const std::vector<Guid> peers(known_.begin(), known_.end());
     for (const Guid peer : peers) {
-      send(peer, kFailureNotice, w.bytes());
+      send(peer, kFailureNotice, frame);
     }
   }
   if (lost_any) repair_leaf_set();
@@ -838,7 +838,7 @@ void ScinetNode::send_receipt(const RoutedMessage& message) {
   serde::Writer w;
   w.varint(message.ticket);
   w.u32(message.hops);
-  send_reliable(message.source, kRouteReceipt, w.take());
+  send_reliable(message.source, kRouteReceipt, w.take_ref());
 }
 
 std::vector<Guid> ScinetNode::leaf_set() const { return leaf_; }

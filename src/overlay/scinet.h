@@ -52,7 +52,7 @@ struct RoutedMessage {
   std::uint32_t app_type = 0;
   std::uint32_t hops = 0;
   std::uint64_t ticket = 0;  // non-zero when the source asked for a receipt
-  std::vector<std::byte> payload;
+  serde::BufferRef payload;
 };
 
 struct ScinetConfig {
@@ -126,7 +126,7 @@ class ScinetNode {
 
   // Routes `payload` toward `key`; delivery happens at the key's root.
   Status route(Guid key, std::uint32_t app_type,
-               std::vector<std::byte> payload);
+               serde::BufferRef payload);
 
   // Called when the root's delivery receipt arrives (delivered=true) or
   // every re-origination attempt has been exhausted (delivered=false).
@@ -138,7 +138,7 @@ class ScinetNode {
   // root deduplicates re-originations by (source, ticket), so the payload
   // is delivered to the application at most once.
   Expected<RouteTicket> route_acked(Guid key, std::uint32_t app_type,
-                                    std::vector<std::byte> payload,
+                                    serde::BufferRef payload,
                                     ReceiptHandler on_receipt = nullptr);
 
   // End-to-end routes still awaiting a receipt.
@@ -200,11 +200,11 @@ class ScinetNode {
   // remembered for round-robin liveness probing (heartbeat failures and
   // partitions may be transient); clean departures pass probe = false.
   void forget(Guid node, bool probe = true);
-  void send(Guid to, std::uint32_t type, std::vector<std::byte> payload);
+  void send(Guid to, std::uint32_t type, serde::BufferRef payload);
   // Sends ROUTED/receipt traffic over the reliable channel (retransmits on
   // loss, dead-letters into on_hop_give_up).
   void send_reliable(Guid to, std::uint32_t type,
-                     std::vector<std::byte> payload);
+                     serde::BufferRef payload);
   void on_hop_give_up(const net::Message& message, unsigned attempts);
   void heartbeat_tick();
   void repair_leaf_set();
@@ -249,7 +249,7 @@ class ScinetNode {
   struct PendingRoute {
     Guid key;
     std::uint32_t app_type = 0;
-    std::vector<std::byte> payload;
+    serde::BufferRef payload;
     unsigned attempts = 0;
     SimTime first_sent;
     sim::TimerHandle retry;

@@ -8,25 +8,23 @@ namespace sci::persist {
 namespace {
 
 // WAL frame payload: [varint epoch][varint index][record bytes to end].
-std::vector<std::byte> encode_wal_payload(std::uint32_t epoch,
-                                          std::uint64_t index,
-                                          const serde::BufferRef& rec) {
+serde::BufferRef encode_wal_payload(std::uint32_t epoch, std::uint64_t index,
+                                    const serde::BufferRef& rec) {
   serde::Writer w(rec.size() + 12);
   w.varint(epoch);
   w.varint(index);
   w.raw(rec.data(), rec.size());
-  return w.take();
+  return w.take_ref();
 }
 
 // Checkpoint frame payload: [varint epoch][varint base][snapshot to end].
-std::vector<std::byte> encode_ckpt_payload(std::uint32_t epoch,
-                                           std::uint64_t base,
-                                           const std::vector<std::byte>& snap) {
+serde::BufferRef encode_ckpt_payload(std::uint32_t epoch, std::uint64_t base,
+                                     const std::vector<std::byte>& snap) {
   serde::Writer w(snap.size() + 12);
   w.varint(epoch);
   w.varint(base);
   w.raw(snap.data(), snap.size());
-  return w.take();
+  return w.take_ref();
 }
 
 }  // namespace

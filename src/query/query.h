@@ -303,99 +303,4 @@ class Builder {
   Query query_;
 };
 
-// Compatibility shim over Builder (kept for one release; prefer Builder).
-// The only differences are the overloaded what-setters (`pattern(type,
-// unit, semantic)` vs. Builder's granular `what_pattern().unit()`) and the
-// explicit `mode().build()` finish.
-class QueryBuilder {
- public:
-  QueryBuilder(std::string id, Guid owner) : b_(std::move(id), owner) {}
-
-  QueryBuilder& entity_type(std::string type) {
-    b_.what_entity_type(std::move(type));
-    return *this;
-  }
-  QueryBuilder& named(Guid entity) {
-    b_.what_named(entity);
-    return *this;
-  }
-  QueryBuilder& pattern(std::string type, std::string unit = "",
-                        std::string semantic = "") {
-    b_.what_pattern(std::move(type));
-    if (!unit.empty()) b_.unit(std::move(unit));
-    if (!semantic.empty()) b_.semantic(std::move(semantic));
-    return *this;
-  }
-  QueryBuilder& about(Guid subject) {
-    b_.about(subject);
-    return *this;
-  }
-  QueryBuilder& with_history(unsigned count) {
-    b_.with_history(count);
-    return *this;
-  }
-  QueryBuilder& in(location::LogicalPath path) {
-    b_.in(std::move(path));
-    return *this;
-  }
-  QueryBuilder& in_range(Guid range) {
-    b_.in_range(range);
-    return *this;
-  }
-  QueryBuilder& closest_to_me() {
-    b_.closest_to_me();
-    return *this;
-  }
-  QueryBuilder& closest_to(Guid entity) {
-    b_.closest_to(entity);
-    return *this;
-  }
-  QueryBuilder& relative_to(Guid entity) {
-    b_.relative_to(entity);
-    return *this;
-  }
-  QueryBuilder& when_enters(Guid entity, location::LogicalPath place) {
-    b_.when_enters(entity, std::move(place));
-    return *this;
-  }
-  QueryBuilder& not_before(double seconds) {
-    b_.not_before(seconds);
-    return *this;
-  }
-  QueryBuilder& expires_after(double seconds) {
-    b_.expires_after(seconds);
-    return *this;
-  }
-  QueryBuilder& select(SelectPolicy policy, std::string attr_key = "") {
-    b_.select(policy, std::move(attr_key));
-    return *this;
-  }
-  QueryBuilder& require(std::string key, Value equals) {
-    b_.require(std::move(key), std::move(equals));
-    return *this;
-  }
-  QueryBuilder& check_access() {
-    b_.check_access();
-    return *this;
-  }
-  QueryBuilder& fresh_within(double seconds) {
-    b_.fresh_within(seconds);
-    return *this;
-  }
-  QueryBuilder& min_confidence(double confidence) {
-    b_.min_confidence(confidence);
-    return *this;
-  }
-  QueryBuilder& mode(QueryMode m) {
-    b_.mode(m);
-    return *this;
-  }
-
-  [[nodiscard]] Query build() const { return b_.build(); }
-  [[nodiscard]] std::string to_xml() const { return b_.to_xml(); }
-
- private:
-  Builder b_;
-};
-
 }  // namespace sci::query

@@ -41,11 +41,11 @@ struct ForwardedQueryWire {
   Guid app;
   std::string xml;
 
-  [[nodiscard]] std::vector<std::byte> encode() const {
+  [[nodiscard]] serde::BufferRef encode() const {
     serde::Writer w;
     entity::write_guid(w, app);
     w.string(xml);
-    return w.take();
+    return w.take_ref();
   }
 
   static Expected<ForwardedQueryWire> decode(serde::FrameView bytes) {
@@ -99,14 +99,14 @@ struct HandoffWire {
   unsigned target = 0;
   std::uint64_t epoch = 0;
 
-  [[nodiscard]] std::vector<std::byte> encode() const {
+  [[nodiscard]] serde::BufferRef encode() const {
     serde::Writer w;
     w.varint(id);
     w.varint(vnode);
     w.varint(source);
     w.varint(target);
     w.varint(epoch);
-    return w.take();
+    return w.take_ref();
   }
 
   static Expected<HandoffWire> decode(serde::FrameView bytes) {
@@ -132,10 +132,9 @@ void write_blob(serde::Writer& w, serde::FrameView blob) {
   w.raw(blob.data(), blob.size());
 }
 
-Expected<std::vector<std::byte>> read_blob(serde::Reader& r) {
-  SCI_TRY_ASSIGN(s, r.string());
-  const auto* p = reinterpret_cast<const std::byte*>(s.data());
-  return std::vector<std::byte>(p, p + s.size());
+Expected<serde::BufferRef> read_blob(serde::Reader& r) {
+  SCI_TRY_ASSIGN(s, r.string_view());
+  return serde::BufferRef::copy_of(s.data(), s.size());
 }
 
 // Record categories inside a kHandoffState batch (u8 tag per CRC frame).
@@ -387,7 +386,7 @@ void ContextServer::start_primary_duties() {
                             net::Message beacon;
                             beacon.type = kRangeBeacon;
                             beacon.from = config_.context_server;
-                            beacon.payload = w.take();
+                            beacon.payload = w.take_ref();
                             (void)network_.broadcast(std::move(beacon),
                                                      config_.beacon_radius);
                           });
@@ -1992,7 +1991,7 @@ std::string ContextServer::view_key(const query::Query& q) const {
   w.boolean(q.which.check_access);
   entity::write_guid(w, q.which.check_access ? q.owner : Guid());
   w.f64(q.which.min_confidence);
-  const auto& bytes = w.bytes();
+  const serde::FrameView bytes = w.view();
   return std::string(reinterpret_cast<const char*>(bytes.data()),
                      bytes.size());
 }
@@ -2236,8 +2235,16 @@ void ContextServer::ingest_shard_subscribe(serde::FrameView payload,
   // would silently replace the earlier live subscription.
   auto& table = mediator_.mutable_table();
   const event::SubscriptionId next = table.next_id();
+  const event::SubscriptionId sub = s.id;
   table.restore(std::move(s));  // bumps the mint counter past the id
-  if (!own_id_space) table.set_next_id(next);
+  if (!own_id_space) {
+    table.set_next_id(next);
+    return;
+  }
+  // A replayed subscribe_pattern: rebuild the sibling-mirror bookkeeping the
+  // primary set up (passive, so nothing is sent), which keeps the heartbeat
+  // fingerprint in step and lets a promoted standby tear the copies down.
+  mirror_subscription_if_remote(sub);
 }
 
 void ContextServer::handle_shard_subscribe(const net::Message& message) {
@@ -2314,7 +2321,7 @@ void ContextServer::mirror_subscription_if_remote(event::SubscriptionId id) {
   // Standby replay keeps the same bookkeeping but stays silent; a promoted
   // standby inherits mirrored_subs_ and can still tear the copies down.
   if (!passive()) {
-    queue_mirror(remote, kShardSubscribe, w.take());
+    queue_mirror(remote, kShardSubscribe, w.take_ref());
     ++stats_.shard_sub_mirrors;
     m_shard_sub_mirrors_->inc();
   }
@@ -2365,7 +2372,7 @@ void ContextServer::drop_mirror(event::SubscriptionId id) {
         queue_mirror(shard_node(i), kShardUnsubscribe, frame);
       }
     } else {
-      queue_mirror(it->second.remote_node, kShardUnsubscribe, w.take());
+      queue_mirror(it->second.remote_node, kShardUnsubscribe, w.take_ref());
     }
   }
   mirrored_subs_.erase(it);
@@ -2431,7 +2438,7 @@ void ContextServer::flush_mirrors() {
       w.varint(type);
       write_blob(w, payload);
     }
-    channel_.send(node, kShardBatch, w.take());
+    channel_.send(node, kShardBatch, w.take_ref());
     ++stats_.mirror_batches;
     m_mirror_batches_->inc();
   }
@@ -2538,7 +2545,7 @@ bool ContextServer::begin_handoff(unsigned vnode, unsigned target_shard) {
   if (!handoff_probe_step("freeze")) return true;
   const HandoffWire wire{outgoing_handoff_->id, vnode, config_.shard_index,
                          target_shard, outgoing_handoff_->epoch};
-  const std::vector<std::byte> encoded = wire.encode();
+  const serde::BufferRef encoded = wire.encode();
   // Intent into WAL + replication before the first frame leaves: a crash
   // from here on recovers an explicit in-flight handoff and resolves it.
   log_record(replicate::RecordKind::kHandoffIntent, Guid(),
@@ -2568,7 +2575,7 @@ void ContextServer::ship_handoff_state() {
 
   // Encode the vnode's slice: membership, profiles, stored context,
   // producer-keyed subscriptions, publish-dedup windows.
-  std::vector<std::vector<std::byte>> records;
+  std::vector<serde::BufferRef> records;
   for (const Guid subject : subjects_in_vnode(vnode)) {
     const MemberRecord* member = registrar_.find(subject);
     {
@@ -2579,7 +2586,7 @@ void ContextServer::ship_handoff_state() {
       w.svarint(member->registered_at.micros());
       w.svarint(member->last_seen.micros());
       w.varint(member->missed_pings);
-      records.push_back(w.take());
+      records.push_back(w.take_ref());
     }
     if (const entity::Profile* profile = profiles_.profile(subject);
         profile != nullptr) {
@@ -2589,7 +2596,7 @@ void ContextServer::ship_handoff_state() {
       const entity::Advertisement* ad = profiles_.advertisement(subject);
       w.boolean(ad != nullptr);
       if (ad != nullptr) ad->encode(w);
-      records.push_back(w.take());
+      records.push_back(w.take_ref());
     }
     for (const std::string& type : context_store_.types_for(subject)) {
       auto history = context_store_.history(
@@ -2600,7 +2607,7 @@ void ContextServer::ship_handoff_state() {
         serde::Writer w;
         w.u8(kStateEvent);
         it->encode(w);
-        records.push_back(w.take());
+        records.push_back(w.take_ref());
       }
     }
     if (const auto dedup = publish_seen_.find(subject);
@@ -2614,7 +2621,7 @@ void ContextServer::ship_handoff_state() {
       std::sort(above.begin(), above.end());
       w.varint(above.size());
       for (const std::uint64_t seq : above) w.varint(seq);
-      records.push_back(w.take());
+      records.push_back(w.take_ref());
     }
   }
   // Producer-keyed subscriptions on the moving slice (wire-compatible with
@@ -2631,7 +2638,7 @@ void ContextServer::ship_handoff_state() {
     s.filter.encode(w);
     w.boolean(s.one_time);
     w.varint(s.owner_tag);
-    records.push_back(w.take());
+    records.push_back(w.take_ref());
   }
 
   // Ship as CRC-framed batches: [varint id][varint seq][bool last]
@@ -2649,11 +2656,11 @@ void ContextServer::ship_handoff_state() {
     header.varint(batch_seq++);
     header.boolean(last);
     header.varint(end - offset);
-    std::vector<std::byte> body = header.take();
+    std::vector<std::byte> body = header.view().to_vector();
     for (std::size_t i = offset; i < end; ++i) {
       serde::append_frame(body, records[i]);
     }
-    channel_.send(target_node, kHandoffState, std::move(body));
+    channel_.send(target_node, kHandoffState, serde::BufferRef::copy_of(body));
     if (last) break;  // also exits the records.empty() degenerate case
   }
 }
@@ -2742,9 +2749,11 @@ bool ContextServer::ingest_handoff_batch(const serde::BufferRef& payload) {
   }
   const std::size_t offset = payload.size() - r.remaining();
   serde::FrameCursor cursor(payload.data() + offset, payload.size() - offset);
-  std::vector<std::vector<std::byte>> batch;
+  std::vector<serde::BufferRef> batch;
   std::vector<std::byte> record;
-  while (cursor.next(record)) batch.push_back(record);
+  while (cursor.next(record)) {
+    batch.push_back(serde::BufferRef::copy_of(record));
+  }
   if (cursor.stop() != serde::FrameStop::kClean || batch.size() != *count) {
     SCI_WARN(kTag,
              "%s: handoff batch %llu/%llu damaged (%s) — dropped, awaiting "
@@ -2853,7 +2862,7 @@ void ContextServer::complete_outgoing_handoff() {
 
   const HandoffWire wire{handoff.id, handoff.vnode, config_.shard_index,
                          handoff.target, handoff.epoch};
-  const std::vector<std::byte> encoded = wire.encode();
+  const serde::BufferRef encoded = wire.encode();
   // Commit to the target and every sibling (and, via the replication log,
   // to this shard's standbys): all copies of the map converge on the new
   // epoch. Each receiver applies idempotently, so a recovered successor can
@@ -2874,7 +2883,7 @@ void ContextServer::complete_outgoing_handoff() {
       entity::write_guid(w, op.from);
       w.varint(op.type);
       write_blob(w, op.payload);
-      channel_.send(target_node, kHandoffReplay, w.take());
+      channel_.send(target_node, kHandoffReplay, w.take_ref());
     }
     // Fire-and-forget re-point: moved components learn their new owner now
     // instead of on their next stale-routed frame.
@@ -2987,7 +2996,7 @@ bool ContextServer::bounce_stale_frame(const net::Message& message) {
   w.varint(message.type);
   write_blob(w, message.payload);
   const Guid owner_node = shard_node(owner);
-  channel_.send(owner_node, kHandoffReplay, w.take());
+  channel_.send(owner_node, kHandoffReplay, w.take_ref());
   const entity::RedirectBody redirect{owner_node, owner_node};
   send_to(message.from, entity::kRedirect, redirect.encode());
   return true;
@@ -3294,7 +3303,8 @@ void ContextServer::recover_from_store() {
     (void)apply_snapshot_state(rec.snapshot, rec.base_index);
   }
   for (const auto& tail : rec.records) {
-    auto record = replicate::LogRecord::decode(tail.bytes);
+    auto record =
+        replicate::LogRecord::decode(serde::BufferRef::copy_of(tail.bytes));
     if (!record) continue;  // framed-but-malformed record: skip, keep going
     record->index = tail.index;
     apply_record(*record);
@@ -3446,6 +3456,9 @@ void ContextServer::apply_record(const replicate::LogRecord& record) {
       ingest_shard_subscribe(record.payload, record.flag == 1);
       return;
     case replicate::RecordKind::kShardUnsubscribe:
+      // A nil subject marks this shard's own unsubscribe(), which also
+      // dropped the mirror bookkeeping; a sibling's teardown names its node.
+      if (record.subject.is_nil()) drop_mirror(record.flag);
       (void)mediator_.unsubscribe(record.flag);
       return;
     case replicate::RecordKind::kViewInvalidate:
@@ -3727,7 +3740,7 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
   w.boolean(views_ != nullptr);
   if (views_ != nullptr) views_->encode(w);
 
-  return w.take();
+  return w.view().to_vector();
 }
 
 void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,

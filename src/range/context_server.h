@@ -548,8 +548,9 @@ class ContextServer {
   // apply_record so a shard's standby mutates state identically.
   void ingest_shard_profile(serde::FrameView payload);
   // `own_id_space` distinguishes a self-logged direct subscription (the
-  // standby's mint counter must advance past its id) from a sibling mirror
-  // (foreign id space that must not leak into the local counter).
+  // standby's mint counter must advance past its id, and its sibling
+  // mirrors are rebuilt) from a sibling mirror (foreign id space that must
+  // not leak into the local counter).
   void ingest_shard_subscribe(serde::FrameView payload,
                               bool own_id_space = false);
   // Entity ids / profiles the selection and composition stages scan. On a

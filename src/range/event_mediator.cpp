@@ -1,22 +1,8 @@
 #include "range/event_mediator.h"
 
 #include "entity/protocol.h"
-#include "mem/arena.h"
 
 namespace sci::range {
-
-std::vector<event::Subscription> EventMediator::dispatch(
-    const event::Event& event) {
-  ++stats_.events_in;
-  m_events_in_->inc();
-  std::vector<event::Subscription> matched = table_.collect_matches(event);
-  if (silent_) return matched;  // standby replica: bookkeeping only
-  for (const event::Subscription& subscription : matched) {
-    entity::DeliverBody body{subscription.id, subscription.owner_tag, event};
-    deliver_to(subscription.subscriber, body.encode());
-  }
-  return matched;
-}
 
 const std::vector<event::MatchRef>& EventMediator::dispatch_shared(
     const event::Event& event) {
@@ -24,16 +10,6 @@ const std::vector<event::MatchRef>& EventMediator::dispatch_shared(
   m_events_in_->inc();
   table_.collect_matches_into(event, scratch_matches_);
   if (silent_ || scratch_matches_.empty()) return scratch_matches_;
-
-  if (!mem::zero_copy_enabled()) {
-    // Ablation baseline: re-encode the full DeliverBody (event included)
-    // for every subscriber, the way dispatch() always did.
-    for (const event::MatchRef& match : scratch_matches_) {
-      entity::DeliverBody body{match.id, match.owner_tag, event};
-      deliver_to(match.subscriber, body.encode());
-    }
-    return scratch_matches_;
-  }
 
   // Encode the event once; each subscriber's frame is its two-varint
   // prefix plus a raw append of the shared bytes, all drawn from the

@@ -63,7 +63,7 @@ class EventMediator {
   // renew_period). Pass ttl == 0 to disable again.
   void set_lease_options(LeaseOptions options);
 
-  // Standby mode (docs/REPLICATION.md): dispatch() performs all table
+  // Standby mode (docs/REPLICATION.md): dispatch_shared() performs all table
   // bookkeeping — match counters, one-time removal — but sends no kDeliver
   // frames, so a replica converges on subscription state without emitting
   // duplicate traffic.
@@ -135,17 +135,14 @@ class EventMediator {
     return n;
   }
 
-  // Matches `event` against the table and delivers to every subscriber.
-  // Returns the matched subscriptions (callers inspect one_time flags and
-  // owner tags).
-  std::vector<event::Subscription> dispatch(const event::Event& event);
-
-  // Hot-path variant (docs/MEMORY.md): the event is encoded once and every
-  // subscriber's kDeliver frame shares those bytes behind its own two-varint
-  // header, written through a pooled serde::Writer — steady state performs
-  // no heap allocation per delivery. Returns the matches in a scratch vector
-  // that is overwritten by the next dispatch_shared call: consume it before
-  // doing anything that could publish again.
+  // Matches `event` against the table and delivers to every subscriber
+  // (docs/MEMORY.md): the event is encoded once and every subscriber's
+  // kDeliver frame shares those bytes behind its own two-varint header,
+  // written through a pooled serde::Writer — steady state performs no heap
+  // allocation per delivery. Returns the matches (callers inspect one_time
+  // flags and owner tags) in a scratch vector that is overwritten by the
+  // next dispatch_shared call: consume it before doing anything that could
+  // publish again.
   const std::vector<event::MatchRef>& dispatch_shared(
       const event::Event& event);
 

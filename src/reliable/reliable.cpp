@@ -48,7 +48,6 @@ Expected<DataWire> decode_data(const serde::BufferRef& bytes) {
   if (len > r.remaining())
     return make_error(ErrorCode::kParseError, "reliable payload truncated");
   out.payload = bytes.slice(r.position(), static_cast<std::size_t>(len));
-  if (!mem::zero_copy_enabled()) out.payload = out.payload.clone();
   return out;
 }
 
@@ -174,10 +173,8 @@ void ReliableChannel::transmit(Guid to, std::uint64_t seq) {
   }
 
   // First transmit encodes the envelope once; retransmits reuse the same
-  // pooled frame by reference (re-encoded only if the epoch moved, or per
-  // attempt when frame sharing is ablated off).
-  if (pending.envelope.empty() || pending.envelope_epoch != epoch_ ||
-      !mem::zero_copy_enabled()) {
+  // pooled frame by reference (re-encoded only if the epoch moved).
+  if (pending.envelope.empty() || pending.envelope_epoch != epoch_) {
     pending.envelope =
         encode_data(epoch_, seq, pending.inner_type, pending.payload);
     pending.envelope_epoch = epoch_;

@@ -232,8 +232,7 @@ class ReliableChannel {
   // returns the assigned sequence number. Retransmits until acked, the
   // attempt cap is reached (dead letter + give-up callback), or the
   // destination turns out to be detached (immediate give-up). The channel
-  // keeps a reference to `payload`, not a copy; vector callers convert
-  // through BufferRef's copying constructor.
+  // keeps a reference to `payload`, not a copy.
   std::uint64_t send(Guid to, std::uint32_t inner_type,
                      serde::BufferRef payload);
 

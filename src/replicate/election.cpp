@@ -106,7 +106,7 @@ void LeaseKeeper::renew_tick() {
   serde::Writer w(16);
   w.varint(epoch_());
   w.varint(lease_seq_);
-  const std::vector<std::byte> payload = w.take();
+  const serde::BufferRef payload = w.take_ref();
   for (const Guid member : members) {
     net::Message req;
     req.type = kReplLeaseReq;
@@ -192,7 +192,7 @@ bool ElectionAgent::primary_recently_alive() const {
 }
 
 void ElectionAgent::send_raw(Guid to, std::uint32_t type,
-                             std::vector<std::byte> payload) {
+                             serde::BufferRef payload) {
   net::Message msg;
   msg.type = type;
   msg.from = self_;
@@ -256,7 +256,7 @@ void ElectionAgent::on_lease_request(serde::FrameView payload,
   serde::Writer w(16);
   w.varint(e);
   w.varint(*seq);
-  send_raw(from, kReplLeaseAck, w.take());
+  send_raw(from, kReplLeaseAck, w.take_ref());
   ++stats_.lease_acks_sent;
 }
 
@@ -316,7 +316,7 @@ void ElectionAgent::on_vote_request(serde::FrameView payload,
   m_votes_granted_->inc();
   serde::Writer w(8);
   w.varint(e);
-  send_raw(from, kReplVoteGrant, w.take());
+  send_raw(from, kReplVoteGrant, w.take_ref());
 }
 
 void ElectionAgent::on_vote_grant(serde::FrameView payload,
@@ -391,7 +391,7 @@ void ElectionAgent::launch() {
   serde::Writer w(16);
   w.varint(cand_epoch_);
   w.varint(watermark_());
-  const std::vector<std::byte> payload = w.take();
+  const serde::BufferRef payload = w.take_ref();
   for (const Guid member : view_) {
     if (member == self_) continue;
     send_raw(member, kReplVoteRequest, payload);

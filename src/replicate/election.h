@@ -221,7 +221,7 @@ class ElectionAgent {
   void retry_check(std::uint32_t launched_epoch);
   [[nodiscard]] bool primary_recently_alive() const;
   [[nodiscard]] std::size_t quorum() const { return (view_.size() + 1) / 2 + 1; }
-  void send_raw(Guid to, std::uint32_t type, std::vector<std::byte> payload);
+  void send_raw(Guid to, std::uint32_t type, serde::BufferRef payload);
 
   net::Network& network_;
   Guid self_;

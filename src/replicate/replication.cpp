@@ -98,7 +98,6 @@ Expected<LogRecord> LogRecord::decode(const serde::BufferRef& bytes) {
     return make_error(ErrorCode::kParseError, "log record truncated");
   out.payload = bytes.slice(bytes.size() - r.remaining(),
                             static_cast<std::size_t>(len));
-  if (!mem::zero_copy_enabled()) out.payload = out.payload.clone();
   return out;
 }
 
@@ -610,7 +609,7 @@ void ReplicationFollower::ack() {
   msg.type = kReplApplied;
   msg.from = self_;
   msg.to = primary_;
-  msg.payload = w.take();
+  msg.payload = w.take_ref();
   (void)network_.send(std::move(msg));
 }
 

@@ -11,8 +11,10 @@
 // copies share the block — the mediator fan-out, the reliable retransmit
 // map, the replication tail and the WAL buffer all hold the *same* encoded
 // frame. FrameView is the borrowing, non-owning counterpart used by decode
-// paths that only read. The legacy std::vector<std::byte> encode/decode
-// API survives as a copying shim for cold paths.
+// paths that only read. BufferRef has no implicit conversion from
+// std::vector: the few places that must hold bytes in a vector (disk
+// images, snapshot blobs) copy explicitly through to_vector()/copy_of(),
+// so every copy on the data path is visible at its call site.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +36,6 @@ namespace sci::serde {
 class BufferRef {
  public:
   BufferRef() = default;
-
-  // Cold-path shim: copies `bytes` into a pooled block so legacy
-  // vector-producing encoders can feed BufferRef-consuming layers.
-  BufferRef(const std::vector<std::byte>& bytes)  // NOLINT(google-explicit-constructor)
-      : BufferRef(copy_of(bytes.data(), bytes.size())) {}
 
   BufferRef(const BufferRef& other)
       : block_(other.block_), data_(other.data_), size_(other.size_) {
@@ -78,6 +75,9 @@ class BufferRef {
     std::memcpy(block->data(), data, size);
     return adopt(block, size);
   }
+  static BufferRef copy_of(const std::vector<std::byte>& bytes) {
+    return copy_of(bytes.data(), bytes.size());
+  }
 
   [[nodiscard]] const std::byte* data() const { return data_; }
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -93,10 +93,6 @@ class BufferRef {
     sub.size_ = len;
     return sub;
   }
-
-  // Deep copy into a fresh block (the ablation path when frame sharing is
-  // disabled; also detaches a long-lived retainer from a giant block).
-  [[nodiscard]] BufferRef clone() const { return copy_of(data_, size_); }
 
   [[nodiscard]] std::vector<std::byte> to_vector() const {
     return std::vector<std::byte>(data_, data_ + size_);
@@ -157,8 +153,7 @@ class FrameView {
 
 // Encoder over a pooled arena block. Steady state allocates nothing: the
 // block comes off a freelist and returns there when the last BufferRef
-// drops. take_ref() is the zero-copy handoff; take()/bytes() remain for
-// cold-path callers that still want a vector.
+// drops. take_ref() is the only way a finished frame leaves the Writer.
 class Writer {
  public:
   Writer() = default;
@@ -220,22 +215,6 @@ class Writer {
     size_ = 0;
     capacity_ = 0;
     return BufferRef::adopt(block, n);
-  }
-
-  // Legacy copying shim for cold-path callers.
-  [[nodiscard]] std::vector<std::byte> take() {
-    std::vector<std::byte> out = bytes();
-    if (block_ != nullptr) {
-      mem::BufferArena::unref(std::exchange(block_, nullptr));
-      size_ = 0;
-      capacity_ = 0;
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::vector<std::byte> bytes() const {
-    if (block_ == nullptr) return {};
-    return std::vector<std::byte>(block_->data(), block_->data() + size_);
   }
 
   [[nodiscard]] FrameView view() const {

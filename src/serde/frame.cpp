@@ -45,12 +45,11 @@ std::uint32_t crc32(const std::byte* data, std::size_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-void append_frame(std::vector<std::byte>& out,
-                  const std::vector<std::byte>& payload) {
+void append_frame(std::vector<std::byte>& out, FrameView payload) {
   std::vector<std::byte> body;
   body.reserve(payload.size() + 10);
   put_varint(body, payload.size());
-  body.insert(body.end(), payload.begin(), payload.end());
+  body.insert(body.end(), payload.data(), payload.data() + payload.size());
   const std::uint32_t crc = crc32(body);
   // Little-endian u32, matching Writer::u32.
   out.push_back(std::byte{static_cast<std::uint8_t>(crc)});

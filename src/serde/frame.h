@@ -34,8 +34,7 @@ namespace sci::serde {
 }
 
 // Appends one framed record to `out`.
-void append_frame(std::vector<std::byte>& out,
-                  const std::vector<std::byte>& payload);
+void append_frame(std::vector<std::byte>& out, FrameView payload);
 
 // Why the cursor stopped. kClean means the last frame ended exactly at the
 // end of the buffer; everything else names the defect found at stop_offset()

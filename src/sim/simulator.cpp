@@ -1,24 +1,21 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
-
 namespace sci::sim {
 
-bool Simulator::is_cancelled(std::uint64_t id) {
-  const auto it = std::find(cancelled_.begin(), cancelled_.end(), id);
-  if (it == cancelled_.end()) return false;
-  // Swap-erase: cancellation lists stay tiny because entries are removed as
-  // their events are popped.
-  *it = cancelled_.back();
-  cancelled_.pop_back();
-  return true;
+bool Simulator::release(std::uint32_t slot) {
+  Slot& state = slots_[slot];
+  const bool cancelled = state.cancelled;
+  state.cancelled = false;
+  ++state.generation;
+  free_slots_.push_back(slot);
+  return cancelled;
 }
 
 bool Simulator::step(SimTime until) {
   while (!queue_.empty()) {
     const Entry& top = queue_.top();
     if (top.when > until) return false;
-    if (is_cancelled(top.id)) {
+    if (release(top.slot)) {
       queue_.pop();
       continue;
     }

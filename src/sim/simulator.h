@@ -26,16 +26,21 @@ namespace sci::sim {
 
 using Task = std::function<void()>;
 
-// Handle for cancelling a scheduled event.
+// Handle for cancelling a scheduled event: the event's queue slot plus the
+// slot's generation when the event was scheduled. The slot's generation
+// moves on once the event leaves the queue, so a handle to a fired or
+// cancelled event goes stale and cancelling it again touches nothing.
 class TimerHandle {
  public:
   TimerHandle() = default;
-  [[nodiscard]] bool valid() const { return id_ != 0; }
+  [[nodiscard]] bool valid() const { return slot_plus_one_ != 0; }
 
  private:
   friend class Simulator;
-  explicit TimerHandle(std::uint64_t id) : id_(id) {}
-  std::uint64_t id_ = 0;
+  TimerHandle(std::uint32_t slot, std::uint32_t generation)
+      : slot_plus_one_(slot + 1), generation_(generation) {}
+  std::uint32_t slot_plus_one_ = 0;
+  std::uint32_t generation_ = 0;
 };
 
 class Simulator {
@@ -90,19 +95,30 @@ class Simulator {
 
   TimerHandle schedule_at(SimTime when, Task task) {
     SCI_ASSERT_MSG(when >= now_, "cannot schedule into the past");
-    const std::uint64_t id = ++next_id_;
-    queue_.push(Entry{when, id, std::move(task)});
+    std::uint32_t slot = 0;
+    if (free_slots_.empty()) {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    queue_.push(Entry{when, ++next_id_, slot, std::move(task)});
     ++scheduled_count_;
     scheduled_counter_->inc();
-    return TimerHandle(id);
+    return TimerHandle(slot, slots_[slot].generation);
   }
 
-  // Cancels a pending event. Cancelling an already-fired or already
-  // cancelled handle is a no-op (lazy deletion).
+  // Cancels a pending event in O(1): the entry stays queued and is dropped
+  // when it reaches the front (lazy deletion). Cancelling an already-fired
+  // or already cancelled handle is a no-op that leaves no state behind.
   void cancel(TimerHandle handle) {
-    if (handle.valid()) {
-      cancelled_.push_back(handle.id_);
-      cancelled_counter_->inc();
+    if (!handle.valid()) return;
+    cancelled_counter_->inc();
+    const std::uint32_t slot = handle.slot_plus_one_ - 1;
+    if (slot < slots_.size() &&
+        slots_[slot].generation == handle.generation_) {
+      slots_[slot].cancelled = true;
     }
   }
 
@@ -140,8 +156,9 @@ class Simulator {
 
   struct Entry {
     SimTime when;
-    std::uint64_t id;
-    mutable Task task;  // moved out when the entry is popped
+    std::uint64_t id;    // scheduling order: ties at `when` run in id order
+    std::uint32_t slot;  // index into slots_, owned until the entry pops
+    mutable Task task;   // moved out when the entry is popped
 
     // Min-heap via std::priority_queue (which is a max-heap): invert.
     bool operator<(const Entry& other) const {
@@ -150,7 +167,16 @@ class Simulator {
     }
   };
 
-  [[nodiscard]] bool is_cancelled(std::uint64_t id);
+  // Per-entry cancellation state, one slot per queued entry and recycled
+  // when the entry pops, so it is bounded by the peak queue depth.
+  struct Slot {
+    std::uint32_t generation = 0;
+    bool cancelled = false;
+  };
+
+  // Frees the slot of the entry leaving the queue (stale-ing its handle) and
+  // reports whether the entry was cancelled.
+  bool release(std::uint32_t slot);
 
   SimTime now_ = SimTime::zero();
   Rng rng_;
@@ -168,7 +194,8 @@ class Simulator {
   obs::Gauge* mem_pooled_free_ = nullptr;
   obs::Gauge* mem_bytes_reserved_ = nullptr;
   std::priority_queue<Entry> queue_;
-  std::vector<std::uint64_t> cancelled_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_id_ = 0;
   std::uint64_t executed_count_ = 0;
   std::uint64_t scheduled_count_ = 0;

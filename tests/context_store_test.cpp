@@ -121,8 +121,8 @@ TEST(ContextPullTest, HistoryQueryReturnsStoredEvents) {
   ASSERT_TRUE(sci.enroll(app, range).is_ok());
   sci.run_for(Duration::seconds(6));  // gather ~6 readings
 
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .pattern(entity::types::kTemperature)
+  const std::string xml = query::Builder("q", app.id())
+                              .what_pattern(entity::types::kTemperature)
                               .about(sensor.id())
                               .with_history(4)
                               .mode(query::QueryMode::kProfileRequest)
@@ -169,9 +169,9 @@ TEST(ContextPullTest, SnapshotQueryAboutAPerson) {
   // Wire the door→locator chain with a live subscription so derived
   // location.update events actually flow (and get stored).
   const std::string sub_xml =
-      query::QueryBuilder("q-sub", app.id())
-          .pattern(entity::types::kLocationUpdate, "",
-                   entity::types::kSemPosition)
+      query::Builder("q-sub", app.id())
+          .what_pattern(entity::types::kLocationUpdate)
+          .semantic(entity::types::kSemPosition)
           .mode(query::QueryMode::kEventSubscription)
           .to_xml();
   ASSERT_TRUE(app.submit_query("q-sub", sub_xml).is_ok());
@@ -181,8 +181,8 @@ TEST(ContextPullTest, SnapshotQueryAboutAPerson) {
   sci.run_for(Duration::millis(200));
 
   // Semantic-only pattern about Bob → full stored snapshot.
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .pattern("", "", entity::types::kSemPosition)
+  const std::string xml = query::Builder("q", app.id())
+                              .semantic(entity::types::kSemPosition)
                               .about(bob.id())
                               .mode(query::QueryMode::kProfileRequest)
                               .to_xml();
@@ -205,8 +205,8 @@ TEST(ContextPullTest, UnknownSubjectFailsCleanly) {
   PullApp app(sci.network(), sci.new_guid(), "app",
               entity::EntityKind::kSoftware);
   ASSERT_TRUE(sci.enroll(app, range).is_ok());
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .pattern("temperature")
+  const std::string xml = query::Builder("q", app.id())
+                              .what_pattern("temperature")
                               .about(sci.new_guid())
                               .with_history(3)
                               .mode(query::QueryMode::kProfileRequest)
@@ -219,8 +219,8 @@ TEST(ContextPullTest, UnknownSubjectFailsCleanly) {
 }
 
 TEST(ContextPullTest, HistoryAttributeRoundTripsXml) {
-  const query::Query q = query::QueryBuilder("q", guid_of(1))
-                             .pattern("temperature")
+  const query::Query q = query::Builder("q", guid_of(1))
+                             .what_pattern("temperature")
                              .about(guid_of(2))
                              .with_history(7)
                              .mode(query::QueryMode::kProfileRequest)

@@ -60,8 +60,8 @@ TEST(CoverageTest, MaxAttrPolicySelectsFastestPrinter) {
   d.sci.run_for(Duration::millis(100));
 
   const std::string xml =
-      query::QueryBuilder("q", app.id())
-          .entity_type("printing")
+      query::Builder("q", app.id())
+          .what_entity_type("printing")
           .select(query::SelectPolicy::kMaxAttr, "speed")
           .mode(query::QueryMode::kAdvertisementRequest)
           .to_xml();
@@ -83,8 +83,8 @@ TEST(CoverageTest, MinMaxPolicyFailsWithoutTheAttribute) {
           entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(app, range).is_ok());
   const std::string xml =
-      query::QueryBuilder("q", app.id())
-          .entity_type("printing")
+      query::Builder("q", app.id())
+          .what_entity_type("printing")
           .select(query::SelectPolicy::kMinAttr, "no-such-attribute")
           .mode(query::QueryMode::kAdvertisementRequest)
           .to_xml();
@@ -108,8 +108,8 @@ TEST(CoverageTest, ExplicitRangeTargetingForwardsDirectly) {
 
   // Address the range by GUID (where.range), no logical path at all.
   const std::string xml =
-      query::QueryBuilder("q", app.id())
-          .entity_type("printing")
+      query::Builder("q", app.id())
+          .what_entity_type("printing")
           .in_range(upstairs.id())
           .mode(query::QueryMode::kAdvertisementRequest)
           .to_xml();
@@ -132,8 +132,8 @@ TEST(CoverageTest, SubscriptionToEntityTypeBindsToSelectedEntity) {
           entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(app, range).is_ok());
 
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .entity_type("printing")
+  const std::string xml = query::Builder("q", app.id())
+                              .what_entity_type("printing")
                               .mode(query::QueryMode::kEventSubscription)
                               .to_xml();
   ASSERT_TRUE(app.submit_query("q", xml).is_ok());
@@ -170,8 +170,8 @@ TEST(CoverageTest, QueryIdsWithXmlSpecialsSurviveTheWire) {
           entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(app, range).is_ok());
   const std::string nasty_id = "q<&>\"'1";
-  const std::string xml = query::QueryBuilder(nasty_id, app.id())
-                              .entity_type("printing")
+  const std::string xml = query::Builder(nasty_id, app.id())
+                              .what_entity_type("printing")
                               .mode(query::QueryMode::kProfileRequest)
                               .to_xml();
   ASSERT_TRUE(app.submit_query(nasty_id, xml).is_ok());
@@ -225,8 +225,8 @@ TEST(CoverageTest, ThreeRangeOverlayForwardsAcrossUnrelatedRanges) {
           entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(app, a).is_ok());
   d.sci.run_for(Duration::seconds(2));
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .entity_type("printing")
+  const std::string xml = query::Builder("q", app.id())
+                              .what_entity_type("printing")
                               .in(d.building.room_path(1, 0))
                               .mode(query::QueryMode::kAdvertisementRequest)
                               .to_xml();

@@ -112,8 +112,8 @@ TEST(SemanticsDetailTest, CustomAliasBridgesQueryToSource) {
   const Guid badge = sci.new_guid();
   world.add_badge(badge, building.room(0, 0));
 
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .pattern("", "", "whereabouts")
+  const std::string xml = query::Builder("q", app.id())
+                              .semantic("whereabouts")
                               .mode(query::QueryMode::kEventSubscription)
                               .to_xml();
   ASSERT_TRUE(app.submit_query("q", xml).is_ok());
@@ -156,9 +156,9 @@ TEST(FilterDetailTest, SubjectFilterSuppressesOtherEntities) {
   world.add_badge(john, building.room(0, 0));
 
   // Subscribe to Bob's location only.
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .pattern(entity::types::kLocationUpdate, "",
-                                       entity::types::kSemPosition)
+  const std::string xml = query::Builder("q", app.id())
+                              .what_pattern(entity::types::kLocationUpdate)
+                              .semantic(entity::types::kSemPosition)
                               .about(bob)
                               .mode(query::QueryMode::kEventSubscription)
                               .to_xml();

@@ -191,7 +191,7 @@ TEST(ProtocolTest, AllBodiesRoundTrip) {
   // Truncated bodies error instead of crashing.
   {
     const HelloBody b{true, "CAPA"};
-    auto bytes = b.encode();
+    auto bytes = b.encode().to_vector();
     bytes.resize(1);
     EXPECT_FALSE(HelloBody::decode(bytes).has_value());
   }

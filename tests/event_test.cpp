@@ -100,6 +100,12 @@ struct TableFixture {
   Guid app = Guid::random(rng);
   Guid sensor1 = Guid::random(rng);
   Guid sensor2 = Guid::random(rng);
+
+  std::vector<MatchRef> match(const Event& event) {
+    std::vector<MatchRef> out;
+    table.collect_matches_into(event, out);
+    return out;
+  }
 };
 
 TEST(SubscriptionTableTest, TypeAndProducerMatching) {
@@ -108,14 +114,13 @@ TEST(SubscriptionTableTest, TypeAndProducerMatching) {
   f.table.add(f.app, std::nullopt, "temp", {});
   f.table.add(f.app, std::nullopt, "humidity", {});
 
-  auto matched = f.table.collect_matches(
-      make_event("temp", f.sensor1, Value()));
+  auto matched = f.match(make_event("temp", f.sensor1, Value()));
   EXPECT_EQ(matched.size(), 2u);  // specific + wildcard
 
-  matched = f.table.collect_matches(make_event("temp", f.sensor2, Value()));
+  matched = f.match(make_event("temp", f.sensor2, Value()));
   EXPECT_EQ(matched.size(), 1u);  // wildcard only
 
-  matched = f.table.collect_matches(make_event("other", f.sensor1, Value()));
+  matched = f.match(make_event("other", f.sensor1, Value()));
   EXPECT_TRUE(matched.empty());
 }
 
@@ -125,12 +130,8 @@ TEST(SubscriptionTableTest, FiltersGateDelivery) {
   filter.fields.push_back({"v", FilterOp::kGreater, 10});
   f.table.add(f.app, std::nullopt, "temp", filter);
   EXPECT_TRUE(
-      f.table.collect_matches(make_event("temp", f.sensor1, vmap({{"v", 5}})))
-          .empty());
-  EXPECT_EQ(f.table
-                .collect_matches(
-                    make_event("temp", f.sensor1, vmap({{"v", 15}})))
-                .size(),
+      f.match(make_event("temp", f.sensor1, vmap({{"v", 5}}))).empty());
+  EXPECT_EQ(f.match(make_event("temp", f.sensor1, vmap({{"v", 15}}))).size(),
             1u);
 }
 
@@ -138,13 +139,11 @@ TEST(SubscriptionTableTest, OneTimeAutoCancels) {
   TableFixture f;
   f.table.add(f.app, std::nullopt, "temp", {}, /*one_time=*/true);
   EXPECT_EQ(f.table.size(), 1u);
-  auto matched =
-      f.table.collect_matches(make_event("temp", f.sensor1, Value()));
+  auto matched = f.match(make_event("temp", f.sensor1, Value()));
   ASSERT_EQ(matched.size(), 1u);
   EXPECT_TRUE(matched[0].one_time);
   EXPECT_EQ(f.table.size(), 0u);
-  EXPECT_TRUE(
-      f.table.collect_matches(make_event("temp", f.sensor1, Value())).empty());
+  EXPECT_TRUE(f.match(make_event("temp", f.sensor1, Value())).empty());
 }
 
 TEST(SubscriptionTableTest, RemoveById) {
@@ -184,7 +183,7 @@ TEST(SubscriptionTableTest, DeliveryCountersAccumulate) {
   TableFixture f;
   const SubscriptionId id = f.table.add(f.app, std::nullopt, "temp", {});
   for (int i = 0; i < 5; ++i) {
-    f.table.collect_matches(make_event("temp", f.sensor1, Value()));
+    f.match(make_event("temp", f.sensor1, Value()));
   }
   const Subscription* subscription = f.table.find(id);
   ASSERT_NE(subscription, nullptr);

@@ -44,8 +44,8 @@ struct Deployment {
 // ------------------------------------------------------------------ QoC
 
 TEST(QocTest, QueryXmlRoundTripsContracts) {
-  const query::Query q = query::QueryBuilder("q", Guid(0, 1))
-                             .pattern("t")
+  const query::Query q = query::Builder("q", Guid(0, 1))
+                             .what_pattern("t")
                              .fresh_within(30.0)
                              .min_confidence(0.8)
                              .build();
@@ -56,7 +56,7 @@ TEST(QocTest, QueryXmlRoundTripsContracts) {
 }
 
 TEST(QocTest, ContractValidation) {
-  query::Query q = query::QueryBuilder("q", Guid(0, 1)).pattern("t").build();
+  query::Query q = query::Builder("q", Guid(0, 1)).what_pattern("t").build();
   q.which.min_confidence = 1.5;
   EXPECT_FALSE(q.validate().is_ok());
   q.which.min_confidence = 0.5;
@@ -83,8 +83,8 @@ TEST(QocTest, FreshnessContractExcludesStaleCandidates) {
   // Let 60 virtual seconds pass without any sign of life from the printer.
   d.sci.run_for(Duration::seconds(60));
   const std::string stale_xml =
-      query::QueryBuilder("q-stale", app.id())
-          .entity_type("printing")
+      query::Builder("q-stale", app.id())
+          .what_entity_type("printing")
           .fresh_within(30.0)
           .mode(query::QueryMode::kAdvertisementRequest)
           .to_xml();
@@ -99,8 +99,8 @@ TEST(QocTest, FreshnessContractExcludesStaleCandidates) {
   printer.set_paper(true);
   d.sci.run_for(Duration::millis(200));
   const std::string fresh_xml =
-      query::QueryBuilder("q-fresh", app.id())
-          .entity_type("printing")
+      query::Builder("q-fresh", app.id())
+          .what_entity_type("printing")
           .fresh_within(30.0)
           .mode(query::QueryMode::kAdvertisementRequest)
           .to_xml();
@@ -132,9 +132,9 @@ TEST(QocTest, ConfidenceContractGatesDeliveries) {
 
   // Door-sensor locations carry confidence 1.0: a 0.9 contract passes.
   const std::string xml =
-      query::QueryBuilder("q", app.id())
-          .pattern(entity::types::kLocationUpdate, "",
-                   entity::types::kSemPosition)
+      query::Builder("q", app.id())
+          .what_pattern(entity::types::kLocationUpdate)
+          .semantic(entity::types::kSemPosition)
           .about(bob.id())
           .min_confidence(0.9)
           .mode(query::QueryMode::kEventSubscription)
@@ -231,8 +231,8 @@ TEST(GroupTest, QueriesDoNotCrossAccessGroups) {
                    entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(app, tower).is_ok());
 
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .entity_type("printing")
+  const std::string xml = query::Builder("q", app.id())
+                              .what_entity_type("printing")
                               .in(d.building.room_path(1, 0))
                               .mode(query::QueryMode::kAdvertisementRequest)
                               .to_xml();

@@ -108,8 +108,9 @@ TEST(IntegrationTest, PatternSubscriptionDeliversEvents) {
                    entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(app, range).is_ok());
 
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .pattern(entity::types::kTemperature, "celsius")
+  const std::string xml = query::Builder("q", app.id())
+                              .what_pattern(entity::types::kTemperature)
+                              .unit("celsius")
                               .mode(query::QueryMode::kEventSubscription)
                               .to_xml();
   ASSERT_TRUE(app.submit_query("q", xml).is_ok());
@@ -139,8 +140,9 @@ TEST(IntegrationTest, UnitAwareMatchingSelectsTheRightSensor) {
   // (or a converted celsius one — the registry declares convertibility, so
   // either source is acceptable; assert unit presence).
   const std::string xml =
-      query::QueryBuilder("q", app.id())
-          .pattern(entity::types::kTemperature, "fahrenheit")
+      query::Builder("q", app.id())
+          .what_pattern(entity::types::kTemperature)
+          .unit("fahrenheit")
           .mode(query::QueryMode::kEventSubscription)
           .to_xml();
   ASSERT_TRUE(app.submit_query("q", xml).is_ok());
@@ -159,8 +161,8 @@ TEST(IntegrationTest, OneTimeSubscriptionCancelsAfterFirstDelivery) {
                    entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(app, range).is_ok());
 
-  const std::string xml = query::QueryBuilder("q1", app.id())
-                              .pattern(entity::types::kTemperature)
+  const std::string xml = query::Builder("q1", app.id())
+                              .what_pattern(entity::types::kTemperature)
                               .mode(query::QueryMode::kOneTimeSubscription)
                               .to_xml();
   ASSERT_TRUE(app.submit_query("q1", xml).is_ok());
@@ -183,8 +185,8 @@ TEST(IntegrationTest, NamedEntitySubscriptionBindsDirectly) {
                    entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(app, range).is_ok());
 
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .named(s1.id())
+  const std::string xml = query::Builder("q", app.id())
+                              .what_named(s1.id())
                               .mode(query::QueryMode::kEventSubscription)
                               .to_xml();
   ASSERT_TRUE(app.submit_query("q", xml).is_ok());
@@ -210,8 +212,8 @@ TEST(IntegrationTest, ProfileRequestReturnsMatchingProfiles) {
                    entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(app, range).is_ok());
 
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .entity_type("printing")
+  const std::string xml = query::Builder("q", app.id())
+                              .what_entity_type("printing")
                               .mode(query::QueryMode::kProfileRequest)
                               .to_xml();
   ASSERT_TRUE(app.submit_query("q", xml).is_ok());
@@ -223,8 +225,8 @@ TEST(IntegrationTest, ProfileRequestReturnsMatchingProfiles) {
   EXPECT_EQ(result->value.get_list().size(), 2u);
 
   // Named profile request returns exactly one.
-  const std::string named_xml = query::QueryBuilder("q2", app.id())
-                                    .named(p1.id())
+  const std::string named_xml = query::Builder("q2", app.id())
+                                    .what_named(p1.id())
                                     .mode(query::QueryMode::kProfileRequest)
                                     .to_xml();
   ASSERT_TRUE(app.submit_query("q2", named_xml).is_ok());
@@ -242,8 +244,8 @@ TEST(IntegrationTest, ProfileRequestForUnknownTypeFails) {
   RecordingApp app(d.sci.network(), d.sci.new_guid(), "app",
                    entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(app, range).is_ok());
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .entity_type("teleporter")
+  const std::string xml = query::Builder("q", app.id())
+                              .what_entity_type("teleporter")
                               .mode(query::QueryMode::kProfileRequest)
                               .to_xml();
   ASSERT_TRUE(app.submit_query("q", xml).is_ok());
@@ -279,8 +281,8 @@ TEST(IntegrationTest, CapaSelectionHonoursRequirementsAndAccess) {
   d.sci.run_for(Duration::millis(200));
 
   // Closest with paper and access, relative to the user in room0: P1.
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .entity_type("printing")
+  const std::string xml = query::Builder("q", app.id())
+                              .what_entity_type("printing")
                               .closest_to(user.id())
                               .select(query::SelectPolicy::kClosest)
                               .require("has_paper", Value(true))
@@ -306,8 +308,8 @@ TEST(IntegrationTest, CapaSelectionHonoursRequirementsAndAccess) {
   EXPECT_TRUE(app.service_replies[0].first.ok());
 
   const std::string xml2 =
-      query::QueryBuilder("q2", app.id())
-          .entity_type("printing")
+      query::Builder("q2", app.id())
+          .what_entity_type("printing")
           .closest_to(user.id())
           .select(query::SelectPolicy::kClosest)
           .require("has_paper", Value(true))
@@ -326,8 +328,8 @@ TEST(IntegrationTest, CapaSelectionHonoursRequirementsAndAccess) {
   printers[2]->add_keyholder(user.id());
   d.sci.run_for(Duration::millis(200));
   const std::string xml3 =
-      query::QueryBuilder("q3", app.id())
-          .named(printers[2]->id())
+      query::Builder("q3", app.id())
+          .what_named(printers[2]->id())
           .check_access()
           .mode(query::QueryMode::kAdvertisementRequest)
           .to_xml();
@@ -359,8 +361,8 @@ TEST(IntegrationTest, MinAttrPolicySelectsShortestQueue) {
   d.sci.run_for(Duration::millis(200));
 
   const std::string xml =
-      query::QueryBuilder("q", app.id())
-          .entity_type("printing")
+      query::Builder("q", app.id())
+          .what_entity_type("printing")
           .select(query::SelectPolicy::kMinAttr, "queue_length")
           .mode(query::QueryMode::kAdvertisementRequest)
           .to_xml();
@@ -391,8 +393,8 @@ TEST(IntegrationTest, CrashedSensorIsEvictedAndConfigurationRecomposed) {
   RecordingApp app(d.sci.network(), d.sci.new_guid(), "app",
                    entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(app, range).is_ok());
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .pattern(entity::types::kTemperature)
+  const std::string xml = query::Builder("q", app.id())
+                              .what_pattern(entity::types::kTemperature)
                               .mode(query::QueryMode::kEventSubscription)
                               .to_xml();
   ASSERT_TRUE(app.submit_query("q", xml).is_ok());
@@ -432,8 +434,8 @@ TEST(IntegrationTest, UnresolvableQueryIsParkedAndSatisfiedOnArrival) {
   RecordingApp app(d.sci.network(), d.sci.new_guid(), "app",
                    entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(app, range).is_ok());
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .pattern(entity::types::kTemperature)
+  const std::string xml = query::Builder("q", app.id())
+                              .what_pattern(entity::types::kTemperature)
                               .mode(query::QueryMode::kEventSubscription)
                               .to_xml();
   ASSERT_TRUE(app.submit_query("q", xml).is_ok());
@@ -462,8 +464,8 @@ TEST(IntegrationTest, AppDepartureTearsDownItsConfigurations) {
       d.sci.network(), d.sci.new_guid(), "app",
       entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(*app, range).is_ok());
-  const std::string xml = query::QueryBuilder("q", app->id())
-                              .pattern(entity::types::kTemperature)
+  const std::string xml = query::Builder("q", app->id())
+                              .what_pattern(entity::types::kTemperature)
                               .mode(query::QueryMode::kEventSubscription)
                               .to_xml();
   ASSERT_TRUE(app->submit_query("q", xml).is_ok());
@@ -487,8 +489,8 @@ TEST(IntegrationTest, NotBeforeDefersExecution) {
                    entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(app, range).is_ok());
   const double fire_at = d.sci.now().seconds_f() + 5.0;
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .entity_type("printing")
+  const std::string xml = query::Builder("q", app.id())
+                              .what_entity_type("printing")
                               .not_before(fire_at)
                               .mode(query::QueryMode::kAdvertisementRequest)
                               .to_xml();
@@ -519,8 +521,8 @@ TEST(IntegrationTest, TriggerDeferredQueryFiresOnDoorEvent) {
   ASSERT_TRUE(d.sci.enroll(app, range).is_ok());
   world.add_badge(bob.id(), d.building.corridor(0));
 
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .entity_type("printing")
+  const std::string xml = query::Builder("q", app.id())
+                              .what_entity_type("printing")
                               .when_enters(bob.id(), d.building.room_path(0, 0))
                               .mode(query::QueryMode::kAdvertisementRequest)
                               .to_xml();
@@ -543,8 +545,8 @@ TEST(IntegrationTest, DeferredQueryExpires) {
                    entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(app, range).is_ok());
   const std::string xml =
-      query::QueryBuilder("q", app.id())
-          .entity_type("printing")
+      query::Builder("q", app.id())
+          .what_entity_type("printing")
           .when_enters(d.sci.new_guid(), d.building.room_path(0, 0))
           .expires_after(3.0)
           .mode(query::QueryMode::kAdvertisementRequest)
@@ -567,8 +569,8 @@ TEST(IntegrationTest, BoundedSubscriptionExpiresAndRetires) {
   RecordingApp app(d.sci.network(), d.sci.new_guid(), "app",
                    entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(app, range).is_ok());
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .pattern(entity::types::kTemperature)
+  const std::string xml = query::Builder("q", app.id())
+                              .what_pattern(entity::types::kTemperature)
                               .expires_after(5.0)
                               .mode(query::QueryMode::kEventSubscription)
                               .to_xml();
@@ -604,8 +606,8 @@ TEST(IntegrationTest, QueriesForwardToTheGoverningRange) {
                    entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(app, tower).is_ok());  // app is downstairs
 
-  const std::string xml = query::QueryBuilder("q", app.id())
-                              .entity_type("printing")
+  const std::string xml = query::Builder("q", app.id())
+                              .what_entity_type("printing")
                               .in(d.building.room_path(1, 0))
                               .mode(query::QueryMode::kAdvertisementRequest)
                               .to_xml();
@@ -637,8 +639,8 @@ TEST(IntegrationTest, ForwardingToUnknownPlaceFails) {
                    entity::EntityKind::kSoftware);
   ASSERT_TRUE(d.sci.enroll(app, tower).is_ok());
   const std::string xml =
-      query::QueryBuilder("q", app.id())
-          .entity_type("printing")
+      query::Builder("q", app.id())
+          .what_entity_type("printing")
           .in(*location::LogicalPath::parse("mars/base/dome1"))
           .mode(query::QueryMode::kAdvertisementRequest)
           .to_xml();

@@ -109,15 +109,6 @@ TEST(ArenaTest, OversizeRequestsBypassThePool) {
   EXPECT_EQ(arena.stats().pooled_free, 0u);  // freed, not parked
 }
 
-TEST(ArenaTest, PoolingAblationFallsBackToHeap) {
-  mem::set_pooling_enabled(false);
-  mem::BufferArena arena;
-  auto* a = arena.acquire(100);
-  mem::BufferArena::unref(a);
-  EXPECT_EQ(arena.stats().pooled_free, 0u);  // freed outright, never parked
-  mem::set_pooling_enabled(true);
-}
-
 // --------------------------------------------------------------- BufferRef
 
 TEST(BufferRefTest, CopyIsRefcountAndSliceKeepsBlockAlive) {
@@ -156,8 +147,8 @@ TEST(BufferRefTest, SliceClampsOutOfRangeRequests) {
 
 TEST(BufferRefTest, CloneDeepCopiesAndEqualityComparesBytes) {
   const std::vector<std::byte> original = bytes({1, 2, 3, 4, 5});
-  const serde::BufferRef a(original);  // copying shim from vector
-  const serde::BufferRef b = a.clone();
+  const serde::BufferRef a = serde::BufferRef::copy_of(original);
+  const serde::BufferRef b = serde::BufferRef::copy_of(a.data(), a.size());
   EXPECT_NE(a.data(), b.data());
   EXPECT_TRUE(a == b);
   EXPECT_EQ(a.to_vector(), original);
@@ -319,11 +310,12 @@ TEST(MemReliableTest, PayloadSurvivesDeadLetterParkAndReplay) {
 
   // The destination is absent: both frames exhaust their attempts and park
   // in the DLQ. Their payload blocks must stay alive while parked.
-  a.send(b_id, 0x42, bytes({10, 11, 12}));
-  a.send(b_id, 0x43, bytes({20, 21, 22}));
+  a.send(b_id, 0x42, serde::BufferRef::copy_of(bytes({10, 11, 12})));
+  a.send(b_id, 0x43, serde::BufferRef::copy_of(bytes({20, 21, 22})));
   simulator.run_all();
   ASSERT_EQ(a.dead_letters().entries().size(), 2u);
-  EXPECT_EQ(a.dead_letters().entries()[0].payload, bytes({10, 11, 12}));
+  EXPECT_EQ(a.dead_letters().entries()[0].payload.to_vector(),
+            bytes({10, 11, 12}));
 
   // Destination comes up; replay re-sends the parked bytes intact.
   std::vector<std::vector<std::byte>> received;

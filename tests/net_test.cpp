@@ -159,7 +159,7 @@ TEST(NetworkTest, StatsCountMessagesAndBytes) {
   const Guid a = f.attach_counter(&received);
   const Guid b = f.attach_counter(&received);
   Message m = f.frame(a, b);
-  m.payload = std::vector<std::byte>(100);
+  m.payload = serde::BufferRef::copy_of(std::vector<std::byte>(100));
   const std::size_t size = m.wire_size();
   EXPECT_TRUE(f.network.send(std::move(m)).is_ok());
   f.simulator.run_all();

@@ -159,7 +159,7 @@ TEST(MetricsTest, SnapshotJsonRoundTripsThroughSerde) {
   // Binary serde round trip preserves the whole tree.
   serde::Writer w;
   doc.encode(w);
-  const auto bytes = w.take();
+  const auto bytes = w.take_ref();
   serde::Reader r(bytes);
   const auto decoded = Value::decode(r);
   ASSERT_TRUE(decoded.has_value());

@@ -63,12 +63,15 @@ TEST(ScinetTest, PayloadSurvivesRouting) {
   std::vector<std::byte> seen;
   std::uint32_t seen_type = 0;
   target.set_deliver_handler([&](const RoutedMessage& m) {
-    seen = m.payload;
+    seen = m.payload.to_vector();
     seen_type = m.app_type;
   });
   std::vector<std::byte> payload{std::byte{0xDE}, std::byte{0xAD},
                                  std::byte{0xBE}, std::byte{0xEF}};
-  EXPECT_TRUE(nodes.front()->route(target.id(), 0x77, payload).is_ok());
+  EXPECT_TRUE(
+      nodes.front()
+          ->route(target.id(), 0x77, serde::BufferRef::copy_of(payload))
+          .is_ok());
   d.scinet.settle();
   EXPECT_EQ(seen, payload);
   EXPECT_EQ(seen_type, 0x77u);

@@ -27,6 +27,11 @@ std::vector<std::byte> bytes(std::initializer_list<int> values) {
   return out;
 }
 
+// The same bytes as a pooled frame (what records and sends carry).
+serde::BufferRef frame(std::initializer_list<int> values) {
+  return serde::BufferRef::copy_of(bytes(values));
+}
+
 // ---------------------------------------------------------------------------
 // serde/frame.h — CRC-framed WAL records
 
@@ -170,8 +175,8 @@ struct StoreFixture {
 TEST(PersistTest, StoreGroupCommitsOnFlushTimer) {
   StoreFixture f;
   auto store = f.make("s", f.config());
-  store->append(1, 1, bytes({10}));
-  store->append(1, 2, bytes({11}));
+  store->append(1, 1, frame({10}));
+  store->append(1, 2, frame({11}));
   EXPECT_EQ(store->buffered(), 2u);
   EXPECT_EQ(store->durable_index(), 0u);  // write-behind: nothing synced yet
 
@@ -188,10 +193,10 @@ TEST(PersistTest, StoreFlushThresholdShortCircuitsTimer) {
   persist::DurabilityConfig c = f.config();
   c.flush_threshold = 3;
   auto store = f.make("s", c);
-  store->append(1, 1, bytes({1}));
-  store->append(1, 2, bytes({2}));
+  store->append(1, 1, frame({1}));
+  store->append(1, 2, frame({2}));
   EXPECT_EQ(store->durable_index(), 0u);
-  store->append(1, 3, bytes({3}));  // threshold reached: flush inline
+  store->append(1, 3, frame({3}));  // threshold reached: flush inline
   EXPECT_EQ(store->durable_index(), 3u);
   EXPECT_EQ(store->buffered(), 0u);
 }
@@ -200,7 +205,7 @@ TEST(PersistTest, StoreFailedSyncHoldsAcksAndRetries) {
   StoreFixture f;
   auto store = f.make("s", f.config());
   f.env.fail_syncs(store->wal_file(), 1);
-  store->append(1, 1, bytes({1}));
+  store->append(1, 1, frame({1}));
 
   f.simulator.run_until(f.simulator.now() + Duration::millis(25));
   // The fsync failed: watermark (and the acks behind it) must not move.
@@ -219,12 +224,12 @@ TEST(PersistTest, StoreCheckpointSupersedesWalAndRecoverReplays) {
     auto store = f.make("s", f.config());
     store->set_snapshot_provider([] { return bytes({9, 9, 9}); });
     for (std::uint64_t i = 1; i <= 5; ++i) {
-      store->append(3, i, bytes({int(i)}));
+      store->append(3, i, frame({int(i)}));
     }
     ASSERT_TRUE(store->checkpoint(3));
     EXPECT_FALSE(f.env.exists(store->wal_file()));  // log restarted empty
-    store->append(3, 6, bytes({6}));
-    store->append(3, 7, bytes({7}));
+    store->append(3, 6, frame({6}));
+    store->append(3, 7, frame({7}));
     ASSERT_TRUE(store->flush());
   }  // node object dies; only the durable files survive
 
@@ -248,7 +253,7 @@ TEST(PersistTest, StoreRecoverTruncatesTornTail) {
   {
     auto store = f.make("s", f.config());
     for (std::uint64_t i = 1; i <= 4; ++i) {
-      store->append(1, i, bytes({int(i)}));
+      store->append(1, i, frame({int(i)}));
     }
     ASSERT_TRUE(store->flush());
   }
@@ -263,7 +268,7 @@ TEST(PersistTest, StoreRecoverTruncatesTornTail) {
   EXPECT_EQ(rec.watermark, 3u);
 
   // The damaged tail was cut, so appending and re-recovering is clean.
-  revived->append(1, 4, bytes({4}));
+  revived->append(1, 4, frame({4}));
   ASSERT_TRUE(revived->flush());
   auto third = f.make("s", f.config());
   const persist::RecoveredState again = third->recover();
@@ -276,7 +281,7 @@ TEST(PersistTest, StoreRecoverSurvivesCorruptionAndShortReads) {
   {
     auto store = f.make("s", f.config());
     for (std::uint64_t i = 1; i <= 3; ++i) {
-      store->append(1, i, bytes({int(i), 0, 0, 0, 0, 0, 0, 0}));
+      store->append(1, i, frame({int(i), 0, 0, 0, 0, 0, 0, 0}));
     }
     ASSERT_TRUE(store->flush());
   }
@@ -295,7 +300,7 @@ TEST(PersistTest, StoreRecoverSurvivesCorruptionAndShortReads) {
   {
     persist::ShardStore store(sim2, env2, "t", f.config());
     for (std::uint64_t i = 1; i <= 3; ++i) {
-      store.append(1, i, bytes({int(i)}));
+      store.append(1, i, frame({int(i)}));
     }
     ASSERT_TRUE(store.flush());
   }
@@ -376,8 +381,8 @@ TEST(PersistTest, ColdRestartRecoversAckedOpsAndSubscriptions) {
   ASSERT_TRUE(f.sci.enroll(monitor, *f.level_b).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .pattern("pulse")
+                                query::Builder("sub", monitor.id())
+                                    .what_pattern("pulse")
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());
@@ -427,8 +432,8 @@ TEST(PersistTest, ShardedColdRestartRecoversEveryShardStore) {
   ASSERT_TRUE(f.sci.enroll(monitor, *f.level_b).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .pattern("pulse")
+                                query::Builder("sub", monitor.id())
+                                    .what_pattern("pulse")
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());
@@ -473,8 +478,8 @@ TEST(PersistTest, StandbyRejoinsViaDeltaSmallerThanSnapshot) {
   ASSERT_TRUE(f.sci.enroll(monitor, *f.level_b).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .pattern("pulse")
+                                query::Builder("sub", monitor.id())
+                                    .what_pattern("pulse")
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());
@@ -537,8 +542,8 @@ TEST(PersistTest, TornAndCorruptWalRecoveryNeverPanics) {
   ASSERT_TRUE(f.sci.enroll(monitor, *f.level_b).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .pattern("pulse")
+                                query::Builder("sub", monitor.id())
+                                    .what_pattern("pulse")
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());
@@ -606,8 +611,8 @@ TEST(PersistTest, ResharpedTopologySurvivesColdRestart) {
   ASSERT_TRUE(f.sci.enroll(monitor, *f.level_b).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .named(pulse.id())
+                                query::Builder("sub", monitor.id())
+                                    .what_named(pulse.id())
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());
@@ -667,8 +672,8 @@ TEST(PersistTest, ColdRestartCompletesCommittedHandoff) {
   ASSERT_TRUE(f.sci.enroll(monitor, *f.level_b).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .named(pulse.id())
+                                query::Builder("sub", monitor.id())
+                                    .what_named(pulse.id())
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());
@@ -730,8 +735,8 @@ TEST(PersistTest, ColdRestartAbortsUncommittedHandoff) {
   ASSERT_TRUE(f.sci.enroll(monitor, *f.level_b).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .named(pulse.id())
+                                query::Builder("sub", monitor.id())
+                                    .what_named(pulse.id())
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());
@@ -799,7 +804,7 @@ TEST(PersistTest, DeadLetterReplayPreservesCrossShardParkOrder) {
   const Guid ghost = Guid::random(rng);
   const std::vector<unsigned> park_order = {2, 0, 3, 1};
   for (unsigned shard : park_order) {
-    shards[shard]->channel().send(ghost, 0x42, bytes({int(shard)}));
+    shards[shard]->channel().send(ghost, 0x42, frame({int(shard)}));
     sci.run_for(Duration::millis(5));
   }
   ASSERT_EQ(sci.dead_letters("mall").value()->size() +

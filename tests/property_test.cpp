@@ -95,7 +95,7 @@ TEST_P(FrameCorruptionProperty, CorruptedProtocolFramesFailCleanly) {
   ad.service = "svc";
   ad.methods.push_back({"m", {"p1", "p2"}});
   const entity::RegisterRequestBody body{false, profile, ad};
-  const auto pristine = body.encode();
+  const auto pristine = body.encode().to_vector();
 
   for (int round = 0; round < 300; ++round) {
     auto corrupted = pristine;
@@ -133,8 +133,9 @@ class XmlCorruptionProperty : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(XmlCorruptionProperty, MutatedQueryDocumentsNeverCrashTheParser) {
   Rng rng(GetParam());
   const std::string pristine =
-      query::QueryBuilder("q", Guid(1, 2))
-          .pattern("temperature", "celsius")
+      query::Builder("q", Guid(1, 2))
+          .what_pattern("temperature")
+          .unit("celsius")
           .in(*location::LogicalPath::parse("a/b/c"))
           .select(query::SelectPolicy::kClosest)
           .require("x", Value(1))

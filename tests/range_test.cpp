@@ -141,15 +141,14 @@ TEST(EventMediatorTest, DispatchDeliversOverTheNetwork) {
   event::Event e;
   e.type = "temp";
   e.source = guid_of(50);
-  const auto matched = mediator.dispatch(e);
-  EXPECT_EQ(matched.size(), 1u);
+  EXPECT_EQ(mediator.dispatch_shared(e).size(), 1u);
   simulator.run_all();
   EXPECT_EQ(deliveries, 1);
   EXPECT_EQ(mediator.stats().events_in, 1u);
   EXPECT_EQ(mediator.stats().deliveries_out, 1u);
 
   EXPECT_EQ(mediator.remove_subscriber(subscriber), 1u);
-  mediator.dispatch(e);
+  mediator.dispatch_shared(e);
   simulator.run_all();
   EXPECT_EQ(deliveries, 1);
 }

@@ -9,10 +9,10 @@
 namespace sci::reliable {
 namespace {
 
-std::vector<std::byte> bytes(std::initializer_list<int> values) {
+serde::BufferRef bytes(std::initializer_list<int> values) {
   std::vector<std::byte> out;
   for (int v : values) out.push_back(static_cast<std::byte>(v));
-  return out;
+  return serde::BufferRef::copy_of(out);
 }
 
 // A network node whose handler funnels everything through a ReliableChannel,

@@ -14,10 +14,10 @@
 namespace sci {
 namespace {
 
-std::vector<std::byte> bytes(std::initializer_list<int> values) {
+serde::BufferRef bytes(std::initializer_list<int> values) {
   std::vector<std::byte> out;
   for (int v : values) out.push_back(static_cast<std::byte>(v));
-  return out;
+  return serde::BufferRef::copy_of(out);
 }
 
 TEST(ReplicateTest, LogRecordRoundTrip) {
@@ -121,7 +121,7 @@ TEST(ReplicateTest, WatchdogGatesOnSnapshotAndRearmsAfterFalseAlarm) {
     w.varint(epoch);
     w.varint(head);
     w.varint(0);  // no fingerprint
-    return w.take();
+    return w.take_ref();
   };
 
   // A record buffered ahead of the epoch's snapshot counts as liveness, but
@@ -212,13 +212,13 @@ TEST(ReplicateTest, VoterGatesOnLivenessWatermarkAndPledgedEpoch) {
     serde::Writer w(16);
     w.varint(epoch);
     w.varint(watermark);
-    return w.take();
+    return w.take_ref();
   };
   const auto lease_req = [](std::uint32_t epoch, std::uint64_t seq) {
     serde::Writer w(16);
     w.varint(epoch);
     w.varint(seq);
-    return w.take();
+    return w.take_ref();
   };
   const auto count = [&](std::uint32_t type) {
     std::size_t n = 0;
@@ -387,7 +387,7 @@ TEST(ReplicateTest, LeaseQuorumJudgedAgainstSendTimeMemberSnapshot) {
     serde::Writer w(16);
     w.varint(0);  // epoch
     w.varint(seq);
-    return w.take();
+    return w.take_ref();
   };
 
   // First renew tick (t=100ms) goes to the 4-standby group: quorum of 5 is
@@ -480,8 +480,8 @@ TEST(ReplicateTest, FailoverPreservesSubscriptionsWithoutReRegistration) {
   ASSERT_TRUE(f.sci.enroll(monitor, *f.level_b).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .pattern("pulse")
+                                query::Builder("sub", monitor.id())
+                                    .what_pattern("pulse")
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());
@@ -549,8 +549,8 @@ TEST(ReplicateTest, ColdStandbyCatchesUpAndPromotesByFiat) {
   ASSERT_TRUE(f.sci.enroll(monitor, *f.level_b).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .pattern("pulse")
+                                query::Builder("sub", monitor.id())
+                                    .what_pattern("pulse")
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());
@@ -605,8 +605,8 @@ TEST(ReplicateTest, SplitBrainSingleLeaseHolderPerEpochAndNoLossAfterHeal) {
   ASSERT_TRUE(f.sci.enroll(monitor, *f.level_b).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .pattern("pulse")
+                                query::Builder("sub", monitor.id())
+                                    .what_pattern("pulse")
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());
@@ -683,8 +683,8 @@ TEST(ReplicateTest, SyncModeKillElectCycleLosesNoClientAckedOps) {
   ASSERT_TRUE(f.sci.enroll(monitor, *f.level_b).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .pattern("pulse")
+                                query::Builder("sub", monitor.id())
+                                    .what_pattern("pulse")
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());
@@ -759,8 +759,8 @@ TEST(ReplicateTest, ColdRestartedFencedPrimaryRejoinsWithoutResurrection) {
   ASSERT_TRUE(sci.enroll(monitor, *level_b).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .pattern("pulse")
+                                query::Builder("sub", monitor.id())
+                                    .what_pattern("pulse")
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());

@@ -1,6 +1,11 @@
 // Unit tests for sci::serde — binary buffers, Value trees, the XML subset.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <ostream>
+#include <type_traits>
+#include <vector>
+
 #include "common/rng.h"
 #include "serde/buffer.h"
 #include "serde/value.h"
@@ -10,6 +15,12 @@ namespace sci {
 namespace {
 
 // ---------------------------------------------------------------- buffer
+
+// Every copy into a pooled frame is spelled BufferRef::copy_of at its call
+// site; an implicit conversion from a vector would hide one per send.
+static_assert(!std::is_convertible_v<std::vector<std::byte>, serde::BufferRef>);
+static_assert(
+    !std::is_convertible_v<const std::vector<std::byte>&, serde::BufferRef>);
 
 TEST(BufferTest, PrimitivesRoundTrip) {
   serde::Writer w;
@@ -295,6 +306,10 @@ struct MalformedCase {
   const char* name;
   const char* text;
 };
+
+// Print the case name, not gtest's default byte dump: the dump shows the
+// pointer values, so every build would list the cases under new names.
+void PrintTo(const MalformedCase& c, std::ostream* os) { *os << c.name; }
 
 class XmlMalformedTest : public ::testing::TestWithParam<MalformedCase> {};
 

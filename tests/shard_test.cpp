@@ -194,8 +194,8 @@ TEST(ShardTest, CrossShardNamedSubscriptionDeliversExactlyOnce) {
   // local mediator.
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .named(pulse.id())
+                                query::Builder("sub", monitor.id())
+                                    .what_named(pulse.id())
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());
@@ -294,8 +294,8 @@ TEST(ShardTest, ForwardedContextPullAnswersFromOwnerShard) {
   // its own shard (0), which forwards one hop and shard 3 answers.
   ASSERT_TRUE(monitor
                   .submit_query("pull",
-                                query::QueryBuilder("pull", monitor.id())
-                                    .pattern("pulse")
+                                query::Builder("pull", monitor.id())
+                                    .what_pattern("pulse")
                                     .about(pulse.id())
                                     .with_history(3)
                                     .mode(query::QueryMode::kProfileRequest)
@@ -314,8 +314,8 @@ TEST(ShardTest, ForwardedContextPullAnswersFromOwnerShard) {
       shards[0]->stats().shard_forwarded_queries;
   ASSERT_TRUE(monitor
                   .submit_query("prof",
-                                query::QueryBuilder("prof", monitor.id())
-                                    .named(pulse.id())
+                                query::Builder("prof", monitor.id())
+                                    .what_named(pulse.id())
                                     .mode(query::QueryMode::kProfileRequest)
                                     .to_xml())
                   .is_ok());
@@ -330,6 +330,34 @@ TEST(ShardTest, ForwardedContextPullAnswersFromOwnerShard) {
 // cycle of the shard hosting it (the producer's), with no duplicate and no
 // lost delivery, in synchronous-ack replication mode. Other shards keep
 // serving throughout — failover domains are independent.
+// Regression: a standby replaying a subscribe_pattern record (a
+// kShardSubscribe with flag=1) must rebuild the wildcard's sibling-mirror
+// bookkeeping as well as the table entry. Without it the heartbeat
+// fingerprint flags divergence, and a promoted standby cannot tear the
+// sibling copies down.
+TEST(ShardTest, StandbyRebuildsWildcardMirrorFromReplicatedRecord) {
+  ShardFixture f(2, /*standby_count=*/1);
+  ShardMonitor monitor(f.sci.network(), f.guid_owned_by(0), "monitor",
+                       entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(monitor, *f.lead).is_ok());
+  f.sci.run_for(Duration::millis(500));
+
+  const event::SubscriptionId sub =
+      f.sci.shards("mall")[0]->subscribe_pattern(monitor.id(), "pulse");
+  f.sci.run_for(Duration::seconds(1));  // several 200 ms heartbeats
+  ASSERT_FALSE(f.sci.shards("mall")[1]->mediator().table().all().empty());
+  EXPECT_EQ(f.sci.metrics().snapshot().counter("repl.state_divergence"), 0u);
+
+  ASSERT_TRUE(f.sci.promote_range("mall").is_ok());
+  range::ContextServer* fresh = f.sci.shards("mall")[0];
+  ASSERT_NE(fresh, f.lead);
+  ASSERT_TRUE(fresh->unsubscribe(sub).is_ok());
+  f.sci.run_for(Duration::seconds(1));
+  EXPECT_TRUE(fresh->mediator().table().all().empty());
+  EXPECT_TRUE(f.sci.shards("mall")[1]->mediator().table().all().empty());
+  EXPECT_EQ(f.sci.metrics().snapshot().counter("repl.state_divergence"), 0u);
+}
+
 TEST(ShardTest, CrossShardDeliverySurvivesShardKillElectCycle) {
   ShardFixture f(4, /*standby_count=*/2, /*sync_acks=*/1);
   PulseCE pulse(f.sci.network(), f.guid_owned_by(2), "pulse",
@@ -340,8 +368,8 @@ TEST(ShardTest, CrossShardDeliverySurvivesShardKillElectCycle) {
   ASSERT_TRUE(f.sci.enroll(monitor, *f.lead).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .named(pulse.id())
+                                query::Builder("sub", monitor.id())
+                                    .what_named(pulse.id())
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());
@@ -409,8 +437,8 @@ TEST(ShardTest, MirroredIdsDoNotPoisonLocalIdSpace) {
   f.sci.run_for(Duration::millis(500));
 
   const auto sub = [&](ShardMonitor& m, const std::string& id, const Guid& p) {
-    ASSERT_TRUE(m.submit_query(id, query::QueryBuilder(id, m.id())
-                                       .named(p)
+    ASSERT_TRUE(m.submit_query(id, query::Builder(id, m.id())
+                                       .what_named(p)
                                        .mode(query::QueryMode::kEventSubscription)
                                        .to_xml())
                     .is_ok());
@@ -651,8 +679,8 @@ TEST(ShardTest, LiveHandoffMovesVnodeExactlyOnce) {
   ASSERT_TRUE(f.sci.enroll(monitor, *f.lead).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .named(pulse.id())
+                                query::Builder("sub", monitor.id())
+                                    .what_named(pulse.id())
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());
@@ -779,8 +807,8 @@ TEST(ShardTest, SourceCrashBeforeCommitAbortsAfterElection) {
   ASSERT_TRUE(f.sci.enroll(monitor, *f.lead).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .named(pulse.id())
+                                query::Builder("sub", monitor.id())
+                                    .what_named(pulse.id())
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());
@@ -837,8 +865,8 @@ TEST(ShardTest, SourceCrashAtBroadcastConvergesEitherWay) {
   ASSERT_TRUE(f.sci.enroll(monitor, *f.lead).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .named(pulse.id())
+                                query::Builder("sub", monitor.id())
+                                    .what_named(pulse.id())
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());
@@ -898,8 +926,8 @@ TEST(ShardTest, SilentTargetAbortsHandoffAndReplaysStagedOps) {
   ASSERT_TRUE(f.sci.enroll(monitor, *f.lead).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
-                                query::QueryBuilder("sub", monitor.id())
-                                    .named(pulse.id())
+                                query::Builder("sub", monitor.id())
+                                    .what_named(pulse.id())
                                     .mode(query::QueryMode::kEventSubscription)
                                     .to_xml())
                   .is_ok());

@@ -77,6 +77,64 @@ TEST(SimulatorTest, CancelAfterFiringIsANoop) {
   EXPECT_EQ(fired, 2);
 }
 
+// A fired event's slot is recycled by the next schedule; the stale handle
+// must not reach the event that now occupies it.
+TEST(SimulatorTest, CancelAfterFireLeavesSlotReuserUntouched) {
+  Simulator simulator(1);
+  int first = 0;
+  int later = 0;
+  const TimerHandle spent =
+      simulator.schedule(Duration::millis(1), [&] { ++first; });
+  simulator.run_all();
+  simulator.schedule(Duration::millis(1), [&] { ++later; });
+  simulator.schedule(Duration::millis(2), [&] { ++later; });
+  simulator.cancel(spent);
+  simulator.cancel(spent);
+  simulator.run_all();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(later, 2);
+}
+
+TEST(SimulatorTest, DoubleCancelCountsTwiceAndSparesLaterEvents) {
+  Simulator simulator(1);
+  int cancelled_fired = 0;
+  int later = 0;
+  const TimerHandle handle =
+      simulator.schedule(Duration::millis(5), [&] { ++cancelled_fired; });
+  simulator.schedule(Duration::millis(5), [&] { ++later; });
+  simulator.cancel(handle);
+  simulator.cancel(handle);
+  simulator.run_all();
+  // The cancelled entry has left the queue; a third cancel is stale, and
+  // whatever reuses its slot still runs.
+  simulator.schedule(Duration::millis(1), [&] { ++later; });
+  simulator.cancel(handle);
+  simulator.run_all();
+  EXPECT_EQ(cancelled_fired, 0);
+  EXPECT_EQ(later, 2);
+  EXPECT_EQ(simulator.executed_events(), 2u);
+  // One sim.events.cancelled per cancel() on a valid handle.
+  EXPECT_EQ(simulator.metrics().snapshot().counter("sim.events.cancelled"),
+            3u);
+}
+
+TEST(SimulatorTest, CancelSameInstantEventFromInsideATask) {
+  Simulator simulator(1);
+  std::vector<int> order;
+  TimerHandle victim;
+  TimerHandle self;
+  self = simulator.schedule(Duration::millis(3), [&] {
+    order.push_back(1);
+    simulator.cancel(victim);
+    simulator.cancel(self);  // the running event's own handle is spent
+  });
+  victim = simulator.schedule(Duration::millis(3), [&] { order.push_back(2); });
+  simulator.schedule(Duration::millis(3), [&] { order.push_back(3); });
+  simulator.schedule(Duration::millis(4), [&] { order.push_back(4); });
+  simulator.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4}));
+}
+
 TEST(SimulatorTest, CancelDefaultHandleIsANoop) {
   Simulator simulator(1);
   simulator.cancel(TimerHandle());

@@ -88,9 +88,9 @@ TEST(SystemSoakTest, CampusSurvivesSustainedChurn) {
     ASSERT_TRUE(sci.enroll(*app, *floors[f]).is_ok());
     const std::string qid = "q" + std::to_string(f);
     ASSERT_TRUE(app->submit_query(
-                       qid, query::QueryBuilder(qid, app->id())
-                                .pattern(entity::types::kLocationUpdate, "",
-                                         entity::types::kSemPosition)
+                       qid, query::Builder(qid, app->id())
+                                .what_pattern(entity::types::kLocationUpdate)
+                                .semantic(entity::types::kSemPosition)
                                 .mode(query::QueryMode::kEventSubscription)
                                 .to_xml())
                     .is_ok());
@@ -164,8 +164,8 @@ TEST(SystemSoakTest, PartitionDegradesGracefullyAndHeals) {
   sci.network().set_partition_group(upstairs.server_node(), 1);
   sci.network().set_partition_group(upstairs.scinet().id(), 1);
   ASSERT_TRUE(app.submit_query(
-                     "q1", query::QueryBuilder("q1", app.id())
-                               .entity_type("printing")
+                     "q1", query::Builder("q1", app.id())
+                               .what_entity_type("printing")
                                .in(building.room_path(1, 0))
                                .mode(query::QueryMode::kAdvertisementRequest)
                                .to_xml())
@@ -178,8 +178,8 @@ TEST(SystemSoakTest, PartitionDegradesGracefullyAndHeals) {
   sci.network().heal_partitions();
   sci.run_for(Duration::seconds(2));
   ASSERT_TRUE(app.submit_query(
-                     "q2", query::QueryBuilder("q2", app.id())
-                               .entity_type("printing")
+                     "q2", query::Builder("q2", app.id())
+                               .what_entity_type("printing")
                                .in(building.room_path(1, 0))
                                .mode(query::QueryMode::kAdvertisementRequest)
                                .to_xml())
@@ -218,8 +218,8 @@ TEST(SystemSoakTest, DeterministicReplay) {
                    entity::EntityKind::kSoftware);
     EXPECT_TRUE(sci.enroll(app, range).is_ok());
     EXPECT_TRUE(app.submit_query(
-                       "q", query::QueryBuilder("q", app.id())
-                                .pattern(entity::types::kLocationUpdate)
+                       "q", query::Builder("q", app.id())
+                                .what_pattern(entity::types::kLocationUpdate)
                                 .mode(query::QueryMode::kEventSubscription)
                                 .to_xml())
                     .is_ok());
