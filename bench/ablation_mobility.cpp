@@ -151,7 +151,8 @@ void BM_ChurnThroughput(benchmark::State& state) {
     handoffs = world.stats().handoffs;
     door_events = world.stats().door_triggers;
     events_absorbed =
-        w.floor0->stats().events_in + w.floor1->stats().events_in;
+        w.floor0->node_counter("cs.events_in")->value() +
+        w.floor1->node_counter("cs.events_in")->value();
   }
   state.counters["people"] = static_cast<double>(people);
   state.counters["handoffs"] = static_cast<double>(handoffs);

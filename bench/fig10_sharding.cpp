@@ -222,7 +222,8 @@ ScalingResult run_scaling(std::uint64_t seed, unsigned shard_count) {
   }
   for (const auto* shard : sci.shards("mall")) {
     r.sub_mirrors +=
-        static_cast<std::int64_t>(shard->stats().shard_sub_mirrors);
+        static_cast<std::int64_t>(
+            shard->node_counter("cs.shard.sub_mirrors")->value());
   }
   r.wall_ms = std::chrono::duration<double, std::milli>(wall_end - wall_start)
                   .count();
@@ -435,7 +436,8 @@ void BM_ShardFailoverIsolation(benchmark::State& state) {
     doc.emplace("survivor_latency_post_ms", post_ms);
     doc.emplace("survivor_latency_delta_pct", latency_delta_pct);
     doc.emplace("lead_promotions",
-                static_cast<std::int64_t>(lead.stats().promotions));
+                static_cast<std::int64_t>(
+                    lead.node_counter("repl.failovers")->value()));
     doc.emplace("registered_calls_total",
                 static_cast<std::int64_t>(
                     victim_pulse.registered_calls +

@@ -174,7 +174,8 @@ void BM_ReshardingLiveMigration(benchmark::State& state) {
     std::int64_t staged_total = 0;
     for (const auto* shard : sci.shards("mall")) {
       staged_total +=
-          static_cast<std::int64_t>(shard->stats().handoff_staged_ops);
+          static_cast<std::int64_t>(
+              shard->node_counter("reshard.staged_events")->value());
     }
 
     state.counters["published"] = static_cast<double>(published);

@@ -163,7 +163,8 @@ void BM_ConfigurationSetup(benchmark::State& state) {
   state.counters["sensors"] = static_cast<double>(state.range(0));
   state.counters["setup_ms_mean"] = setup_ms.mean();
   state.counters["configs_built"] =
-      static_cast<double>(world.range->stats().configurations_built);
+      static_cast<double>(
+          world.range->node_counter("cs.configurations_built")->value());
   state.counters["edges_created"] = static_cast<double>(
       world.range->configurations().stats().edges_created);
   state.counters["edges_shared"] = static_cast<double>(
@@ -255,7 +256,7 @@ void BM_RecompositionAfterFailure(benchmark::State& state) {
       if (!sci.simulator().step(deadline)) break;
     }
     recovery_ms.add((sci.now() - crash_at).millis_f());
-    recompositions += range.stats().recompositions;
+    recompositions += range.node_counter("cs.recompositions")->value();
   }
   state.counters["recovery_ms_mean"] = recovery_ms.mean();
   state.counters["recovery_ms_max"] = recovery_ms.max();

@@ -136,9 +136,11 @@ void BM_ResolvePerMode(benchmark::State& state) {
   state.counters["mode"] = static_cast<double>(state.range(0));
   state.counters["reply_ms_mean"] = reply_ms.mean();
   state.counters["configs_built"] =
-      static_cast<double>(bench.range->stats().configurations_built);
+      static_cast<double>(
+          bench.range->node_counter("cs.configurations_built")->value());
   state.counters["answered"] =
-      static_cast<double>(bench.range->stats().queries_answered);
+      static_cast<double>(
+          bench.range->node_counter("cs.queries.answered")->value());
 }
 
 }  // namespace

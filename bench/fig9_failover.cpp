@@ -182,8 +182,8 @@ void BM_Failover(benchmark::State& state) {
 
     // Election latency: crash instant to the winner's promotion instant.
     const double election_latency_ms =
-        survivor->stats().promoted_at_us >= 0
-            ? static_cast<double>(survivor->stats().promoted_at_us) / 1000.0 -
+        survivor->promoted_at()
+            ? static_cast<double>(survivor->promoted_at()->micros()) / 1000.0 -
                   crash_at_ms
             : -1.0;
     // Acked-op loss: every published op must surface at the monitor unless
@@ -234,11 +234,13 @@ void BM_Failover(benchmark::State& state) {
     doc.emplace("monitor_registered_calls",
                 static_cast<std::int64_t>(monitor.registered_calls));
     doc.emplace("survivor_promotions",
-                static_cast<std::int64_t>(survivor->stats().promotions));
+                static_cast<std::int64_t>(
+                    survivor->node_counter("repl.failovers")->value()));
     doc.emplace("survivor_replication_lag",
                 static_cast<std::int64_t>(survivor->replication_lag()));
     doc.emplace("duplicate_publishes_absorbed",
-                static_cast<std::int64_t>(survivor->stats().duplicate_publishes));
+                static_cast<std::int64_t>(
+                    survivor->node_counter("cs.duplicate_publishes")->value()));
     doc.emplace("acked_originated", static_cast<std::int64_t>(acked_originated));
     doc.emplace("acked_delivered", static_cast<std::int64_t>(acked_delivered));
     doc.emplace("acked_failed", static_cast<std::int64_t>(acked_failed));

@@ -233,10 +233,10 @@ int main() {
               capa_john.printed_on.c_str());
   std::printf("lobby range forwarded %llu queries over the SCINET\n",
               static_cast<unsigned long long>(
-                  lobby_range.stats().queries_forwarded));
+                  lobby_range.node_counter("cs.queries.forwarded")->value()));
   std::printf("level10 deferred %llu queries on temporal triggers\n",
               static_cast<unsigned long long>(
-                  level10.stats().queries_deferred));
+                  level10.node_counter("cs.queries.deferred")->value()));
 
   const bool ok = capa_bob.print_confirmed && capa_john.print_confirmed &&
                   capa_bob.printed_on == "P1" && capa_john.printed_on == "P4";

@@ -95,8 +95,9 @@ int main() {
 
   std::printf("\nreceived %d updates in 20 simulated seconds\n", app.updates);
   std::printf("range stats: %llu events in, %llu configurations built\n",
-              static_cast<unsigned long long>(range.stats().events_in),
               static_cast<unsigned long long>(
-                  range.stats().configurations_built));
+                  range.node_counter("cs.events_in")->value()),
+              static_cast<unsigned long long>(
+                  range.node_counter("cs.configurations_built")->value()));
   return app.updates > 0 ? 0 : 1;
 }

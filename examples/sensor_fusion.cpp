@@ -130,7 +130,7 @@ int main() {
               "(recompositions: %llu)\n",
               updates_phase2,
               static_cast<unsigned long long>(
-                  range.stats().recompositions));
+                  range.node_counter("cs.recompositions")->value()));
   std::printf("   lowest confidence delivered: %.3f (contract: >= 0.2)\n",
               app.min_confidence_seen);
 

@@ -127,7 +127,7 @@ int main() {
   std::uint64_t recompositions = 0;
   for (unsigned f = 0; f < kFloors; ++f) {
     updates_after_failures += monitors[f]->updates;
-    recompositions += floors[f]->stats().recompositions;
+    recompositions += floors[f]->node_counter("cs.recompositions")->value();
   }
   updates_after_failures -= updates_before_failures;
   std::printf("  further updates: %d; failures detected: yes; "
@@ -138,14 +138,15 @@ int main() {
   std::printf("phase 3: overlay summary\n");
   std::uint64_t forwarded = 0;
   for (const auto& range : sci.ranges()) {
-    forwarded += range->stats().queries_forwarded;
+    forwarded += range->node_counter("cs.queries.forwarded")->value();
     std::printf("  range %-8s members=%2zu events_in=%6llu "
                 "configs=%zu recompositions=%llu\n",
                 range->config().name.c_str(), range->registrar().size(),
-                static_cast<unsigned long long>(range->stats().events_in),
+                static_cast<unsigned long long>(
+                    range->node_counter("cs.events_in")->value()),
                 range->configurations().size(),
                 static_cast<unsigned long long>(
-                    range->stats().recompositions));
+                    range->node_counter("cs.recompositions")->value()));
   }
   (void)tower;
   (void)forwarded;

@@ -153,24 +153,21 @@ Expected<ViewEntry> ViewEntry::decode(serde::Reader& r) {
 
 const ViewEntry* ViewCache::lookup(const std::string& key) {
   auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
+  if (it == entries_.end()) return nullptr;
   it->second.last_used = ++clock_;
   ++it->second.hits;
-  ++stats_.hits;
   return &it->second;
 }
 
-void ViewCache::install(ViewEntry entry) {
-  if (capacity_ == 0) return;
-  auto it = entries_.find(entry.key);
-  if (it == entries_.end() && entries_.size() >= capacity_) evict_lru();
+bool ViewCache::install(ViewEntry entry) {
+  if (capacity_ == 0) return false;
+  const bool evicts =
+      !entries_.contains(entry.key) && entries_.size() >= capacity_;
+  if (evicts) evict_lru();
   entry.last_used = ++clock_;
-  ++stats_.installs;
   std::string key = entry.key;
   entries_.insert_or_assign(std::move(key), std::move(entry));
+  return evicts;
 }
 
 std::size_t ViewCache::invalidate_subject(const Guid& subject, SimTime now) {
@@ -229,7 +226,6 @@ void ViewCache::drop_entry(const std::string& key, SimTime now) {
     staleness_observer_((now - it->second.built_at).seconds_f());
   }
   entries_.erase(it);
-  ++stats_.invalidations;
 }
 
 void ViewCache::evict_lru() {
@@ -241,10 +237,7 @@ void ViewCache::evict_lru() {
       victim = it;
     }
   }
-  if (victim != entries_.end()) {
-    entries_.erase(victim);
-    ++stats_.evictions;
-  }
+  if (victim != entries_.end()) entries_.erase(victim);
 }
 
 void ViewCache::encode(serde::Writer& w) const {

@@ -68,25 +68,19 @@ struct ViewEntry {
   static Expected<ViewEntry> decode(serde::Reader& r);
 };
 
-struct ViewStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t installs = 0;
-  std::uint64_t invalidations = 0;
-  std::uint64_t evictions = 0;
-};
-
 class ViewCache {
  public:
   explicit ViewCache(std::size_t capacity) : capacity_(capacity) {}
 
   // Returns the live view for `key` (bumping its LRU stamp and hit count)
   // or nullptr on miss. The pointer is invalidated by any mutating call.
+  // The cache keeps no counters of its own: the owner counts hits and
+  // misses from this result, evictions from install()'s.
   const ViewEntry* lookup(const std::string& key);
 
   // Installs (or replaces) a view, evicting the least-recently-used entry
-  // when at capacity.
-  void install(ViewEntry entry);
+  // when at capacity. Returns true when it evicted one.
+  bool install(ViewEntry entry);
 
   // Drops every view that depends on the concrete entity. Returns the
   // number of views dropped.
@@ -111,7 +105,6 @@ class ViewCache {
   void clear();
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] const ViewStats& stats() const { return stats_; }
 
   // Snapshot support: the full table travels at the tail of the replication
   // snapshot so a promoted standby starts with warm views. Views are cheap
@@ -127,7 +120,6 @@ class ViewCache {
   std::size_t capacity_;
   std::uint64_t clock_ = 0;
   std::unordered_map<std::string, ViewEntry> entries_;
-  ViewStats stats_;
   std::function<void(double)> staleness_observer_;
 };
 

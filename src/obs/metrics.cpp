@@ -38,6 +38,21 @@ Counter& MetricsRegistry::counter(std::string_view name,
   return get_slot(counters_, counter_index_, name, label);
 }
 
+TwinCounter MetricsRegistry::twin(std::string_view name,
+                                  std::string_view label) {
+  return TwinCounter{&counter(name),
+                     label.empty() ? nullptr : &counter(name, label)};
+}
+
+const Counter* MetricsRegistry::find_counter(std::string_view name,
+                                             std::string_view label) const {
+  const auto n = symbol_index_.find(name);
+  const auto l = symbol_index_.find(label);
+  if (n == symbol_index_.end() || l == symbol_index_.end()) return nullptr;
+  const auto it = counter_index_.find(Key{n->second, l->second});
+  return it == counter_index_.end() ? nullptr : it->second;
+}
+
 Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view label) {
   return get_slot(gauges_, gauge_index_, name, label);
 }

@@ -17,7 +17,9 @@
 //
 // Labels give per-instance families sharing a name ("scinet.node.forwarded"
 // labelled by node id) which MetricsSnapshot can aggregate (sum/max) — this
-// is how the Fig 1 per-node load distribution is measured.
+// is how the Fig 1 per-node load distribution is measured. A TwinCounter
+// keeps an unlabelled deployment total and one instance's labelled slot in
+// lockstep ("rel.*" per shard, "cs.*" per node; docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdint>
@@ -45,6 +47,17 @@ class Counter {
 
  private:
   std::uint64_t value_ = 0;
+};
+
+// A registry counter plus its optional labelled twin: inc() bumps both, so
+// the global total and the per-instance family advance together.
+struct TwinCounter {
+  Counter* global = nullptr;
+  Counter* labeled = nullptr;  // nullptr: the global alone
+  void inc(std::uint64_t n = 1) {
+    global->inc(n);
+    if (labeled != nullptr) labeled->inc(n);
+  }
 };
 
 // Point-in-time level (queue depth, table population).
@@ -133,6 +146,14 @@ class MetricsRegistry {
   Counter& counter(std::string_view name, std::string_view label = {});
   Gauge& gauge(std::string_view name, std::string_view label = {});
   Histogram& histogram(std::string_view name, std::string_view label = {});
+  // The unlabelled `name` plus, when `label` is non-empty, its (name, label)
+  // twin.
+  TwinCounter twin(std::string_view name, std::string_view label);
+
+  // The counter registered under (name, label), or nullptr when that pair
+  // was never registered. Unlike counter() this never interns.
+  [[nodiscard]] const Counter* find_counter(std::string_view name,
+                                            std::string_view label = {}) const;
 
   // Symbol table (exposed for diagnostics/tests).
   Symbol intern(std::string_view text);

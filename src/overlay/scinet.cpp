@@ -217,7 +217,6 @@ Status ScinetNode::route(Guid key, std::uint32_t app_type,
                          serde::BufferRef payload) {
   if (!ready_)
     return make_error(ErrorCode::kUnavailable, "node not joined to overlay");
-  ++stats_.routed_originated;
   m_originated_->inc();
   RoutedWire wire{key, id_, app_type, 0, config_.route_ttl, 0,
                   std::move(payload)};
@@ -244,7 +243,6 @@ Expected<RouteTicket> ScinetNode::route_acked(Guid key, std::uint32_t app_type,
   pending.payload = std::move(payload);
   pending.first_sent = network_.simulator().now();
   pending.on_receipt = std::move(on_receipt);
-  ++stats_.e2e_originated;
   m_e2e_originated_->inc();
   originate_acked(ticket);
   return RouteTicket{ticket, key};
@@ -256,10 +254,8 @@ void ScinetNode::originate_acked(std::uint64_t ticket) {
   PendingRoute& pending = it->second;
   ++pending.attempts;
   if (pending.attempts > 1) {
-    ++stats_.e2e_retries;
     m_e2e_retries_->inc();
   }
-  ++stats_.routed_originated;
   m_originated_->inc();
   RoutedWire wire{pending.key, id_,      pending.app_type, 0,
                   config_.route_ttl,     ticket,           pending.payload};
@@ -305,12 +301,10 @@ void ScinetNode::finish_acked(std::uint64_t ticket, bool delivered,
   pending_routes_.erase(it);
   network_.simulator().cancel(pending.retry);
   if (delivered) {
-    ++stats_.e2e_receipts;
     m_e2e_receipts_->inc();
     m_e2e_latency_->observe(
         (network_.simulator().now() - pending.first_sent).millis_f());
   } else {
-    ++stats_.e2e_dead_letters;
     m_e2e_dead_letters_->inc();
     SCI_WARN(kTag, "%s: gave up on acked route to key %s",
              id_.short_string().c_str(), pending.key.short_string().c_str());
@@ -379,7 +373,6 @@ void ScinetNode::on_routed(const net::Message& message) {
   RoutedWire wire = std::move(*decoded);
   ++wire.hops;
   if (wire.ttl == 0) {
-    ++stats_.routed_dropped_ttl;
     m_dropped_ttl_->inc();
     trace_->record(network_.simulator().now(), obs::TraceKind::kRouteDropTtl,
                    id_, wire.source);
@@ -395,7 +388,6 @@ void ScinetNode::on_routed(const net::Message& message) {
                                 std::move(wire.payload)});
     return;
   }
-  ++stats_.routed_forwarded;
   m_forwarded_->inc();
   m_node_forwarded_->inc();
   trace_->record(network_.simulator().now(), obs::TraceKind::kRouteHop, id_,
@@ -729,7 +721,6 @@ void ScinetNode::on_hop_give_up(const net::Message& message,
     auto decoded = RoutedWire::decode(message.payload);
     if (!decoded) return;
     RoutedWire wire = std::move(*decoded);
-    ++stats_.hop_failovers;
     m_hop_failovers_->inc();
     const Guid hop = next_hop(wire.key);
     if (hop.is_nil()) {
@@ -822,7 +813,6 @@ void ScinetNode::deliver_local(RoutedMessage message) {
     send_receipt(message);
     if (!fresh) return;
   }
-  ++stats_.routed_delivered;
   m_delivered_->inc();
   m_hops_->observe(static_cast<double>(message.hops));
   trace_->record(network_.simulator().now(), obs::TraceKind::kRouteDeliver,

@@ -72,18 +72,6 @@ struct ScinetConfig {
   unsigned receipt_max_attempts = 8;
 };
 
-struct ScinetNodeStats {
-  std::uint64_t routed_originated = 0;
-  std::uint64_t routed_forwarded = 0;
-  std::uint64_t routed_delivered = 0;
-  std::uint64_t routed_dropped_ttl = 0;
-  std::uint64_t hop_failovers = 0;      // re-routed around a dead hop
-  std::uint64_t e2e_originated = 0;     // route_acked() calls
-  std::uint64_t e2e_receipts = 0;       // receipts received
-  std::uint64_t e2e_retries = 0;        // re-originations
-  std::uint64_t e2e_dead_letters = 0;   // gave up waiting for a receipt
-};
-
 // Handle for an acked route: `id` is unique per originating node.
 struct RouteTicket {
   std::uint64_t id = 0;
@@ -148,7 +136,6 @@ class ScinetNode {
 
   [[nodiscard]] Guid id() const { return id_; }
   [[nodiscard]] bool is_ready() const { return ready_; }
-  [[nodiscard]] const ScinetNodeStats& stats() const { return stats_; }
 
   // Introspection for tests and benches.
   [[nodiscard]] std::vector<Guid> leaf_set() const;
@@ -285,8 +272,6 @@ class ScinetNode {
   obs::Histogram* m_hops_ = nullptr;
   obs::Histogram* m_e2e_latency_ = nullptr;
   obs::TraceBuffer* trace_ = nullptr;
-
-  ScinetNodeStats stats_;
 };
 
 // Convenience owner for whole-overlay construction in tests and benches:

@@ -180,40 +180,48 @@ ContextServer::ContextServer(net::Network& network, RangeConfig config,
   semantics_ = semantics;
 
   obs::MetricsRegistry& metrics = network_.simulator().metrics();
-  m_registrations_ = &metrics.counter("cs.registrations");
-  m_departures_ = &metrics.counter("cs.departures");
-  m_failures_ = &metrics.counter("cs.failures_detected");
-  m_queries_received_ = &metrics.counter("cs.queries.received");
-  m_queries_forwarded_ = &metrics.counter("cs.queries.forwarded");
-  m_queries_adopted_ = &metrics.counter("cs.queries.adopted");
-  m_queries_deferred_ = &metrics.counter("cs.queries.deferred");
-  m_queries_answered_ = &metrics.counter("cs.queries.answered");
-  m_queries_failed_ = &metrics.counter("cs.queries.failed");
-  m_configurations_ = &metrics.counter("cs.configurations_built");
-  m_recompositions_ = &metrics.counter("cs.recompositions");
-  m_recomposition_failures_ = &metrics.counter("cs.recomposition_failures");
-  m_events_in_ = &metrics.counter("cs.events_in");
-  m_delivery_dead_letters_ = &metrics.counter("em.deliveries.dead_letter");
-  m_dead_letters_ = &metrics.counter("cs.dead_letters");
-  m_promotions_ = &metrics.counter("repl.failovers");
-  m_lease_rejected_ = &metrics.counter("repl.lease.rejected");
-  m_shard_redirects_ = &metrics.counter("cs.shard.redirects");
-  m_shard_profile_mirrors_ = &metrics.counter("cs.shard.profile_mirrors");
-  m_shard_sub_mirrors_ = &metrics.counter("cs.shard.sub_mirrors");
-  m_shard_forwarded_ = &metrics.counter("cs.shard.forwarded_queries");
-  m_mirror_batches_ = &metrics.counter("cs.shard.mirror_batches");
+  // Every server counter is a deployment total plus this node's slot.
+  metrics_label_ = "node=" + channel_.self().to_string();
+  const auto twin = [&](const char* name) {
+    return metrics.twin(name, metrics_label_);
+  };
+  m_registrations_ = twin("cs.registrations");
+  m_departures_ = twin("cs.departures");
+  m_failures_ = twin("cs.failures_detected");
+  m_queries_received_ = twin("cs.queries.received");
+  m_queries_forwarded_ = twin("cs.queries.forwarded");
+  m_queries_adopted_ = twin("cs.queries.adopted");
+  m_queries_deferred_ = twin("cs.queries.deferred");
+  m_queries_answered_ = twin("cs.queries.answered");
+  m_queries_failed_ = twin("cs.queries.failed");
+  m_configurations_ = twin("cs.configurations_built");
+  m_recompositions_ = twin("cs.recompositions");
+  m_recomposition_failures_ = twin("cs.recomposition_failures");
+  m_events_in_ = twin("cs.events_in");
+  m_duplicate_publishes_ = twin("cs.duplicate_publishes");
+  m_delivery_dead_letters_ = twin("em.deliveries.dead_letter");
+  m_dead_letters_ = twin("cs.dead_letters");
+  m_promotions_ = twin("repl.failovers");
+  m_lease_rejected_ = twin("repl.lease.rejected");
+  // The LeaseKeeper counts the deployment total; the server adds its slot.
+  m_node_lease_lapses_ = &metrics.counter("repl.lease.lapses", metrics_label_);
+  m_shard_redirects_ = twin("cs.shard.redirects");
+  m_shard_profile_mirrors_ = twin("cs.shard.profile_mirrors");
+  m_shard_sub_mirrors_ = twin("cs.shard.sub_mirrors");
+  m_shard_forwarded_ = twin("cs.shard.forwarded_queries");
+  m_mirror_batches_ = twin("cs.shard.mirror_batches");
   m_publish_rate_ = &metrics.gauge(
       "cs.shard.publish_rate", "shard=" + std::to_string(config_.shard_index));
-  m_reshard_handoffs_ = &metrics.counter("reshard.handoffs");
-  m_reshard_staged_ = &metrics.counter("reshard.staged_events");
-  m_reshard_aborts_ = &metrics.counter("reshard.aborts");
+  m_reshard_handoffs_ = twin("reshard.handoffs");
+  m_reshard_staged_ = twin("reshard.staged_events");
+  m_reshard_aborts_ = twin("reshard.aborts");
   m_reshard_pause_ = &metrics.histogram("reshard.pause_micros");
-  m_view_hits_ = &metrics.counter("view.hits");
-  m_view_misses_ = &metrics.counter("view.misses");
-  m_view_installs_ = &metrics.counter("view.installs");
-  m_view_invalidations_ = &metrics.counter("view.invalidations");
-  m_view_evictions_ = &metrics.counter("view.evictions");
-  m_view_decode_failures_ = &metrics.counter("view.snapshot_decode_failures");
+  m_view_hits_ = twin("view.hits");
+  m_view_misses_ = twin("view.misses");
+  m_view_installs_ = twin("view.installs");
+  m_view_invalidations_ = twin("view.invalidations");
+  m_view_evictions_ = twin("view.evictions");
+  m_view_decode_failures_ = twin("view.snapshot_decode_failures");
   m_view_size_ = &metrics.gauge("view.size");
   m_view_staleness_ = &metrics.histogram("view.staleness_seconds");
   trace_ = &network_.simulator().trace();
@@ -234,8 +242,7 @@ ContextServer::ContextServer(net::Network& network, RangeConfig config,
   // sender's retransmit loop carries the op to the elected successor.
   channel_.set_receive_gate([this](std::uint32_t inner_type) {
     if (!mutates_range_state(inner_type) || admission_open()) return true;
-    ++stats_.ops_rejected_unleased;
-    m_lease_rejected_->inc();
+    m_lease_rejected_.inc();
     return false;
   });
   if (config_.acked_delivery) {
@@ -430,8 +437,7 @@ void ContextServer::detect_arrival(Guid component) {
   if (const unsigned owner = shard_of(component);
       sharded() && owner != config_.shard_index) {
     registrar_node = shard_node(owner);
-    ++stats_.shard_redirects;
-    m_shard_redirects_->inc();
+    m_shard_redirects_.inc();
   }
   entity::RangeInfoBody info{config_.range, registrar_node};
   send_to(component, entity::kRangeInfo, info.encode());
@@ -476,9 +482,9 @@ void ContextServer::on_channel_give_up(const net::Message& message,
             config_.name.c_str(), message.type,
             message.to.short_string().c_str(), attempts);
   if (message.type == entity::kDeliver) {
-    m_delivery_dead_letters_->inc();
+    m_delivery_dead_letters_.inc();
   } else {
-    m_dead_letters_->inc();
+    m_dead_letters_.inc();
   }
 }
 
@@ -526,11 +532,9 @@ void ContextServer::reply_result(Guid app, const std::string& query_id,
   body.result = std::move(result);
   send_component(app, entity::kQueryResult, body.encode());
   if (error.ok()) {
-    ++stats_.queries_answered;
-    m_queries_answered_->inc();
+    m_queries_answered_.inc();
   } else {
-    ++stats_.queries_failed;
-    m_queries_failed_->inc();
+    m_queries_failed_.inc();
   }
   trace_->record(network_.simulator().now(), obs::TraceKind::kQueryAnswer,
                  config_.range, app, error.ok() ? 1 : 0);
@@ -547,8 +551,7 @@ void ContextServer::on_component_message(const net::Message& message) {
   // the fencing lease is lapsed (frames that came via the channel were
   // already gated before delivery, so this only fires on raw sends).
   if (mutates_range_state(message.type) && !admission_open()) {
-    ++stats_.ops_rejected_unleased;
-    m_lease_rejected_->inc();
+    m_lease_rejected_.inc();
     return;
   }
   // Freeze window (docs/SHARDING.md): ops against a vnode mid-handoff park
@@ -602,8 +605,7 @@ void ContextServer::on_component_message(const net::Message& message) {
       if (!wire) return;
       auto parsed = query::Query::parse(wire->xml);
       if (!parsed) return;
-      ++stats_.queries_adopted;
-      m_queries_adopted_->inc();
+      m_queries_adopted_.inc();
       log_record(replicate::RecordKind::kQuery, wire->app, 0, message.payload);
       admit_query(std::move(*parsed), wire->app);
       return;
@@ -727,8 +729,7 @@ void ContextServer::on_scinet_deliver(const overlay::RoutedMessage& message) {
                  Value());
     return;
   }
-  ++stats_.queries_adopted;
-  m_queries_adopted_->inc();
+  m_queries_adopted_.inc();
   log_record(replicate::RecordKind::kQuery, wire->app, 0, message.payload);
   admit_query(std::move(*parsed), wire->app);
 }
@@ -747,8 +748,7 @@ Status ContextServer::admit_registration(
   const SimTime now = network_.simulator().now();
   if (!registrar_.contains(component)) {
     SCI_TRY(registrar_.add(component, body.is_app, now));
-    ++stats_.registrations;
-    m_registrations_->inc();
+    m_registrations_.inc();
   } else {
     registrar_.touch(component, now);
   }
@@ -824,7 +824,7 @@ void ContextServer::handle_publish(const net::Message& message) {
   // retransmission to the promoted standby must not dispatch it twice.
   if (view->sequence() != 0 &&
       !publish_seen_[view->source()].accept(view->sequence())) {
-    ++stats_.duplicate_publishes;
+    m_duplicate_publishes_.inc();
     return;
   }
   hold_admit_until_committed(log_record(replicate::RecordKind::kPublish,
@@ -836,8 +836,7 @@ void ContextServer::handle_publish(const net::Message& message) {
 }
 
 void ContextServer::ingest_publish(const entity::PublishBody& body) {
-  ++stats_.events_in;
-  m_events_in_->inc();
+  m_events_in_.inc();
   const event::Event& event = body.event;
 
   // 0. Context gathering and storage (paper conclusion): every event is
@@ -906,8 +905,7 @@ void ContextServer::check_triggers(const event::Event& event,
 void ContextServer::handle_query_submit(const net::Message& message) {
   auto body = entity::QuerySubmitBody::decode(message.payload);
   if (!body) return;
-  ++stats_.queries_received;
-  m_queries_received_->inc();
+  m_queries_received_.inc();
   trace_->record(network_.simulator().now(), obs::TraceKind::kQuerySubmit,
                  message.from, config_.range);
   registrar_.touch(message.from, network_.simulator().now());
@@ -962,8 +960,7 @@ void ContextServer::admit_query(query::Query q, Guid app) {
         return;
       }
     }
-    ++stats_.queries_forwarded;
-    m_queries_forwarded_->inc();
+    m_queries_forwarded_.inc();
     trace_->record(network_.simulator().now(), obs::TraceKind::kQueryForward,
                    config_.range, target_range);
     // Standby replay: the primary performed the actual forward; a replica
@@ -1044,8 +1041,7 @@ void ContextServer::admit_query(query::Query q, Guid app) {
 
   // Temporal constraints: hold the query until they are satisfied.
   if (q.when.trigger) {
-    ++stats_.queries_deferred;
-    m_queries_deferred_->inc();
+    m_queries_deferred_.inc();
     const SimTime now = network_.simulator().now();
     const double expires_after = q.when.expires_after_seconds;
     deferred_.push_back(DeferredQuery{std::move(q), app, now, {}});
@@ -1092,8 +1088,7 @@ void ContextServer::schedule_not_before(const query::Query& q, Guid app) {
     execute_query(ready, app);
     return;
   }
-  ++stats_.queries_deferred;
-  m_queries_deferred_->inc();
+  m_queries_deferred_.inc();
   network_.simulator().schedule_at(at, [this, alive = alive_, ready, app] {
     if (!*alive) return;
     execute_query(ready, app);
@@ -1134,9 +1129,9 @@ void ContextServer::execute_profile_request(const query::Query& q, Guid app) {
     if (const compose::ViewEntry* view = views_->lookup(key)) {
       chosen = view->selection;
       view_hit = true;
-      m_view_hits_->inc();
+      m_view_hits_.inc();
     } else {
-      m_view_misses_->inc();
+      m_view_misses_.inc();
     }
   }
   if (!view_hit) {
@@ -1245,9 +1240,9 @@ void ContextServer::execute_advertisement_request(const query::Query& q,
         view != nullptr && !view->selection.empty()) {
       winner = view->selection.front();
       view_hit = true;
-      m_view_hits_->inc();
+      m_view_hits_.inc();
     } else {
-      m_view_misses_->inc();
+      m_view_misses_.inc();
     }
   }
   if (!winner) {
@@ -1316,9 +1311,9 @@ void ContextServer::execute_subscription(const query::Query& q, Guid app,
           view != nullptr && !view->selection.empty()) {
         winner = view->selection.front();
         view_hit = true;
-        m_view_hits_->inc();
+        m_view_hits_.inc();
       } else {
-        m_view_misses_->inc();
+        m_view_misses_.inc();
       }
     }
     if (!winner) {
@@ -1372,11 +1367,8 @@ void ContextServer::execute_subscription(const query::Query& q, Guid app,
     return;
   }
 
-  const std::uint64_t view_hits_before =
-      views_ != nullptr ? views_->stats().hits : 0;
-  auto tag = build_configuration(q, app, one_time);
-  const bool view_hit =
-      views_ != nullptr && views_->stats().hits > view_hits_before;
+  bool view_hit = false;
+  auto tag = build_configuration(q, app, one_time, view_hit);
   if (!tag) {
     if (tag.error().code() == ErrorCode::kUnresolvable) {
       // Park: a source may arrive later (robustness under churn).
@@ -1656,12 +1648,11 @@ compose::ResolveRequest ContextServer::resolve_request_for(
 }
 
 Expected<std::uint64_t> ContextServer::build_configuration(
-    const query::Query& q, Guid app, bool one_time) {
+    const query::Query& q, Guid app, bool one_time, bool& view_hit) {
   const std::uint64_t tag = next_tag_++;
   const compose::ResolveRequest request = resolve_request_for(q, tag);
   const std::string key = view_key(q);
   compose::ConfigurationPlan plan;
-  bool view_hit = false;
   if (!key.empty()) {
     if (const compose::ViewEntry* view = views_->lookup(key);
         view != nullptr && view->plan.has_value()) {
@@ -1670,9 +1661,9 @@ Expected<std::uint64_t> ContextServer::build_configuration(
       plan = *view->plan;
       plan.tag = tag;
       view_hit = true;
-      m_view_hits_->inc();
+      m_view_hits_.inc();
     } else {
-      m_view_misses_->inc();
+      m_view_misses_.inc();
     }
   }
   if (!view_hit) {
@@ -1719,8 +1710,7 @@ Expected<std::uint64_t> ContextServer::build_configuration(
       app_edge_filter(plan, request, q.which, tag), one_time, tag);
   mirror_subscription_if_remote(app_edges_[tag]);
   tracked_[tag] = TrackedQuery{q, app, one_time};
-  ++stats_.configurations_built;
-  m_configurations_->inc();
+  m_configurations_.inc();
   return tag;
 }
 
@@ -1804,12 +1794,8 @@ void ContextServer::departure(Guid component, bool failure) {
   // Stop retransmitting toward the departed component; anything in flight
   // is handed to the give-up handler for accounting.
   channel_.fail_all(component);
-  ++stats_.departures;
-  m_departures_->inc();
-  if (failure) {
-    ++stats_.failures_detected;
-    m_failures_->inc();
-  }
+  m_departures_.inc();
+  if (failure) m_failures_.inc();
   trace_->record(network_.simulator().now(), obs::TraceKind::kDeparture,
                  component, config_.range, failure ? 1 : 0);
 
@@ -1856,8 +1842,7 @@ void ContextServer::recompose_after_loss(Guid lost_entity) {
     // sees survivors.
     auto plan = resolver_.resolve(request, composable_profiles());
     if (!plan) {
-      ++stats_.recomposition_failures;
-      m_recomposition_failures_->inc();
+      m_recomposition_failures_.inc();
       retire_configuration(tag);
       reply_result(tracked.app, tracked.query.id,
                    make_error(ErrorCode::kUnavailable,
@@ -1868,8 +1853,7 @@ void ContextServer::recompose_after_loss(Guid lost_entity) {
                                        network_.simulator().now(), {}});
       continue;
     }
-    ++stats_.recompositions;
-    m_recompositions_->inc();
+    m_recompositions_.inc();
     trace_->record(network_.simulator().now(), obs::TraceKind::kRecompose,
                    config_.range, lost_entity,
                    static_cast<std::uint64_t>(obs::RecomposeCause::kLoss));
@@ -2021,14 +2005,14 @@ compose::ViewDeps ContextServer::view_deps_for(
   return deps;
 }
 
+const obs::Counter* ContextServer::node_counter(std::string_view name) const {
+  return network_.simulator().metrics().find_counter(name, metrics_label_);
+}
+
 void ContextServer::install_view(compose::ViewEntry entry) {
   if (views_ == nullptr) return;
-  const std::uint64_t evictions_before = views_->stats().evictions;
-  views_->install(std::move(entry));
-  m_view_installs_->inc();
-  if (views_->stats().evictions > evictions_before) {
-    m_view_evictions_->inc(views_->stats().evictions - evictions_before);
-  }
+  if (views_->install(std::move(entry))) m_view_evictions_.inc();
+  m_view_installs_.inc();
   m_view_size_->set(static_cast<double>(views_->size()));
 }
 
@@ -2053,7 +2037,7 @@ void ContextServer::invalidate_views_matching(const entity::Profile& profile) {
 
 void ContextServer::note_view_drops(std::size_t dropped) {
   if (dropped == 0 || views_ == nullptr) return;
-  m_view_invalidations_->inc(dropped);
+  m_view_invalidations_.inc(dropped);
   m_view_size_->set(static_cast<double>(views_->size()));
 }
 
@@ -2132,8 +2116,7 @@ void ContextServer::broadcast_profile_mirror(Guid subject) {
   for (unsigned i = 0; i < config_.shard_map->size(); ++i) {
     if (i == config_.shard_index) continue;
     queue_mirror(shard_node(i), kShardProfile, wire);
-    ++stats_.shard_profile_mirrors;
-    m_shard_profile_mirrors_->inc();
+    m_shard_profile_mirrors_.inc();
   }
 }
 
@@ -2322,8 +2305,7 @@ void ContextServer::mirror_subscription_if_remote(event::SubscriptionId id) {
   // standby inherits mirrored_subs_ and can still tear the copies down.
   if (!passive()) {
     queue_mirror(remote, kShardSubscribe, w.take_ref());
-    ++stats_.shard_sub_mirrors;
-    m_shard_sub_mirrors_->inc();
+    m_shard_sub_mirrors_.inc();
   }
 }
 
@@ -2353,8 +2335,7 @@ void ContextServer::mirror_wildcard_subscription(const event::Subscription& s) {
   for (unsigned i = 0; i < config_.shard_map->size(); ++i) {
     if (i == config_.shard_index) continue;
     queue_mirror(shard_node(i), kShardSubscribe, frame);
-    ++stats_.shard_sub_mirrors;
-    m_shard_sub_mirrors_->inc();
+    m_shard_sub_mirrors_.inc();
   }
 }
 
@@ -2388,8 +2369,7 @@ void ContextServer::drop_mirrors_for_subscriber(Guid subscriber) {
 
 void ContextServer::forward_to_shard(const query::Query& q, Guid app,
                                      unsigned shard) {
-  ++stats_.shard_forwarded_queries;
-  m_shard_forwarded_->inc();
+  m_shard_forwarded_.inc();
   if (passive()) return;  // the owner shard's primary heard it directly
   const ForwardedQueryWire wire{app, q.to_xml()};
   send_component(shard_node(shard), kForwardedQueryDirect, wire.encode());
@@ -2439,8 +2419,7 @@ void ContextServer::flush_mirrors() {
       write_blob(w, payload);
     }
     channel_.send(node, kShardBatch, w.take_ref());
-    ++stats_.mirror_batches;
-    m_mirror_batches_->inc();
+    m_mirror_batches_.inc();
   }
 }
 
@@ -2893,8 +2872,7 @@ void ContextServer::complete_outgoing_handoff() {
     }
   }
 
-  ++stats_.handoffs_completed;
-  m_reshard_handoffs_->inc();
+  m_reshard_handoffs_.inc();
   if (handoff_started_at_ != SimTime::zero()) {
     m_reshard_pause_->observe(static_cast<double>(
         network_.simulator().now().micros() - handoff_started_at_.micros()));
@@ -2921,8 +2899,7 @@ void ContextServer::abort_outgoing_handoff(const char* why) {
                          handoff.target, handoff.epoch};
   log_record(replicate::RecordKind::kHandoffAbort, Guid(), handoff.id,
              wire.encode());
-  ++stats_.handoffs_aborted;
-  m_reshard_aborts_->inc();
+  m_reshard_aborts_.inc();
   handoff_started_at_ = SimTime::zero();
   if (!passive()) {
     channel_.send(shard_node(handoff.target), kHandoffAbort, wire.encode());
@@ -3024,8 +3001,7 @@ bool ContextServer::stage_if_frozen(const net::Message& message) {
         {});
     outgoing_handoff_->staged.push_back(
         StagedOp{message.from, message.type, message.payload});
-    ++stats_.handoff_staged_ops;
-    m_reshard_staged_->inc();
+    m_reshard_staged_.inc();
     return true;
   }
   if (message.type == entity::kRegisterRequest &&
@@ -3354,12 +3330,11 @@ void ContextServer::init_lease_keeper() {
       },
       [this] { return config_.epoch; },
       [this] {
-        ++stats_.lease_lapses;
+        m_node_lease_lapses_->inc();
         SCI_WARN(kTag, "%s: fencing lease lapsed — admission closed",
                  config_.name.c_str());
       },
       [this](std::uint32_t epoch) {
-        ++stats_.lease_acquisitions;
         lease_epochs_.insert(epoch);
       });
 }
@@ -3389,7 +3364,6 @@ void ContextServer::request_promotion() {
 }
 
 void ContextServer::apply_record(const replicate::LogRecord& record) {
-  ++stats_.records_applied;
   const SimTime now = network_.simulator().now();
   switch (record.kind) {
     case replicate::RecordKind::kRegister: {
@@ -3500,7 +3474,6 @@ void ContextServer::apply_record(const replicate::LogRecord& record) {
         outgoing_handoff_->staged.push_back(
             StagedOp{record.subject, static_cast<std::uint32_t>(record.flag),
                      record.payload});
-        ++stats_.handoff_staged_ops;
       }
       return;
     case replicate::RecordKind::kHandoffState:
@@ -3531,7 +3504,6 @@ void ContextServer::apply_record(const replicate::LogRecord& record) {
       if (outgoing_handoff_ && outgoing_handoff_->id == wire->id &&
           !outgoing_handoff_->committed) {
         outgoing_handoff_.reset();
-        ++stats_.handoffs_aborted;
       }
       if (incoming_handoff_ && incoming_handoff_->id == wire->id) {
         incoming_handoff_.reset();
@@ -4018,7 +3990,7 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
         // snapshot. But the loss is no longer silent — count and trace it.
         views_->clear();
         m_view_size_->set(0.0);
-        m_view_decode_failures_->inc();
+        m_view_decode_failures_.inc();
         trace_->record(network_.simulator().now(),
                        obs::TraceKind::kViewDecodeFail, config_.context_server,
                        config_.range);
@@ -4115,7 +4087,7 @@ void ContextServer::promote(Guid join_via) {
   // always above anything the dead primary stamped. Fiat promotion keeps
   // the plain increment.
   config_.epoch = std::max(config_.epoch + 1, elected_epoch_);
-  stats_.promoted_at_us = network_.simulator().now().micros();
+  promoted_at_ = network_.simulator().now();
   SCI_INFO(kTag, "%s: promoting standby %s to primary (epoch %u%s)",
            config_.name.c_str(), attached_as_.short_string().c_str(),
            config_.epoch, elected_epoch_ != 0 ? ", elected" : ", fiat");
@@ -4157,8 +4129,7 @@ void ContextServer::promote(Guid join_via) {
 
   mediator_.set_silent(false);
   start_primary_duties();
-  ++stats_.promotions;
-  m_promotions_->inc();
+  m_promotions_.inc();
   // New incarnation, new WAL: a checkpoint under the promoted epoch seals
   // the adopted state, so a later cold restart recovers this incarnation
   // rather than replaying records the old primary's epoch stamped.

@@ -22,6 +22,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -172,37 +173,6 @@ struct RangeConfig {
   std::string store_name;
 };
 
-struct ServerStats {
-  std::uint64_t registrations = 0;
-  std::uint64_t departures = 0;
-  std::uint64_t failures_detected = 0;
-  std::uint64_t queries_received = 0;
-  std::uint64_t queries_forwarded = 0;
-  std::uint64_t queries_adopted = 0;  // received via SCINET forwarding
-  std::uint64_t queries_deferred = 0;
-  std::uint64_t queries_answered = 0;
-  std::uint64_t queries_failed = 0;
-  std::uint64_t configurations_built = 0;
-  std::uint64_t recompositions = 0;
-  std::uint64_t recomposition_failures = 0;
-  std::uint64_t events_in = 0;
-  std::uint64_t promotions = 0;           // standby → primary takeovers
-  std::uint64_t records_applied = 0;      // replication records applied here
-  std::uint64_t duplicate_publishes = 0;  // suppressed cross-incarnation dups
-  std::uint64_t lease_acquisitions = 0;   // fencing lease (re)gained
-  std::uint64_t lease_lapses = 0;         // fencing lease lost (self-fenced)
-  std::uint64_t ops_rejected_unleased = 0;  // mutations refused while lapsed
-  std::int64_t promoted_at_us = -1;  // sim time of promote(); -1 = never
-  std::uint64_t shard_redirects = 0;     // arrivals redirected to owner shard
-  std::uint64_t shard_profile_mirrors = 0;  // profile frames sent to siblings
-  std::uint64_t shard_sub_mirrors = 0;      // subscriptions installed remotely
-  std::uint64_t shard_forwarded_queries = 0;  // queries sent to owner shard
-  std::uint64_t mirror_batches = 0;       // coalesced kShardBatch frames sent
-  std::uint64_t handoffs_completed = 0;   // vnode migrations committed here
-  std::uint64_t handoffs_aborted = 0;     // vnode migrations rolled back
-  std::uint64_t handoff_staged_ops = 0;   // ops parked during freeze windows
-};
-
 class ContextServer {
  public:
   // `directory` is the shared range-naming fabric; `semantics` the shared
@@ -251,7 +221,7 @@ class ContextServer {
 
   // Superseded primary: halt every duty, detach from the network and free
   // the range/CS identities for the successor. Irreversible; the fenced
-  // instance only remains valid as a stats witness.
+  // instance only remains valid for inspection (role, epoch, node_counter).
   void fence();
 
   // Standby: invoked (once) when primary heartbeats stay silent past
@@ -357,7 +327,19 @@ class ContextServer {
   [[nodiscard]] const ContextStore& context_store() const {
     return context_store_;
   }
-  [[nodiscard]] const ServerStats& stats() const { return stats_; }
+  // This server's slot of a node-labelled counter family: every counter
+  // the server bumps (cs.*, view.*, reshard.*, repl.failovers, ...; see
+  // docs/OBSERVABILITY.md), or nullptr for a name it does not count. The
+  // label is metrics_label(), "node=<GUID the server was built on>", and the
+  // slot outlives the object: a cold restart on the same node continues it.
+  [[nodiscard]] const obs::Counter* node_counter(std::string_view name) const;
+  [[nodiscard]] const std::string& metrics_label() const {
+    return metrics_label_;
+  }
+  // Sim time of promote(); nullopt when this server never promoted.
+  [[nodiscard]] std::optional<SimTime> promoted_at() const {
+    return promoted_at_;
+  }
   [[nodiscard]] overlay::ScinetNode& scinet() { return *scinet_; }
   [[nodiscard]] LocationService& location_service() { return locations_; }
   [[nodiscard]] std::size_t deferred_queries() const {
@@ -490,8 +472,9 @@ class ContextServer {
                                         const entity::Profile& p) const;
 
   // --- composition -----------------------------------------------------------
+  // `view_hit` reports whether a materialized view supplied the plan.
   Expected<std::uint64_t> build_configuration(const query::Query& q, Guid app,
-                                              bool one_time);
+                                              bool one_time, bool& view_hit);
   [[nodiscard]] compose::ResolveRequest resolve_request_for(
       const query::Query& q, std::uint64_t tag) const;
   [[nodiscard]] event::EventFilter app_edge_filter(
@@ -740,29 +723,32 @@ class ContextServer {
   // state (same bug class as the PR 4 ElectionAgent use-after-free).
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
-  // Deployment-registry instruments mirroring ServerStats (interned once in
-  // the constructor; every increment below is pointer-chased, not looked up).
-  obs::Counter* m_registrations_ = nullptr;
-  obs::Counter* m_departures_ = nullptr;
-  obs::Counter* m_failures_ = nullptr;
-  obs::Counter* m_queries_received_ = nullptr;
-  obs::Counter* m_queries_forwarded_ = nullptr;
-  obs::Counter* m_queries_adopted_ = nullptr;
-  obs::Counter* m_queries_deferred_ = nullptr;
-  obs::Counter* m_queries_answered_ = nullptr;
-  obs::Counter* m_queries_failed_ = nullptr;
-  obs::Counter* m_configurations_ = nullptr;
-  obs::Counter* m_recompositions_ = nullptr;
-  obs::Counter* m_recomposition_failures_ = nullptr;
-  obs::Counter* m_events_in_ = nullptr;
-  obs::Counter* m_delivery_dead_letters_ = nullptr;
-  obs::Counter* m_dead_letters_ = nullptr;
-  obs::Counter* m_view_hits_ = nullptr;
-  obs::Counter* m_view_misses_ = nullptr;
-  obs::Counter* m_view_installs_ = nullptr;
-  obs::Counter* m_view_invalidations_ = nullptr;
-  obs::Counter* m_view_evictions_ = nullptr;
-  obs::Counter* m_view_decode_failures_ = nullptr;
+  // Registry instruments (interned once in the constructor; every increment
+  // below is pointer-chased, not looked up). Counters are TwinCounters: the
+  // deployment total plus this server's metrics_label_ slot.
+  std::string metrics_label_;
+  obs::TwinCounter m_registrations_;
+  obs::TwinCounter m_departures_;
+  obs::TwinCounter m_failures_;
+  obs::TwinCounter m_queries_received_;
+  obs::TwinCounter m_queries_forwarded_;
+  obs::TwinCounter m_queries_adopted_;
+  obs::TwinCounter m_queries_deferred_;
+  obs::TwinCounter m_queries_answered_;
+  obs::TwinCounter m_queries_failed_;
+  obs::TwinCounter m_configurations_;
+  obs::TwinCounter m_recompositions_;
+  obs::TwinCounter m_recomposition_failures_;
+  obs::TwinCounter m_events_in_;
+  obs::TwinCounter m_duplicate_publishes_;
+  obs::TwinCounter m_delivery_dead_letters_;
+  obs::TwinCounter m_dead_letters_;
+  obs::TwinCounter m_view_hits_;
+  obs::TwinCounter m_view_misses_;
+  obs::TwinCounter m_view_installs_;
+  obs::TwinCounter m_view_invalidations_;
+  obs::TwinCounter m_view_evictions_;
+  obs::TwinCounter m_view_decode_failures_;
   obs::Gauge* m_view_size_ = nullptr;
   obs::Histogram* m_view_staleness_ = nullptr;
   obs::TraceBuffer* trace_ = nullptr;
@@ -807,8 +793,10 @@ class ContextServer {
   // Owner tags harvested from the mediator's scratch matches before
   // retire_configuration can re-enter dispatch; capacity reused per publish.
   std::vector<std::uint64_t> retire_scratch_;
-  obs::Counter* m_promotions_ = nullptr;
-  obs::Counter* m_lease_rejected_ = nullptr;
+  obs::TwinCounter m_promotions_;
+  obs::TwinCounter m_lease_rejected_;
+  obs::Counter* m_node_lease_lapses_ = nullptr;  // this node's slot only
+  std::optional<SimTime> promoted_at_;
 
   // --- sharding state ------------------------------------------------------
   // Subscriptions this shard created but installed on the producer's owner
@@ -822,10 +810,10 @@ class ContextServer {
     Guid producer;
   };
   std::map<event::SubscriptionId, MirroredSub> mirrored_subs_;
-  obs::Counter* m_shard_redirects_ = nullptr;
-  obs::Counter* m_shard_profile_mirrors_ = nullptr;
-  obs::Counter* m_shard_sub_mirrors_ = nullptr;
-  obs::Counter* m_shard_forwarded_ = nullptr;
+  obs::TwinCounter m_shard_redirects_;
+  obs::TwinCounter m_shard_profile_mirrors_;
+  obs::TwinCounter m_shard_sub_mirrors_;
+  obs::TwinCounter m_shard_forwarded_;
 
   // --- resharding state (docs/SHARDING.md) ---------------------------------
   // This server's epoch-versioned ownership copy, seeded from the shared
@@ -876,14 +864,12 @@ class ContextServer {
       mirror_buffers_;
   sim::TimerHandle mirror_flush_timer_;
   bool mirror_flush_scheduled_ = false;
-  obs::Counter* m_mirror_batches_ = nullptr;
+  obs::TwinCounter m_mirror_batches_;
   obs::Gauge* m_publish_rate_ = nullptr;
-  obs::Counter* m_reshard_handoffs_ = nullptr;
-  obs::Counter* m_reshard_staged_ = nullptr;
-  obs::Counter* m_reshard_aborts_ = nullptr;
+  obs::TwinCounter m_reshard_handoffs_;
+  obs::TwinCounter m_reshard_staged_;
+  obs::TwinCounter m_reshard_aborts_;
   obs::Histogram* m_reshard_pause_ = nullptr;
-
-  ServerStats stats_;
 };
 
 }  // namespace sci::range

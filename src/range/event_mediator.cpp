@@ -6,7 +6,6 @@ namespace sci::range {
 
 const std::vector<event::MatchRef>& EventMediator::dispatch_shared(
     const event::Event& event) {
-  ++stats_.events_in;
   m_events_in_->inc();
   table_.collect_matches_into(event, scratch_matches_);
   if (silent_ || scratch_matches_.empty()) return scratch_matches_;
@@ -30,7 +29,6 @@ const std::vector<event::MatchRef>& EventMediator::dispatch_shared(
 void EventMediator::deliver_to(Guid subscriber, serde::BufferRef body) {
   if (channel_ != nullptr) {
     channel_->send(subscriber, entity::kDeliver, std::move(body));
-    ++stats_.deliveries_out;
     m_deliveries_->inc();
     return;
   }
@@ -40,7 +38,6 @@ void EventMediator::deliver_to(Guid subscriber, serde::BufferRef body) {
   message.to = subscriber;
   message.payload = std::move(body);
   if (network_.send(std::move(message)).is_ok()) {
-    ++stats_.deliveries_out;
     m_deliveries_->inc();
   }
 }
@@ -59,7 +56,6 @@ void EventMediator::renew(Guid subscriber) {
   const std::size_t renewed = table_.renew_subscriber(
       subscriber, network_.simulator().now() + lease_options_.ttl);
   if (renewed > 0) {
-    stats_.leases_renewed += renewed;
     m_leases_renewed_->inc(renewed);
   }
 }
@@ -68,8 +64,6 @@ void EventMediator::reap_expired() {
   const std::vector<event::Subscription> expired =
       table_.expire_before(network_.simulator().now());
   for (const event::Subscription& subscription : expired) {
-    ++stats_.leases_expired;
-    ++stats_.subscriptions_removed;
     m_leases_expired_->inc();
     m_unsubscribed_->inc();
     trace_->record(network_.simulator().now(), obs::TraceKind::kLeaseExpire,

@@ -23,15 +23,6 @@
 
 namespace sci::range {
 
-struct MediatorStats {
-  std::uint64_t events_in = 0;
-  std::uint64_t deliveries_out = 0;
-  std::uint64_t subscriptions_created = 0;
-  std::uint64_t subscriptions_removed = 0;
-  std::uint64_t leases_renewed = 0;
-  std::uint64_t leases_expired = 0;
-};
-
 // Subscription lease policy. ttl == 0 disables leases (the default for a
 // bare mediator; the facade turns them on per range).
 struct LeaseOptions {
@@ -86,7 +77,6 @@ class EventMediator {
                                   event::EventFilter filter,
                                   bool one_time = false,
                                   std::uint64_t owner_tag = 0) {
-    ++stats_.subscriptions_created;
     m_subscribed_->inc();
     const event::SubscriptionId id =
         table_.add(subscriber, producer, std::move(event_type),
@@ -109,7 +99,6 @@ class EventMediator {
                               : Guid();
     const Status removed = table_.remove(id);
     if (removed.is_ok()) {
-      ++stats_.subscriptions_removed;
       m_unsubscribed_->inc();
       trace_->record(network_.simulator().now(), obs::TraceKind::kUnsubscribe,
                      subscriber, producer, id);
@@ -151,13 +140,11 @@ class EventMediator {
   }
   // Replication snapshots restore the table verbatim (ids preserved).
   [[nodiscard]] event::SubscriptionTable& mutable_table() { return table_; }
-  [[nodiscard]] const MediatorStats& stats() const { return stats_; }
 
  private:
   void note_bulk_removal(std::size_t n, Guid subscriber = Guid(),
                          Guid producer = Guid(), std::uint64_t detail = 0) {
     if (n == 0) return;
-    stats_.subscriptions_removed += n;
     m_unsubscribed_->inc(n);
     trace_->record(network_.simulator().now(), obs::TraceKind::kUnsubscribe,
                    subscriber, producer, detail);
@@ -166,7 +153,7 @@ class EventMediator {
   void reap_expired();
 
   // Sends one encoded kDeliver body over the channel (retransmit on loss)
-  // or the raw network, bumping delivery stats on success.
+  // or the raw network, counting em.deliveries on success.
   void deliver_to(Guid subscriber, serde::BufferRef body);
 
   net::Network& network_;
@@ -184,7 +171,6 @@ class EventMediator {
   obs::Counter* m_leases_renewed_ = nullptr;
   obs::Counter* m_leases_expired_ = nullptr;
   obs::TraceBuffer* trace_ = nullptr;
-  MediatorStats stats_;
   // dispatch_shared scratch: capacity persists across dispatches so the
   // steady-state fan-out never reallocates.
   std::vector<event::MatchRef> scratch_matches_;

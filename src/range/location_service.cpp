@@ -24,7 +24,6 @@ std::optional<location::LocRef> LocationService::observe(
     return std::nullopt;
   }
   if (place == location::kNoPlace) return std::nullopt;
-  ++stats_.observations;
   location::LocRef loc = location::LocRef::from_place(place);
   if (directory_ != nullptr) {
     if (auto resolved = directory_->resolve(loc); resolved) {
@@ -36,8 +35,7 @@ std::optional<location::LocRef> LocationService::observe(
 }
 
 Expected<double> LocationService::distance(const location::LocRef& a,
-                                           const location::LocRef& b) {
-  ++stats_.distance_queries;
+                                           const location::LocRef& b) const {
   if (directory_ == nullptr)
     return make_error(ErrorCode::kUnavailable,
                       "no location directory configured");

@@ -15,11 +15,6 @@
 
 namespace sci::range {
 
-struct LocationServiceStats {
-  std::uint64_t observations = 0;
-  std::uint64_t distance_queries = 0;
-};
-
 class LocationService {
  public:
   explicit LocationService(const location::LocationDirectory* directory)
@@ -36,8 +31,8 @@ class LocationService {
                                           ProfileManager& profiles);
 
   // Model-aware distance (topological > geometric > logical).
-  Expected<double> distance(const location::LocRef& a,
-                            const location::LocRef& b);
+  [[nodiscard]] Expected<double> distance(const location::LocRef& a,
+                                          const location::LocRef& b) const;
 
   // True when `loc` lies in (or equals) the logical `place` — the predicate
   // for "Bob enters Room L10.01" triggers.
@@ -49,11 +44,8 @@ class LocationService {
   [[nodiscard]] std::optional<location::LocRef> locate_entity(
       Guid entity, const ProfileManager& profiles) const;
 
-  [[nodiscard]] const LocationServiceStats& stats() const { return stats_; }
-
  private:
   const location::LocationDirectory* directory_;
-  LocationServiceStats stats_;
 };
 
 }  // namespace sci::range

@@ -122,10 +122,7 @@ ReliableChannel::ReliableChannel(net::Network& network, Guid self,
   SCI_ASSERT(config_.max_attempts > 0);
   obs::MetricsRegistry& metrics = network_.simulator().metrics();
   const std::string& label = config_.metrics_label;
-  const auto twin = [&](const char* name) {
-    return TwinCounter{&metrics.counter(name),
-                       label.empty() ? nullptr : &metrics.counter(name, label)};
-  };
+  const auto twin = [&](const char* name) { return metrics.twin(name, label); };
   m_accepted_ = twin("rel.accepted");
   m_data_sent_ = twin("rel.data_sent");
   m_retransmits_ = twin("rel.retransmits");

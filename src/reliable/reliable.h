@@ -76,18 +76,6 @@ struct ReliableConfig {
   std::string metrics_label;
 };
 
-// A registry counter plus its optional labelled twin (ReliableConfig::
-// metrics_label): inc() bumps both, so global aggregates and per-channel
-// families advance in lockstep.
-struct TwinCounter {
-  obs::Counter* global = nullptr;
-  obs::Counter* labeled = nullptr;
-  void inc(std::uint64_t n = 1) {
-    global->inc(n);
-    if (labeled != nullptr) labeled->inc(n);
-  }
-};
-
 struct ChannelStats {
   std::uint64_t accepted = 0;        // send() calls
   std::uint64_t data_sent = 0;       // envelope transmissions (incl. rexmit)
@@ -342,17 +330,17 @@ class ReliableChannel {
   bool rx_held_ = false;
   DeadLetterQueue dlq_;
 
-  TwinCounter m_accepted_;
-  TwinCounter m_data_sent_;
-  TwinCounter m_retransmits_;
-  TwinCounter m_acked_;
-  TwinCounter m_delivered_;
-  TwinCounter m_dup_suppressed_;
-  TwinCounter m_stale_epoch_;
-  TwinCounter m_dead_letters_;
-  TwinCounter m_failovers_;
-  TwinCounter m_dlq_parked_;
-  TwinCounter m_dlq_replayed_;
+  obs::TwinCounter m_accepted_;
+  obs::TwinCounter m_data_sent_;
+  obs::TwinCounter m_retransmits_;
+  obs::TwinCounter m_acked_;
+  obs::TwinCounter m_delivered_;
+  obs::TwinCounter m_dup_suppressed_;
+  obs::TwinCounter m_stale_epoch_;
+  obs::TwinCounter m_dead_letters_;
+  obs::TwinCounter m_failovers_;
+  obs::TwinCounter m_dlq_parked_;
+  obs::TwinCounter m_dlq_replayed_;
   obs::Gauge* m_dlq_depth_ = nullptr;
   obs::Histogram* m_ack_rtt_ms_ = nullptr;
   obs::Histogram* m_recovery_ms_ = nullptr;

@@ -83,7 +83,6 @@ bool LeaseKeeper::holds_lease() const {
 
 void LeaseKeeper::acquired(std::uint32_t epoch) {
   held_ = true;
-  ++stats_.acquisitions;
   m_acquisitions_->inc();
   if (on_acquire_) on_acquire_(epoch);
 }
@@ -114,12 +113,10 @@ void LeaseKeeper::renew_tick() {
     req.to = member;
     req.payload = payload;
     (void)network_.send(std::move(req));
-    ++stats_.renewals_sent;
     m_renewals_->inc();
   }
   if (held_ && now >= lease_until_) {
     held_ = false;
-    ++stats_.lapses;
     m_lapses_->inc();
     SCI_WARN(kTag, "%s: fencing lease lapsed (epoch %u) — closing admission",
              self_.short_string().c_str(), epoch_());
@@ -141,7 +138,6 @@ void LeaseKeeper::on_lease_ack(serde::FrameView payload,
   // not count, and a group shrink between send and ack must not let stale
   // acks satisfy a smaller majority.
   if (it->second.members.find(from) == it->second.members.end()) return;
-  ++stats_.acks_received;
   m_acks_->inc();
   it->second.acks.insert(from);
   const std::size_t group = it->second.members.size() + 1;
@@ -176,6 +172,8 @@ ElectionAgent::ElectionAgent(net::Network& network, Guid self,
   m_candidacies_ = &metrics.counter("repl.election.candidacies");
   m_votes_granted_ = &metrics.counter("repl.election.votes_granted");
   m_won_ = &metrics.counter("repl.election.won");
+  m_lease_acks_sent_ = &metrics.counter("repl.lease.acks_sent");
+  m_lease_acks_refused_ = &metrics.counter("repl.lease.acks_refused");
 }
 
 ElectionAgent::~ElectionAgent() {
@@ -244,7 +242,7 @@ void ElectionAgent::on_lease_request(serde::FrameView payload,
   if (e < max_voted_epoch_) {
     // THE fencing rule: this voter pledged a higher epoch, so the deposed
     // primary must never again assemble a lease majority through it.
-    ++stats_.lease_acks_refused;
+    m_lease_acks_refused_->inc();
     SCI_DEBUG(kTag, "%s: refusing lease ack for epoch %u (pledged %u)",
               self_.short_string().c_str(), e, max_voted_epoch_);
     return;
@@ -257,7 +255,7 @@ void ElectionAgent::on_lease_request(serde::FrameView payload,
   w.varint(e);
   w.varint(*seq);
   send_raw(from, kReplLeaseAck, w.take_ref());
-  ++stats_.lease_acks_sent;
+  m_lease_acks_sent_->inc();
 }
 
 void ElectionAgent::on_vote_request(serde::FrameView payload,
@@ -312,7 +310,6 @@ void ElectionAgent::on_vote_request(serde::FrameView payload,
   max_voted_epoch_ = std::max(max_voted_epoch_, e);
   last_grant_ = network_.simulator().now();
   granted_once_ = true;
-  ++stats_.votes_granted;
   m_votes_granted_->inc();
   serde::Writer w(8);
   w.varint(e);
@@ -326,12 +323,10 @@ void ElectionAgent::on_vote_grant(serde::FrameView payload,
   if (!epoch) return;
   if (!active_ || static_cast<std::uint32_t>(*epoch) != cand_epoch_) return;
   grants_.insert(from);
-  ++stats_.grants_received;
   if (grants_.size() < quorum()) return;
   active_ = false;
   elected_ = true;
   elected_epoch_ = cand_epoch_;
-  ++stats_.elections_won;
   m_won_->inc();
   SCI_INFO(kTag, "%s: won election at epoch %u (%zu/%zu votes)",
            self_.short_string().c_str(), elected_epoch_, grants_.size(),
@@ -383,7 +378,6 @@ void ElectionAgent::launch() {
   max_voted_epoch_ = cand_epoch_;
   grants_.clear();
   grants_.insert(self_);
-  ++stats_.candidacies;
   m_candidacies_->inc();
   SCI_INFO(kTag, "%s: candidacy at epoch %u (watermark %llu, group %zu)",
            self_.short_string().c_str(), cand_epoch_,
@@ -395,7 +389,6 @@ void ElectionAgent::launch() {
   for (const Guid member : view_) {
     if (member == self_) continue;
     send_raw(member, kReplVoteRequest, payload);
-    ++stats_.votes_requested;
   }
   // Retry with a deterministic per-node, per-epoch jitter (Raft's
   // randomized election timeout, reproducible under the sim seed). Without

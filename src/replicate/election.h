@@ -81,13 +81,6 @@ struct ElectionConfig {
   Duration renew_period = Duration::micros(0);
 };
 
-struct LeaseStats {
-  std::uint64_t renewals_sent = 0;   // lease request × member sends
-  std::uint64_t acks_received = 0;
-  std::uint64_t acquisitions = 0;    // lapsed/none -> held transitions
-  std::uint64_t lapses = 0;          // held -> lapsed transitions
-};
-
 // Primary-side lease maintenance. Owned by a Context Server in the primary
 // role whenever elections are enabled and a replication log exists.
 class LeaseKeeper {
@@ -116,7 +109,6 @@ class LeaseKeeper {
   // Admission predicate: the lease extension a majority last granted has
   // not yet run out. Purely time-based — precise even between renew ticks.
   [[nodiscard]] bool holds_lease() const;
-  [[nodiscard]] const LeaseStats& stats() const { return stats_; }
   [[nodiscard]] Duration lease_duration() const {
     return config_.lease_duration;
   }
@@ -153,18 +145,6 @@ class LeaseKeeper {
   obs::Counter* m_acks_ = nullptr;
   obs::Counter* m_acquisitions_ = nullptr;
   obs::Counter* m_lapses_ = nullptr;
-
-  LeaseStats stats_;
-};
-
-struct ElectionStats {
-  std::uint64_t candidacies = 0;      // launches (incl. re-launches)
-  std::uint64_t votes_requested = 0;  // vote request × member sends
-  std::uint64_t votes_granted = 0;    // grants this agent handed out
-  std::uint64_t grants_received = 0;
-  std::uint64_t elections_won = 0;
-  std::uint64_t lease_acks_sent = 0;
-  std::uint64_t lease_acks_refused = 0;  // pledged-epoch safety refusals
 };
 
 // Standby-side voter + candidate. Owned by a Context Server in the standby
@@ -214,7 +194,6 @@ class ElectionAgent {
     return max_voted_epoch_;
   }
   [[nodiscard]] bool candidacy_active() const { return active_; }
-  [[nodiscard]] const ElectionStats& stats() const { return stats_; }
 
  private:
   void launch();
@@ -257,8 +236,8 @@ class ElectionAgent {
   obs::Counter* m_candidacies_ = nullptr;
   obs::Counter* m_votes_granted_ = nullptr;
   obs::Counter* m_won_ = nullptr;
-
-  ElectionStats stats_;
+  obs::Counter* m_lease_acks_sent_ = nullptr;
+  obs::Counter* m_lease_acks_refused_ = nullptr;  // pledged-epoch refusals
 };
 
 // Resolves the 0-defaults of `config` against the replication timing it

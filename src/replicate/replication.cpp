@@ -135,15 +135,18 @@ ReplicationLog::ReplicationLog(net::Network& network,
       fingerprint_(std::move(fingerprint)) {
   SCI_ASSERT(snapshot_ != nullptr);
   obs::MetricsRegistry& metrics = network_.simulator().metrics();
-  m_records_shipped_ = &metrics.counter("repl.records_shipped");
-  m_snapshots_ = &metrics.counter("repl.snapshots");
-  m_heartbeats_ = &metrics.counter("repl.heartbeats");
-  m_batches_ = &metrics.counter("repl.batches");
-  m_compacted_ = &metrics.counter("repl.compacted");
-  m_delta_catchups_ = &metrics.counter("repl.catchup.delta");
-  m_delta_bytes_ = &metrics.counter("repl.catchup.delta_bytes");
-  m_full_catchups_ = &metrics.counter("repl.catchup.full");
-  m_snapshot_bytes_ = &metrics.counter("repl.catchup.snapshot_bytes");
+  const std::string label = "node=" + channel_.self().to_string();
+  const auto twin = [&](const char* name) { return metrics.twin(name, label); };
+  m_records_appended_ = twin("repl.records_appended");
+  m_records_shipped_ = twin("repl.records_shipped");
+  m_snapshots_ = twin("repl.snapshots");
+  m_heartbeats_ = twin("repl.heartbeats");
+  m_batches_ = twin("repl.batches");
+  m_compacted_ = twin("repl.compacted");
+  m_delta_catchups_ = twin("repl.catchup.delta");
+  m_delta_bytes_ = twin("repl.catchup.delta_bytes");
+  m_full_catchups_ = twin("repl.catchup.full");
+  m_snapshot_bytes_ = twin("repl.catchup.snapshot_bytes");
   m_lag_ = &metrics.gauge("repl.lag");
   snapshot_timer_.emplace(network_.simulator(), config_.snapshot_interval,
                           [this] { take_snapshot(); });
@@ -178,22 +181,16 @@ void ReplicationLog::attach_standby(Guid node, std::uint32_t from_epoch,
   std::uint64_t floor = snapshot_base_;
   if (delta) {
     floor = from_index;
-    ++stats_.delta_catchups;
-    m_delta_catchups_->inc();
+    m_delta_catchups_.inc();
   } else {
-    ++stats_.full_catchups;
-    m_full_catchups_->inc();
+    m_full_catchups_.inc();
     ship_snapshot(node);
   }
   for (const LogRecord& record : tail_) {
     if (record.index <= floor) continue;
-    ++stats_.records_shipped;
-    m_records_shipped_->inc();
+    m_records_shipped_.inc();
     const serde::BufferRef wire = frame_record(channel_.epoch(), record);
-    if (delta) {
-      stats_.delta_bytes += wire.size();
-      m_delta_bytes_->inc(wire.size());
-    }
+    if (delta) m_delta_bytes_.inc(wire.size());
     channel_.send(node, kReplRecord, wire);
   }
   applied_[node] = floor;
@@ -219,7 +216,7 @@ void ReplicationLog::detach_standby(Guid node) {
 
 std::uint64_t ReplicationLog::append(LogRecord record) {
   record.index = ++head_;
-  ++stats_.records_appended;
+  m_records_appended_.inc();
   tail_.push_back(std::move(record));
   ++unflushed_;
   // Synchronous mode ships immediately — the client admit ack is waiting on
@@ -240,8 +237,7 @@ void ReplicationLog::flush_pending() {
   if (count == 1) {
     const serde::BufferRef wire = frame_record(channel_.epoch(), tail_.back());
     for (const auto& [standby, applied] : applied_) {
-      ++stats_.records_shipped;
-      m_records_shipped_->inc();
+      m_records_shipped_.inc();
       channel_.send(standby, kReplRecord, wire);
     }
     return;
@@ -256,10 +252,8 @@ void ReplicationLog::flush_pending() {
   }
   const serde::BufferRef wire = w.take_ref();
   for (const auto& [standby, applied] : applied_) {
-    stats_.records_shipped += count;
-    m_records_shipped_->inc(count);
-    ++stats_.batch_frames;
-    m_batches_->inc();
+    m_records_shipped_.inc(count);
+    m_batches_.inc();
     channel_.send(standby, kReplBatch, wire);
   }
 }
@@ -290,8 +284,7 @@ void ReplicationLog::compact_tail() {
     ++compacted;
   }
   if (compacted > 0) {
-    stats_.records_compacted += compacted;
-    m_compacted_->inc(compacted);
+    m_compacted_.inc(compacted);
     SCI_DEBUG(kTag, "compacted %llu tail records (%zu retained)",
               static_cast<unsigned long long>(compacted), tail_.size());
   }
@@ -359,8 +352,7 @@ void ReplicationLog::take_snapshot() {
   snapshot_base_ = head_;
   have_snapshot_ = true;
   tail_.clear();
-  ++stats_.snapshots_taken;
-  m_snapshots_->inc();
+  m_snapshots_.inc();
   SCI_DEBUG(kTag, "snapshot at index %llu (%zu bytes)",
             static_cast<unsigned long long>(snapshot_base_),
             snapshot_blob_.size());
@@ -368,10 +360,9 @@ void ReplicationLog::take_snapshot() {
 
 void ReplicationLog::ship_snapshot(Guid standby) {
   if (!have_snapshot_) take_snapshot();
-  ++stats_.snapshots_shipped;
   const serde::BufferRef wire =
       encode_snapshot(channel_.epoch(), snapshot_base_, snapshot_blob_);
-  m_snapshot_bytes_->inc(wire.size());
+  m_snapshot_bytes_.inc(wire.size());
   channel_.send(standby, kReplSnapshot, wire);
 }
 
@@ -402,8 +393,7 @@ void ReplicationLog::heartbeat_tick() {
     beat.to = standby;
     beat.payload = payload;
     (void)network_.send(std::move(beat));
-    ++stats_.heartbeats_sent;
-    m_heartbeats_->inc();
+    m_heartbeats_.inc();
   }
 }
 

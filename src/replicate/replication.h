@@ -131,19 +131,6 @@ struct ReplicationConfig {
 // `repl.state_divergence` on mismatch (docs/REPLICATION.md).
 using FingerprintProvider = std::function<std::uint64_t()>;
 
-struct ReplicationStats {
-  std::uint64_t records_appended = 0;
-  std::uint64_t records_shipped = 0;  // record × standby sends
-  std::uint64_t snapshots_taken = 0;
-  std::uint64_t snapshots_shipped = 0;
-  std::uint64_t heartbeats_sent = 0;
-  std::uint64_t batch_frames = 0;      // kReplBatch frames sent
-  std::uint64_t records_compacted = 0; // tail records tombstoned to kNoop
-  std::uint64_t delta_catchups = 0;    // rejoins served from the tail alone
-  std::uint64_t delta_bytes = 0;       // record bytes shipped on those
-  std::uint64_t full_catchups = 0;     // attaches that needed a snapshot
-};
-
 // Primary-side log. Owned by a Context Server in the primary role with at
 // least one standby attached.
 class ReplicationLog {
@@ -210,7 +197,6 @@ class ReplicationLog {
   [[nodiscard]] std::uint64_t lag() const;
   [[nodiscard]] std::vector<Guid> standbys() const;
   [[nodiscard]] std::size_t tail_size() const { return tail_.size(); }
-  [[nodiscard]] const ReplicationStats& stats() const { return stats_; }
 
  private:
   void take_snapshot();
@@ -249,18 +235,19 @@ class ReplicationLog {
   std::optional<sim::PeriodicTimer> snapshot_timer_;
   std::optional<sim::PeriodicTimer> heartbeat_timer_;
 
-  obs::Counter* m_records_shipped_ = nullptr;
-  obs::Counter* m_snapshots_ = nullptr;
-  obs::Counter* m_heartbeats_ = nullptr;
-  obs::Counter* m_batches_ = nullptr;
-  obs::Counter* m_compacted_ = nullptr;
-  obs::Counter* m_delta_catchups_ = nullptr;
-  obs::Counter* m_delta_bytes_ = nullptr;
-  obs::Counter* m_full_catchups_ = nullptr;
-  obs::Counter* m_snapshot_bytes_ = nullptr;
+  // Deployment totals plus the "node=<channel's node>" slot, the label the
+  // owning Context Server counts under.
+  obs::TwinCounter m_records_appended_;
+  obs::TwinCounter m_records_shipped_;  // record × standby sends
+  obs::TwinCounter m_snapshots_;
+  obs::TwinCounter m_heartbeats_;
+  obs::TwinCounter m_batches_;
+  obs::TwinCounter m_compacted_;
+  obs::TwinCounter m_delta_catchups_;
+  obs::TwinCounter m_delta_bytes_;
+  obs::TwinCounter m_full_catchups_;
+  obs::TwinCounter m_snapshot_bytes_;
   obs::Gauge* m_lag_ = nullptr;
-
-  ReplicationStats stats_;
 };
 
 // Standby-side apply loop + failure detector. Owned by a Context Server in

@@ -8,6 +8,8 @@
 #include "entity/printer.h"
 #include "entity/sensors.h"
 
+#include "metric_counts.h"
+
 namespace sci {
 namespace {
 
@@ -119,7 +121,7 @@ TEST(CoverageTest, ExplicitRangeTargetingForwardsDirectly) {
   ASSERT_NE(result, nullptr);
   ASSERT_TRUE(std::get<1>(*result).ok()) << std::get<1>(*result).to_string();
   EXPECT_EQ(std::get<2>(*result).at("name").get_string(), "P-up");
-  EXPECT_EQ(tower.stats().queries_forwarded, 1u);
+  EXPECT_EQ(node_count(tower, "cs.queries.forwarded"), 1u);
 }
 
 TEST(CoverageTest, SubscriptionToEntityTypeBindsToSelectedEntity) {

@@ -9,6 +9,8 @@
 #include "entity/sensors.h"
 #include "mobility/building.h"
 
+#include "metric_counts.h"
+
 namespace sci::entity {
 namespace {
 
@@ -219,7 +221,7 @@ TEST(DoorSensorTest, PublishesTransitEventsWithEndpoints) {
                      f.building.room(0, 0));
   f.sci.run_for(Duration::millis(100));
   EXPECT_EQ(door.stats().events_published, 1u);
-  EXPECT_EQ(f.range->stats().events_in, 1u);
+  EXPECT_EQ(node_count(*f.range, "cs.events_in"), 1u);
 }
 
 TEST(ObjectLocationTest, TracksEntitiesFromTransits) {
@@ -322,7 +324,7 @@ TEST(ComponentTest, PublishWhileUnregisteredIsDropped) {
                      f.building.room(0, 0));
   f.sci.run_for(Duration::millis(100));
   EXPECT_EQ(door.stats().events_published, 0u);
-  EXPECT_EQ(f.range->stats().events_in, 0u);
+  EXPECT_EQ(registry_count(f.sci.metrics(), "cs.events_in"), 0u);
 }
 
 TEST(ComponentTest, SubmitQueryWhileUnregisteredFails) {

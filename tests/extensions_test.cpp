@@ -9,6 +9,8 @@
 #include "entity/printer.h"
 #include "entity/sensors.h"
 
+#include "metric_counts.h"
+
 namespace sci {
 namespace {
 
@@ -241,7 +243,7 @@ TEST(GroupTest, QueriesDoNotCrossAccessGroups) {
   const Error* error = app.error_for("q");
   ASSERT_NE(error, nullptr);
   EXPECT_EQ(error->code(), ErrorCode::kPermissionDenied);
-  EXPECT_EQ(tower.stats().queries_forwarded, 0u);
+  EXPECT_EQ(registry_count(d.sci.metrics(), "cs.queries.forwarded"), 0u);
 }
 
 // -------------------------------------------------- discovery retransmit

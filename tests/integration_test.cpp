@@ -11,6 +11,8 @@
 #include "entity/printer.h"
 #include "entity/sensors.h"
 
+#include "metric_counts.h"
+
 namespace sci {
 namespace {
 
@@ -74,13 +76,13 @@ TEST(IntegrationTest, DiscoverySequenceRegistersComponent) {
   EXPECT_EQ(sensor.registration().context_server, range.server_node());
   EXPECT_TRUE(range.registrar().contains(sensor.id()));
   EXPECT_NE(range.profiles().profile(sensor.id()), nullptr);
-  EXPECT_EQ(range.stats().registrations, 1u);
+  EXPECT_EQ(node_count(range, "cs.registrations"), 1u);
 
   // Graceful stop deregisters.
   sensor.stop();
   d.sci.run_for(Duration::millis(100));
   EXPECT_FALSE(range.registrar().contains(sensor.id()));
-  EXPECT_EQ(range.stats().departures, 1u);
+  EXPECT_EQ(node_count(range, "cs.departures"), 1u);
 }
 
 TEST(IntegrationTest, ReRegistrationIsIdempotent) {
@@ -406,8 +408,8 @@ TEST(IntegrationTest, CrashedSensorIsEvictedAndConfigurationRecomposed) {
   ASSERT_TRUE(d.sci.network().set_crashed(sink.id(), true).is_ok());
   d.sci.run_for(Duration::seconds(5));  // pings time out, CS recomposes
   EXPECT_FALSE(range.registrar().contains(sink.id()));
-  EXPECT_GE(range.stats().failures_detected, 1u);
-  EXPECT_GE(range.stats().recompositions, 1u);
+  EXPECT_GE(node_count(range, "cs.failures_detected"), 1u);
+  EXPECT_GE(node_count(range, "cs.recompositions"), 1u);
   // The deployment-wide registry mirrors the per-range stats, and the trace
   // ring retained the recomposition record.
   const obs::MetricsSnapshot snap = d.sci.metrics().snapshot();
@@ -617,8 +619,8 @@ TEST(IntegrationTest, QueriesForwardToTheGoverningRange) {
   ASSERT_NE(result, nullptr);
   ASSERT_TRUE(result->error.ok()) << result->error.to_string();
   EXPECT_EQ(result->value.at("name").get_string(), "P-upstairs");
-  EXPECT_EQ(tower.stats().queries_forwarded, 1u);
-  EXPECT_EQ(level1.stats().queries_adopted, 1u);
+  EXPECT_EQ(node_count(tower, "cs.queries.forwarded"), 1u);
+  EXPECT_EQ(node_count(level1, "cs.queries.adopted"), 1u);
   // Registry view of the same run: the query crossed the SCINET, so the
   // overlay recorded route hops and a delivery at the target range.
   const obs::MetricsSnapshot snap = d.sci.metrics().snapshot();

@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
 #include <new>
+#include <set>
+#include <sstream>
 #include <string>
 
+#include "core/sci.h"
+#include "mobility/building.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serde/buffer.h"
@@ -132,6 +137,34 @@ TEST(MetricsTest, SnapshotAggregatesLabelledFamilies) {
   EXPECT_EQ(lat->count, 1u);
   EXPECT_DOUBLE_EQ(lat->mean, 4.0);
   EXPECT_EQ(snap.histogram("missing"), nullptr);
+}
+
+TEST(MetricsTest, FindCounterNeverInterns) {
+  obs::MetricsRegistry registry;
+  registry.counter("present", "n1").inc(4);
+  const std::size_t symbols = registry.symbol_count();
+  ASSERT_NE(registry.find_counter("present", "n1"), nullptr);
+  EXPECT_EQ(registry.find_counter("present", "n1")->value(), 4u);
+  EXPECT_EQ(registry.find_counter("present"), nullptr);
+  EXPECT_EQ(registry.find_counter("present", "n2"), nullptr);
+  EXPECT_EQ(registry.find_counter("absent"), nullptr);
+  EXPECT_EQ(registry.symbol_count(), symbols);
+  EXPECT_EQ(registry.counter_count(), 1u);
+}
+
+TEST(MetricsTest, TwinBumpsTheTotalAndTheLabelledSlot) {
+  obs::MetricsRegistry registry;
+  obs::TwinCounter a = registry.twin("events", "node=a");
+  obs::TwinCounter b = registry.twin("events", "node=b");
+  obs::TwinCounter bare = registry.twin("events", "");
+  EXPECT_EQ(bare.labeled, nullptr);
+  a.inc(2);
+  b.inc();
+  bare.inc();
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter("events"), 4u);
+  EXPECT_EQ(snap.counter("events", "node=a"), 2u);
+  EXPECT_EQ(snap.counter("events", "node=b"), 1u);
 }
 
 TEST(MetricsTest, ResetZeroesButKeepsRegistrations) {
@@ -269,6 +302,7 @@ TEST(ObsAllocationTest, MetricUpdatesAndTraceRecordsDoNotAllocate) {
   obs::Counter& c = registry.counter("alloc.counter", "node");
   obs::Gauge& g = registry.gauge("alloc.gauge");
   obs::Histogram& h = registry.histogram("alloc.histogram");
+  obs::TwinCounter t = registry.twin("alloc.twin", "node=1");
   obs::TraceBuffer trace(64);
   const Guid a(1, 2);
   const Guid b(3, 4);
@@ -277,6 +311,7 @@ TEST(ObsAllocationTest, MetricUpdatesAndTraceRecordsDoNotAllocate) {
   for (int i = 0; i < 10000; ++i) {
     c.inc();
     c.inc(3);
+    t.inc();
     g.set(static_cast<double>(i));
     g.add(0.5);
     h.observe(static_cast<double>(i));
@@ -285,6 +320,72 @@ TEST(ObsAllocationTest, MetricUpdatesAndTraceRecordsDoNotAllocate) {
   }
   EXPECT_EQ(g_allocations, before)
       << "hot-path instrument updates must not allocate";
+}
+
+// ---------------------------------------------------------------- catalogue
+
+// Every name in the table under docs/OBSERVABILITY.md's "Metric catalogue"
+// heading.
+std::set<std::string> documented_metric_names() {
+  std::ifstream doc(SCI_OBSERVABILITY_DOC);
+  EXPECT_TRUE(doc.is_open()) << SCI_OBSERVABILITY_DOC;
+  std::set<std::string> names;
+  std::string line;
+  bool in_catalogue = false;
+  while (std::getline(doc, line)) {
+    if (line.rfind("## ", 0) == 0) in_catalogue = line == "## Metric catalogue";
+    if (!in_catalogue || line.rfind("| `", 0) != 0) continue;
+    const std::size_t end = line.find('`', 3);
+    if (end != std::string::npos) names.insert(line.substr(3, end - 3));
+  }
+  return names;
+}
+
+std::string join(const std::set<std::string>& names) {
+  std::ostringstream out;
+  for (const std::string& name : names) out << "\n  " << name;
+  return out.str();
+}
+
+// The catalogue is the registry's documentation: a deployment with every
+// layer switched on registers exactly the documented names. Sharded,
+// replicated (two standbys, so elections run), durable, view-backed, acked
+// delivery (a facade default), and two ranges so the SCINET overlay forms.
+TEST(MetricsCatalogueTest, FullStackRegistersExactlyTheDocumentedNames) {
+  Sci sci{42};
+  mobility::Building building{{.floors = 2, .rooms_per_floor = 4}};
+  sci.set_location_directory(&building.directory());
+  RangeOptions options;
+  options.sharding.shard_count = 2;
+  options.replication.standby_count = 2;
+  options.durability.enable = true;
+  ASSERT_TRUE(options.views.enable);
+  ASSERT_TRUE(options.reliability.acked_delivery);
+  ASSERT_TRUE(
+      bool(sci.create_range("levelA", building.floor_path(0), options)));
+  ASSERT_TRUE(
+      bool(sci.create_range("levelB", building.floor_path(1), options)));
+  sci.run_for(Duration::seconds(1));
+
+  std::set<std::string> registered;
+  const obs::MetricsSnapshot snap = sci.metrics().snapshot();
+  for (const auto& entry : snap.counters) registered.insert(entry.name);
+  for (const auto& entry : snap.gauges) registered.insert(entry.name);
+  for (const auto& entry : snap.histograms) registered.insert(entry.name);
+
+  const std::set<std::string> documented = documented_metric_names();
+  std::set<std::string> undocumented;
+  std::set<std::string> unregistered;
+  for (const std::string& name : registered) {
+    if (!documented.contains(name)) undocumented.insert(name);
+  }
+  for (const std::string& name : documented) {
+    if (!registered.contains(name)) unregistered.insert(name);
+  }
+  EXPECT_TRUE(undocumented.empty())
+      << "registered but missing from the catalogue:" << join(undocumented);
+  EXPECT_TRUE(unregistered.empty())
+      << "catalogued but never registered:" << join(unregistered);
 }
 
 }  // namespace

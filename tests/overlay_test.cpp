@@ -9,6 +9,8 @@
 #include "overlay/hierarchical.h"
 #include "overlay/scinet.h"
 
+#include "metric_counts.h"
+
 namespace sci::overlay {
 namespace {
 
@@ -268,7 +270,8 @@ TEST(ScinetTest, RouteAckedSurvivesLossExactlyOnce) {
   EXPECT_EQ(delivered, 5);
   EXPECT_EQ(receipts, 5);
   EXPECT_EQ(source.pending_receipts(), 0u);
-  EXPECT_EQ(source.stats().e2e_dead_letters, 0u);
+  EXPECT_EQ(registry_count(d.simulator.metrics(), "scinet.e2e.dead_letters"),
+            0u);
 }
 
 TEST(ScinetTest, RouteAckedDeliversDespiteMidFlightCrash) {
@@ -297,7 +300,8 @@ TEST(ScinetTest, RouteAckedDeliversDespiteMidFlightCrash) {
 
   EXPECT_TRUE(acked);
   EXPECT_EQ(source.pending_receipts(), 0u);
-  EXPECT_EQ(source.stats().e2e_dead_letters, 0u);
+  EXPECT_EQ(registry_count(d.simulator.metrics(), "scinet.e2e.dead_letters"),
+            0u);
 }
 
 TEST(ScinetTest, KeyRoutingDeliversAtNumericallyClosestNode) {
@@ -330,11 +334,21 @@ TEST(ScinetTest, StatsCountRoutingActivity) {
   d.grow(8);
   auto& from = *d.scinet.nodes().front();
   auto& to = *d.scinet.nodes().back();
-  to.set_deliver_handler([](const RoutedMessage&) {});
+  int delivered_at_to = 0;
+  to.set_deliver_handler([&](const RoutedMessage&) { ++delivered_at_to; });
+  const obs::MetricsRegistry& metrics = d.simulator.metrics();
+  const std::uint64_t originated =
+      registry_count(metrics, "scinet.routed.originated");
+  const std::uint64_t delivered =
+      registry_count(metrics, "scinet.routed.delivered");
   ASSERT_TRUE(from.route(to.id(), 1, {}).is_ok());
   d.scinet.settle();
-  EXPECT_EQ(from.stats().routed_originated, 1u);
-  EXPECT_EQ(to.stats().routed_delivered, 1u);
+  // The one route() is the only routed traffic, and it lands at `to`.
+  EXPECT_EQ(registry_count(metrics, "scinet.routed.originated") - originated,
+            1u);
+  EXPECT_EQ(registry_count(metrics, "scinet.routed.delivered") - delivered,
+            1u);
+  EXPECT_EQ(delivered_at_to, 1);
 }
 
 TEST(ScinetTest, JoinRetransmitsThroughALossyFabric) {

@@ -18,6 +18,8 @@
 #include "serde/frame.h"
 #include "sim/fault_plan.h"
 
+#include "metric_counts.h"
+
 namespace sci {
 namespace {
 
@@ -753,6 +755,9 @@ TEST(PersistTest, ColdRestartAbortsUncommittedHandoff) {
   });
   ASSERT_TRUE(f.level_b->begin_handoff(vnode, 1));
   f.sci.run_for(Duration::millis(300));  // intent record group-commits
+  // The node's slot outlives this incarnation: count the restart's aborts.
+  const std::uint64_t aborts_before_restart =
+      node_count(*f.level_b, "reshard.aborts");
 
   ASSERT_TRUE(f.sci.shutdown_range("levelB").is_ok());
   (void)f.sci.network().set_crashed(crash_id, false);
@@ -770,7 +775,7 @@ TEST(PersistTest, ColdRestartAbortsUncommittedHandoff) {
   EXPECT_EQ(sibling->map_epoch(), 0u);
   EXPECT_EQ(lead->shard_map().owner_of_vnode(vnode), 0u);
   EXPECT_NE(lead->registrar().find(pulse.id()), nullptr);
-  EXPECT_GE(lead->stats().handoffs_aborted, 1u);
+  EXPECT_GE(node_count(*lead, "reshard.aborts") - aborts_before_restart, 1u);
 
   for (int i = 0; i < 8; ++i) {
     pulse.publish("pulse", Value(static_cast<std::int64_t>(i)));

@@ -9,6 +9,8 @@
 #include "range/location_service.h"
 #include "range/registrar.h"
 
+#include "metric_counts.h"
+
 namespace sci::range {
 namespace {
 
@@ -144,8 +146,8 @@ TEST(EventMediatorTest, DispatchDeliversOverTheNetwork) {
   EXPECT_EQ(mediator.dispatch_shared(e).size(), 1u);
   simulator.run_all();
   EXPECT_EQ(deliveries, 1);
-  EXPECT_EQ(mediator.stats().events_in, 1u);
-  EXPECT_EQ(mediator.stats().deliveries_out, 1u);
+  EXPECT_EQ(registry_count(simulator.metrics(), "em.events_in"), 1u);
+  EXPECT_EQ(registry_count(simulator.metrics(), "em.deliveries"), 1u);
 
   EXPECT_EQ(mediator.remove_subscriber(subscriber), 1u);
   mediator.dispatch_shared(e);

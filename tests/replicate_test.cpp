@@ -11,6 +11,8 @@
 #include "replicate/replication.h"
 #include "serde/buffer.h"
 
+#include "metric_counts.h"
+
 namespace sci {
 namespace {
 
@@ -252,18 +254,19 @@ TEST(ReplicateTest, VoterGatesOnLivenessWatermarkAndPledgedEpoch) {
   agent.on_vote_request(vote_req(1, 99), rival);
   simulator.run_until(simulator.now() + Duration::millis(50));
   EXPECT_EQ(count(replicate::kReplVoteGrant), 1u);
-  EXPECT_EQ(agent.stats().votes_granted, 1u);
+  EXPECT_EQ(registry_count(simulator.metrics(), "repl.election.votes_granted"),
+            1u);
 
   // The fencing half of the pledge: lease acks below the pledged epoch are
   // refused, so the deposed primary can never reassemble a lease majority.
   agent.on_lease_request(lease_req(0, 7), candidate);
   simulator.run_until(simulator.now() + Duration::millis(50));
   EXPECT_EQ(count(replicate::kReplLeaseAck), 0u);
-  EXPECT_EQ(agent.stats().lease_acks_refused, 1u);
+  EXPECT_EQ(registry_count(simulator.metrics(), "repl.lease.acks_refused"), 1u);
   agent.on_lease_request(lease_req(1, 8), candidate);
   simulator.run_until(simulator.now() + Duration::millis(50));
   EXPECT_EQ(count(replicate::kReplLeaseAck), 1u);
-  EXPECT_EQ(agent.stats().lease_acks_sent, 1u);
+  EXPECT_EQ(registry_count(simulator.metrics(), "repl.lease.acks_sent"), 1u);
 }
 
 TEST(ReplicateTest, LeaseKeeperAcquiresOnMajorityAndLapsesWithoutIt) {
@@ -320,7 +323,7 @@ TEST(ReplicateTest, LeaseKeeperAcquiresOnMajorityAndLapsesWithoutIt) {
   simulator.run_until(simulator.now() + Duration::seconds(2));
   EXPECT_TRUE(keeper.holds_lease());
   EXPECT_EQ(lapses, 0);
-  EXPECT_GT(keeper.stats().acks_received, 0u);
+  EXPECT_GT(registry_count(simulator.metrics(), "repl.lease.acks"), 0u);
 
   // Lose the majority: the lease runs out from the last acked send and the
   // keeper reports the lapse exactly once per episode.
@@ -400,7 +403,7 @@ TEST(ReplicateTest, LeaseQuorumJudgedAgainstSendTimeMemberSnapshot) {
   // 5-member snapshot it was sent to (no majority), not the live 2-member
   // group it would now dominate.
   keeper.on_lease_ack(ack(1), s1);
-  EXPECT_EQ(keeper.stats().acks_received, 1u);
+  EXPECT_EQ(registry_count(simulator.metrics(), "repl.lease.acks"), 1u);
   EXPECT_TRUE(keeper.holds_lease());  // initial grace runs to t=400ms
 
   // Had the stale ack extended the lease (send time 100ms + 400ms), it
@@ -413,7 +416,7 @@ TEST(ReplicateTest, LeaseQuorumJudgedAgainstSendTimeMemberSnapshot) {
   // An ack from a node outside the request's snapshot is ignored outright.
   const Guid stranger = Guid::random(rng);
   keeper.on_lease_ack(ack(1), stranger);
-  EXPECT_EQ(keeper.stats().acks_received, 1u);
+  EXPECT_EQ(registry_count(simulator.metrics(), "repl.lease.acks"), 1u);
   EXPECT_FALSE(keeper.holds_lease());
 }
 
@@ -493,6 +496,9 @@ TEST(ReplicateTest, FailoverPreservesSubscriptionsWithoutReRegistration) {
             RangeRole::kStandby);
   EXPECT_EQ(f.sci.range_role(f.level_b->attached_node()).value(),
             RangeRole::kPrimary);
+  // Node slots outlive server objects: count from this incarnation's build.
+  const std::uint64_t failovers_at_build =
+      node_count(*standby_list[0], "repl.failovers");
 
   for (int i = 0; i < 5; ++i) {
     pulse.publish("pulse", Value(static_cast<std::int64_t>(i)));
@@ -515,7 +521,7 @@ TEST(ReplicateTest, FailoverPreservesSubscriptionsWithoutReRegistration) {
   ASSERT_NE(fresh, old_primary);
   EXPECT_TRUE(old_primary->is_fenced());
   EXPECT_EQ(fresh->role(), range::RangeConfig::Role::kPrimary);
-  EXPECT_EQ(fresh->stats().promotions, 1u);
+  EXPECT_EQ(node_count(*fresh, "repl.failovers") - failovers_at_build, 1u);
   EXPECT_EQ(fresh->epoch(), old_primary->epoch() + 1);  // incarnation advanced
   EXPECT_EQ(f.sci.range_role(fresh->attached_node()).value(),
             RangeRole::kPrimary);
@@ -526,7 +532,7 @@ TEST(ReplicateTest, FailoverPreservesSubscriptionsWithoutReRegistration) {
   EXPECT_TRUE(monitor.is_registered());
   EXPECT_EQ(monitor.registered_calls, 1);
   const std::uint64_t registrations_at_promotion =
-      fresh->stats().registrations;
+      node_count(*fresh, "cs.registrations");
 
   // The replicated subscription keeps firing on the survivor.
   for (int i = 5; i < 10; ++i) {
@@ -536,7 +542,7 @@ TEST(ReplicateTest, FailoverPreservesSubscriptionsWithoutReRegistration) {
   f.sci.run_for(Duration::seconds(5));
   EXPECT_EQ(monitor.unique_events, 10);
   EXPECT_EQ(monitor.duplicate_events, 0);
-  EXPECT_EQ(fresh->stats().registrations, registrations_at_promotion);
+  EXPECT_EQ(node_count(*fresh, "cs.registrations"), registrations_at_promotion);
 }
 
 TEST(ReplicateTest, ColdStandbyCatchesUpAndPromotesByFiat) {
@@ -646,8 +652,8 @@ TEST(ReplicateTest, SplitBrainSingleLeaseHolderPerEpochAndNoLossAfterHeal) {
   EXPECT_TRUE(fresh->promoted_by_election());
   EXPECT_GT(fresh->elected_epoch(), old_epoch);
   EXPECT_TRUE(old_primary->is_fenced());
-  EXPECT_GE(old_primary->stats().lease_lapses, 1u);
-  EXPECT_GT(old_primary->stats().ops_rejected_unleased, 0u);
+  EXPECT_GE(node_count(*old_primary, "repl.lease.lapses"), 1u);
+  EXPECT_GT(node_count(*old_primary, "repl.lease.rejected"), 0u);
   EXPECT_FALSE(old_primary->admission_open());
 
   // Heal. The publisher's reliable channel retransmits the unacked ops to

@@ -15,6 +15,8 @@
 #include "range/shard_map.h"
 #include "serde/buffer.h"
 
+#include "metric_counts.h"
+
 namespace sci {
 namespace {
 
@@ -176,7 +178,8 @@ TEST(ShardTest, ArrivalRedirectsRegistrationToOwnerShard) {
     ce.stop();
     f.sci.run_for(Duration::millis(50));
   }
-  EXPECT_EQ(f.lead->stats().shard_redirects, 3u);  // all but the lead's own
+  // All but the lead's own.
+  EXPECT_EQ(node_count(*f.lead, "cs.shard.redirects"), 3u);
 }
 
 TEST(ShardTest, CrossShardNamedSubscriptionDeliversExactlyOnce) {
@@ -201,7 +204,7 @@ TEST(ShardTest, CrossShardNamedSubscriptionDeliversExactlyOnce) {
                   .is_ok());
   f.sci.run_for(Duration::seconds(1));
   const auto shards = f.sci.shards("mall");
-  EXPECT_GE(shards[1]->stats().shard_sub_mirrors, 1u);
+  EXPECT_GE(node_count(*shards[1], "cs.shard.sub_mirrors"), 1u);
   EXPECT_TRUE(shards[1]->mediator().table().all().empty());
   EXPECT_FALSE(shards[2]->mediator().table().all().empty());
 
@@ -245,7 +248,7 @@ TEST(ShardTest, WildcardSubscriptionHearsProducersOnBothShards) {
   const event::SubscriptionId sub =
       shards[0]->subscribe_pattern(monitor.id(), "pulse");
   f.sci.run_for(Duration::millis(500));
-  EXPECT_GE(shards[0]->stats().shard_sub_mirrors, 1u);
+  EXPECT_GE(node_count(*shards[0], "cs.shard.sub_mirrors"), 1u);
   EXPECT_FALSE(shards[0]->mediator().table().all().empty());
   ASSERT_FALSE(shards[1]->mediator().table().all().empty());
   // The sibling's copy keeps the home shard's id and stays a wildcard.
@@ -306,12 +309,12 @@ TEST(ShardTest, ForwardedContextPullAnswersFromOwnerShard) {
   EXPECT_TRUE(monitor.results["pull"].ok())
       << monitor.results["pull"].message();
   const auto shards = f.sci.shards("mall");
-  EXPECT_GE(shards[0]->stats().shard_forwarded_queries, 1u);
+  EXPECT_GE(node_count(*shards[0], "cs.shard.forwarded_queries"), 1u);
 
   // A named profile request resolves locally everywhere — profiles mirror
   // to every shard, so no forwarding hop is spent.
   const std::uint64_t forwarded_before =
-      shards[0]->stats().shard_forwarded_queries;
+      node_count(*shards[0], "cs.shard.forwarded_queries");
   ASSERT_TRUE(monitor
                   .submit_query("prof",
                                 query::Builder("prof", monitor.id())
@@ -323,7 +326,8 @@ TEST(ShardTest, ForwardedContextPullAnswersFromOwnerShard) {
   ASSERT_TRUE(monitor.results.contains("prof"));
   EXPECT_TRUE(monitor.results["prof"].ok())
       << monitor.results["prof"].message();
-  EXPECT_EQ(shards[0]->stats().shard_forwarded_queries, forwarded_before);
+  EXPECT_EQ(node_count(*shards[0], "cs.shard.forwarded_queries"),
+            forwarded_before);
 }
 
 // ISSUE satellite: a cross-shard subscription must survive a kill/elect
@@ -398,7 +402,7 @@ TEST(ShardTest, CrossShardDeliverySurvivesShardKillElectCycle) {
   EXPECT_FALSE(fresh->mediator().table().all().empty());
   // Untouched shards kept their primaries.
   EXPECT_EQ(f.sci.find_range("mall"), f.lead);
-  EXPECT_EQ(f.lead->stats().promotions, 0u);
+  EXPECT_EQ(node_count(*f.lead, "repl.failovers"), 0u);
 
   for (int i = 5; i < 15; ++i) {
     pulse.publish("pulse", Value(static_cast<std::int64_t>(i)));
@@ -482,11 +486,11 @@ TEST(ShardTest, BatchedShippingAndCompactionCountersAdvance) {
 
   range::ContextServer* owner = f.sci.shards("mall")[1];
   ASSERT_NE(owner->replication_log(), nullptr);
-  const auto& repl = owner->replication_log()->stats();
-  EXPECT_GT(repl.batch_frames, 0u);
-  EXPECT_GT(repl.records_compacted, 0u);
+  const std::uint64_t batches = node_count(*owner, "repl.batches");
+  EXPECT_GT(batches, 0u);
+  EXPECT_GT(node_count(*owner, "repl.compacted"), 0u);
   // Batching compresses frames: strictly fewer frames than records.
-  EXPECT_LT(repl.batch_frames, repl.records_appended);
+  EXPECT_LT(batches, node_count(*owner, "repl.records_appended"));
   EXPECT_EQ(owner->replication_lag(), 0u);
   ASSERT_EQ(f.sci.standbys("mall#1").size(), 1u);
 
@@ -564,7 +568,7 @@ TEST(ShardTest, MirroredProfileChangeInvalidatesSiblingViews) {
   // view, so the re-query re-selects (and now finds nothing acceptable).
   printer.set_paper(false);
   f.sci.run_for(Duration::millis(300));
-  EXPECT_GE(shard1->views()->stats().invalidations, 1u);
+  EXPECT_GE(node_count(*shard1, "view.invalidations"), 1u);
   ask("q2");
   ASSERT_TRUE(monitor.results.count("q2"));
   EXPECT_FALSE(monitor.results.at("q2").ok());
@@ -596,7 +600,7 @@ TEST(ShardTest, WarmViewsSurviveShardKillElectCycle) {
   ASSERT_TRUE(monitor.results.at("q2").ok());
   range::ContextServer* shard2 = f.sci.shards("mall")[2];
   ASSERT_NE(shard2->views(), nullptr);
-  EXPECT_GE(shard2->views()->stats().hits, 1u);
+  EXPECT_GE(node_count(*shard2, "view.hits"), 1u);
   f.sci.run_for(Duration::seconds(2));  // replication batches ship
 
   const auto standbys = f.sci.standbys("mall#2");
@@ -615,11 +619,11 @@ TEST(ShardTest, WarmViewsSurviveShardKillElectCycle) {
   EXPECT_GE(fresh->views()->size(), 1u);  // warm from replay/snapshot
 
   // And the inherited view actually answers: the re-query is a hit.
-  const std::uint64_t hits_before = fresh->views()->stats().hits;
+  const std::uint64_t hits_before = node_count(*fresh, "view.hits");
   ask("q3");
   ASSERT_TRUE(monitor.results.count("q3"));
   EXPECT_TRUE(monitor.results.at("q3").ok());
-  EXPECT_GT(fresh->views()->stats().hits, hits_before);
+  EXPECT_GT(node_count(*fresh, "view.hits"), hits_before);
 }
 
 // --- elastic resharding (ISSUE: crash-safe vnode handoff) -------------------
@@ -708,7 +712,7 @@ TEST(ShardTest, LiveHandoffMovesVnodeExactlyOnce) {
   EXPECT_EQ(shards[1]->map_epoch(), epoch_before + 1);
   EXPECT_EQ(f.lead->shard_map().owner_of_vnode(vnode), 1u);
   EXPECT_EQ(f.lead->shard_of(pulse.id()), 1u);
-  EXPECT_EQ(f.lead->stats().handoffs_completed, 1u);
+  EXPECT_EQ(node_count(*f.lead, "reshard.handoffs"), 1u);
   EXPECT_FALSE(f.lead->handoff_active());
 
   // Membership moved with the vnode; the producer followed its redirect.
@@ -779,14 +783,15 @@ TEST(ShardTest, MirrorBurstsShipAsBatches) {
   f.sci.run_for(Duration::millis(300));
 
   range::ContextServer* owner = f.sci.shards("mall")[1];
-  const std::uint64_t batches_before = owner->stats().mirror_batches;
+  const std::uint64_t batches_before =
+      node_count(*owner, "cs.shard.mirror_batches");
   // Same-tick burst: all mirrors buffer and flush as one batched frame.
   for (int i = 0; i < 8; ++i) {
     pulse.set_metadata(Value(static_cast<std::int64_t>(i)));
   }
   f.sci.run_for(Duration::millis(500));
 
-  EXPECT_GT(owner->stats().mirror_batches, batches_before);
+  EXPECT_GT(node_count(*owner, "cs.shard.mirror_batches"), batches_before);
   // The lead still saw every profile version — batching reorders nothing.
   EXPECT_NE(f.lead->profiles().profile(pulse.id()), nullptr);
   const auto snapshot = f.sci.metrics().snapshot();
@@ -948,13 +953,13 @@ TEST(ShardTest, SilentTargetAbortsHandoffAndReplaysStagedOps) {
     pulse.publish("pulse", Value(static_cast<std::int64_t>(i)));
     f.sci.run_for(Duration::millis(100));
   }
-  EXPECT_GT(f.lead->stats().handoff_staged_ops, 0u);
+  EXPECT_GT(node_count(*f.lead, "reshard.staged_events"), 0u);
   EXPECT_EQ(monitor.unique_events, 0);  // frozen: nothing delivered yet
 
   // ...until the 5s watchdog aborts and reingests them in arrival order.
   f.sci.run_for(Duration::seconds(6));
   EXPECT_FALSE(f.lead->handoff_active());
-  EXPECT_GE(f.lead->stats().handoffs_aborted, 1u);
+  EXPECT_GE(node_count(*f.lead, "reshard.aborts"), 1u);
   EXPECT_EQ(f.lead->map_epoch(), epoch_before);
   EXPECT_EQ(f.lead->shard_map().owner_of_vnode(vnode), 0u);
   EXPECT_EQ(monitor.unique_events, 5);

@@ -10,6 +10,8 @@
 #include "entity/printer.h"
 #include "entity/sensors.h"
 
+#include "metric_counts.h"
+
 namespace sci {
 namespace {
 
@@ -141,8 +143,8 @@ TEST(SystemSoakTest, CampusSurvivesSustainedChurn) {
         << "floor " << f << " lost its monitor configuration";
   }
   EXPECT_FALSE(floors[2]->registrar().contains(locators[2]->id()));
-  EXPECT_GE(floors[2]->stats().recompositions +
-                floors[2]->stats().recomposition_failures,
+  EXPECT_GE(node_count(*floors[2], "cs.recompositions") +
+                node_count(*floors[2], "cs.recomposition_failures"),
             1u);
 }
 
@@ -225,7 +227,7 @@ TEST(SystemSoakTest, DeterministicReplay) {
                     .is_ok());
     sci.run_for(Duration::seconds(30));
     return std::tuple{app.updates, world.stats().hops,
-                      range.stats().events_in,
+                      node_count(range, "cs.events_in"),
                       sci.simulator().executed_events()};
   };
   EXPECT_EQ(run(42), run(42));

@@ -12,6 +12,8 @@
 #include "entity/printer.h"
 #include "entity/sensors.h"
 
+#include "metric_counts.h"
+
 namespace sci {
 namespace {
 
@@ -100,7 +102,7 @@ TEST(ViewIntegrationTest, RepeatedQueryIsServedFromTheView) {
   EXPECT_TRUE(second.is_view_backed());
 
   ASSERT_NE(f.range->views(), nullptr);
-  EXPECT_GE(f.range->views()->stats().hits, 1u);
+  EXPECT_GE(node_count(*f.range, "view.hits"), 1u);
   const obs::MetricsSnapshot snap = f.sci.metrics().snapshot();
   EXPECT_GE(snap.counter("view.hits"), 1u);
   EXPECT_GE(snap.counter("view.installs"), 1u);
@@ -126,7 +128,7 @@ TEST(ViewIntegrationTest, ProfileUpdateInvalidatesAndChangesTheWinner) {
   ASSERT_TRUE(f.app->last_ok);
   EXPECT_NE(f.app->last_winner, "P1");  // re-selected among healthy printers
   EXPECT_FALSE(after.is_view_backed());
-  EXPECT_GE(f.range->views()->stats().invalidations, 1u);
+  EXPECT_GE(node_count(*f.range, "view.invalidations"), 1u);
   EXPECT_GE(f.sci.metrics().snapshot().counter("view.invalidations"), 1u);
 }
 
