@@ -185,7 +185,6 @@ std::size_t ViewCache::invalidate_subject(const Guid& subject, SimTime now) {
 std::size_t ViewCache::invalidate_matching(const entity::Profile& profile,
                                            const entity::Advertisement* ad,
                                            const SemanticRegistry& registry,
-                                           bool strict_syntactic,
                                            SimTime now) {
   std::vector<std::string> doomed;
   for (const auto& [key, entry] : entries_) {
@@ -194,7 +193,7 @@ std::size_t ViewCache::invalidate_matching(const entity::Profile& profile,
                          profile.entity) != deps.subjects.end();
     for (std::size_t i = 0; !hit && i < deps.types.size(); ++i) {
       for (const entity::TypeSig& sig : profile.outputs) {
-        if (registry.matches(deps.types[i], sig, strict_syntactic)) {
+        if (registry.matches(deps.types[i], sig)) {
           hit = true;
           break;
         }

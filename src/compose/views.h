@@ -94,7 +94,7 @@ class ViewCache {
   std::size_t invalidate_matching(const entity::Profile& profile,
                                   const entity::Advertisement* ad,
                                   const SemanticRegistry& registry,
-                                  bool strict_syntactic, SimTime now);
+                                  SimTime now);
 
   // Called with the age in seconds of each view at the moment it is
   // invalidated (feeds the view.staleness_seconds histogram).

@@ -7,20 +7,6 @@
 #include "common/log.h"
 
 namespace sci {
-namespace {
-
-persist::DurabilityConfig durability_config(const DurabilityOptions& options) {
-  persist::DurabilityConfig config;
-  config.enabled = options.enable;
-  config.flush_interval = options.flush_interval;
-  config.flush_threshold = options.flush_threshold;
-  config.checkpoint_interval = options.checkpoint_interval;
-  config.checkpoint_min_records = options.checkpoint_min_records;
-  config.ack_after_fsync = options.ack_after_fsync;
-  return config;
-}
-
-}  // namespace
 
 const char* to_string(RangeRole role) {
   switch (role) {
@@ -73,52 +59,34 @@ Expected<range::ContextServer*> Sci::create_range(std::string name,
                       "a range named '" + name + "' already exists");
   }
   if (name.find('#') != std::string::npos) {
-    return make_error(ErrorCode::kAlreadyExists,
+    return make_error(ErrorCode::kInvalidArgument,
                       "'#' is reserved for shard names ('" + name + "')");
+  }
+  // Periods drive timers that require a positive period; reject bad input
+  // here rather than abort inside them.
+  const Duration zero = Duration::micros(0);
+  if (options.liveness.ping_period <= zero) {
+    return make_error(ErrorCode::kInvalidArgument,
+                      "liveness.ping_period must be positive");
+  }
+  if (options.replication.standby_count > 0 &&
+      (options.replication.heartbeat_period <= zero ||
+       options.replication.promote_timeout <= zero)) {
+    return make_error(ErrorCode::kInvalidArgument,
+                      "replication.heartbeat_period and promote_timeout must "
+                      "be positive when standby_count > 0");
   }
   const unsigned shard_count = std::max(1u, options.sharding.shard_count);
   range::RangeConfig config;
+  static_cast<RangeOptions&>(config) = std::move(options);
   config.range = new_guid();
   config.context_server = new_guid();
   config.name = std::move(name);
   config.logical_root = std::move(root);
-  config.x = options.x;
-  config.y = options.y;
-  config.ping_period = options.liveness.ping_period;
-  config.ping_miss_limit = options.liveness.ping_miss_limit;
-  config.enable_reuse = options.reuse.enable;
-  config.strict_syntactic = options.reuse.strict_syntactic;
-  config.rebind_on_arrival = options.reuse.rebind_on_arrival;
-  config.group = options.group;
-  config.beacon_period = options.discovery.beacon_period;
-  config.beacon_radius = options.discovery.beacon_radius;
-  config.reliable.initial_rto = options.reliability.retransmit_base;
-  config.reliable.max_rto = options.reliability.retransmit_cap;
-  config.reliable.max_attempts = options.reliability.max_attempts;
-  config.reliable.dead_letter_capacity = options.reliability.dead_letter_capacity;
-  config.scinet.reliable = config.reliable;  // overlay hops share the policy
-  // …except parking: overlay give-ups re-route around the dead hop, so a
-  // parked copy would double-report the frame. The range channel parks.
-  config.scinet.reliable.dead_letter_capacity = 0;
-  config.acked_delivery = options.reliability.acked_delivery;
-  config.lease_ttl = options.reliability.lease_ttl;
-  config.lease_renew_period = options.reliability.lease_renew_period;
-  config.replication.snapshot_interval = options.replication.snapshot_interval;
-  config.replication.heartbeat_period = options.replication.heartbeat_period;
-  config.replication.promote_timeout = options.replication.promote_timeout;
-  config.election.enable = options.replication.election.enable;
-  config.election.lease_duration = options.replication.election.lease_duration;
-  config.election.renew_period = options.replication.election.renew_period;
-  config.sync_acks = options.replication.sync_acks;
-  config.recent_event_window = options.replication.recent_event_window;
-  config.enable_views = options.views.enable;
-  config.view_capacity = options.views.capacity;
-  if (options.durability.enable) {
-    config.storage = &storage_;
-    config.durability = durability_config(options.durability);
-    // store_name stays empty: each instance defaults to its own config name,
-    // which keeps per-shard stores distinct.
-  }
+  // With durability.enable every instance persists in storage_. store_name
+  // stays empty: each defaults to its own config name, which keeps per-shard
+  // stores distinct.
+  config.storage = &storage_;
 
   // Partitioned range (docs/SHARDING.md): mint every shard's CS node up
   // front so the shared consistent-hash map names them all before any
@@ -134,15 +102,13 @@ Expected<range::ContextServer*> Sci::create_range(std::string name,
       map->set_node(i, shard_nodes[i]);
     }
     config.shard_map = std::move(map);
-    config.shard_index = 0;
-    config.reliable.metrics_label = "shard=0";
   }
 
   auto server = std::make_unique<range::ContextServer>(
       network_, std::move(config), &directory_, &semantics_, locations_);
   range::ContextServer& ref = *server;
 
-  if (options.discovery.join_by_discovery) {
+  if (ref.config().discovery.join_by_discovery) {
     ref.join_via_discovery();
     // Listen window + join handshake.
     run_for(Duration::seconds(4));
@@ -165,11 +131,10 @@ Expected<range::ContextServer*> Sci::create_range(std::string name,
                             "' never joined the SCINET");
     }
   }
-  const Guid range_id = ref.id();
   ranges_.push_back(std::move(server));
   if (world_) world_->add_range(&ref);
-  auto_promote_[range_id] = options.replication.auto_promote;
-  for (unsigned i = 0; i < options.replication.standby_count; ++i) {
+  const unsigned standby_count = ref.config().replication.standby_count;
+  for (unsigned i = 0; i < standby_count; ++i) {
     SCI_TRY(add_standby(ref.config().name));
   }
 
@@ -182,17 +147,14 @@ Expected<range::ContextServer*> Sci::create_range(std::string name,
     shard_config.context_server = shard_nodes[i];
     shard_config.name = ref.config().name + "#" + std::to_string(i);
     shard_config.shard_index = i;
-    shard_config.overlay_member = false;
     shard_config.epoch = 0;
-    shard_config.reliable.metrics_label = "shard=" + std::to_string(i);
     shard_config.store_name.clear();  // persist under the shard's own name
     auto shard = std::make_unique<range::ContextServer>(
         network_, std::move(shard_config), &directory_, &semantics_,
         locations_);
     range::ContextServer& shard_ref = *shard;
     ranges_.push_back(std::move(shard));
-    auto_promote_[shard_ref.id()] = options.replication.auto_promote;
-    for (unsigned s = 0; s < options.replication.standby_count; ++s) {
+    for (unsigned s = 0; s < standby_count; ++s) {
       SCI_TRY(add_standby(shard_ref.config().name));
     }
   }
@@ -292,7 +254,7 @@ Expected<range::ContextServer*> Sci::add_standby(std::string_view range) {
   config.role = range::RangeConfig::Role::kStandby;
   config.standby_node = new_guid();
   config.epoch = primary->epoch();
-  if (config.storage != nullptr && config.durability.enabled) {
+  if (config.storage != nullptr && config.durability.enable) {
     // Standbys persist under the lowest store no live instance holds: the
     // bare range name first (free once a failed-over primary's incarnation
     // is fenced), then "<range>~sb<k>". Reusing a dead instance's store is
@@ -457,8 +419,6 @@ Status Sci::promote_instance(
 }
 
 void Sci::auto_promote(Guid range_id, Guid standby_node) {
-  const auto flag = auto_promote_.find(range_id);
-  if (flag == auto_promote_.end() || !flag->second) return;
   range::ContextServer* primary = nullptr;
   for (const auto& server : ranges_) {
     if (server->id() == range_id) {
@@ -667,7 +627,7 @@ Expected<range::ContextServer*> Sci::recover_range(std::string_view range) {
     range::ContextServer& ref = *server;
     ranges_.push_back(std::move(server));
     if (lead == nullptr) lead = &ref;
-    if (ref.config().overlay_member) {
+    if (ref.config().shard_index == 0) {  // only the lead shard joins
       if (!join_via.is_nil()) {
         SCI_TRY(ref.join_overlay(join_via));
       } else {

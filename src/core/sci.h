@@ -40,139 +40,8 @@
 
 namespace sci {
 
-// Composition/reuse policy for a range (A3/A4 ablation knobs).
-struct ReuseOptions {
-  bool enable = true;              // Solar-style subgraph sharing
-  bool strict_syntactic = false;   // iQueue-style matching
-  bool rebind_on_arrival = true;   // recompose when better sources arrive
-};
-
-// Ping-based failure detection (Range Service liveness sweep).
-struct LivenessOptions {
-  Duration ping_period = Duration::seconds(2);
-  unsigned ping_miss_limit = 3;
-};
-
-// Link-local range discovery (paper §3 "Range discovery").
-struct DiscoveryOptions {
-  // Beacon broadcast period (0 = off) and radio radius.
-  Duration beacon_period = Duration::seconds(0);
-  double beacon_radius = 500.0;
-  // When true the new range joins the SCINET by listening for beacons
-  // instead of being handed a bootstrap range by the facade.
-  bool join_by_discovery = false;
-};
-
-// Reliable-delivery policy for a range (acked sends, retransmit schedule,
-// subscription leases). Leases default on at the facade; a zero ttl
-// disables them.
-struct ReliabilityOptions {
-  bool acked_delivery = true;
-  Duration retransmit_base = Duration::millis(200);
-  Duration retransmit_cap = Duration::seconds(5);
-  unsigned max_attempts = 8;
-  Duration lease_ttl = Duration::seconds(30);
-  Duration lease_renew_period = Duration::seconds(5);
-  // Frames the retransmit budget abandons are parked in the range's
-  // dead-letter queue up to this many entries (0 disables parking). Inspect
-  // with Sci::dead_letters(), re-inject with Sci::replay_dead_letters().
-  std::size_t dead_letter_capacity = 64;
-};
-
-// Quorum failover (docs/REPLICATION.md): fencing leases on the primary and
-// majority-vote standby elections. Effective with >= 2 standbys; smaller
-// groups fall back to the watchdog + facade-adjudication path.
-struct ElectionOptions {
-  bool enable = true;
-  // Fencing lease lifetime per majority ack; 0 = promote_timeout, so the
-  // primary self-fences on roughly the schedule standbys declare it dead.
-  Duration lease_duration = Duration::micros(0);
-  // Lease renewal cadence; 0 = heartbeat_period.
-  Duration renew_period = Duration::micros(0);
-};
-
-// Primary/backup replication of Context Server state (docs/REPLICATION.md).
-struct ReplicationOptions {
-  // Standby Context Servers created alongside the primary. 0 = replication
-  // off (no log, no snapshots, no failover).
-  unsigned standby_count = 0;
-  Duration snapshot_interval = Duration::seconds(10);
-  Duration heartbeat_period = Duration::millis(500);
-  // Heartbeat silence after which a standby asks to be promoted.
-  Duration promote_timeout = Duration::seconds(2);
-  // When true the facade honours that request (fence dead primary, promote
-  // the standby); when false the watchdog only fires and the operator
-  // promotes by hand (Sci::promote). With elections enabled the request
-  // only arrives after the standby WON a majority vote, and the facade
-  // honours it even when it cannot tell whether the old primary is dead —
-  // the quorum already adjudicated, and the loser's lease has lapsed.
-  bool auto_promote = true;
-  ElectionOptions election;
-  // Synchronous replication: > 0 withholds client-visible admit acks until
-  // that many standbys applied the record, so no client-acked op can be
-  // lost in a failover. Degrades to asynchronous below that many standbys.
-  unsigned sync_acks = 0;
-  // Recent events the promoted server re-dispatches to close the dead
-  // primary's in-flight delivery hole (component-side dedup absorbs the
-  // overlap). 0 disables redelivery.
-  std::size_t recent_event_window = 64;
-};
-
-// Partitioned Range (docs/SHARDING.md): one Range served by N shard Context
-// Servers, each owning the entity GUIDs a shared consistent-hash map assigns
-// to it. Registrar/mediator/context-store state splits by owning shard;
-// profiles mirror everywhere so composition stays local; each shard runs its
-// own replication log, standby set and elections.
-struct ShardingOptions {
-  // 1 = classic monolithic Context Server. N > 1 creates the lead shard
-  // under the range name plus N-1 siblings named "<name>#<i>".
-  unsigned shard_count = 1;
-};
-
-// Durable per-shard store (docs/DURABILITY.md): each Context Server instance
-// (primary, sibling shard, standby) keeps a CRC-framed write-ahead log plus
-// periodic checkpoints in the facade-owned StorageEnv, which outlives the
-// server objects. A destroyed instance can then be rebuilt from disk
-// (Sci::recover_range) or rejoin its primary shipping only the delta above
-// its recovered watermark.
-struct DurabilityOptions {
-  bool enable = false;
-  // Group-commit window / buffered-record threshold (whichever first).
-  Duration flush_interval = Duration::millis(20);
-  std::size_t flush_threshold = 32;
-  // Checkpoint cadence; a checkpoint supersedes and restarts the WAL.
-  Duration checkpoint_interval = Duration::seconds(5);
-  // Skip timed checkpoints while the WAL holds fewer records than this.
-  std::uint64_t checkpoint_min_records = 16;
-  // Withhold client admit acks until the op's WAL record is fsynced (in
-  // addition to any sync_acks replication requirement): no client-acked op
-  // can be lost even when every replica cold-restarts.
-  bool ack_after_fsync = true;
-};
-
-// Materialized context views (docs/VIEWS.md): each Context Server caches the
-// resolved selection/plan of repeated Fig-6 queries and maintains the cache
-// incrementally from profile/advertisement/location deltas instead of
-// re-running the resolver.
-struct ViewOptions {
-  bool enable = true;
-  std::size_t capacity = 256;  // LRU-bounded views per server
-};
-
-struct RangeOptions {
-  ReuseOptions reuse;
-  LivenessOptions liveness;
-  DiscoveryOptions discovery;
-  ReliabilityOptions reliability;
-  ReplicationOptions replication;
-  ShardingOptions sharding;
-  ViewOptions views;
-  DurabilityOptions durability;
-  double x = 0.0;
-  double y = 0.0;
-  // Access-control group (queries never cross groups).
-  int group = 0;
-};
+// Everything a caller may configure about a range (README "Range options").
+using RangeOptions = range::RangeOptions;
 
 // What a Context Server instance currently is (Sci::range_role).
 enum class RangeRole : std::uint8_t {
@@ -220,9 +89,11 @@ class Sci {
   // --- ranges -----------------------------------------------------------------
   // Creates a Range governing `root`; the first range bootstraps the
   // SCINET, later ranges join through it. Runs the simulator briefly so the
-  // join completes. Fails with kAlreadyExists on a duplicate range name and
-  // kTimeout when the overlay join does not settle; the returned pointer is
-  // owned by this Sci and lives until destruction.
+  // join completes. Fails with kAlreadyExists on a duplicate range name,
+  // kInvalidArgument on a name containing '#' (reserved for shards) or a
+  // non-positive ping period (or heartbeat/promote timeout with standbys),
+  // and kTimeout when the overlay join does not settle; the returned pointer
+  // is owned by this Sci and lives until destruction.
   Expected<range::ContextServer*> create_range(std::string name,
                                                location::LogicalPath root,
                                                RangeOptions options = {});
@@ -390,7 +261,8 @@ class Sci {
       Guid range_id,
       std::vector<std::unique_ptr<range::ContextServer>>& list,
       std::size_t index);
-  // Heartbeat-watchdog path: promote only if the primary looks dead.
+  // A standby's promote request (election won, or watchdog fired in a group
+  // too small to elect): promote only if it won or the primary looks dead.
   void auto_promote(Guid range_id, Guid standby_node);
 
   sim::Simulator simulator_;
@@ -405,8 +277,6 @@ class Sci {
   // Standbys per range id, promotion order = attach order.
   std::unordered_map<Guid, std::vector<std::unique_ptr<range::ContextServer>>>
       standbys_;
-  // Whether the facade honours a standby's promote request (per range).
-  std::unordered_map<Guid, bool> auto_promote_;
   // Fenced ex-primaries. Kept alive until teardown as witnesses (tests and
   // operators still read their metrics/epoch); fence() cancels their
   // pending simulator timers, so nothing here runs again.

@@ -94,12 +94,24 @@ struct RoutedWire {
   }
 };
 
-// End-to-end re-origination delay: receipt_rto doubled per attempt, capped.
-Duration receipt_delay(const ScinetConfig& config, unsigned attempts) {
-  double rto_us = static_cast<double>(config.receipt_rto.count_micros());
-  for (unsigned i = 1; i < attempts; ++i) rto_us *= config.receipt_backoff;
-  rto_us = std::min(
-      rto_us, static_cast<double>(config.receipt_max_rto.count_micros()));
+// Leaf-set half-width: a node tracks this many neighbours on each side of
+// the ring.
+constexpr std::size_t kLeafHalfWidth = 8;
+// Hop budget stamped on every routed message.
+constexpr std::uint32_t kRouteTtl = 64;
+// End-to-end receipt retries (route_acked): a route is re-originated on this
+// backoff schedule until the root's receipt arrives.
+constexpr Duration kReceiptRto = Duration::millis(800);
+constexpr double kReceiptBackoff = 2.0;
+constexpr Duration kReceiptMaxRto = Duration::seconds(5);
+constexpr unsigned kReceiptMaxAttempts = 8;
+
+// End-to-end re-origination delay: kReceiptRto doubled per attempt, capped.
+Duration receipt_delay(unsigned attempts) {
+  double rto_us = static_cast<double>(kReceiptRto.count_micros());
+  for (unsigned i = 1; i < attempts; ++i) rto_us *= kReceiptBackoff;
+  rto_us = std::min(rto_us,
+                    static_cast<double>(kReceiptMaxRto.count_micros()));
   return Duration::micros(
       std::max<std::int64_t>(1, static_cast<std::int64_t>(rto_us)));
 }
@@ -111,7 +123,7 @@ ScinetNode::ScinetNode(net::Network& network, Guid id, ScinetConfig config,
     : network_(network),
       id_(id),
       config_(config),
-      channel_(network, id, config.reliable) {
+      channel_(network, id) {
   SCI_ASSERT(!id.is_nil());
   const Status attached = network_.attach(
       id_, [this](const net::Message& m) { on_message(m); }, x, y);
@@ -218,8 +230,7 @@ Status ScinetNode::route(Guid key, std::uint32_t app_type,
   if (!ready_)
     return make_error(ErrorCode::kUnavailable, "node not joined to overlay");
   m_originated_->inc();
-  RoutedWire wire{key, id_, app_type, 0, config_.route_ttl, 0,
-                  std::move(payload)};
+  RoutedWire wire{key, id_, app_type, 0, kRouteTtl, 0, std::move(payload)};
   const Guid hop = next_hop(key);
   if (hop.is_nil()) {
     deliver_local(RoutedMessage{wire.key, wire.source, wire.app_type,
@@ -257,8 +268,8 @@ void ScinetNode::originate_acked(std::uint64_t ticket) {
     m_e2e_retries_->inc();
   }
   m_originated_->inc();
-  RoutedWire wire{pending.key, id_,      pending.app_type, 0,
-                  config_.route_ttl,     ticket,           pending.payload};
+  RoutedWire wire{pending.key, id_,    pending.app_type, 0,
+                  kRouteTtl,   ticket, pending.payload};
   const Guid hop = next_hop(pending.key);
   if (hop.is_nil()) {
     // This node is the root: complete in place (finish_acked fires from
@@ -277,8 +288,8 @@ void ScinetNode::arm_receipt_timer(std::uint64_t ticket) {
   if (it == pending_routes_.end()) return;
   PendingRoute& pending = it->second;
   const unsigned attempts = pending.attempts;
-  const Duration delay = receipt_delay(config_, attempts);
-  if (attempts >= config_.receipt_max_attempts) {
+  const Duration delay = receipt_delay(attempts);
+  if (attempts >= kReceiptMaxAttempts) {
     // Last origination: leave one more interval for the receipt to arrive.
     pending.retry = network_.simulator().schedule(
         delay, [this, ticket, attempts] {
@@ -661,7 +672,7 @@ void ScinetNode::rebuild_leaf_set() {
       ++it;
     }
   }
-  // Pick the closest `leaf_half_width` successors and predecessors on the
+  // Pick the closest kLeafHalfWidth successors and predecessors on the
   // ring from everything we know.
   std::vector<Guid> nodes(known_.begin(), known_.end());
   const auto by_clockwise_from_self = [&](Guid a, Guid b) {
@@ -669,7 +680,7 @@ void ScinetNode::rebuild_leaf_set() {
   };
   std::sort(nodes.begin(), nodes.end(), by_clockwise_from_self);
   leaf_.clear();
-  const std::size_t half = config_.leaf_half_width;
+  const std::size_t half = kLeafHalfWidth;
   if (nodes.size() <= 2 * half) {
     leaf_ = std::move(nodes);
   } else {

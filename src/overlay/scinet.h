@@ -55,21 +55,12 @@ struct RoutedMessage {
   serde::BufferRef payload;
 };
 
+// Leaf-set liveness: neighbours are probed every heartbeat_period and
+// declared dead after heartbeat_miss_limit silent periods. ROUTED/receipt
+// hops ride a default-policy reliable channel.
 struct ScinetConfig {
-  // Leaf-set half-width: the node tracks this many neighbours on each side
-  // of the ring.
-  unsigned leaf_half_width = 8;
   Duration heartbeat_period = Duration::millis(500);
   unsigned heartbeat_miss_limit = 3;
-  std::uint32_t route_ttl = 64;
-  // Hop-by-hop retransmission policy for ROUTED/receipt traffic.
-  reliable::ReliableConfig reliable;
-  // End-to-end receipt retries (route_acked): a route is re-originated on
-  // this backoff schedule until the root's receipt arrives.
-  Duration receipt_rto = Duration::millis(800);
-  double receipt_backoff = 2.0;
-  Duration receipt_max_rto = Duration::seconds(5);
-  unsigned receipt_max_attempts = 8;
 };
 
 // Handle for an acked route: `id` is unique per originating node.

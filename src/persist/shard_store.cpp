@@ -27,6 +27,13 @@ serde::BufferRef encode_ckpt_payload(std::uint32_t epoch, std::uint64_t base,
   return w.take_ref();
 }
 
+// Checkpoint cadence. A checkpoint also fires on promote() so each
+// incarnation's WAL holds only its own epoch's records.
+constexpr Duration kCheckpointInterval = Duration::seconds(5);
+// Skip a timed checkpoint when the WAL tail is shorter than this many
+// records — rewriting the full snapshot to save a tiny tail is wasted IO.
+constexpr std::uint64_t kCheckpointMinRecords = 16;
+
 }  // namespace
 
 ShardStore::ShardStore(sim::Simulator& sim, StorageEnv& env, std::string name,
@@ -213,8 +220,8 @@ void ShardStore::start_checkpoint_timer(
     std::function<std::uint32_t()> epoch_source) {
   if (epoch_source) epoch_source_ = std::move(epoch_source);
   sim_.cancel(checkpoint_timer_);
-  checkpoint_timer_ = sim_.schedule(config_.checkpoint_interval, [this] {
-    if (wal_records_ + buffer_.size() >= config_.checkpoint_min_records) {
+  checkpoint_timer_ = sim_.schedule(kCheckpointInterval, [this] {
+    if (wal_records_ + buffer_.size() >= kCheckpointMinRecords) {
       checkpoint(epoch_source_ ? epoch_source_() : 0);
     }
     start_checkpoint_timer({});

@@ -14,7 +14,7 @@
 // one sync, so the publish hot path never waits on the "disk". The durable
 // watermark — the highest index known to have survived a crash — advances
 // only on successful sync or checkpoint, and the owner's durable callback
-// fires then: under DurabilityOptions::ack_after_fsync the Context Server
+// fires then: under DurabilityConfig::ack_after_fsync the Context Server
 // keeps client admit-acks held (the same held-ack tickets sync_acks uses)
 // until the op is both replicated and durable, which is what makes the
 // zero-acked-op-loss claim of fig12 true rather than probabilistic.
@@ -49,18 +49,12 @@
 namespace sci::persist {
 
 struct DurabilityConfig {
-  bool enabled = false;
+  bool enable = false;
   // Group-commit window: buffered records are flushed (one append + one
   // sync) this long after the first buffered record...
   Duration flush_interval = Duration::millis(20);
   // ...or immediately once this many records are buffered.
   std::size_t flush_threshold = 32;
-  // Checkpoint cadence. A checkpoint also fires on promote() so each
-  // incarnation's WAL holds only its own epoch's records.
-  Duration checkpoint_interval = Duration::seconds(5);
-  // Skip a timed checkpoint when the WAL tail is shorter than this many
-  // records — rewriting the full snapshot to save a tiny tail is wasted IO.
-  std::uint64_t checkpoint_min_records = 16;
   // Hold client admit-acks until the op's index is durable (in addition to
   // any sync_acks replication requirement). Off = acks follow replication
   // only and a torn tail may lose acked ops on a whole-range restart.

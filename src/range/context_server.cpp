@@ -150,6 +150,22 @@ constexpr std::size_t kMaxStagedOps = 256;
 constexpr std::size_t kHandoffBatchRecords = 32;
 // Mirror records coalesced per destination before an eager flush.
 constexpr std::size_t kMirrorBatchCap = 64;
+// Abandoned channel frames parked for Sci::dead_letters() inspection and
+// replay (oldest evicted beyond this many).
+constexpr std::size_t kDeadLetterCapacity = 64;
+// Dispatched events retained for post-failover redelivery.
+constexpr std::size_t kRecentEventWindow = 64;
+
+// The CS node's channel: default retransmit schedule, parked give-ups, and
+// a "shard=<i>" twin on every channel counter when the range is sharded.
+reliable::ReliableConfig channel_config(const RangeConfig& config) {
+  reliable::ReliableConfig channel;
+  channel.dead_letter_capacity = kDeadLetterCapacity;
+  if (config.shard_map != nullptr && config.shard_map->size() > 1) {
+    channel.metrics_label = "shard=" + std::to_string(config.shard_index);
+  }
+  return channel;
+}
 
 }  // namespace
 
@@ -165,11 +181,11 @@ ContextServer::ContextServer(net::Network& network, RangeConfig config,
                config_.role == RangeConfig::Role::kStandby
                    ? config_.standby_node
                    : config_.context_server,
-               config_.reliable),
+               channel_config(config_)),
       mediator_(network, config_.context_server),
       locations_(locations),
       resolver_(semantics),
-      store_(config_.enable_reuse) {
+      store_(config_.reuse.enable) {
   SCI_ASSERT(!config_.range.is_nil());
   SCI_ASSERT(!config_.context_server.is_nil());
   SCI_ASSERT(semantics != nullptr);
@@ -226,8 +242,8 @@ ContextServer::ContextServer(net::Network& network, RangeConfig config,
   m_view_staleness_ = &metrics.histogram("view.staleness_seconds");
   trace_ = &network_.simulator().trace();
 
-  if (config_.enable_views && config_.view_capacity > 0) {
-    views_ = std::make_unique<compose::ViewCache>(config_.view_capacity);
+  if (config_.views.enable && config_.views.capacity > 0) {
+    views_ = std::make_unique<compose::ViewCache>(config_.views.capacity);
     views_->set_staleness_observer(
         [this](double age_seconds) { m_view_staleness_->observe(age_seconds); });
   }
@@ -245,12 +261,11 @@ ContextServer::ContextServer(net::Network& network, RangeConfig config,
     m_lease_rejected_.inc();
     return false;
   });
-  if (config_.acked_delivery) {
+  if (config_.reliability.acked_delivery) {
     mediator_.set_channel(&channel_);
   }
-  if (config_.lease_ttl.count_micros() > 0) {
-    mediator_.set_lease_options(
-        LeaseOptions{config_.lease_ttl, config_.lease_renew_period});
+  if (config_.reliability.lease_ttl.count_micros() > 0) {
+    mediator_.set_lease_ttl(config_.reliability.lease_ttl);
     mediator_.set_lease_expired_handler(
         [this](const event::Subscription& s) { on_lease_expired(s); });
   }
@@ -311,16 +326,17 @@ ContextServer::ContextServer(net::Network& network, RangeConfig config,
       // else a full snapshot replaces the recovered state.
       follower_->seed(recovered_epoch_, recovered_watermark_);
     }
-    if (config_.election.enable) init_election_agent();
+    init_election_agent();
     return;
   }
 
-  // Sibling shards (overlay_member == false) have no SCINET presence and no
+  // Sibling shards (shard_index > 0) have no SCINET presence and no
   // directory entry of their own: inter-range traffic flows through the lead
   // shard, whose entry names the whole Range.
-  if (config_.overlay_member) {
+  if (config_.shard_index == 0) {
     scinet_ = std::make_unique<overlay::ScinetNode>(
-        network_, config_.range, config_.scinet, config_.x, config_.y);
+        network_, config_.range, overlay::ScinetConfig{}, config_.x,
+        config_.y);
     scinet_->set_deliver_handler(
         [this](const overlay::RoutedMessage& m) { on_scinet_deliver(m); });
 
@@ -353,8 +369,8 @@ ContextServer::~ContextServer() {
   repl_log_.reset();
   scinet_.reset();
   if (fenced_) return;  // the successor owns the identities already
-  if (config_.role == RangeConfig::Role::kPrimary && config_.overlay_member &&
-      directory_ != nullptr) {
+  if (config_.role == RangeConfig::Role::kPrimary &&
+      config_.shard_index == 0 && directory_ != nullptr) {
     directory_->remove(config_.range);
   }
   if (network_.is_attached(attached_as_)) {
@@ -363,7 +379,7 @@ ContextServer::~ContextServer() {
 }
 
 void ContextServer::start_primary_duties() {
-  ping_timer_.emplace(network_.simulator(), config_.ping_period,
+  ping_timer_.emplace(network_.simulator(), config_.liveness.ping_period,
                       [this] { ping_tick(); });
   ping_timer_->start();
 
@@ -383,8 +399,9 @@ void ContextServer::start_primary_duties() {
   });
   rate_timer_->start();
 
-  if (config_.beacon_period > Duration::seconds(0)) {
-    beacon_timer_.emplace(network_.simulator(), config_.beacon_period,
+  const DiscoveryOptions& discovery = config_.discovery;
+  if (discovery.beacon_period > Duration::seconds(0)) {
+    beacon_timer_.emplace(network_.simulator(), discovery.beacon_period,
                           [this] {
                             if (scinet_ == nullptr || !scinet_->is_ready())
                               return;
@@ -394,8 +411,9 @@ void ContextServer::start_primary_duties() {
                             beacon.type = kRangeBeacon;
                             beacon.from = config_.context_server;
                             beacon.payload = w.take_ref();
-                            (void)network_.broadcast(std::move(beacon),
-                                                     config_.beacon_radius);
+                            (void)network_.broadcast(
+                                std::move(beacon),
+                                config_.discovery.beacon_radius);
                           });
     beacon_timer_->start();
   }
@@ -466,7 +484,7 @@ void ContextServer::send_to(Guid to, std::uint32_t type,
 void ContextServer::send_component(Guid to, std::uint32_t type,
                                    serde::BufferRef payload) {
   if (passive()) return;
-  if (config_.acked_delivery) {
+  if (config_.reliability.acked_delivery) {
     channel_.send(to, type, std::move(payload));
     return;
   }
@@ -781,9 +799,9 @@ void ContextServer::handle_register(const net::Message& message) {
   ack.range = config_.range;
   ack.context_server = config_.context_server;
   ack.event_mediator = config_.context_server;
-  if (config_.lease_ttl.count_micros() > 0) {
+  if (config_.reliability.lease_ttl.count_micros() > 0) {
     ack.lease_renew_micros =
-        static_cast<std::uint64_t>(config_.lease_renew_period.count_micros());
+        static_cast<std::uint64_t>(kLeaseRenewPeriod.count_micros());
   }
   // Synchronous mode withholds the RegisterAck (the client-visible admit)
   // until enough standbys applied the record; asynchronous mode sends now.
@@ -796,7 +814,7 @@ void ContextServer::handle_register(const net::Message& message) {
 
   // A new arrival may unblock parked queries or offer better sources.
   retry_pending_queries();
-  if (config_.rebind_on_arrival && !body->is_app) rebind_after_arrival();
+  if (!body->is_app) rebind_after_arrival();
 }
 
 // ---------------------------------------------------------------------------
@@ -994,7 +1012,7 @@ void ContextServer::admit_query(query::Query q, Guid app) {
         return;
       }
     }
-    if (config_.acked_delivery) {
+    if (config_.reliability.acked_delivery) {
       // End-to-end receipt: the forward is re-originated until the target
       // range confirms delivery; on give-up the application hears about it
       // instead of waiting forever.
@@ -1471,7 +1489,7 @@ std::vector<Guid> ContextServer::find_candidates(const query::Query& q) const {
         const entity::Profile* p = profiles_.profile(id);
         if (p == nullptr) continue;
         for (const entity::TypeSig& sig : p->outputs) {
-          if (semantics_->matches(requested, sig, config_.strict_syntactic)) {
+          if (semantics_->matches(requested, sig)) {
             out.push_back(id);
             break;
           }
@@ -1622,7 +1640,6 @@ compose::ResolveRequest ContextServer::resolve_request_for(
       compose::RequestedType{q.what.type, q.what.unit, q.what.semantic};
   request.tag = tag;
   request.subject = q.what.subject;
-  request.strict_syntactic = config_.strict_syntactic;
   // Contract for route-semantic sinks (the Fig 3 path configuration): the
   // sink is configured with {from, to} — `from` defaults to the query owner
   // (or the where-clause's relative anchor), `to` is the what-subject.
@@ -1926,7 +1943,7 @@ void ContextServer::ping_tick() {
   const auto members = registrar_.members();
   for (const Guid member : members) {
     const unsigned missed = registrar_.record_missed_ping(member);
-    if (missed > config_.ping_miss_limit) {
+    if (missed > config_.liveness.ping_miss_limit) {
       SCI_INFO(kTag, "%s: member %s failed (missed %u pings)",
                config_.name.c_str(), member.short_string().c_str(), missed);
       departure(member, /*failure=*/true);
@@ -2032,7 +2049,7 @@ void ContextServer::invalidate_views_matching(const entity::Profile& profile) {
   if (views_ == nullptr) return;
   note_view_drops(views_->invalidate_matching(
       profile, profiles_.advertisement(profile.entity), *semantics_,
-      config_.strict_syntactic, network_.simulator().now()));
+      network_.simulator().now()));
 }
 
 void ContextServer::note_view_drops(std::size_t dropped) {
@@ -2158,7 +2175,7 @@ void ContextServer::handle_shard_profile(const net::Message& message) {
   // A mirrored profile is a new composition source: queries parked for want
   // of one may resolve now, exactly as after a local arrival.
   retry_pending_queries();
-  if (config_.rebind_on_arrival) rebind_after_arrival();
+  rebind_after_arrival();
 }
 
 void ContextServer::handle_shard_profile_remove(const net::Message& message) {
@@ -3205,7 +3222,8 @@ void ContextServer::persist_record(const replicate::LogRecord& record) {
 
 bool ContextServer::admit_complete(std::uint64_t index) const {
   // Replication leg: enough standbys applied it (or sync mode is off).
-  const bool repl_ok = config_.sync_acks == 0 || repl_log_ == nullptr ||
+  const bool repl_ok = config_.replication.sync_acks == 0 ||
+                       repl_log_ == nullptr ||
                        repl_log_->committed() >= index;
   // Durability leg: the local WAL fsynced past it (or ack_after_fsync off).
   const bool durable_ok = pstore_ == nullptr ||
@@ -3254,7 +3272,7 @@ void ContextServer::on_durable_advanced(std::uint64_t watermark) {
 }
 
 void ContextServer::init_durable_store() {
-  if (config_.storage == nullptr || !config_.durability.enabled) return;
+  if (config_.storage == nullptr || !config_.durability.enable) return;
   if (config_.store_name.empty()) config_.store_name = config_.name;
   pstore_ = std::make_unique<persist::ShardStore>(
       network_.simulator(), *config_.storage, config_.store_name,
@@ -3320,10 +3338,9 @@ void ContextServer::recover_from_store() {
 }
 
 void ContextServer::init_lease_keeper() {
-  if (lease_keeper_ != nullptr || !config_.election.enable) return;
+  if (lease_keeper_ != nullptr) return;
   lease_keeper_ = std::make_unique<replicate::LeaseKeeper>(
-      network_, attached_as_,
-      replicate::resolve_election(config_.election, config_.replication),
+      network_, attached_as_, config_.replication,
       [this] {
         return repl_log_ != nullptr ? repl_log_->standbys()
                                     : std::vector<Guid>{};
@@ -3342,7 +3359,7 @@ void ContextServer::init_lease_keeper() {
 void ContextServer::init_election_agent() {
   if (election_ != nullptr) return;
   election_ = std::make_unique<replicate::ElectionAgent>(
-      network_, attached_as_, config_.replication, config_.election,
+      network_, attached_as_, config_.replication,
       [this] { return follower_ != nullptr ? follower_->applied() : 0; },
       [this] {
         const std::uint32_t stream =
@@ -3373,7 +3390,7 @@ void ContextServer::apply_record(const replicate::LogRecord& record) {
       // Same follow-on work as handle_register, so tag allocation stays in
       // lockstep with the primary; the ack itself is suppressed (passive()).
       retry_pending_queries();
-      if (config_.rebind_on_arrival && !body->is_app) rebind_after_arrival();
+      if (!body->is_app) rebind_after_arrival();
       return;
     }
     case replicate::RecordKind::kDeparture:
@@ -3421,7 +3438,7 @@ void ContextServer::apply_record(const replicate::LogRecord& record) {
       // in lockstep with the primary.
       ingest_shard_profile(record.payload);
       retry_pending_queries();
-      if (config_.rebind_on_arrival) rebind_after_arrival();
+      rebind_after_arrival();
       return;
     case replicate::RecordKind::kShardDrop:
       ingest_shard_drop(record.subject);
@@ -3723,7 +3740,7 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
   profiles_.clear();
   mediator_.mutable_table().clear();
   context_store_.clear();
-  store_ = compose::ConfigurationStore(config_.enable_reuse);
+  store_ = compose::ConfigurationStore(config_.reuse.enable);
   tracked_.clear();
   app_edges_.clear();
   edge_subscriptions_.clear();
@@ -4055,10 +4072,10 @@ void ContextServer::attach_standby(Guid standby_node, std::uint32_t from_epoch,
     // Ops minted while no standby was attached (WAL-only mode) used the same
     // per-node index sequence: continue it rather than restarting at zero.
     if (local_head_ > 0) repl_log_->seed_head(local_head_);
-    if (config_.sync_acks > 0) {
-      repl_log_->set_sync_acks(config_.sync_acks, [this](std::uint64_t c) {
-        on_commit_advanced(c);
-      });
+    if (config_.replication.sync_acks > 0) {
+      repl_log_->set_sync_acks(
+          config_.replication.sync_acks,
+          [this](std::uint64_t c) { on_commit_advanced(c); });
     }
   }
   repl_log_->attach_standby(standby_node, from_epoch, from_index);
@@ -4106,9 +4123,10 @@ void ContextServer::promote(Guid join_via) {
 
   // Overlay presence under the (unchanged) range id. Sibling shards never
   // held one — the lead shard's entry keeps naming the whole Range.
-  if (config_.overlay_member) {
+  if (config_.shard_index == 0) {
     scinet_ = std::make_unique<overlay::ScinetNode>(
-        network_, config_.range, config_.scinet, config_.x, config_.y);
+        network_, config_.range, overlay::ScinetConfig{}, config_.x,
+        config_.y);
     scinet_->set_deliver_handler(
         [this](const overlay::RoutedMessage& m) { on_scinet_deliver(m); });
     if (!join_via.is_nil()) {
@@ -4191,9 +4209,8 @@ void ContextServer::fence() {
 }
 
 void ContextServer::remember_recent(const event::Event& event) {
-  if (config_.recent_event_window == 0) return;
   recent_events_.push_back(event);
-  while (recent_events_.size() > config_.recent_event_window) {
+  while (recent_events_.size() > kRecentEventWindow) {
     recent_events_.pop_front();
   }
 }

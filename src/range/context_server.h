@@ -93,42 +93,98 @@ inline constexpr std::uint32_t kHandoffReplay = 0xF10A;  // staged op replay
 // one frame (the kReplBatch shape applied to shard mirror traffic).
 inline constexpr std::uint32_t kShardBatch = 0xF10B;
 
-struct RangeConfig {
+// --- Range options (README "Range options") ---------------------------------
+// What a caller of Sci::create_range may set. Everything else about a range
+// is either identity the facade assigns (RangeConfig below) or a named
+// constant in the .cpp that reads it.
+
+// Composition reuse (A4 ablation knob): Solar-style subgraph sharing.
+struct ReuseOptions {
+  bool enable = true;
+};
+
+// Ping-based failure detection (Range Service liveness sweep).
+struct LivenessOptions {
+  Duration ping_period = Duration::seconds(2);
+  unsigned ping_miss_limit = 3;
+};
+
+// Link-local range discovery (paper §3 "Range discovery").
+struct DiscoveryOptions {
+  // Beacon broadcast period (0 = off) and radio radius: when the period is
+  // > 0 the CS broadcasts kRangeBeacon so nearby new ranges can find the
+  // SCINET without pre-configuration.
+  Duration beacon_period = Duration::seconds(0);
+  double beacon_radius = 500.0;
+  // When true the new range joins the SCINET by listening for beacons
+  // instead of being handed a bootstrap range by the facade.
+  bool join_by_discovery = false;
+};
+
+// Reliable delivery (docs/ROBUSTNESS.md). acked_delivery routes event
+// deliveries, query replies and configure frames over the CS node's
+// reliable channel and forwards inter-range queries with end-to-end
+// receipts (route_acked). Subscription leases expire after lease_ttl
+// without a renewal (components renew every kLeaseRenewPeriod); a zero ttl
+// disables them.
+struct ReliabilityOptions {
+  bool acked_delivery = true;
+  Duration lease_ttl = Duration::seconds(30);
+};
+
+// Primary/backup replication and quorum failover (docs/REPLICATION.md). The
+// inherited heartbeat_period/promote_timeout also time the fencing lease.
+struct ReplicationOptions : replicate::ReplicationConfig {
+  // Standby Context Servers created alongside the primary. 0 = replication
+  // off (no log, no snapshots, no failover).
+  unsigned standby_count = 0;
+  // Synchronous replication: > 0 withholds client-visible admit acks until
+  // that many standbys applied the record, so no client-acked op can be
+  // lost in a failover. Degrades to asynchronous below that many standbys.
+  unsigned sync_acks = 0;
+};
+
+// Partitioned Range (docs/SHARDING.md): one Range served by N shard Context
+// Servers, each owning the entity GUIDs a shared consistent-hash map assigns
+// to it. 1 = classic monolithic Context Server; N > 1 creates the lead shard
+// under the range name plus N-1 siblings named "<name>#<i>".
+struct ShardingOptions {
+  unsigned shard_count = 1;
+};
+
+// Materialized context views (docs/VIEWS.md): repeated queries are served
+// from per-shard view tables maintained incrementally by environment deltas
+// instead of re-running selection/resolution.
+struct ViewOptions {
+  bool enable = true;
+  std::size_t capacity = 256;  // LRU-bounded views per server
+};
+
+struct RangeOptions {
+  ReuseOptions reuse;
+  LivenessOptions liveness;
+  DiscoveryOptions discovery;
+  ReliabilityOptions reliability;
+  ReplicationOptions replication;
+  ShardingOptions sharding;
+  ViewOptions views;
+  // Durable per-instance store (docs/DURABILITY.md): a CRC-framed WAL plus
+  // periodic checkpoints in the facade-owned StorageEnv.
+  persist::DurabilityConfig durability;
+  double x = 0.0;  // coordinates of the CS machine
+  double y = 0.0;
+  // Access-control group: queries are only forwarded between ranges of the
+  // same group (paper §3).
+  int group = 0;
+};
+
+// One Context Server instance: the caller's options plus the identity and
+// role the facade assigns.
+struct RangeConfig : RangeOptions {
   Guid range;           // SCINET identity of this range
   Guid context_server;  // component-facing network node
   std::string name;
   location::LogicalPath logical_root;  // logical area this range governs
-  double x = 0.0;       // coordinates of the CS machine
-  double y = 0.0;
-  Duration ping_period = Duration::seconds(2);
-  unsigned ping_miss_limit = 3;
-  bool enable_reuse = true;       // Solar-style subgraph sharing (A4 ablation)
-  bool strict_syntactic = false;  // iQueue-style matching (A3 ablation)
-  bool rebind_on_arrival = true;  // recompose when better sources arrive
-  // Materialized context views (docs/VIEWS.md): repeated queries are served
-  // from per-shard view tables maintained incrementally by environment
-  // deltas instead of re-running selection/resolution.
-  bool enable_views = true;
-  std::size_t view_capacity = 256;
-  // Access-control group: queries are only forwarded between ranges of the
-  // same group (paper §3).
-  int group = 0;
-  // Range discovery beacons: when period > 0 the CS periodically broadcasts
-  // kRangeBeacon over `beacon_radius` so nearby new ranges can find the
-  // SCINET without pre-configuration.
-  Duration beacon_period = Duration::seconds(0);
-  double beacon_radius = 500.0;
-  overlay::ScinetConfig scinet;
-  // Reliability (docs/ROBUSTNESS.md). `reliable` is the retransmission
-  // policy for the CS node's channel; acked_delivery routes event
-  // deliveries, query replies and configure frames over it and forwards
-  // inter-range queries with end-to-end receipts (route_acked).
-  reliable::ReliableConfig reliable;
-  bool acked_delivery = true;
-  // Subscription leases: ttl == 0 (default) disables them; the facade
-  // enables them per range. Components renew every lease_renew_period.
-  Duration lease_ttl = Duration::seconds(0);
-  Duration lease_renew_period = Duration::seconds(5);
   // Replication & failover (docs/REPLICATION.md). A standby server carries
   // the same `range`/`context_server` GUIDs as its primary but attaches to
   // the network as `standby_node`, holds no overlay presence and suppresses
@@ -138,37 +194,21 @@ struct RangeConfig {
   Role role = Role::kPrimary;
   Guid standby_node;        // required when role == kStandby
   std::uint32_t epoch = 0;  // incarnation number stamped on channel frames
-  replicate::ReplicationConfig replication;
-  // Quorum failover (docs/REPLICATION.md): fencing lease on the primary,
-  // majority-vote elections among standbys. Effective only with >= 2
-  // standbys (a 2-node group has no usable majority); smaller deployments
-  // keep the oracle promote path.
-  replicate::ElectionConfig election;
-  // Synchronous replication: when > 0 the primary withholds client-visible
-  // admit acks until the mutating record is applied by this many standbys.
-  // Degrades to asynchronous when fewer standbys are attached.
-  unsigned sync_acks = 0;
-  // Dispatched events retained for post-failover redelivery; components
-  // dedup the overlap. 0 disables the window.
-  std::size_t recent_event_window = 64;
   // Sharding (docs/SHARDING.md): when set with size > 1, this Range is
   // served by that many partner shard Context Servers, each owning the
   // slice of entity GUIDs the shared ShardMap hashes to it. Registrar,
   // mediator and context-store state split by owning shard; profiles mirror
   // everywhere so composition stays local. Null or size-1 map = classic
-  // monolithic CS. Standbys inherit the map from their primary.
+  // monolithic CS. Standbys inherit the map from their primary. Only the
+  // lead shard (index 0) joins the SCINET overlay and appears in the range
+  // directory; sibling shards serve components directly.
   std::shared_ptr<const ShardMap> shard_map;
   unsigned shard_index = 0;
-  // Only the lead shard (index 0) joins the SCINET overlay and appears in
-  // the range directory; sibling shards serve components directly and
-  // reach other ranges through the lead's directory entry.
-  bool overlay_member = true;
   // Durability (docs/DURABILITY.md): when `storage` is set and
-  // durability.enabled, every applied replication record is appended to a
-  // per-node write-ahead log under `store_name` in the facade-owned
+  // durability.enable, every applied replication record is appended to a
+  // per-node write-ahead log under `store_name` (default: `name`) in the
   // StorageEnv (which outlives this server), checkpointed periodically, and
   // replayed by the constructor of the next incarnation.
-  persist::DurabilityConfig durability;
   persist::StorageEnv* storage = nullptr;
   std::string store_name;
 };
@@ -196,7 +236,7 @@ class ContextServer {
   // Zero-configuration alternative: listen for another range's discovery
   // beacon for `listen_window`; join through the first one heard, or
   // bootstrap a fresh overlay when the window closes silent. Requires the
-  // peers to have beaconing enabled (RangeConfig::beacon_period).
+  // peers to have beaconing enabled (DiscoveryOptions::beacon_period).
   void join_via_discovery(Duration listen_window = Duration::seconds(3));
   [[nodiscard]] bool overlay_ready() const {
     return scinet_ != nullptr && scinet_->is_ready();
@@ -226,9 +266,9 @@ class ContextServer {
 
   // Standby: invoked (once) when primary heartbeats stay silent past
   // ReplicationConfig::promote_timeout. The facade wires this to a
-  // full fence-and-promote; tests may promote by hand instead. With
-  // elections enabled the handler only fires after this standby WINS a
-  // majority vote (or when the group is too small to elect).
+  // full fence-and-promote; tests may promote by hand instead. The handler
+  // only fires after this standby WINS a majority vote (or when the group
+  // is too small to elect).
   using PromoteRequestHandler = std::function<void()>;
   void set_promote_request_handler(PromoteRequestHandler handler) {
     on_promote_requested_ = std::move(handler);
@@ -348,7 +388,7 @@ class ContextServer {
   [[nodiscard]] std::size_t pending_queries() const {
     return pending_.size();
   }
-  // Materialized view table (nullptr when RangeConfig::enable_views is off).
+  // Materialized view table (nullptr when ViewOptions::enable is off).
   [[nodiscard]] const compose::ViewCache* views() const {
     return views_.get();
   }
@@ -643,8 +683,8 @@ class ContextServer {
   // apply_record (standby) so both sides mutate state identically.
   Status admit_registration(Guid component,
                             const entity::RegisterRequestBody& body);
-  // Synchronous replication (RangeConfig::sync_acks): defer the admit ack
-  // of the record at `index` until enough standbys applied it. `ack` is the
+  // Synchronous replication (ReplicationOptions::sync_acks): defer the admit
+  // ack of the record at `index` until enough standbys applied it. `ack` is the
   // client-visible completion (held channel ack and/or a reply thunk).
   void hold_admit_until_committed(std::uint64_t index,
                                   std::function<void()> completion);
@@ -772,7 +812,7 @@ class ContextServer {
   std::unique_ptr<replicate::ReplicationLog> repl_log_;      // primary side
   std::unique_ptr<replicate::ReplicationFollower> follower_;  // standby side
   // Quorum failover: the primary's fencing lease and the standby's election
-  // agent (each nullptr on the other role, or when elections are disabled).
+  // agent (each nullptr on the other role).
   std::unique_ptr<replicate::LeaseKeeper> lease_keeper_;
   std::unique_ptr<replicate::ElectionAgent> election_;
   std::uint32_t elected_epoch_ = 0;  // epoch of the vote that promoted us
@@ -787,8 +827,9 @@ class ContextServer {
   // and replicated is not re-dispatched when the component retransmits it to
   // the promoted standby.
   std::unordered_map<Guid, reliable::SeqDedup> publish_seen_;
-  // Recently dispatched events, redelivered after promotion to close the
-  // primary's in-flight delivery hole (components dedup the overlap).
+  // The last kRecentEventWindow dispatched events, redelivered after
+  // promotion to close the primary's in-flight delivery hole (components
+  // dedup the overlap).
   std::deque<event::Event> recent_events_;
   // Owner tags harvested from the mediator's scratch matches before
   // retire_configuration can re-enter dispatch; capacity reused per publish.

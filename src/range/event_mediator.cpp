@@ -42,19 +42,19 @@ void EventMediator::deliver_to(Guid subscriber, serde::BufferRef body) {
   }
 }
 
-void EventMediator::set_lease_options(LeaseOptions options) {
-  lease_options_ = options;
+void EventMediator::set_lease_ttl(Duration ttl) {
+  lease_ttl_ = ttl;
   reaper_.reset();
-  if (lease_options_.ttl.count_micros() <= 0) return;
-  reaper_.emplace(network_.simulator(), lease_options_.renew_period,
+  if (lease_ttl_.count_micros() <= 0) return;
+  reaper_.emplace(network_.simulator(), kLeaseRenewPeriod,
                   [this] { reap_expired(); });
   reaper_->start();
 }
 
 void EventMediator::renew(Guid subscriber) {
-  if (lease_options_.ttl.count_micros() <= 0) return;
+  if (lease_ttl_.count_micros() <= 0) return;
   const std::size_t renewed = table_.renew_subscriber(
-      subscriber, network_.simulator().now() + lease_options_.ttl);
+      subscriber, network_.simulator().now() + lease_ttl_);
   if (renewed > 0) {
     m_leases_renewed_->inc(renewed);
   }

@@ -6,7 +6,7 @@
 // network deliveries (kDeliver frames) from the Context Server's node.
 // Deliveries optionally ride a ReliableChannel (set_channel) so lost
 // kDeliver frames retransmit, and subscriptions optionally carry leases
-// (set_lease_options): a subscriber that stops renewing — typically
+// (set_lease_ttl): a subscriber that stops renewing — typically
 // because it crashed — has its subscriptions reaped instead of black-
 // holing deliveries forever.
 #pragma once
@@ -23,12 +23,9 @@
 
 namespace sci::range {
 
-// Subscription lease policy. ttl == 0 disables leases (the default for a
-// bare mediator; the facade turns them on per range).
-struct LeaseOptions {
-  Duration ttl = Duration::seconds(0);
-  Duration renew_period = Duration::seconds(5);
-};
+// How often a lease holder renews (the Context Server tells components in
+// the RegisterAck) and how often the mediator reaps expired leases.
+inline constexpr Duration kLeaseRenewPeriod = Duration::seconds(5);
 
 class EventMediator {
  public:
@@ -50,9 +47,10 @@ class EventMediator {
   // same node identity.
   void set_channel(reliable::ReliableChannel* channel) { channel_ = channel; }
 
-  // Enables subscription leases and starts the reaper (period =
-  // renew_period). Pass ttl == 0 to disable again.
-  void set_lease_options(LeaseOptions options);
+  // Enables subscription leases (off by default for a bare mediator) and
+  // starts the reaper (period = kLeaseRenewPeriod). Pass ttl == 0 to disable
+  // again.
+  void set_lease_ttl(Duration ttl);
 
   // Standby mode (docs/REPLICATION.md): dispatch_shared() performs all table
   // bookkeeping — match counters, one-time removal — but sends no kDeliver
@@ -81,9 +79,8 @@ class EventMediator {
     const event::SubscriptionId id =
         table_.add(subscriber, producer, std::move(event_type),
                    std::move(filter), one_time, owner_tag);
-    if (lease_options_.ttl.count_micros() > 0) {
-      (void)table_.set_expiry(id, network_.simulator().now() +
-                                      lease_options_.ttl);
+    if (lease_ttl_.count_micros() > 0) {
+      (void)table_.set_expiry(id, network_.simulator().now() + lease_ttl_);
     }
     trace_->record(network_.simulator().now(), obs::TraceKind::kSubscribe,
                    subscriber, producer.value_or(Guid()), id);
@@ -161,7 +158,7 @@ class EventMediator {
   event::SubscriptionTable table_;
   bool silent_ = false;
   reliable::ReliableChannel* channel_ = nullptr;  // nullptr = raw sends
-  LeaseOptions lease_options_;
+  Duration lease_ttl_;  // 0 = leases off
   std::optional<sim::PeriodicTimer> reaper_;
   LeaseExpiredHandler on_lease_expired_;
   obs::Counter* m_events_in_ = nullptr;

@@ -11,6 +11,9 @@ namespace sci::reliable {
 namespace {
 
 constexpr const char* kTag = "reliable";
+// Retransmit timeout multiplier per attempt, and its cap.
+constexpr double kBackoff = 2.0;
+constexpr Duration kMaxRto = Duration::seconds(5);
 
 // kRelData payload: varint epoch, varint seq, u32 inner type, varint length,
 // raw body.
@@ -221,9 +224,8 @@ void ReliableChannel::arm_retry(Guid to, std::uint64_t seq,
 Duration ReliableChannel::retry_delay(unsigned attempts) {
   // attempts is 1-based: the delay after the n-th transmission.
   double rto_us = static_cast<double>(config_.initial_rto.count_micros());
-  for (unsigned i = 1; i < attempts; ++i) rto_us *= config_.backoff;
-  rto_us = std::min(rto_us,
-                    static_cast<double>(config_.max_rto.count_micros()));
+  for (unsigned i = 1; i < attempts; ++i) rto_us *= kBackoff;
+  rto_us = std::min(rto_us, static_cast<double>(kMaxRto.count_micros()));
   std::int64_t delay = static_cast<std::int64_t>(rto_us);
   if (config_.jitter > 0.0) {
     const auto span = static_cast<std::uint64_t>(rto_us * config_.jitter);

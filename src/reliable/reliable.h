@@ -57,10 +57,9 @@ namespace sci::reliable {
 inline constexpr std::uint32_t kRelData = 0xAC01;
 inline constexpr std::uint32_t kRelAck = 0xAC02;
 
+// Retransmit schedule: initial_rto, doubled per attempt up to 5 s.
 struct ReliableConfig {
   Duration initial_rto = Duration::millis(200);  // first retransmit timeout
-  Duration max_rto = Duration::seconds(5);       // backoff cap
-  double backoff = 2.0;                          // rto multiplier per attempt
   double jitter = 0.1;   // uniform extra delay in [0, jitter * rto)
   unsigned max_attempts = 8;  // transmissions before the frame dead-letters
   // Abandoned frames are parked in the channel's DeadLetterQueue up to this

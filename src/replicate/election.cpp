@@ -19,33 +19,11 @@ constexpr std::size_t kOutstandingWindow = 8;
 
 }  // namespace
 
-ElectionConfig resolve_election(ElectionConfig config,
-                                const ReplicationConfig& repl) {
-  if (config.lease_duration.count_micros() == 0)
-    config.lease_duration = repl.promote_timeout;
-  if (config.renew_period.count_micros() == 0)
-    config.renew_period = repl.heartbeat_period;
-  // Safety bound: a voter's lease ack promises [sent_at, sent_at +
-  // lease_duration), but its vote-grant gate only requires promote_timeout
-  // of primary silence. A lease outliving that gate could overlap a rival
-  // majority election — two simultaneous lease holders. Clamp rather than
-  // trust the caller.
-  if (config.lease_duration > repl.promote_timeout) {
-    SCI_WARN(kTag,
-             "lease_duration %lld us exceeds promote_timeout %lld us — "
-             "clamping to keep leases inside the vote-grant silence gate",
-             static_cast<long long>(config.lease_duration.count_micros()),
-             static_cast<long long>(repl.promote_timeout.count_micros()));
-    config.lease_duration = repl.promote_timeout;
-  }
-  return config;
-}
-
 // ---------------------------------------------------------------------------
 // LeaseKeeper (primary)
 
 LeaseKeeper::LeaseKeeper(net::Network& network, Guid self,
-                         ElectionConfig config, MembersProvider members,
+                         ReplicationConfig config, MembersProvider members,
                          EpochProvider epoch, LapseCallback on_lapse,
                          AcquireCallback on_acquire)
     : network_(network),
@@ -57,8 +35,8 @@ LeaseKeeper::LeaseKeeper(net::Network& network, Guid self,
       on_acquire_(std::move(on_acquire)) {
   SCI_ASSERT(members_ != nullptr);
   SCI_ASSERT(epoch_ != nullptr);
-  SCI_ASSERT(config_.lease_duration.count_micros() > 0);
-  SCI_ASSERT(config_.renew_period.count_micros() > 0);
+  SCI_ASSERT(config_.promote_timeout.count_micros() > 0);
+  SCI_ASSERT(config_.heartbeat_period.count_micros() > 0);
   obs::MetricsRegistry& metrics = network_.simulator().metrics();
   m_renewals_ = &metrics.counter("repl.lease.renewals");
   m_acks_ = &metrics.counter("repl.lease.acks");
@@ -66,11 +44,11 @@ LeaseKeeper::LeaseKeeper(net::Network& network, Guid self,
   m_lapses_ = &metrics.counter("repl.lease.lapses");
   // Initial grace grant: at creation the primary is by construction the only
   // incarnation (standbys need a full promote_timeout of silence before any
-  // candidacy), so it starts holding for one lease_duration and must win a
+  // candidacy), so it starts holding for one lease term and must win a
   // majority ack before that runs out.
-  lease_until_ = network_.simulator().now() + config_.lease_duration;
+  lease_until_ = network_.simulator().now() + lease_duration();
   acquired(epoch_());
-  renew_timer_.emplace(network_.simulator(), config_.renew_period,
+  renew_timer_.emplace(network_.simulator(), config_.heartbeat_period,
                        [this] { renew_tick(); });
   renew_timer_->start();
 }
@@ -92,7 +70,7 @@ void LeaseKeeper::renew_tick() {
   const std::vector<Guid> members = members_();
   if (members.empty()) {
     // Solo group: the majority of one is the primary itself.
-    const SimTime extended = now + config_.lease_duration;
+    const SimTime extended = now + lease_duration();
     if (extended > lease_until_) lease_until_ = extended;
     if (!held_) acquired(epoch_());
     return;
@@ -145,7 +123,7 @@ void LeaseKeeper::on_lease_ack(serde::FrameView payload,
   if (it->second.acks.size() + 1 < quorum(group)) return;
   // Majority. Extend from the *send* time: however long the acks took, the
   // member promises cover exactly [sent_at, sent_at + lease_duration).
-  const SimTime extended = it->second.sent_at + config_.lease_duration;
+  const SimTime extended = it->second.sent_at + lease_duration();
   if (extended > lease_until_) lease_until_ = extended;
   if (!held_ && holds_lease()) acquired(epoch_());
 }
@@ -154,13 +132,12 @@ void LeaseKeeper::on_lease_ack(serde::FrameView payload,
 // ElectionAgent (standby)
 
 ElectionAgent::ElectionAgent(net::Network& network, Guid self,
-                             ReplicationConfig repl, ElectionConfig config,
+                             ReplicationConfig repl,
                              WatermarkProvider watermark, EpochProvider epoch,
                              ElectedCallback elected)
     : network_(network),
       self_(self),
       repl_(repl),
-      config_(config),
       watermark_(std::move(watermark)),
       epoch_(std::move(epoch)),
       elected_cb_(std::move(elected)),

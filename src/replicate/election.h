@@ -8,10 +8,10 @@
 //
 //  * LeaseKeeper (primary side) — the right to admit state-mutating ops is
 //    a time-bounded **fencing lease** renewed by majority acknowledgement
-//    from the replica group (primary + standbys). Every renew_period the
+//    from the replica group (primary + standbys). Every heartbeat_period the
 //    keeper sends kReplLeaseReq to each member; when a majority acks one
 //    request, the lease extends to that request's *send* time plus
-//    lease_duration (timed from send, so the extension is conservative no
+//    promote_timeout (timed from send, so the extension is conservative no
 //    matter how long acks took). A partitioned primary stops hearing acks,
 //    its lease lapses, and the Context Server refuses further mutating ops:
 //    the ex-primary fences *itself*, no oracle required.
@@ -67,22 +67,12 @@ inline constexpr std::uint32_t kReplLeaseAck = 0xAE06;
 inline constexpr std::uint32_t kReplVoteRequest = 0xAE07;
 inline constexpr std::uint32_t kReplVoteGrant = 0xAE08;
 
-struct ElectionConfig {
-  // Lease + election wiring on/off (facade: ReplicationOptions::election).
-  bool enable = true;
-  // How long one majority ack keeps the primary's lease alive. 0 resolves
-  // to ReplicationConfig::promote_timeout — the primary then self-fences on
-  // roughly the same schedule the standbys use to declare it dead. Values
-  // above promote_timeout are clamped by resolve_election(): a lease promise
-  // that outlives the silence a voter requires before granting a rival's
-  // candidacy would let a still-held lease overlap a majority election.
-  Duration lease_duration = Duration::micros(0);
-  // Lease renewal cadence. 0 resolves to ReplicationConfig::heartbeat_period.
-  Duration renew_period = Duration::micros(0);
-};
-
 // Primary-side lease maintenance. Owned by a Context Server in the primary
-// role whenever elections are enabled and a replication log exists.
+// role whenever a replication log exists. Renews every heartbeat_period; one
+// majority ack holds the lease for promote_timeout, so the primary
+// self-fences on the schedule the standbys use to declare it dead, and a
+// lease promise never outlives the silence a voter requires before granting
+// a rival's candidacy (no held lease can overlap a majority election).
 class LeaseKeeper {
  public:
   // Current replica group (standby node GUIDs; self/primary is implicit).
@@ -95,7 +85,7 @@ class LeaseKeeper {
   // the owner can keep a per-epoch holder history).
   using AcquireCallback = std::function<void(std::uint32_t epoch)>;
 
-  LeaseKeeper(net::Network& network, Guid self, ElectionConfig config,
+  LeaseKeeper(net::Network& network, Guid self, ReplicationConfig config,
               MembersProvider members, EpochProvider epoch,
               LapseCallback on_lapse = {}, AcquireCallback on_acquire = {});
   ~LeaseKeeper();
@@ -110,7 +100,7 @@ class LeaseKeeper {
   // not yet run out. Purely time-based — precise even between renew ticks.
   [[nodiscard]] bool holds_lease() const;
   [[nodiscard]] Duration lease_duration() const {
-    return config_.lease_duration;
+    return config_.promote_timeout;
   }
 
  private:
@@ -128,7 +118,7 @@ class LeaseKeeper {
 
   net::Network& network_;
   Guid self_;
-  ElectionConfig config_;
+  ReplicationConfig config_;
   MembersProvider members_;
   EpochProvider epoch_;
   LapseCallback on_lapse_;
@@ -148,7 +138,7 @@ class LeaseKeeper {
 };
 
 // Standby-side voter + candidate. Owned by a Context Server in the standby
-// role whenever elections are enabled.
+// role.
 class ElectionAgent {
  public:
   // The follower's applied watermark (vote-grant freshness gate).
@@ -160,8 +150,8 @@ class ElectionAgent {
   using ElectedCallback = std::function<void(std::uint32_t epoch)>;
 
   ElectionAgent(net::Network& network, Guid self, ReplicationConfig repl,
-                ElectionConfig config, WatermarkProvider watermark,
-                EpochProvider epoch, ElectedCallback elected);
+                WatermarkProvider watermark, EpochProvider epoch,
+                ElectedCallback elected);
   ~ElectionAgent();
 
   ElectionAgent(const ElectionAgent&) = delete;
@@ -205,7 +195,6 @@ class ElectionAgent {
   net::Network& network_;
   Guid self_;
   ReplicationConfig repl_;
-  ElectionConfig config_;
   WatermarkProvider watermark_;
   EpochProvider epoch_;
   ElectedCallback elected_cb_;
@@ -239,12 +228,5 @@ class ElectionAgent {
   obs::Counter* m_lease_acks_sent_ = nullptr;
   obs::Counter* m_lease_acks_refused_ = nullptr;  // pledged-epoch refusals
 };
-
-// Resolves the 0-defaults of `config` against the replication timing it
-// rides on (lease_duration -> promote_timeout, renew_period ->
-// heartbeat_period) and clamps lease_duration to promote_timeout (see the
-// ElectionConfig field comment for why that bound is load-bearing).
-[[nodiscard]] ElectionConfig resolve_election(ElectionConfig config,
-                                              const ReplicationConfig& repl);
 
 }  // namespace sci::replicate

@@ -15,6 +15,8 @@ constexpr const char* kTag = "replicate";
 // Batch shipping flushes early once this many records are pending, so a
 // publish burst between heartbeats cannot grow one frame without bound.
 constexpr std::size_t kMaxBatch = 64;
+// Periodic snapshot cadence (compacts the retained tail).
+constexpr Duration kSnapshotInterval = Duration::seconds(10);
 
 void write_guid(serde::Writer& w, Guid g) {
   w.u64(g.hi());
@@ -148,7 +150,7 @@ ReplicationLog::ReplicationLog(net::Network& network,
   m_full_catchups_ = twin("repl.catchup.full");
   m_snapshot_bytes_ = twin("repl.catchup.snapshot_bytes");
   m_lag_ = &metrics.gauge("repl.lag");
-  snapshot_timer_.emplace(network_.simulator(), config_.snapshot_interval,
+  snapshot_timer_.emplace(network_.simulator(), kSnapshotInterval,
                           [this] { take_snapshot(); });
   snapshot_timer_->start();
   heartbeat_timer_.emplace(network_.simulator(), config_.heartbeat_period,
@@ -219,11 +221,12 @@ std::uint64_t ReplicationLog::append(LogRecord record) {
   m_records_appended_.inc();
   tail_.push_back(std::move(record));
   ++unflushed_;
-  // Synchronous mode ships immediately — the client admit ack is waiting on
-  // the standby's apply, so adding up to a heartbeat of coalescing latency
-  // would show up directly in component-visible admit time.
-  if (!config_.batch_shipping || sync_acks_ > 0 || unflushed_ >= kMaxBatch)
-    flush_pending();
+  // Records coalesce into one kReplBatch per heartbeat, except in
+  // synchronous mode, which ships immediately — the client admit ack is
+  // waiting on the standby's apply, so adding up to a heartbeat of
+  // coalescing latency would show up directly in component-visible admit
+  // time.
+  if (sync_acks_ > 0 || unflushed_ >= kMaxBatch) flush_pending();
   update_lag();
   update_committed();  // degraded/sync-off mode commits at append
   return head_;

@@ -112,17 +112,17 @@ struct LogRecord {
   static Expected<LogRecord> decode(const serde::BufferRef& bytes);
 };
 
+// Replication timing. The same two periods time the quorum failover
+// (election.h): the primary renews its fencing lease every heartbeat_period
+// and one majority ack holds it for promote_timeout, exactly the silence a
+// voter requires before granting a rival's candidacy, so a held lease never
+// overlaps a majority election.
 struct ReplicationConfig {
-  Duration snapshot_interval = Duration::seconds(10);
+  // Heartbeat cadence; appended records are also coalesced into one
+  // kReplBatch frame per heartbeat (synchronous mode ships at once).
   Duration heartbeat_period = Duration::millis(500);
   // Standby declares the primary dead after this much heartbeat silence.
   Duration promote_timeout = Duration::seconds(2);
-  // Coalesce appended records and ship one kReplBatch frame per heartbeat
-  // interval instead of one kReplRecord frame each (amortises channel
-  // overhead under high publish rates). Synchronous mode (sync_acks >= 1)
-  // bypasses the coalescing window — commit latency must not wait on the
-  // heartbeat — as does a batch growing past an internal size cap.
-  bool batch_shipping = true;
 };
 
 // Cheap structural digest of the replicated state (next tag, table sizes…)

@@ -422,7 +422,6 @@ TEST(ViewCacheTest, InvalidateMatchingByTypeAndServiceName) {
   // A new fahrenheit thermometer matches the celsius request semantically.
   Profile thermo = make_profile(7, {}, {{"temperature", "fahrenheit", ""}});
   EXPECT_EQ(cache.invalidate_matching(thermo, nullptr, registry,
-                                      /*strict_syntactic=*/false,
                                       SimTime::zero()),
             1u);
   EXPECT_EQ(cache.lookup("t"), nullptr);
@@ -432,7 +431,7 @@ TEST(ViewCacheTest, InvalidateMatchingByTypeAndServiceName) {
   Profile printer = make_profile(8, {}, {});
   entity::Advertisement ad;
   ad.service = "printing";
-  EXPECT_EQ(cache.invalidate_matching(printer, &ad, registry, false,
+  EXPECT_EQ(cache.invalidate_matching(printer, &ad, registry,
                                       SimTime::zero()),
             1u);
   EXPECT_EQ(cache.lookup("s"), nullptr);
@@ -440,7 +439,7 @@ TEST(ViewCacheTest, InvalidateMatchingByTypeAndServiceName) {
   // An unrelated profile invalidates nothing.
   Profile humidity = make_profile(9, {}, {{"humidity", "", ""}});
   cache.install(make_view("u", {guid_of(1)}));
-  EXPECT_EQ(cache.invalidate_matching(humidity, nullptr, registry, false,
+  EXPECT_EQ(cache.invalidate_matching(humidity, nullptr, registry,
                                       SimTime::zero()),
             0u);
 }

@@ -14,7 +14,6 @@ TEST(OverlayDetailTest, SmallOverlayIsFullyMeshedInLeafSets) {
   sim::Simulator simulator(3);
   net::Network network(simulator);
   overlay::ScinetConfig config;
-  config.leaf_half_width = 8;
   overlay::Scinet scinet(network, config);
   for (int i = 0; i < 10; ++i) scinet.add_node();
   scinet.settle(Duration::seconds(3));

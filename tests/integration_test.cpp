@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "core/sci.h"
@@ -681,6 +683,52 @@ TEST(IntegrationTest, ServiceInvocationRoundTrip) {
   EXPECT_EQ(app.service_replies[2].first.code(),
             ErrorCode::kInvalidArgument);
 }
+
+// ------------------------------------------------------------ create_range
+
+// Bad create_range input is reported as the caller's error instead of
+// aborting inside a timer or the fencing lease.
+struct BadRangeCase {
+  const char* name;
+  const char* range_name;
+  void (*configure)(RangeOptions&);
+};
+
+void PrintTo(const BadRangeCase& c, std::ostream* os) { *os << c.name; }
+
+class CreateRangeRejectTest : public ::testing::TestWithParam<BadRangeCase> {};
+
+TEST_P(CreateRangeRejectTest, WithInvalidArgument) {
+  Deployment d;
+  RangeOptions options;
+  GetParam().configure(options);
+  const auto created = d.sci.create_range(GetParam().range_name,
+                                          d.building.floor_path(0), options);
+  ASSERT_FALSE(created.has_value());
+  EXPECT_EQ(created.error().code(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(d.sci.ranges().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, CreateRangeRejectTest,
+    ::testing::Values(
+        BadRangeCase{"hash_in_name", "a#b", [](RangeOptions&) {}},
+        BadRangeCase{"zero_ping_period", "r",
+                     [](RangeOptions& o) {
+                       o.liveness.ping_period = Duration::micros(0);
+                     }},
+        BadRangeCase{"zero_heartbeat_period", "r",
+                     [](RangeOptions& o) {
+                       o.replication.standby_count = 1;
+                       o.replication.heartbeat_period = Duration::micros(0);
+                     }},
+        BadRangeCase{"zero_promote_timeout", "r", [](RangeOptions& o) {
+                       o.replication.standby_count = 2;
+                       o.replication.promote_timeout = Duration::micros(0);
+                     }}),
+    [](const ::testing::TestParamInfo<BadRangeCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 }  // namespace
 }  // namespace sci

@@ -159,7 +159,7 @@ struct StoreFixture {
 
   persist::DurabilityConfig config() {
     persist::DurabilityConfig c;
-    c.enabled = true;
+    c.enable = true;
     c.flush_interval = Duration::millis(20);
     c.flush_threshold = 100;  // timer-driven unless a test lowers it
     return c;

@@ -206,7 +206,7 @@ TEST(ReplicateTest, VoterGatesOnLivenessWatermarkAndPledgedEpoch) {
   repl.heartbeat_period = Duration::millis(100);
   repl.promote_timeout = Duration::millis(300);
   replicate::ElectionAgent agent(
-      network, voter, repl, replicate::resolve_election({}, repl),
+      network, voter, repl,
       [] { return std::uint64_t{5}; },  // this voter's applied watermark
       [] { return std::uint32_t{0}; }, [](std::uint32_t) {});
 
@@ -313,8 +313,7 @@ TEST(ReplicateTest, LeaseKeeperAcquiresOnMajorityAndLapsesWithoutIt) {
   int lapses = 0;
   int acquisitions = 0;
   replicate::LeaseKeeper keeper(
-      network, primary, replicate::resolve_election({}, repl),
-      [&] { return std::vector<Guid>{s1, s2}; },
+      network, primary, repl, [&] { return std::vector<Guid>{s1, s2}; },
       [] { return std::uint32_t{0}; }, [&] { ++lapses; },
       [&](std::uint32_t) { ++acquisitions; });
   keeper_ptr = &keeper;
@@ -339,28 +338,45 @@ TEST(ReplicateTest, LeaseKeeperAcquiresOnMajorityAndLapsesWithoutIt) {
   EXPECT_GE(acquisitions, 2);
 }
 
-TEST(ReplicateTest, ResolveElectionClampsLeaseDurationToPromoteTimeout) {
+// The lease rides the replication timing: requests go out every
+// heartbeat_period, and a grant lasts promote_timeout — the silence a voter
+// requires before granting a rival's candidacy, so a held lease can never
+// overlap a majority election.
+TEST(ReplicateTest, LeaseKeeperRenewsEveryHeartbeatForOnePromoteTimeout) {
+  sim::Simulator simulator{42};
+  net::Network network{simulator};
+  Rng rng{7};
+  const Guid primary = Guid::random(rng);
+  const Guid s1 = Guid::random(rng);
+  const Guid s2 = Guid::random(rng);
+  for (const Guid g : {primary, s1, s2})
+    ASSERT_TRUE(network.attach(g, [](const net::Message&) {}).is_ok());
+
   replicate::ReplicationConfig repl;
   repl.heartbeat_period = Duration::millis(100);
   repl.promote_timeout = Duration::millis(300);
+  const SimTime start = simulator.now();
+  replicate::LeaseKeeper keeper(
+      network, primary, repl, [&] { return std::vector<Guid>{s1, s2}; },
+      [] { return std::uint32_t{0}; });
+  EXPECT_EQ(keeper.lease_duration(), repl.promote_timeout);
 
-  // The 0-defaults resolve against the replication timing.
-  const auto defaults = replicate::resolve_election({}, repl);
-  EXPECT_EQ(defaults.lease_duration, repl.promote_timeout);
-  EXPECT_EQ(defaults.renew_period, repl.heartbeat_period);
-
-  // A lease outliving the vote-grant silence gate could overlap a rival
-  // majority election (two lease holders), so oversized configs clamp.
-  replicate::ElectionConfig oversized;
-  oversized.lease_duration = Duration::millis(900);
-  EXPECT_EQ(replicate::resolve_election(oversized, repl).lease_duration,
-            repl.promote_timeout);
-
-  // In-bound values pass through untouched.
-  replicate::ElectionConfig snug;
-  snug.lease_duration = Duration::millis(200);
-  EXPECT_EQ(replicate::resolve_election(snug, repl).lease_duration,
-            Duration::millis(200));
+  const auto renewals = [&] {
+    return registry_count(simulator.metrics(), "repl.lease.renewals");
+  };
+  // One request per member at every heartbeat_period boundary, none between.
+  for (std::uint64_t tick = 1; tick <= 5; ++tick) {
+    const Duration due =
+        repl.heartbeat_period * static_cast<std::int64_t>(tick);
+    simulator.run_until(start + (due - Duration::micros(1)));
+    EXPECT_EQ(renewals(), 2 * (tick - 1)) << "tick " << tick;
+    // Nobody acks, so only the initial grant holds: exactly one
+    // promote_timeout from creation.
+    EXPECT_EQ(keeper.holds_lease(), due <= repl.promote_timeout)
+        << "tick " << tick;
+    simulator.run_until(start + due);
+    EXPECT_EQ(renewals(), 2 * tick) << "tick " << tick;
+  }
 }
 
 TEST(ReplicateTest, LeaseQuorumJudgedAgainstSendTimeMemberSnapshot) {
@@ -382,9 +398,8 @@ TEST(ReplicateTest, LeaseQuorumJudgedAgainstSendTimeMemberSnapshot) {
   int lapses = 0;
   std::vector<Guid> members{s1, s2, s3, s4};
   replicate::LeaseKeeper keeper(
-      network, primary, replicate::resolve_election({}, repl),
-      [&] { return members; }, [] { return std::uint32_t{0}; },
-      [&] { ++lapses; }, {});
+      network, primary, repl, [&] { return members; },
+      [] { return std::uint32_t{0}; }, [&] { ++lapses; }, {});
 
   const auto ack = [](std::uint64_t seq) {
     serde::Writer w(16);
