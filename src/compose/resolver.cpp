@@ -102,6 +102,64 @@ std::string PlanEdge::share_key() const {
          ":" + event_type;
 }
 
+void ConfigurationPlan::encode(serde::Writer& w) const {
+  w.varint(tag);
+  w.guid(sink);
+  w.string(sink_type);
+  w.varint(entities.size());
+  for (const Guid e : entities) w.guid(e);
+  w.varint(edges.size());
+  for (const PlanEdge& edge : edges) {
+    w.guid(edge.producer);
+    w.guid(edge.consumer);
+    w.string(edge.event_type);
+    edge.filter.encode(w);
+  }
+  w.varint(params.size());
+  for (const auto& [entity, value] : params) {
+    w.guid(entity);
+    value.encode(w);
+  }
+  w.varint(depth_);
+}
+
+Expected<ConfigurationPlan> ConfigurationPlan::decode(serde::Reader& r) {
+  ConfigurationPlan plan;
+  SCI_TRY_ASSIGN(tag, r.varint());
+  plan.tag = tag;
+  SCI_TRY_ASSIGN(sink, r.guid());
+  plan.sink = sink;
+  SCI_TRY_ASSIGN(sink_type, r.string());
+  plan.sink_type = std::move(sink_type);
+  SCI_TRY_ASSIGN(n_entities, r.varint());
+  for (std::uint64_t i = 0; i < n_entities; ++i) {
+    SCI_TRY_ASSIGN(e, r.guid());
+    plan.entities.push_back(e);
+  }
+  SCI_TRY_ASSIGN(n_edges, r.varint());
+  for (std::uint64_t i = 0; i < n_edges; ++i) {
+    PlanEdge edge;
+    SCI_TRY_ASSIGN(producer, r.guid());
+    edge.producer = producer;
+    SCI_TRY_ASSIGN(consumer, r.guid());
+    edge.consumer = consumer;
+    SCI_TRY_ASSIGN(event_type, r.string());
+    edge.event_type = std::move(event_type);
+    SCI_TRY_ASSIGN(filter, event::EventFilter::decode(r));
+    edge.filter = std::move(filter);
+    plan.edges.push_back(std::move(edge));
+  }
+  SCI_TRY_ASSIGN(n_params, r.varint());
+  for (std::uint64_t i = 0; i < n_params; ++i) {
+    SCI_TRY_ASSIGN(entity, r.guid());
+    SCI_TRY_ASSIGN(value, Value::decode(r));
+    plan.params.emplace(entity, std::move(value));
+  }
+  SCI_TRY_ASSIGN(depth, r.varint());
+  plan.depth_ = static_cast<std::size_t>(depth);
+  return plan;
+}
+
 std::string ConfigurationPlan::to_string() const {
   std::string out = "plan#" + std::to_string(tag) + " sink=" +
                     sink.short_string() + " type=" + sink_type + " entities=" +

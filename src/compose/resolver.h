@@ -55,6 +55,10 @@ struct ConfigurationPlan {
   std::size_t depth_ = 0;
 
   [[nodiscard]] std::string to_string() const;
+
+  // Wire form shared by the Context Server snapshot and the view table.
+  void encode(serde::Writer& w) const;
+  static Expected<ConfigurationPlan> decode(serde::Reader& r);
 };
 
 struct ResolveRequest {

@@ -5,82 +5,10 @@
 #include <utility>
 
 namespace sci::compose {
-namespace {
-
-void write_guid(serde::Writer& w, const Guid& g) {
-  w.u64(g.hi());
-  w.u64(g.lo());
-}
-
-Expected<Guid> read_guid(serde::Reader& r) {
-  SCI_TRY_ASSIGN(hi, r.u64());
-  SCI_TRY_ASSIGN(lo, r.u64());
-  return Guid(hi, lo);
-}
-
-void encode_plan(serde::Writer& w, const ConfigurationPlan& plan) {
-  w.u64(plan.tag);
-  write_guid(w, plan.sink);
-  w.string(plan.sink_type);
-  w.varint(plan.entities.size());
-  for (const Guid& g : plan.entities) write_guid(w, g);
-  w.varint(plan.edges.size());
-  for (const PlanEdge& e : plan.edges) {
-    write_guid(w, e.producer);
-    write_guid(w, e.consumer);
-    w.string(e.event_type);
-    e.filter.encode(w);
-  }
-  w.varint(plan.params.size());
-  for (const auto& [entity, params] : plan.params) {
-    write_guid(w, entity);
-    params.encode(w);
-  }
-  w.varint(plan.depth_);
-}
-
-Expected<ConfigurationPlan> decode_plan(serde::Reader& r) {
-  ConfigurationPlan plan;
-  SCI_TRY_ASSIGN(tag, r.u64());
-  plan.tag = tag;
-  SCI_TRY_ASSIGN(sink, read_guid(r));
-  plan.sink = sink;
-  SCI_TRY_ASSIGN(sink_type, r.string());
-  plan.sink_type = std::move(sink_type);
-  SCI_TRY_ASSIGN(n_entities, r.varint());
-  for (std::uint64_t i = 0; i < n_entities; ++i) {
-    SCI_TRY_ASSIGN(g, read_guid(r));
-    plan.entities.push_back(g);
-  }
-  SCI_TRY_ASSIGN(n_edges, r.varint());
-  for (std::uint64_t i = 0; i < n_edges; ++i) {
-    PlanEdge edge;
-    SCI_TRY_ASSIGN(producer, read_guid(r));
-    edge.producer = producer;
-    SCI_TRY_ASSIGN(consumer, read_guid(r));
-    edge.consumer = consumer;
-    SCI_TRY_ASSIGN(event_type, r.string());
-    edge.event_type = std::move(event_type);
-    SCI_TRY_ASSIGN(filter, event::EventFilter::decode(r));
-    edge.filter = std::move(filter);
-    plan.edges.push_back(std::move(edge));
-  }
-  SCI_TRY_ASSIGN(n_params, r.varint());
-  for (std::uint64_t i = 0; i < n_params; ++i) {
-    SCI_TRY_ASSIGN(entity, read_guid(r));
-    SCI_TRY_ASSIGN(value, Value::decode(r));
-    plan.params.emplace(entity, std::move(value));
-  }
-  SCI_TRY_ASSIGN(depth, r.varint());
-  plan.depth_ = static_cast<std::size_t>(depth);
-  return plan;
-}
-
-}  // namespace
 
 void ViewDeps::encode(serde::Writer& w) const {
   w.varint(subjects.size());
-  for (const Guid& g : subjects) write_guid(w, g);
+  for (const Guid& g : subjects) w.guid(g);
   w.varint(types.size());
   for (const RequestedType& t : types) {
     w.string(t.type);
@@ -95,7 +23,7 @@ Expected<ViewDeps> ViewDeps::decode(serde::Reader& r) {
   ViewDeps deps;
   SCI_TRY_ASSIGN(n_subjects, r.varint());
   for (std::uint64_t i = 0; i < n_subjects; ++i) {
-    SCI_TRY_ASSIGN(g, read_guid(r));
+    SCI_TRY_ASSIGN(g, r.guid());
     deps.subjects.push_back(g);
   }
   SCI_TRY_ASSIGN(n_types, r.varint());
@@ -120,9 +48,9 @@ Expected<ViewDeps> ViewDeps::decode(serde::Reader& r) {
 void ViewEntry::encode(serde::Writer& w) const {
   w.string(key);
   w.varint(selection.size());
-  for (const Guid& g : selection) write_guid(w, g);
+  for (const Guid& g : selection) w.guid(g);
   w.boolean(plan.has_value());
-  if (plan.has_value()) encode_plan(w, *plan);
+  if (plan.has_value()) plan->encode(w);
   deps.encode(w);
   w.svarint(built_at.micros());
   w.u64(hits);
@@ -134,12 +62,12 @@ Expected<ViewEntry> ViewEntry::decode(serde::Reader& r) {
   entry.key = std::move(key);
   SCI_TRY_ASSIGN(n_selection, r.varint());
   for (std::uint64_t i = 0; i < n_selection; ++i) {
-    SCI_TRY_ASSIGN(g, read_guid(r));
+    SCI_TRY_ASSIGN(g, r.guid());
     entry.selection.push_back(g);
   }
   SCI_TRY_ASSIGN(has_plan, r.boolean());
   if (has_plan) {
-    SCI_TRY_ASSIGN(plan, decode_plan(r));
+    SCI_TRY_ASSIGN(plan, ConfigurationPlan::decode(r));
     entry.plan = std::move(plan);
   }
   SCI_TRY_ASSIGN(deps, ViewDeps::decode(r));

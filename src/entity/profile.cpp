@@ -93,8 +93,7 @@ Expected<std::vector<TypeSig>> decode_sig_list(serde::Reader& r) {
 }  // namespace
 
 void Profile::encode(serde::Writer& w) const {
-  w.u64(entity.hi());
-  w.u64(entity.lo());
+  w.guid(entity);
   w.string(name);
   w.u8(static_cast<std::uint8_t>(kind));
   encode_sig_list(w, inputs);
@@ -106,9 +105,8 @@ void Profile::encode(serde::Writer& w) const {
 
 Expected<Profile> Profile::decode(serde::Reader& r) {
   Profile profile;
-  SCI_TRY_ASSIGN(hi, r.u64());
-  SCI_TRY_ASSIGN(lo, r.u64());
-  profile.entity = Guid(hi, lo);
+  SCI_TRY_ASSIGN(entity, r.guid());
+  profile.entity = entity;
   SCI_TRY_ASSIGN(name, r.string());
   profile.name = std::move(name);
   SCI_TRY_ASSIGN(kind, r.u8());
@@ -177,6 +175,24 @@ Expected<Advertisement> Advertisement::decode(serde::Reader& r) {
   SCI_TRY_ASSIGN(attributes, Value::decode(r));
   ad.attributes = std::move(attributes);
   return ad;
+}
+
+void ProfileRecord::encode(serde::Writer& w) const {
+  profile.encode(w);
+  w.boolean(advertisement.has_value());
+  if (advertisement) advertisement->encode(w);
+}
+
+Expected<ProfileRecord> ProfileRecord::decode(serde::Reader& r) {
+  ProfileRecord record;
+  SCI_TRY_ASSIGN(profile, Profile::decode(r));
+  record.profile = std::move(profile);
+  SCI_TRY_ASSIGN(has_ad, r.boolean());
+  if (has_ad) {
+    SCI_TRY_ASSIGN(ad, Advertisement::decode(r));
+    record.advertisement = std::move(ad);
+  }
+  return record;
 }
 
 }  // namespace sci::entity

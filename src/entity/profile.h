@@ -97,4 +97,15 @@ struct Advertisement {
   static Expected<Advertisement> decode(serde::Reader& r);
 };
 
+// One Profile Manager entry: a profile and its optional advertisement. The
+// wire form (profile, presence flag, advertisement) is what sibling-shard
+// mirrors, vnode handoff, the replication log and snapshots all carry.
+struct ProfileRecord {
+  Profile profile;
+  std::optional<Advertisement> advertisement;
+
+  void encode(serde::Writer& w) const;
+  static Expected<ProfileRecord> decode(serde::Reader& r);
+};
+
 }  // namespace sci::entity

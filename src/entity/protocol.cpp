@@ -2,16 +2,6 @@
 
 namespace sci::entity {
 
-namespace {
-
-void write_optional_ad(serde::Writer& w,
-                       const std::optional<Advertisement>& ad) {
-  w.boolean(ad.has_value());
-  if (ad) ad->encode(w);
-}
-
-}  // namespace
-
 serde::BufferRef HelloBody::encode() const {
   serde::Writer w;
   w.boolean(is_app);
@@ -31,8 +21,8 @@ Expected<HelloBody> HelloBody::decode(serde::FrameView bytes) {
 
 serde::BufferRef RangeInfoBody::encode() const {
   serde::Writer w;
-  write_guid(w, range);
-  write_guid(w, registrar);
+  w.guid(range);
+  w.guid(registrar);
   return w.take_ref();
 }
 
@@ -40,18 +30,20 @@ Expected<RangeInfoBody> RangeInfoBody::decode(
     serde::FrameView bytes) {
   serde::Reader r(bytes);
   RangeInfoBody b;
-  SCI_TRY_ASSIGN(range, read_guid(r));
+  SCI_TRY_ASSIGN(range, r.guid());
   b.range = range;
-  SCI_TRY_ASSIGN(registrar, read_guid(r));
+  SCI_TRY_ASSIGN(registrar, r.guid());
   b.registrar = registrar;
   return b;
 }
 
 serde::BufferRef RegisterRequestBody::encode() const {
   serde::Writer w;
+  // is_app, then the ProfileRecord wire form.
   w.boolean(is_app);
   profile.encode(w);
-  write_optional_ad(w, advertisement);
+  w.boolean(advertisement.has_value());
+  if (advertisement) advertisement->encode(w);
   return w.take_ref();
 }
 
@@ -61,13 +53,9 @@ Expected<RegisterRequestBody> RegisterRequestBody::decode(
   RegisterRequestBody b;
   SCI_TRY_ASSIGN(is_app, r.boolean());
   b.is_app = is_app;
-  SCI_TRY_ASSIGN(profile, Profile::decode(r));
-  b.profile = std::move(profile);
-  SCI_TRY_ASSIGN(has_ad, r.boolean());
-  if (has_ad) {
-    SCI_TRY_ASSIGN(ad, Advertisement::decode(r));
-    b.advertisement = std::move(ad);
-  }
+  SCI_TRY_ASSIGN(record, ProfileRecord::decode(r));
+  b.profile = std::move(record.profile);
+  b.advertisement = std::move(record.advertisement);
   return b;
 }
 
@@ -75,9 +63,9 @@ serde::BufferRef RegisterAckBody::encode() const {
   serde::Writer w;
   w.boolean(accepted);
   w.string(reason);
-  write_guid(w, range);
-  write_guid(w, context_server);
-  write_guid(w, event_mediator);
+  w.guid(range);
+  w.guid(context_server);
+  w.guid(event_mediator);
   w.varint(lease_renew_micros);
   return w.take_ref();
 }
@@ -90,11 +78,11 @@ Expected<RegisterAckBody> RegisterAckBody::decode(
   b.accepted = accepted;
   SCI_TRY_ASSIGN(reason, r.string());
   b.reason = std::move(reason);
-  SCI_TRY_ASSIGN(range, read_guid(r));
+  SCI_TRY_ASSIGN(range, r.guid());
   b.range = range;
-  SCI_TRY_ASSIGN(cs, read_guid(r));
+  SCI_TRY_ASSIGN(cs, r.guid());
   b.context_server = cs;
-  SCI_TRY_ASSIGN(em, read_guid(r));
+  SCI_TRY_ASSIGN(em, r.guid());
   b.event_mediator = em;
   SCI_TRY_ASSIGN(lease_renew, r.varint());
   b.lease_renew_micros = lease_renew;
@@ -259,8 +247,8 @@ Expected<ProfileUpdateBody> ProfileUpdateBody::decode(
 
 serde::BufferRef RedirectBody::encode() const {
   serde::Writer w;
-  write_guid(w, context_server);
-  write_guid(w, event_mediator);
+  w.guid(context_server);
+  w.guid(event_mediator);
   return w.take_ref();
 }
 
@@ -268,9 +256,9 @@ Expected<RedirectBody> RedirectBody::decode(
     serde::FrameView bytes) {
   serde::Reader r(bytes);
   RedirectBody b;
-  SCI_TRY_ASSIGN(cs, read_guid(r));
+  SCI_TRY_ASSIGN(cs, r.guid());
   b.context_server = cs;
-  SCI_TRY_ASSIGN(em, read_guid(r));
+  SCI_TRY_ASSIGN(em, r.guid());
   b.event_mediator = em;
   return b;
 }

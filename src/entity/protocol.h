@@ -48,17 +48,6 @@ enum ComponentMsg : std::uint32_t {
   kRedirect,    // ownership moved (resharding): re-point CS/mediator guids
 };
 
-inline void write_guid(serde::Writer& w, Guid g) {
-  w.u64(g.hi());
-  w.u64(g.lo());
-}
-
-inline Expected<Guid> read_guid(serde::Reader& r) {
-  SCI_TRY_ASSIGN(hi, r.u64());
-  SCI_TRY_ASSIGN(lo, r.u64());
-  return Guid(hi, lo);
-}
-
 struct HelloBody {
   bool is_app = false;
   std::string name;

@@ -5,8 +5,7 @@ namespace sci::event {
 void Event::encode(serde::Writer& w) const {
   w.varint(sequence);
   w.string(type);
-  w.u64(source.hi());
-  w.u64(source.lo());
+  w.guid(source);
   w.svarint(timestamp.micros());
   payload.encode(w);
 }
@@ -17,9 +16,8 @@ Expected<Event> Event::decode(serde::Reader& r) {
   e.sequence = sequence;
   SCI_TRY_ASSIGN(type, r.string());
   e.type = std::move(type);
-  SCI_TRY_ASSIGN(hi, r.u64());
-  SCI_TRY_ASSIGN(lo, r.u64());
-  e.source = Guid(hi, lo);
+  SCI_TRY_ASSIGN(source, r.guid());
+  e.source = source;
   SCI_TRY_ASSIGN(ts, r.svarint());
   e.timestamp = SimTime::from_micros(ts);
   SCI_TRY_ASSIGN(payload, Value::decode(r));
@@ -40,9 +38,8 @@ Expected<EventView> EventView::parse(serde::FrameView frame) {
   v.sequence_ = sequence;
   SCI_TRY_ASSIGN(type, r.string_view());
   v.type_ = type;
-  SCI_TRY_ASSIGN(hi, r.u64());
-  SCI_TRY_ASSIGN(lo, r.u64());
-  v.source_ = Guid(hi, lo);
+  SCI_TRY_ASSIGN(source, r.guid());
+  v.source_ = source;
   SCI_TRY_ASSIGN(ts, r.svarint());
   v.timestamp_ = SimTime::from_micros(ts);
   v.payload_ = frame.subview(r.position(), r.remaining());
@@ -130,8 +127,7 @@ bool EventFilter::matches(const Event& event) const {
 void EventFilter::encode(serde::Writer& w) const {
   w.boolean(source.has_value());
   if (source.has_value()) {
-    w.u64(source->hi());
-    w.u64(source->lo());
+    w.guid(*source);
   }
   w.varint(fields.size());
   for (const auto& field : fields) field.encode(w);
@@ -141,9 +137,8 @@ Expected<EventFilter> EventFilter::decode(serde::Reader& r) {
   EventFilter f;
   SCI_TRY_ASSIGN(has_source, r.boolean());
   if (has_source) {
-    SCI_TRY_ASSIGN(hi, r.u64());
-    SCI_TRY_ASSIGN(lo, r.u64());
-    f.source = Guid(hi, lo);
+    SCI_TRY_ASSIGN(source, r.guid());
+    f.source = source;
   }
   SCI_TRY_ASSIGN(count, r.varint());
   if (count > r.remaining())

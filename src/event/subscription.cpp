@@ -4,6 +4,39 @@
 
 namespace sci::event {
 
+void Subscription::encode(serde::Writer& w) const {
+  w.varint(id);
+  w.guid(subscriber);
+  w.boolean(producer.has_value());
+  if (producer) w.guid(*producer);
+  w.string(event_type);
+  filter.encode(w);
+  w.boolean(one_time);
+  w.varint(owner_tag);
+}
+
+Expected<Subscription> Subscription::decode(serde::Reader& r) {
+  Subscription s;
+  SCI_TRY_ASSIGN(id, r.varint());
+  s.id = id;
+  SCI_TRY_ASSIGN(subscriber, r.guid());
+  s.subscriber = subscriber;
+  SCI_TRY_ASSIGN(has_producer, r.boolean());
+  if (has_producer) {
+    SCI_TRY_ASSIGN(producer, r.guid());
+    s.producer = producer;
+  }
+  SCI_TRY_ASSIGN(event_type, r.string());
+  s.event_type = std::move(event_type);
+  SCI_TRY_ASSIGN(filter, EventFilter::decode(r));
+  s.filter = std::move(filter);
+  SCI_TRY_ASSIGN(one_time, r.boolean());
+  s.one_time = one_time;
+  SCI_TRY_ASSIGN(owner_tag, r.varint());
+  s.owner_tag = owner_tag;
+  return s;
+}
+
 SubscriptionId SubscriptionTable::add(Guid subscriber,
                                       std::optional<Guid> producer,
                                       std::string event_type,

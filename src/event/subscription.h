@@ -41,6 +41,12 @@ struct Subscription {
   // Lease expiry: the subscription is reaped once simulated time passes
   // this point unless the subscriber renews. Infinity = no lease.
   SimTime expires_at = SimTime::infinity();
+
+  // The kShardSubscribe wire form, shared by sibling mirrors, vnode handoff,
+  // the replication log and snapshots: every field but `delivered` and
+  // `expires_at`, which decode leaves at their defaults.
+  void encode(serde::Writer& w) const;
+  static Expected<Subscription> decode(serde::Reader& r);
 };
 
 // Flat per-match record the dispatch hot path iterates instead of copying

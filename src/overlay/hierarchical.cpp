@@ -11,10 +11,8 @@ namespace {
 
 serde::BufferRef encode(const HierMessage& m) {
   serde::Writer w(m.payload.size() + 48);
-  w.u64(m.destination.hi());
-  w.u64(m.destination.lo());
-  w.u64(m.source.hi());
-  w.u64(m.source.lo());
+  w.guid(m.destination);
+  w.guid(m.source);
   w.u32(m.app_type);
   w.u32(m.hops);
   w.varint(m.payload.size());
@@ -26,12 +24,10 @@ serde::BufferRef encode(const HierMessage& m) {
 Expected<HierMessage> decode(const serde::BufferRef& bytes) {
   serde::Reader r(bytes);
   HierMessage m;
-  SCI_TRY_ASSIGN(dhi, r.u64());
-  SCI_TRY_ASSIGN(dlo, r.u64());
-  m.destination = Guid(dhi, dlo);
-  SCI_TRY_ASSIGN(shi, r.u64());
-  SCI_TRY_ASSIGN(slo, r.u64());
-  m.source = Guid(shi, slo);
+  SCI_TRY_ASSIGN(destination, r.guid());
+  m.destination = destination;
+  SCI_TRY_ASSIGN(source, r.guid());
+  m.source = source;
   SCI_TRY_ASSIGN(app_type, r.u32());
   m.app_type = app_type;
   SCI_TRY_ASSIGN(hops, r.u32());

@@ -11,30 +11,20 @@ namespace {
 
 constexpr const char* kTag = "scinet";
 
-void write_guid(serde::Writer& w, Guid g) {
-  w.u64(g.hi());
-  w.u64(g.lo());
-}
-
-Expected<Guid> read_guid(serde::Reader& r) {
-  SCI_TRY_ASSIGN(hi, r.u64());
-  SCI_TRY_ASSIGN(lo, r.u64());
-  return Guid(hi, lo);
-}
-
-void write_guid_list(serde::Writer& w, const std::vector<Guid>& guids) {
+void encode_guids(serde::Writer& w, const std::vector<Guid>& guids) {
   w.varint(guids.size());
-  for (const Guid g : guids) write_guid(w, g);
+  for (const Guid g : guids) w.guid(g);
 }
 
-Expected<std::vector<Guid>> read_guid_list(serde::Reader& r) {
+Expected<std::vector<Guid>> decode_guids(serde::Reader& r) {
   SCI_TRY_ASSIGN(count, r.varint());
-  if (count * 16 > r.remaining())
+  // Divide, not multiply: a hostile count near 2^60 wraps count * 16.
+  if (count > r.remaining() / 16)
     return make_error(ErrorCode::kParseError, "guid list exceeds frame");
   std::vector<Guid> out;
   out.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
-    SCI_TRY_ASSIGN(g, read_guid(r));
+    SCI_TRY_ASSIGN(g, r.guid());
     out.push_back(g);
   }
   return out;
@@ -59,8 +49,8 @@ struct RoutedWire {
 
   [[nodiscard]] serde::BufferRef encode() const {
     serde::Writer w(payload.size() + 64);
-    write_guid(w, key);
-    write_guid(w, source);
+    w.guid(key);
+    w.guid(source);
     w.u32(app_type);
     w.u32(hops);
     w.u32(ttl);
@@ -74,9 +64,9 @@ struct RoutedWire {
   static Expected<RoutedWire> decode(const serde::BufferRef& bytes) {
     serde::Reader r(bytes);
     RoutedWire out;
-    SCI_TRY_ASSIGN(key, read_guid(r));
+    SCI_TRY_ASSIGN(key, r.guid());
     out.key = key;
-    SCI_TRY_ASSIGN(source, read_guid(r));
+    SCI_TRY_ASSIGN(source, r.guid());
     out.source = source;
     SCI_TRY_ASSIGN(app_type, r.u32());
     out.app_type = app_type;
@@ -192,7 +182,7 @@ void ScinetNode::send_join() {
   // JOIN payload: joiner id + accumulated (row, col, guid) entries; empty at
   // the first hop.
   serde::Writer w;
-  write_guid(w, id_);
+  w.guid(id_);
   w.varint(0);
   send(join_bootstrap_, kJoin, w.take_ref());
   if (join_attempts_ < kMaxJoinAttempts) {
@@ -209,7 +199,7 @@ void ScinetNode::leave() {
   // (Copy first: send() may mutate leaf_ if a neighbour has departed.)
   const std::vector<Guid> neighbours = leaf_;
   serde::Writer w;
-  write_guid_list(w, neighbours);
+  encode_guids(w, neighbours);
   const serde::BufferRef frame = w.take_ref();
   for (const Guid neighbour : neighbours) {
     send(neighbour, kLeave, frame);
@@ -416,7 +406,7 @@ void ScinetNode::on_route_receipt(const net::Message& message) {
 
 void ScinetNode::on_join(const net::Message& message) {
   serde::Reader r(message.payload);
-  auto joiner_result = read_guid(r);
+  auto joiner_result = r.guid();
   if (!joiner_result) return;
   const Guid joiner = *joiner_result;
   auto count_result = r.varint();
@@ -426,7 +416,7 @@ void ScinetNode::on_join(const net::Message& message) {
   for (std::uint64_t i = 0; i < *count_result; ++i) {
     auto row = r.u8();
     auto col = r.u8();
-    auto g = read_guid(r);
+    auto g = r.guid();
     if (!row || !col || !g) return;
     entries.emplace_back(*row, *col, *g);
   }
@@ -450,12 +440,12 @@ void ScinetNode::on_join(const net::Message& message) {
   if (!hop.is_nil() && hop != joiner) {
     // Forward the join with the grown entry list.
     serde::Writer w;
-    write_guid(w, joiner);
+    w.guid(joiner);
     w.varint(entries.size());
     for (const auto& [row, col, g] : entries) {
       w.u8(row);
       w.u8(col);
-      write_guid(w, g);
+      w.guid(g);
     }
     send(hop, kJoin, w.take_ref());
     return;
@@ -468,11 +458,11 @@ void ScinetNode::on_join(const net::Message& message) {
   for (const auto& [row, col, g] : entries) {
     w.u8(row);
     w.u8(col);
-    write_guid(w, g);
+    w.guid(g);
   }
   std::vector<Guid> leaf_plus_self = leaf_;
   leaf_plus_self.push_back(id_);
-  write_guid_list(w, leaf_plus_self);
+  encode_guids(w, leaf_plus_self);
   send(joiner, kJoinReply, w.take_ref());
   learn(joiner);
 }
@@ -485,11 +475,11 @@ void ScinetNode::on_join_reply(const net::Message& message) {
   for (std::uint64_t i = 0; i < *count_result; ++i) {
     auto row = r.u8();
     auto col = r.u8();
-    auto g = read_guid(r);
+    auto g = r.guid();
     if (!row || !col || !g) return;
     learn(*g);
   }
-  auto leaves = read_guid_list(r);
+  auto leaves = decode_guids(r);
   if (!leaves) return;
   for (const Guid g : *leaves) learn(g);
 
@@ -528,7 +518,7 @@ void ScinetNode::on_heartbeat_ack(const net::Message& message) {
 
 void ScinetNode::on_leave(const net::Message& message) {
   serde::Reader r(message.payload);
-  auto leaves = read_guid_list(r);
+  auto leaves = decode_guids(r);
   forget(message.from, /*probe=*/false);  // clean departure, nothing to probe
   if (leaves) {
     for (const Guid g : *leaves) learn(g);
@@ -538,13 +528,13 @@ void ScinetNode::on_leave(const net::Message& message) {
 void ScinetNode::on_leaf_set_request(const net::Message& message) {
   learn(message.from);
   serde::Writer w;
-  write_guid_list(w, leaf_);
+  encode_guids(w, leaf_);
   send(message.from, kLeafSetReply, w.take_ref());
 }
 
 void ScinetNode::on_failure_notice(const net::Message& message) {
   serde::Reader r(message.payload);
-  auto failed = read_guid(r);
+  auto failed = r.guid();
   if (!failed || *failed == id_) return;
   if (known_.contains(*failed)) {
     const bool was_leaf =
@@ -556,7 +546,7 @@ void ScinetNode::on_failure_notice(const net::Message& message) {
 
 void ScinetNode::on_leaf_set_reply(const net::Message& message) {
   serde::Reader r(message.payload);
-  auto leaves = read_guid_list(r);
+  auto leaves = decode_guids(r);
   if (!leaves) return;
   for (const Guid g : *leaves) learn(g);
 }
@@ -766,7 +756,7 @@ void ScinetNode::heartbeat_tick() {
     // but everyone holding the dead node in a routing table must drop it or
     // keep black-holing traffic through it.
     serde::Writer w;
-    write_guid(w, node);
+    w.guid(node);
     const serde::BufferRef frame = w.take_ref();
     const std::vector<Guid> peers(known_.begin(), known_.end());
     for (const Guid peer : peers) {

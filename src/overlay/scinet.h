@@ -137,10 +137,6 @@ class ScinetNode {
   // node) for `key` among everything it knows.
   [[nodiscard]] bool is_root_for(Guid key) const;
 
- private:
-  static constexpr unsigned kRows = Guid::kDigits;
-  static constexpr unsigned kCols = 16;
-
   // Message kinds on net::Message::type.
   enum MsgType : std::uint32_t {
     kRouted = 0x5C10,
@@ -155,6 +151,10 @@ class ScinetNode {
     kFailureNotice,
     kRouteReceipt,
   };
+
+ private:
+  static constexpr unsigned kRows = Guid::kDigits;
+  static constexpr unsigned kCols = 16;
 
   void on_message(const net::Message& message);
   void on_routed(const net::Message& message);

@@ -43,7 +43,7 @@ struct ForwardedQueryWire {
 
   [[nodiscard]] serde::BufferRef encode() const {
     serde::Writer w;
-    entity::write_guid(w, app);
+    w.guid(app);
     w.string(xml);
     return w.take_ref();
   }
@@ -51,7 +51,7 @@ struct ForwardedQueryWire {
   static Expected<ForwardedQueryWire> decode(serde::FrameView bytes) {
     serde::Reader r(bytes);
     ForwardedQueryWire out;
-    SCI_TRY_ASSIGN(app, entity::read_guid(r));
+    SCI_TRY_ASSIGN(app, r.guid());
     out.app = app;
     SCI_TRY_ASSIGN(xml, r.string());
     out.xml = std::move(xml);
@@ -168,6 +168,23 @@ reliable::ReliableConfig channel_config(const RangeConfig& config) {
 }
 
 }  // namespace
+
+void StagedOp::encode(serde::Writer& w) const {
+  w.guid(from);
+  w.varint(type);
+  write_blob(w, payload);
+}
+
+Expected<StagedOp> StagedOp::decode(serde::Reader& r) {
+  StagedOp op;
+  SCI_TRY_ASSIGN(from, r.guid());
+  op.from = from;
+  SCI_TRY_ASSIGN(type, r.varint());
+  op.type = static_cast<std::uint32_t>(type);
+  SCI_TRY_ASSIGN(payload, read_blob(r));
+  op.payload = std::move(payload);
+  return op;
+}
 
 ContextServer::ContextServer(net::Network& network, RangeConfig config,
                              RangeDirectory* directory,
@@ -406,7 +423,7 @@ void ContextServer::start_primary_duties() {
                             if (scinet_ == nullptr || !scinet_->is_ready())
                               return;
                             serde::Writer w;
-                            entity::write_guid(w, config_.range);
+                            w.guid(config_.range);
                             net::Message beacon;
                             beacon.type = kRangeBeacon;
                             beacon.from = config_.context_server;
@@ -710,7 +727,7 @@ void ContextServer::on_component_message(const net::Message& message) {
     case kRangeBeacon: {
       if (!discovering_) return;
       serde::Reader r(message.payload);
-      auto peer_range = entity::read_guid(r);
+      auto peer_range = r.guid();
       if (!peer_range || *peer_range == config_.range) return;
       discovering_ = false;
       SCI_INFO(kTag, "%s: discovered range %s via beacon — joining",
@@ -1060,32 +1077,9 @@ void ContextServer::admit_query(query::Query q, Guid app) {
   // Temporal constraints: hold the query until they are satisfied.
   if (q.when.trigger) {
     m_queries_deferred_.inc();
-    const SimTime now = network_.simulator().now();
-    const double expires_after = q.when.expires_after_seconds;
-    deferred_.push_back(DeferredQuery{std::move(q), app, now, {}});
-    if (expires_after > 0.0) {
-      const std::string query_id = deferred_.back().query.id;
-      const Guid app_copy = app;
-      // The closure may outlive a fenced/destroyed server (the simulator
-      // owns it): the alive flag makes it a no-op in that case, and the
-      // handle lets cancel_query/fence/departure retire it eagerly.
-      deferred_.back().expiry = network_.simulator().schedule(
-          Duration::from_seconds_f(expires_after),
-          [this, alive = alive_, query_id, app_copy] {
-            if (!*alive) return;
-            const auto it = std::find_if(
-                deferred_.begin(), deferred_.end(),
-                [&](const DeferredQuery& d) {
-                  return d.query.id == query_id && d.app == app_copy;
-                });
-            if (it == deferred_.end()) return;
-            deferred_.erase(it);
-            reply_result(app_copy, query_id,
-                         make_error(ErrorCode::kTimeout,
-                                    "deferred query expired unanswered"),
-                         Value());
-          });
-    }
+    deferred_.push_back(
+        DeferredQuery{std::move(q), app, network_.simulator().now(), {}});
+    arm_deferred_expiry(deferred_.back());
     return;
   }
   if (q.when.not_before_seconds) {
@@ -1093,6 +1087,33 @@ void ContextServer::admit_query(query::Query q, Guid app) {
     return;
   }
   execute_query(q, app);
+}
+
+void ContextServer::arm_deferred_expiry(DeferredQuery& deferred) {
+  const double expires_after = deferred.query.when.expires_after_seconds;
+  if (expires_after <= 0.0) return;
+  const SimTime now = network_.simulator().now();
+  const SimTime due = std::max(
+      now, deferred.stored_at + Duration::from_seconds_f(expires_after));
+  const std::string query_id = deferred.query.id;
+  const Guid app = deferred.app;
+  // The closure may outlive a fenced/destroyed server (the simulator owns
+  // it): the alive flag makes it a no-op in that case, and the handle lets
+  // cancel_query/fence/departure/snapshot restore retire it eagerly.
+  deferred.expiry = network_.simulator().schedule_at(
+      due, [this, alive = alive_, query_id, app] {
+        if (!*alive) return;
+        const auto it = std::find_if(
+            deferred_.begin(), deferred_.end(), [&](const DeferredQuery& d) {
+              return d.query.id == query_id && d.app == app;
+            });
+        if (it == deferred_.end()) return;
+        deferred_.erase(it);
+        reply_result(app, query_id,
+                     make_error(ErrorCode::kTimeout,
+                                "deferred query expired unanswered"),
+                     Value());
+      });
 }
 
 void ContextServer::schedule_not_before(const query::Query& q, Guid app) {
@@ -1973,15 +1994,14 @@ std::string ContextServer::view_key(const query::Query& q) const {
   w.u8(static_cast<std::uint8_t>(q.mode));
   w.u8(static_cast<std::uint8_t>(q.what.kind));
   w.string(q.what.entity_type);
-  entity::write_guid(w, q.what.named);
+  w.guid(q.what.named);
   w.string(q.what.type);
   w.string(q.what.unit);
   w.string(q.what.semantic);
   w.string(q.where.explicit_path ? q.where.explicit_path->to_string() : "");
   w.boolean(q.where.closest);
   const bool anchored = q.where.closest || q.where.relative_to.has_value();
-  entity::write_guid(
-      w, anchored ? q.where.relative_to.value_or(q.owner) : Guid());
+  w.guid(anchored ? q.where.relative_to.value_or(q.owner) : Guid());
   w.u8(static_cast<std::uint8_t>(q.which.policy));
   w.string(q.which.attr_key);
   w.varint(q.which.require.size());
@@ -1990,7 +2010,7 @@ std::string ContextServer::view_key(const query::Query& q) const {
     require.equals.encode(w);
   }
   w.boolean(q.which.check_access);
-  entity::write_guid(w, q.which.check_access ? q.owner : Guid());
+  w.guid(q.which.check_access ? q.owner : Guid());
   w.f64(q.which.min_confidence);
   const serde::FrameView bytes = w.view();
   return std::string(reinterpret_cast<const char*>(bytes.data()),
@@ -2122,13 +2142,10 @@ void ContextServer::broadcast_profile_mirror(Guid subject) {
   if (!sharded() || passive()) return;
   const MemberRecord* record = registrar_.find(subject);
   if (record == nullptr || record->is_app) return;  // apps stay shard-local
-  const entity::Profile* profile = profiles_.profile(subject);
+  const entity::ProfileRecord* profile = profiles_.record(subject);
   if (profile == nullptr) return;
   serde::Writer w;
   profile->encode(w);
-  const entity::Advertisement* ad = profiles_.advertisement(subject);
-  w.boolean(ad != nullptr);
-  if (ad != nullptr) ad->encode(w);
   const serde::BufferRef wire = w.take_ref();
   for (unsigned i = 0; i < config_.shard_map->size(); ++i) {
     if (i == config_.shard_index) continue;
@@ -2142,7 +2159,7 @@ void ContextServer::broadcast_profile_remove(Guid subject) {
   const MemberRecord* record = registrar_.find(subject);
   if (record == nullptr || record->is_app) return;
   serde::Writer w;
-  entity::write_guid(w, subject);
+  w.guid(subject);
   const serde::BufferRef wire = w.take_ref();
   for (unsigned i = 0; i < config_.shard_map->size(); ++i) {
     if (i == config_.shard_index) continue;
@@ -2152,20 +2169,12 @@ void ContextServer::broadcast_profile_remove(Guid subject) {
 
 void ContextServer::ingest_shard_profile(serde::FrameView payload) {
   serde::Reader r(payload);
-  auto profile = entity::Profile::decode(r);
-  if (!profile) return;
-  auto has_ad = r.boolean();
-  if (!has_ad) return;
-  std::optional<entity::Advertisement> ad;
-  if (*has_ad) {
-    auto decoded = entity::Advertisement::decode(r);
-    if (!decoded) return;
-    ad = std::move(*decoded);
-  }
-  profiles_.put(*profile, std::move(ad));
+  auto record = entity::ProfileRecord::decode(r);
+  if (!record) return;
+  profiles_.put(record->profile, std::move(record->advertisement));
   // Mirror-record ingestion feeds the same invalidation path as a local
   // profile change: a sibling shard's entity is a composition source here.
-  invalidate_views_matching(*profile);
+  invalidate_views_matching(record->profile);
 }
 
 void ContextServer::handle_shard_profile(const net::Message& message) {
@@ -2180,7 +2189,7 @@ void ContextServer::handle_shard_profile(const net::Message& message) {
 
 void ContextServer::handle_shard_profile_remove(const net::Message& message) {
   serde::Reader r(message.payload);
-  auto subject = entity::read_guid(r);
+  auto subject = r.guid();
   if (!subject) return;
   log_record(replicate::RecordKind::kShardDrop, *subject, 0, {});
   ingest_shard_drop(*subject);
@@ -2199,35 +2208,11 @@ void ContextServer::ingest_shard_drop(Guid subject) {
 void ContextServer::ingest_shard_subscribe(serde::FrameView payload,
                                            bool own_id_space) {
   serde::Reader r(payload);
-  event::Subscription s;
-  auto id = r.varint();
-  if (!id) return;
-  s.id = *id;
-  auto subscriber = entity::read_guid(r);
-  if (!subscriber) return;
-  s.subscriber = *subscriber;
-  auto has_producer = r.boolean();
-  if (!has_producer) return;
-  if (*has_producer) {
-    auto producer = entity::read_guid(r);
-    if (!producer) return;
-    s.producer = *producer;
-  }
-  auto event_type = r.string();
-  if (!event_type) return;
-  s.event_type = std::move(*event_type);
-  auto filter = event::EventFilter::decode(r);
-  if (!filter) return;
-  s.filter = std::move(*filter);
-  auto one_time = r.boolean();
-  if (!one_time) return;
-  s.one_time = *one_time;
-  auto owner_tag = r.varint();
-  if (!owner_tag) return;
-  s.owner_tag = *owner_tag;
   // Mirrors are torn down explicitly by their home shard (unsubscribe or
-  // subscriber departure), never by the local lease reaper.
-  s.expires_at = SimTime::infinity();
+  // subscriber departure), never by the local lease reaper: decode leaves
+  // expires_at at infinity.
+  auto s = event::Subscription::decode(r);
+  if (!s) return;
   // The mirrored id lives in its home shard's id space. restore() bumps the
   // mint counter past any id it sees; letting a sibling's (higher) id space
   // leak into this shard's counter would make later local mints collide
@@ -2235,8 +2220,8 @@ void ContextServer::ingest_shard_subscribe(serde::FrameView payload,
   // would silently replace the earlier live subscription.
   auto& table = mediator_.mutable_table();
   const event::SubscriptionId next = table.next_id();
-  const event::SubscriptionId sub = s.id;
-  table.restore(std::move(s));  // bumps the mint counter past the id
+  const event::SubscriptionId sub = s->id;
+  table.restore(std::move(*s));  // bumps the mint counter past the id
   if (!own_id_space) {
     table.set_next_id(next);
     return;
@@ -2273,14 +2258,7 @@ event::SubscriptionId ContextServer::subscribe_pattern(
   // through the same kShardSubscribe path as sibling mirrors but lets the
   // id advance its mint counter, so post-promotion mints cannot collide.
   serde::Writer w;
-  w.varint(s->id);
-  entity::write_guid(w, s->subscriber);
-  w.boolean(s->producer.has_value());
-  if (s->producer) entity::write_guid(w, *s->producer);
-  w.string(s->event_type);
-  s->filter.encode(w);
-  w.boolean(s->one_time);
-  w.varint(s->owner_tag);
+  s->encode(w);
   log_record(replicate::RecordKind::kShardSubscribe, subscriber, 1,
              w.take_ref());
   mirror_subscription_if_remote(id);
@@ -2304,14 +2282,7 @@ void ContextServer::mirror_subscription_if_remote(event::SubscriptionId id) {
   const unsigned owner = shard_of(*s->producer);
   if (owner == config_.shard_index) return;
   serde::Writer w;
-  w.varint(s->id);
-  entity::write_guid(w, s->subscriber);
-  w.boolean(true);
-  entity::write_guid(w, *s->producer);
-  w.string(s->event_type);
-  s->filter.encode(w);
-  w.boolean(s->one_time);
-  w.varint(s->owner_tag);
+  s->encode(w);
   const Guid remote = shard_node(owner);
   const Guid producer = *s->producer;
   // Move, not copy: the producer's publishes land on its owner shard, so a
@@ -2336,13 +2307,7 @@ void ContextServer::mirror_wildcard_subscription(const event::Subscription& s) {
   // surviving sibling copies would keep delivering.
   if (s.one_time) return;
   serde::Writer w;
-  w.varint(s.id);
-  entity::write_guid(w, s.subscriber);
-  w.boolean(false);  // no named producer — stays a wildcard remotely
-  w.string(s.event_type);
-  s.filter.encode(w);
-  w.boolean(s.one_time);
-  w.varint(s.owner_tag);
+  s.encode(w);  // no named producer — stays a wildcard remotely
   // producer == Guid() marks the mirror as broadcast: teardown fans out to
   // every sibling instead of one owner node, and handoff re-pointing skips
   // it (every shard already holds a copy, wherever the vnode lands).
@@ -2573,25 +2538,17 @@ void ContextServer::ship_handoff_state() {
   // producer-keyed subscriptions, publish-dedup windows.
   std::vector<serde::BufferRef> records;
   for (const Guid subject : subjects_in_vnode(vnode)) {
-    const MemberRecord* member = registrar_.find(subject);
     {
       serde::Writer w;
       w.u8(kStateMember);
-      entity::write_guid(w, subject);
-      w.boolean(member->is_app);
-      w.svarint(member->registered_at.micros());
-      w.svarint(member->last_seen.micros());
-      w.varint(member->missed_pings);
+      registrar_.find(subject)->encode(w);
       records.push_back(w.take_ref());
     }
-    if (const entity::Profile* profile = profiles_.profile(subject);
+    if (const entity::ProfileRecord* profile = profiles_.record(subject);
         profile != nullptr) {
       serde::Writer w;
       w.u8(kStateProfile);
       profile->encode(w);
-      const entity::Advertisement* ad = profiles_.advertisement(subject);
-      w.boolean(ad != nullptr);
-      if (ad != nullptr) ad->encode(w);
       records.push_back(w.take_ref());
     }
     for (const std::string& type : context_store_.types_for(subject)) {
@@ -2610,30 +2567,17 @@ void ContextServer::ship_handoff_state() {
         dedup != publish_seen_.end()) {
       serde::Writer w;
       w.u8(kStateDedup);
-      entity::write_guid(w, subject);
-      w.varint(dedup->second.floor);
-      std::vector<std::uint64_t> above(dedup->second.above.begin(),
-                                       dedup->second.above.end());
-      std::sort(above.begin(), above.end());
-      w.varint(above.size());
-      for (const std::uint64_t seq : above) w.varint(seq);
+      w.guid(subject);
+      dedup->second.encode(w);
       records.push_back(w.take_ref());
     }
   }
-  // Producer-keyed subscriptions on the moving slice (wire-compatible with
-  // kShardSubscribe, so the target installs them through the same path).
+  // Producer-keyed subscriptions on the moving slice.
   for (const event::Subscription& s : mediator_.table().all()) {
     if (!s.producer || map_.vnode_of(*s.producer) != vnode) continue;
     serde::Writer w;
     w.u8(kStateSub);
-    w.varint(s.id);
-    entity::write_guid(w, s.subscriber);
-    w.boolean(true);
-    entity::write_guid(w, *s.producer);
-    w.string(s.event_type);
-    s.filter.encode(w);
-    w.boolean(s.one_time);
-    w.varint(s.owner_tag);
+    s.encode(w);
     records.push_back(w.take_ref());
   }
 
@@ -2874,11 +2818,9 @@ void ContextServer::complete_outgoing_handoff() {
   const Guid target_node = shard_node(handoff.target);
   if (!passive()) {
     // Ops parked during the freeze replay on the new owner in arrival order.
-    for (StagedOp& op : handoff.staged) {
+    for (const StagedOp& op : handoff.staged) {
       serde::Writer w;
-      entity::write_guid(w, op.from);
-      w.varint(op.type);
-      write_blob(w, op.payload);
+      op.encode(w);
       channel_.send(target_node, kHandoffReplay, w.take_ref());
     }
     // Fire-and-forget re-point: moved components learn their new owner now
@@ -2924,7 +2866,7 @@ void ContextServer::abort_outgoing_handoff(const char* why) {
   // Unpark the staged ops through the normal admission path: this shard
   // still owns the vnode, and each op re-logs as its own record (which is
   // how standbys converge — their kHandoffAbort apply only drops the queue).
-  reingest_staged(std::move(handoff.staged));
+  for (StagedOp& op : handoff.staged) reingest_staged(std::move(op));
 }
 
 void ContextServer::handle_handoff_commit(const net::Message& message) {
@@ -2960,20 +2902,13 @@ void ContextServer::handle_handoff_abort(const net::Message& message) {
 
 void ContextServer::handle_handoff_replay(const net::Message& message) {
   serde::Reader r(message.payload);
-  const auto from = entity::read_guid(r);
-  if (!from) return;
-  const auto type = r.varint();
-  if (!type) return;
-  auto blob = read_blob(r);
-  if (!blob) return;
+  auto op = StagedOp::decode(r);
+  if (!op) return;
   // Only the op types the freeze window stages are replayable.
-  if (*type != entity::kPublish && *type != entity::kProfileUpdate) return;
-  net::Message synthetic;
-  synthetic.type = static_cast<std::uint32_t>(*type);
-  synthetic.from = *from;
-  synthetic.to = attached_as_;
-  synthetic.payload = std::move(*blob);
-  on_component_message(synthetic);
+  if (op->type != entity::kPublish && op->type != entity::kProfileUpdate) {
+    return;
+  }
+  reingest_staged(std::move(*op));
 }
 
 bool ContextServer::bounce_stale_frame(const net::Message& message) {
@@ -2986,9 +2921,7 @@ bool ContextServer::bounce_stale_frame(const net::Message& message) {
   // which preserves the true originator — so nothing is lost in the
   // shed-to-redirect window, and re-point the sender.
   serde::Writer w;
-  entity::write_guid(w, message.from);
-  w.varint(message.type);
-  write_blob(w, message.payload);
+  StagedOp{message.from, message.type, message.payload}.encode(w);
   const Guid owner_node = shard_node(owner);
   channel_.send(owner_node, kHandoffReplay, w.take_ref());
   const entity::RedirectBody redirect{owner_node, owner_node};
@@ -3042,27 +2975,11 @@ void ContextServer::install_incoming_handoff() {
     switch (category) {
       case kStateMember: {
         serde::Reader r(rest);
-        MemberRecord member;
-        const auto id = entity::read_guid(r);
-        if (!id) break;
-        member.entity = *id;
-        const auto is_app = r.boolean();
-        if (!is_app) break;
-        member.is_app = *is_app;
-        const auto registered_at = r.svarint();
-        if (!registered_at) break;
-        member.registered_at = SimTime::from_micros(*registered_at);
-        const auto last_seen = r.svarint();
-        if (!last_seen) break;
-        member.last_seen = SimTime::from_micros(*last_seen);
-        const auto missed = r.varint();
-        if (!missed) break;
-        member.missed_pings = static_cast<unsigned>(*missed);
-        registrar_.restore(member);
+        if (auto member = MemberRecord::decode(r)) registrar_.restore(*member);
         break;
       }
       case kStateProfile:
-        ingest_shard_profile(rest);  // same wire shape as kShardProfile
+        ingest_shard_profile(rest);
         break;
       case kStateEvent: {
         serde::Reader r(rest);
@@ -3072,28 +2989,15 @@ void ContextServer::install_incoming_handoff() {
         break;
       }
       case kStateSub:
-        ingest_shard_subscribe(rest);  // same wire shape as kShardSubscribe
+        ingest_shard_subscribe(rest);
         break;
       case kStateDedup: {
         serde::Reader r(rest);
-        const auto source = entity::read_guid(r);
+        const auto source = r.guid();
         if (!source) break;
-        reliable::SeqDedup dedup;
-        const auto floor = r.varint();
-        if (!floor) break;
-        dedup.floor = *floor;
-        const auto n_above = r.varint();
-        if (!n_above) break;
-        bool ok = true;
-        for (std::uint64_t j = 0; j < *n_above; ++j) {
-          const auto seq = r.varint();
-          if (!seq) {
-            ok = false;
-            break;
-          }
-          dedup.above.insert(*seq);
+        if (auto dedup = reliable::SeqDedup::decode(r)) {
+          publish_seen_[*source] = std::move(*dedup);
         }
-        if (ok) publish_seen_[*source] = std::move(dedup);
         break;
       }
       default:
@@ -3174,15 +3078,13 @@ void ContextServer::resolve_recovered_handoff() {
   }
 }
 
-void ContextServer::reingest_staged(std::vector<StagedOp> staged) {
-  for (StagedOp& op : staged) {
-    net::Message synthetic;
-    synthetic.type = op.type;
-    synthetic.from = op.from;
-    synthetic.to = attached_as_;
-    synthetic.payload = std::move(op.payload);
-    on_component_message(synthetic);
-  }
+void ContextServer::reingest_staged(StagedOp op) {
+  net::Message synthetic;
+  synthetic.type = op.type;
+  synthetic.from = op.from;
+  synthetic.to = attached_as_;
+  synthetic.payload = std::move(op.payload);
+  on_component_message(synthetic);
 }
 
 // ---------------------------------------------------------------------------
@@ -3540,24 +3442,14 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
   // Registrar membership (GUID order — deterministic).
   const auto members = registrar_.members();
   w.varint(members.size());
-  for (const Guid id : members) {
-    const MemberRecord* record = registrar_.find(id);
-    entity::write_guid(w, id);
-    w.boolean(record->is_app);
-    w.svarint(record->registered_at.micros());
-    w.svarint(record->last_seen.micros());
-    w.varint(record->missed_pings);
-  }
+  for (const Guid id : members) registrar_.find(id)->encode(w);
 
-  // Profiles + advertisements. Hash-map order is fine: restore goes through
-  // put(), which is order-independent.
+  // Profiles + advertisements (GUID order; restore goes through put(),
+  // which is order-independent).
   const auto profiles = profiles_.snapshot();
   w.varint(profiles.size());
   for (const entity::Profile& profile : profiles) {
-    profile.encode(w);
-    const entity::Advertisement* ad = profiles_.advertisement(profile.entity);
-    w.boolean(ad != nullptr);
-    if (ad != nullptr) ad->encode(w);
+    profiles_.record(profile.entity)->encode(w);
   }
 
   // Subscription table, verbatim: components and configurations hold the
@@ -3567,15 +3459,8 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
   const auto subscriptions = table.all();
   w.varint(subscriptions.size());
   for (const event::Subscription& s : subscriptions) {
-    w.varint(s.id);
-    entity::write_guid(w, s.subscriber);
-    w.boolean(s.producer.has_value());
-    if (s.producer) entity::write_guid(w, *s.producer);
-    w.string(s.event_type);
-    s.filter.encode(w);
-    w.boolean(s.one_time);
+    s.encode(w);
     w.varint(s.delivered);
-    w.varint(s.owner_tag);
     w.svarint(s.expires_at.micros());
   }
 
@@ -3590,26 +3475,8 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
   w.varint(tags.size());
   for (const std::uint64_t tag : tags) {
     const compose::ActiveConfiguration* active = store_.find(tag);
-    const compose::ConfigurationPlan& plan = active->plan;
-    w.varint(plan.tag);
-    entity::write_guid(w, plan.sink);
-    w.string(plan.sink_type);
-    w.varint(plan.entities.size());
-    for (const Guid e : plan.entities) entity::write_guid(w, e);
-    w.varint(plan.edges.size());
-    for (const compose::PlanEdge& edge : plan.edges) {
-      entity::write_guid(w, edge.producer);
-      entity::write_guid(w, edge.consumer);
-      w.string(edge.event_type);
-      edge.filter.encode(w);
-    }
-    w.varint(plan.params.size());
-    for (const auto& [entity_id, params] : plan.params) {
-      entity::write_guid(w, entity_id);
-      params.encode(w);
-    }
-    w.varint(plan.depth_);
-    entity::write_guid(w, active->app);
+    active->plan.encode(w);
+    w.guid(active->app);
     w.string(active->query_id);
     w.boolean(active->one_time);
   }
@@ -3624,7 +3491,7 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
     const TrackedQuery& tracked = tracked_.at(tag);
     w.varint(tag);
     w.string(tracked.query.to_xml());
-    entity::write_guid(w, tracked.app);
+    w.guid(tracked.app);
     w.boolean(tracked.one_time);
   }
 
@@ -3653,7 +3520,7 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
     w.varint(list->size());
     for (const DeferredQuery& d : *list) {
       w.string(d.query.to_xml());
-      entity::write_guid(w, d.app);
+      w.guid(d.app);
       w.svarint(d.stored_at.micros());
     }
   }
@@ -3665,13 +3532,8 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
   std::sort(sources.begin(), sources.end());
   w.varint(sources.size());
   for (const Guid source : sources) {
-    const reliable::SeqDedup& dedup = publish_seen_.at(source);
-    entity::write_guid(w, source);
-    w.varint(dedup.floor);
-    std::vector<std::uint64_t> above(dedup.above.begin(), dedup.above.end());
-    std::sort(above.begin(), above.end());
-    w.varint(above.size());
-    for (const std::uint64_t seq : above) w.varint(seq);
+    w.guid(source);
+    publish_seen_.at(source).encode(w);
   }
 
   // Recent-event redelivery window.
@@ -3682,9 +3544,9 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
   w.varint(mirrored_subs_.size());
   for (const auto& [id, mirror] : mirrored_subs_) {
     w.varint(id);
-    entity::write_guid(w, mirror.remote_node);
-    entity::write_guid(w, mirror.subscriber);
-    entity::write_guid(w, mirror.producer);
+    w.guid(mirror.remote_node);
+    w.guid(mirror.subscriber);
+    w.guid(mirror.producer);
   }
 
   // Vnode ownership map + any in-flight handoff (docs/SHARDING.md): a
@@ -3704,11 +3566,7 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
     w.boolean(outgoing_handoff_->ready);
     w.boolean(outgoing_handoff_->committed);
     w.varint(outgoing_handoff_->staged.size());
-    for (const StagedOp& op : outgoing_handoff_->staged) {
-      entity::write_guid(w, op.from);
-      w.varint(op.type);
-      write_blob(w, op.payload);
-    }
+    for (const StagedOp& op : outgoing_handoff_->staged) op.encode(w);
   }
   w.boolean(incoming_handoff_.has_value());
   if (incoming_handoff_) {
@@ -3744,6 +3602,7 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
   tracked_.clear();
   app_edges_.clear();
   edge_subscriptions_.clear();
+  for (DeferredQuery& d : deferred_) network_.simulator().cancel(d.expiry);
   deferred_.clear();
   pending_.clear();
   publish_seen_.clear();
@@ -3762,55 +3621,22 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
 
     SCI_TRY_ASSIGN(n_members, r.varint());
     for (std::uint64_t i = 0; i < n_members; ++i) {
-      MemberRecord record;
-      SCI_TRY_ASSIGN(id, entity::read_guid(r));
-      record.entity = id;
-      SCI_TRY_ASSIGN(is_app, r.boolean());
-      record.is_app = is_app;
-      SCI_TRY_ASSIGN(registered_at, r.svarint());
-      record.registered_at = SimTime::from_micros(registered_at);
-      SCI_TRY_ASSIGN(last_seen, r.svarint());
-      record.last_seen = SimTime::from_micros(last_seen);
-      SCI_TRY_ASSIGN(missed, r.varint());
-      record.missed_pings = static_cast<unsigned>(missed);
+      SCI_TRY_ASSIGN(record, MemberRecord::decode(r));
       registrar_.restore(record);
     }
 
     SCI_TRY_ASSIGN(n_profiles, r.varint());
     for (std::uint64_t i = 0; i < n_profiles; ++i) {
-      SCI_TRY_ASSIGN(profile, entity::Profile::decode(r));
-      SCI_TRY_ASSIGN(has_ad, r.boolean());
-      std::optional<entity::Advertisement> ad;
-      if (has_ad) {
-        SCI_TRY_ASSIGN(decoded, entity::Advertisement::decode(r));
-        ad = std::move(decoded);
-      }
-      profiles_.put(profile, std::move(ad));
+      SCI_TRY_ASSIGN(record, entity::ProfileRecord::decode(r));
+      profiles_.put(record.profile, std::move(record.advertisement));
     }
 
     SCI_TRY_ASSIGN(next_sub_id, r.varint());
     SCI_TRY_ASSIGN(n_subs, r.varint());
     for (std::uint64_t i = 0; i < n_subs; ++i) {
-      event::Subscription s;
-      SCI_TRY_ASSIGN(id, r.varint());
-      s.id = id;
-      SCI_TRY_ASSIGN(subscriber, entity::read_guid(r));
-      s.subscriber = subscriber;
-      SCI_TRY_ASSIGN(has_producer, r.boolean());
-      if (has_producer) {
-        SCI_TRY_ASSIGN(producer, entity::read_guid(r));
-        s.producer = producer;
-      }
-      SCI_TRY_ASSIGN(event_type, r.string());
-      s.event_type = std::move(event_type);
-      SCI_TRY_ASSIGN(filter, event::EventFilter::decode(r));
-      s.filter = std::move(filter);
-      SCI_TRY_ASSIGN(one_time, r.boolean());
-      s.one_time = one_time;
+      SCI_TRY_ASSIGN(s, event::Subscription::decode(r));
       SCI_TRY_ASSIGN(delivered, r.varint());
       s.delivered = delivered;
-      SCI_TRY_ASSIGN(owner_tag, r.varint());
-      s.owner_tag = owner_tag;
       SCI_TRY_ASSIGN(expires_at, r.svarint());
       s.expires_at = SimTime::from_micros(expires_at);
       mediator_.mutable_table().restore(std::move(s));
@@ -3825,42 +3651,10 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
 
     SCI_TRY_ASSIGN(n_configs, r.varint());
     for (std::uint64_t i = 0; i < n_configs; ++i) {
-      compose::ConfigurationPlan plan;
-      SCI_TRY_ASSIGN(tag, r.varint());
-      plan.tag = tag;
-      SCI_TRY_ASSIGN(sink, entity::read_guid(r));
-      plan.sink = sink;
-      SCI_TRY_ASSIGN(sink_type, r.string());
-      plan.sink_type = std::move(sink_type);
-      SCI_TRY_ASSIGN(n_entities, r.varint());
-      for (std::uint64_t j = 0; j < n_entities; ++j) {
-        SCI_TRY_ASSIGN(e, entity::read_guid(r));
-        plan.entities.push_back(e);
-      }
-      SCI_TRY_ASSIGN(n_edges, r.varint());
-      for (std::uint64_t j = 0; j < n_edges; ++j) {
-        compose::PlanEdge edge;
-        SCI_TRY_ASSIGN(producer, entity::read_guid(r));
-        edge.producer = producer;
-        SCI_TRY_ASSIGN(consumer, entity::read_guid(r));
-        edge.consumer = consumer;
-        SCI_TRY_ASSIGN(edge_type, r.string());
-        edge.event_type = std::move(edge_type);
-        SCI_TRY_ASSIGN(filter, event::EventFilter::decode(r));
-        edge.filter = std::move(filter);
-        plan.edges.push_back(std::move(edge));
-      }
-      SCI_TRY_ASSIGN(n_params, r.varint());
-      for (std::uint64_t j = 0; j < n_params; ++j) {
-        SCI_TRY_ASSIGN(entity_id, entity::read_guid(r));
-        SCI_TRY_ASSIGN(v, Value::decode(r));
-        plan.params.emplace(entity_id, std::move(v));
-      }
-      SCI_TRY_ASSIGN(depth, r.varint());
-      plan.depth_ = static_cast<std::size_t>(depth);
+      SCI_TRY_ASSIGN(plan, compose::ConfigurationPlan::decode(r));
       compose::ActiveConfiguration active;
       active.plan = std::move(plan);
-      SCI_TRY_ASSIGN(app, entity::read_guid(r));
+      SCI_TRY_ASSIGN(app, r.guid());
       active.app = app;
       SCI_TRY_ASSIGN(query_id, r.string());
       active.query_id = std::move(query_id);
@@ -3875,7 +3669,7 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
     for (std::uint64_t i = 0; i < n_tracked; ++i) {
       SCI_TRY_ASSIGN(tag, r.varint());
       SCI_TRY_ASSIGN(xml, r.string());
-      SCI_TRY_ASSIGN(app, entity::read_guid(r));
+      SCI_TRY_ASSIGN(app, r.guid());
       SCI_TRY_ASSIGN(one_time, r.boolean());
       auto parsed = query::Query::parse(xml);
       if (!parsed) return parsed.error();
@@ -3899,26 +3693,20 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
       SCI_TRY_ASSIGN(n, r.varint());
       for (std::uint64_t i = 0; i < n; ++i) {
         SCI_TRY_ASSIGN(xml, r.string());
-        SCI_TRY_ASSIGN(app, entity::read_guid(r));
+        SCI_TRY_ASSIGN(app, r.guid());
         SCI_TRY_ASSIGN(stored_at, r.svarint());
         auto parsed = query::Query::parse(xml);
         if (!parsed) return parsed.error();
         list->push_back(DeferredQuery{std::move(*parsed), app,
                                       SimTime::from_micros(stored_at), {}});
+        if (list == &deferred_) arm_deferred_expiry(deferred_.back());
       }
     }
 
     SCI_TRY_ASSIGN(n_sources, r.varint());
     for (std::uint64_t i = 0; i < n_sources; ++i) {
-      SCI_TRY_ASSIGN(source, entity::read_guid(r));
-      reliable::SeqDedup dedup;
-      SCI_TRY_ASSIGN(floor, r.varint());
-      dedup.floor = floor;
-      SCI_TRY_ASSIGN(n_above, r.varint());
-      for (std::uint64_t j = 0; j < n_above; ++j) {
-        SCI_TRY_ASSIGN(seq, r.varint());
-        dedup.above.insert(seq);
-      }
+      SCI_TRY_ASSIGN(source, r.guid());
+      SCI_TRY_ASSIGN(dedup, reliable::SeqDedup::decode(r));
       publish_seen_[source] = std::move(dedup);
     }
 
@@ -3931,9 +3719,9 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
     SCI_TRY_ASSIGN(n_mirrored, r.varint());
     for (std::uint64_t i = 0; i < n_mirrored; ++i) {
       SCI_TRY_ASSIGN(id, r.varint());
-      SCI_TRY_ASSIGN(remote, entity::read_guid(r));
-      SCI_TRY_ASSIGN(subscriber, entity::read_guid(r));
-      SCI_TRY_ASSIGN(producer, entity::read_guid(r));
+      SCI_TRY_ASSIGN(remote, r.guid());
+      SCI_TRY_ASSIGN(subscriber, r.guid());
+      SCI_TRY_ASSIGN(producer, r.guid());
       mirrored_subs_[id] = MirroredSub{remote, subscriber, producer};
     }
 
@@ -3963,13 +3751,7 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
       handoff.committed = committed;
       SCI_TRY_ASSIGN(n_staged, r.varint());
       for (std::uint64_t i = 0; i < n_staged; ++i) {
-        StagedOp op;
-        SCI_TRY_ASSIGN(from, entity::read_guid(r));
-        op.from = from;
-        SCI_TRY_ASSIGN(type, r.varint());
-        op.type = static_cast<std::uint32_t>(type);
-        SCI_TRY_ASSIGN(payload, read_blob(r));
-        op.payload = std::move(payload);
+        SCI_TRY_ASSIGN(op, StagedOp::decode(r));
         handoff.staged.push_back(std::move(op));
       }
       next_handoff_seq_ = std::max<std::uint64_t>(

@@ -213,6 +213,18 @@ struct RangeConfig : RangeOptions {
   std::string store_name;
 };
 
+// A component op parked while its subject's vnode is frozen mid-handoff.
+// The wire form (originator, message type, length-prefixed payload) is the
+// kHandoffReplay frame and the snapshot's staged-op entry.
+struct StagedOp {
+  Guid from;
+  std::uint32_t type = 0;
+  serde::BufferRef payload;
+
+  void encode(serde::Writer& w) const;
+  static Expected<StagedOp> decode(serde::Reader& r);
+};
+
 class ContextServer {
  public:
   // `directory` is the shared range-naming fabric; `semantics` the shared
@@ -593,12 +605,6 @@ class ContextServer {
   void handle_shard_batch(const net::Message& message);
 
   // --- resharding internals (docs/SHARDING.md) -----------------------------
-  // An op parked while its subject's vnode is frozen mid-handoff.
-  struct StagedOp {
-    Guid from;
-    std::uint32_t type = 0;
-    serde::BufferRef payload;
-  };
   void handle_handoff_freeze(const net::Message& message);
   void handle_handoff_state(const net::Message& message);
   void handle_handoff_ready(const net::Message& message);
@@ -644,7 +650,8 @@ class ContextServer {
   // Runs the probe hook, then reports whether this node is still alive (a
   // probe may have crashed it — the protocol stops exactly there).
   bool handoff_probe_step(const char* step);
-  void reingest_staged(std::vector<StagedOp> staged);
+  // Feeds one staged or replayed op through the normal admission path.
+  void reingest_staged(StagedOp op);
   [[nodiscard]] std::vector<Guid> subjects_in_vnode(unsigned vnode) const;
 
   // --- materialized views (docs/VIEWS.md) ----------------------------------
@@ -739,6 +746,9 @@ class ContextServer {
     // server is fenced/destroyed (the closure would otherwise outlive us).
     sim::TimerHandle expiry;
   };
+  // Schedules the kTimeout reply at stored_at + expires_after (now, if that
+  // has passed); a no-op for queries without an expiry.
+  void arm_deferred_expiry(DeferredQuery& deferred);
   std::vector<DeferredQuery> deferred_;
   // Subscription queries that could not be resolved yet (waiting for
   // sources to arrive).

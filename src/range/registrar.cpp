@@ -4,6 +4,29 @@
 
 namespace sci::range {
 
+void MemberRecord::encode(serde::Writer& w) const {
+  w.guid(entity);
+  w.boolean(is_app);
+  w.svarint(registered_at.micros());
+  w.svarint(last_seen.micros());
+  w.varint(missed_pings);
+}
+
+Expected<MemberRecord> MemberRecord::decode(serde::Reader& r) {
+  MemberRecord record;
+  SCI_TRY_ASSIGN(entity, r.guid());
+  record.entity = entity;
+  SCI_TRY_ASSIGN(is_app, r.boolean());
+  record.is_app = is_app;
+  SCI_TRY_ASSIGN(registered_at, r.svarint());
+  record.registered_at = SimTime::from_micros(registered_at);
+  SCI_TRY_ASSIGN(last_seen, r.svarint());
+  record.last_seen = SimTime::from_micros(last_seen);
+  SCI_TRY_ASSIGN(missed, r.varint());
+  record.missed_pings = static_cast<unsigned>(missed);
+  return record;
+}
+
 Status Registrar::add(Guid entity, bool is_app, SimTime now) {
   if (entity.is_nil())
     return make_error(ErrorCode::kInvalidArgument, "nil entity guid");
@@ -80,7 +103,8 @@ std::vector<Guid> Registrar::applications() const {
 
 void ProfileManager::put(const entity::Profile& profile,
                          std::optional<entity::Advertisement> advertisement) {
-  profiles_[profile.entity] = Entry{profile, std::move(advertisement)};
+  profiles_[profile.entity] =
+      entity::ProfileRecord{profile, std::move(advertisement)};
   ++updates_;
 }
 
@@ -123,6 +147,11 @@ const entity::Advertisement* ProfileManager::advertisement(Guid entity) const {
   const auto it = profiles_.find(entity);
   if (it == profiles_.end() || !it->second.advertisement) return nullptr;
   return &*it->second.advertisement;
+}
+
+const entity::ProfileRecord* ProfileManager::record(Guid entity) const {
+  const auto it = profiles_.find(entity);
+  return it == profiles_.end() ? nullptr : &it->second;
 }
 
 std::vector<entity::Profile> ProfileManager::snapshot() const {

@@ -19,6 +19,7 @@
 #include "common/guid.h"
 #include "common/time.h"
 #include "entity/profile.h"
+#include "serde/buffer.h"
 
 namespace sci::range {
 
@@ -28,6 +29,10 @@ struct MemberRecord {
   SimTime registered_at;
   SimTime last_seen;     // refreshed by pings/publishes
   unsigned missed_pings = 0;
+
+  // Snapshot and vnode-handoff wire form.
+  void encode(serde::Writer& w) const;
+  static Expected<MemberRecord> decode(serde::Reader& r);
 };
 
 class Registrar {
@@ -70,6 +75,7 @@ class ProfileManager {
 
   [[nodiscard]] const entity::Profile* profile(Guid entity) const;
   [[nodiscard]] const entity::Advertisement* advertisement(Guid entity) const;
+  [[nodiscard]] const entity::ProfileRecord* record(Guid entity) const;
 
   // Snapshot of all profiles (optionally restricted to the given ids) —
   // what the resolver composes over.
@@ -82,11 +88,7 @@ class ProfileManager {
   void clear() { profiles_.clear(); }
 
  private:
-  struct Entry {
-    entity::Profile profile;
-    std::optional<entity::Advertisement> advertisement;
-  };
-  std::unordered_map<Guid, Entry> profiles_;
+  std::unordered_map<Guid, entity::ProfileRecord> profiles_;
   std::uint64_t updates_ = 0;
 };
 

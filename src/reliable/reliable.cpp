@@ -92,6 +92,26 @@ bool SeqDedup::accept(std::uint64_t seq) {
   return true;
 }
 
+void SeqDedup::encode(serde::Writer& w) const {
+  w.varint(floor);
+  std::vector<std::uint64_t> sorted(above.begin(), above.end());
+  std::sort(sorted.begin(), sorted.end());
+  w.varint(sorted.size());
+  for (const std::uint64_t seq : sorted) w.varint(seq);
+}
+
+Expected<SeqDedup> SeqDedup::decode(serde::Reader& r) {
+  SeqDedup dedup;
+  SCI_TRY_ASSIGN(floor, r.varint());
+  dedup.floor = floor;
+  SCI_TRY_ASSIGN(n_above, r.varint());
+  for (std::uint64_t i = 0; i < n_above; ++i) {
+    SCI_TRY_ASSIGN(seq, r.varint());
+    dedup.above.insert(seq);
+  }
+  return dedup;
+}
+
 void DeadLetterQueue::park(DeadLetter letter) {
   if (capacity_ == 0) return;
   while (letters_.size() >= capacity_) {

@@ -109,6 +109,11 @@ struct SeqDedup {
     floor = 0;
     above.clear();
   }
+
+  // Snapshot and vnode-handoff wire form: the floor, then `above` sorted so
+  // equal windows encode to equal bytes.
+  void encode(serde::Writer& w) const;
+  static Expected<SeqDedup> decode(serde::Reader& r);
 };
 
 // Why a frame ended up in the dead-letter queue.

@@ -198,11 +198,9 @@ void ElectionAgent::on_heartbeat(serde::FrameView payload) {
   std::vector<Guid> fresh;
   fresh.reserve(static_cast<std::size_t>(*count));
   for (std::uint64_t i = 0; i < *count; ++i) {
-    const auto hi = r.u64();
-    if (!hi) return;
-    const auto lo = r.u64();
-    if (!lo) return;
-    fresh.emplace_back(*hi, *lo);
+    const auto member = r.guid();
+    if (!member) return;
+    fresh.push_back(*member);
   }
   view_ = std::move(fresh);
 }

@@ -18,17 +18,6 @@ constexpr std::size_t kMaxBatch = 64;
 // Periodic snapshot cadence (compacts the retained tail).
 constexpr Duration kSnapshotInterval = Duration::seconds(10);
 
-void write_guid(serde::Writer& w, Guid g) {
-  w.u64(g.hi());
-  w.u64(g.lo());
-}
-
-Expected<Guid> read_guid(serde::Reader& r) {
-  SCI_TRY_ASSIGN(hi, r.u64());
-  SCI_TRY_ASSIGN(lo, r.u64());
-  return Guid(hi, lo);
-}
-
 }  // namespace
 
 const char* to_string(RecordKind kind) {
@@ -77,7 +66,7 @@ serde::BufferRef LogRecord::encode() const {
   serde::Writer w(payload.size() + 48);
   w.varint(index);
   w.u8(static_cast<std::uint8_t>(kind));
-  write_guid(w, subject);
+  w.guid(subject);
   w.varint(flag);
   w.varint(payload.size());
   w.raw(payload.data(), payload.size());
@@ -91,7 +80,7 @@ Expected<LogRecord> LogRecord::decode(const serde::BufferRef& bytes) {
   out.index = index;
   SCI_TRY_ASSIGN(kind, r.u8());
   out.kind = static_cast<RecordKind>(kind);
-  SCI_TRY_ASSIGN(subject, read_guid(r));
+  SCI_TRY_ASSIGN(subject, r.guid());
   out.subject = subject;
   SCI_TRY_ASSIGN(flag, r.varint());
   out.flag = flag;
@@ -384,10 +373,7 @@ void ReplicationLog::heartbeat_tick() {
   // both ways.
   const std::vector<Guid> members = standbys();
   w.varint(members.size());
-  for (const Guid member : members) {
-    w.u64(member.hi());
-    w.u64(member.lo());
-  }
+  for (const Guid member : members) w.guid(member);
   const serde::BufferRef payload = w.take_ref();
   for (const auto& [standby, applied] : applied_) {
     net::Message beat;

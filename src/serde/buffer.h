@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/expected.h"
+#include "common/guid.h"
 #include "mem/arena.h"
 
 namespace sci::serde {
@@ -194,6 +195,12 @@ class Writer {
 
   void boolean(bool v) { u8(v ? 1 : 0); }
 
+  // 16-byte GUID: u64 hi then u64 lo. The one GUID wire form.
+  void guid(Guid g) {
+    u64(g.hi());
+    u64(g.lo());
+  }
+
   void string(std::string_view s) {
     varint(s.size());
     raw(s.data(), s.size());
@@ -291,6 +298,12 @@ class Reader {
     if (byte > 1)
       return make_error(ErrorCode::kParseError, "boolean byte not 0/1");
     return byte == 1;
+  }
+
+  Expected<Guid> guid() {
+    SCI_TRY_ASSIGN(hi, u64());
+    SCI_TRY_ASSIGN(lo, u64());
+    return Guid(hi, lo);
   }
 
   Expected<std::string> string() {

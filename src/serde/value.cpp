@@ -65,9 +65,8 @@ Expected<Value> decode_at_depth(serde::Reader& r, unsigned depth) {
       return Value(std::move(s));
     }
     case Value::Kind::kGuid: {
-      SCI_TRY_ASSIGN(hi, r.u64());
-      SCI_TRY_ASSIGN(lo, r.u64());
-      return Value(Guid(hi, lo));
+      SCI_TRY_ASSIGN(g, r.guid());
+      return Value(g);
     }
     case Value::Kind::kList:
     case Value::Kind::kMap:
@@ -160,8 +159,7 @@ void Value::encode(serde::Writer& w) const {
       w.string(get_string());
       break;
     case Kind::kGuid:
-      w.u64(get_guid().hi());
-      w.u64(get_guid().lo());
+      w.guid(get_guid());
       break;
     case Kind::kList: {
       const auto& list = get_list();

@@ -199,6 +199,40 @@ TEST(ScinetTest, CrashIsDetectedByHeartbeatsAndRoutedAround) {
   EXPECT_EQ(delivered, 11 * 11);
 }
 
+// A guid-list count near 2^60 used to wrap the frame-size guard (count * 16
+// overflowed to 0), after which reserve() threw and aborted the process. A
+// malformed kLeave or kLeafSetReply must be dropped and the node route on.
+TEST(ScinetTest, HostileGuidListCountIsDropped) {
+  Deployment d(5);
+  d.grow(4);
+  ScinetNode& target = *d.scinet.nodes().front();
+  const Guid rogue(0xBAD, 0xBAD);
+  ASSERT_TRUE(d.network.attach(rogue, [](const net::Message&) {}).is_ok());
+  serde::Writer w;
+  w.varint(std::uint64_t{1} << 60);
+  const serde::BufferRef hostile = w.take_ref();
+  for (const std::uint32_t type :
+       {ScinetNode::kLeave, ScinetNode::kLeafSetReply}) {
+    net::Message message;
+    message.type = type;
+    message.from = rogue;
+    message.to = target.id();
+    message.payload = hostile;
+    ASSERT_TRUE(d.network.send(std::move(message)).is_ok());
+  }
+  d.scinet.settle();
+
+  int delivered = 0;
+  for (const auto& node : d.scinet.nodes()) {
+    node->set_deliver_handler([&](const RoutedMessage&) { ++delivered; });
+  }
+  for (const auto& to : d.scinet.nodes()) {
+    ASSERT_TRUE(target.route(to->id(), 1, {}).is_ok());
+  }
+  d.scinet.settle();
+  EXPECT_EQ(delivered, 4);
+}
+
 TEST(ScinetTest, PartitionHealReconverges) {
   ScinetConfig config;
   config.heartbeat_period = Duration::millis(200);

@@ -611,6 +611,57 @@ TEST(ReplicateTest, ColdStandbyCatchesUpAndPromotesByFiat) {
   EXPECT_EQ(monitor.registered_calls, 1);
 }
 
+// Records the status of every query result the app receives.
+class ResultApp final : public entity::ContextAwareApp {
+ public:
+  using ContextAwareApp::ContextAwareApp;
+  std::vector<ErrorCode> results;
+
+ protected:
+  void on_query_result(const std::string&, const Error& error,
+                       const Value&) override {
+    results.push_back(error.code());
+  }
+};
+
+// A trigger query deferred before a cold standby joined reaches that standby
+// only through its catch-up snapshot. The restored entry must keep its
+// expiry: after promotion the app still gets its kTimeout, on schedule.
+TEST(ReplicateTest, SnapshotRestoredDeferredQueryExpiresAfterPromotion) {
+  FailoverFixture f(0);
+  ResultApp app(f.sci.network(), f.sci.new_guid(), "app",
+                entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(app, *f.level_b).is_ok());
+  ASSERT_TRUE(app.submit_query(
+                     "watch",
+                     query::Builder("watch", app.id())
+                         .what_entity_type("printing")
+                         .when_enters(f.sci.new_guid(),
+                                      f.building.room_path(1, 0))
+                         .expires_after(6.0)
+                         .mode(query::QueryMode::kAdvertisementRequest)
+                         .to_xml())
+                  .is_ok());
+  f.sci.run_for(Duration::seconds(1));
+  ASSERT_EQ(f.level_b->deferred_queries(), 1u);
+
+  auto added = f.sci.add_standby("levelB");
+  ASSERT_TRUE(bool(added));
+  range::ContextServer* standby = *added;
+  f.sci.run_for(Duration::seconds(1));
+  ASSERT_NE(standby->replication_follower(), nullptr);
+  ASSERT_FALSE(standby->replication_follower()->awaiting_snapshot());
+  EXPECT_EQ(standby->deferred_queries(), 1u);
+
+  ASSERT_TRUE(f.sci.promote(standby->attached_node()).is_ok());
+  f.sci.run_for(Duration::seconds(2));
+  EXPECT_TRUE(app.results.empty());  // not due yet (t ~ 4 s of 6)
+  f.sci.run_for(Duration::seconds(6));
+  ASSERT_EQ(app.results.size(), 1u);
+  EXPECT_EQ(app.results[0], ErrorCode::kTimeout);
+  EXPECT_EQ(standby->deferred_queries(), 0u);
+}
+
 // ISSUE split-brain scenario: symmetric partition isolates the live primary
 // (plus a publisher) from both standbys and the monitor. The minority
 // primary's fencing lease lapses and it self-fences admission; the majority
