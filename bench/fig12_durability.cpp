@@ -231,8 +231,8 @@ void BM_Durability(benchmark::State& state) {
     // --- corruption: damaged WAL must truncate-and-serve, never panic -----
     {
       Deployment d(seed, /*standby_count=*/0, /*sync_acks=*/0);
-      // A sync-failure burst mid-traffic: acks are held, the group-commit
-      // timer retries, nothing is lost while the store limps.
+      // A sync-failure burst mid-traffic: acks are held, the commit loop
+      // retries each failed sync, nothing is lost while the store limps.
       sim::FaultPlan live;
       live.wal_sync_fail(Duration::millis(200), "levelB", 3);
       d.sci.inject_faults(live);

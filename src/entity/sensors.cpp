@@ -84,12 +84,12 @@ void ObjectLocationCE::on_event(const event::Event& event,
   (void)owner_tag;
   if (event.type != types::kDoorTransit) return;
   const auto entity = event.payload.at("entity").as_guid();
-  const auto to_place = event.payload.at("to_place").as_int();
-  if (!entity || !to_place) {
+  const location::PlaceId place =
+      location::place_id(event.payload.at("to_place"));
+  if (!entity || place == location::kNoPlace) {
     SCI_WARN(kTag, "%s: malformed door.transit payload", name().c_str());
     return;
   }
-  const auto place = static_cast<location::PlaceId>(*to_place);
   positions_[*entity] = place;
   publish_location(*entity, place);
 }
@@ -220,12 +220,10 @@ void PathCE::on_configure(std::uint64_t config_tag, const Value& params) {
   tracking.to = *to;
   // Optional seeds let a configuration start from known positions.
   if (params.contains("from_place")) {
-    tracking.from_place = static_cast<location::PlaceId>(
-        params.at("from_place").number_or(0.0));
+    tracking.from_place = location::place_id(params.at("from_place"));
   }
   if (params.contains("to_place")) {
-    tracking.to_place =
-        static_cast<location::PlaceId>(params.at("to_place").number_or(0.0));
+    tracking.to_place = location::place_id(params.at("to_place"));
   }
   configs_[config_tag] = tracking;
   recompute(config_tag, configs_[config_tag]);
@@ -239,17 +237,17 @@ void PathCE::on_event(const event::Event& event, std::uint64_t owner_tag) {
   (void)owner_tag;
   if (event.type != types::kLocationUpdate) return;
   const auto entity = event.payload.at("entity").as_guid();
-  const auto place = event.payload.at("place").as_int();
-  if (!entity || !place) return;
-  const auto place_id = static_cast<location::PlaceId>(*place);
+  const location::PlaceId place =
+      location::place_id(event.payload.at("place"));
+  if (!entity || place == location::kNoPlace) return;
   for (auto& [tag, tracking] : configs_) {
     bool touched = false;
-    if (tracking.from == *entity && tracking.from_place != place_id) {
-      tracking.from_place = place_id;
+    if (tracking.from == *entity && tracking.from_place != place) {
+      tracking.from_place = place;
       touched = true;
     }
-    if (tracking.to == *entity && tracking.to_place != place_id) {
-      tracking.to_place = place_id;
+    if (tracking.to == *entity && tracking.to_place != place) {
+      tracking.to_place = place;
       touched = true;
     }
     if (touched) recompute(tag, tracking);

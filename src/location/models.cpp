@@ -67,6 +67,14 @@ std::string LogicalPath::to_string() const {
 // ------------------------------------------------------------------
 // LocRef
 
+PlaceId place_id(const Value& value) {
+  const auto id = value.as_int();
+  if (!id || *id < 1 || *id > static_cast<std::int64_t>(UINT32_MAX)) {
+    return kNoPlace;
+  }
+  return static_cast<PlaceId>(*id);
+}
+
 Value LocRef::to_value() const {
   ValueMap map;
   if (logical) map.emplace("logical", logical->to_string());
@@ -95,10 +103,9 @@ Expected<LocRef> LocRef::from_value(const Value& value) {
     ref.geometric = Point{x, y};
   }
   if (value.contains("place")) {
-    SCI_TRY_ASSIGN(id, value.at("place").as_int());
-    if (id < 0 || id > UINT32_MAX)
+    ref.place = place_id(value.at("place"));
+    if (ref.place == kNoPlace)
       return make_error(ErrorCode::kParseError, "place id out of range");
-    ref.place = static_cast<PlaceId>(id);
   }
   return ref;
 }

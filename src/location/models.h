@@ -29,6 +29,11 @@ namespace sci::location {
 using PlaceId = std::uint32_t;
 inline constexpr PlaceId kNoPlace = 0;
 
+// The one checked conversion from a payload value to a PlaceId: an integer
+// in [1, UINT32_MAX], else kNoPlace. A negative, fractional, non-numeric or
+// too-large value is rejected, never cast or wrapped onto a real place.
+[[nodiscard]] PlaceId place_id(const Value& value);
+
 // ------------------------------------------------------------------
 // Logical model: hierarchical paths like "campus/tower/level10/room1001".
 

@@ -38,7 +38,12 @@ constexpr std::uint64_t kCheckpointMinRecords = 16;
 
 ShardStore::ShardStore(sim::Simulator& sim, StorageEnv& env, std::string name,
                        DurabilityConfig config)
-    : sim_(sim), env_(env), name_(std::move(name)), config_(config) {
+    : sim_(sim),
+      env_(env),
+      name_(std::move(name)),
+      wal_file_(name_ + ".wal"),
+      checkpoint_file_(name_ + ".ckpt"),
+      config_(config) {
   obs::MetricsRegistry& m = sim_.metrics();
   m_appends_ = &m.counter("persist.appends");
   m_flushes_ = &m.counter("persist.flushes");
@@ -54,7 +59,8 @@ ShardStore::ShardStore(sim::Simulator& sim, StorageEnv& env, std::string name,
 }
 
 ShardStore::~ShardStore() {
-  sim_.cancel(flush_timer_);
+  // A sync still in flight dies with the store: a power cut mid-fsync.
+  sim_.cancel(sync_timer_);
   sim_.cancel(checkpoint_timer_);
 }
 
@@ -63,48 +69,67 @@ void ShardStore::append(std::uint32_t epoch, std::uint64_t index,
   buffer_.push_back({epoch, index, std::move(record_bytes)});
   if (index > appended_index_) appended_index_ = index;
   m_appends_->inc();
-  if (buffer_.size() >= config_.flush_threshold) {
-    flush();
-    return;
-  }
-  arm_flush_timer();
+  start_sync();
 }
 
 bool ShardStore::flush() {
-  sim_.cancel(flush_timer_);
-  flush_timer_ = sim::TimerHandle{};
-  if (buffer_.empty() && !sync_owed_) {
-    return durable_index_ >= appended_index_;
-  }
-  if (!buffer_.empty()) {
-    std::vector<std::byte> batch;
-    std::uint64_t last = synced_index_;
-    for (const Buffered& b : buffer_) {
-      serde::append_frame(batch, encode_wal_payload(b.epoch, b.index, b.bytes));
-      if (b.index > last) last = b.index;
-    }
-    env_.append(wal_file(), batch);
-    m_bytes_->inc(batch.size());
-    wal_records_ += buffer_.size();
-    buffer_.clear();
-    synced_index_ = last;  // written; durable only after the sync below
-  }
-  m_flushes_->inc();
-  m_syncs_->inc();
-  if (!env_.sync(wal_file())) {
+  // The barrier's own sync covers every byte the in-flight one would have.
+  cancel_sync();
+  write_batch();
+  if (unsynced_bytes_ > 0) {
+    m_flushes_->inc();
     // Disk refused the fsync: the watermark (and every held ack behind it)
-    // stays put. Re-arm the group-commit timer to retry.
-    m_sync_failures_->inc();
-    sync_owed_ = true;
-    arm_flush_timer();
-    return false;
-  }
-  sync_owed_ = false;
-  if (synced_index_ > durable_index_) {
-    durable_index_ = synced_index_;
-    if (durable_) durable_(durable_index_);
+    // stays put, and the commit loop retries one sync_cost later.
+    if (!sync_written()) start_sync();
   }
   return durable_index_ >= appended_index_;
+}
+
+void ShardStore::write_batch() {
+  if (buffer_.empty()) return;
+  batch_.clear();
+  for (const Buffered& b : buffer_) {
+    serde::append_frame(batch_, encode_wal_payload(b.epoch, b.index, b.bytes));
+    if (b.index > written_index_) written_index_ = b.index;
+  }
+  env_.append(wal_file(), batch_);
+  m_bytes_->inc(batch_.size());
+  unsynced_bytes_ += batch_.size();
+  wal_records_ += buffer_.size();
+  buffer_.clear();
+}
+
+bool ShardStore::sync_written() {
+  m_syncs_->inc();
+  if (!env_.sync(wal_file())) {
+    m_sync_failures_->inc();
+    return false;
+  }
+  unsynced_bytes_ = 0;
+  if (written_index_ > durable_index_) {
+    durable_index_ = written_index_;
+    if (durable_) durable_(durable_index_);
+  }
+  return true;
+}
+
+void ShardStore::start_sync() {
+  if (sync_timer_.valid()) return;  // the completion picks the buffer up
+  write_batch();
+  if (unsynced_bytes_ == 0) return;
+  m_flushes_->inc();
+  sync_timer_ = sim_.schedule(StorageEnv::sync_cost(unsynced_bytes_), [this] {
+    sync_timer_ = sim::TimerHandle{};
+    // Success or failure, the disk is idle again: the next batch (or the
+    // retry of this one) goes out at once.
+    (void)sync_written();
+    start_sync();
+  });
+}
+
+void ShardStore::cancel_sync() {
+  sim_.cancel(sync_timer_);
+  sync_timer_ = sim::TimerHandle{};
 }
 
 bool ShardStore::checkpoint(std::uint32_t epoch) {
@@ -130,13 +155,14 @@ bool ShardStore::checkpoint_with(std::uint32_t epoch, std::uint64_t base,
   // *defines* the index space from here on (a standby adopting another
   // incarnation's snapshot may move to a lower base), so the write-side
   // watermarks re-seat on it rather than merely ratchet.
+  cancel_sync();
   env_.remove(wal_file());
   buffer_.clear();
-  sync_owed_ = false;
+  unsynced_bytes_ = 0;
   wal_records_ = 0;
   const bool rose = base > durable_index_;
   appended_index_ = base;
-  synced_index_ = base;
+  written_index_ = base;
   durable_index_ = base;
   if (rose && durable_) durable_(durable_index_);
   return true;
@@ -209,10 +235,10 @@ RecoveredState ShardStore::recover() {
   // Re-seat the write side on the recovered image.
   appended_index_ = out.watermark;
   durable_index_ = out.watermark;
-  synced_index_ = out.watermark;
+  written_index_ = out.watermark;
   wal_records_ = out.records.size();
   buffer_.clear();
-  sync_owed_ = false;
+  unsynced_bytes_ = 0;
   return out;
 }
 
@@ -227,15 +253,5 @@ void ShardStore::start_checkpoint_timer(
     start_checkpoint_timer({});
   });
 }
-
-void ShardStore::arm_flush_timer() {
-  if (flush_timer_.valid()) return;
-  flush_timer_ = sim_.schedule(config_.flush_interval, [this] {
-    flush_timer_ = sim::TimerHandle{};
-    on_flush_timer();
-  });
-}
-
-void ShardStore::on_flush_timer() { flush(); }
 
 }  // namespace sci::persist

@@ -9,21 +9,26 @@
 //   <name>.ckpt   one atomic frame: [epoch][base_index][snapshot blob]
 //   <name>.wal    frames of [epoch][index][record bytes], indices > base
 //
-// Writes are write-behind: append() only buffers; a short group-commit timer
-// (or a buffered-record threshold) flushes the batch as one file append plus
-// one sync, so the publish hot path never waits on the "disk". The durable
+// Writes are write-behind with leader-style group commit: append() only
+// buffers, and whenever the disk is idle the buffered batch goes out as one
+// file append plus one sync whose completion lands StorageEnv::sync_cost()
+// later. Records appended while that sync is in flight wait in the buffer
+// and leave together the moment it completes, so the batch size follows the
+// load and the publish hot path never waits on a timer. The durable
 // watermark — the highest index known to have survived a crash — advances
-// only on successful sync or checkpoint, and the owner's durable callback
+// only on a completed sync or checkpoint, and the owner's durable callback
 // fires then: under DurabilityConfig::ack_after_fsync the Context Server
 // keeps client admit-acks held (the same held-ack tickets sync_acks uses)
 // until the op is both replicated and durable, which is what makes the
 // zero-acked-op-loss claim of fig12 true rather than probabilistic.
 //
 // A failed sync (fault injection: dying disk) leaves the watermark — and
-// therefore the held acks — exactly where they were; the store retries on
-// the next group-commit tick. A checkpoint supersedes the whole log tail:
-// once the atomic checkpoint write succeeds, everything up to its base index
-// is durable by definition and the WAL is restarted empty.
+// therefore the held acks — exactly where they were; the store retries from
+// the failed sync's completion. Destroying the store with a sync in flight
+// is a power cut: the completion never lands and nothing in that batch
+// becomes durable. A checkpoint supersedes the whole log tail: once the
+// atomic checkpoint write succeeds, everything up to its base index is
+// durable by definition and the WAL is restarted empty.
 //
 // recover() is the read side: parse checkpoint, then walk the WAL with a
 // FrameCursor, stopping at the first torn/corrupt frame and truncating the
@@ -39,7 +44,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/time.h"
 #include "obs/metrics.h"
 #include "persist/storage.h"
 #include "serde/buffer.h"
@@ -50,11 +54,6 @@ namespace sci::persist {
 
 struct DurabilityConfig {
   bool enable = false;
-  // Group-commit window: buffered records are flushed (one append + one
-  // sync) this long after the first buffered record...
-  Duration flush_interval = Duration::millis(20);
-  // ...or immediately once this many records are buffered.
-  std::size_t flush_threshold = 32;
   // Hold client admit-acks until the op's index is durable (in addition to
   // any sync_acks replication requirement). Off = acks follow replication
   // only and a torn tail may lose acked ops on a whole-range restart.
@@ -99,15 +98,17 @@ class ShardStore {
     snapshot_provider_ = std::move(p);
   }
 
-  // Buffers one applied record for group commit. Indices must be handed in
-  // ascending order (the apply order of the owning node). The store keeps a
-  // reference to `record_bytes` until the group-commit flush — the WAL
-  // buffer shares the replication pipeline's block rather than copying it.
+  // Buffers one applied record for group commit, and starts a sync at once
+  // if none is in flight. Indices must be handed in ascending order (the
+  // apply order of the owning node). The store keeps a reference to
+  // `record_bytes` until its batch is written — the WAL buffer shares the
+  // replication pipeline's block rather than copying it.
   void append(std::uint32_t epoch, std::uint64_t index,
               serde::BufferRef record_bytes);
 
-  // Forces the buffered batch (and any unsynced file tail) to disk now.
-  // Returns true when the durable watermark caught up to every append.
+  // Synchronous barrier: writes the buffered batch and syncs every unsynced
+  // byte now, superseding any in-flight sync. Returns true when the durable
+  // watermark caught up to every append.
   bool flush();
 
   // Takes a snapshot via the provider, writes it atomically and restarts the
@@ -116,7 +117,8 @@ class ShardStore {
 
   // Checkpoint from an externally supplied snapshot covering everything
   // through `base` (a standby persisting the blob the primary just shipped
-  // it). Same atomic-write + WAL-restart semantics.
+  // it). Same atomic-write + WAL-restart semantics; an in-flight sync is
+  // cancelled, since the checkpoint supersedes the records it covered.
   bool checkpoint_with(std::uint32_t epoch, std::uint64_t base,
                        const std::vector<std::byte>& snapshot);
 
@@ -130,21 +132,34 @@ class ShardStore {
   }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const DurabilityConfig& config() const { return config_; }
-  [[nodiscard]] std::string wal_file() const { return name_ + ".wal"; }
-  [[nodiscard]] std::string checkpoint_file() const { return name_ + ".ckpt"; }
+  [[nodiscard]] const std::string& wal_file() const { return wal_file_; }
+  [[nodiscard]] const std::string& checkpoint_file() const {
+    return checkpoint_file_;
+  }
   [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
+  [[nodiscard]] bool sync_in_flight() const { return sync_timer_.valid(); }
 
   // Arms the periodic checkpoint timer (caller supplies the epoch source via
   // the provider's closure; the timer re-reads it each tick).
   void start_checkpoint_timer(std::function<std::uint32_t()> epoch_source);
 
  private:
-  void arm_flush_timer();
-  void on_flush_timer();
+  // Frames the buffered records into batch_ and appends them to the WAL
+  // file. The one write path of flush() and the async commit loop.
+  void write_batch();
+  // One env sync over every written byte: advances the watermark (and fires
+  // the durable callback) on success, counts a failure otherwise.
+  bool sync_written();
+  // Writes the buffered batch and schedules its sync, unless one is already
+  // in flight or nothing is left to sync.
+  void start_sync();
+  void cancel_sync();
 
   sim::Simulator& sim_;
   StorageEnv& env_;
   std::string name_;
+  std::string wal_file_;
+  std::string checkpoint_file_;
   DurabilityConfig config_;
 
   DurableCallback durable_;
@@ -157,13 +172,14 @@ class ShardStore {
     serde::BufferRef bytes;
   };
   std::vector<Buffered> buffer_;
+  std::vector<std::byte> batch_;  // reused framing buffer for write_batch()
   std::uint64_t appended_index_ = 0;  // highest index handed to append()
   std::uint64_t durable_index_ = 0;   // highest index known durable
-  std::uint64_t synced_index_ = 0;    // highest index written+synced to WAL
+  std::uint64_t written_index_ = 0;   // highest index written to the WAL
   std::uint64_t wal_records_ = 0;     // records in the current WAL file
-  bool sync_owed_ = false;  // file tail written but a sync() failed
+  std::size_t unsynced_bytes_ = 0;    // written to the WAL, not yet synced
 
-  sim::TimerHandle flush_timer_;
+  sim::TimerHandle sync_timer_;  // the in-flight sync's completion
   sim::TimerHandle checkpoint_timer_;
 
   obs::Counter* m_appends_ = nullptr;

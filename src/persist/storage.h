@@ -8,6 +8,12 @@
 // crash (or simply recovery, which reads the durable prefix) discards the
 // unsynced suffix — precisely the contract of write(2) + fsync(2).
 //
+// A sync is not free: sync_cost() is the virtual time one fsync takes, a
+// fixed device latency plus a per-KiB transfer term. The env itself stays
+// instantaneous; ShardStore schedules the sync's completion that far ahead
+// and calls sync() only when it lands, so a crash in between loses the
+// batch exactly as a power cut mid-fsync would.
+//
 // StorageEnv is owned by the facade (Sci) and deliberately outlives every
 // ContextServer object, so "cold restart" is honest: the server objects are
 // destroyed, new ones are built, and the only state that survives the gap is
@@ -31,7 +37,14 @@
 #include <string>
 #include <vector>
 
+#include "common/time.h"
+
 namespace sci::persist {
+
+// Disk model: one fsync costs kSyncLatency plus kSyncMicrosPerKiB for every
+// KiB it makes durable.
+inline constexpr Duration kSyncLatency = Duration::millis(1);
+inline constexpr std::int64_t kSyncMicrosPerKiB = 2;
 
 struct StorageStats {
   std::uint64_t appends = 0;
@@ -45,6 +58,13 @@ struct StorageStats {
 
 class StorageEnv {
  public:
+  // Virtual time one sync() of `bytes` unsynced bytes takes.
+  [[nodiscard]] static constexpr Duration sync_cost(std::size_t bytes) {
+    return kSyncLatency +
+           Duration::micros(kSyncMicrosPerKiB *
+                            static_cast<std::int64_t>(bytes / 1024));
+  }
+
   // Appends `data` to the (created-on-first-touch) file. The bytes are
   // volatile until the next successful sync().
   void append(const std::string& name, const std::vector<std::byte>& data);

@@ -12,14 +12,12 @@ std::optional<location::LocRef> LocationService::observe(
     const auto entity_field = event.payload.at("entity").as_guid();
     if (!entity_field) return std::nullopt;
     subject = *entity_field;
-    place = static_cast<location::PlaceId>(
-        event.payload.at("place").number_or(0.0));
+    place = location::place_id(event.payload.at("place"));
   } else if (event.type == entity::types::kDoorTransit) {
     const auto entity_field = event.payload.at("entity").as_guid();
     if (!entity_field) return std::nullopt;
     subject = *entity_field;
-    place = static_cast<location::PlaceId>(
-        event.payload.at("to_place").number_or(0.0));
+    place = location::place_id(event.payload.at("to_place"));
   } else {
     return std::nullopt;
   }

@@ -46,17 +46,18 @@ std::uint32_t crc32(const std::byte* data, std::size_t size) {
 }
 
 void append_frame(std::vector<std::byte>& out, FrameView payload) {
-  std::vector<std::byte> body;
-  body.reserve(payload.size() + 10);
-  put_varint(body, payload.size());
-  body.insert(body.end(), payload.data(), payload.data() + payload.size());
-  const std::uint32_t crc = crc32(body);
+  // Build the frame in place: reserve the CRC slot, write the body after
+  // it, then checksum the body where it lies.
+  const std::size_t start = out.size();
+  out.resize(start + 4);
+  put_varint(out, payload.size());
+  out.insert(out.end(), payload.data(), payload.data() + payload.size());
+  const std::size_t body = start + 4;
+  const std::uint32_t crc = crc32(out.data() + body, out.size() - body);
   // Little-endian u32, matching Writer::u32.
-  out.push_back(std::byte{static_cast<std::uint8_t>(crc)});
-  out.push_back(std::byte{static_cast<std::uint8_t>(crc >> 8)});
-  out.push_back(std::byte{static_cast<std::uint8_t>(crc >> 16)});
-  out.push_back(std::byte{static_cast<std::uint8_t>(crc >> 24)});
-  out.insert(out.end(), body.begin(), body.end());
+  for (std::size_t i = 0; i < 4; ++i) {
+    out[start + i] = std::byte{static_cast<std::uint8_t>(crc >> (8 * i))};
+  }
 }
 
 const char* to_string(FrameStop stop) {

@@ -13,15 +13,12 @@ bool Simulator::release(std::uint32_t slot) {
 
 bool Simulator::step(SimTime until) {
   while (!queue_.empty()) {
-    const Entry& top = queue_.top();
+    const Entry top = queue_.top();
     if (top.when > until) return false;
-    if (release(top.slot)) {
-      queue_.pop();
-      continue;
-    }
-    Task task = std::move(top.task);
-    now_ = top.when;
     queue_.pop();
+    Task task = std::move(slots_[top.slot].task);
+    if (release(top.slot)) continue;
+    now_ = top.when;
     ++executed_count_;
     executed_counter_->inc();
     queue_depth_gauge_->set(static_cast<double>(queue_.size()));

@@ -103,7 +103,8 @@ class Simulator {
       slot = free_slots_.back();
       free_slots_.pop_back();
     }
-    queue_.push(Entry{when, ++next_id_, slot, std::move(task)});
+    slots_[slot].task = std::move(task);
+    queue_.push(Entry{when, ++next_id_, slot});
     ++scheduled_count_;
     scheduled_counter_->inc();
     return TimerHandle(slot, slots_[slot].generation);
@@ -154,11 +155,12 @@ class Simulator {
     mem_bytes_reserved_->set(static_cast<double>(s.bytes_reserved));
   }
 
+  // The heap holds only the ordering key; the task waits in its slot, so a
+  // sift moves a few words instead of a std::function.
   struct Entry {
     SimTime when;
     std::uint64_t id;    // scheduling order: ties at `when` run in id order
     std::uint32_t slot;  // index into slots_, owned until the entry pops
-    mutable Task task;   // moved out when the entry is popped
 
     // Min-heap via std::priority_queue (which is a max-heap): invert.
     bool operator<(const Entry& other) const {
@@ -167,11 +169,12 @@ class Simulator {
     }
   };
 
-  // Per-entry cancellation state, one slot per queued entry and recycled
-  // when the entry pops, so it is bounded by the peak queue depth.
+  // Per-entry task and cancellation state, one slot per queued entry and
+  // recycled when the entry pops, so it is bounded by the peak queue depth.
   struct Slot {
     std::uint32_t generation = 0;
     bool cancelled = false;
+    Task task;  // moved out when the entry pops
   };
 
   // Frees the slot of the entry leaving the queue (stale-ing its handle) and

@@ -2,6 +2,8 @@
 // intermediate location language (LocRef) and RSSI trilateration.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.h"
 #include "location/geometry.h"
 #include "location/models.h"
@@ -109,6 +111,21 @@ TEST(LocRefTest, ValueRoundTrip) {
   ASSERT_TRUE(empty.has_value());
   EXPECT_TRUE(empty->is_empty());
   EXPECT_FALSE(LocRef::from_value(Value(5)).has_value());
+}
+
+TEST(LocRefTest, PlaceIdAcceptsOnlyIntegersInRange) {
+  EXPECT_EQ(place_id(Value(std::int64_t{1})), 1u);
+  EXPECT_EQ(place_id(Value(std::int64_t{UINT32_MAX})), UINT32_MAX);
+  EXPECT_EQ(place_id(Value(std::int64_t{0})), kNoPlace);
+  EXPECT_EQ(place_id(Value(std::int64_t{-1})), kNoPlace);
+  EXPECT_EQ(place_id(Value(std::int64_t{UINT32_MAX} + 2)), kNoPlace);
+  EXPECT_EQ(place_id(Value(std::nan(""))), kNoPlace);
+  EXPECT_EQ(place_id(Value(3.0)), kNoPlace);
+  EXPECT_EQ(place_id(Value("3")), kNoPlace);
+
+  ValueMap wrapped;
+  wrapped.emplace("place", std::int64_t{UINT32_MAX} + 2);
+  EXPECT_FALSE(LocRef::from_value(Value(std::move(wrapped))).has_value());
 }
 
 // ----------------------------------------------------- LocationDirectory

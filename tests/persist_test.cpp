@@ -160,9 +160,20 @@ struct StoreFixture {
   persist::DurabilityConfig config() {
     persist::DurabilityConfig c;
     c.enable = true;
-    c.flush_interval = Duration::millis(20);
-    c.flush_threshold = 100;  // timer-driven unless a test lowers it
     return c;
+  }
+
+  // Virtual time the sync of everything written to `store`'s WAL so far
+  // but not yet durable takes.
+  Duration pending_sync_cost(const persist::ShardStore& store) {
+    return persist::StorageEnv::sync_cost(
+        env.size(store.wal_file()) - env.durable_size(store.wal_file()));
+  }
+
+  void advance(Duration d) { simulator.run_until(simulator.now() + d); }
+
+  std::uint64_t counter(const char* name) {
+    return simulator.metrics().snapshot().counter(name);
   }
 
   std::unique_ptr<persist::ShardStore> make(const std::string& name,
@@ -174,33 +185,88 @@ struct StoreFixture {
   }
 };
 
-TEST(PersistTest, StoreGroupCommitsOnFlushTimer) {
+TEST(PersistTest, SyncCostIsFixedLatencyPlusPerKiB) {
+  EXPECT_EQ(persist::StorageEnv::sync_cost(0), Duration::millis(1));
+  EXPECT_EQ(persist::StorageEnv::sync_cost(1023), Duration::millis(1));
+  EXPECT_EQ(persist::StorageEnv::sync_cost(1024), Duration::micros(1002));
+  EXPECT_EQ(persist::StorageEnv::sync_cost(64 * 1024),
+            Duration::micros(1128));
+}
+
+// Idle disk: an append goes out at once, and becomes durable exactly when
+// its sync completes — one sync, one callback.
+TEST(PersistTest, StoreSyncsAsSoonAsTheDiskIsIdle) {
   StoreFixture f;
   auto store = f.make("s", f.config());
   store->append(1, 1, frame({10}));
-  store->append(1, 2, frame({11}));
-  EXPECT_EQ(store->buffered(), 2u);
-  EXPECT_EQ(store->durable_index(), 0u);  // write-behind: nothing synced yet
+  EXPECT_EQ(store->buffered(), 0u);  // written at once: the disk was idle
+  EXPECT_TRUE(store->sync_in_flight());
+  EXPECT_EQ(store->durable_index(), 0u);  // write-behind: not synced yet
+  const Duration cost = f.pending_sync_cost(*store);
 
-  f.simulator.run_until(f.simulator.now() + Duration::millis(25));
-  EXPECT_EQ(store->buffered(), 0u);
-  EXPECT_EQ(store->durable_index(), 2u);
-  // One group commit: a single batch append + sync covered both records.
+  f.advance(cost - Duration::micros(1));
+  EXPECT_EQ(store->durable_index(), 0u);
+  EXPECT_TRUE(f.durable_marks.empty());
+
+  f.advance(Duration::micros(1));
+  EXPECT_EQ(store->durable_index(), 1u);
+  EXPECT_FALSE(store->sync_in_flight());
   EXPECT_EQ(f.env.stats().syncs, 1u);
-  EXPECT_EQ(f.durable_marks, (std::vector<std::uint64_t>{2}));
+  EXPECT_EQ(f.durable_marks, (std::vector<std::uint64_t>{1}));
 }
 
-TEST(PersistTest, StoreFlushThresholdShortCircuitsTimer) {
+// Busy disk: everything appended while a sync is in flight leaves together
+// in exactly one follow-up batch — the group commit grows with the load.
+TEST(PersistTest, StoreGroupCommitsAppendsMadeDuringAnInFlightSync) {
   StoreFixture f;
-  persist::DurabilityConfig c = f.config();
-  c.flush_threshold = 3;
-  auto store = f.make("s", c);
+  auto store = f.make("s", f.config());
+  store->append(1, 1, frame({1}));
+  const Duration first = f.pending_sync_cost(*store);
+  for (std::uint64_t i = 2; i <= 6; ++i) {
+    store->append(1, i, frame({int(i)}));
+  }
+  EXPECT_EQ(store->buffered(), 5u);
+  EXPECT_EQ(store->durable_index(), 0u);
+  EXPECT_EQ(f.env.stats().appends, 1u);  // the follow-up batch waits
+
+  f.advance(first);
+  EXPECT_EQ(store->durable_index(), 1u);
+  // The completion sent the whole buffer out as one file append.
+  EXPECT_EQ(store->buffered(), 0u);
+  EXPECT_TRUE(store->sync_in_flight());
+  EXPECT_EQ(f.env.stats().appends, 2u);
+  const Duration second = f.pending_sync_cost(*store);
+
+  f.advance(second);
+  EXPECT_EQ(store->durable_index(), 6u);
+  EXPECT_FALSE(store->sync_in_flight());
+  EXPECT_EQ(f.env.stats().syncs, 2u);
+  EXPECT_EQ(f.durable_marks, (std::vector<std::uint64_t>{1, 6}));
+  EXPECT_EQ(f.counter("persist.appends"), 6u);
+  EXPECT_EQ(f.counter("persist.flushes"), 2u);
+}
+
+// flush() is the synchronous barrier: it supersedes the in-flight sync and
+// makes every append durable before it returns.
+TEST(PersistTest, StoreFlushIsASynchronousBarrier) {
+  StoreFixture f;
+  auto store = f.make("s", f.config());
   store->append(1, 1, frame({1}));
   store->append(1, 2, frame({2}));
+  store->append(1, 3, frame({3}));
   EXPECT_EQ(store->durable_index(), 0u);
-  store->append(1, 3, frame({3}));  // threshold reached: flush inline
+  EXPECT_EQ(store->buffered(), 2u);
+
+  EXPECT_TRUE(store->flush());
   EXPECT_EQ(store->durable_index(), 3u);
   EXPECT_EQ(store->buffered(), 0u);
+  EXPECT_FALSE(store->sync_in_flight());
+  EXPECT_EQ(f.durable_marks, (std::vector<std::uint64_t>{3}));
+
+  // The cancelled completion never lands: no second sync, no second mark.
+  f.advance(Duration::millis(10));
+  EXPECT_EQ(f.env.stats().syncs, 1u);
+  EXPECT_EQ(f.durable_marks, (std::vector<std::uint64_t>{3}));
 }
 
 TEST(PersistTest, StoreFailedSyncHoldsAcksAndRetries) {
@@ -208,16 +274,66 @@ TEST(PersistTest, StoreFailedSyncHoldsAcksAndRetries) {
   auto store = f.make("s", f.config());
   f.env.fail_syncs(store->wal_file(), 1);
   store->append(1, 1, frame({1}));
+  const Duration cost = f.pending_sync_cost(*store);
 
-  f.simulator.run_until(f.simulator.now() + Duration::millis(25));
+  f.advance(cost);
   // The fsync failed: watermark (and the acks behind it) must not move.
   EXPECT_EQ(store->durable_index(), 0u);
   EXPECT_TRUE(f.durable_marks.empty());
+  EXPECT_EQ(f.counter("persist.sync_failures"), 1u);
+  // The retry went out from the failed completion, over the same bytes.
+  EXPECT_TRUE(store->sync_in_flight());
+  EXPECT_EQ(f.pending_sync_cost(*store), cost);
 
-  // The re-armed group-commit timer retries and catches up.
-  f.simulator.run_until(f.simulator.now() + Duration::millis(25));
+  f.advance(cost);  // two sync costs after the append
   EXPECT_EQ(store->durable_index(), 1u);
   EXPECT_EQ(f.durable_marks, (std::vector<std::uint64_t>{1}));
+}
+
+// Power cut mid-sync: the store dies with its completion pending, so the
+// in-flight batch never becomes durable and recovery returns the old mark.
+TEST(PersistTest, StorePowerCutMidSyncKeepsTheOldWatermark) {
+  StoreFixture f;
+  {
+    auto store = f.make("s", f.config());
+    store->append(1, 1, frame({1}));
+    store->append(1, 2, frame({2}));
+    ASSERT_TRUE(store->flush());
+    store->append(1, 3, frame({3}));
+    store->append(1, 4, frame({4}));
+    ASSERT_TRUE(store->sync_in_flight());
+    EXPECT_GT(f.env.size(store->wal_file()),
+              f.env.durable_size(store->wal_file()));
+  }
+  f.advance(Duration::millis(10));  // the cancelled completion never runs
+
+  auto revived = f.make("s", f.config());
+  const persist::RecoveredState rec = revived->recover();
+  ASSERT_TRUE(rec.any);
+  EXPECT_EQ(rec.watermark, 2u);
+  ASSERT_EQ(rec.records.size(), 2u);
+  EXPECT_EQ(revived->durable_index(), 2u);
+  EXPECT_FALSE(rec.tail_truncated);  // the unsynced suffix simply vanished
+}
+
+// A checkpoint supersedes the records an in-flight sync covers: the sync is
+// cancelled, so its completion cannot resurrect the removed WAL.
+TEST(PersistTest, StoreCheckpointDuringInFlightSyncKeepsWalRemoved) {
+  StoreFixture f;
+  auto store = f.make("s", f.config());
+  store->append(2, 1, frame({1}));
+  store->append(2, 2, frame({2}));
+  ASSERT_TRUE(store->sync_in_flight());
+
+  ASSERT_TRUE(store->checkpoint_with(2, 2, bytes({7, 7})));
+  EXPECT_FALSE(store->sync_in_flight());
+  EXPECT_FALSE(f.env.exists(store->wal_file()));
+  EXPECT_EQ(store->durable_index(), 2u);
+
+  f.advance(Duration::millis(10));
+  EXPECT_FALSE(f.env.exists(store->wal_file()));
+  EXPECT_EQ(f.env.stats().syncs, 1u);  // only the checkpoint's atomic write
+  EXPECT_EQ(f.durable_marks, (std::vector<std::uint64_t>{2}));
 }
 
 TEST(PersistTest, StoreCheckpointSupersedesWalAndRecoverReplays) {
@@ -322,6 +438,11 @@ class PulseCE final : public entity::ContextEntity {
  public:
   using ContextEntity::ContextEntity;
 
+  // Acks this client has received: an acked publish must survive a crash.
+  [[nodiscard]] std::uint64_t acks_received() {
+    return channel().stats().acked;
+  }
+
  protected:
   [[nodiscard]] std::vector<entity::TypeSig> profile_outputs() const override {
     return {{"pulse", "", "pulse"}};
@@ -421,6 +542,57 @@ TEST(PersistTest, ColdRestartRecoversAckedOpsAndSubscriptions) {
   f.sci.run_for(Duration::seconds(2));
   EXPECT_EQ(monitor.unique_events, 15);
   EXPECT_EQ(monitor.duplicate_events, 0);
+  EXPECT_EQ(monitor.registered_calls, 1);
+}
+
+// Power cut while the WAL is busy: publishes arrive faster than the disk
+// syncs, so the cut lands with a batch in flight and acks still held. Every
+// op the client saw acked is in the recovered state; the unacked rest come
+// back by client retransmission.
+TEST(PersistTest, PowerCutWithSyncsInFlightLosesNoAckedOp) {
+  DurableFixture f;
+  PulseCE pulse(f.sci.network(), f.sci.new_guid(), "pulse",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(pulse, *f.level_b).is_ok());
+  PulseMonitor monitor(f.sci.network(), f.sci.new_guid(), "monitor",
+                       entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(monitor, *f.level_b).is_ok());
+  ASSERT_TRUE(monitor
+                  .submit_query("sub",
+                                query::Builder("sub", monitor.id())
+                                    .what_pattern("pulse")
+                                    .mode(query::QueryMode::kEventSubscription)
+                                    .to_xml())
+                  .is_ok());
+  f.sci.run_for(Duration::seconds(1));
+
+  constexpr int kPublishes = 12;
+  const std::uint64_t acks_before = pulse.acks_received();
+  for (int i = 0; i < kPublishes; ++i) {
+    pulse.publish("pulse", Value(static_cast<std::int64_t>(i)));
+    f.sci.run_for(Duration::micros(300));
+  }
+  ASSERT_TRUE(f.level_b->durable_store()->sync_in_flight());
+  const std::uint64_t acked = pulse.acks_received() - acks_before;
+  ASSERT_GT(acked, 0u);
+  ASSERT_LT(acked, static_cast<std::uint64_t>(kPublishes));
+
+  ASSERT_TRUE(f.sci.shutdown_range("levelB").is_ok());
+  ASSERT_TRUE(bool(f.sci.recover_range("levelB")));
+  // Before any retransmission can arrive, the recovered server already
+  // holds every acked publish — and none of the in-flight batch.
+  const std::size_t recovered =
+      f.sci.find_range("levelB")
+          ->context_store()
+          .history(pulse.id(), "pulse", kPublishes)
+          .size();
+  EXPECT_GE(recovered, acked);
+  EXPECT_LT(recovered, static_cast<std::size_t>(kPublishes));
+
+  f.sci.run_for(Duration::seconds(3));
+  EXPECT_GE(pulse.acks_received() - acks_before,
+            static_cast<std::uint64_t>(kPublishes));
+  EXPECT_EQ(monitor.unique_events, kPublishes);
   EXPECT_EQ(monitor.registered_calls, 1);
 }
 

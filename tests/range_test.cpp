@@ -236,6 +236,41 @@ TEST(LocationServiceTest, ObserveUpdatesProfileFromLocationEvents) {
   EXPECT_FALSE(service.observe(malformed, profiles).has_value());
 }
 
+// A payload number that is not a place id is ignored rather than cast: -1
+// would be undefined behaviour, and 2^32 + 1 would wrap onto place 1.
+TEST(LocationServiceTest, ObserveIgnoresOutOfRangePlaceIds) {
+  mobility::Building building({.floors = 1, .rooms_per_floor = 2});
+  LocationService service(&building.directory());
+  ProfileManager profiles;
+  profiles.put(profile_of(1, "Bob"), std::nullopt);
+
+  event::Event e;
+  e.type = entity::types::kLocationUpdate;
+  e.source = guid_of(50);
+  e.payload = vmap({{"entity", guid_of(1)},
+                    {"place", static_cast<std::int64_t>(building.room(0, 1))}});
+  ASSERT_TRUE(service.observe(e, profiles).has_value());
+  ASSERT_NE(building.room(0, 1), 1u);
+
+  for (const std::int64_t bad : {std::int64_t{-1}, std::int64_t{4294967297}}) {
+    event::Event update;
+    update.type = entity::types::kLocationUpdate;
+    update.source = guid_of(50);
+    update.payload = vmap({{"entity", guid_of(1)}, {"place", bad}});
+    EXPECT_FALSE(service.observe(update, profiles).has_value()) << bad;
+
+    event::Event transit;
+    transit.type = entity::types::kDoorTransit;
+    transit.source = guid_of(51);
+    transit.payload = vmap({{"entity", guid_of(1)}, {"to_place", bad}});
+    EXPECT_FALSE(service.observe(transit, profiles).has_value()) << bad;
+
+    EXPECT_EQ(profiles.profile(guid_of(1))->location.place,
+              building.room(0, 1))
+        << bad;
+  }
+}
+
 TEST(LocationServiceTest, WithinEvaluatesLogicalContainment) {
   mobility::Building building({.floors = 2, .rooms_per_floor = 2});
   LocationService service(&building.directory());

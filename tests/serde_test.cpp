@@ -3,11 +3,13 @@
 
 #include <cstddef>
 #include <ostream>
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
 #include "serde/buffer.h"
+#include "serde/frame.h"
 #include "serde/value.h"
 #include "serde/xml.h"
 
@@ -115,6 +117,42 @@ TEST(BufferTest, SkipBoundsChecked) {
   serde::Reader r(w.view());
   EXPECT_TRUE(r.skip(4).is_ok());
   EXPECT_FALSE(r.skip(1).is_ok());
+}
+
+// ----------------------------------------------------------------- frame
+
+std::string hex(const std::byte* data, std::size_t size) {
+  static const char* const kDigits = "0123456789abcdef";
+  std::string out;
+  for (std::size_t i = 0; i < size; ++i) {
+    const auto b = static_cast<unsigned>(data[i]);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xFU]);
+  }
+  return out;
+}
+
+// The WAL's on-disk bytes are a compatibility surface: a frame written by
+// one build must recover under the next. These literals pin the layout
+// [u32 crc LE][varint len][payload], with the CRC over varint + payload.
+TEST(FrameTest, AppendFrameBytesArePinned) {
+  std::vector<std::byte> out{std::byte{0xEE}};  // appends, never overwrites
+  const std::vector<std::byte> payload{std::byte{1}, std::byte{2},
+                                       std::byte{3}, std::byte{'s'},
+                                       std::byte{'c'}, std::byte{'i'}};
+  serde::append_frame(out, payload);
+  EXPECT_EQ(hex(out.data(), out.size()), "eefef29c7106010203736369");
+
+  // A two-byte length varint (200 = 0xc8 0x01) is covered by the CRC too.
+  std::vector<std::byte> big;
+  for (int i = 0; i < 200; ++i) {
+    big.push_back(static_cast<std::byte>(i % 251));
+  }
+  std::vector<std::byte> framed;
+  serde::append_frame(framed, big);
+  ASSERT_EQ(framed.size(), 206U);
+  EXPECT_EQ(hex(framed.data(), 6), "8a2b3aa7c801");
+  EXPECT_EQ(std::vector<std::byte>(framed.begin() + 6, framed.end()), big);
 }
 
 // ----------------------------------------------------------------- Value
