@@ -19,12 +19,17 @@
 // serving. Claim under test: failover domains are independent — the
 // survivor pair's delivery latency stays within 10% of its pre-crash
 // steady state, and the victim pair still delivers every client-acked
-// event exactly once across the kill/elect cycle.
+// event exactly once across the kill/elect cycle. Afterwards an app on the
+// killed shard asks its successor for every "pulse" producer: the answer
+// must include the sibling-owned one, whose mirror the dead primary never
+// logged, so the successor holds it only through its mirror rebuild
+// (post_failover_query_ok).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -72,6 +77,7 @@ class ShardMonitor final : public entity::ContextAwareApp {
   int duplicate_events = 0;
   int registered_calls = 0;
   int failed_queries = 0;
+  std::map<std::string, Value> answers;  // successful query results by id
   // (arrival sim-time, delivery latency) per unique event.
   std::vector<std::pair<SimTime, Duration>> latencies;
 
@@ -85,9 +91,13 @@ class ShardMonitor final : public entity::ContextAwareApp {
     }
   }
   void on_registered() override { ++registered_calls; }
-  void on_query_result(const std::string&, const Error& error,
-                       const Value&) override {
-    if (!error.ok()) ++failed_queries;
+  void on_query_result(const std::string& query_id, const Error& error,
+                       const Value& result) override {
+    if (!error.ok()) {
+      ++failed_queries;
+      return;
+    }
+    answers[query_id] = result;
   }
 
  private:
@@ -346,6 +356,10 @@ void BM_ShardFailoverIsolation(benchmark::State& state) {
                                   "survivor_monitor",
                                   entity::EntityKind::kSoftware);
     SCI_ASSERT(sci.enroll(survivor_monitor, lead).is_ok());
+    // Probe app on the victim shard, idle until the failover is over.
+    ShardMonitor probe(sci.network(), guid_owned_by(sci, lead, 2), "probe",
+                       entity::EntityKind::kSoftware);
+    SCI_ASSERT(sci.enroll(probe, lead).is_ok());
     SCI_ASSERT(victim_monitor
                    .submit_query("sub",
                                  query::Builder("sub", victim_monitor.id())
@@ -410,6 +424,23 @@ void BM_ShardFailoverIsolation(benchmark::State& state) {
     const std::int64_t survivor_loss =
         survivor_published - survivor_monitor.unique_events;
 
+    // The successor composes over its rebuilt mirrors: every "pulse"
+    // producer, the sibling-owned survivor_pulse included.
+    SCI_ASSERT(sci.submit_query(probe, query::Builder("probe", probe.id())
+                                           .what_pattern("pulse")
+                                           .profile())
+                   .has_value());
+    sci.run_for(Duration::seconds(1));
+    bool post_failover_query_ok = false;
+    if (const auto it = probe.answers.find("probe");
+        it != probe.answers.end()) {
+      for (const Value& profile : it->second.get_list()) {
+        if (profile.at("entity") == Value(survivor_pulse.id())) {
+          post_failover_query_ok = true;
+        }
+      }
+    }
+
     state.counters["failed_over"] = failed_over ? 1.0 : 0.0;
     state.counters["survivor_latency_delta_pct"] = latency_delta_pct;
     state.counters["victim_acked_op_loss"] =
@@ -435,6 +466,11 @@ void BM_ShardFailoverIsolation(benchmark::State& state) {
     doc.emplace("survivor_latency_pre_ms", pre_ms);
     doc.emplace("survivor_latency_post_ms", post_ms);
     doc.emplace("survivor_latency_delta_pct", latency_delta_pct);
+    doc.emplace("post_failover_query_ok",
+                post_failover_query_ok ? std::int64_t{1} : std::int64_t{0});
+    doc.emplace("mirror_rebuilds",
+                static_cast<std::int64_t>(
+                    fresh->node_counter("cs.shard.mirror_rebuilds")->value()));
     doc.emplace("lead_promotions",
                 static_cast<std::int64_t>(
                     lead.node_counter("repl.failovers")->value()));

@@ -77,6 +77,7 @@ bool mutates_range_state(std::uint32_t type) {
     case kShardSubscribe:
     case kShardUnsubscribe:
     case kShardBatch:
+    case kShardMirrorSet:
     case kHandoffFreeze:
     case kHandoffState:
     case kHandoffReady:
@@ -243,6 +244,8 @@ ContextServer::ContextServer(net::Network& network, RangeConfig config,
   m_shard_sub_mirrors_ = twin("cs.shard.sub_mirrors");
   m_shard_forwarded_ = twin("cs.shard.forwarded_queries");
   m_mirror_batches_ = twin("cs.shard.mirror_batches");
+  m_mirrors_logged_ = twin("cs.shard.mirrors_logged");
+  m_mirror_rebuilds_ = twin("cs.shard.mirror_rebuilds");
   m_publish_rate_ = &metrics.gauge(
       "cs.shard.publish_rate", "shard=" + std::to_string(config_.shard_index));
   m_reshard_handoffs_ = twin("reshard.handoffs");
@@ -367,10 +370,14 @@ ContextServer::ContextServer(net::Network& network, RangeConfig config,
 
   start_primary_duties();
 
+  if (!recovered_any_) return;
   // A cold restart that recovered an in-flight handoff from the WAL resolves
   // it now that the node is fully live: committed completes, uncommitted
   // aborts (docs/SHARDING.md crash matrix).
-  if (recovered_any_) resolve_recovered_handoff();
+  resolve_recovered_handoff();
+  // Mirrors that changed unlogged since the last checkpoint died with the
+  // previous incarnation.
+  begin_mirror_rebuild();
 }
 
 ContextServer::~ContextServer() {
@@ -521,6 +528,13 @@ void ContextServer::on_channel_give_up(const net::Message& message,
   } else {
     m_dead_letters_.inc();
   }
+  // A sibling that never took the pull cannot answer it: the rebuild goes
+  // on without it.
+  if (message.type == kShardMirrorPull) {
+    if (const auto sibling = sibling_at(message.to)) {
+      mirror_pull_answered(*sibling);
+    }
+  }
 }
 
 void ContextServer::on_lease_expired(const event::Subscription& subscription) {
@@ -641,7 +655,11 @@ void ContextServer::on_component_message(const net::Message& message) {
       auto parsed = query::Query::parse(wire->xml);
       if (!parsed) return;
       m_queries_adopted_.inc();
-      log_record(replicate::RecordKind::kQuery, wire->app, 0, message.payload);
+      if (rebuilding()) {
+        park_query(std::move(*parsed), wire->app, message.payload, false);
+        return;
+      }
+      log_query(wire->app, message.payload);
       admit_query(std::move(*parsed), wire->app);
       return;
     }
@@ -659,6 +677,12 @@ void ContextServer::on_component_message(const net::Message& message) {
       return;
     case kShardBatch:
       handle_shard_batch(message);
+      return;
+    case kShardMirrorPull:
+      handle_shard_mirror_pull(message);
+      return;
+    case kShardMirrorSet:
+      handle_shard_mirror_set(message);
       return;
     case kHandoffFreeze:
       handle_handoff_freeze(message);
@@ -765,7 +789,11 @@ void ContextServer::on_scinet_deliver(const overlay::RoutedMessage& message) {
     return;
   }
   m_queries_adopted_.inc();
-  log_record(replicate::RecordKind::kQuery, wire->app, 0, message.payload);
+  if (rebuilding()) {
+    park_query(std::move(*parsed), wire->app, message.payload, false);
+    return;
+  }
+  log_query(wire->app, message.payload);
   admit_query(std::move(*parsed), wire->app);
 }
 
@@ -949,12 +977,17 @@ void ContextServer::handle_query_submit(const net::Message& message) {
     reply_result(message.from, body->query_id, parsed.error(), Value());
     return;
   }
-  if (repl_log_ != nullptr || pstore_ != nullptr) {
-    const ForwardedQueryWire wire{message.from, body->xml};
-    hold_admit_until_committed(
-        log_record(replicate::RecordKind::kQuery, message.from, 0,
-                   wire.encode()),
-        {});
+  const bool logged = repl_log_ != nullptr || pstore_ != nullptr;
+  serde::BufferRef wire;
+  if (logged || rebuilding()) {
+    wire = ForwardedQueryWire{message.from, body->xml}.encode();
+  }
+  if (rebuilding()) {
+    park_query(std::move(*parsed), message.from, std::move(wire), true);
+    return;
+  }
+  if (logged) {
+    hold_admit_until_committed(log_query(message.from, std::move(wire)), {});
   }
   admit_query(std::move(*parsed), message.from);
 }
@@ -1128,8 +1161,10 @@ void ContextServer::schedule_not_before(const query::Query& q, Guid app) {
     return;
   }
   m_queries_deferred_.inc();
+  ++not_before_timers_;
   network_.simulator().schedule_at(at, [this, alive = alive_, ready, app] {
     if (!*alive) return;
+    --not_before_timers_;
     execute_query(ready, app);
   });
 }
@@ -2167,20 +2202,35 @@ void ContextServer::broadcast_profile_remove(Guid subject) {
   }
 }
 
-void ContextServer::ingest_shard_profile(serde::FrameView payload) {
+Guid ContextServer::ingest_shard_profile(serde::FrameView payload) {
   serde::Reader r(payload);
   auto record = entity::ProfileRecord::decode(r);
-  if (!record) return;
-  profiles_.put(record->profile, std::move(record->advertisement));
+  if (!record) return Guid();
+  const entity::Profile& profile = record->profile;
+  // Never go backwards. The channel dedups but does not order, so a
+  // retransmitted older mirror can land after a newer one; and a late
+  // mirror from a vnode's previous owner must not overwrite a profile this
+  // shard now owns.
+  if (owns_entity(profile.entity)) return Guid();
+  if (const entity::Profile* held = profiles_.profile(profile.entity);
+      held != nullptr && profile.version < held->version) {
+    return Guid();
+  }
+  profiles_.put(profile, std::move(record->advertisement));
   // Mirror-record ingestion feeds the same invalidation path as a local
   // profile change: a sibling shard's entity is a composition source here.
-  invalidate_views_matching(record->profile);
+  invalidate_views_matching(profile);
+  return profile.entity;
 }
 
 void ContextServer::handle_shard_profile(const net::Message& message) {
-  log_record(replicate::RecordKind::kShardProfile, message.from, 0,
-             message.payload);
-  ingest_shard_profile(message.payload);
+  accept_mirror_put(message.payload);
+}
+
+void ContextServer::accept_mirror_put(serde::FrameView payload) {
+  const Guid subject = ingest_shard_profile(payload);
+  if (subject.is_nil()) return;
+  if (!note_mirror_change(subject, /*must_log=*/false)) return;
   // A mirrored profile is a new composition source: queries parked for want
   // of one may resolve now, exactly as after a local arrival.
   retry_pending_queries();
@@ -2191,18 +2241,209 @@ void ContextServer::handle_shard_profile_remove(const net::Message& message) {
   serde::Reader r(message.payload);
   auto subject = r.guid();
   if (!subject) return;
-  log_record(replicate::RecordKind::kShardDrop, *subject, 0, {});
-  ingest_shard_drop(*subject);
+  accept_mirror_drop(*subject);
 }
 
-void ContextServer::ingest_shard_drop(Guid subject) {
+void ContextServer::accept_mirror_drop(Guid subject) {
+  const std::size_t subscriptions = mediator_.table().size();
+  if (!ingest_shard_drop(subject)) return;
+  // Subscriptions that named the subject went with it: the subscription
+  // table is replicated state, so that change is logged at once.
+  if (!note_mirror_change(subject,
+                          mediator_.table().size() != subscriptions)) {
+    return;
+  }
+  recompose_after_loss(subject);
+}
+
+bool ContextServer::ingest_shard_drop(Guid subject) {
+  if (registrar_.contains(subject)) return false;
   mediator_.remove_producer(subject);
   if (const entity::Profile* old = profiles_.profile(subject);
       old != nullptr) {
     invalidate_views_matching(*old);
   }
   (void)profiles_.remove(subject);
-  recompose_after_loss(subject);
+  return true;
+}
+
+bool ContextServer::note_mirror_change(Guid subject, bool must_log) {
+  if (rebuilding()) rebuild_arrivals_.insert(subject);
+  if (repl_log_ == nullptr && pstore_ == nullptr) return true;
+  unlogged_mirrors_.insert(subject);
+  // Nothing here can re-resolve from a log record, so no replica reads the
+  // mirror before the next query logs it.
+  if (!must_log && !reads_mirrors() &&
+      unlogged_mirrors_.size() < kMaxUnloggedMirrors) {
+    return false;
+  }
+  log_unlogged_mirrors();
+  return true;
+}
+
+void ContextServer::log_unlogged_mirrors() {
+  const std::set<Guid> subjects = std::move(unlogged_mirrors_);
+  unlogged_mirrors_.clear();
+  for (const Guid subject : subjects) {
+    if (owns_entity(subject)) continue;  // local records carry owned state
+    // Encoded from the current profile, so a replica that already holds the
+    // change (from a checkpoint) just applies it again.
+    if (const entity::ProfileRecord* held = profiles_.record(subject);
+        held != nullptr) {
+      serde::Writer w;
+      held->encode(w);
+      log_record(replicate::RecordKind::kShardProfile, subject, 0,
+                 w.take_ref());
+    } else {
+      log_record(replicate::RecordKind::kShardDrop, subject, 0, {});
+    }
+    m_mirrors_logged_.inc();
+  }
+}
+
+std::uint64_t ContextServer::log_query(Guid app, serde::BufferRef wire) {
+  log_unlogged_mirrors();
+  return log_record(replicate::RecordKind::kQuery, app, 0, std::move(wire));
+}
+
+std::optional<unsigned> ContextServer::sibling_at(Guid node) const {
+  if (!sharded()) return std::nullopt;
+  for (unsigned i = 0; i < config_.shard_map->size(); ++i) {
+    if (i != config_.shard_index && shard_node(i) == node) return i;
+  }
+  return std::nullopt;
+}
+
+void ContextServer::begin_mirror_rebuild() {
+  if (!sharded()) return;
+  mirror_pull_id_ = config_.epoch;
+  rebuild_arrivals_.clear();
+  for (unsigned i = 0; i < config_.shard_map->size(); ++i) {
+    if (i != config_.shard_index) mirror_pulls_.insert(i);
+  }
+  // Sent from the event loop: a whole-Range recovery constructs the
+  // siblings after this shard, and a pull to a node not yet attached would
+  // give up at once.
+  network_.simulator().schedule(Duration::micros(0), [this, alive = alive_] {
+    if (!*alive) return;
+    const std::vector<unsigned> siblings(mirror_pulls_.begin(),
+                                         mirror_pulls_.end());
+    for (const unsigned sibling : siblings) send_mirror_pull(sibling);
+  });
+}
+
+void ContextServer::send_mirror_pull(unsigned sibling) {
+  serde::Writer w;
+  w.varint(mirror_pull_id_);
+  channel_.send(shard_node(sibling), kShardMirrorPull, w.take_ref());
+}
+
+void ContextServer::handle_shard_mirror_pull(const net::Message& message) {
+  const auto sibling = sibling_at(message.from);
+  if (!sibling) return;
+  serde::Reader r(message.payload);
+  const auto pull = r.varint();
+  if (!pull) return;
+  // A sibling pulling is a new incarnation: a pull of ours that its
+  // predecessor took may have died unanswered with it. Once per
+  // incarnation, so two rebuilding shards do not pull each other forever.
+  if (mirror_pulls_.contains(*sibling)) {
+    if (const auto [it, fresh] = mirror_repulls_.try_emplace(*sibling, *pull);
+        fresh || it->second != *pull) {
+      it->second = *pull;
+      send_mirror_pull(*sibling);
+    }
+  }
+  // Queued mirror records go out ahead of the answer.
+  flush_mirrors();
+  std::vector<const entity::ProfileRecord*> owned;
+  for (const Guid id : registrar_.entities()) {
+    const entity::ProfileRecord* record = profiles_.record(id);
+    if (record != nullptr && owns_entity(id)) owned.push_back(record);
+  }
+  serde::Writer w;
+  w.varint(*pull);
+  w.varint(owned.size());
+  for (const entity::ProfileRecord* record : owned) record->encode(w);
+  channel_.send(message.from, kShardMirrorSet, w.take_ref());
+}
+
+void ContextServer::handle_shard_mirror_set(const net::Message& message) {
+  const auto sibling = sibling_at(message.from);
+  if (!sibling || !mirror_pulls_.contains(*sibling)) return;
+  serde::Reader r(message.payload);
+  const auto pull = r.varint();
+  const auto count = r.varint();
+  if (pull && *pull != mirror_pull_id_) return;  // answers an older pull
+  // A damaged answer ends this sibling's pull without a ghost sweep.
+  if (!pull || !count) {
+    mirror_pull_answered(*sibling);
+    return;
+  }
+  std::set<Guid> listed;
+  for (std::uint64_t i = 0; i < *count; ++i) {
+    const std::size_t start = message.payload.size() - r.remaining();
+    auto record = entity::ProfileRecord::decode(r);
+    if (!record) {
+      mirror_pull_answered(*sibling);
+      return;
+    }
+    const serde::BufferRef bytes = message.payload.slice(
+        start, message.payload.size() - r.remaining() - start);
+    listed.insert(record->profile.entity);
+    // Identical to what is held: re-applying it would only invalidate the
+    // views a promoted standby inherited.
+    if (const entity::ProfileRecord* held =
+            profiles_.record(record->profile.entity);
+        held != nullptr) {
+      serde::Writer w;
+      held->encode(w);
+      const serde::FrameView mine = w.view();
+      if (mine.size() == bytes.size() &&
+          std::equal(mine.data(), mine.data() + mine.size(), bytes.data())) {
+        continue;
+      }
+    }
+    accept_mirror_put(bytes);
+  }
+  // Ghost sweep: a held mirror of this sibling's entity that the answer
+  // leaves out departed while its drop went unlogged, unless a mirror frame
+  // for it arrived after the pull.
+  std::vector<Guid> ghosts;
+  for (const entity::Profile& profile : profiles_.snapshot()) {
+    const Guid id = profile.entity;
+    if (shard_of(id) == *sibling && !registrar_.contains(id) &&
+        !listed.contains(id) && !rebuild_arrivals_.contains(id)) {
+      ghosts.push_back(id);
+    }
+  }
+  for (const Guid ghost : ghosts) accept_mirror_drop(ghost);
+  mirror_pull_answered(*sibling);
+}
+
+void ContextServer::mirror_pull_answered(unsigned sibling) {
+  if (mirror_pulls_.erase(sibling) == 0 || rebuilding()) return;
+  m_mirror_rebuilds_.inc();
+  rebuild_arrivals_.clear();
+  std::vector<ParkedQuery> parked = std::move(rebuild_parked_);
+  rebuild_parked_.clear();
+  for (ParkedQuery& p : parked) {
+    const std::uint64_t index = log_query(p.app, std::move(p.wire));
+    admit_query(std::move(p.query), p.app);
+    if (p.hold_until_committed && index != 0 && !admit_complete(index)) {
+      sync_waiting_[index].push_back(
+          [this, ack = p.ack] { channel_.release_ack(ack); });
+    } else {
+      channel_.release_ack(p.ack);
+    }
+  }
+}
+
+void ContextServer::park_query(query::Query q, Guid app, serde::BufferRef wire,
+                               bool hold_until_committed) {
+  rebuild_parked_.push_back(ParkedQuery{std::move(q), app, std::move(wire),
+                                        hold_until_committed,
+                                        channel_.hold_current_ack()});
 }
 
 void ContextServer::ingest_shard_subscribe(serde::FrameView payload,
@@ -3097,6 +3338,13 @@ std::uint64_t ContextServer::log_record(replicate::RecordKind kind,
     return 0;
   }
   if (repl_log_ == nullptr && pstore_ == nullptr) return 0;
+  // A local record about a subject carries its profile: a pending mirror of
+  // the same subject has nothing left to add.
+  if (kind == replicate::RecordKind::kRegister ||
+      kind == replicate::RecordKind::kProfileUpdate ||
+      kind == replicate::RecordKind::kDeparture) {
+    unlogged_mirrors_.erase(subject);
+  }
   replicate::LogRecord record;
   record.kind = kind;
   record.subject = subject;
@@ -3343,7 +3591,9 @@ void ContextServer::apply_record(const replicate::LogRecord& record) {
       rebind_after_arrival();
       return;
     case replicate::RecordKind::kShardDrop:
-      ingest_shard_drop(record.subject);
+      if (ingest_shard_drop(record.subject)) {
+        recompose_after_loss(record.subject);
+      }
       return;
     case replicate::RecordKind::kShardSubscribe:
       ingest_shard_subscribe(record.payload, record.flag == 1);
@@ -3828,7 +4078,13 @@ std::uint64_t ContextServer::state_fingerprint() const {
   };
   mix(next_tag_);
   mix(registrar_.size());
-  mix(profiles_.size());
+  // Owned profiles only: sibling mirrors are derived state that a replica
+  // receives only ahead of the records that read it (docs/REPLICATION.md).
+  std::uint64_t member_profiles = 0;
+  for (const Guid id : registrar_.members()) {
+    if (profiles_.profile(id) != nullptr) ++member_profiles;
+  }
+  mix(member_profiles);
   mix(mediator_.table().size());
   mix(mediator_.table().next_id());
   mix(store_.size());
@@ -3941,6 +4197,8 @@ void ContextServer::promote(Guid join_via) {
   // An in-flight handoff mirrored from the dead primary resolves here:
   // committed completes, uncommitted aborts (docs/SHARDING.md crash matrix).
   resolve_recovered_handoff();
+  // The dead primary may have held mirrors it never logged.
+  begin_mirror_rebuild();
 }
 
 void ContextServer::fence() {
@@ -3959,6 +4217,9 @@ void ContextServer::fence() {
   network_.simulator().cancel(mirror_flush_timer_);
   mirror_flush_scheduled_ = false;
   mirror_buffers_.clear();
+  unlogged_mirrors_.clear();
+  mirror_pulls_.clear();
+  rebuild_parked_.clear();  // their held acks die with halt() below
   if (outgoing_handoff_) {
     network_.simulator().cancel(outgoing_handoff_->deadline);
   }

@@ -92,6 +92,15 @@ inline constexpr std::uint32_t kHandoffReplay = 0xF10A;  // staged op replay
 // Coalesced mirror burst: several kShardProfile/kShardSubscribe/… records in
 // one frame (the kReplBatch shape applied to shard mirror traffic).
 inline constexpr std::uint32_t kShardBatch = 0xF10B;
+// Mirror rebuild (docs/SHARDING.md, "State split and mirrors"): a promoted or
+// WAL-recovered shard asks every sibling for the profiles it owns and gets
+// them back in one frame.
+inline constexpr std::uint32_t kShardMirrorPull = 0xF10C;  // pull id
+inline constexpr std::uint32_t kShardMirrorSet = 0xF10D;   // owned profiles
+// Memory bound on a shard's unlogged mirror set: reaching it logs the whole
+// set. A flush writes at most one record per subject, so it never logs more
+// than logging every mirror as it arrives would.
+inline constexpr std::size_t kMaxUnloggedMirrors = 4096;
 
 // --- Range options (README "Range options") ---------------------------------
 // What a caller of Sci::create_range may set. Everything else about a range
@@ -580,8 +589,10 @@ class ContextServer {
   // watches); results go straight back to `app`.
   void forward_to_shard(const query::Query& q, Guid app, unsigned shard);
   // Decode-and-apply halves of the mirror handlers, shared with
-  // apply_record so a shard's standby mutates state identically.
-  void ingest_shard_profile(serde::FrameView payload);
+  // apply_record so a shard's standby mutates state identically. Returns
+  // the subject, or nil when the mirror was refused: it is older than the
+  // profile held, or its subject is owned here.
+  Guid ingest_shard_profile(serde::FrameView payload);
   // `own_id_space` distinguishes a self-logged direct subscription (the
   // standby's mint counter must advance past its id, and its sibling
   // mirrors are rebuilt) from a sibling mirror (foreign id space that must
@@ -594,8 +605,44 @@ class ContextServer {
   [[nodiscard]] std::vector<Guid> composable_entities() const;
   [[nodiscard]] std::vector<entity::Profile> composable_profiles() const;
   // Decode-and-apply half of handle_shard_profile_remove, shared with
-  // apply_record kShardDrop.
-  void ingest_shard_drop(Guid subject);
+  // apply_record kShardDrop. False (nothing done) for a registrar member:
+  // its profile is owned state, never a mirror.
+  bool ingest_shard_drop(Guid subject);
+  // The primary's half of a sibling put/drop: apply it, then log it now or
+  // leave it in the unlogged set, and run the follow-on work when logged.
+  void accept_mirror_put(serde::FrameView payload);
+  void accept_mirror_drop(Guid subject);
+  // Unlogged mirrors (docs/SHARDING.md, "State split and mirrors"). A
+  // sibling put/drop is logged only once a record a replica replays could
+  // read it. Returns true when the change was logged (or no log exists), so
+  // the caller runs its follow-on work now.
+  bool note_mirror_change(Guid subject, bool must_log);
+  // True while this server holds state that re-resolves over mirrors when
+  // a log record replays: configurations, parked or deferred queries, or a
+  // not-before timer.
+  [[nodiscard]] bool reads_mirrors() const {
+    return !tracked_.empty() || !pending_.empty() || !deferred_.empty() ||
+           not_before_timers_ > 0;
+  }
+  // Writes one kShardProfile/kShardDrop record per unlogged mirror, encoded
+  // from the current profile, then clears the set.
+  void log_unlogged_mirrors();
+  // Logs a kQuery record behind the unlogged mirrors it may read.
+  std::uint64_t log_query(Guid app, serde::BufferRef wire);
+  // Mirror rebuild after promote() or WAL recovery: pull every sibling's
+  // owned profiles, apply the answers, sweep ghosts, then admit the
+  // queries parked meanwhile.
+  void begin_mirror_rebuild();
+  void send_mirror_pull(unsigned sibling);
+  void handle_shard_mirror_pull(const net::Message& message);
+  void handle_shard_mirror_set(const net::Message& message);
+  void mirror_pull_answered(unsigned sibling);
+  [[nodiscard]] bool rebuilding() const { return !mirror_pulls_.empty(); }
+  // Holds an arriving query (and its channel ack) until the rebuild is done.
+  void park_query(query::Query q, Guid app, serde::BufferRef wire,
+                  bool hold_until_committed);
+  // The sibling shard index attached as `node`, if any.
+  [[nodiscard]] std::optional<unsigned> sibling_at(Guid node) const;
   // Mirror batching (docs/SHARDING.md): per-destination buffers coalesce
   // kShardProfile/kShardSubscribe bursts into kShardBatch frames, flushed at
   // a size cap or a 1 ms timer — the kReplBatch shape for mirror traffic.
@@ -861,6 +908,29 @@ class ContextServer {
     Guid producer;
   };
   std::map<event::SubscriptionId, MirroredSub> mirrored_subs_;
+  // Sibling mirrors applied here but not yet logged, in GUID order. Held
+  // only while a log exists; empty whenever reads_mirrors().
+  std::set<Guid> unlogged_mirrors_;
+  // Outstanding schedule_not_before timers.
+  std::size_t not_before_timers_ = 0;
+  // Mirror rebuild: siblings yet to answer the pull tagged
+  // mirror_pull_id_, subjects whose mirror frames arrived since it started,
+  // and the queries parked until it is done (arrival order).
+  std::set<unsigned> mirror_pulls_;
+  std::uint64_t mirror_pull_id_ = 0;
+  std::set<Guid> rebuild_arrivals_;
+  // Per sibling, the pull id of the incarnation our pull was re-sent to.
+  std::map<unsigned, std::uint64_t> mirror_repulls_;
+  struct ParkedQuery {
+    query::Query query;
+    Guid app;
+    serde::BufferRef wire;  // the kQuery record payload
+    bool hold_until_committed = false;
+    reliable::AckTicket ack;
+  };
+  std::vector<ParkedQuery> rebuild_parked_;
+  obs::TwinCounter m_mirrors_logged_;
+  obs::TwinCounter m_mirror_rebuilds_;
   obs::TwinCounter m_shard_redirects_;
   obs::TwinCounter m_shard_profile_mirrors_;
   obs::TwinCounter m_shard_sub_mirrors_;

@@ -596,13 +596,24 @@ TEST(PersistTest, PowerCutWithSyncsInFlightLosesNoAckedOp) {
   EXPECT_EQ(monitor.registered_calls, 1);
 }
 
+// Mints a guid owned by the given shard of levelB.
+Guid guid_owned_by(Sci& sci, range::ContextServer* lead, unsigned shard) {
+  for (int i = 0; i < 4096; ++i) {
+    const Guid g = sci.new_guid();
+    if (lead->shard_of(g) == shard) return g;
+  }
+  ADD_FAILURE() << "no guid hashed to shard " << shard;
+  return Guid();
+}
+
 TEST(PersistTest, ShardedColdRestartRecoversEveryShardStore) {
   DurableFixture f(0, 0, /*shard_count=*/2);
-  PulseCE pulse(f.sci.network(), f.sci.new_guid(), "pulse",
+  // One owned entity per shard, so each shard logs records of its own.
+  PulseCE pulse(f.sci.network(), guid_owned_by(f.sci, f.level_b, 0), "pulse",
                 entity::EntityKind::kDevice);
   ASSERT_TRUE(f.sci.enroll(pulse, *f.level_b).is_ok());
-  PulseMonitor monitor(f.sci.network(), f.sci.new_guid(), "monitor",
-                       entity::EntityKind::kSoftware);
+  PulseMonitor monitor(f.sci.network(), guid_owned_by(f.sci, f.level_b, 1),
+                       "monitor", entity::EntityKind::kSoftware);
   ASSERT_TRUE(f.sci.enroll(monitor, *f.level_b).is_ok());
   ASSERT_TRUE(monitor
                   .submit_query("sub",
@@ -761,16 +772,6 @@ TEST(PersistTest, TornAndCorruptWalRecoveryNeverPanics) {
 }
 
 // --- elastic resharding durability (docs/SHARDING.md crash matrix) ---------
-
-// Mints a guid owned by the given shard of levelB.
-Guid guid_owned_by(Sci& sci, range::ContextServer* lead, unsigned shard) {
-  for (int i = 0; i < 4096; ++i) {
-    const Guid g = sci.new_guid();
-    if (lead->shard_of(g) == shard) return g;
-  }
-  ADD_FAILURE() << "no guid hashed to shard " << shard;
-  return Guid();
-}
 
 // A committed vnode handoff must survive a power cut: both shards cold-
 // restart onto the bumped map epoch, the moved membership and subscription

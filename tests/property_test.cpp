@@ -4,11 +4,18 @@
 //  * resolver output is always a grounded, acyclic, type-correct graph;
 //  * randomized queries survive the XML round trip unchanged;
 //  * the registrar view equals ground truth under arbitrary
-//    arrival/departure interleavings.
+//    arrival/departure interleavings;
+//  * on a sharded, replicated, durable Range, replicas compose over the
+//    same sibling mirrors as their primaries, and every shard's mirror set
+//    converges on its siblings' owned profiles, across a promotion or a
+//    whole-Range cold restart.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/sci.h"
 #include "entity/protocol.h"
@@ -302,6 +309,201 @@ TEST_P(RegistrarChurnProperty, ViewMatchesGroundTruthUnderChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegistrarChurnProperty,
                          ::testing::Values(100, 200, 300));
+
+// ------------------------------------------ sharded mirror determinism
+
+// A device advertising one output type.
+class TypedProducer final : public entity::ContextEntity {
+ public:
+  TypedProducer(net::Network& network, Guid id, std::string name,
+                std::string type)
+      : ContextEntity(network, id, std::move(name),
+                      entity::EntityKind::kDevice),
+        type_(std::move(type)) {}
+
+  [[nodiscard]] const std::string& type() const { return type_; }
+
+ protected:
+  [[nodiscard]] std::vector<entity::TypeSig> profile_outputs() const override {
+    return {{type_, "", type_}};
+  }
+
+ private:
+  std::string type_;
+};
+
+// tag → plan entities of every configuration a server holds.
+std::map<std::uint64_t, std::vector<Guid>> configurations_of(
+    const range::ContextServer& server) {
+  std::map<std::uint64_t, std::vector<Guid>> out;
+  for (const std::uint64_t tag : server.configurations().all_tags()) {
+    out[tag] = server.configurations().find(tag)->plan.entities;
+  }
+  return out;
+}
+
+// GUID → version of the profiles a shard holds for entities it does not own.
+std::map<Guid, std::uint64_t> mirror_set_of(const range::ContextServer& shard) {
+  std::map<Guid, std::uint64_t> out;
+  for (const entity::Profile& p : shard.profiles().snapshot()) {
+    if (!shard.owns_entity(p.entity)) out[p.entity] = p.version;
+  }
+  return out;
+}
+
+// GUID → version of the non-app profiles a shard owns.
+std::map<Guid, std::uint64_t> owned_profiles_of(
+    const range::ContextServer& shard) {
+  std::map<Guid, std::uint64_t> out;
+  for (const Guid id : shard.registrar().entities()) {
+    const entity::Profile* p = shard.profiles().profile(id);
+    if (p != nullptr && shard.owns_entity(id)) out[id] = p->version;
+  }
+  return out;
+}
+
+class MirrorDeterminismProperty
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MirrorDeterminismProperty, ReplicasComposeOverTheSameMirrors) {
+  const std::uint64_t seed = GetParam();
+  Sci sci(seed);
+  mobility::Building building({.floors = 1, .rooms_per_floor = 4});
+  sci.set_location_directory(&building.directory());
+  RangeOptions options;
+  options.sharding.shard_count = 4;
+  options.replication.standby_count = 1;
+  options.replication.heartbeat_period = Duration::millis(200);
+  options.replication.promote_timeout = Duration::millis(800);
+  options.durability.enable = true;
+  // Per-record shipping. With sync_acks = 0 records ship in heartbeat
+  // batches, and not_before/expiry timers on the standby race them: that
+  // divergence is older than the mirror rules and tracked on its own.
+  options.replication.sync_acks = 1;
+  range::ContextServer* lead =
+      sci.create_range("mall", building.floor_path(0), options).value();
+  const std::vector<std::string> names = {"mall", "mall#1", "mall#2",
+                                          "mall#3"};
+  Rng rng(seed * 7919 + 3);
+  const auto guid_owned_by = [&](unsigned shard) {
+    Guid g = sci.new_guid();
+    while (lead->shard_of(g) != shard) g = sci.new_guid();
+    return g;
+  };
+
+  // One app per shard: a query runs on the shard its app is registered at.
+  std::vector<std::unique_ptr<entity::ContextAwareApp>> apps;
+  for (unsigned shard = 0; shard < 4; ++shard) {
+    apps.push_back(std::make_unique<entity::ContextAwareApp>(
+        sci.network(), guid_owned_by(shard), "app" + std::to_string(shard),
+        entity::EntityKind::kSoftware));
+    ASSERT_TRUE(sci.enroll(*apps.back(), *lead).is_ok());
+  }
+
+  const std::vector<std::string> types = {"pulse", "temp", "noise"};
+  std::vector<std::unique_ptr<TypedProducer>> producers;
+  std::vector<TypedProducer*> live;
+  const auto pick_live = [&]() -> TypedProducer* {
+    if (live.empty()) return nullptr;
+    return live[rng.next_below(live.size())];
+  };
+
+  // One disruption per run: promote one shard's standby, or cold-restart
+  // the whole Range from its stores.
+  const auto disrupt = [&] {
+    if (rng.next_bool(0.5)) {
+      const std::string& name = names[rng.next_below(names.size())];
+      ASSERT_TRUE(sci.promote_range(name).is_ok());
+      ASSERT_TRUE(bool(sci.add_standby(name)));
+    } else {
+      ASSERT_TRUE(sci.shutdown_range("mall").is_ok());
+      auto revived = sci.recover_range("mall");
+      ASSERT_TRUE(bool(revived));
+      lead = *revived;
+      for (const std::string& name : names) {
+        ASSERT_TRUE(bool(sci.add_standby(name)));
+      }
+    }
+  };
+
+  constexpr int kSteps = 40;
+  const auto disrupt_at = static_cast<int>(10 + rng.next_below(25));
+  for (int step = 0; step < kSteps; ++step) {
+    if (step == disrupt_at) disrupt();
+    const std::uint64_t action = rng.next_below(10);
+    if (action < 3) {  // a sibling registers
+      producers.push_back(std::make_unique<TypedProducer>(
+          sci.network(), sci.new_guid(), "p" + std::to_string(step),
+          types[rng.next_below(types.size())]));
+      ASSERT_TRUE(sci.enroll(*producers.back(), *lead).is_ok());
+      live.push_back(producers.back().get());
+    } else if (action == 3) {  // a sibling updates its profile
+      if (TypedProducer* p = pick_live()) {
+        p->set_metadata(Value(static_cast<std::int64_t>(step)));
+      }
+    } else if (action == 4) {  // a sibling deregisters
+      if (TypedProducer* p = pick_live()) {
+        p->stop();
+        std::erase(live, p);
+      }
+    } else if (action == 5) {  // a producer publishes (one-time retire)
+      if (TypedProducer* p = pick_live()) {
+        p->publish(p->type(), Value(static_cast<std::int64_t>(step)));
+      }
+    } else {  // a query on a random shard
+      entity::ContextAwareApp& app = *apps[rng.next_below(apps.size())];
+      const std::string id = "q" + std::to_string(step);
+      query::Builder builder(id, app.id());
+      builder.what_pattern(types[rng.next_below(types.size())]);
+      const double lifetime = rng.next_double(0.5, 3.0);
+      query::Query q;
+      switch (rng.next_below(4)) {
+        case 0:
+          q = builder.profile();
+          break;
+        case 1:
+          q = builder.expires_after(lifetime).subscribe();
+          break;
+        case 2:
+          q = builder.expires_after(lifetime).once();
+          break;
+        default:
+          q = builder
+                  .not_before(sci.now().seconds_f() +
+                              rng.next_double(0.1, 1.0))
+                  .expires_after(lifetime)
+                  .subscribe();
+          break;
+      }
+      ASSERT_TRUE(sci.submit_query(app, std::move(q)).has_value());
+    }
+    sci.run_for(Duration::millis(
+        static_cast<std::int64_t>(50 + rng.next_below(250))));
+  }
+  sci.run_for(Duration::seconds(5));  // timers fire, records ship, acks land
+
+  const auto shards = sci.shards("mall");
+  ASSERT_EQ(shards.size(), 4u);
+  for (unsigned i = 0; i < shards.size(); ++i) {
+    const range::ContextServer& primary = *shards[i];
+    const auto standbys = sci.standbys(names[i]);
+    ASSERT_EQ(standbys.size(), 1u) << names[i];
+    EXPECT_EQ(configurations_of(primary), configurations_of(*standbys[0]))
+        << names[i] << " seed " << seed;
+    EXPECT_EQ(primary.pending_queries(), standbys[0]->pending_queries())
+        << names[i] << " seed " << seed;
+
+    std::map<Guid, std::uint64_t> siblings_owned;
+    for (unsigned j = 0; j < shards.size(); ++j) {
+      if (j != i) siblings_owned.merge(owned_profiles_of(*shards[j]));
+    }
+    EXPECT_EQ(mirror_set_of(primary), siblings_owned)
+        << names[i] << " seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MirrorDeterminismProperty,
+                         ::testing::Range<std::uint64_t>(1, 51));
 
 }  // namespace
 }  // namespace sci

@@ -980,5 +980,187 @@ TEST(ShardTest, SilentTargetAbortsHandoffAndReplaysStagedOps) {
   EXPECT_EQ(monitor.duplicate_events, 0);
 }
 
+// --- derived sibling mirrors (docs/SHARDING.md, "Mirrors are derived state")
+
+// Delivers a raw kShardProfile frame carrying `profile` from shard `from`'s
+// node to shard `to`.
+void send_raw_mirror(ShardFixture& f, unsigned from, unsigned to,
+                     const entity::Profile& profile) {
+  const auto shards = f.sci.shards("mall");
+  serde::Writer w;
+  entity::ProfileRecord{profile, std::nullopt}.encode(w);
+  net::Message message;
+  message.type = range::kShardProfile;
+  message.from = shards[from]->server_node();
+  message.to = shards[to]->server_node();
+  message.payload = w.take_ref();
+  ASSERT_TRUE(f.sci.network().send(std::move(message)).is_ok());
+}
+
+std::string profile_tag(const range::ContextServer& server, Guid entity) {
+  const entity::Profile* p = server.profiles().profile(entity);
+  return p == nullptr ? "<none>" : p->metadata.string_or("");
+}
+
+// The channel dedups but does not order: an older mirror landing after a
+// newer one must not roll the profile back, and a mirror of an entity this
+// shard owns (say, a late one from a vnode's previous owner) must not
+// overwrite the owned profile.
+TEST(ShardTest, MirrorIngestNeverGoesBackwards) {
+  ShardFixture f(2);
+  PulseCE remote(f.sci.network(), f.guid_owned_by(1), "remote",
+                 entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(remote, *f.lead).is_ok());
+  PulseCE local(f.sci.network(), f.guid_owned_by(0), "local",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(local, *f.lead).is_ok());
+  f.sci.run_for(Duration::millis(300));
+  const entity::Profile* mirrored = f.lead->profiles().profile(remote.id());
+  ASSERT_NE(mirrored, nullptr);
+  const entity::Profile* owned = f.lead->profiles().profile(local.id());
+  ASSERT_NE(owned, nullptr);
+  const std::uint64_t owned_version = owned->version;
+
+  entity::Profile v2 = *mirrored;
+  v2.version += 2;
+  v2.metadata = Value("v2");
+  entity::Profile v1 = *mirrored;
+  v1.version += 1;
+  v1.metadata = Value("v1");
+  entity::Profile impostor = *owned;
+  impostor.version += 10;
+  impostor.metadata = Value("impostor");
+  send_raw_mirror(f, 1, 0, v2);
+  f.sci.run_for(Duration::millis(50));
+  send_raw_mirror(f, 1, 0, v1);
+  send_raw_mirror(f, 1, 0, impostor);
+  f.sci.run_for(Duration::millis(50));
+
+  EXPECT_EQ(profile_tag(*f.lead, remote.id()), "v2");
+  EXPECT_EQ(f.lead->profiles().profile(remote.id())->version, v2.version);
+  EXPECT_NE(profile_tag(*f.lead, local.id()), "impostor");
+  EXPECT_EQ(f.lead->profiles().profile(local.id())->version, owned_version);
+}
+
+// Sibling registrations with no query in sight log nothing; the first query
+// logs exactly the backlog ahead of itself, so the standby composes over
+// the same mirrors; a promotion rebuilds once.
+TEST(ShardTest, MirrorsAreLoggedOnlyAheadOfAQuery) {
+  ShardFixture f(2, /*standby_count=*/1);
+  ShardMonitor monitor(f.sci.network(), f.guid_owned_by(0), "monitor",
+                       entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(monitor, *f.lead).is_ok());
+  std::vector<std::unique_ptr<PulseCE>> pulses;
+  for (int i = 0; i < 3; ++i) {
+    pulses.push_back(std::make_unique<PulseCE>(
+        f.sci.network(), f.guid_owned_by(1), "pulse" + std::to_string(i),
+        entity::EntityKind::kDevice));
+    ASSERT_TRUE(f.sci.enroll(*pulses.back(), *f.lead).is_ok());
+  }
+  f.sci.run_for(Duration::millis(500));
+  range::ContextServer* standby = f.sci.standbys("mall").at(0);
+  EXPECT_EQ(node_count(*f.lead, "cs.shard.mirrors_logged"), 0u);
+  EXPECT_NE(f.lead->profiles().profile(pulses[0]->id()), nullptr);
+  EXPECT_EQ(standby->profiles().profile(pulses[0]->id()), nullptr);
+
+  const auto ask = [&](const std::string& id) {
+    ASSERT_TRUE(f.sci.submit_query(monitor, query::Builder(id, monitor.id())
+                                                .what_pattern("pulse")
+                                                .profile())
+                    .has_value());
+    f.sci.run_for(Duration::millis(500));
+  };
+  ask("q1");
+  ASSERT_TRUE(monitor.results.at("q1").ok());
+  EXPECT_EQ(monitor.result_values.at("q1").get_list().size(), 3u);
+  EXPECT_EQ(node_count(*f.lead, "cs.shard.mirrors_logged"), 3u);
+  for (const auto& pulse : pulses) {
+    EXPECT_NE(standby->profiles().profile(pulse->id()), nullptr);
+  }
+
+  // A profile request leaves no state behind: the next registration waits.
+  PulseCE late(f.sci.network(), f.guid_owned_by(1), "late",
+               entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(late, *f.lead).is_ok());
+  f.sci.run_for(Duration::millis(300));
+  EXPECT_EQ(node_count(*f.lead, "cs.shard.mirrors_logged"), 3u);
+
+  ASSERT_TRUE(f.sci.promote_range("mall").is_ok());
+  range::ContextServer* fresh = f.sci.shards("mall")[0];
+  ASSERT_EQ(fresh, standby);
+  f.sci.run_for(Duration::millis(500));
+  EXPECT_EQ(node_count(*fresh, "cs.shard.mirror_rebuilds"), 1u);
+  EXPECT_NE(fresh->profiles().profile(late.id()), nullptr);
+  EXPECT_EQ(f.sci.metrics().snapshot().counter("repl.state_divergence"), 0u);
+}
+
+// The unlogged set is bounded: the sibling mirror that fills it logs the
+// whole set, once.
+TEST(ShardTest, UnloggedMirrorSetFlushesAtItsBound) {
+  ShardFixture f(2, /*standby_count=*/1);
+  f.sci.run_for(Duration::millis(300));
+  for (std::size_t i = 0; i <= range::kMaxUnloggedMirrors; ++i) {
+    entity::Profile profile;
+    profile.entity = f.guid_owned_by(1);
+    profile.name = "m" + std::to_string(i);
+    send_raw_mirror(f, 1, 0, profile);
+  }
+  f.sci.run_for(Duration::millis(300));
+  EXPECT_EQ(f.lead->profiles().size(), range::kMaxUnloggedMirrors + 1);
+  EXPECT_EQ(node_count(*f.lead, "cs.shard.mirrors_logged"),
+            range::kMaxUnloggedMirrors);
+}
+
+// A promoted standby holds only the mirrors its predecessor logged: the
+// rebuild pulls the ones it never logged and sweeps the ghost of an entity
+// whose departure went unlogged. A query on the successor sees exactly the
+// sibling's live entities.
+TEST(ShardTest, PromotedShardRebuildsMirrorsItsPredecessorNeverLogged) {
+  ShardFixture f(2, /*standby_count=*/1);
+  ShardMonitor monitor(f.sci.network(), f.guid_owned_by(0), "monitor",
+                       entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(monitor, *f.lead).is_ok());
+  PulseCE gone(f.sci.network(), f.guid_owned_by(1), "gone",
+               entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(gone, *f.lead).is_ok());
+  PulseCE kept(f.sci.network(), f.guid_owned_by(1), "kept",
+               entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(kept, *f.lead).is_ok());
+  f.sci.run_for(Duration::millis(300));
+  const auto ask = [&](const std::string& id) {
+    ASSERT_TRUE(f.sci.submit_query(monitor, query::Builder(id, monitor.id())
+                                                .what_pattern("pulse")
+                                                .profile())
+                    .has_value());
+    f.sci.run_for(Duration::millis(500));
+  };
+  ask("q1");  // logs both mirrors
+
+  PulseCE fresh_arrival(f.sci.network(), f.guid_owned_by(1), "arrival",
+                        entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(fresh_arrival, *f.lead).is_ok());
+  gone.stop();
+  f.sci.run_for(Duration::millis(500));
+  range::ContextServer* standby = f.sci.standbys("mall").at(0);
+  EXPECT_NE(standby->profiles().profile(gone.id()), nullptr);
+  EXPECT_EQ(standby->profiles().profile(fresh_arrival.id()), nullptr);
+
+  ASSERT_TRUE(f.sci.promote_range("mall").is_ok());
+  range::ContextServer* fresh = f.sci.shards("mall")[0];
+  f.sci.run_for(Duration::millis(500));
+  EXPECT_EQ(node_count(*fresh, "cs.shard.mirror_rebuilds"), 1u);
+  EXPECT_EQ(fresh->profiles().profile(gone.id()), nullptr);
+  EXPECT_NE(fresh->profiles().profile(kept.id()), nullptr);
+  EXPECT_NE(fresh->profiles().profile(fresh_arrival.id()), nullptr);
+
+  ask("q2");
+  ASSERT_TRUE(monitor.results.at("q2").ok());
+  std::set<Guid> answered;
+  for (const Value& profile : monitor.result_values.at("q2").get_list()) {
+    answered.insert(profile.at("entity").as_guid().value());
+  }
+  EXPECT_EQ(answered, (std::set<Guid>{kept.id(), fresh_arrival.id()}));
+}
+
 }  // namespace
 }  // namespace sci
