@@ -39,7 +39,7 @@ void BM_OverlayRouting(benchmark::State& state) {
   link.base_latency = Duration::micros(500);
   link.jitter = Duration::micros(100);
   network.set_link_model(link);
-  overlay::Scinet scinet(network, {});
+  overlay::Scinet scinet(network);
   for (std::size_t i = 0; i < n; ++i) {
     scinet.add_node(simulator.rng().next_double(0, 1000),
                     simulator.rng().next_double(0, 1000));

@@ -108,12 +108,8 @@ Duration receipt_delay(unsigned attempts) {
 
 }  // namespace
 
-ScinetNode::ScinetNode(net::Network& network, Guid id, ScinetConfig config,
-                       double x, double y)
-    : network_(network),
-      id_(id),
-      config_(config),
-      channel_(network, id) {
+ScinetNode::ScinetNode(net::Network& network, Guid id, double x, double y)
+    : network_(network), id_(id), channel_(network, id) {
   SCI_ASSERT(!id.is_nil());
   const Status attached = network_.attach(
       id_, [this](const net::Message& m) { on_message(m); }, x, y);
@@ -158,7 +154,7 @@ ScinetNode::~ScinetNode() {
 
 void ScinetNode::bootstrap() {
   ready_ = true;
-  heartbeat_timer_.emplace(network_.simulator(), config_.heartbeat_period,
+  heartbeat_timer_.emplace(network_.simulator(), kHeartbeatPeriod,
                            [this] { heartbeat_tick(); });
   heartbeat_timer_->start();
 }
@@ -484,7 +480,7 @@ void ScinetNode::on_join_reply(const net::Message& message) {
   for (const Guid g : *leaves) learn(g);
 
   ready_ = true;
-  heartbeat_timer_.emplace(network_.simulator(), config_.heartbeat_period,
+  heartbeat_timer_.emplace(network_.simulator(), kHeartbeatPeriod,
                            [this] { heartbeat_tick(); });
   heartbeat_timer_->start();
 
@@ -744,7 +740,7 @@ void ScinetNode::heartbeat_tick() {
   std::vector<Guid> failed;
   for (const Guid neighbour : leaf_) {
     const unsigned missed = ++missed_heartbeats_[neighbour];
-    if (missed > config_.heartbeat_miss_limit) failed.push_back(neighbour);
+    if (missed > kHeartbeatMissLimit) failed.push_back(neighbour);
   }
   bool lost_any = false;
   for (const Guid node : failed) {
@@ -846,17 +842,15 @@ std::size_t ScinetNode::routing_table_population() const {
 
 bool ScinetNode::knows(Guid node) const { return known_.contains(node); }
 
-Scinet::Scinet(net::Network& network, ScinetConfig config)
-    : network_(network),
-      config_(config),
-      rng_(network.simulator().rng().split()) {}
+Scinet::Scinet(net::Network& network)
+    : network_(network), rng_(network.simulator().rng().split()) {}
 
 ScinetNode& Scinet::add_node(double x, double y) {
   return add_node_with_id(Guid::random(rng_), x, y);
 }
 
 ScinetNode& Scinet::add_node_with_id(Guid id, double x, double y) {
-  auto node = std::make_unique<ScinetNode>(network_, id, config_, x, y);
+  auto node = std::make_unique<ScinetNode>(network_, id, x, y);
   ScinetNode& ref = *node;
   if (nodes_.empty()) {
     ref.bootstrap();

@@ -55,13 +55,11 @@ struct RoutedMessage {
   serde::BufferRef payload;
 };
 
-// Leaf-set liveness: neighbours are probed every heartbeat_period and
-// declared dead after heartbeat_miss_limit silent periods. ROUTED/receipt
+// Leaf-set liveness: neighbours are probed every kHeartbeatPeriod and
+// declared dead after kHeartbeatMissLimit silent periods. ROUTED/receipt
 // hops ride a default-policy reliable channel.
-struct ScinetConfig {
-  Duration heartbeat_period = Duration::millis(500);
-  unsigned heartbeat_miss_limit = 3;
-};
+inline constexpr Duration kHeartbeatPeriod = Duration::millis(500);
+inline constexpr unsigned kHeartbeatMissLimit = 3;
 
 // Handle for an acked route: `id` is unique per originating node.
 struct RouteTicket {
@@ -75,8 +73,8 @@ class ScinetNode {
 
   // Attaches to `network` at (x, y). The node is not part of any overlay
   // until bootstrap() or join() is called.
-  ScinetNode(net::Network& network, Guid id, ScinetConfig config,
-             double x = 0.0, double y = 0.0);
+  ScinetNode(net::Network& network, Guid id, double x = 0.0,
+             double y = 0.0);
   ~ScinetNode();
 
   ScinetNode(const ScinetNode&) = delete;
@@ -199,7 +197,6 @@ class ScinetNode {
 
   net::Network& network_;
   Guid id_;
-  ScinetConfig config_;
   reliable::ReliableChannel channel_;
   DeliverHandler deliver_;
   bool ready_ = false;
@@ -271,7 +268,7 @@ class ScinetNode {
 // until the overlay stabilises.
 class Scinet {
  public:
-  Scinet(net::Network& network, ScinetConfig config = {});
+  explicit Scinet(net::Network& network);
 
   // Adds a node with a random GUID at (x, y); joins through a random
   // existing member. Runs the simulator briefly to let the join complete.
@@ -292,7 +289,6 @@ class Scinet {
 
  private:
   net::Network& network_;
-  ScinetConfig config_;
   Rng rng_;
   std::vector<std::unique_ptr<ScinetNode>> nodes_;
   // Crashed nodes stay attached-but-halted so the fabric keeps dropping

@@ -79,7 +79,6 @@ bool mutates_range_state(std::uint32_t type) {
     case kShardBatch:
     case kShardMirrorSet:
     case kHandoffFreeze:
-    case kHandoffState:
     case kHandoffReady:
     case kHandoffCommit:
     case kHandoffAbort:
@@ -90,9 +89,10 @@ bool mutates_range_state(std::uint32_t type) {
   }
 }
 
-// Handoff protocol header, shared by the kHandoffFreeze/kHandoffCommit wire
-// frames and the kHandoffIntent/kHandoffCommit log records: which vnode is
-// moving, between whom, and the map epoch the move commits at.
+// Handoff protocol header, shared by every kHandoff* wire frame and log
+// record: which vnode is moving, between whom, and the map epoch the move
+// commits at. A kHandoffFreeze frame (and the target's kHandoffIntent
+// record) continues with the vnode's state slice.
 struct HandoffWire {
   std::uint64_t id = 0;
   unsigned vnode = 0;
@@ -112,6 +112,10 @@ struct HandoffWire {
 
   static Expected<HandoffWire> decode(serde::FrameView bytes) {
     serde::Reader r(bytes);
+    return decode(r);
+  }
+
+  static Expected<HandoffWire> decode(serde::Reader& r) {
     HandoffWire out;
     SCI_TRY_ASSIGN(id, r.varint());
     out.id = id;
@@ -138,7 +142,7 @@ Expected<serde::BufferRef> read_blob(serde::Reader& r) {
   return serde::BufferRef::copy_of(s.data(), s.size());
 }
 
-// Record categories inside a kHandoffState batch (u8 tag per CRC frame).
+// Record categories inside a kHandoffFreeze slice (u8 tag per CRC frame).
 constexpr std::uint8_t kStateMember = 1;   // registrar MemberRecord
 constexpr std::uint8_t kStateProfile = 2;  // profile + advertisement
 constexpr std::uint8_t kStateEvent = 3;    // context-store event
@@ -147,8 +151,6 @@ constexpr std::uint8_t kStateDedup = 5;    // publish_seen window
 
 // Staged ops beyond this abort the handoff rather than buffer unboundedly.
 constexpr std::size_t kMaxStagedOps = 256;
-// State records per kHandoffState frame.
-constexpr std::size_t kHandoffBatchRecords = 32;
 // Mirror records coalesced per destination before an eager flush.
 constexpr std::size_t kMirrorBatchCap = 64;
 // Abandoned channel frames parked for Sci::dead_letters() inspection and
@@ -354,9 +356,8 @@ ContextServer::ContextServer(net::Network& network, RangeConfig config,
   // directory entry of their own: inter-range traffic flows through the lead
   // shard, whose entry names the whole Range.
   if (config_.shard_index == 0) {
-    scinet_ = std::make_unique<overlay::ScinetNode>(
-        network_, config_.range, overlay::ScinetConfig{}, config_.x,
-        config_.y);
+    scinet_ = std::make_unique<overlay::ScinetNode>(network_, config_.range,
+                                                    config_.x, config_.y);
     scinet_->set_deliver_handler(
         [this](const overlay::RoutedMessage& m) { on_scinet_deliver(m); });
 
@@ -655,12 +656,9 @@ void ContextServer::on_component_message(const net::Message& message) {
       auto parsed = query::Query::parse(wire->xml);
       if (!parsed) return;
       m_queries_adopted_.inc();
-      if (rebuilding()) {
-        park_query(std::move(*parsed), wire->app, message.payload, false);
-        return;
-      }
-      log_query(wire->app, message.payload);
-      admit_query(std::move(*parsed), wire->app);
+      // Its ack waits for the kQuery record to commit, as a submit's does:
+      // an owner shard that acked and died uncommitted would lose it.
+      accept_query(std::move(*parsed), wire->app, message.payload, true);
       return;
     }
     case kShardProfile:
@@ -686,9 +684,6 @@ void ContextServer::on_component_message(const net::Message& message) {
       return;
     case kHandoffFreeze:
       handle_handoff_freeze(message);
-      return;
-    case kHandoffState:
-      handle_handoff_state(message);
       return;
     case kHandoffReady:
       handle_handoff_ready(message);
@@ -789,12 +784,8 @@ void ContextServer::on_scinet_deliver(const overlay::RoutedMessage& message) {
     return;
   }
   m_queries_adopted_.inc();
-  if (rebuilding()) {
-    park_query(std::move(*parsed), wire->app, message.payload, false);
-    return;
-  }
-  log_query(wire->app, message.payload);
-  admit_query(std::move(*parsed), wire->app);
+  // An overlay delivery carries no channel ack to hold.
+  accept_query(std::move(*parsed), wire->app, message.payload, false);
 }
 
 // ---------------------------------------------------------------------------
@@ -977,19 +968,24 @@ void ContextServer::handle_query_submit(const net::Message& message) {
     reply_result(message.from, body->query_id, parsed.error(), Value());
     return;
   }
-  const bool logged = repl_log_ != nullptr || pstore_ != nullptr;
+  // The kQuery record (and a parked query) carries the forwarded-query wire.
   serde::BufferRef wire;
-  if (logged || rebuilding()) {
+  if (repl_log_ != nullptr || pstore_ != nullptr || rebuilding()) {
     wire = ForwardedQueryWire{message.from, body->xml}.encode();
   }
+  accept_query(std::move(*parsed), message.from, std::move(wire), true);
+}
+
+void ContextServer::accept_query(query::Query q, Guid app,
+                                 serde::BufferRef wire,
+                                 bool hold_until_committed) {
   if (rebuilding()) {
-    park_query(std::move(*parsed), message.from, std::move(wire), true);
+    park_query(std::move(q), app, std::move(wire), hold_until_committed);
     return;
   }
-  if (logged) {
-    hold_admit_until_committed(log_query(message.from, std::move(wire)), {});
-  }
-  admit_query(std::move(*parsed), message.from);
+  const std::uint64_t index = log_query(app, std::move(wire));
+  if (hold_until_committed) hold_admit_until_committed(index, {});
+  admit_query(std::move(q), app);
 }
 
 void ContextServer::admit_query(query::Query q, Guid app) {
@@ -1195,68 +1191,22 @@ void ContextServer::execute_profile_request(const query::Query& q, Guid app) {
     return;
   }
   const auto started = std::chrono::steady_clock::now();
-  const SimTime now = network_.simulator().now();
-  const std::string key = view_key(q);
-  std::vector<Guid> chosen;
   bool view_hit = false;
-  if (!key.empty()) {
-    if (const compose::ViewEntry* view = views_->lookup(key)) {
-      chosen = view->selection;
-      view_hit = true;
-      m_view_hits_.inc();
-    } else {
-      m_view_misses_.inc();
-    }
-  }
-  if (!view_hit) {
-    std::vector<Guid> candidates = find_candidates(q);
-    if (candidates.empty()) {
-      record_outcome(app, q.id,
-                     QueryOutcome{false, false, 0, elapsed_micros(started),
-                                  now});
-      reply_result(app, q.id,
-                   make_error(ErrorCode::kNotFound, "no matching entities"),
-                   Value());
-      return;
-    }
-    const bool selective = q.which.policy != query::SelectPolicy::kAny ||
-                           !q.which.require.empty() || q.which.check_access;
-    // Everything consulted during selection is a view dependency.
-    const std::vector<Guid> consulted = candidates;
-    if (selective) {
-      auto winner = select_candidate(q, std::move(candidates));
-      if (!winner) {
-        record_outcome(app, q.id,
-                       QueryOutcome{false, false, 0, elapsed_micros(started),
-                                    now});
-        reply_result(app, q.id, winner.error(), Value());
-        return;
-      }
-      chosen = {*winner};
-    } else {
-      chosen = std::move(candidates);
-    }
-    if (!key.empty()) {
-      compose::ViewEntry entry;
-      entry.key = key;
-      entry.selection = chosen;
-      entry.deps = view_deps_for(q, consulted);
-      entry.built_at = now;
-      install_view(std::move(entry));
-    }
+  const auto chosen = select_entities(q, /*keep_all=*/true, view_hit);
+  if (!chosen) {
+    finish_query(app, q.id, chosen.error(), Value(), elapsed_micros(started));
+    return;
   }
   // Render from *current* profiles — views cache the selection, never the
   // rendered payload, so a hit can never serve stale attribute values.
   ValueList profiles;
-  for (const Guid id : chosen) {
+  for (const Guid id : *chosen) {
     if (const entity::Profile* p = profiles_.profile(id); p != nullptr) {
       profiles.push_back(profile_to_value(*p));
     }
   }
-  record_outcome(app, q.id,
-                 QueryOutcome{view_hit, true, 0, elapsed_micros(started),
-                              now});
-  reply_result(app, q.id, Error(), Value(std::move(profiles)));
+  finish_query(app, q.id, Error(), Value(std::move(profiles)),
+               elapsed_micros(started), view_hit);
 }
 
 void ContextServer::execute_context_pull(const query::Query& q, Guid app) {
@@ -1305,122 +1255,59 @@ void ContextServer::execute_context_pull(const query::Query& q, Guid app) {
 void ContextServer::execute_advertisement_request(const query::Query& q,
                                                   Guid app) {
   const auto started = std::chrono::steady_clock::now();
-  const SimTime now = network_.simulator().now();
-  const std::string key = view_key(q);
-  std::optional<Guid> winner;
   bool view_hit = false;
-  if (!key.empty()) {
-    if (const compose::ViewEntry* view = views_->lookup(key);
-        view != nullptr && !view->selection.empty()) {
-      winner = view->selection.front();
-      view_hit = true;
-      m_view_hits_.inc();
-    } else {
-      m_view_misses_.inc();
-    }
+  const auto chosen = select_entities(q, /*keep_all=*/false, view_hit);
+  if (!chosen) {
+    finish_query(app, q.id, chosen.error(), Value(), elapsed_micros(started));
+    return;
   }
-  if (!winner) {
-    std::vector<Guid> candidates = find_candidates(q);
-    const std::vector<Guid> consulted = candidates;
-    auto selected = select_candidate(q, std::move(candidates));
-    if (!selected) {
-      record_outcome(app, q.id,
-                     QueryOutcome{false, false, 0, elapsed_micros(started),
-                                  now});
-      reply_result(app, q.id, selected.error(), Value());
-      return;
-    }
-    winner = *selected;
-    if (!key.empty()) {
-      compose::ViewEntry entry;
-      entry.key = key;
-      entry.selection = {*winner};
-      entry.deps = view_deps_for(q, consulted);
-      entry.built_at = now;
-      install_view(std::move(entry));
-    }
-  }
-  const entity::Advertisement* ad = profiles_.advertisement(*winner);
+  const Guid winner = chosen->front();
+  const entity::Advertisement* ad = profiles_.advertisement(winner);
   if (ad == nullptr) {
-    record_outcome(app, q.id,
-                   QueryOutcome{view_hit, false, 0, elapsed_micros(started),
-                                now});
-    reply_result(app, q.id,
+    finish_query(app, q.id,
                  make_error(ErrorCode::kNotFound,
                             "selected entity has no advertisement"),
-                 Value());
+                 Value(), elapsed_micros(started), view_hit);
     return;
   }
   // Attributes, name and location render from live profile state: the view
   // pins only *which* entity answers.
   ValueMap result;
-  result.emplace("entity", *winner);
+  result.emplace("entity", winner);
   result.emplace("service", ad->service);
   ValueList methods;
   for (const entity::MethodDesc& m : ad->methods) methods.emplace_back(m.name);
   result.emplace("methods", Value(std::move(methods)));
   result.emplace("attributes", ad->attributes);
-  if (const entity::Profile* p = profiles_.profile(*winner); p != nullptr) {
+  if (const entity::Profile* p = profiles_.profile(winner); p != nullptr) {
     result.emplace("name", p->name);
     result.emplace("location", p->location.to_value());
   }
-  record_outcome(app, q.id,
-                 QueryOutcome{view_hit, true, 0, elapsed_micros(started),
-                              now});
-  reply_result(app, q.id, Error(), Value(std::move(result)));
+  finish_query(app, q.id, Error(), Value(std::move(result)),
+               elapsed_micros(started), view_hit);
 }
 
 void ContextServer::execute_subscription(const query::Query& q, Guid app,
                                          bool one_time) {
   const auto started = std::chrono::steady_clock::now();
-  const SimTime sim_now = network_.simulator().now();
+  bool view_hit = false;
   // Named-entity and entity-type subscriptions bind directly to the chosen
   // entity's output events; pattern subscriptions go through composition.
   if (q.what.kind != query::WhatKind::kPattern) {
-    const std::string key = view_key(q);
-    std::optional<Guid> winner;
-    bool view_hit = false;
-    if (!key.empty()) {
-      if (const compose::ViewEntry* view = views_->lookup(key);
-          view != nullptr && !view->selection.empty()) {
-        winner = view->selection.front();
-        view_hit = true;
-        m_view_hits_.inc();
-      } else {
-        m_view_misses_.inc();
-      }
+    const auto chosen = select_entities(q, /*keep_all=*/false, view_hit);
+    if (!chosen) {
+      finish_query(app, q.id, chosen.error(), Value(),
+                   elapsed_micros(started));
+      return;
     }
-    if (!winner) {
-      std::vector<Guid> candidates = find_candidates(q);
-      const std::vector<Guid> consulted = candidates;
-      auto selected = select_candidate(q, std::move(candidates));
-      if (!selected) {
-        record_outcome(app, q.id,
-                       QueryOutcome{false, false, 0, elapsed_micros(started),
-                                    sim_now});
-        reply_result(app, q.id, selected.error(), Value());
-        return;
-      }
-      winner = *selected;
-      if (!key.empty()) {
-        compose::ViewEntry entry;
-        entry.key = key;
-        entry.selection = {*winner};
-        entry.deps = view_deps_for(q, consulted);
-        entry.built_at = sim_now;
-        install_view(std::move(entry));
-      }
-    }
-    const entity::Profile* profile = profiles_.profile(*winner);
+    const Guid winner = chosen->front();
+    const entity::Profile* profile = profiles_.profile(winner);
     SCI_ASSERT(profile != nullptr);
     if (profile->outputs.empty()) {
-      record_outcome(app, q.id,
-                     QueryOutcome{view_hit, false, 0, elapsed_micros(started),
-                                  sim_now});
-      reply_result(app, q.id,
+      finish_query(app, q.id,
                    make_error(ErrorCode::kUnresolvable,
                               profile->name + " produces no events"),
-                   Value());
+                   Value(), elapsed_micros(started), view_hit);
       return;
     }
     // A view hit still mints a fresh tag and wires live subscriptions: the
@@ -1428,20 +1315,17 @@ void ContextServer::execute_subscription(const query::Query& q, Guid app,
     const std::uint64_t tag = next_tag_++;
     for (const entity::TypeSig& sig : profile->outputs) {
       const event::SubscriptionId sub =
-          mediator_.subscribe(app, *winner, sig.name, {}, one_time, tag);
+          mediator_.subscribe(app, winner, sig.name, {}, one_time, tag);
       mirror_subscription_if_remote(sub);
     }
-    record_outcome(app, q.id,
-                   QueryOutcome{view_hit, true, tag, elapsed_micros(started),
-                                sim_now});
     ValueMap result;
-    result.emplace("entity", *winner);
+    result.emplace("entity", winner);
     result.emplace("config", static_cast<std::int64_t>(tag));
-    reply_result(app, q.id, Error(), Value(std::move(result)));
+    finish_query(app, q.id, Error(), Value(std::move(result)),
+                 elapsed_micros(started), view_hit, tag);
     return;
   }
 
-  bool view_hit = false;
   auto tag = build_configuration(q, app, one_time, view_hit);
   if (!tag) {
     if (tag.error().code() == ErrorCode::kUnresolvable) {
@@ -1452,10 +1336,8 @@ void ContextServer::execute_subscription(const query::Query& q, Guid app,
                 config_.name.c_str(), q.id.c_str());
       return;
     }
-    record_outcome(app, q.id,
-                   QueryOutcome{view_hit, false, 0, elapsed_micros(started),
-                                sim_now});
-    reply_result(app, q.id, tag.error(), Value());
+    finish_query(app, q.id, tag.error(), Value(), elapsed_micros(started),
+                 view_hit);
     return;
   }
   // Bounded subscriptions: retire automatically at expiry and tell the
@@ -1479,16 +1361,34 @@ void ContextServer::execute_subscription(const query::Query& q, Guid app,
 
   const compose::ActiveConfiguration* active = store_.find(*tag);
   SCI_ASSERT(active != nullptr);
-  record_outcome(app, q.id,
-                 QueryOutcome{view_hit, true, *tag, elapsed_micros(started),
-                              sim_now});
   ValueMap result;
   result.emplace("config", static_cast<std::int64_t>(*tag));
   result.emplace("sink", active->plan.sink);
   result.emplace("type", active->plan.sink_type);
   result.emplace("entities",
                  static_cast<std::int64_t>(active->plan.entities.size()));
-  reply_result(app, q.id, Error(), Value(std::move(result)));
+  finish_query(app, q.id, Error(), Value(std::move(result)),
+               elapsed_micros(started), view_hit, *tag);
+}
+
+void ContextServer::finish_query(Guid app, const std::string& query_id,
+                                 const Error& error, Value result,
+                                 double resolve_micros, bool view_hit,
+                                 std::uint64_t tag) {
+  // Outcomes are FIFO-bounded: introspection covers recent queries, not all
+  // history.
+  constexpr std::size_t kMaxOutcomes = 512;
+  const auto key = std::make_pair(app, query_id);
+  const QueryOutcome outcome{view_hit, error.ok(), tag, resolve_micros,
+                             network_.simulator().now()};
+  if (query_outcomes_.insert_or_assign(key, outcome).second) {
+    outcome_order_.push_back(key);
+    while (outcome_order_.size() > kMaxOutcomes) {
+      query_outcomes_.erase(outcome_order_.front());
+      outcome_order_.pop_front();
+    }
+  }
+  reply_result(app, query_id, error, std::move(result));
 }
 
 // ---------------------------------------------------------------------------
@@ -1512,6 +1412,43 @@ std::vector<Guid> ContextServer::composable_entities() const {
 std::vector<entity::Profile> ContextServer::composable_profiles() const {
   if (!sharded()) return profiles_.snapshot_of(registrar_.entities());
   return profiles_.snapshot_of(composable_entities());
+}
+
+Expected<std::span<const Guid>> ContextServer::select_entities(
+    const query::Query& q, bool keep_all, bool& view_hit) {
+  const std::string key = view_key(q);
+  if (!key.empty()) {
+    if (const compose::ViewEntry* view = views_->lookup(key);
+        view != nullptr && !view->selection.empty()) {
+      view_hit = true;
+      m_view_hits_.inc();
+      return std::span<const Guid>(view->selection);
+    }
+    m_view_misses_.inc();
+  }
+  std::vector<Guid> candidates = find_candidates(q);
+  if (keep_all && candidates.empty()) {
+    return make_error(ErrorCode::kNotFound, "no matching entities");
+  }
+  // Everything consulted during selection is a view dependency.
+  const std::vector<Guid> consulted = candidates;
+  const bool selective = q.which.policy != query::SelectPolicy::kAny ||
+                         !q.which.require.empty() || q.which.check_access;
+  if (keep_all && !selective) {
+    selection_ = std::move(candidates);
+  } else {
+    SCI_TRY_ASSIGN(winner, select_candidate(q, std::move(candidates)));
+    selection_.assign(1, winner);
+  }
+  if (!key.empty()) {
+    compose::ViewEntry entry;
+    entry.key = key;
+    entry.selection = selection_;
+    entry.deps = view_deps_for(q, consulted);
+    entry.built_at = network_.simulator().now();
+    install_view(std::move(entry));
+  }
+  return std::span<const Guid>(selection_);
 }
 
 std::vector<Guid> ContextServer::find_candidates(const query::Query& q) const {
@@ -1767,24 +1704,46 @@ Expected<std::uint64_t> ContextServer::build_configuration(
     }
   }
 
-  compose::ActiveConfiguration active;
-  active.plan = plan;
-  active.app = app;
-  active.query_id = q.id;
-  active.one_time = one_time;
-  const auto to_establish = store_.admit(std::move(active));
-
-  configure_entities(plan);
-  establish_edges(to_establish, tag);
-
-  // Application-facing edge.
-  app_edges_[tag] = mediator_.subscribe(
-      app, plan.sink, plan.sink_type,
-      app_edge_filter(plan, request, q.which, tag), one_time, tag);
-  mirror_subscription_if_remote(app_edges_[tag]);
-  tracked_[tag] = TrackedQuery{q, app, one_time};
+  const TrackedQuery& tracked = tracked_[tag] = TrackedQuery{q, app, one_time};
+  rewire(tag, plan, tracked);
+  bind_app_edge(tag, plan, request, tracked);
   m_configurations_.inc();
   return tag;
+}
+
+void ContextServer::rewire(std::uint64_t tag,
+                           const compose::ConfigurationPlan& plan,
+                           const TrackedQuery& tracked) {
+  compose::ActiveConfiguration active;
+  active.plan = plan;
+  active.app = tracked.app;
+  active.query_id = tracked.query.id;
+  active.one_time = tracked.one_time;
+  compose::ConfigurationStore::ReplaceDiff diff;
+  if (store_.find(tag) == nullptr) {
+    diff.establish = store_.admit(std::move(active));
+  } else {
+    diff = store_.replace(tag, std::move(active));
+  }
+  configure_entities(plan);
+  establish_edges(diff.establish, tag);
+  tear_down_edges(diff.tear_down);
+}
+
+void ContextServer::bind_app_edge(std::uint64_t tag,
+                                  const compose::ConfigurationPlan& plan,
+                                  const compose::ResolveRequest& request,
+                                  const TrackedQuery& tracked) {
+  if (const auto it = app_edges_.find(tag); it != app_edges_.end()) {
+    drop_mirror(it->second);
+    (void)mediator_.unsubscribe(it->second);
+  }
+  const event::SubscriptionId id = mediator_.subscribe(
+      tracked.app, plan.sink, plan.sink_type,
+      app_edge_filter(plan, request, tracked.query.which, tag),
+      tracked.one_time, tag);
+  app_edges_[tag] = id;
+  mirror_subscription_if_remote(id);
 }
 
 void ContextServer::establish_edges(
@@ -1931,27 +1890,9 @@ void ContextServer::recompose_after_loss(Guid lost_entity) {
                    config_.range, lost_entity,
                    static_cast<std::uint64_t>(obs::RecomposeCause::kLoss));
     const Guid old_sink = store_.find(tag)->plan.sink;
-    compose::ActiveConfiguration active;
-    active.plan = *plan;
-    active.app = tracked.app;
-    active.query_id = tracked.query.id;
-    active.one_time = tracked.one_time;
-    const auto diff = store_.replace(tag, std::move(active));
-    configure_entities(*plan);
-    establish_edges(diff.establish, tag);
-    tear_down_edges(diff.tear_down);
-    if (plan->sink != old_sink) {
-      // Rebind the application edge to the new sink.
-      if (const auto it = app_edges_.find(tag); it != app_edges_.end()) {
-        drop_mirror(it->second);
-        (void)mediator_.unsubscribe(it->second);
-      }
-      app_edges_[tag] = mediator_.subscribe(
-          tracked.app, plan->sink, plan->sink_type,
-          app_edge_filter(*plan, request, tracked.query.which, tag),
-          tracked.one_time, tag);
-      mirror_subscription_if_remote(app_edges_[tag]);
-    }
+    rewire(tag, *plan, tracked);
+    // The application edge follows a moved sink.
+    if (plan->sink != old_sink) bind_app_edge(tag, *plan, request, tracked);
   }
 }
 
@@ -1981,15 +1922,7 @@ void ContextServer::rebind_after_arrival() {
     trace_->record(network_.simulator().now(), obs::TraceKind::kRecompose,
                    config_.range, Guid(),
                    static_cast<std::uint64_t>(obs::RecomposeCause::kArrival));
-    compose::ActiveConfiguration active;
-    active.plan = *plan;
-    active.app = tracked.app;
-    active.query_id = tracked.query.id;
-    active.one_time = tracked.one_time;
-    const auto diff = store_.replace(tag, std::move(active));
-    configure_entities(*plan);
-    establish_edges(diff.establish, tag);
-    tear_down_edges(diff.tear_down);
+    rewire(tag, *plan, tracked);
   }
 }
 
@@ -2090,14 +2023,8 @@ void ContextServer::install_view(compose::ViewEntry entry) {
 
 void ContextServer::invalidate_views_for_subject(Guid subject) {
   if (views_ == nullptr) return;
-  const std::size_t dropped =
-      views_->invalidate_subject(subject, network_.simulator().now());
-  if (dropped == 0) return;
-  note_view_drops(dropped);
-  // Subject-keyed drops ride the replication log so view maintenance is
-  // explicit on the wire (docs/VIEWS.md); a log-following standby applies
-  // it idempotently on top of its own shared-path invalidation.
-  log_record(replicate::RecordKind::kViewInvalidate, subject, dropped, {});
+  note_view_drops(
+      views_->invalidate_subject(subject, network_.simulator().now()));
 }
 
 void ContextServer::invalidate_views_matching(const entity::Profile& profile) {
@@ -2111,20 +2038,6 @@ void ContextServer::note_view_drops(std::size_t dropped) {
   if (dropped == 0 || views_ == nullptr) return;
   m_view_invalidations_.inc(dropped);
   m_view_size_->set(static_cast<double>(views_->size()));
-}
-
-void ContextServer::record_outcome(Guid app, const std::string& query_id,
-                                   QueryOutcome outcome) {
-  // FIFO-bounded: introspection covers recent queries, not all history.
-  constexpr std::size_t kMaxOutcomes = 512;
-  const auto key = std::make_pair(app, query_id);
-  if (query_outcomes_.insert_or_assign(key, outcome).second) {
-    outcome_order_.push_back(key);
-    while (outcome_order_.size() > kMaxOutcomes) {
-      query_outcomes_.erase(outcome_order_.front());
-      outcome_order_.pop_front();
-    }
-  }
 }
 
 std::optional<ContextServer::QueryOutcome> ContextServer::query_outcome(
@@ -2726,9 +2639,9 @@ bool ContextServer::begin_handoff(unsigned vnode, unsigned target_shard) {
   }
   if (map_.owner_of_vnode(vnode) != config_.shard_index) return false;
 
-  // Queued mirror traffic must precede the freeze on the wire: the channel
-  // is FIFO per destination, so flushing now keeps pre-freeze records ahead
-  // of the state slice the target is about to stage.
+  // Queued mirror traffic leaves ahead of the freeze. The channel does not
+  // order frames, so a mirror may still land after the slice; the target
+  // then owns its subject and refuses it (ingest_shard_profile).
   flush_mirrors();
 
   OutgoingHandoff handoff;
@@ -2747,15 +2660,13 @@ bool ContextServer::begin_handoff(unsigned vnode, unsigned target_shard) {
   if (!handoff_probe_step("freeze")) return true;
   const HandoffWire wire{outgoing_handoff_->id, vnode, config_.shard_index,
                          target_shard, outgoing_handoff_->epoch};
-  const serde::BufferRef encoded = wire.encode();
-  // Intent into WAL + replication before the first frame leaves: a crash
-  // from here on recovers an explicit in-flight handoff and resolves it.
+  const serde::BufferRef header = wire.encode();
+  // Intent into WAL + replication before the frame leaves: a crash from
+  // here on recovers an explicit in-flight handoff and resolves it.
   log_record(replicate::RecordKind::kHandoffIntent, Guid(),
-             outgoing_handoff_->id, encoded);
-  channel_.send(shard_node(target_shard), kHandoffFreeze, encoded);
-
+             outgoing_handoff_->id, header);
   if (!handoff_probe_step("ship")) return true;
-  ship_handoff_state();
+  ship_handoff_state(header);
 
   // A silent or partitioned target must not freeze the vnode forever.
   const std::uint64_t id = outgoing_handoff_->id;
@@ -2770,27 +2681,31 @@ bool ContextServer::begin_handoff(unsigned vnode, unsigned target_shard) {
   return true;
 }
 
-void ContextServer::ship_handoff_state() {
-  if (!outgoing_handoff_ || passive()) return;
+void ContextServer::ship_handoff_state(serde::FrameView header) {
   const unsigned vnode = outgoing_handoff_->vnode;
-  const Guid target_node = shard_node(outgoing_handoff_->target);
-
   // Encode the vnode's slice: membership, profiles, stored context,
-  // producer-keyed subscriptions, publish-dedup windows.
-  std::vector<serde::BufferRef> records;
+  // producer-keyed subscriptions, publish-dedup windows. Each record is its
+  // own crc32+length frame, so a damaged slice is detected at the target
+  // rather than installed.
+  std::vector<std::byte> slice;
+  std::size_t count = 0;
+  const auto add = [&](serde::Writer& w) {
+    serde::append_frame(slice, w.view());
+    ++count;
+  };
   for (const Guid subject : subjects_in_vnode(vnode)) {
     {
       serde::Writer w;
       w.u8(kStateMember);
       registrar_.find(subject)->encode(w);
-      records.push_back(w.take_ref());
+      add(w);
     }
     if (const entity::ProfileRecord* profile = profiles_.record(subject);
         profile != nullptr) {
       serde::Writer w;
       w.u8(kStateProfile);
       profile->encode(w);
-      records.push_back(w.take_ref());
+      add(w);
     }
     for (const std::string& type : context_store_.types_for(subject)) {
       auto history = context_store_.history(
@@ -2801,7 +2716,7 @@ void ContextServer::ship_handoff_state() {
         serde::Writer w;
         w.u8(kStateEvent);
         it->encode(w);
-        records.push_back(w.take_ref());
+        add(w);
       }
     }
     if (const auto dedup = publish_seen_.find(subject);
@@ -2810,7 +2725,7 @@ void ContextServer::ship_handoff_state() {
       w.u8(kStateDedup);
       w.guid(subject);
       dedup->second.encode(w);
-      records.push_back(w.take_ref());
+      add(w);
     }
   }
   // Producer-keyed subscriptions on the moving slice.
@@ -2819,31 +2734,15 @@ void ContextServer::ship_handoff_state() {
     serde::Writer w;
     w.u8(kStateSub);
     s.encode(w);
-    records.push_back(w.take_ref());
+    add(w);
   }
-
-  // Ship as CRC-framed batches: [varint id][varint seq][bool last]
-  // [varint count] then one crc32+length frame per record, so a torn or
-  // corrupted batch is detected at the target rather than installed.
-  std::uint64_t batch_seq = 0;
-  for (std::size_t offset = 0;
-       offset < records.size() || (records.empty() && batch_seq == 0);
-       offset += kHandoffBatchRecords) {
-    const std::size_t end =
-        std::min(records.size(), offset + kHandoffBatchRecords);
-    const bool last = end == records.size();
-    serde::Writer header;
-    header.varint(outgoing_handoff_->id);
-    header.varint(batch_seq++);
-    header.boolean(last);
-    header.varint(end - offset);
-    std::vector<std::byte> body = header.view().to_vector();
-    for (std::size_t i = offset; i < end; ++i) {
-      serde::append_frame(body, records[i]);
-    }
-    channel_.send(target_node, kHandoffState, serde::BufferRef::copy_of(body));
-    if (last) break;  // also exits the records.empty() degenerate case
-  }
+  // One frame: [header][varint record count][the CRC-framed records].
+  serde::Writer frame(header.size() + 10 + slice.size());
+  frame.raw(header.data(), header.size());
+  frame.varint(count);
+  frame.raw(slice.data(), slice.size());
+  channel_.send(shard_node(outgoing_handoff_->target), kHandoffFreeze,
+                frame.take_ref());
 }
 
 void ContextServer::handle_handoff_freeze(const net::Message& message) {
@@ -2855,27 +2754,52 @@ void ContextServer::handle_handoff_freeze(const net::Message& message) {
   if (incoming_handoff_ || outgoing_handoff_) {
     // One migration at a time per node: refuse, the source rolls back.
     if (!passive()) {
-      channel_.send(message.from, kHandoffAbort, message.payload);
+      channel_.send(message.from, kHandoffAbort, wire->encode());
     }
     return;
   }
+  if (!stage_incoming_handoff(message.payload)) {
+    // Nothing staged and no ready sent: the source aborts at its deadline.
+    SCI_WARN(kTag, "%s: handoff %llu slice damaged — dropped",
+             config_.name.c_str(), static_cast<unsigned long long>(wire->id));
+    return;
+  }
+  // The intent record carries the whole slice, so a standby or a WAL
+  // replay stages it too.
   log_record(replicate::RecordKind::kHandoffIntent, Guid(), wire->id,
              message.payload);
+  arm_incoming_deadline();
+  SCI_INFO(kTag, "%s: handoff %llu — staged %zu records of vnode %u from "
+           "shard %u",
+           config_.name.c_str(), static_cast<unsigned long long>(wire->id),
+           incoming_handoff_->records.size(), wire->vnode, wire->source);
+  if (!handoff_probe_step("ready")) return;
+  send_handoff_ready();
+}
+
+bool ContextServer::stage_incoming_handoff(const serde::BufferRef& frame) {
+  serde::Reader r(frame);
+  const auto wire = HandoffWire::decode(r);
+  const auto count = r.varint();
+  if (!wire || !count) return false;
   IncomingHandoff in;
   in.id = wire->id;
   in.vnode = wire->vnode;
   in.source = wire->source;
   in.epoch = wire->epoch;
+  in.frame = frame;
+  const std::size_t offset = frame.size() - r.remaining();
+  serde::FrameCursor cursor(frame.data() + offset, frame.size() - offset);
+  std::vector<std::byte> record;
+  while (cursor.next(record)) {
+    in.records.push_back(serde::BufferRef::copy_of(record));
+  }
+  if (cursor.stop() != serde::FrameStop::kClean ||
+      in.records.size() != *count) {
+    return false;
+  }
   incoming_handoff_ = std::move(in);
-  arm_incoming_deadline();
-  SCI_INFO(kTag, "%s: handoff %llu — staging vnode %u from shard %u",
-           config_.name.c_str(), static_cast<unsigned long long>(wire->id),
-           wire->vnode, wire->source);
-  // Replay state batches that overtook this freeze on the wire; anything
-  // parked for a different (dead) handoff fails ingest and is dropped here.
-  std::deque<serde::BufferRef> early;
-  early.swap(early_handoff_state_);
-  for (const auto& parked : early) accept_handoff_state(parked);
+  return true;
 }
 
 void ContextServer::arm_incoming_deadline() {
@@ -2885,104 +2809,12 @@ void ContextServer::arm_incoming_deadline() {
       Duration::seconds(10), [this, alive = alive_, id] {
         if (!*alive) return;
         if (!incoming_handoff_ || incoming_handoff_->id != id) return;
-        if (incoming_handoff_->complete) {
-          // We acknowledged readiness but no commit/abort ever came — the
-          // source (or its elected successor) may have lost the ack. Nudge
-          // and keep waiting: a commit may still be recovered from its WAL.
-          send_handoff_ready();
-          arm_incoming_deadline();
-          return;
-        }
-        // A half-staged handoff whose source went silent: the source can
-        // never commit without the ready we never sent, so discarding the
-        // partial staging is unconditionally safe (and unwedges this node
-        // for future migrations).
-        const HandoffWire wire{incoming_handoff_->id, incoming_handoff_->vnode,
-                               incoming_handoff_->source, config_.shard_index,
-                               incoming_handoff_->epoch};
-        log_record(replicate::RecordKind::kHandoffAbort, Guid(), id,
-                   wire.encode());
-        incoming_handoff_.reset();
-        SCI_WARN(kTag, "%s: incoming handoff %llu abandoned — source silent",
-                 config_.name.c_str(), static_cast<unsigned long long>(id));
+        // We acknowledged readiness but no commit/abort ever came — the
+        // source (or its elected successor) may have lost the ack. Nudge and
+        // keep waiting: a commit may still be recovered from its WAL.
+        send_handoff_ready();
+        arm_incoming_deadline();
       });
-}
-
-bool ContextServer::ingest_handoff_batch(const serde::BufferRef& payload) {
-  if (!incoming_handoff_) return false;
-  serde::Reader r(payload);
-  const auto id = r.varint();
-  if (!id || *id != incoming_handoff_->id) return false;
-  const auto seq = r.varint();
-  const auto last = r.boolean();
-  const auto count = r.varint();
-  if (!seq || !last || !count) return false;
-  // The channel deduplicates but does not order, so a batch can overtake
-  // its predecessor. Park batches past the gap (drained below as it fills);
-  // anything below the cursor is a retransmission duplicate.
-  if (*seq != incoming_handoff_->next_batch_seq) {
-    if (*seq > incoming_handoff_->next_batch_seq &&
-        incoming_handoff_->out_of_order.size() < kHandoffBatchRecords) {
-      incoming_handoff_->out_of_order.emplace(*seq, payload);
-      return true;
-    }
-    return false;
-  }
-  const std::size_t offset = payload.size() - r.remaining();
-  serde::FrameCursor cursor(payload.data() + offset, payload.size() - offset);
-  std::vector<serde::BufferRef> batch;
-  std::vector<std::byte> record;
-  while (cursor.next(record)) {
-    batch.push_back(serde::BufferRef::copy_of(record));
-  }
-  if (cursor.stop() != serde::FrameStop::kClean || batch.size() != *count) {
-    SCI_WARN(kTag,
-             "%s: handoff batch %llu/%llu damaged (%s) — dropped, awaiting "
-             "abort",
-             config_.name.c_str(), static_cast<unsigned long long>(*id),
-             static_cast<unsigned long long>(*seq),
-             serde::to_string(cursor.stop()));
-    return false;
-  }
-  incoming_handoff_->next_batch_seq = *seq + 1;
-  for (auto& rec : batch) {
-    incoming_handoff_->records.push_back(std::move(rec));
-  }
-  if (*last) incoming_handoff_->complete = true;
-  // Drain any parked successors the gap was holding back.
-  auto it =
-      incoming_handoff_->out_of_order.find(incoming_handoff_->next_batch_seq);
-  while (it != incoming_handoff_->out_of_order.end()) {
-    const serde::BufferRef parked = std::move(it->second);
-    incoming_handoff_->out_of_order.erase(it);
-    ingest_handoff_batch(parked);
-    if (!incoming_handoff_) break;
-    it = incoming_handoff_->out_of_order.find(
-        incoming_handoff_->next_batch_seq);
-  }
-  return true;
-}
-
-void ContextServer::handle_handoff_state(const net::Message& message) {
-  accept_handoff_state(message.payload);
-}
-
-void ContextServer::accept_handoff_state(const serde::BufferRef& payload) {
-  if (!incoming_handoff_) {
-    // A state batch can overtake the freeze that precedes it (the channel
-    // dedups but does not order): park it and replay once the freeze lands.
-    if (early_handoff_state_.size() < kHandoffBatchRecords) {
-      early_handoff_state_.push_back(payload);
-    }
-    return;
-  }
-  if (!ingest_handoff_batch(payload)) return;
-  log_record(replicate::RecordKind::kHandoffState, Guid(),
-             incoming_handoff_->id, payload);
-  if (incoming_handoff_->complete) {
-    if (!handoff_probe_step("ready")) return;
-    send_handoff_ready();
-  }
 }
 
 void ContextServer::send_handoff_ready() {
@@ -3311,11 +3143,11 @@ void ContextServer::resolve_recovered_handoff() {
   }
   if (incoming_handoff_) {
     // The watchdog died with the previous incarnation (or never existed on
-    // the standby) — re-arm it, and re-signal readiness if fully staged:
-    // the ready we sent may have died with the old primary, and the source
-    // ignores duplicates.
+    // the standby) — re-arm it, and re-signal readiness: the ready we sent
+    // may have died with the old primary, and the source ignores
+    // duplicates.
     arm_incoming_deadline();
-    if (incoming_handoff_->complete) send_handoff_ready();
+    send_handoff_ready();
   }
 }
 
@@ -3604,15 +3436,6 @@ void ContextServer::apply_record(const replicate::LogRecord& record) {
       if (record.subject.is_nil()) drop_mirror(record.flag);
       (void)mediator_.unsubscribe(record.flag);
       return;
-    case replicate::RecordKind::kViewInvalidate:
-      // Belt-and-braces: the shared ingest/admit paths above already drop
-      // the same views while replaying their records, so this second drop
-      // is an idempotent no-op on a log-following standby. It exists so
-      // view-table maintenance is explicit on the wire (docs/VIEWS.md).
-      if (views_ != nullptr) {
-        note_view_drops(views_->invalidate_subject(record.subject, now));
-      }
-      return;
     case replicate::RecordKind::kHandoffIntent: {
       // A standby (or the WAL replay) mirrors the primary's in-flight
       // handoff so a successor can resolve it deterministically.
@@ -3629,12 +3452,7 @@ void ContextServer::apply_record(const replicate::LogRecord& record) {
         next_handoff_seq_ = std::max<std::uint64_t>(
             next_handoff_seq_, wire->id & 0xFFFFFFFFFFFFull);
       } else if (wire->target == config_.shard_index) {
-        IncomingHandoff in;
-        in.id = wire->id;
-        in.vnode = wire->vnode;
-        in.source = wire->source;
-        in.epoch = wire->epoch;
-        incoming_handoff_ = std::move(in);
+        (void)stage_incoming_handoff(record.payload);
       }
       return;
     }
@@ -3644,9 +3462,6 @@ void ContextServer::apply_record(const replicate::LogRecord& record) {
             StagedOp{record.subject, static_cast<std::uint32_t>(record.flag),
                      record.payload});
       }
-      return;
-    case replicate::RecordKind::kHandoffState:
-      (void)ingest_handoff_batch(record.payload);
       return;
     case replicate::RecordKind::kHandoffCommit: {
       auto wire = HandoffWire::decode(record.payload);
@@ -3819,18 +3634,7 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
     for (const StagedOp& op : outgoing_handoff_->staged) op.encode(w);
   }
   w.boolean(incoming_handoff_.has_value());
-  if (incoming_handoff_) {
-    w.varint(incoming_handoff_->id);
-    w.varint(incoming_handoff_->vnode);
-    w.varint(incoming_handoff_->source);
-    w.varint(incoming_handoff_->epoch);
-    w.varint(incoming_handoff_->next_batch_seq);
-    w.boolean(incoming_handoff_->complete);
-    w.varint(incoming_handoff_->records.size());
-    for (const serde::BufferRef& record : incoming_handoff_->records) {
-      write_blob(w, record);
-    }
-  }
+  if (incoming_handoff_) write_blob(w, incoming_handoff_->frame);
 
   // Materialized view table (docs/VIEWS.md), at the very end: a promoted
   // standby starts with warm views instead of a cold re-resolve storm.
@@ -4010,25 +3814,8 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
     }
     SCI_TRY_ASSIGN(has_incoming, r.boolean());
     if (has_incoming) {
-      IncomingHandoff in;
-      SCI_TRY_ASSIGN(id, r.varint());
-      in.id = id;
-      SCI_TRY_ASSIGN(vnode, r.varint());
-      in.vnode = static_cast<unsigned>(vnode);
-      SCI_TRY_ASSIGN(source, r.varint());
-      in.source = static_cast<unsigned>(source);
-      SCI_TRY_ASSIGN(h_epoch, r.varint());
-      in.epoch = h_epoch;
-      SCI_TRY_ASSIGN(next_batch, r.varint());
-      in.next_batch_seq = next_batch;
-      SCI_TRY_ASSIGN(complete, r.boolean());
-      in.complete = complete;
-      SCI_TRY_ASSIGN(n_records, r.varint());
-      for (std::uint64_t i = 0; i < n_records; ++i) {
-        SCI_TRY_ASSIGN(record, read_blob(r));
-        in.records.push_back(std::move(record));
-      }
-      incoming_handoff_ = std::move(in);
+      SCI_TRY_ASSIGN(frame, read_blob(r));
+      (void)stage_incoming_handoff(frame);
     }
 
     SCI_TRY_ASSIGN(has_views, r.boolean());
@@ -4162,9 +3949,8 @@ void ContextServer::promote(Guid join_via) {
   // Overlay presence under the (unchanged) range id. Sibling shards never
   // held one — the lead shard's entry keeps naming the whole Range.
   if (config_.shard_index == 0) {
-    scinet_ = std::make_unique<overlay::ScinetNode>(
-        network_, config_.range, overlay::ScinetConfig{}, config_.x,
-        config_.y);
+    scinet_ = std::make_unique<overlay::ScinetNode>(network_, config_.range,
+                                                    config_.x, config_.y);
     scinet_->set_deliver_handler(
         [this](const overlay::RoutedMessage& m) { on_scinet_deliver(m); });
     if (!join_via.is_nil()) {

@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -83,8 +84,7 @@ inline constexpr std::uint32_t kShardUnsubscribe = 0xF104;    // sub teardown
 // between sibling shards. Same reliable-channel envelope discipline as the
 // mirror frames above, so every protocol step survives retransmission and
 // shard failover.
-inline constexpr std::uint32_t kHandoffFreeze = 0xF105;  // source → target
-inline constexpr std::uint32_t kHandoffState = 0xF106;   // CRC-framed batch
+inline constexpr std::uint32_t kHandoffFreeze = 0xF105;  // header + slice
 inline constexpr std::uint32_t kHandoffReady = 0xF107;   // target staged all
 inline constexpr std::uint32_t kHandoffCommit = 0xF108;  // map epoch bump
 inline constexpr std::uint32_t kHandoffAbort = 0xF109;   // roll the move back
@@ -506,6 +506,11 @@ class ContextServer {
   void on_lease_expired(const event::Subscription& subscription);
   void reply_result(Guid app, const std::string& query_id, const Error& error,
                     Value result);
+  // The reply step of a selection or subscription query: records its
+  // outcome for query_outcome(), then answers the app.
+  void finish_query(Guid app, const std::string& query_id, const Error& error,
+                    Value result, double resolve_micros, bool view_hit = false,
+                    std::uint64_t tag = 0);
 
   // --- Fig 5 handshake ------------------------------------------------------
   void handle_hello(const net::Message& message);
@@ -516,6 +521,12 @@ class ContextServer {
 
   // --- query pipeline ---------------------------------------------------------
   void handle_query_submit(const net::Message& message);
+  // The intake step of every arriving query: parks it while a mirror
+  // rebuild runs, else logs it as a kQuery record (`wire`) and admits it.
+  // `hold_until_committed` holds the arriving frame's channel ack until the
+  // record commits.
+  void accept_query(query::Query q, Guid app, serde::BufferRef wire,
+                    bool hold_until_committed);
   // Routes/forwards/defers/executes. `app` is where results go.
   void admit_query(query::Query q, Guid app);
   void execute_query(const query::Query& q, Guid app);
@@ -526,6 +537,14 @@ class ContextServer {
   void execute_subscription(const query::Query& q, Guid app, bool one_time);
 
   // --- selection (which clause) ------------------------------------------------
+  // The selection step of the profile, advertisement and direct
+  // subscription modes: a view hit's selection, or find_candidates →
+  // select_candidate → install_view. `keep_all` (profile mode) keeps every
+  // candidate when the which-clause does not narrow them. The span points
+  // into the view table or selection_, so read it before either changes.
+  Expected<std::span<const Guid>> select_entities(const query::Query& q,
+                                                  bool keep_all,
+                                                  bool& view_hit);
   [[nodiscard]] std::vector<Guid> find_candidates(const query::Query& q) const;
   Expected<Guid> select_candidate(const query::Query& q,
                                   std::vector<Guid> candidates);
@@ -542,6 +561,16 @@ class ContextServer {
       const compose::ConfigurationPlan& plan,
       const compose::ResolveRequest& request, const query::WhichClause& which,
       std::uint64_t tag) const;
+  // The wiring step: admits configuration `tag` (or replaces its plan),
+  // configures the plan's entities, then sets up new edges and tears down
+  // the ones no configuration uses any more.
+  void rewire(std::uint64_t tag, const compose::ConfigurationPlan& plan,
+              const TrackedQuery& tracked);
+  // Subscribes the app to the configuration's sink, replacing the edge it
+  // held.
+  void bind_app_edge(std::uint64_t tag, const compose::ConfigurationPlan& plan,
+                     const compose::ResolveRequest& request,
+                     const TrackedQuery& tracked);
   void establish_edges(const std::vector<compose::PlanEdge>& edges,
                        std::uint64_t tag);
   void tear_down_edges(const std::vector<compose::PlanEdge>& edges);
@@ -653,7 +682,6 @@ class ContextServer {
 
   // --- resharding internals (docs/SHARDING.md) -----------------------------
   void handle_handoff_freeze(const net::Message& message);
-  void handle_handoff_state(const net::Message& message);
   void handle_handoff_ready(const net::Message& message);
   void handle_handoff_commit(const net::Message& message);
   void handle_handoff_abort(const net::Message& message);
@@ -669,13 +697,12 @@ class ContextServer {
   // IncomingHandoff::deadline).
   void arm_incoming_deadline();
   // Ships the frozen vnode's registrar/profile/store/subscription/dedup
-  // slice to the target as CRC-framed kHandoffState batches.
-  void ship_handoff_state();
-  // Decodes one kHandoffState frame body into the incoming staging area.
-  // Returns false when the frame is stale, damaged, or not ours.
-  bool ingest_handoff_batch(const serde::BufferRef& payload);
-  // Ingests a state batch, parking it when it overtook the freeze.
-  void accept_handoff_state(const serde::BufferRef& payload);
+  // slice to the target: one kHandoffFreeze frame, `header` followed by the
+  // CRC-framed records.
+  void ship_handoff_state(serde::FrameView header);
+  // Stages the slice a kHandoffFreeze frame (or the target's kHandoffIntent
+  // record) carries as the incoming handoff. False when it is damaged.
+  bool stage_incoming_handoff(const serde::BufferRef& frame);
   void send_handoff_ready();
   // Commit point: logs kHandoffCommit (WAL + replication), then completes.
   void commit_outgoing_handoff();
@@ -712,14 +739,11 @@ class ContextServer {
       const query::Query& q, const std::vector<Guid>& consulted) const;
   void install_view(compose::ViewEntry entry);
   // Invalidation fan-in: every environment delta lands on one of these two.
-  // Both run identically on primary and standby (hooks live in the shared
-  // ingest/admit paths); the primary additionally logs kViewInvalidate for
-  // subject-keyed drops so log-following standbys track warm-view state.
+  // Both run identically on primary and standby: the hooks live in the
+  // shared ingest/admit paths that replay every logged record.
   void invalidate_views_for_subject(Guid subject);
   void invalidate_views_matching(const entity::Profile& profile);
   void note_view_drops(std::size_t dropped);
-  void record_outcome(Guid app, const std::string& query_id,
-                      QueryOutcome outcome);
 
   // --- replication ---------------------------------------------------------
   // Appends a record to the replication log when one exists (primary with
@@ -891,6 +915,8 @@ class ContextServer {
   // Owner tags harvested from the mediator's scratch matches before
   // retire_configuration can re-enter dispatch; capacity reused per publish.
   std::vector<std::uint64_t> retire_scratch_;
+  // A selection-step miss's chosen entities; capacity reused per query.
+  std::vector<Guid> selection_;
   obs::TwinCounter m_promotions_;
   obs::TwinCounter m_lease_rejected_;
   obs::Counter* m_node_lease_lapses_ = nullptr;  // this node's slot only
@@ -956,22 +982,14 @@ class ContextServer {
     unsigned vnode = 0;
     unsigned source = 0;
     std::uint64_t epoch = 0;
-    std::uint64_t next_batch_seq = 0;
-    std::vector<serde::BufferRef> records;  // staged state records
-    // Batches that overtook their predecessors on the wire (the channel
-    // dedups but does not order), keyed by batch seq until the gap fills.
-    std::map<std::uint64_t, serde::BufferRef> out_of_order;
-    bool complete = false;  // the last batch arrived
-    // Abandon a half-staged handoff whose source went silent (safe: the
-    // source cannot commit without the ready we never sent); when complete,
-    // the timer re-nudges kHandoffReady at the source's successor instead.
+    serde::BufferRef frame;                 // the kHandoffFreeze frame
+    std::vector<serde::BufferRef> records;  // its staged state records
+    // Re-nudges kHandoffReady at the source (or its successor) while no
+    // commit or abort has come.
     sim::TimerHandle deadline;
   };
   std::optional<OutgoingHandoff> outgoing_handoff_;
   std::optional<IncomingHandoff> incoming_handoff_;
-  // State batches that arrived before the freeze that precedes them (the
-  // channel dedups but does not order); replayed once the freeze lands.
-  std::deque<serde::BufferRef> early_handoff_state_;
   std::uint64_t next_handoff_seq_ = 0;
   SimTime handoff_started_at_ = SimTime::zero();
   HandoffProbe handoff_probe_;

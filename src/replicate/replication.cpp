@@ -46,14 +46,10 @@ const char* to_string(RecordKind kind) {
       return "shard_unsubscribe";
     case RecordKind::kShardDrop:
       return "shard_drop";
-    case RecordKind::kViewInvalidate:
-      return "view_invalidate";
     case RecordKind::kHandoffIntent:
       return "handoff_intent";
     case RecordKind::kHandoffStaged:
       return "handoff_staged";
-    case RecordKind::kHandoffState:
-      return "handoff_state";
     case RecordKind::kHandoffCommit:
       return "handoff_commit";
     case RecordKind::kHandoffAbort:

@@ -88,10 +88,8 @@ enum class RecordKind : std::uint8_t {
   kShardSubscribe = 10,   // cross-shard subscription installed here
   kShardUnsubscribe = 11, // cross-shard subscription torn down
   kShardDrop = 12,        // sibling shard's departure mirror (profile + subs)
-  kViewInvalidate = 13,   // materialized-view invalidation (subject-keyed)
-  kHandoffIntent = 14,    // vnode handoff opened (source or target side)
+  kHandoffIntent = 14,    // vnode handoff opened (the target's: + slice)
   kHandoffStaged = 15,    // publish/profile op parked during a freeze
-  kHandoffState = 16,     // shipped state batch recorded at the target
   kHandoffCommit = 17,    // handoff committed: map epoch bump + new owner
   kHandoffAbort = 18,     // handoff abandoned: staged ops re-ingested
 };

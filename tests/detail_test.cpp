@@ -13,8 +13,7 @@ namespace {
 TEST(OverlayDetailTest, SmallOverlayIsFullyMeshedInLeafSets) {
   sim::Simulator simulator(3);
   net::Network network(simulator);
-  overlay::ScinetConfig config;
-  overlay::Scinet scinet(network, config);
+  overlay::Scinet scinet(network);
   for (int i = 0; i < 10; ++i) scinet.add_node();
   scinet.settle(Duration::seconds(3));
   // 10 nodes <= 2*8: everyone's leaf set is everyone else.
@@ -31,7 +30,7 @@ TEST(OverlayDetailTest, SmallOverlayIsFullyMeshedInLeafSets) {
 TEST(OverlayDetailTest, RoutingTablePopulationGrowsWithMembership) {
   sim::Simulator simulator(4);
   net::Network network(simulator);
-  overlay::Scinet scinet(network, {});
+  overlay::Scinet scinet(network);
   scinet.add_node();
   scinet.settle(Duration::seconds(1));
   EXPECT_EQ(scinet.nodes().front()->routing_table_population(), 0u);
@@ -46,7 +45,7 @@ TEST(OverlayDetailTest, RoutingTablePopulationGrowsWithMembership) {
 TEST(OverlayDetailTest, IsRootForReflectsGlobalClosest) {
   sim::Simulator simulator(5);
   net::Network network(simulator);
-  overlay::Scinet scinet(network, {});
+  overlay::Scinet scinet(network);
   for (int i = 0; i < 8; ++i) scinet.add_node();
   scinet.settle(Duration::seconds(3));
   Rng rng(6);

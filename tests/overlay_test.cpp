@@ -15,8 +15,8 @@ namespace sci::overlay {
 namespace {
 
 struct Deployment {
-  explicit Deployment(std::uint64_t seed, ScinetConfig config = {})
-      : simulator(seed), network(simulator), scinet(network, config) {
+  explicit Deployment(std::uint64_t seed)
+      : simulator(seed), network(simulator), scinet(network) {
     net::LinkModel model;
     model.base_latency = Duration::micros(200);
     model.jitter = Duration::micros(50);
@@ -52,7 +52,7 @@ TEST(ScinetTest, SingleNodeDeliversToItself) {
 
 TEST(ScinetTest, RouteBeforeJoinFails) {
   Deployment d(1);
-  ScinetNode node(d.network, Guid::random(d.simulator.rng()), {});
+  ScinetNode node(d.network, Guid::random(d.simulator.rng()));
   EXPECT_EQ(node.route(Guid(1, 2), 1, {}).error().code(),
             ErrorCode::kUnavailable);
 }
@@ -172,15 +172,13 @@ TEST(ScinetTest, CleanLeaveRepairsRouting) {
 }
 
 TEST(ScinetTest, CrashIsDetectedByHeartbeatsAndRoutedAround) {
-  ScinetConfig config;
-  config.heartbeat_period = Duration::millis(200);
-  config.heartbeat_miss_limit = 2;
-  Deployment d(9, config);
+  Deployment d(9);
   d.grow(12);
   const Guid victim = d.scinet.nodes()[3]->id();
   ASSERT_TRUE(d.scinet.remove_node(victim, /*crash=*/true).is_ok());
-  // Allow several heartbeat rounds for detection + repair.
-  d.scinet.settle(Duration::seconds(10));
+  // Allow several heartbeat rounds for detection + repair (detection alone
+  // takes kHeartbeatMissLimit + 1 periods).
+  d.scinet.settle(Duration::seconds(25));
 
   for (const auto& node : d.scinet.nodes()) {
     EXPECT_FALSE(node->knows(victim))
@@ -234,15 +232,12 @@ TEST(ScinetTest, HostileGuidListCountIsDropped) {
 }
 
 TEST(ScinetTest, PartitionHealReconverges) {
-  ScinetConfig config;
-  config.heartbeat_period = Duration::millis(200);
-  config.heartbeat_miss_limit = 2;
-  Deployment d(12, config);
+  Deployment d(12);
   d.grow(10);
   const Guid victim = d.scinet.nodes()[4]->id();
 
   d.network.set_partition_group(victim, 1);
-  d.scinet.settle(Duration::seconds(5));
+  d.scinet.settle(Duration::seconds(12));
   // Heartbeat misses evicted the partitioned node from the connected side.
   for (const auto& node : d.scinet.nodes()) {
     if (node->id() == victim) continue;
@@ -253,7 +248,7 @@ TEST(ScinetTest, PartitionHealReconverges) {
   d.network.heal_partitions();
   // Forgotten-peer probing reinstalls the victim (and vice versa) without
   // any explicit re-join.
-  d.scinet.settle(Duration::seconds(10));
+  d.scinet.settle(Duration::seconds(25));
 
   std::unordered_map<Guid, int> delivered_at;
   for (const auto& node : d.scinet.nodes()) {
@@ -309,10 +304,7 @@ TEST(ScinetTest, RouteAckedSurvivesLossExactlyOnce) {
 }
 
 TEST(ScinetTest, RouteAckedDeliversDespiteMidFlightCrash) {
-  ScinetConfig config;
-  config.heartbeat_period = Duration::millis(200);
-  config.heartbeat_miss_limit = 2;
-  Deployment d(14, config);
+  Deployment d(14);
   d.grow(12);
   auto& nodes = d.scinet.nodes();
   const Guid victim = nodes[6]->id();
@@ -330,7 +322,7 @@ TEST(ScinetTest, RouteAckedDeliversDespiteMidFlightCrash) {
         acked = ok;
       });
   ASSERT_TRUE(bool(ticket));
-  d.scinet.settle(Duration::seconds(15));
+  d.scinet.settle(Duration::seconds(40));
 
   EXPECT_TRUE(acked);
   EXPECT_EQ(source.pending_receipts(), 0u);

@@ -37,10 +37,7 @@ TEST_P(OverlayChurnProperty, RoutingSurvivesArbitraryChurn) {
   link.base_latency = Duration::micros(200);
   link.jitter = Duration::micros(50);
   network.set_link_model(link);
-  overlay::ScinetConfig config;
-  config.heartbeat_period = Duration::millis(200);
-  config.heartbeat_miss_limit = 2;
-  overlay::Scinet scinet(network, config);
+  overlay::Scinet scinet(network);
   Rng rng(GetParam() * 77 + 1);
 
   for (int i = 0; i < 12; ++i) scinet.add_node();
@@ -56,10 +53,13 @@ TEST_P(OverlayChurnProperty, RoutingSurvivesArbitraryChurn) {
           scinet.nodes()[rng.next_below(scinet.size())];
       (void)scinet.remove_node(victim->id(), /*crash=*/kind == 2);
     }
-    scinet.settle(Duration::millis(300));
+    // Half a failure-detection window (kHeartbeatMissLimit + 1 periods):
+    // churn outpaces detection.
+    scinet.settle(Duration::millis(1000));
   }
-  // Let failure detection and repair finish.
-  scinet.settle(Duration::seconds(8));
+  // Let failure detection (kHeartbeatMissLimit + 1 periods) and repair
+  // finish.
+  scinet.settle(Duration::seconds(20));
 
   int delivered = 0;
   int misdelivered = 0;

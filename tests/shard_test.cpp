@@ -14,6 +14,7 @@
 #include "entity/printer.h"
 #include "range/shard_map.h"
 #include "serde/buffer.h"
+#include "serde/frame.h"
 
 #include "metric_counts.h"
 
@@ -626,6 +627,57 @@ TEST(ShardTest, WarmViewsSurviveShardKillElectCycle) {
   EXPECT_GT(node_count(*fresh, "view.hits"), hits_before);
 }
 
+// A trigger watch forwarded to its owner shard is logged there as a kQuery
+// record; its channel ack must wait for that record to commit, as a
+// submit's does. Otherwise an owner that acks and dies before its standbys
+// apply the record loses the watch: the sender never retransmits and the
+// app never hears back.
+TEST(ShardTest, ForwardedQueryAckWaitsForItsRecordToCommit) {
+  ShardFixture f(2, /*standby_count=*/2, /*sync_acks=*/1);
+  PulseCE pulse(f.sci.network(), f.guid_owned_by(1), "pulse",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(pulse, *f.lead).is_ok());
+  ShardMonitor monitor(f.sci.network(), f.guid_owned_by(0), "monitor",
+                       entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(monitor, *f.lead).is_ok());
+  f.sci.run_for(Duration::seconds(2));
+
+  // Cut the owner shard off from its standbys so nothing it logs commits.
+  range::ContextServer* owner = f.sci.shards("mall")[1];
+  const auto standbys = f.sci.standbys("mall#1");
+  ASSERT_EQ(standbys.size(), 2u);
+  for (const range::ContextServer* standby : standbys) {
+    f.sci.network().set_partition_group(standby->attached_node(), 1);
+  }
+  ASSERT_TRUE(f.sci.submit_query(
+                      monitor, query::Builder("watch", monitor.id())
+                                   .what_named(pulse.id())
+                                   .when_enters(pulse.id(),
+                                                f.building.room_path(0, 1))
+                                   .expires_after(3.0)
+                                   .profile())
+                  .has_value());
+  f.sci.run_for(Duration::millis(100));
+  ASSERT_EQ(owner->deferred_queries(), 1u);
+
+  // The owner dies with the watch uncommitted; its standbys elect a
+  // successor, which must end up holding the watch.
+  ASSERT_TRUE(f.sci.network().set_crashed(owner->server_node(), true).is_ok());
+  for (const range::ContextServer* standby : standbys) {
+    f.sci.network().set_partition_group(standby->attached_node(), 0);
+  }
+  f.sci.run_for(Duration::seconds(4));
+  range::ContextServer* fresh = f.sci.find_range("mall#1");
+  ASSERT_NE(fresh, nullptr);
+  ASSERT_NE(fresh, owner);
+  EXPECT_EQ(fresh->deferred_queries(), 1u);
+
+  // The watch expires there, and the app hears about it.
+  f.sci.run_for(Duration::seconds(6));
+  ASSERT_TRUE(monitor.results.contains("watch"));
+  EXPECT_EQ(monitor.results.at("watch").code(), ErrorCode::kTimeout);
+}
+
 // --- elastic resharding (ISSUE: crash-safe vnode handoff) -------------------
 
 // The versioned ownership table under the fixed ring: reassigning a vnode
@@ -982,6 +1034,17 @@ TEST(ShardTest, SilentTargetAbortsHandoffAndReplaysStagedOps) {
 
 // --- derived sibling mirrors (docs/SHARDING.md, "Mirrors are derived state")
 
+// Delivers `payload` as a raw `type` frame from node `from` to node `to`.
+void send_raw(ShardFixture& f, Guid from, Guid to, std::uint32_t type,
+              serde::BufferRef payload) {
+  net::Message message;
+  message.type = type;
+  message.from = from;
+  message.to = to;
+  message.payload = std::move(payload);
+  ASSERT_TRUE(f.sci.network().send(std::move(message)).is_ok());
+}
+
 // Delivers a raw kShardProfile frame carrying `profile` from shard `from`'s
 // node to shard `to`.
 void send_raw_mirror(ShardFixture& f, unsigned from, unsigned to,
@@ -989,12 +1052,8 @@ void send_raw_mirror(ShardFixture& f, unsigned from, unsigned to,
   const auto shards = f.sci.shards("mall");
   serde::Writer w;
   entity::ProfileRecord{profile, std::nullopt}.encode(w);
-  net::Message message;
-  message.type = range::kShardProfile;
-  message.from = shards[from]->server_node();
-  message.to = shards[to]->server_node();
-  message.payload = w.take_ref();
-  ASSERT_TRUE(f.sci.network().send(std::move(message)).is_ok());
+  send_raw(f, shards[from]->server_node(), shards[to]->server_node(),
+           range::kShardProfile, w.take_ref());
 }
 
 std::string profile_tag(const range::ContextServer& server, Guid entity) {
@@ -1160,6 +1219,206 @@ TEST(ShardTest, PromotedShardRebuildsMirrorsItsPredecessorNeverLogged) {
     answered.insert(profile.at("entity").as_guid().value());
   }
   EXPECT_EQ(answered, (std::set<Guid>{kept.id(), fresh_arrival.id()}));
+}
+
+// A location publish drops the views that consulted the moving entity. The
+// drop needs no log record of its own: the standby replays the kPublish
+// record through the same ingest path and drops the same views.
+TEST(ShardTest, StandbyDropsTheViewsALocationPublishDrops) {
+  ShardFixture f(2, /*standby_count=*/1);
+  entity::PrinterCE printer(f.sci.network(), f.guid_owned_by(0), "P1",
+                            f.building.room(0, 0));
+  ASSERT_TRUE(f.sci.enroll(printer, *f.lead).is_ok());
+  entity::ContextEntity user(f.sci.network(), f.guid_owned_by(0), "user",
+                             entity::EntityKind::kPerson);
+  user.set_location(location::LocRef::from_place(f.building.room(0, 1)));
+  ASSERT_TRUE(f.sci.enroll(user, *f.lead).is_ok());
+  ShardMonitor monitor(f.sci.network(), f.guid_owned_by(0), "monitor",
+                       entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(monitor, *f.lead).is_ok());
+  f.sci.run_for(Duration::millis(300));
+  ASSERT_TRUE(f.sci.submit_query(monitor,
+                                 query::Builder("q1", monitor.id())
+                                     .what_entity_type("printing")
+                                     .closest_to(user.id())
+                                     .select(query::SelectPolicy::kClosest)
+                                     .advertisement())
+                  .has_value());
+  f.sci.run_for(Duration::seconds(1));  // the kQuery record ships
+  ASSERT_TRUE(monitor.results.at("q1").ok());
+  range::ContextServer* standby = f.sci.standbys("mall").at(0);
+  const std::size_t warm = f.lead->views()->size();
+  ASSERT_GE(warm, 1u);
+  ASSERT_EQ(standby->views()->size(), warm);
+
+  const std::uint64_t drops = node_count(*f.lead, "view.invalidations");
+  ValueMap moved;
+  moved.emplace("entity", user.id());
+  moved.emplace("place", static_cast<std::int64_t>(f.building.room(0, 2)));
+  user.publish(entity::types::kLocationUpdate, Value(std::move(moved)));
+  f.sci.run_for(Duration::seconds(1));
+  EXPECT_GT(node_count(*f.lead, "view.invalidations"), drops);
+  EXPECT_LT(f.lead->views()->size(), warm);
+  EXPECT_EQ(standby->views()->size(), f.lead->views()->size());
+}
+
+// --- single-frame vnode handoff (docs/SHARDING.md, "Elastic resharding")
+
+// A kHandoffFreeze frame moving `vnode` from shard 0 to shard 1 at `epoch`,
+// carrying one state record. `damage` flips a byte of the record's CRC.
+serde::BufferRef freeze_frame(std::uint64_t id, unsigned vnode,
+                              std::uint64_t epoch, bool damage) {
+  serde::Writer header;
+  for (const std::uint64_t field : {id, std::uint64_t{vnode},
+                                    std::uint64_t{0}, std::uint64_t{1},
+                                    epoch}) {
+    header.varint(field);
+  }
+  header.varint(1);  // record count
+  std::vector<std::byte> frame = header.view().to_vector();
+  const std::size_t crc_at = frame.size();
+  serde::Writer record;
+  record.u8(0xEE);  // a category the target skips on install
+  serde::append_frame(frame, record.view());
+  if (damage) frame[crc_at] ^= std::byte{0xFF};
+  return serde::BufferRef::copy_of(frame);
+}
+
+// A slice that fails its CRC is refused whole: nothing is staged or logged
+// and no ready goes back, so the source, hearing nothing, aborts at its
+// deadline.
+TEST(ShardTest, DamagedHandoffSliceIsRefusedAndTheSourceAborts) {
+  ShardFixture f(2, /*standby_count=*/1);
+  PulseCE pulse(f.sci.network(), f.guid_owned_by(0), "pulse",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(pulse, *f.lead).is_ok());
+  f.sci.run_for(Duration::millis(500));
+  range::ContextServer* target = f.sci.shards("mall")[1];
+  range::ContextServer* target_standby = f.sci.standbys("mall#1").at(0);
+  int readies = 0;  // one "ready" step per staged slice
+  target->set_handoff_probe([&](const char* step) {
+    if (std::string(step) == "ready") ++readies;
+  });
+  const std::uint64_t logged = node_count(*target, "repl.records_appended");
+  const unsigned vnode = f.lead->shard_map().vnode_of(pulse.id());
+  const std::uint64_t epoch = f.lead->map_epoch();
+
+  // The source's own freeze frame never arrives; only a damaged copy does
+  // (the lead's first handoff has id 1).
+  f.sci.network().set_partition_group(target->server_node(), 1);
+  ASSERT_TRUE(f.lead->begin_handoff(vnode, 1));
+  send_raw(f, target->server_node(), target->server_node(),
+           range::kHandoffFreeze,
+           freeze_frame(1, vnode, epoch + 1, /*damage=*/true));
+  f.sci.run_for(Duration::millis(500));
+  EXPECT_EQ(readies, 0);
+  EXPECT_FALSE(target->handoff_active());
+  EXPECT_FALSE(target_standby->handoff_active());
+  EXPECT_EQ(node_count(*target, "repl.records_appended"), logged);
+
+  f.sci.run_for(Duration::seconds(5));
+  EXPECT_FALSE(f.lead->handoff_active());
+  EXPECT_EQ(node_count(*f.lead, "reshard.aborts"), 1u);
+  EXPECT_EQ(f.lead->map_epoch(), epoch);
+  EXPECT_EQ(f.lead->shard_map().owner_of_vnode(vnode), 0u);
+}
+
+// The same freeze frame arriving twice stages and logs once, and the
+// target's standby stages it from the logged intent record.
+TEST(ShardTest, RetransmittedFreezeStagesOnce) {
+  ShardFixture f(2, /*standby_count=*/1);
+  PulseCE pulse(f.sci.network(), f.guid_owned_by(0), "pulse",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(pulse, *f.lead).is_ok());
+  f.sci.run_for(Duration::millis(500));
+  range::ContextServer* target = f.sci.shards("mall")[1];
+  range::ContextServer* target_standby = f.sci.standbys("mall#1").at(0);
+  int readies = 0;  // one "ready" step per staged slice
+  target->set_handoff_probe([&](const char* step) {
+    if (std::string(step) == "ready") ++readies;
+  });
+  const std::uint64_t logged = node_count(*target, "repl.records_appended");
+  const unsigned vnode = f.lead->shard_map().vnode_of(pulse.id());
+
+  // The source is cut off, so the staged slice stays put: its ready goes
+  // unanswered.
+  f.sci.network().set_partition_group(f.lead->server_node(), 1);
+  const serde::BufferRef frame =
+      freeze_frame(7, vnode, f.lead->map_epoch() + 1, /*damage=*/false);
+  for (int copy = 0; copy < 2; ++copy) {
+    send_raw(f, target_standby->attached_node(), target->server_node(),
+             range::kHandoffFreeze, frame);
+  }
+  f.sci.run_for(Duration::millis(500));
+  EXPECT_EQ(readies, 1);
+  EXPECT_TRUE(target->handoff_active());
+  EXPECT_EQ(node_count(*target, "repl.records_appended"), logged + 1);
+  EXPECT_TRUE(target_standby->handoff_active());
+}
+
+// The target's primary dies after staging, before the commit reaches it.
+// Its elected successor stages the slice from its kHandoffIntent record,
+// takes the commit, and delivery stays exactly-once across the move.
+TEST(ShardTest, TargetSuccessorInstallsTheSliceFromItsIntentRecord) {
+  ShardFixture f(2, /*standby_count=*/2, /*sync_acks=*/1);
+  PulseCE pulse(f.sci.network(), f.guid_owned_by(0), "pulse",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(pulse, *f.lead).is_ok());
+  ShardMonitor monitor(f.sci.network(), f.guid_owned_by(0), "monitor",
+                       entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(monitor, *f.lead).is_ok());
+  ASSERT_TRUE(monitor
+                  .submit_query("sub",
+                                query::Builder("sub", monitor.id())
+                                    .what_named(pulse.id())
+                                    .mode(query::QueryMode::kEventSubscription)
+                                    .to_xml())
+                  .is_ok());
+  f.sci.run_for(Duration::seconds(2));
+  for (int i = 0; i < 5; ++i) {
+    pulse.publish("pulse", Value(static_cast<std::int64_t>(i)));
+    f.sci.run_for(Duration::millis(100));
+  }
+  f.sci.run_for(Duration::seconds(1));
+  ASSERT_EQ(monitor.unique_events, 5);
+
+  const unsigned vnode = f.lead->shard_map().vnode_of(pulse.id());
+  const std::uint64_t epoch_before = f.lead->map_epoch();
+  range::ContextServer* target = f.sci.shards("mall")[1];
+  const Guid target_node = target->server_node();
+  target->set_handoff_probe([&](const char* step) {
+    if (std::string(step) == "ready") {
+      (void)f.sci.network().set_crashed(target_node, true);
+    }
+  });
+  const auto standbys = f.sci.standbys("mall#1");
+  ASSERT_TRUE(f.lead->begin_handoff(vnode, 1));
+  f.sci.run_for(Duration::millis(100));
+  ASSERT_TRUE(f.sci.network().is_crashed(target_node));
+  for (const range::ContextServer* standby : standbys) {
+    EXPECT_TRUE(standby->handoff_active());  // staged from the record
+  }
+  f.sci.run_for(Duration::seconds(4));  // election + resolution
+
+  range::ContextServer* fresh = f.sci.find_range("mall#1");
+  ASSERT_NE(fresh, nullptr);
+  ASSERT_NE(fresh, target);
+  EXPECT_TRUE(fresh->promoted_by_election());
+  EXPECT_FALSE(f.lead->handoff_active());
+  EXPECT_FALSE(fresh->handoff_active());
+  EXPECT_EQ(node_count(*f.lead, "reshard.aborts"), 0u);
+  EXPECT_EQ(f.lead->map_epoch(), epoch_before + 1);
+  EXPECT_EQ(fresh->map_epoch(), epoch_before + 1);
+  EXPECT_EQ(fresh->shard_map().owner_of_vnode(vnode), 1u);
+  EXPECT_NE(fresh->registrar().find(pulse.id()), nullptr);
+
+  for (int i = 5; i < 10; ++i) {
+    pulse.publish("pulse", Value(static_cast<std::int64_t>(i)));
+    f.sci.run_for(Duration::millis(100));
+  }
+  f.sci.run_for(Duration::seconds(2));
+  EXPECT_EQ(monitor.unique_events, 10);
+  EXPECT_EQ(monitor.duplicate_events, 0);
 }
 
 }  // namespace

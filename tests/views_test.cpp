@@ -4,6 +4,7 @@
 // cancellation, and deferred-query timer lifetime.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@ class ProbeApp final : public entity::ContextAwareApp {
   int replies = 0;
   int events = 0;
   bool last_ok = false;
+  Error last_error;
   std::string last_winner;
 
  protected:
@@ -30,6 +32,7 @@ class ProbeApp final : public entity::ContextAwareApp {
                        const Value& result) override {
     ++replies;
     last_ok = error.ok();
+    last_error = error;
     last_winner = error.ok() ? result.at("name").string_or("?") : "";
   }
   void on_event(const event::Event&, std::uint64_t) override { ++events; }
@@ -112,6 +115,104 @@ TEST(ViewIntegrationTest, RepeatedQueryIsServedFromTheView) {
   EXPECT_TRUE(outcome->answered);
   EXPECT_TRUE(outcome->view_hit);
   EXPECT_GE(outcome->resolve_micros, 0.0);
+}
+
+// The reply contract of the three selection modes (profile, advertisement,
+// named/entity-type subscription): every failure's code and message, and
+// the recorded outcome of a view miss followed by the same query again.
+TEST(ViewIntegrationTest, SelectionRepliesKeepTheirContract) {
+  ViewFixture f;
+  struct Case {
+    const char* name;
+    std::function<query::Query(const std::string& id)> make;
+    ErrorCode code;
+    std::string message;
+    bool second_hits;  // the first ask installed a view
+    bool tagged;       // a subscription owns a configuration tag
+  };
+  const Guid user = f.user->id();
+  const Guid sensor = f.sensor->id();
+  const Guid app = f.app->id();
+  const auto printing = [app](const std::string& id) {
+    query::Builder b(id, app);
+    b.what_entity_type("printing");
+    return b;
+  };
+  const auto nothing = [app](const std::string& id) {
+    query::Builder b(id, app);
+    b.what_entity_type("no-such-service");
+    return b;
+  };
+  const auto named = [app](const std::string& id, Guid entity) {
+    query::Builder b(id, app);
+    b.what_named(entity);
+    return b;
+  };
+  const std::string rejects = "no candidate satisfies the which-clause";
+  const std::vector<Case> cases = {
+      {"profile", [&](const std::string& id) { return printing(id).profile(); },
+       ErrorCode::kOk, "", true, false},
+      {"profile-none",
+       [&](const std::string& id) { return nothing(id).profile(); },
+       ErrorCode::kNotFound, "no matching entities", false, false},
+      {"profile-which",
+       [&](const std::string& id) {
+         return printing(id).require("has_paper", Value("never")).profile();
+       },
+       ErrorCode::kNotFound, rejects, false, false},
+      {"ad",
+       [&](const std::string& id) {
+         return printing(id)
+             .closest_to(user)
+             .select(query::SelectPolicy::kClosest)
+             .advertisement();
+       },
+       ErrorCode::kOk, "", true, false},
+      {"ad-none",
+       [&](const std::string& id) { return nothing(id).advertisement(); },
+       ErrorCode::kNotFound, rejects, false, false},
+      {"ad-which",
+       [&](const std::string& id) {
+         return printing(id)
+             .require("has_paper", Value("never"))
+             .advertisement();
+       },
+       ErrorCode::kNotFound, rejects, false, false},
+      {"ad-missing",
+       [&](const std::string& id) { return named(id, user).advertisement(); },
+       ErrorCode::kNotFound, "selected entity has no advertisement", true,
+       false},
+      {"sub-named",
+       [&](const std::string& id) { return named(id, sensor).subscribe(); },
+       ErrorCode::kOk, "", true, true},
+      {"sub-type",
+       [&](const std::string& id) { return printing(id).subscribe(); },
+       ErrorCode::kOk, "", true, true},
+      {"sub-none",
+       [&](const std::string& id) { return nothing(id).subscribe(); },
+       ErrorCode::kNotFound, rejects, false, false},
+      {"sub-which",
+       [&](const std::string& id) {
+         return printing(id).require("has_paper", Value("never")).subscribe();
+       },
+       ErrorCode::kNotFound, rejects, false, false},
+      {"sub-silent",
+       [&](const std::string& id) { return named(id, user).subscribe(); },
+       ErrorCode::kUnresolvable, "User produces no events", true, false},
+  };
+  for (const Case& c : cases) {
+    for (int round = 1; round <= 2; ++round) {
+      SCOPED_TRACE(std::string(c.name) + " ask " + std::to_string(round));
+      const auto handle = f.ask(c.make(c.name + std::to_string(round)));
+      EXPECT_EQ(f.app->last_error.code(), c.code);
+      EXPECT_EQ(f.app->last_error.message(), c.message);
+      const auto outcome = handle.last_outcome();
+      ASSERT_TRUE(outcome.has_value());
+      EXPECT_EQ(outcome->view_hit, round == 2 && c.second_hits);
+      EXPECT_EQ(outcome->answered, c.code == ErrorCode::kOk);
+      EXPECT_EQ(outcome->config_tag != 0, c.tagged);
+    }
+  }
 }
 
 TEST(ViewIntegrationTest, ProfileUpdateInvalidatesAndChangesTheWinner) {
