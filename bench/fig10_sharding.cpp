@@ -335,7 +335,6 @@ void BM_ShardFailoverIsolation(benchmark::State& state) {
     options.replication.standby_count = 2;
     options.replication.heartbeat_period = Duration::millis(200);
     options.replication.promote_timeout = Duration::millis(800);
-    options.replication.sync_acks = 1;
     auto& lead = *sci.create_range("mall", building.floor_path(0), options)
                       .value();
 
@@ -482,10 +481,6 @@ void BM_ShardFailoverIsolation(benchmark::State& state) {
                     survivor_monitor.registered_calls));
     doc.emplace("repl_failovers",
                 static_cast<std::int64_t>(snap.counter("repl.failovers")));
-    doc.emplace("repl_batches",
-                static_cast<std::int64_t>(snap.counter("repl.batches")));
-    doc.emplace("repl_compacted",
-                static_cast<std::int64_t>(snap.counter("repl.compacted")));
     doc.emplace(
         "repl_state_divergence",
         static_cast<std::int64_t>(snap.counter("repl.state_divergence")));

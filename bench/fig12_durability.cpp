@@ -97,7 +97,7 @@ struct Deployment {
   PulseMonitor monitor;
   int published = 0;
 
-  Deployment(std::uint64_t seed, unsigned standby_count, unsigned sync_acks)
+  Deployment(std::uint64_t seed, unsigned standby_count)
       : sci(seed),
         pulse(sci.network(), sci.new_guid(), "pulse",
               entity::EntityKind::kDevice),
@@ -110,7 +110,6 @@ struct Deployment {
     options.replication.standby_count = standby_count;
     options.replication.heartbeat_period = Duration::millis(200);
     options.replication.promote_timeout = Duration::millis(800);
-    options.replication.sync_acks = sync_acks;
     level_b =
         sci.create_range("levelB", building.floor_path(1), options).value();
     SCI_ASSERT(sci.enroll(pulse, *level_b).is_ok());
@@ -148,7 +147,7 @@ void BM_Durability(benchmark::State& state) {
 
     // --- cold_restart: power-cut the whole range, rebuild from disk -------
     {
-      Deployment d(seed, /*standby_count=*/0, /*sync_acks=*/0);
+      Deployment d(seed, /*standby_count=*/0);
       d.publish_burst(20, Duration::millis(100));
       d.sci.run_for(Duration::seconds(1));  // every admit acked + committed
 
@@ -191,7 +190,7 @@ void BM_Durability(benchmark::State& state) {
 
     // --- rejoin: standby recovers its WAL, ships only the delta -----------
     {
-      Deployment d(seed, /*standby_count=*/0, /*sync_acks=*/0);
+      Deployment d(seed, /*standby_count=*/0);
       // Real state first so the initial full snapshot has weight.
       d.publish_burst(20, Duration::millis(50));
       d.sci.run_for(Duration::seconds(1));
@@ -230,7 +229,7 @@ void BM_Durability(benchmark::State& state) {
 
     // --- corruption: damaged WAL must truncate-and-serve, never panic -----
     {
-      Deployment d(seed, /*standby_count=*/0, /*sync_acks=*/0);
+      Deployment d(seed, /*standby_count=*/0);
       // A sync-failure burst mid-traffic: acks are held, the commit loop
       // retries each failed sync, nothing is lost while the store limps.
       sim::FaultPlan live;

@@ -3,10 +3,9 @@
 //
 // BM_Failover/seed — the Fig 8 deployment (three ranges, publisher and
 // subscribed monitor in levelB, steady acked inter-range routes) but levelB
-// now runs with two replicated standbys in synchronous mode (sync_acks=1:
-// the client-visible admit ack is withheld until a standby applied the
-// record). The FaultPlan crashes levelB's primary outright — no recovery —
-// under 5% link loss:
+// now runs with two replicated standbys (the client-visible admit ack is
+// withheld until a standby applied the record). The FaultPlan crashes
+// levelB's primary outright — no recovery — under 5% link loss:
 //
 //   t=0s  loss 5%          t=3s  crash levelB (never recovers)
 //   t=16s loss 0
@@ -109,7 +108,6 @@ void BM_Failover(benchmark::State& state) {
     replicated.replication.standby_count = 2;
     replicated.replication.heartbeat_period = Duration::millis(250);
     replicated.replication.promote_timeout = Duration::seconds(1);
-    replicated.replication.sync_acks = 1;
     auto& level_b =
         *sci.create_range("levelB", building.floor_path(1), replicated).value();
     auto& level_c = *sci.create_range("levelC", building.floor_path(2)).value();

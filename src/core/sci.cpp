@@ -76,6 +76,15 @@ Expected<range::ContextServer*> Sci::create_range(std::string name,
                       "replication.heartbeat_period and promote_timeout must "
                       "be positive when standby_count > 0");
   }
+  // A record commits once sync_acks standbys applied it; more than the group
+  // holds could never commit.
+  const unsigned standbys = options.replication.standby_count;
+  const unsigned sync_acks = options.replication.sync_acks;
+  if (sync_acks == 0 || (standbys > 0 && sync_acks > standbys)) {
+    return make_error(ErrorCode::kInvalidArgument,
+                      "replication.sync_acks must be at least 1 and, with "
+                      "standbys, at most standby_count");
+  }
   const unsigned shard_count = std::max(1u, options.sharding.shard_count);
   range::RangeConfig config;
   static_cast<RangeOptions&>(config) = std::move(options);

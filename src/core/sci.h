@@ -90,9 +90,10 @@ class Sci {
   // Creates a Range governing `root`; the first range bootstraps the
   // SCINET, later ranges join through it. Runs the simulator briefly so the
   // join completes. Fails with kAlreadyExists on a duplicate range name,
-  // kInvalidArgument on a name containing '#' (reserved for shards) or a
+  // kInvalidArgument on a name containing '#' (reserved for shards), a
   // non-positive ping period (or heartbeat/promote timeout with standbys),
-  // and kTimeout when the overlay join does not settle; the returned pointer
+  // or a sync_acks of 0 or (with standbys) above standby_count, and
+  // kTimeout when the overlay join does not settle; the returned pointer
   // is owned by this Sci and lives until destruction.
   Expected<range::ContextServer*> create_range(std::string name,
                                                location::LogicalPath root,

@@ -704,10 +704,6 @@ void ContextServer::on_component_message(const net::Message& message) {
       if (election_ != nullptr) election_->note_primary_alive();
       if (follower_ != nullptr) follower_->on_record(message.payload);
       return;
-    case replicate::kReplBatch:
-      if (election_ != nullptr) election_->note_primary_alive();
-      if (follower_ != nullptr) follower_->on_batch(message.payload);
-      return;
     case replicate::kReplSnapshot:
       if (election_ != nullptr) election_->note_primary_alive();
       if (follower_ != nullptr) follower_->on_snapshot(message.payload);
@@ -839,8 +835,8 @@ void ContextServer::handle_register(const net::Message& message) {
     ack.lease_renew_micros =
         static_cast<std::uint64_t>(kLeaseRenewPeriod.count_micros());
   }
-  // Synchronous mode withholds the RegisterAck (the client-visible admit)
-  // until enough standbys applied the record; asynchronous mode sends now.
+  // The RegisterAck (the client-visible admit) waits until enough standbys
+  // applied the record.
   hold_admit_until_committed(index, [this, component, ack] {
     send_to(component, entity::kRegisterAck, ack.encode());
   });
@@ -3203,10 +3199,9 @@ void ContextServer::persist_record(const replicate::LogRecord& record) {
 }
 
 bool ContextServer::admit_complete(std::uint64_t index) const {
-  // Replication leg: enough standbys applied it (or sync mode is off).
-  const bool repl_ok = config_.replication.sync_acks == 0 ||
-                       repl_log_ == nullptr ||
-                       repl_log_->committed() >= index;
+  // Replication leg: enough standbys applied it (or no log exists).
+  const bool repl_ok =
+      repl_log_ == nullptr || repl_log_->committed() >= index;
   // Durability leg: the local WAL fsynced past it (or ack_after_fsync off).
   const bool durable_ok = pstore_ == nullptr ||
                           !pstore_->config().ack_after_fsync ||
@@ -3217,8 +3212,8 @@ bool ContextServer::admit_complete(std::uint64_t index) const {
 void ContextServer::hold_admit_until_committed(
     std::uint64_t index, std::function<void()> completion) {
   if (index == 0 || admit_complete(index)) {
-    // Asynchronous mode, no log, or already durable (degraded sync commits
-    // at append): complete immediately, exactly as before.
+    // No log, or already committed and durable (a degraded group commits
+    // at append): complete immediately.
     if (completion) completion();
     return;
   }
@@ -3410,10 +3405,6 @@ void ContextServer::apply_record(const replicate::LogRecord& record) {
     }
     case replicate::RecordKind::kConfigRetire:
       retire_configuration(record.flag);
-      return;
-    case replicate::RecordKind::kNoop:
-      // Compaction tombstone (docs/REPLICATION.md): superseded in-tail
-      // record, kept only so log indices stay contiguous.
       return;
     case replicate::RecordKind::kShardProfile:
       // Same follow-on work as handle_shard_profile so tag allocation stays
@@ -3897,11 +3888,9 @@ void ContextServer::attach_standby(Guid standby_node, std::uint32_t from_epoch,
     // Ops minted while no standby was attached (WAL-only mode) used the same
     // per-node index sequence: continue it rather than restarting at zero.
     if (local_head_ > 0) repl_log_->seed_head(local_head_);
-    if (config_.replication.sync_acks > 0) {
-      repl_log_->set_sync_acks(
-          config_.replication.sync_acks,
-          [this](std::uint64_t c) { on_commit_advanced(c); });
-    }
+    repl_log_->set_sync_acks(
+        config_.replication.sync_acks,
+        [this](std::uint64_t c) { on_commit_advanced(c); });
   }
   repl_log_->attach_standby(standby_node, from_epoch, from_index);
   // Replicating under elections means the right to admit is leased from the

@@ -90,7 +90,7 @@ inline constexpr std::uint32_t kHandoffCommit = 0xF108;  // map epoch bump
 inline constexpr std::uint32_t kHandoffAbort = 0xF109;   // roll the move back
 inline constexpr std::uint32_t kHandoffReplay = 0xF10A;  // staged op replay
 // Coalesced mirror burst: several kShardProfile/kShardSubscribe/… records in
-// one frame (the kReplBatch shape applied to shard mirror traffic).
+// one frame.
 inline constexpr std::uint32_t kShardBatch = 0xF10B;
 // Mirror rebuild (docs/SHARDING.md, "State split and mirrors"): a promoted or
 // WAL-recovered shard asks every sibling for the profiles it owns and gets
@@ -147,10 +147,11 @@ struct ReplicationOptions : replicate::ReplicationConfig {
   // Standby Context Servers created alongside the primary. 0 = replication
   // off (no log, no snapshots, no failover).
   unsigned standby_count = 0;
-  // Synchronous replication: > 0 withholds client-visible admit acks until
-  // that many standbys applied the record, so no client-acked op can be
-  // lost in a failover. Degrades to asynchronous below that many standbys.
-  unsigned sync_acks = 0;
+  // Client-visible admit acks wait until this many standbys applied the
+  // record, so no client-acked op can be lost in a failover. While fewer
+  // standbys are attached a record commits at append. Sci::create_range
+  // rejects 0 and, with standbys, a value above standby_count.
+  unsigned sync_acks = 1;
 };
 
 // Partitioned Range (docs/SHARDING.md): one Range served by N shard Context
@@ -674,7 +675,7 @@ class ContextServer {
   [[nodiscard]] std::optional<unsigned> sibling_at(Guid node) const;
   // Mirror batching (docs/SHARDING.md): per-destination buffers coalesce
   // kShardProfile/kShardSubscribe bursts into kShardBatch frames, flushed at
-  // a size cap or a 1 ms timer — the kReplBatch shape for mirror traffic.
+  // a size cap or a 1 ms timer.
   void queue_mirror(Guid node, std::uint32_t type,
                     serde::BufferRef payload);
   void flush_mirrors();
@@ -761,7 +762,7 @@ class ContextServer {
   // apply_record (standby) so both sides mutate state identically.
   Status admit_registration(Guid component,
                             const entity::RegisterRequestBody& body);
-  // Synchronous replication (ReplicationOptions::sync_acks): defer the admit
+  // Replication commit (ReplicationOptions::sync_acks): defer the admit
   // ack of the record at `index` until enough standbys applied it. `ack` is the
   // client-visible completion (held channel ack and/or a reply thunk).
   void hold_admit_until_committed(std::uint64_t index,
@@ -898,7 +899,7 @@ class ContextServer {
   std::unique_ptr<replicate::ElectionAgent> election_;
   std::uint32_t elected_epoch_ = 0;  // epoch of the vote that promoted us
   std::set<std::uint32_t> lease_epochs_;
-  // Admit acks held for synchronous replication, keyed by log index.
+  // Admit acks held for the replication commit, keyed by log index.
   std::map<std::uint64_t, std::vector<std::function<void()>>> sync_waiting_;
   PromoteRequestHandler on_promote_requested_;
   Guid attached_as_;     // current network identity (CS node or standby node)

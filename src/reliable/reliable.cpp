@@ -11,9 +11,14 @@ namespace sci::reliable {
 namespace {
 
 constexpr const char* kTag = "reliable";
-// Retransmit timeout multiplier per attempt, and its cap.
+// Retransmit schedule: the first timeout, its multiplier per attempt and
+// cap, a uniform extra delay in [0, kJitter * rto), and the transmissions
+// before a frame dead-letters.
+constexpr Duration kInitialRto = Duration::millis(200);
 constexpr double kBackoff = 2.0;
 constexpr Duration kMaxRto = Duration::seconds(5);
+constexpr double kJitter = 0.1;
+constexpr unsigned kMaxAttempts = 8;
 
 // kRelData payload: varint epoch, varint seq, u32 inner type, varint length,
 // raw body.
@@ -142,7 +147,6 @@ ReliableChannel::ReliableChannel(net::Network& network, Guid self,
                                                       config.metrics_label)
                : nullptr) {
   SCI_ASSERT(!self.is_nil());
-  SCI_ASSERT(config_.max_attempts > 0);
   obs::MetricsRegistry& metrics = network_.simulator().metrics();
   const std::string& label = config_.metrics_label;
   const auto twin = [&](const char* name) { return metrics.twin(name, label); };
@@ -213,7 +217,7 @@ void ReliableChannel::transmit(Guid to, std::uint64_t seq) {
     give_up(to, seq, DeadLetterCause::kDetached);
     return;
   }
-  if (pending.attempts >= config_.max_attempts) {
+  if (pending.attempts >= kMaxAttempts) {
     // Last transmission: leave one rto for the ack, then dead-letter.
     const Duration grace = retry_delay(pending.attempts);
     const unsigned attempts = pending.attempts;
@@ -243,14 +247,12 @@ void ReliableChannel::arm_retry(Guid to, std::uint64_t seq,
 
 Duration ReliableChannel::retry_delay(unsigned attempts) {
   // attempts is 1-based: the delay after the n-th transmission.
-  double rto_us = static_cast<double>(config_.initial_rto.count_micros());
+  double rto_us = static_cast<double>(kInitialRto.count_micros());
   for (unsigned i = 1; i < attempts; ++i) rto_us *= kBackoff;
   rto_us = std::min(rto_us, static_cast<double>(kMaxRto.count_micros()));
   std::int64_t delay = static_cast<std::int64_t>(rto_us);
-  if (config_.jitter > 0.0) {
-    const auto span = static_cast<std::uint64_t>(rto_us * config_.jitter);
-    if (span > 0) delay += static_cast<std::int64_t>(rng_.next_below(span));
-  }
+  const auto span = static_cast<std::uint64_t>(rto_us * kJitter);
+  if (span > 0) delay += static_cast<std::int64_t>(rng_.next_below(span));
   return Duration::micros(std::max<std::int64_t>(delay, 1));
 }
 

@@ -12,7 +12,7 @@
 //    application handler sees each (sender, seq) exactly once even when
 //    retransmissions race a slow ack;
 //  * unacked frames are retransmitted on a timer with exponential backoff
-//    plus deterministic jitter; after `max_attempts` the frame becomes a
+//    plus deterministic jitter; after 8 transmissions the frame becomes a
 //    dead letter: it is parked in the channel's bounded DeadLetterQueue
 //    (when enabled) and handed to the optional give-up handler (the overlay
 //    uses the handler to re-route around dead hops).
@@ -57,11 +57,10 @@ namespace sci::reliable {
 inline constexpr std::uint32_t kRelData = 0xAC01;
 inline constexpr std::uint32_t kRelAck = 0xAC02;
 
-// Retransmit schedule: initial_rto, doubled per attempt up to 5 s.
+// The retransmit schedule is fixed (reliable.cpp): 200 ms doubled per
+// attempt up to 5 s, plus up to 10% jitter; a frame dead-letters after 8
+// transmissions.
 struct ReliableConfig {
-  Duration initial_rto = Duration::millis(200);  // first retransmit timeout
-  double jitter = 0.1;   // uniform extra delay in [0, jitter * rto)
-  unsigned max_attempts = 8;  // transmissions before the frame dead-letters
   // Abandoned frames are parked in the channel's DeadLetterQueue up to this
   // many entries (oldest evicted beyond it); 0 disables parking entirely.
   std::size_t dead_letter_capacity = 0;
@@ -83,7 +82,7 @@ struct ChannelStats {
   std::uint64_t delivered = 0;       // inner frames handed to the handler
   std::uint64_t dup_suppressed = 0;
   std::uint64_t stale_epoch = 0;     // frames from a superseded incarnation
-  std::uint64_t dead_letters = 0;    // gave up after max_attempts
+  std::uint64_t dead_letters = 0;    // gave up after kMaxAttempts
   std::uint64_t failovers = 0;       // handed back early via fail_all()
   std::uint64_t dlq_parked = 0;      // abandoned frames parked in the DLQ
   std::uint64_t dlq_replayed = 0;    // parked frames re-sent via replay

@@ -11,11 +11,7 @@ namespace sci::replicate {
 namespace {
 
 constexpr const char* kTag = "replicate";
-
-// Batch shipping flushes early once this many records are pending, so a
-// publish burst between heartbeats cannot grow one frame without bound.
-constexpr std::size_t kMaxBatch = 64;
-// Periodic snapshot cadence (compacts the retained tail).
+// Periodic snapshot cadence (truncates the retained tail).
 constexpr Duration kSnapshotInterval = Duration::seconds(10);
 
 }  // namespace
@@ -36,8 +32,6 @@ const char* to_string(RecordKind kind) {
       return "query";
     case RecordKind::kConfigRetire:
       return "config_retire";
-    case RecordKind::kNoop:
-      return "noop";
     case RecordKind::kShardProfile:
       return "shard_profile";
     case RecordKind::kShardSubscribe:
@@ -128,8 +122,6 @@ ReplicationLog::ReplicationLog(net::Network& network,
   m_records_shipped_ = twin("repl.records_shipped");
   m_snapshots_ = twin("repl.snapshots");
   m_heartbeats_ = twin("repl.heartbeats");
-  m_batches_ = twin("repl.batches");
-  m_compacted_ = twin("repl.compacted");
   m_delta_catchups_ = twin("repl.catchup.delta");
   m_delta_bytes_ = twin("repl.catchup.delta_bytes");
   m_full_catchups_ = twin("repl.catchup.full");
@@ -152,12 +144,6 @@ void ReplicationLog::attach_standby(Guid node, std::uint32_t from_epoch,
                                     std::uint64_t from_index) {
   SCI_ASSERT(!node.is_nil());
   if (applied_.contains(node)) return;
-  // Flush the coalescing window first so the tail re-ship below covers
-  // everything and existing standbys don't later receive duplicates of what
-  // this standby already got; compact so catch-up ships tombstones instead
-  // of superseded payloads.
-  flush_pending();
-  compact_tail();
   // Delta catch-up: the rejoiner's recovered watermark names a prefix of
   // *this* log (same incarnation, at or above the snapshot base), so only
   // the records above it need to travel. A watermark from another epoch is
@@ -196,7 +182,7 @@ void ReplicationLog::seed_head(std::uint64_t head) {
 void ReplicationLog::detach_standby(Guid node) {
   applied_.erase(node);
   update_lag();
-  // Shrinking below sync_acks degrades to asynchronous: everything commits,
+  // Shrinking below sync_acks degrades the group: everything commits,
   // releasing whatever admit acks were waiting on the departed standby.
   update_committed();
 }
@@ -205,77 +191,17 @@ std::uint64_t ReplicationLog::append(LogRecord record) {
   record.index = ++head_;
   m_records_appended_.inc();
   tail_.push_back(std::move(record));
-  ++unflushed_;
-  // Records coalesce into one kReplBatch per heartbeat, except in
-  // synchronous mode, which ships immediately — the client admit ack is
-  // waiting on the standby's apply, so adding up to a heartbeat of
-  // coalescing latency would show up directly in component-visible admit
-  // time.
-  if (sync_acks_ > 0 || unflushed_ >= kMaxBatch) flush_pending();
-  update_lag();
-  update_committed();  // degraded/sync-off mode commits at append
-  return head_;
-}
-
-void ReplicationLog::flush_pending() {
-  if (unflushed_ == 0) return;
-  const std::size_t count = std::min(unflushed_, tail_.size());
-  unflushed_ = 0;
-  if (applied_.empty()) return;  // nobody attached: the tail alone suffices
-  if (count == 1) {
+  // Ship at once: the client admit ack waits on the standbys' apply.
+  if (!applied_.empty()) {
     const serde::BufferRef wire = frame_record(channel_.epoch(), tail_.back());
     for (const auto& [standby, applied] : applied_) {
       m_records_shipped_.inc();
       channel_.send(standby, kReplRecord, wire);
     }
-    return;
   }
-  serde::Writer w(64 * count);
-  w.varint(channel_.epoch());
-  w.varint(count);
-  for (std::size_t i = tail_.size() - count; i < tail_.size(); ++i) {
-    const serde::BufferRef inner = tail_[i].encode();
-    w.varint(inner.size());
-    w.raw(inner.data(), inner.size());
-  }
-  const serde::BufferRef wire = w.take_ref();
-  for (const auto& [standby, applied] : applied_) {
-    m_records_shipped_.inc(count);
-    m_batches_.inc();
-    channel_.send(standby, kReplBatch, wire);
-  }
-}
-
-void ReplicationLog::compact_tail() {
-  if (tail_.size() < 2) return;
-  // Newest-to-oldest sweep: the first (latest) lease renew / profile update
-  // per subject survives, earlier ones become kNoop tombstones. Indices
-  // stay contiguous so follower gap buffers are undisturbed; only the
-  // retained-tail bytes a future attach_standby re-ships shrink.
-  std::unordered_map<Guid, bool> seen_lease;
-  std::unordered_map<Guid, bool> seen_profile;
-  std::uint64_t compacted = 0;
-  for (auto it = tail_.rbegin(); it != tail_.rend(); ++it) {
-    // The unflushed suffix is skipped: those records have not shipped yet,
-    // and their payloads must go out as appended.
-    if (it - tail_.rbegin() < static_cast<std::ptrdiff_t>(unflushed_))
-      continue;
-    std::unordered_map<Guid, bool>* seen = nullptr;
-    if (it->kind == RecordKind::kLeaseRenew) seen = &seen_lease;
-    else if (it->kind == RecordKind::kProfileUpdate) seen = &seen_profile;
-    else continue;
-    auto [slot, fresh] = seen->try_emplace(it->subject, true);
-    if (fresh) continue;  // latest record for this subject — keep
-    it->kind = RecordKind::kNoop;
-    it->flag = 0;
-    it->payload = serde::BufferRef();
-    ++compacted;
-  }
-  if (compacted > 0) {
-    m_compacted_.inc(compacted);
-    SCI_DEBUG(kTag, "compacted %llu tail records (%zu retained)",
-              static_cast<unsigned long long>(compacted), tail_.size());
-  }
+  update_lag();
+  update_committed();  // a degraded group commits at append
+  return head_;
 }
 
 void ReplicationLog::on_applied(Guid standby, std::uint32_t epoch,
@@ -294,22 +220,27 @@ void ReplicationLog::on_applied(Guid standby, std::uint32_t epoch,
 void ReplicationLog::set_sync_acks(unsigned n,
                                    std::function<void(std::uint64_t)>
                                        on_commit) {
+  SCI_ASSERT(n > 0);
   sync_acks_ = n;
   on_commit_ = std::move(on_commit);
   committed_seen_ = committed();
 }
 
 std::uint64_t ReplicationLog::committed() const {
-  if (sync_acks_ == 0 || applied_.size() < sync_acks_) return head_;
-  std::vector<std::uint64_t> marks;
-  marks.reserve(applied_.size());
-  for (const auto& [standby, applied] : applied_) marks.push_back(applied);
-  std::sort(marks.begin(), marks.end(), std::greater<>());
-  return marks[sync_acks_ - 1];  // nth-highest: n standbys hold this index
+  if (applied_.size() < sync_acks_) return head_;
+  // The nth-highest applied index: the highest one n standbys hold. Runs on
+  // every append and ack, over a handful of standbys, so it allocates
+  // nothing.
+  std::uint64_t committed = 0;
+  for (const auto& [standby, mark] : applied_) {
+    unsigned holders = 0;
+    for (const auto& [other, applied] : applied_) holders += applied >= mark;
+    if (holders >= sync_acks_) committed = std::max(committed, mark);
+  }
+  return committed;
 }
 
 void ReplicationLog::update_committed() {
-  if (sync_acks_ == 0) return;
   const std::uint64_t now_committed = committed();
   if (now_committed <= committed_seen_) return;
   committed_seen_ = now_committed;
@@ -333,9 +264,6 @@ std::vector<Guid> ReplicationLog::standbys() const {
 }
 
 void ReplicationLog::take_snapshot() {
-  // The tail is about to be discarded — anything still coalescing must ship
-  // first or attached standbys would never see it.
-  flush_pending();
   snapshot_blob_ = snapshot_();
   snapshot_base_ = head_;
   have_snapshot_ = true;
@@ -355,10 +283,6 @@ void ReplicationLog::ship_snapshot(Guid standby) {
 }
 
 void ReplicationLog::heartbeat_tick() {
-  // The heartbeat interval is the batching window: ship the coalesced
-  // records, then tombstone whatever the shipped tail no longer needs.
-  flush_pending();
-  compact_tail();
   serde::Writer w(24 + 17 * applied_.size());
   w.varint(channel_.epoch());
   w.varint(head_);
@@ -447,8 +371,7 @@ void ReplicationFollower::drain_gap() {
     gap_.erase(gap_.begin());
     applied_ = head.index;
     m_records_applied_->inc();
-    // Compaction tombstones advance the index without touching state.
-    if (head.kind != RecordKind::kNoop) apply_record_(head);
+    apply_record_(head);
   }
 }
 
@@ -464,48 +387,13 @@ void ReplicationFollower::on_record(const serde::BufferRef& payload) {
              record.error().message().c_str());
     return;
   }
-  buffer_record(std::move(*record));
+  // Jitter can let a record overtake the epoch's snapshot: hold it until
+  // the snapshot lands. Otherwise an index at or below applied_ is a
+  // duplicate.
+  if (await_snapshot_ || record->index > applied_)
+    gap_.emplace(record->index, std::move(*record));
   drain_gap();  // applies the contiguous run at applied_ + 1, if formed
   ack();
-}
-
-void ReplicationFollower::buffer_record(LogRecord record) {
-  if (await_snapshot_) {
-    // Jitter let this record overtake the epoch's snapshot — hold it.
-    gap_.emplace(record.index, std::move(record));
-    return;
-  }
-  if (record.index <= applied_) return;  // duplicate
-  gap_.emplace(record.index, std::move(record));
-}
-
-void ReplicationFollower::on_batch(const serde::BufferRef& payload) {
-  serde::Reader r(payload);
-  const auto epoch = r.varint();
-  if (!epoch || !advance_epoch(static_cast<std::uint32_t>(*epoch))) return;
-  const auto count = r.varint();
-  if (!count) return;
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    const auto len = r.varint();
-    if (!len || *len > r.remaining()) {
-      SCI_WARN(kTag, "truncated replication batch (%llu of %llu records)",
-               static_cast<unsigned long long>(i),
-               static_cast<unsigned long long>(*count));
-      break;
-    }
-    const serde::BufferRef inner = payload.slice(
-        payload.size() - r.remaining(), static_cast<std::size_t>(*len));
-    (void)r.skip(static_cast<std::size_t>(*len));
-    auto record = LogRecord::decode(inner);
-    if (!record) {
-      SCI_WARN(kTag, "malformed log record in batch: %s",
-               record.error().message().c_str());
-      continue;
-    }
-    buffer_record(std::move(*record));
-  }
-  drain_gap();
-  ack();  // one cumulative ack per batch
 }
 
 void ReplicationFollower::on_snapshot(const serde::BufferRef& payload) {

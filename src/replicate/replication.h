@@ -12,12 +12,13 @@
 //  * ReplicationLog (primary side) — assigns a monotonically increasing
 //    index to every state-mutating operation the CS admits, retains the
 //    tail since the last snapshot, and ships each record to every attached
-//    standby over the CS's ReliableChannel (kReplRecord). A periodic
-//    snapshot (kReplSnapshot, bytes produced by a provider callback the CS
-//    supplies) truncates the tail and lets a cold standby catch up without
-//    replaying history. Standbys ack their applied index (kReplApplied,
-//    raw, epoch-stamped — acks from superseded incarnations are ignored);
-//    the `repl.lag` gauge tracks head − min(applied).
+//    standby over the CS's ReliableChannel (kReplRecord) the moment it is
+//    appended. A periodic snapshot (kReplSnapshot, bytes produced by a
+//    provider callback the CS supplies) truncates the tail and lets a cold
+//    standby catch up without replaying history. Standbys ack their applied
+//    index (kReplApplied, raw, epoch-stamped — acks from superseded
+//    incarnations are ignored); a record commits once sync_acks standbys
+//    applied it, and the `repl.lag` gauge tracks head − min(applied).
 //
 //  * ReplicationFollower (standby side) — applies records strictly in index
 //    order (out-of-order arrivals wait in a gap buffer), hands snapshots
@@ -68,10 +69,7 @@ inline constexpr std::uint32_t kReplRecord = 0xAE01;
 inline constexpr std::uint32_t kReplSnapshot = 0xAE02;
 inline constexpr std::uint32_t kReplHeartbeat = 0xAE03;
 inline constexpr std::uint32_t kReplApplied = 0xAE04;
-// Several log records coalesced into one reliable frame (batched shipping:
-// varint epoch, varint count, then count × length-prefixed LogRecord).
 // 0xAE05–0xAE08 belong to the election (election.h).
-inline constexpr std::uint32_t kReplBatch = 0xAE09;
 
 // What kind of state mutation a log record carries. The payload encoding is
 // owned by the Context Server; the log ships it opaquely.
@@ -83,7 +81,6 @@ enum class RecordKind : std::uint8_t {
   kLeaseRenew = 5,    // subscription lease keep-alive
   kQuery = 6,         // externally admitted query (subscription wiring)
   kConfigRetire = 7,  // configuration teardown
-  kNoop = 8,          // compaction tombstone: index retained, no state change
   kShardProfile = 9,      // sibling shard's profile mirror (put/update)
   kShardSubscribe = 10,   // cross-shard subscription installed here
   kShardUnsubscribe = 11, // cross-shard subscription torn down
@@ -116,8 +113,7 @@ struct LogRecord {
 // voter requires before granting a rival's candidacy, so a held lease never
 // overlaps a majority election.
 struct ReplicationConfig {
-  // Heartbeat cadence; appended records are also coalesced into one
-  // kReplBatch frame per heartbeat (synchronous mode ships at once).
+  // Heartbeat cadence (records ship at append, not on the beat).
   Duration heartbeat_period = Duration::millis(500);
   // Standby declares the primary dead after this much heartbeat silence.
   Duration promote_timeout = Duration::seconds(2);
@@ -164,7 +160,7 @@ class ReplicationLog {
   void detach_standby(Guid node);
 
   // Assigns the next index to `record`, retains it and ships it to every
-  // standby. Returns the assigned index.
+  // attached standby at once as a kReplRecord. Returns the assigned index.
   std::uint64_t append(LogRecord record);
 
   // kReplApplied from `standby`: it has applied everything through `index`
@@ -172,17 +168,16 @@ class ReplicationLog {
   // index space does not line up with this log's.
   void on_applied(Guid standby, std::uint32_t epoch, std::uint64_t index);
 
-  // Synchronous replication mode (docs/REPLICATION.md): with n >= 1 the
-  // owner withholds client-visible admit acks until a record has been
-  // applied by n standbys; `on_commit` fires with the new watermark every
-  // time it rises, releasing whatever the owner was holding. Fewer standbys
-  // attached than `n` degrades to asynchronous (everything commits at
-  // append), so a lone primary keeps serving.
+  // Commit rule (docs/REPLICATION.md): a record commits once n >= 1
+  // standbys applied it, and the owner withholds client-visible admit acks
+  // until then; `on_commit` fires with the new watermark every time it
+  // rises, releasing whatever the owner was holding. While fewer than `n`
+  // standbys are attached every record commits at append, so a lone
+  // primary keeps serving.
   void set_sync_acks(unsigned n, std::function<void(std::uint64_t)> on_commit);
-  // Highest index applied by at least sync_acks standbys (== head when sync
-  // is off or the group is degraded below it).
+  // Highest index applied by at least sync_acks standbys (== head while the
+  // group is degraded below it).
   [[nodiscard]] std::uint64_t committed() const;
-  [[nodiscard]] unsigned sync_acks() const { return sync_acks_; }
 
   // Seeds the index space of a log created on a node that recovered state
   // from disk: indices continue above the recovered watermark instead of
@@ -202,14 +197,6 @@ class ReplicationLog {
   void heartbeat_tick();
   void update_lag();
   void update_committed();
-  // Ships the coalesced suffix of the tail (everything appended since the
-  // last ship) to every standby — one kReplBatch frame each, or a plain
-  // kReplRecord when only one record is pending.
-  void flush_pending();
-  // Tombstones superseded records in the retained tail (older same-subject
-  // lease renews and profile updates) to kNoop, preserving index
-  // contiguity for follower gap buffers while cutting catch-up bytes.
-  void compact_tail();
 
   net::Network& network_;
   reliable::ReliableChannel& channel_;
@@ -219,14 +206,13 @@ class ReplicationLog {
 
   std::uint64_t head_ = 0;
   std::deque<LogRecord> tail_;  // records since the last snapshot
-  std::size_t unflushed_ = 0;   // tail suffix not yet shipped to standbys
   std::uint64_t snapshot_base_ = 0;
   std::vector<std::byte> snapshot_blob_;
   bool have_snapshot_ = false;
   std::unordered_map<Guid, std::uint64_t> applied_;
 
-  // Synchronous mode (0 = off): commit watermark + rise notification.
-  unsigned sync_acks_ = 0;
+  // Commit watermark + rise notification.
+  unsigned sync_acks_ = 1;
   std::function<void(std::uint64_t)> on_commit_;
   std::uint64_t committed_seen_ = 0;
 
@@ -239,8 +225,6 @@ class ReplicationLog {
   obs::TwinCounter m_records_shipped_;  // record × standby sends
   obs::TwinCounter m_snapshots_;
   obs::TwinCounter m_heartbeats_;
-  obs::TwinCounter m_batches_;
-  obs::TwinCounter m_compacted_;
   obs::TwinCounter m_delta_catchups_;
   obs::TwinCounter m_delta_bytes_;
   obs::TwinCounter m_full_catchups_;
@@ -272,9 +256,6 @@ class ReplicationFollower {
   // Inner kReplRecord frame (already unwrapped by the reliable channel).
   // Decoded records keep zero-copy slices of `payload`.
   void on_record(const serde::BufferRef& payload);
-  // Inner kReplBatch frame: several records under one epoch prefix, applied
-  // through the same gap buffer, acked once.
-  void on_batch(const serde::BufferRef& payload);
   // Inner kReplSnapshot frame.
   void on_snapshot(const serde::BufferRef& payload);
   // Raw kReplHeartbeat frame.
@@ -305,9 +286,6 @@ class ReplicationFollower {
   // Returns false when `epoch` belongs to a superseded incarnation; on an
   // advance, discards gap leftovers and re-enters the await-snapshot state.
   bool advance_epoch(std::uint32_t epoch);
-  // Parks a decoded record in the gap buffer (or drops a duplicate);
-  // callers follow up with drain_gap + ack.
-  void buffer_record(LogRecord record);
   void drain_gap();
   void ack();
   void watchdog_tick();

@@ -300,8 +300,6 @@ TEST(MemReliableTest, PayloadSurvivesDeadLetterParkAndReplay) {
   const Guid b_id = Guid::random(rng);
   reliable::ReliableConfig config;
   config.dead_letter_capacity = 8;
-  config.max_attempts = 2;
-  config.initial_rto = Duration::millis(50);
   reliable::ReliableChannel a(network, a_id, config);
   reliable::ReliableChannel b(network, b_id, {});
   ASSERT_TRUE(network.attach(a_id, [&](const net::Message& m) {

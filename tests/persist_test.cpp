@@ -478,7 +478,7 @@ struct DurableFixture {
   range::ContextServer* level_a = nullptr;
   range::ContextServer* level_b = nullptr;
 
-  explicit DurableFixture(unsigned standby_count = 0, unsigned sync_acks = 0,
+  explicit DurableFixture(unsigned standby_count = 0,
                           unsigned shard_count = 1) {
     sci.set_location_directory(&building.directory());
     level_a = sci.create_range("levelA", building.floor_path(0)).value();
@@ -488,7 +488,6 @@ struct DurableFixture {
     options.replication.standby_count = standby_count;
     options.replication.heartbeat_period = Duration::millis(200);
     options.replication.promote_timeout = Duration::millis(800);
-    options.replication.sync_acks = sync_acks;
     level_b =
         sci.create_range("levelB", building.floor_path(1), options).value();
   }
@@ -607,7 +606,7 @@ Guid guid_owned_by(Sci& sci, range::ContextServer* lead, unsigned shard) {
 }
 
 TEST(PersistTest, ShardedColdRestartRecoversEveryShardStore) {
-  DurableFixture f(0, 0, /*shard_count=*/2);
+  DurableFixture f(0, /*shard_count=*/2);
   // One owned entity per shard, so each shard logs records of its own.
   PulseCE pulse(f.sci.network(), guid_owned_by(f.sci, f.level_b, 0), "pulse",
                 entity::EntityKind::kDevice);
@@ -777,7 +776,7 @@ TEST(PersistTest, TornAndCorruptWalRecoveryNeverPanics) {
 // restart onto the bumped map epoch, the moved membership and subscription
 // live on the new owner, and delivery resumes exactly-once.
 TEST(PersistTest, ResharpedTopologySurvivesColdRestart) {
-  DurableFixture f(0, 0, /*shard_count=*/2);
+  DurableFixture f(0, /*shard_count=*/2);
   PulseCE pulse(f.sci.network(), guid_owned_by(f.sci, f.level_b, 0), "pulse",
                 entity::EntityKind::kDevice);
   ASSERT_TRUE(f.sci.enroll(pulse, *f.level_b).is_ok());
@@ -838,7 +837,7 @@ TEST(PersistTest, ResharpedTopologySurvivesColdRestart) {
 // restart must COMPLETE the move from recorded state — the commit record
 // is the point of no return.
 TEST(PersistTest, ColdRestartCompletesCommittedHandoff) {
-  DurableFixture f(0, 0, /*shard_count=*/2);
+  DurableFixture f(0, /*shard_count=*/2);
   PulseCE pulse(f.sci.network(), guid_owned_by(f.sci, f.level_b, 0), "pulse",
                 entity::EntityKind::kDevice);
   ASSERT_TRUE(f.sci.enroll(pulse, *f.level_b).is_ok());
@@ -901,7 +900,7 @@ TEST(PersistTest, ColdRestartCompletesCommittedHandoff) {
 // commit record exists, so the cold restart must ABORT: ownership rolls
 // back to the pre-handoff map and the vnode keeps serving from the source.
 TEST(PersistTest, ColdRestartAbortsUncommittedHandoff) {
-  DurableFixture f(0, 0, /*shard_count=*/2);
+  DurableFixture f(0, /*shard_count=*/2);
   PulseCE pulse(f.sci.network(), guid_owned_by(f.sci, f.level_b, 0), "pulse",
                 entity::EntityKind::kDevice);
   ASSERT_TRUE(f.sci.enroll(pulse, *f.level_b).is_ok());

@@ -376,10 +376,6 @@ TEST_P(MirrorDeterminismProperty, ReplicasComposeOverTheSameMirrors) {
   options.replication.heartbeat_period = Duration::millis(200);
   options.replication.promote_timeout = Duration::millis(800);
   options.durability.enable = true;
-  // Per-record shipping. With sync_acks = 0 records ship in heartbeat
-  // batches, and not_before/expiry timers on the standby race them: that
-  // divergence is older than the mirror rules and tracked on its own.
-  options.replication.sync_acks = 1;
   range::ContextServer* lead =
       sci.create_range("mall", building.floor_path(0), options).value();
   const std::vector<std::string> names = {"mall", "mall#1", "mall#2",

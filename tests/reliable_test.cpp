@@ -126,11 +126,7 @@ TEST(ReliableTest, DuplicateDataFrameSuppressedAndReAcked) {
 
 TEST(ReliableTest, GivesUpAfterMaxAttempts) {
   Fixture f;
-  ReliableConfig config;
-  config.initial_rto = Duration::millis(100);
-  config.jitter = 0.0;
-  config.max_attempts = 3;
-  Endpoint a(f.network, Guid::random(f.rng), config);
+  Endpoint a(f.network, Guid::random(f.rng));
   Endpoint b(f.network, Guid::random(f.rng));
   ASSERT_TRUE(f.network.set_crashed(b.id, true).is_ok());
 
@@ -146,7 +142,7 @@ TEST(ReliableTest, GivesUpAfterMaxAttempts) {
   EXPECT_EQ(abandoned[0].first.type, 0x42u);
   EXPECT_EQ(abandoned[0].first.to, b.id);
   EXPECT_EQ(abandoned[0].first.payload, bytes({9}));
-  EXPECT_EQ(abandoned[0].second, 3u);  // all attempts spent
+  EXPECT_EQ(abandoned[0].second, 8u);  // all attempts spent
   EXPECT_EQ(a.channel.stats().dead_letters, 1u);
   EXPECT_EQ(a.channel.stats().failovers, 0u);
   EXPECT_EQ(a.channel.in_flight(), 0u);
@@ -155,9 +151,7 @@ TEST(ReliableTest, GivesUpAfterMaxAttempts) {
 
 TEST(ReliableTest, FailAllHandsBackPendingOldestFirst) {
   Fixture f;
-  ReliableConfig config;
-  config.initial_rto = Duration::seconds(10);  // no retransmit during test
-  Endpoint a(f.network, Guid::random(f.rng), config);
+  Endpoint a(f.network, Guid::random(f.rng));
   Endpoint b(f.network, Guid::random(f.rng));
   ASSERT_TRUE(f.network.set_crashed(b.id, true).is_ok());
 
@@ -194,9 +188,6 @@ TEST(ReliableTest, UnknownDestinationDeadLettersImmediately) {
 TEST(ReliableTest, DeadLetterQueueParksAbandonedFrames) {
   Fixture f;
   ReliableConfig config;
-  config.initial_rto = Duration::millis(100);
-  config.jitter = 0.0;
-  config.max_attempts = 2;
   config.dead_letter_capacity = 8;
   Endpoint a(f.network, Guid::random(f.rng), config);
   Endpoint b(f.network, Guid::random(f.rng));
@@ -212,7 +203,7 @@ TEST(ReliableTest, DeadLetterQueueParksAbandonedFrames) {
   EXPECT_EQ(letter.inner_type, 0x42u);
   EXPECT_EQ(letter.payload, bytes({5}));
   EXPECT_EQ(letter.cause, DeadLetterCause::kExhausted);
-  EXPECT_EQ(letter.attempts, 2u);
+  EXPECT_EQ(letter.attempts, 8u);
   EXPECT_GE(letter.age(f.simulator.now()).count_micros(), 0);
   EXPECT_EQ(a.channel.stats().dlq_parked, 1u);
 }
@@ -220,9 +211,6 @@ TEST(ReliableTest, DeadLetterQueueParksAbandonedFrames) {
 TEST(ReliableTest, DeadLetterReplayRoundTrip) {
   Fixture f;
   ReliableConfig config;
-  config.initial_rto = Duration::millis(100);
-  config.jitter = 0.0;
-  config.max_attempts = 2;
   config.dead_letter_capacity = 8;
   Endpoint a(f.network, Guid::random(f.rng), config);
   Endpoint b(f.network, Guid::random(f.rng));
@@ -256,15 +244,17 @@ TEST(ReliableTest, DeadLetterReplayRoundTrip) {
 TEST(ReliableTest, DeadLetterQueueEvictsOldestBeyondCapacity) {
   Fixture f;
   ReliableConfig config;
-  config.initial_rto = Duration::millis(100);
-  config.jitter = 0.0;
-  config.max_attempts = 1;
   config.dead_letter_capacity = 2;
   Endpoint a(f.network, Guid::random(f.rng), config);
   Endpoint b(f.network, Guid::random(f.rng));
   ASSERT_TRUE(f.network.set_crashed(b.id, true).is_ok());
 
-  for (int i = 0; i < 5; ++i) a.channel.send(b.id, 0x42, bytes({i}));
+  // Retransmit jitter adds at most 2.12 s over a frame's eight attempts, so
+  // sends 3 s apart park in send order.
+  for (int i = 0; i < 5; ++i) {
+    a.channel.send(b.id, 0x42, bytes({i}));
+    f.simulator.run_until(f.simulator.now() + Duration::seconds(3));
+  }
   f.simulator.run_all();
 
   const DeadLetterQueue& dlq = a.channel.dead_letters();
@@ -278,9 +268,6 @@ TEST(ReliableTest, DeadLetterQueueEvictsOldestBeyondCapacity) {
 TEST(ReliableTest, DrainEmptiesWithoutResending) {
   Fixture f;
   ReliableConfig config;
-  config.initial_rto = Duration::millis(100);
-  config.jitter = 0.0;
-  config.max_attempts = 1;
   config.dead_letter_capacity = 4;
   Endpoint a(f.network, Guid::random(f.rng), config);
   Endpoint b(f.network, Guid::random(f.rng));
@@ -300,17 +287,15 @@ TEST(ReliableTest, DrainEmptiesWithoutResending) {
 TEST(ReliableTest, FailAllFlushesRetransmitTimersAndParks) {
   Fixture f;
   ReliableConfig config;
-  config.initial_rto = Duration::millis(100);
-  config.jitter = 0.0;
-  config.max_attempts = 8;
   config.dead_letter_capacity = 8;
   Endpoint a(f.network, Guid::random(f.rng), config);
   Endpoint b(f.network, Guid::random(f.rng));
   ASSERT_TRUE(f.network.set_crashed(b.id, true).is_ok());
 
   for (int i = 0; i < 2; ++i) a.channel.send(b.id, 0x42, bytes({i}));
-  // Let at least one retransmit fire so backoff timers are armed.
-  f.simulator.run_until(f.simulator.now() + Duration::millis(150));
+  // Let at least one retransmit fire (the first timeout is 200 ms plus up
+  // to 10% jitter) so backoff timers are armed.
+  f.simulator.run_until(f.simulator.now() + Duration::millis(300));
   EXPECT_EQ(a.channel.fail_all(b.id), 2u);
 
   // Parked as failovers, and no armed timer fires a stale retransmission.

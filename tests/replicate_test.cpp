@@ -187,6 +187,41 @@ TEST(ReplicateTest, LogIgnoresAppliedAcksFromOtherEpochs) {
   EXPECT_EQ(log.lag(), 0u);
 }
 
+// A record commits once sync_acks standbys applied it: the watermark is the
+// nth-highest applied index, and a group with fewer standbys than that
+// commits at append.
+TEST(ReplicateTest, LogCommitsAtTheNthHighestAppliedIndex) {
+  sim::Simulator simulator{42};
+  net::Network network{simulator};
+  Rng rng{7};
+  reliable::ReliableChannel channel(network, Guid::random(rng), {});
+  replicate::ReplicationLog log(network, channel,
+                                replicate::ReplicationConfig{},
+                                [] { return std::vector<std::byte>{}; });
+  std::vector<std::uint64_t> commits;
+  log.set_sync_acks(2, [&](std::uint64_t c) { commits.push_back(c); });
+  const Guid a = Guid::random(rng);
+  const Guid b = Guid::random(rng);
+  const Guid c = Guid::random(rng);
+  log.attach_standby(a);
+  for (std::uint64_t i = 0; i < 5; ++i) log.append(replicate::LogRecord{});
+  EXPECT_EQ(log.committed(), 5u);  // one standby, two acks asked: degraded
+
+  log.attach_standby(b);
+  log.attach_standby(c);
+  log.on_applied(a, 0, 5);
+  EXPECT_EQ(log.committed(), 0u);  // only one standby holds anything
+  log.on_applied(c, 0, 2);
+  EXPECT_EQ(log.committed(), 2u);
+  log.on_applied(b, 0, 4);
+  EXPECT_EQ(log.committed(), 4u);
+  log.on_applied(c, 0, 5);
+  EXPECT_EQ(log.committed(), 5u);
+  // on_commit fires only on a rise: once per degraded append, and not again
+  // while the two-standby quorum catches up to 5.
+  EXPECT_EQ(commits, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+}
+
 TEST(ReplicateTest, VoterGatesOnLivenessWatermarkAndPledgedEpoch) {
   sim::Simulator simulator{42};
   net::Network network{simulator};
@@ -439,6 +474,8 @@ TEST(ReplicateTest, LeaseQuorumJudgedAgainstSendTimeMemberSnapshot) {
 class PulseCE final : public entity::ContextEntity {
  public:
   using ContextEntity::ContextEntity;
+  // Frames still waiting for their channel ack (the admit signal).
+  [[nodiscard]] std::size_t unacked() { return channel().in_flight(); }
 
  protected:
   [[nodiscard]] std::vector<entity::TypeSig> profile_outputs() const override {
@@ -475,14 +512,13 @@ struct FailoverFixture {
   range::ContextServer* level_a = nullptr;
   range::ContextServer* level_b = nullptr;
 
-  explicit FailoverFixture(unsigned standby_count, unsigned sync_acks = 0) {
+  explicit FailoverFixture(unsigned standby_count) {
     sci.set_location_directory(&building.directory());
     level_a = sci.create_range("levelA", building.floor_path(0)).value();
     RangeOptions options;
     options.replication.standby_count = standby_count;
     options.replication.heartbeat_period = Duration::millis(200);
     options.replication.promote_timeout = Duration::millis(800);
-    options.replication.sync_acks = sync_acks;
     level_b = sci.create_range("levelB", building.floor_path(1), options)
                   .value();
   }
@@ -668,7 +704,7 @@ TEST(ReplicateTest, SnapshotRestoredDeferredQueryExpiresAfterPromotion) {
 // side elects a successor whose epoch supersedes the (still-alive) primary
 // at the facade. After heal, every published op surfaces exactly once.
 TEST(ReplicateTest, SplitBrainSingleLeaseHolderPerEpochAndNoLossAfterHeal) {
-  FailoverFixture f(2, /*sync_acks=*/1);
+  FailoverFixture f(2);
   PulseCE pulse(f.sci.network(), f.sci.new_guid(), "pulse",
                 entity::EntityKind::kDevice);
   ASSERT_TRUE(f.sci.enroll(pulse, *f.level_b).is_ok());
@@ -741,12 +777,46 @@ TEST(ReplicateTest, SplitBrainSingleLeaseHolderPerEpochAndNoLossAfterHeal) {
   }
 }
 
+// Default options commit a record once one standby applied it: with the
+// only standby partitioned away, a publish is admitted but its client ack
+// stays withheld until the partition heals.
+TEST(ReplicateTest, DefaultOptionsWithholdAdmitAckUntilStandbyApplies) {
+  Sci sci{42};
+  mobility::Building building{{.floors = 1, .rooms_per_floor = 4}};
+  sci.set_location_directory(&building.directory());
+  RangeOptions options;
+  options.replication.standby_count = 1;
+  range::ContextServer* primary =
+      sci.create_range("level", building.floor_path(0), options).value();
+  PulseCE pulse(sci.network(), sci.new_guid(), "pulse",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(sci.enroll(pulse, *primary).is_ok());
+  sci.run_for(Duration::seconds(1));
+  ASSERT_EQ(pulse.unacked(), 0u);
+  const std::vector<range::ContextServer*> standbys = sci.standbys("level");
+  ASSERT_EQ(standbys.size(), 1u);
+
+  sci.network().set_partition_group(standbys[0]->attached_node(), 1);
+  pulse.publish("pulse", Value(std::int64_t{1}));
+  sci.run_for(Duration::millis(600));
+  const replicate::ReplicationLog* log = primary->replication_log();
+  ASSERT_NE(log, nullptr);
+  EXPECT_LT(log->committed(), log->head());  // admitted, not yet committed
+  EXPECT_EQ(pulse.unacked(), 1u);  // its admit ack is withheld
+
+  sci.network().heal_partitions();
+  sci.run_for(Duration::seconds(2));
+  EXPECT_EQ(log->committed(), log->head());
+  EXPECT_EQ(pulse.unacked(), 0u);
+  EXPECT_EQ(primary->replication_lag(), 0u);
+}
+
 // Sync-mode kill/elect cycle: with sync_acks=1 the primary withholds the
 // client-visible ack until a standby applied the record, and the election's
 // watermark gate makes the ack set intersect the vote majority — so no
 // client-acked op can be lost across the failover.
 TEST(ReplicateTest, SyncModeKillElectCycleLosesNoClientAckedOps) {
-  FailoverFixture f(2, /*sync_acks=*/1);
+  FailoverFixture f(2);
   PulseCE pulse(f.sci.network(), f.sci.new_guid(), "pulse",
                 entity::EntityKind::kDevice);
   ASSERT_TRUE(f.sci.enroll(pulse, *f.level_b).is_ok());
@@ -819,7 +889,6 @@ TEST(ReplicateTest, ColdRestartedFencedPrimaryRejoinsWithoutResurrection) {
   options.replication.standby_count = 1;
   options.replication.heartbeat_period = Duration::millis(200);
   options.replication.promote_timeout = Duration::millis(800);
-  options.replication.sync_acks = 1;
   range::ContextServer* level_b =
       sci.create_range("levelB", building.floor_path(1), options).value();
 

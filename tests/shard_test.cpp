@@ -64,15 +64,13 @@ struct ShardFixture {
   mobility::Building building{{.floors = 2, .rooms_per_floor = 4}};
   range::ContextServer* lead = nullptr;
 
-  explicit ShardFixture(unsigned shard_count, unsigned standby_count = 0,
-                        unsigned sync_acks = 0) {
+  explicit ShardFixture(unsigned shard_count, unsigned standby_count = 0) {
     sci.set_location_directory(&building.directory());
     RangeOptions options;
     options.sharding.shard_count = shard_count;
     options.replication.standby_count = standby_count;
     options.replication.heartbeat_period = Duration::millis(200);
     options.replication.promote_timeout = Duration::millis(800);
-    options.replication.sync_acks = sync_acks;
     lead = sci.create_range("mall", building.floor_path(0), options).value();
   }
 
@@ -364,7 +362,7 @@ TEST(ShardTest, StandbyRebuildsWildcardMirrorFromReplicatedRecord) {
 }
 
 TEST(ShardTest, CrossShardDeliverySurvivesShardKillElectCycle) {
-  ShardFixture f(4, /*standby_count=*/2, /*sync_acks=*/1);
+  ShardFixture f(4, /*standby_count=*/2);
   PulseCE pulse(f.sci.network(), f.guid_owned_by(2), "pulse",
                 entity::EntityKind::kDevice);
   ASSERT_TRUE(f.sci.enroll(pulse, *f.lead).is_ok());
@@ -467,42 +465,6 @@ TEST(ShardTest, MirroredIdsDoNotPoisonLocalIdSpace) {
   EXPECT_EQ(m3.unique_events, 3);
 }
 
-TEST(ShardTest, BatchedShippingAndCompactionCountersAdvance) {
-  ShardFixture f(2, /*standby_count=*/1);
-  PulseCE pulse(f.sci.network(), f.guid_owned_by(1), "pulse",
-                entity::EntityKind::kDevice);
-  ASSERT_TRUE(f.sci.enroll(pulse, *f.lead).is_ok());
-  f.sci.run_for(Duration::seconds(1));
-
-  // A burst of profile updates between heartbeats: batched shipping
-  // coalesces the records into per-heartbeat frames, and compaction
-  // tombstones the superseded same-subject updates.
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 8; ++i) {
-      pulse.set_metadata(Value(static_cast<std::int64_t>(round * 8 + i)));
-    }
-    f.sci.run_for(Duration::millis(250));
-  }
-  f.sci.run_for(Duration::seconds(1));
-
-  range::ContextServer* owner = f.sci.shards("mall")[1];
-  ASSERT_NE(owner->replication_log(), nullptr);
-  const std::uint64_t batches = node_count(*owner, "repl.batches");
-  EXPECT_GT(batches, 0u);
-  EXPECT_GT(node_count(*owner, "repl.compacted"), 0u);
-  // Batching compresses frames: strictly fewer frames than records.
-  EXPECT_LT(batches, node_count(*owner, "repl.records_appended"));
-  EXPECT_EQ(owner->replication_lag(), 0u);
-  ASSERT_EQ(f.sci.standbys("mall#1").size(), 1u);
-
-  const auto snapshot = f.sci.metrics().snapshot();
-  EXPECT_GT(snapshot.counter("repl.batches"), 0u);
-  EXPECT_GT(snapshot.counter("repl.compacted"), 0u);
-  // Heartbeat fingerprints would flag any primary/standby divergence the
-  // tombstones introduced.
-  EXPECT_EQ(snapshot.counter("repl.state_divergence"), 0u);
-}
-
 TEST(ShardTest, DlqAndChannelMetricsAggregatePerShard) {
   ShardFixture f(4);
   PulseCE pulse(f.sci.network(), f.guid_owned_by(2), "pulse",
@@ -579,7 +541,7 @@ TEST(ShardTest, MirroredProfileChangeInvalidatesSiblingViews) {
 // lookup/install sequence on every follower, so the elected successor
 // starts with the view table its predecessor built.
 TEST(ShardTest, WarmViewsSurviveShardKillElectCycle) {
-  ShardFixture f(4, /*standby_count=*/2, /*sync_acks=*/1);
+  ShardFixture f(4, /*standby_count=*/2);
   entity::PrinterCE printer(f.sci.network(), f.guid_owned_by(0), "P1",
                             f.building.room(0, 0));
   ASSERT_TRUE(f.sci.enroll(printer, *f.lead).is_ok());
@@ -633,7 +595,7 @@ TEST(ShardTest, WarmViewsSurviveShardKillElectCycle) {
 // apply the record loses the watch: the sender never retransmits and the
 // app never hears back.
 TEST(ShardTest, ForwardedQueryAckWaitsForItsRecordToCommit) {
-  ShardFixture f(2, /*standby_count=*/2, /*sync_acks=*/1);
+  ShardFixture f(2, /*standby_count=*/2);
   PulseCE pulse(f.sci.network(), f.guid_owned_by(1), "pulse",
                 entity::EntityKind::kDevice);
   ASSERT_TRUE(f.sci.enroll(pulse, *f.lead).is_ok());
@@ -855,7 +817,7 @@ TEST(ShardTest, MirrorBurstsShipAsBatches) {
 // aborts deterministically: ownership is unchanged and delivery resumes
 // exactly-once through the elected successor.
 TEST(ShardTest, SourceCrashBeforeCommitAbortsAfterElection) {
-  ShardFixture f(2, /*standby_count=*/2, /*sync_acks=*/1);
+  ShardFixture f(2, /*standby_count=*/2);
   PulseCE pulse(f.sci.network(), f.guid_owned_by(0), "pulse",
                 entity::EntityKind::kDevice);
   ASSERT_TRUE(f.sci.enroll(pulse, *f.lead).is_ok());
@@ -913,7 +875,7 @@ TEST(ShardTest, SourceCrashBeforeCommitAbortsAfterElection) {
 // ownership answer and delivery stays exactly-once. ISSUE acceptance:
 // "aborts cleanly OR completes after election".
 TEST(ShardTest, SourceCrashAtBroadcastConvergesEitherWay) {
-  ShardFixture f(2, /*standby_count=*/2, /*sync_acks=*/1);
+  ShardFixture f(2, /*standby_count=*/2);
   PulseCE pulse(f.sci.network(), f.guid_owned_by(0), "pulse",
                 entity::EntityKind::kDevice);
   ASSERT_TRUE(f.sci.enroll(pulse, *f.lead).is_ok());
@@ -1356,11 +1318,53 @@ TEST(ShardTest, RetransmittedFreezeStagesOnce) {
   EXPECT_TRUE(target_standby->handoff_active());
 }
 
+// A second copy of the freeze that arrives after the target staged the
+// slice, while the source still waits for ready, is the same handoff: the
+// target drops it instead of refusing it as a competing migration (which
+// would make the source roll the move back).
+TEST(ShardTest, FreezeRedeliveredBeforeTheCommitIsNotRefused) {
+  ShardFixture f(2);
+  PulseCE pulse(f.sci.network(), f.guid_owned_by(0), "pulse",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(pulse, *f.lead).is_ok());
+  f.sci.run_for(Duration::millis(500));
+  range::ContextServer* target = f.sci.shards("mall")[1];
+  const Guid target_node = target->server_node();
+  const Guid source_node = f.lead->server_node();
+  const unsigned vnode = f.lead->shard_map().vnode_of(pulse.id());
+  const std::uint64_t epoch_before = f.lead->map_epoch();
+  // The source's first handoff id: shard 0's index in the top bits, seq 1.
+  const serde::BufferRef copy =
+      freeze_frame(1, vnode, epoch_before + 1, /*damage=*/false);
+  int readies = 0;
+  target->set_handoff_probe([&](const char* step) {
+    if (std::string(step) != "ready" || readies++ > 0) return;
+    // Re-deliver the freeze from the source, and cut the target off for
+    // one microsecond so its first ready is lost: the copy lands while the
+    // source is still uncommitted. The channel resends ready later.
+    send_raw(f, source_node, target_node, range::kHandoffFreeze, copy);
+    f.sci.network().set_partition_group(target_node, 1);
+    f.sci.simulator().schedule(Duration::micros(1), [&f] {
+      f.sci.network().heal_partitions();
+    });
+  });
+
+  ASSERT_TRUE(f.lead->begin_handoff(vnode, 1));
+  f.sci.run_for(Duration::seconds(2));
+  EXPECT_EQ(readies, 1);
+  EXPECT_FALSE(f.lead->handoff_active());
+  EXPECT_FALSE(target->handoff_active());
+  EXPECT_EQ(f.lead->map_epoch(), epoch_before + 1);
+  EXPECT_EQ(f.lead->shard_map().owner_of_vnode(vnode), 1u);
+  EXPECT_EQ(target->shard_map().owner_of_vnode(vnode), 1u);
+  EXPECT_EQ(registry_count(f.sci.metrics(), "reshard.aborts"), 0u);
+}
+
 // The target's primary dies after staging, before the commit reaches it.
 // Its elected successor stages the slice from its kHandoffIntent record,
 // takes the commit, and delivery stays exactly-once across the move.
 TEST(ShardTest, TargetSuccessorInstallsTheSliceFromItsIntentRecord) {
-  ShardFixture f(2, /*standby_count=*/2, /*sync_acks=*/1);
+  ShardFixture f(2, /*standby_count=*/2);
   PulseCE pulse(f.sci.network(), f.guid_owned_by(0), "pulse",
                 entity::EntityKind::kDevice);
   ASSERT_TRUE(f.sci.enroll(pulse, *f.lead).is_ok());
