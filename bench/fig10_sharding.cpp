@@ -334,7 +334,6 @@ void BM_ShardFailoverIsolation(benchmark::State& state) {
     options.sharding.shard_count = 4;
     options.replication.standby_count = 2;
     options.replication.heartbeat_period = Duration::millis(200);
-    options.replication.promote_timeout = Duration::millis(800);
     auto& lead = *sci.create_range("mall", building.floor_path(0), options)
                       .value();
 

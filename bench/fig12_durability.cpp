@@ -109,7 +109,6 @@ struct Deployment {
     options.durability.enable = true;
     options.replication.standby_count = standby_count;
     options.replication.heartbeat_period = Duration::millis(200);
-    options.replication.promote_timeout = Duration::millis(800);
     level_b =
         sci.create_range("levelB", building.floor_path(1), options).value();
     SCI_ASSERT(sci.enroll(pulse, *level_b).is_ok());

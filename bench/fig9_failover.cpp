@@ -107,7 +107,6 @@ void BM_Failover(benchmark::State& state) {
     RangeOptions replicated;
     replicated.replication.standby_count = 2;
     replicated.replication.heartbeat_period = Duration::millis(250);
-    replicated.replication.promote_timeout = Duration::seconds(1);
     auto& level_b =
         *sci.create_range("levelB", building.floor_path(1), replicated).value();
     auto& level_c = *sci.create_range("levelC", building.floor_path(2)).value();
@@ -252,9 +251,6 @@ void BM_Failover(benchmark::State& state) {
     doc.emplace("election_candidacies",
                 static_cast<std::int64_t>(
                     snap.counter("repl.election.candidacies")));
-    doc.emplace("lease_acquisitions",
-                static_cast<std::int64_t>(
-                    snap.counter("repl.lease.acquisitions")));
     doc.emplace("lease_lapses",
                 static_cast<std::int64_t>(snap.counter("repl.lease.lapses")));
     doc.emplace("ops_rejected_unleased",
@@ -269,7 +265,6 @@ void BM_Failover(benchmark::State& state) {
                 static_cast<std::int64_t>(snap.counter("repl.snapshots")));
     doc.emplace("repl_state_divergence",
                 static_cast<std::int64_t>(snap.counter("repl.state_divergence")));
-    doc.emplace("repl_lag_gauge", snap.gauge("repl.lag"));
     doc.emplace("retransmits",
                 static_cast<std::int64_t>(snap.counter("rel.retransmits")));
     doc.emplace("dead_letters",

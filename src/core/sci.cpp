@@ -70,11 +70,10 @@ Expected<range::ContextServer*> Sci::create_range(std::string name,
                       "liveness.ping_period must be positive");
   }
   if (options.replication.standby_count > 0 &&
-      (options.replication.heartbeat_period <= zero ||
-       options.replication.promote_timeout <= zero)) {
+      options.replication.heartbeat_period <= zero) {
     return make_error(ErrorCode::kInvalidArgument,
-                      "replication.heartbeat_period and promote_timeout must "
-                      "be positive when standby_count > 0");
+                      "replication.heartbeat_period must be positive when "
+                      "standby_count > 0");
   }
   // A record commits once sync_acks standbys applied it; more than the group
   // holds could never commit.

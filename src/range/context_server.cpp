@@ -239,8 +239,6 @@ ContextServer::ContextServer(net::Network& network, RangeConfig config,
   m_dead_letters_ = twin("cs.dead_letters");
   m_promotions_ = twin("repl.failovers");
   m_lease_rejected_ = twin("repl.lease.rejected");
-  // The LeaseKeeper counts the deployment total; the server adds its slot.
-  m_node_lease_lapses_ = &metrics.counter("repl.lease.lapses", metrics_label_);
   m_shard_redirects_ = twin("cs.shard.redirects");
   m_shard_profile_mirrors_ = twin("cs.shard.profile_mirrors");
   m_shard_sub_mirrors_ = twin("cs.shard.sub_mirrors");
@@ -709,16 +707,13 @@ void ContextServer::on_component_message(const net::Message& message) {
       if (follower_ != nullptr) follower_->on_snapshot(message.payload);
       return;
     case replicate::kReplHeartbeat:
-      if (election_ != nullptr) election_->on_heartbeat(message.payload);
+      if (election_ != nullptr)
+        election_->on_heartbeat(message.payload, message.from);
       if (follower_ != nullptr) follower_->on_heartbeat(message.payload);
       return;
-    case replicate::kReplLeaseReq:
-      if (election_ != nullptr)
-        election_->on_lease_request(message.payload, message.from);
-      return;
     case replicate::kReplLeaseAck:
-      if (lease_keeper_ != nullptr)
-        lease_keeper_->on_lease_ack(message.payload, message.from);
+      if (repl_log_ != nullptr)
+        repl_log_->on_lease_ack(message.payload, message.from);
       return;
     case replicate::kReplVoteRequest:
       if (election_ != nullptr)
@@ -728,17 +723,10 @@ void ContextServer::on_component_message(const net::Message& message) {
       if (election_ != nullptr)
         election_->on_vote_grant(message.payload, message.from);
       return;
-    case replicate::kReplApplied: {
-      if (repl_log_ == nullptr) return;
-      serde::Reader r(message.payload);
-      const auto epoch = r.varint();
-      if (!epoch) return;
-      if (const auto index = r.varint(); index) {
-        repl_log_->on_applied(message.from,
-                              static_cast<std::uint32_t>(*epoch), *index);
-      }
+    case replicate::kReplApplied:
+      if (repl_log_ != nullptr)
+        repl_log_->on_applied(message.payload, message.from);
       return;
-    }
     case kRangeBeacon: {
       if (!discovering_) return;
       serde::Reader r(message.payload);
@@ -3314,25 +3302,6 @@ void ContextServer::recover_from_store() {
            static_cast<unsigned long long>(rec.watermark), rec.records.size());
 }
 
-void ContextServer::init_lease_keeper() {
-  if (lease_keeper_ != nullptr) return;
-  lease_keeper_ = std::make_unique<replicate::LeaseKeeper>(
-      network_, attached_as_, config_.replication,
-      [this] {
-        return repl_log_ != nullptr ? repl_log_->standbys()
-                                    : std::vector<Guid>{};
-      },
-      [this] { return config_.epoch; },
-      [this] {
-        m_node_lease_lapses_->inc();
-        SCI_WARN(kTag, "%s: fencing lease lapsed — admission closed",
-                 config_.name.c_str());
-      },
-      [this](std::uint32_t epoch) {
-        lease_epochs_.insert(epoch);
-      });
-}
-
 void ContextServer::init_election_agent() {
   if (election_ != nullptr) return;
   election_ = std::make_unique<replicate::ElectionAgent>(
@@ -3891,11 +3860,12 @@ void ContextServer::attach_standby(Guid standby_node, std::uint32_t from_epoch,
     repl_log_->set_sync_acks(
         config_.replication.sync_acks,
         [this](std::uint64_t c) { on_commit_advanced(c); });
+    // Replicating under elections means the right to admit is leased from
+    // the group, not assumed: the log holds the fencing lease from creation
+    // under this epoch, which it keeps for its lifetime.
+    lease_epochs_.insert(config_.epoch);
   }
   repl_log_->attach_standby(standby_node, from_epoch, from_index);
-  // Replicating under elections means the right to admit is leased from the
-  // group, not assumed: start maintaining the fencing lease.
-  init_lease_keeper();
 }
 
 void ContextServer::detach_standby(Guid standby_node) {
@@ -4004,7 +3974,6 @@ void ContextServer::fence() {
   discovering_ = false;
   repl_log_.reset();
   follower_.reset();
-  lease_keeper_.reset();
   election_.reset();
   // Flush and drop the durable store. The files stay in the StorageEnv, so
   // a later cold restart of this node can recover its WAL and rejoin; the

@@ -142,7 +142,8 @@ struct ReliabilityOptions {
 };
 
 // Primary/backup replication and quorum failover (docs/REPLICATION.md). The
-// inherited heartbeat_period/promote_timeout also time the fencing lease.
+// inherited heartbeat_period (and the promote_timeout() derived from it)
+// also time the fencing lease.
 struct ReplicationOptions : replicate::ReplicationConfig {
   // Standby Context Servers created alongside the primary. 0 = replication
   // off (no log, no snapshots, no failover).
@@ -287,7 +288,7 @@ class ContextServer {
   void fence();
 
   // Standby: invoked (once) when primary heartbeats stay silent past
-  // ReplicationConfig::promote_timeout. The facade wires this to a
+  // ReplicationConfig::promote_timeout(). The facade wires this to a
   // full fence-and-promote; tests may promote by hand instead. The handler
   // only fires after this standby WINS a majority vote (or when the group
   // is too small to elect).
@@ -318,10 +319,7 @@ class ContextServer {
   // instance is fenced) — mutating ops are refused, not acked.
   [[nodiscard]] bool admission_open() const {
     if (fenced_) return false;
-    return lease_keeper_ == nullptr || lease_keeper_->holds_lease();
-  }
-  [[nodiscard]] const replicate::LeaseKeeper* lease_keeper() const {
-    return lease_keeper_.get();
+    return repl_log_ == nullptr || repl_log_->holds_lease();
   }
   [[nodiscard]] const replicate::ElectionAgent* election_agent() const {
     return election_.get();
@@ -778,7 +776,6 @@ class ContextServer {
   void recover_from_store();
   void persist_record(const replicate::LogRecord& record);
   void on_durable_advanced(std::uint64_t watermark);
-  void init_lease_keeper();
   void init_election_agent();
   // Store + dispatch + trigger stage of handle_publish, shared with
   // apply_record.
@@ -893,9 +890,8 @@ class ContextServer {
   // --- replication state ---------------------------------------------------
   std::unique_ptr<replicate::ReplicationLog> repl_log_;      // primary side
   std::unique_ptr<replicate::ReplicationFollower> follower_;  // standby side
-  // Quorum failover: the primary's fencing lease and the standby's election
-  // agent (each nullptr on the other role).
-  std::unique_ptr<replicate::LeaseKeeper> lease_keeper_;
+  // Quorum failover: the standby's election agent (the primary's fencing
+  // lease lives in repl_log_).
   std::unique_ptr<replicate::ElectionAgent> election_;
   std::uint32_t elected_epoch_ = 0;  // epoch of the vote that promoted us
   std::set<std::uint32_t> lease_epochs_;
@@ -920,7 +916,6 @@ class ContextServer {
   std::vector<Guid> selection_;
   obs::TwinCounter m_promotions_;
   obs::TwinCounter m_lease_rejected_;
-  obs::Counter* m_node_lease_lapses_ = nullptr;  // this node's slot only
   std::optional<SimTime> promoted_at_;
 
   // --- sharding state ------------------------------------------------------

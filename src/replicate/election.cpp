@@ -12,121 +12,7 @@ namespace {
 
 constexpr const char* kTag = "election";
 
-// How many recent lease requests stay correlatable with late acks. Beyond
-// one lease_duration of requests the extension an old ack could grant is
-// already in the past, so a short window loses nothing.
-constexpr std::size_t kOutstandingWindow = 8;
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// LeaseKeeper (primary)
-
-LeaseKeeper::LeaseKeeper(net::Network& network, Guid self,
-                         ReplicationConfig config, MembersProvider members,
-                         EpochProvider epoch, LapseCallback on_lapse,
-                         AcquireCallback on_acquire)
-    : network_(network),
-      self_(self),
-      config_(config),
-      members_(std::move(members)),
-      epoch_(std::move(epoch)),
-      on_lapse_(std::move(on_lapse)),
-      on_acquire_(std::move(on_acquire)) {
-  SCI_ASSERT(members_ != nullptr);
-  SCI_ASSERT(epoch_ != nullptr);
-  SCI_ASSERT(config_.promote_timeout.count_micros() > 0);
-  SCI_ASSERT(config_.heartbeat_period.count_micros() > 0);
-  obs::MetricsRegistry& metrics = network_.simulator().metrics();
-  m_renewals_ = &metrics.counter("repl.lease.renewals");
-  m_acks_ = &metrics.counter("repl.lease.acks");
-  m_acquisitions_ = &metrics.counter("repl.lease.acquisitions");
-  m_lapses_ = &metrics.counter("repl.lease.lapses");
-  // Initial grace grant: at creation the primary is by construction the only
-  // incarnation (standbys need a full promote_timeout of silence before any
-  // candidacy), so it starts holding for one lease term and must win a
-  // majority ack before that runs out.
-  lease_until_ = network_.simulator().now() + lease_duration();
-  acquired(epoch_());
-  renew_timer_.emplace(network_.simulator(), config_.heartbeat_period,
-                       [this] { renew_tick(); });
-  renew_timer_->start();
-}
-
-LeaseKeeper::~LeaseKeeper() { renew_timer_.reset(); }
-
-bool LeaseKeeper::holds_lease() const {
-  return network_.simulator().now() < lease_until_;
-}
-
-void LeaseKeeper::acquired(std::uint32_t epoch) {
-  held_ = true;
-  m_acquisitions_->inc();
-  if (on_acquire_) on_acquire_(epoch);
-}
-
-void LeaseKeeper::renew_tick() {
-  const SimTime now = network_.simulator().now();
-  const std::vector<Guid> members = members_();
-  if (members.empty()) {
-    // Solo group: the majority of one is the primary itself.
-    const SimTime extended = now + lease_duration();
-    if (extended > lease_until_) lease_until_ = extended;
-    if (!held_) acquired(epoch_());
-    return;
-  }
-  ++lease_seq_;
-  outstanding_[lease_seq_] =
-      Outstanding{now, std::set<Guid>(members.begin(), members.end()), {}};
-  while (outstanding_.size() > kOutstandingWindow)
-    outstanding_.erase(outstanding_.begin());
-  serde::Writer w(16);
-  w.varint(epoch_());
-  w.varint(lease_seq_);
-  const serde::BufferRef payload = w.take_ref();
-  for (const Guid member : members) {
-    net::Message req;
-    req.type = kReplLeaseReq;
-    req.from = self_;
-    req.to = member;
-    req.payload = payload;
-    (void)network_.send(std::move(req));
-    m_renewals_->inc();
-  }
-  if (held_ && now >= lease_until_) {
-    held_ = false;
-    m_lapses_->inc();
-    SCI_WARN(kTag, "%s: fencing lease lapsed (epoch %u) — closing admission",
-             self_.short_string().c_str(), epoch_());
-    if (on_lapse_) on_lapse_();
-  }
-}
-
-void LeaseKeeper::on_lease_ack(serde::FrameView payload,
-                               Guid from) {
-  serde::Reader r(payload);
-  const auto epoch = r.varint();
-  if (!epoch || static_cast<std::uint32_t>(*epoch) != epoch_()) return;
-  const auto seq = r.varint();
-  if (!seq) return;
-  const auto it = outstanding_.find(*seq);
-  if (it == outstanding_.end()) return;  // outside the correlation window
-  // Quorum is judged against the member snapshot taken at send time, not
-  // the live group: an ack from a standby detached since the request must
-  // not count, and a group shrink between send and ack must not let stale
-  // acks satisfy a smaller majority.
-  if (it->second.members.find(from) == it->second.members.end()) return;
-  m_acks_->inc();
-  it->second.acks.insert(from);
-  const std::size_t group = it->second.members.size() + 1;
-  // +1: the primary implicitly acks its own request.
-  if (it->second.acks.size() + 1 < quorum(group)) return;
-  // Majority. Extend from the *send* time: however long the acks took, the
-  // member promises cover exactly [sent_at, sent_at + lease_duration).
-  const SimTime extended = it->second.sent_at + lease_duration();
-  if (extended > lease_until_) lease_until_ = extended;
-  if (!held_ && holds_lease()) acquired(epoch_());
-}
 
 // ---------------------------------------------------------------------------
 // ElectionAgent (standby)
@@ -163,7 +49,7 @@ ElectionAgent::~ElectionAgent() {
 bool ElectionAgent::primary_recently_alive() const {
   if (!heard_primary_) return false;
   const Duration silence = network_.simulator().now() - last_primary_heard_;
-  return silence.count_micros() <= repl_.promote_timeout.count_micros();
+  return silence.count_micros() <= repl_.promote_timeout().count_micros();
 }
 
 void ElectionAgent::send_raw(Guid to, std::uint32_t type,
@@ -183,16 +69,31 @@ void ElectionAgent::note_primary_alive() {
   active_ = false;
 }
 
-void ElectionAgent::on_heartbeat(serde::FrameView payload) {
+void ElectionAgent::on_heartbeat(serde::FrameView payload, Guid from) {
   serde::Reader r(payload);
   const auto epoch = r.varint();
-  // A superseded incarnation's heartbeat must neither refresh liveness nor
-  // rewrite the group view.
+  // A superseded incarnation's beat must neither refresh liveness, nor
+  // rewrite the group view, nor be acked.
   if (!epoch || static_cast<std::uint32_t>(*epoch) < epoch_()) return;
+  const auto e = static_cast<std::uint32_t>(*epoch);
   if (!r.varint() || !r.varint()) return;  // skip head + fingerprint
   note_primary_alive();
-  // Trailing group view (optional: pre-election primaries end the payload
-  // here). The view is the full standby list, self included.
+  const auto seq = r.varint();
+  if (!seq) return;
+  if (e < max_voted_epoch_) {
+    // THE fencing rule: this voter pledged a higher epoch, so the deposed
+    // primary must never again assemble a lease majority through it.
+    m_lease_acks_refused_->inc();
+    SCI_DEBUG(kTag, "%s: refusing lease ack for epoch %u (pledged %u)",
+              self_.short_string().c_str(), e, max_voted_epoch_);
+  } else {
+    serde::Writer w(16);
+    w.varint(e);
+    w.varint(*seq);
+    send_raw(from, kReplLeaseAck, w.take_ref());
+    m_lease_acks_sent_->inc();
+  }
+  // Trailing group view: the full standby list, self included.
   const auto count = r.varint();
   if (!count || *count == 0 || *count > 64) return;
   std::vector<Guid> fresh;
@@ -203,34 +104,6 @@ void ElectionAgent::on_heartbeat(serde::FrameView payload) {
     fresh.push_back(*member);
   }
   view_ = std::move(fresh);
-}
-
-void ElectionAgent::on_lease_request(serde::FrameView payload,
-                                     Guid from) {
-  serde::Reader r(payload);
-  const auto epoch = r.varint();
-  if (!epoch) return;
-  const auto seq = r.varint();
-  if (!seq) return;
-  const auto e = static_cast<std::uint32_t>(*epoch);
-  if (e < epoch_()) return;  // stale incarnation
-  if (e < max_voted_epoch_) {
-    // THE fencing rule: this voter pledged a higher epoch, so the deposed
-    // primary must never again assemble a lease majority through it.
-    m_lease_acks_refused_->inc();
-    SCI_DEBUG(kTag, "%s: refusing lease ack for epoch %u (pledged %u)",
-              self_.short_string().c_str(), e, max_voted_epoch_);
-    return;
-  }
-  // A reachable current-epoch primary is a live primary.
-  last_primary_heard_ = network_.simulator().now();
-  heard_primary_ = true;
-  active_ = false;
-  serde::Writer w(16);
-  w.varint(e);
-  w.varint(*seq);
-  send_raw(from, kReplLeaseAck, w.take_ref());
-  m_lease_acks_sent_->inc();
 }
 
 void ElectionAgent::on_vote_request(serde::FrameView payload,
@@ -338,7 +211,7 @@ bool ElectionAgent::start_candidacy() {
     if (primary_recently_alive()) return;
     if (granted_once_) {
       const Duration since = network_.simulator().now() - last_grant_;
-      if (since.count_micros() <= repl_.promote_timeout.count_micros())
+      if (since.count_micros() <= repl_.promote_timeout().count_micros())
         return;
     }
     launch();
@@ -385,7 +258,8 @@ void ElectionAgent::launch() {
   // one retry_check is ever pending — the destructor cancels exactly that.
   network_.simulator().cancel(retry_timer_);
   retry_timer_ = network_.simulator().schedule(
-      repl_.promote_timeout + jitter, [this, launched] { retry_check(launched); });
+      repl_.promote_timeout() + jitter,
+      [this, launched] { retry_check(launched); });
 }
 
 void ElectionAgent::retry_check(std::uint32_t launched_epoch) {

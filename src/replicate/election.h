@@ -1,20 +1,19 @@
 // SCI — quorum-based fencing leases and standby elections.
 //
-// PR 3's failover is operator/facade fiat: the heartbeat watchdog fires and
-// the facade "just knows" whether the primary is dead, so a partitioned but
-// alive primary is only fenced by oracle (docs/REPLICATION.md limitations).
-// This module removes the oracle with two cooperating protocols layered on
-// the existing epoch-framed replication stream:
+// Failover without an oracle: a partitioned but alive primary fences
+// itself, and the standbys elect its successor by majority vote. Two
+// cooperating protocols ride the epoch-framed replication stream:
 //
-//  * LeaseKeeper (primary side) — the right to admit state-mutating ops is
-//    a time-bounded **fencing lease** renewed by majority acknowledgement
-//    from the replica group (primary + standbys). Every heartbeat_period the
-//    keeper sends kReplLeaseReq to each member; when a majority acks one
-//    request, the lease extends to that request's *send* time plus
-//    promote_timeout (timed from send, so the extension is conservative no
-//    matter how long acks took). A partitioned primary stops hearing acks,
-//    its lease lapses, and the Context Server refuses further mutating ops:
-//    the ex-primary fences *itself*, no oracle required.
+//  * The fencing lease (primary side, held by ReplicationLog) — the right to
+//    admit state-mutating ops is a time-bounded lease renewed by majority
+//    acknowledgement from the replica group (primary + standbys). Every
+//    kReplHeartbeat is a lease request: it carries a beat sequence number,
+//    and each standby's ElectionAgent answers it with kReplLeaseAck. When a
+//    majority acks one beat, the lease extends to that beat's *send* time
+//    plus promote_timeout (timed from send, so the extension is conservative
+//    no matter how long acks took). A partitioned primary stops hearing
+//    acks, its lease lapses, and the Context Server refuses further mutating
+//    ops: the ex-primary fences *itself*.
 //
 //  * ElectionAgent (standby side) — on watchdog silence, standbys run a
 //    majority-vote election instead of asking the facade to adjudicate.
@@ -38,14 +37,13 @@
 // same-epoch majorities would have to intersect in a double-voting member).
 //
 // Like the rest of src/replicate, the module knows nothing about the
-// Context Server: group membership, epochs and watermarks enter through
-// callbacks, and the CS routes the four raw frame kinds here.
+// Context Server: epochs and watermarks enter through callbacks, and the CS
+// routes the raw frame kinds here.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -58,84 +56,13 @@
 
 namespace sci::replicate {
 
-// Election/lease frame types, continuing the 0xAE replicate space. All four
-// are raw fire-and-forget like kReplHeartbeat: lease requests are periodic
-// (a lost one delays renewal by one period) and a candidate whose vote
-// requests are lost simply re-launches at a higher epoch.
-inline constexpr std::uint32_t kReplLeaseReq = 0xAE05;
+// Election/lease frame types, continuing the 0xAE replicate space. All
+// three are raw fire-and-forget like kReplHeartbeat: a lost lease ack delays
+// renewal by one beat, and a candidate whose vote requests are lost simply
+// re-launches at a higher epoch.
 inline constexpr std::uint32_t kReplLeaseAck = 0xAE06;
 inline constexpr std::uint32_t kReplVoteRequest = 0xAE07;
 inline constexpr std::uint32_t kReplVoteGrant = 0xAE08;
-
-// Primary-side lease maintenance. Owned by a Context Server in the primary
-// role whenever a replication log exists. Renews every heartbeat_period; one
-// majority ack holds the lease for promote_timeout, so the primary
-// self-fences on the schedule the standbys use to declare it dead, and a
-// lease promise never outlives the silence a voter requires before granting
-// a rival's candidacy (no held lease can overlap a majority election).
-class LeaseKeeper {
- public:
-  // Current replica group (standby node GUIDs; self/primary is implicit).
-  using MembersProvider = std::function<std::vector<Guid>()>;
-  // The primary channel's incarnation epoch stamping each request.
-  using EpochProvider = std::function<std::uint32_t()>;
-  // held -> lapsed: the CS closes admission until re-acquisition.
-  using LapseCallback = std::function<void()>;
-  // none/lapsed -> held under `epoch` (fires on every re-acquisition too, so
-  // the owner can keep a per-epoch holder history).
-  using AcquireCallback = std::function<void(std::uint32_t epoch)>;
-
-  LeaseKeeper(net::Network& network, Guid self, ReplicationConfig config,
-              MembersProvider members, EpochProvider epoch,
-              LapseCallback on_lapse = {}, AcquireCallback on_acquire = {});
-  ~LeaseKeeper();
-
-  LeaseKeeper(const LeaseKeeper&) = delete;
-  LeaseKeeper& operator=(const LeaseKeeper&) = delete;
-
-  // Raw kReplLeaseAck from `from`.
-  void on_lease_ack(serde::FrameView payload, Guid from);
-
-  // Admission predicate: the lease extension a majority last granted has
-  // not yet run out. Purely time-based — precise even between renew ticks.
-  [[nodiscard]] bool holds_lease() const;
-  [[nodiscard]] Duration lease_duration() const {
-    return config_.promote_timeout;
-  }
-
- private:
-  void renew_tick();
-  [[nodiscard]] std::size_t quorum(std::size_t group_size) const {
-    return group_size / 2 + 1;
-  }
-  void acquired(std::uint32_t epoch);
-
-  struct Outstanding {
-    SimTime sent_at;
-    std::set<Guid> members;  // group snapshot the request was sent to
-    std::set<Guid> acks;
-  };
-
-  net::Network& network_;
-  Guid self_;
-  ReplicationConfig config_;
-  MembersProvider members_;
-  EpochProvider epoch_;
-  LapseCallback on_lapse_;
-  AcquireCallback on_acquire_;
-
-  std::uint64_t lease_seq_ = 0;
-  std::map<std::uint64_t, Outstanding> outstanding_;  // recent lease reqs
-  SimTime lease_until_;
-  bool held_ = false;
-
-  std::optional<sim::PeriodicTimer> renew_timer_;
-
-  obs::Counter* m_renewals_ = nullptr;
-  obs::Counter* m_acks_ = nullptr;
-  obs::Counter* m_acquisitions_ = nullptr;
-  obs::Counter* m_lapses_ = nullptr;
-};
 
 // Standby-side voter + candidate. Owned by a Context Server in the standby
 // role.
@@ -157,12 +84,11 @@ class ElectionAgent {
   ElectionAgent(const ElectionAgent&) = delete;
   ElectionAgent& operator=(const ElectionAgent&) = delete;
 
-  // Raw kReplHeartbeat (also parsed by the follower): refreshes primary
-  // liveness and the replica-group view the primary appends to each beat.
-  void on_heartbeat(serde::FrameView payload);
-  // Raw kReplLeaseReq from the primary: ack unless pledged to a higher
-  // epoch. Doubles as primary liveness.
-  void on_lease_request(serde::FrameView payload, Guid from);
+  // Raw kReplHeartbeat from the primary `from` (also parsed by the
+  // follower): refreshes primary liveness and the replica-group view the
+  // primary appends to each beat, and acks the beat as a lease request
+  // unless this agent pledged a higher epoch.
+  void on_heartbeat(serde::FrameView payload, Guid from);
   // Raw kReplVoteRequest from a candidate sibling.
   void on_vote_request(serde::FrameView payload, Guid from);
   // Raw kReplVoteGrant from a voter sibling.

@@ -13,6 +13,10 @@ namespace {
 constexpr const char* kTag = "replicate";
 // Periodic snapshot cadence (truncates the retained tail).
 constexpr Duration kSnapshotInterval = Duration::seconds(10);
+// How many recent beats stay correlatable with late lease acks. Beyond one
+// lease_duration of beats the extension an old ack could grant is already
+// in the past, so a short window loses nothing.
+constexpr std::size_t kBeatWindow = 8;
 
 }  // namespace
 
@@ -113,7 +117,12 @@ ReplicationLog::ReplicationLog(net::Network& network,
       channel_(channel),
       config_(config),
       snapshot_(std::move(snapshot)),
-      fingerprint_(std::move(fingerprint)) {
+      fingerprint_(std::move(fingerprint)),
+      // Initial grace term: at creation the primary is by construction the
+      // only incarnation (standbys need a full promote_timeout of silence
+      // before any candidacy), so it holds the lease for one term and must
+      // win a majority ack before that runs out.
+      lease_until_(network.simulator().now() + config.promote_timeout()) {
   SCI_ASSERT(snapshot_ != nullptr);
   obs::MetricsRegistry& metrics = network_.simulator().metrics();
   const std::string label = "node=" + channel_.self().to_string();
@@ -126,7 +135,9 @@ ReplicationLog::ReplicationLog(net::Network& network,
   m_delta_bytes_ = twin("repl.catchup.delta_bytes");
   m_full_catchups_ = twin("repl.catchup.full");
   m_snapshot_bytes_ = twin("repl.catchup.snapshot_bytes");
-  m_lag_ = &metrics.gauge("repl.lag");
+  m_lease_acks_ = twin("repl.lease.acks");
+  m_lease_lapses_ = twin("repl.lease.lapses");
+  m_lag_ = &metrics.gauge("repl.lag", label);
   snapshot_timer_.emplace(network_.simulator(), kSnapshotInterval,
                           [this] { take_snapshot(); });
   snapshot_timer_->start();
@@ -204,17 +215,52 @@ std::uint64_t ReplicationLog::append(LogRecord record) {
   return head_;
 }
 
-void ReplicationLog::on_applied(Guid standby, std::uint32_t epoch,
-                                std::uint64_t index) {
+void ReplicationLog::on_applied(serde::FrameView payload, Guid standby) {
+  serde::Reader r(payload);
+  const auto epoch = r.varint();
+  const auto index = r.varint();
+  if (!epoch || !index) return;
   // Acks measure progress against one incarnation's index space; after a
   // failover the promoted log restarts near 0, so a straggler ack from the
   // old epoch would inflate the watermark past the new head.
-  if (epoch != channel_.epoch()) return;
+  if (static_cast<std::uint32_t>(*epoch) != channel_.epoch()) return;
   const auto it = applied_.find(standby);
   if (it == applied_.end()) return;
-  it->second = std::max(it->second, index);
+  it->second = std::max(it->second, *index);
   update_lag();
   update_committed();
+}
+
+void ReplicationLog::on_lease_ack(serde::FrameView payload, Guid standby) {
+  serde::Reader r(payload);
+  const auto epoch = r.varint();
+  const auto seq = r.varint();
+  if (!epoch || !seq) return;
+  if (static_cast<std::uint32_t>(*epoch) != channel_.epoch()) return;
+  const auto it = beats_.find(*seq);
+  if (it == beats_.end()) return;  // outside the correlation window
+  Beat& beat = it->second;
+  // Quorum is judged against the member snapshot taken at send time, not
+  // the live group: an ack from a standby detached since the beat must not
+  // count, and a group shrink between send and ack must not let stale acks
+  // satisfy a smaller majority.
+  if (!beat.members.contains(standby)) return;
+  m_lease_acks_.inc();
+  beat.acks.insert(standby);
+  // +1 on both sides: the primary implicitly acks its own beat.
+  const std::size_t quorum = (beat.members.size() + 1) / 2 + 1;
+  if (beat.acks.size() + 1 >= quorum) extend_lease(beat.sent_at);
+}
+
+bool ReplicationLog::holds_lease() const {
+  return network_.simulator().now() < lease_until_;
+}
+
+void ReplicationLog::extend_lease(SimTime sent_at) {
+  // Extend from the *send* time: however long the acks took, the member
+  // promises cover exactly [sent_at, sent_at + lease_duration).
+  lease_until_ = std::max(lease_until_, sent_at + lease_duration());
+  if (holds_lease()) held_ = true;
 }
 
 void ReplicationLog::set_sync_acks(unsigned n,
@@ -283,26 +329,41 @@ void ReplicationLog::ship_snapshot(Guid standby) {
 }
 
 void ReplicationLog::heartbeat_tick() {
-  serde::Writer w(24 + 17 * applied_.size());
+  const SimTime now = network_.simulator().now();
+  if (applied_.empty()) {
+    // Solo group: the majority of one is the primary itself.
+    extend_lease(now);
+    return;
+  }
+  // Trailing replica-group view (standby nodes, sorted): election agents
+  // learn who their siblings are from here. Followers parse the leading
+  // epoch, head and fingerprint only.
+  const std::vector<Guid> members = standbys();
+  beats_[++beat_seq_] =
+      Beat{now, std::set<Guid>(members.begin(), members.end()), {}};
+  while (beats_.size() > kBeatWindow) beats_.erase(beats_.begin());
+  serde::Writer w(32 + 17 * members.size());
   w.varint(channel_.epoch());
   w.varint(head_);
   w.varint(fingerprint_ ? fingerprint_() : 0);
-  // Trailing replica-group view (standby nodes, sorted): election agents
-  // learn who their siblings are from here. Followers parse the leading
-  // three varints only and ignore the tail, so the extension is compatible
-  // both ways.
-  const std::vector<Guid> members = standbys();
+  w.varint(beat_seq_);
   w.varint(members.size());
   for (const Guid member : members) w.guid(member);
   const serde::BufferRef payload = w.take_ref();
-  for (const auto& [standby, applied] : applied_) {
+  for (const Guid member : members) {
     net::Message beat;
     beat.type = kReplHeartbeat;
     beat.from = channel_.self();
-    beat.to = standby;
+    beat.to = member;
     beat.payload = payload;
     (void)network_.send(std::move(beat));
     m_heartbeats_.inc();
+  }
+  if (held_ && now >= lease_until_) {
+    held_ = false;
+    m_lease_lapses_.inc();
+    SCI_WARN(kTag, "%s: fencing lease lapsed (epoch %u) — closing admission",
+             channel_.self().short_string().c_str(), channel_.epoch());
   }
 }
 
@@ -484,7 +545,7 @@ void ReplicationFollower::watchdog_tick() {
   if (!heard_once_ || await_snapshot_) return;
   const Duration silence = network_.simulator().now() - last_heard_;
   if (silence.count_micros() <=
-      config_.promote_timeout.count_micros())
+      config_.promote_timeout().count_micros())
     return;
   if (promoted_) {
     // A request is already outstanding. If silence persists a full further
@@ -492,7 +553,7 @@ void ReplicationFollower::watchdog_tick() {
     // a real crash), ask again rather than latch forever.
     const Duration since_request = network_.simulator().now() - last_request_;
     if (since_request.count_micros() <=
-        config_.promote_timeout.count_micros())
+        config_.promote_timeout().count_micros())
       return;
   }
   promoted_ = true;

@@ -18,7 +18,10 @@
 //    standby catch up without replaying history. Standbys ack their applied
 //    index (kReplApplied, raw, epoch-stamped — acks from superseded
 //    incarnations are ignored); a record commits once sync_acks standbys
-//    applied it, and the `repl.lag` gauge tracks head − min(applied).
+//    applied it, and the `repl.lag{node=…}` gauge tracks head − min(applied).
+//    The log also holds the replica group's fencing lease (election.h): its
+//    heartbeat is the lease request, and a majority ack of one beat extends
+//    the lease to that beat's send time plus promote_timeout.
 //
 //  * ReplicationFollower (standby side) — applies records strictly in index
 //    order (out-of-order arrivals wait in a gap buffer), hands snapshots
@@ -48,6 +51,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -64,12 +68,13 @@ namespace sci::replicate {
 // Replication frame types on net::Message::type. kReplRecord/kReplSnapshot
 // travel as inner types inside the primary's reliable channel envelopes;
 // kReplHeartbeat/kReplApplied are raw fire-and-forget (they are periodic /
-// cumulative, so losing one is harmless).
+// cumulative, so losing one is harmless). A heartbeat doubles as the
+// fencing-lease request: election agents answer it with kReplLeaseAck.
 inline constexpr std::uint32_t kReplRecord = 0xAE01;
 inline constexpr std::uint32_t kReplSnapshot = 0xAE02;
 inline constexpr std::uint32_t kReplHeartbeat = 0xAE03;
 inline constexpr std::uint32_t kReplApplied = 0xAE04;
-// 0xAE05–0xAE08 belong to the election (election.h).
+// 0xAE06–0xAE08 belong to the election (election.h).
 
 // What kind of state mutation a log record carries. The payload encoding is
 // owned by the Context Server; the log ships it opaquely.
@@ -107,16 +112,21 @@ struct LogRecord {
   static Expected<LogRecord> decode(const serde::BufferRef& bytes);
 };
 
-// Replication timing. The same two periods time the quorum failover
-// (election.h): the primary renews its fencing lease every heartbeat_period
-// and one majority ack holds it for promote_timeout, exactly the silence a
-// voter requires before granting a rival's candidacy, so a held lease never
+// Heartbeats a standby may miss before it declares the primary dead.
+inline constexpr std::int64_t kMissedBeats = 4;
+
+// Replication timing. The same period times the quorum failover
+// (election.h): every heartbeat is a fencing-lease request, and one majority
+// ack holds the lease for promote_timeout(), exactly the silence a voter
+// requires before granting a rival's candidacy, so a held lease never
 // overlaps a majority election.
 struct ReplicationConfig {
   // Heartbeat cadence (records ship at append, not on the beat).
   Duration heartbeat_period = Duration::millis(500);
   // Standby declares the primary dead after this much heartbeat silence.
-  Duration promote_timeout = Duration::seconds(2);
+  [[nodiscard]] Duration promote_timeout() const {
+    return heartbeat_period * kMissedBeats;
+  }
 };
 
 // Cheap structural digest of the replicated state (next tag, table sizes…)
@@ -163,10 +173,24 @@ class ReplicationLog {
   // attached standby at once as a kReplRecord. Returns the assigned index.
   std::uint64_t append(LogRecord record);
 
-  // kReplApplied from `standby`: it has applied everything through `index`
-  // of incarnation `epoch`. Acks against other epochs are ignored — their
-  // index space does not line up with this log's.
-  void on_applied(Guid standby, std::uint32_t epoch, std::uint64_t index);
+  // Raw kReplApplied (varint epoch, varint index) from `standby`: it has
+  // applied everything through that index of that incarnation. Acks against
+  // other epochs are ignored — their index space does not line up with this
+  // log's.
+  void on_applied(serde::FrameView payload, Guid standby);
+
+  // Raw kReplLeaseAck (varint epoch, varint beat seq) from `standby`. A
+  // majority of the members a beat was sent to (the primary counts itself)
+  // extends the lease to that beat's send time plus lease_duration().
+  void on_lease_ack(serde::FrameView payload, Guid standby);
+  // Admission predicate: the log holds one lease term from construction,
+  // and the extension a majority last granted has not yet run out. Purely
+  // time-based, so it is precise between beats too; with no standby
+  // attached every beat renews it.
+  [[nodiscard]] bool holds_lease() const;
+  [[nodiscard]] Duration lease_duration() const {
+    return config_.promote_timeout();
+  }
 
   // Commit rule (docs/REPLICATION.md): a record commits once n >= 1
   // standbys applied it, and the owner withholds client-visible admit acks
@@ -195,6 +219,7 @@ class ReplicationLog {
   void take_snapshot();
   void ship_snapshot(Guid standby);
   void heartbeat_tick();
+  void extend_lease(SimTime sent_at);
   void update_lag();
   void update_committed();
 
@@ -216,6 +241,17 @@ class ReplicationLog {
   std::function<void(std::uint64_t)> on_commit_;
   std::uint64_t committed_seen_ = 0;
 
+  // Fencing lease: recent beats with the member snapshot each went to.
+  struct Beat {
+    SimTime sent_at;
+    std::set<Guid> members;
+    std::set<Guid> acks;
+  };
+  std::uint64_t beat_seq_ = 0;
+  std::map<std::uint64_t, Beat> beats_;
+  SimTime lease_until_;
+  bool held_ = true;
+
   std::optional<sim::PeriodicTimer> snapshot_timer_;
   std::optional<sim::PeriodicTimer> heartbeat_timer_;
 
@@ -229,7 +265,9 @@ class ReplicationLog {
   obs::TwinCounter m_delta_bytes_;
   obs::TwinCounter m_full_catchups_;
   obs::TwinCounter m_snapshot_bytes_;
-  obs::Gauge* m_lag_ = nullptr;
+  obs::TwinCounter m_lease_acks_;
+  obs::TwinCounter m_lease_lapses_;  // held → lapsed, detected at a beat
+  obs::Gauge* m_lag_ = nullptr;      // this log's "node=" slot only
 };
 
 // Standby-side apply loop + failure detector. Owned by a Context Server in

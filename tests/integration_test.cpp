@@ -722,11 +722,6 @@ INSTANTIATE_TEST_SUITE_P(
                        o.replication.standby_count = 1;
                        o.replication.heartbeat_period = Duration::micros(0);
                      }},
-        BadRangeCase{"zero_promote_timeout", "r",
-                     [](RangeOptions& o) {
-                       o.replication.standby_count = 2;
-                       o.replication.promote_timeout = Duration::micros(0);
-                     }},
         BadRangeCase{"zero_sync_acks", "r",
                      [](RangeOptions& o) { o.replication.sync_acks = 0; }},
         BadRangeCase{"sync_acks_above_standby_count", "r",

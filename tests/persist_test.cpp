@@ -487,7 +487,6 @@ struct DurableFixture {
     options.sharding.shard_count = shard_count;
     options.replication.standby_count = standby_count;
     options.replication.heartbeat_period = Duration::millis(200);
-    options.replication.promote_timeout = Duration::millis(800);
     level_b =
         sci.create_range("levelB", building.floor_path(1), options).value();
   }

@@ -374,7 +374,6 @@ TEST_P(MirrorDeterminismProperty, ReplicasComposeOverTheSameMirrors) {
   options.sharding.shard_count = 4;
   options.replication.standby_count = 1;
   options.replication.heartbeat_period = Duration::millis(200);
-  options.replication.promote_timeout = Duration::millis(800);
   options.durability.enable = true;
   range::ContextServer* lead =
       sci.create_range("mall", building.floor_path(0), options).value();

@@ -22,6 +22,28 @@ serde::BufferRef bytes(std::initializer_list<int> values) {
   return serde::BufferRef::copy_of(out);
 }
 
+// A raw (varint epoch, varint n) frame: kReplApplied carries the applied
+// index, kReplLeaseAck the acked beat's sequence number.
+serde::BufferRef epoch_frame(std::uint32_t epoch, std::uint64_t n) {
+  serde::Writer w(16);
+  w.varint(epoch);
+  w.varint(n);
+  return w.take_ref();
+}
+
+// A kReplHeartbeat payload: epoch, head, fingerprint (0 = none), beat
+// sequence number and an empty group view.
+serde::BufferRef beat(std::uint32_t epoch, std::uint64_t head,
+                      std::uint64_t seq) {
+  serde::Writer w(24);
+  w.varint(epoch);
+  w.varint(head);
+  w.varint(0);
+  w.varint(seq);
+  w.varint(0);
+  return w.take_ref();
+}
+
 TEST(ReplicateTest, LogRecordRoundTrip) {
   Rng rng{7};
   replicate::LogRecord record;
@@ -104,8 +126,7 @@ TEST(ReplicateTest, WatchdogGatesOnSnapshotAndRearmsAfterFalseAlarm) {
   Rng rng{7};
   int promote_requests = 0;
   replicate::ReplicationConfig config;
-  config.heartbeat_period = Duration::millis(100);
-  config.promote_timeout = Duration::millis(300);
+  config.heartbeat_period = Duration::millis(75);  // promote_timeout 300 ms
   replicate::ReplicationFollower follower(
       network, Guid::random(rng), Guid::random(rng), config,
       [](const replicate::LogRecord&) {},
@@ -118,14 +139,6 @@ TEST(ReplicateTest, WatchdogGatesOnSnapshotAndRearmsAfterFalseAlarm) {
     r.kind = replicate::RecordKind::kLeaseRenew;
     return r;
   };
-  const auto heartbeat = [](std::uint32_t epoch, std::uint64_t head) {
-    serde::Writer w(24);
-    w.varint(epoch);
-    w.varint(head);
-    w.varint(0);  // no fingerprint
-    return w.take_ref();
-  };
-
   // A record buffered ahead of the epoch's snapshot counts as liveness, but
   // a follower that never got the snapshot must not promote with empty
   // state, no matter how long the primary stays silent.
@@ -144,7 +157,7 @@ TEST(ReplicateTest, WatchdogGatesOnSnapshotAndRearmsAfterFalseAlarm) {
 
   // The primary was alive after all (false alarm; the facade declined the
   // request). A fresh current-epoch heartbeat re-arms the watchdog...
-  follower.on_heartbeat(heartbeat(0, 1));
+  follower.on_heartbeat(beat(0, 1, 1));
   EXPECT_FALSE(follower.promote_fired());
 
   // ...so a later *real* silence episode still gets a failover request.
@@ -179,11 +192,11 @@ TEST(ReplicateTest, LogIgnoresAppliedAcksFromOtherEpochs) {
 
   // A straggler ack generated against the dead incarnation's (much higher)
   // index space must not inflate the watermark past the new head.
-  log.on_applied(standby, 0, 999);
+  log.on_applied(epoch_frame(0, 999), standby);
   EXPECT_EQ(log.lag(), 3u);
 
   // Current-epoch acks advance it normally.
-  log.on_applied(standby, 1, 3);
+  log.on_applied(epoch_frame(1, 3), standby);
   EXPECT_EQ(log.lag(), 0u);
 }
 
@@ -209,13 +222,13 @@ TEST(ReplicateTest, LogCommitsAtTheNthHighestAppliedIndex) {
 
   log.attach_standby(b);
   log.attach_standby(c);
-  log.on_applied(a, 0, 5);
+  log.on_applied(epoch_frame(0, 5), a);
   EXPECT_EQ(log.committed(), 0u);  // only one standby holds anything
-  log.on_applied(c, 0, 2);
+  log.on_applied(epoch_frame(0, 2), c);
   EXPECT_EQ(log.committed(), 2u);
-  log.on_applied(b, 0, 4);
+  log.on_applied(epoch_frame(0, 4), b);
   EXPECT_EQ(log.committed(), 4u);
-  log.on_applied(c, 0, 5);
+  log.on_applied(epoch_frame(0, 5), c);
   EXPECT_EQ(log.committed(), 5u);
   // on_commit fires only on a rise: once per degraded append, and not again
   // while the two-standby quorum catches up to 5.
@@ -238,8 +251,7 @@ TEST(ReplicateTest, VoterGatesOnLivenessWatermarkAndPledgedEpoch) {
   ASSERT_TRUE(network.attach(voter, [](const net::Message&) {}).is_ok());
 
   replicate::ReplicationConfig repl;
-  repl.heartbeat_period = Duration::millis(100);
-  repl.promote_timeout = Duration::millis(300);
+  repl.heartbeat_period = Duration::millis(75);  // promote_timeout 300 ms
   replicate::ElectionAgent agent(
       network, voter, repl,
       [] { return std::uint64_t{5}; },  // this voter's applied watermark
@@ -249,12 +261,6 @@ TEST(ReplicateTest, VoterGatesOnLivenessWatermarkAndPledgedEpoch) {
     serde::Writer w(16);
     w.varint(epoch);
     w.varint(watermark);
-    return w.take_ref();
-  };
-  const auto lease_req = [](std::uint32_t epoch, std::uint64_t seq) {
-    serde::Writer w(16);
-    w.varint(epoch);
-    w.varint(seq);
     return w.take_ref();
   };
   const auto count = [&](std::uint32_t type) {
@@ -292,19 +298,22 @@ TEST(ReplicateTest, VoterGatesOnLivenessWatermarkAndPledgedEpoch) {
   EXPECT_EQ(registry_count(simulator.metrics(), "repl.election.votes_granted"),
             1u);
 
-  // The fencing half of the pledge: lease acks below the pledged epoch are
-  // refused, so the deposed primary can never reassemble a lease majority.
-  agent.on_lease_request(lease_req(0, 7), candidate);
+  // The fencing half of the pledge: beats below the pledged epoch are not
+  // acked, so the deposed primary can never reassemble a lease majority.
+  agent.on_heartbeat(beat(0, 0, 7), candidate);
   simulator.run_until(simulator.now() + Duration::millis(50));
   EXPECT_EQ(count(replicate::kReplLeaseAck), 0u);
   EXPECT_EQ(registry_count(simulator.metrics(), "repl.lease.acks_refused"), 1u);
-  agent.on_lease_request(lease_req(1, 8), candidate);
+  agent.on_heartbeat(beat(1, 0, 8), candidate);
   simulator.run_until(simulator.now() + Duration::millis(50));
   EXPECT_EQ(count(replicate::kReplLeaseAck), 1u);
   EXPECT_EQ(registry_count(simulator.metrics(), "repl.lease.acks_sent"), 1u);
 }
 
-TEST(ReplicateTest, LeaseKeeperAcquiresOnMajorityAndLapsesWithoutIt) {
+// The primary's replication log holds the fencing lease. Standby 1 acks
+// every beat; standby 2 stays silent, so the majority (2 of group 3, the
+// primary implicit) hinges on s1 alone.
+TEST(ReplicateTest, LogLeaseAcquiresOnMajorityAndLapsesWithoutIt) {
   sim::Simulator simulator{42};
   net::Network network{simulator};
   Rng rng{7};
@@ -312,72 +321,77 @@ TEST(ReplicateTest, LeaseKeeperAcquiresOnMajorityAndLapsesWithoutIt) {
   const Guid s1 = Guid::random(rng);
   const Guid s2 = Guid::random(rng);
   // Primary-side ack routing: the CS normally funnels these frames; here
-  // the test stands in for it (keeper is constructed below).
-  replicate::LeaseKeeper* keeper_ptr = nullptr;
+  // the test stands in for it (the log is constructed below).
+  replicate::ReplicationLog* log_ptr = nullptr;
   ASSERT_TRUE(network
                   .attach(primary,
                           [&](const net::Message& m) {
                             if (m.type == replicate::kReplLeaseAck &&
-                                keeper_ptr != nullptr)
-                              keeper_ptr->on_lease_ack(m.payload, m.from);
+                                log_ptr != nullptr)
+                              log_ptr->on_lease_ack(m.payload, m.from);
                           })
                   .is_ok());
-
-  // Standby 1 acks every lease request; standby 2 stays silent, so the
-  // majority (2 of group 3, primary implicit) hinges on s1 alone.
   bool s1_acks = true;
   ASSERT_TRUE(network
                   .attach(s1,
                           [&](const net::Message& m) {
-                            if (m.type != replicate::kReplLeaseReq ||
+                            if (m.type != replicate::kReplHeartbeat ||
                                 !s1_acks)
                               return;
+                            serde::Reader r(m.payload);
+                            const auto epoch = r.varint();
+                            (void)r.varint();  // head
+                            (void)r.varint();  // fingerprint
+                            const auto seq = r.varint();
                             net::Message ack;
                             ack.type = replicate::kReplLeaseAck;
                             ack.from = s1;
                             ack.to = primary;
-                            ack.payload = m.payload;  // echo epoch + seq
+                            ack.payload = epoch_frame(
+                                static_cast<std::uint32_t>(*epoch), *seq);
                             (void)network.send(std::move(ack));
                           })
                   .is_ok());
   ASSERT_TRUE(network.attach(s2, [](const net::Message&) {}).is_ok());
 
+  reliable::ReliableChannel channel(network, primary, {});
   replicate::ReplicationConfig repl;
-  repl.heartbeat_period = Duration::millis(100);
-  repl.promote_timeout = Duration::millis(400);
-  int lapses = 0;
-  int acquisitions = 0;
-  replicate::LeaseKeeper keeper(
-      network, primary, repl, [&] { return std::vector<Guid>{s1, s2}; },
-      [] { return std::uint32_t{0}; }, [&] { ++lapses; },
-      [&](std::uint32_t) { ++acquisitions; });
-  keeper_ptr = &keeper;
+  repl.heartbeat_period = Duration::millis(100);  // promote_timeout 400 ms
+  replicate::ReplicationLog log(network, channel, repl,
+                                [] { return std::vector<std::byte>{}; });
+  log_ptr = &log;
+  log.attach_standby(s1);
+  log.attach_standby(s2);
+  const auto lapses = [&] {
+    return registry_count(simulator.metrics(), "repl.lease.lapses");
+  };
+  EXPECT_TRUE(log.holds_lease());  // the initial term
 
-  // Majority acks keep the lease alive well past the initial grace.
+  // Majority acks keep the lease alive well past the initial term.
   simulator.run_until(simulator.now() + Duration::seconds(2));
-  EXPECT_TRUE(keeper.holds_lease());
-  EXPECT_EQ(lapses, 0);
+  EXPECT_TRUE(log.holds_lease());
+  EXPECT_EQ(lapses(), 0u);
   EXPECT_GT(registry_count(simulator.metrics(), "repl.lease.acks"), 0u);
 
   // Lose the majority: the lease runs out from the last acked send and the
-  // keeper reports the lapse exactly once per episode.
+  // log reports the lapse exactly once per episode.
   s1_acks = false;
   simulator.run_until(simulator.now() + Duration::seconds(2));
-  EXPECT_FALSE(keeper.holds_lease());
-  EXPECT_EQ(lapses, 1);
+  EXPECT_FALSE(log.holds_lease());
+  EXPECT_EQ(lapses(), 1u);
 
-  // The majority returns: the keeper re-acquires.
+  // The majority returns: the log re-acquires.
   s1_acks = true;
   simulator.run_until(simulator.now() + Duration::seconds(1));
-  EXPECT_TRUE(keeper.holds_lease());
-  EXPECT_GE(acquisitions, 2);
+  EXPECT_TRUE(log.holds_lease());
+  EXPECT_EQ(lapses(), 1u);
 }
 
-// The lease rides the replication timing: requests go out every
-// heartbeat_period, and a grant lasts promote_timeout — the silence a voter
+// The lease rides the replication timing: every heartbeat_period beat is a
+// lease request, and a grant lasts promote_timeout — the silence a voter
 // requires before granting a rival's candidacy, so a held lease can never
 // overlap a majority election.
-TEST(ReplicateTest, LeaseKeeperRenewsEveryHeartbeatForOnePromoteTimeout) {
+TEST(ReplicateTest, LogLeaseRenewsEveryHeartbeatForOnePromoteTimeout) {
   sim::Simulator simulator{42};
   net::Network network{simulator};
   Rng rng{7};
@@ -387,30 +401,31 @@ TEST(ReplicateTest, LeaseKeeperRenewsEveryHeartbeatForOnePromoteTimeout) {
   for (const Guid g : {primary, s1, s2})
     ASSERT_TRUE(network.attach(g, [](const net::Message&) {}).is_ok());
 
+  reliable::ReliableChannel channel(network, primary, {});
   replicate::ReplicationConfig repl;
-  repl.heartbeat_period = Duration::millis(100);
-  repl.promote_timeout = Duration::millis(300);
+  repl.heartbeat_period = Duration::millis(75);  // promote_timeout 300 ms
   const SimTime start = simulator.now();
-  replicate::LeaseKeeper keeper(
-      network, primary, repl, [&] { return std::vector<Guid>{s1, s2}; },
-      [] { return std::uint32_t{0}; });
-  EXPECT_EQ(keeper.lease_duration(), repl.promote_timeout);
+  replicate::ReplicationLog log(network, channel, repl,
+                                [] { return std::vector<std::byte>{}; });
+  log.attach_standby(s1);
+  log.attach_standby(s2);
+  EXPECT_EQ(log.lease_duration(), repl.promote_timeout());
 
-  const auto renewals = [&] {
-    return registry_count(simulator.metrics(), "repl.lease.renewals");
+  const auto beats = [&] {
+    return registry_count(simulator.metrics(), "repl.heartbeats");
   };
-  // One request per member at every heartbeat_period boundary, none between.
+  // One beat per member at every heartbeat_period boundary, none between.
   for (std::uint64_t tick = 1; tick <= 5; ++tick) {
     const Duration due =
         repl.heartbeat_period * static_cast<std::int64_t>(tick);
     simulator.run_until(start + (due - Duration::micros(1)));
-    EXPECT_EQ(renewals(), 2 * (tick - 1)) << "tick " << tick;
-    // Nobody acks, so only the initial grant holds: exactly one
+    EXPECT_EQ(beats(), 2 * (tick - 1)) << "tick " << tick;
+    // Nobody acks, so only the initial term holds: exactly one
     // promote_timeout from creation.
-    EXPECT_EQ(keeper.holds_lease(), due <= repl.promote_timeout)
+    EXPECT_EQ(log.holds_lease(), due <= repl.promote_timeout())
         << "tick " << tick;
     simulator.run_until(start + due);
-    EXPECT_EQ(renewals(), 2 * tick) << "tick " << tick;
+    EXPECT_EQ(beats(), 2 * tick) << "tick " << tick;
   }
 }
 
@@ -427,47 +442,38 @@ TEST(ReplicateTest, LeaseQuorumJudgedAgainstSendTimeMemberSnapshot) {
   for (const Guid g : {s1, s2, s3, s4})
     ASSERT_TRUE(network.attach(g, [](const net::Message&) {}).is_ok());
 
+  reliable::ReliableChannel channel(network, primary, {});
   replicate::ReplicationConfig repl;
-  repl.heartbeat_period = Duration::millis(100);
-  repl.promote_timeout = Duration::millis(400);
-  int lapses = 0;
-  std::vector<Guid> members{s1, s2, s3, s4};
-  replicate::LeaseKeeper keeper(
-      network, primary, repl, [&] { return members; },
-      [] { return std::uint32_t{0}; }, [&] { ++lapses; }, {});
+  repl.heartbeat_period = Duration::millis(100);  // promote_timeout 400 ms
+  replicate::ReplicationLog log(network, channel, repl,
+                                [] { return std::vector<std::byte>{}; });
+  for (const Guid g : {s1, s2, s3, s4}) log.attach_standby(g);
 
-  const auto ack = [](std::uint64_t seq) {
-    serde::Writer w(16);
-    w.varint(0);  // epoch
-    w.varint(seq);
-    return w.take_ref();
-  };
-
-  // First renew tick (t=100ms) goes to the 4-standby group: quorum of 5 is
-  // 3, so extending needs 2 standby acks on top of the primary's implicit
-  // one. Then the group shrinks to a single standby before any ack lands.
+  // First beat (t=100ms) goes to the 4-standby group: quorum of 5 is 3, so
+  // extending needs 2 standby acks on top of the primary's implicit one.
+  // Then the group shrinks to a single standby before any ack lands.
   simulator.run_until(simulator.now() + Duration::millis(150));
-  members = {s2};
+  for (const Guid g : {s1, s3, s4}) log.detach_standby(g);
 
-  // A lone ack for the pre-shrink request must be judged against the
-  // 5-member snapshot it was sent to (no majority), not the live 2-member
-  // group it would now dominate.
-  keeper.on_lease_ack(ack(1), s1);
+  // A lone ack for the pre-shrink beat must be judged against the 5-member
+  // snapshot it was sent to (no majority), not the live 2-member group it
+  // would now dominate.
+  log.on_lease_ack(epoch_frame(0, 1), s1);
   EXPECT_EQ(registry_count(simulator.metrics(), "repl.lease.acks"), 1u);
-  EXPECT_TRUE(keeper.holds_lease());  // initial grace runs to t=400ms
+  EXPECT_TRUE(log.holds_lease());  // initial term runs to t=400ms
 
   // Had the stale ack extended the lease (send time 100ms + 400ms), it
   // would still be held at t=450ms. It lapses instead: the post-shrink
-  // ticks never got their quorum of 2 (s2 stays silent).
+  // beats never got their quorum of 2 (s2 stays silent).
   simulator.run_until(simulator.now() + Duration::millis(300));
-  EXPECT_FALSE(keeper.holds_lease());
-  EXPECT_EQ(lapses, 1);
+  EXPECT_FALSE(log.holds_lease());
+  EXPECT_EQ(registry_count(simulator.metrics(), "repl.lease.lapses"), 1u);
 
-  // An ack from a node outside the request's snapshot is ignored outright.
+  // An ack from a node outside the beat's snapshot is ignored outright.
   const Guid stranger = Guid::random(rng);
-  keeper.on_lease_ack(ack(1), stranger);
+  log.on_lease_ack(epoch_frame(0, 1), stranger);
   EXPECT_EQ(registry_count(simulator.metrics(), "repl.lease.acks"), 1u);
-  EXPECT_FALSE(keeper.holds_lease());
+  EXPECT_FALSE(log.holds_lease());
 }
 
 // Advertises the "pulse" output so a pattern subscription composes onto it.
@@ -518,11 +524,50 @@ struct FailoverFixture {
     RangeOptions options;
     options.replication.standby_count = standby_count;
     options.replication.heartbeat_period = Duration::millis(200);
-    options.replication.promote_timeout = Duration::millis(800);
     level_b = sci.create_range("levelB", building.floor_path(1), options)
                   .value();
   }
 };
+
+// The heartbeat is the fencing-lease request: an idle primary sends each
+// standby exactly one raw frame per heartbeat_period and hears one lease
+// ack back from each.
+TEST(ReplicateTest, IdlePrimarySendsOneBeatPerStandbyPerPeriod) {
+  FailoverFixture f(2);
+  f.sci.run_for(Duration::seconds(2));  // catch-up settles
+  const auto standby_list = f.sci.standbys("levelB");
+  ASSERT_EQ(standby_list.size(), 2u);
+  const net::Network& network = f.sci.network();
+  const Guid primary = f.level_b->attached_node();
+  // Open the window half a period after a beat, once its acks are in.
+  const std::uint64_t sent_settled = network.stats(primary).messages_sent;
+  while (network.stats(primary).messages_sent == sent_settled)
+    f.sci.run_for(Duration::millis(1));
+  f.sci.run_for(Duration::millis(100));
+  const net::NodeStats primary_before = network.stats(primary);
+  const std::uint64_t acks_before = node_count(*f.level_b, "repl.lease.acks");
+  std::vector<std::uint64_t> standby_before;
+  for (const range::ContextServer* standby : standby_list) {
+    standby_before.push_back(
+        network.stats(standby->attached_node()).messages_received);
+  }
+
+  constexpr std::uint64_t kPeriods = 10;
+  f.sci.run_for(Duration::millis(200) * static_cast<std::int64_t>(kPeriods));
+  const net::NodeStats& primary_after = network.stats(primary);
+  EXPECT_EQ(primary_after.messages_sent - primary_before.messages_sent,
+            2 * kPeriods);
+  EXPECT_EQ(primary_after.messages_received - primary_before.messages_received,
+            2 * kPeriods);
+  EXPECT_EQ(node_count(*f.level_b, "repl.lease.acks") - acks_before,
+            2 * kPeriods);
+  for (std::size_t i = 0; i < standby_list.size(); ++i) {
+    EXPECT_EQ(network.stats(standby_list[i]->attached_node())
+                      .messages_received -
+                  standby_before[i],
+              kPeriods);
+  }
+}
 
 TEST(ReplicateTest, FailoverPreservesSubscriptionsWithoutReRegistration) {
   FailoverFixture f(1);
@@ -888,7 +933,6 @@ TEST(ReplicateTest, ColdRestartedFencedPrimaryRejoinsWithoutResurrection) {
   options.durability.enable = true;
   options.replication.standby_count = 1;
   options.replication.heartbeat_period = Duration::millis(200);
-  options.replication.promote_timeout = Duration::millis(800);
   range::ContextServer* level_b =
       sci.create_range("levelB", building.floor_path(1), options).value();
 

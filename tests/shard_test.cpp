@@ -70,7 +70,6 @@ struct ShardFixture {
     options.sharding.shard_count = shard_count;
     options.replication.standby_count = standby_count;
     options.replication.heartbeat_period = Duration::millis(200);
-    options.replication.promote_timeout = Duration::millis(800);
     lead = sci.create_range("mall", building.floor_path(0), options).value();
   }
 
@@ -638,6 +637,41 @@ TEST(ShardTest, ForwardedQueryAckWaitsForItsRecordToCommit) {
   f.sci.run_for(Duration::seconds(6));
   ASSERT_TRUE(monitor.results.contains("watch"));
   EXPECT_EQ(monitor.results.at("watch").code(), ErrorCode::kTimeout);
+}
+
+// Every shard's log owns its own repl.lag slot: a shard whose standby is
+// cut off shows its lag there however busy a sibling keeps the others.
+TEST(ShardTest, ReplicationLagGaugeIsPerShard) {
+  ShardFixture f(2, /*standby_count=*/1);
+  PulseCE quiet(f.sci.network(), f.guid_owned_by(1), "quiet",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(quiet, *f.lead).is_ok());
+  PulseCE busy(f.sci.network(), f.guid_owned_by(0), "busy",
+               entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(busy, *f.lead).is_ok());
+  f.sci.run_for(Duration::seconds(2));
+
+  const auto shards = f.sci.shards("mall");
+  const auto standbys = f.sci.standbys("mall#1");
+  ASSERT_EQ(standbys.size(), 1u);
+  f.sci.network().set_partition_group(standbys[0]->attached_node(), 1);
+  // Shard 1 logs a few records its standby never applies; shard 0 keeps
+  // appending (and replicating) after them. Both stay inside one lease term.
+  for (int i = 0; i < 3; ++i) {
+    quiet.publish("pulse", Value(static_cast<std::int64_t>(i)));
+    f.sci.run_for(Duration::millis(50));
+  }
+  for (int i = 0; i < 5; ++i) {
+    busy.publish("pulse", Value(static_cast<std::int64_t>(i)));
+    f.sci.run_for(Duration::millis(50));
+  }
+
+  const obs::MetricsSnapshot snap = f.sci.metrics().snapshot();
+  ASSERT_GT(shards[1]->replication_lag(), 0u);
+  EXPECT_EQ(snap.gauge("repl.lag", shards[1]->metrics_label()),
+            static_cast<double>(shards[1]->replication_lag()));
+  EXPECT_EQ(snap.gauge("repl.lag", shards[0]->metrics_label()),
+            static_cast<double>(shards[0]->replication_lag()));
 }
 
 // --- elastic resharding (ISSUE: crash-safe vnode handoff) -------------------
