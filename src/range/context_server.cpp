@@ -318,7 +318,8 @@ ContextServer::ContextServer(net::Network& network, RangeConfig config,
     // primary owns those duties until promote().
     mediator_.set_silent(true);
     follower_ = std::make_unique<replicate::ReplicationFollower>(
-        network_, attached_as_, config_.context_server, config_.replication,
+        network_, attached_as_, config_.context_server, config_.epoch,
+        config_.replication,
         [this](const replicate::LogRecord& record) {
           // WAL before apply: once applied() claims this index, it must
           // survive a crash of this node.
@@ -338,7 +339,10 @@ ContextServer::ContextServer(net::Network& network, RangeConfig config,
                                            blob);
           }
         },
-        [this] { request_promotion(); },
+        [this](std::uint32_t elected_epoch) {
+          if (elected_epoch != 0) elected_epoch_ = elected_epoch;
+          if (on_promote_requested_) on_promote_requested_();
+        },
         [this] { return state_fingerprint(); });
     if (recovered_any_) {
       // Rejoin with the recovered watermark: the primary ships only the
@@ -346,7 +350,6 @@ ContextServer::ContextServer(net::Network& network, RangeConfig config,
       // else a full snapshot replaces the recovered state.
       follower_->seed(recovered_epoch_, recovered_watermark_);
     }
-    init_election_agent();
     return;
   }
 
@@ -696,32 +699,21 @@ void ContextServer::on_component_message(const net::Message& message) {
       handle_handoff_replay(message);
       return;
     case replicate::kReplRecord:
-      // The channel drops stale-epoch envelopes before delivery, so any
-      // record reaching here is from the current (or newer) primary: proof
-      // of life for the election agent as much as a heartbeat is.
-      if (election_ != nullptr) election_->note_primary_alive();
       if (follower_ != nullptr) follower_->on_record(message.payload);
       return;
     case replicate::kReplSnapshot:
-      if (election_ != nullptr) election_->note_primary_alive();
       if (follower_ != nullptr) follower_->on_snapshot(message.payload);
       return;
     case replicate::kReplHeartbeat:
-      if (election_ != nullptr)
-        election_->on_heartbeat(message.payload, message.from);
       if (follower_ != nullptr) follower_->on_heartbeat(message.payload);
       return;
-    case replicate::kReplLeaseAck:
-      if (repl_log_ != nullptr)
-        repl_log_->on_lease_ack(message.payload, message.from);
-      return;
     case replicate::kReplVoteRequest:
-      if (election_ != nullptr)
-        election_->on_vote_request(message.payload, message.from);
+      if (follower_ != nullptr)
+        follower_->on_vote_request(message.payload, message.from);
       return;
     case replicate::kReplVoteGrant:
-      if (election_ != nullptr)
-        election_->on_vote_grant(message.payload, message.from);
+      if (follower_ != nullptr)
+        follower_->on_vote_grant(message.payload, message.from);
       return;
     case replicate::kReplApplied:
       if (repl_log_ != nullptr)
@@ -3302,30 +3294,6 @@ void ContextServer::recover_from_store() {
            static_cast<unsigned long long>(rec.watermark), rec.records.size());
 }
 
-void ContextServer::init_election_agent() {
-  if (election_ != nullptr) return;
-  election_ = std::make_unique<replicate::ElectionAgent>(
-      network_, attached_as_, config_.replication,
-      [this] { return follower_ != nullptr ? follower_->applied() : 0; },
-      [this] {
-        const std::uint32_t stream =
-            follower_ != nullptr ? follower_->stream_epoch() : 0;
-        return std::max(config_.epoch, stream);
-      },
-      [this](std::uint32_t epoch) {
-        elected_epoch_ = epoch;
-        if (on_promote_requested_) on_promote_requested_();
-      });
-}
-
-void ContextServer::request_promotion() {
-  // Elections first: only a majority winner (or a group too small to hold
-  // one) may promote. start_candidacy() is idempotent while a candidacy or
-  // a win is pending.
-  if (election_ != nullptr && election_->start_candidacy()) return;
-  if (on_promote_requested_) on_promote_requested_();
-}
-
 void ContextServer::apply_record(const replicate::LogRecord& record) {
   const SimTime now = network_.simulator().now();
   switch (record.kind) {
@@ -3851,7 +3819,7 @@ void ContextServer::attach_standby(Guid standby_node, std::uint32_t from_epoch,
                  "only an active primary replicates");
   if (repl_log_ == nullptr) {
     repl_log_ = std::make_unique<replicate::ReplicationLog>(
-        network_, channel_, config_.replication,
+        network_, channel_, metrics_label_, config_.replication,
         [this] { return snapshot_state(); },
         [this] { return state_fingerprint(); });
     // Ops minted while no standby was attached (WAL-only mode) used the same
@@ -3878,11 +3846,10 @@ void ContextServer::promote(Guid join_via) {
   if (follower_ != nullptr) {
     local_head_ = std::max(local_head_, follower_->applied());
   }
-  follower_.reset();
-  // The voting agent's job is done: the win (if any) is recorded in
+  // The follower's job is done: the win (if any) is recorded in
   // elected_epoch_, and a primary must not keep answering vote traffic
   // with standby-side logic.
-  election_.reset();
+  follower_.reset();
   config_.role = RangeConfig::Role::kPrimary;
   // An elected standby adopts the epoch its voters pledged to — it is
   // always above anything the dead primary stamped. Fiat promotion keeps
@@ -3974,7 +3941,6 @@ void ContextServer::fence() {
   discovering_ = false;
   repl_log_.reset();
   follower_.reset();
-  election_.reset();
   // Flush and drop the durable store. The files stay in the StorageEnv, so
   // a later cold restart of this node can recover its WAL and rejoin; the
   // epoch negotiation in attach_standby keeps fenced-epoch records from

@@ -43,7 +43,6 @@
 #include "persist/storage.h"
 #include "query/query.h"
 #include "reliable/reliable.h"
-#include "replicate/election.h"
 #include "replicate/replication.h"
 #include "range/context_store.h"
 #include "range/directory.h"
@@ -297,10 +296,12 @@ class ContextServer {
     on_promote_requested_ = std::move(handler);
   }
 
-  // Standby: run for election now (watchdog fired, or an operator asked via
-  // FaultPlan::promote without force). Falls back to the plain promote
-  // request when the group cannot form a majority.
-  void request_promotion();
+  // Standby: run for election now (an operator asked via FaultPlan::promote
+  // without force), as the follower's watchdog does on silence. Falls back
+  // to the plain promote request when the group cannot form a majority.
+  void request_promotion() {
+    if (follower_ != nullptr) follower_->request_promotion();
+  }
 
   // --- quorum state (docs/REPLICATION.md) ----------------------------------
   // True when this instance's last promotion was won by majority vote
@@ -320,9 +321,6 @@ class ContextServer {
   [[nodiscard]] bool admission_open() const {
     if (fenced_) return false;
     return repl_log_ == nullptr || repl_log_->holds_lease();
-  }
-  [[nodiscard]] const replicate::ElectionAgent* election_agent() const {
-    return election_.get();
   }
 
   [[nodiscard]] RangeConfig::Role role() const { return config_.role; }
@@ -776,7 +774,6 @@ class ContextServer {
   void recover_from_store();
   void persist_record(const replicate::LogRecord& record);
   void on_durable_advanced(std::uint64_t watermark);
-  void init_election_agent();
   // Store + dispatch + trigger stage of handle_publish, shared with
   // apply_record.
   void ingest_publish(const entity::PublishBody& body);
@@ -839,7 +836,7 @@ class ContextServer {
   // Shared liveness flag captured by deferred-execution closures (expiry
   // timers, not-before schedules): set false on fence()/destruction so a
   // closure that outlives this server returns instead of touching freed
-  // state (same bug class as the PR 4 ElectionAgent use-after-free).
+  // state (the bug class of a candidacy timer outliving its follower).
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   // Registry instruments (interned once in the constructor; every increment
@@ -889,10 +886,8 @@ class ContextServer {
 
   // --- replication state ---------------------------------------------------
   std::unique_ptr<replicate::ReplicationLog> repl_log_;      // primary side
-  std::unique_ptr<replicate::ReplicationFollower> follower_;  // standby side
-  // Quorum failover: the standby's election agent (the primary's fencing
-  // lease lives in repl_log_).
-  std::unique_ptr<replicate::ElectionAgent> election_;
+  // Standby side, election included (the fencing lease lives in repl_log_).
+  std::unique_ptr<replicate::ReplicationFollower> follower_;
   std::uint32_t elected_epoch_ = 0;  // epoch of the vote that promoted us
   std::set<std::uint32_t> lease_epochs_;
   // Admit acks held for the replication commit, keyed by log index.

@@ -13,7 +13,7 @@ namespace {
 constexpr const char* kTag = "replicate";
 // Periodic snapshot cadence (truncates the retained tail).
 constexpr Duration kSnapshotInterval = Duration::seconds(10);
-// How many recent beats stay correlatable with late lease acks. Beyond one
+// How many recent beats stay correlatable with late answers. Beyond one
 // lease_duration of beats the extension an old ack could grant is already
 // in the past, so a short window loses nothing.
 constexpr std::size_t kBeatWindow = 8;
@@ -110,6 +110,7 @@ serde::BufferRef encode_snapshot(std::uint32_t epoch,
 
 ReplicationLog::ReplicationLog(net::Network& network,
                                reliable::ReliableChannel& channel,
+                               std::string_view metrics_label,
                                ReplicationConfig config,
                                SnapshotProvider snapshot,
                                FingerprintProvider fingerprint)
@@ -125,8 +126,9 @@ ReplicationLog::ReplicationLog(net::Network& network,
       lease_until_(network.simulator().now() + config.promote_timeout()) {
   SCI_ASSERT(snapshot_ != nullptr);
   obs::MetricsRegistry& metrics = network_.simulator().metrics();
-  const std::string label = "node=" + channel_.self().to_string();
-  const auto twin = [&](const char* name) { return metrics.twin(name, label); };
+  const auto twin = [&](const char* name) {
+    return metrics.twin(name, metrics_label);
+  };
   m_records_appended_ = twin("repl.records_appended");
   m_records_shipped_ = twin("repl.records_shipped");
   m_snapshots_ = twin("repl.snapshots");
@@ -137,7 +139,7 @@ ReplicationLog::ReplicationLog(net::Network& network,
   m_snapshot_bytes_ = twin("repl.catchup.snapshot_bytes");
   m_lease_acks_ = twin("repl.lease.acks");
   m_lease_lapses_ = twin("repl.lease.lapses");
-  m_lag_ = &metrics.gauge("repl.lag", label);
+  m_lag_ = &metrics.gauge("repl.lag", metrics_label);
   snapshot_timer_.emplace(network_.simulator(), kSnapshotInterval,
                           [this] { take_snapshot(); });
   snapshot_timer_->start();
@@ -224,22 +226,19 @@ void ReplicationLog::on_applied(serde::FrameView payload, Guid standby) {
   // failover the promoted log restarts near 0, so a straggler ack from the
   // old epoch would inflate the watermark past the new head.
   if (static_cast<std::uint32_t>(*epoch) != channel_.epoch()) return;
-  const auto it = applied_.find(standby);
-  if (it == applied_.end()) return;
-  it->second = std::max(it->second, *index);
-  update_lag();
-  update_committed();
-}
-
-void ReplicationLog::on_lease_ack(serde::FrameView payload, Guid standby) {
-  serde::Reader r(payload);
-  const auto epoch = r.varint();
+  if (const auto it = applied_.find(standby); it != applied_.end()) {
+    it->second = std::max(it->second, *index);
+    update_lag();
+    update_committed();
+  }
+  // A record's ack ends here. Test before reading: a failed read of the
+  // absent seq would build an error on the heap, once per ack.
+  if (r.remaining() == 0) return;
   const auto seq = r.varint();
-  if (!epoch || !seq) return;
-  if (static_cast<std::uint32_t>(*epoch) != channel_.epoch()) return;
-  const auto it = beats_.find(*seq);
-  if (it == beats_.end()) return;  // outside the correlation window
-  Beat& beat = it->second;
+  if (!seq) return;
+  const auto beat_it = beats_.find(*seq);
+  if (beat_it == beats_.end()) return;  // outside the correlation window
+  Beat& beat = beat_it->second;
   // Quorum is judged against the member snapshot taken at send time, not
   // the live group: an ack from a standby detached since the beat must not
   // count, and a group shrink between send and ack must not let stale acks
@@ -335,9 +334,8 @@ void ReplicationLog::heartbeat_tick() {
     extend_lease(now);
     return;
   }
-  // Trailing replica-group view (standby nodes, sorted): election agents
-  // learn who their siblings are from here. Followers parse the leading
-  // epoch, head and fingerprint only.
+  // Trailing replica-group view (standby nodes, sorted): followers learn
+  // who their election siblings are from here.
   const std::vector<Guid> members = standbys();
   beats_[++beat_seq_] =
       Beat{now, std::set<Guid>(members.begin(), members.end()), {}};
@@ -375,7 +373,7 @@ void ReplicationLog::update_lag() {
 // ReplicationFollower (standby)
 
 ReplicationFollower::ReplicationFollower(net::Network& network, Guid self,
-                                         Guid primary,
+                                         Guid primary, std::uint32_t epoch,
                                          ReplicationConfig config,
                                          ApplyRecord apply_record,
                                          ApplySnapshot apply_snapshot,
@@ -384,6 +382,7 @@ ReplicationFollower::ReplicationFollower(net::Network& network, Guid self,
     : network_(network),
       self_(self),
       primary_(primary),
+      epoch_(epoch),
       config_(config),
       apply_record_(std::move(apply_record)),
       apply_snapshot_(std::move(apply_snapshot)),
@@ -395,15 +394,27 @@ ReplicationFollower::ReplicationFollower(net::Network& network, Guid self,
   obs::MetricsRegistry& metrics = network_.simulator().metrics();
   m_records_applied_ = &metrics.counter("repl.records_applied");
   m_divergence_ = &metrics.counter("repl.state_divergence");
+  m_candidacies_ = &metrics.counter("repl.election.candidacies");
+  m_votes_granted_ = &metrics.counter("repl.election.votes_granted");
+  m_won_ = &metrics.counter("repl.election.won");
+  m_lease_acks_sent_ = &metrics.counter("repl.lease.acks_sent");
+  m_lease_acks_refused_ = &metrics.counter("repl.lease.acks_refused");
   watchdog_.emplace(network_.simulator(), config_.heartbeat_period,
                     [this] { watchdog_tick(); });
   watchdog_->start();
 }
 
-ReplicationFollower::~ReplicationFollower() { watchdog_.reset(); }
+ReplicationFollower::~ReplicationFollower() {
+  watchdog_.reset();
+  // The staggered launch and a candidacy retry both capture `this`.
+  network_.simulator().cancel(stagger_timer_);
+  network_.simulator().cancel(retry_timer_);
+}
 
-bool ReplicationFollower::advance_epoch(std::uint32_t epoch) {
-  if (epoch < stream_epoch_) return false;
+bool ReplicationFollower::accept_epoch(std::uint32_t epoch) {
+  // Stale incarnations must not refresh liveness: their frames would
+  // suppress the watchdog against a dead current primary.
+  if (epoch < current_epoch()) return false;
   if (epoch > stream_epoch_) {
     // New incarnation: leftovers from the dead one must never satisfy a gap
     // in the new log (indices restart), and nothing applies until the new
@@ -412,12 +423,20 @@ bool ReplicationFollower::advance_epoch(std::uint32_t epoch) {
     gap_.clear();
     await_snapshot_ = true;
     primary_head_ = 0;
-    // Seeing the new incarnation's stream proves a live primary took over —
-    // re-arm the watchdog so a standby that lost the promotion race can
-    // still fail over if the *new* primary later dies.
-    promoted_ = false;
   }
+  last_heard_ = network_.simulator().now();
+  heard_once_ = true;
+  // The primary is alive (or a new incarnation took over): an outstanding
+  // promote request or an unfinished candidacy was a false alarm, so re-arm
+  // the watchdog for the next silence episode.
+  promoted_ = false;
+  active_ = false;
   return true;
+}
+
+bool ReplicationFollower::primary_recently_alive() const {
+  const Duration silence = network_.simulator().now() - last_heard_;
+  return silence.count_micros() <= config_.promote_timeout().count_micros();
 }
 
 void ReplicationFollower::drain_gap() {
@@ -439,7 +458,7 @@ void ReplicationFollower::drain_gap() {
 void ReplicationFollower::on_record(const serde::BufferRef& payload) {
   serde::Reader r(payload);
   const auto epoch = r.varint();
-  if (!epoch || !advance_epoch(static_cast<std::uint32_t>(*epoch))) return;
+  if (!epoch || !accept_epoch(static_cast<std::uint32_t>(*epoch))) return;
   const serde::BufferRef inner =
       payload.slice(payload.size() - r.remaining(), r.remaining());
   auto record = LogRecord::decode(inner);
@@ -460,7 +479,7 @@ void ReplicationFollower::on_record(const serde::BufferRef& payload) {
 void ReplicationFollower::on_snapshot(const serde::BufferRef& payload) {
   serde::Reader r(payload);
   const auto epoch = r.varint();
-  if (!epoch || !advance_epoch(static_cast<std::uint32_t>(*epoch))) return;
+  if (!epoch || !accept_epoch(static_cast<std::uint32_t>(*epoch))) return;
   const auto base = r.varint();
   if (!base) return;
   const auto len = r.varint();
@@ -482,22 +501,39 @@ void ReplicationFollower::on_snapshot(const serde::BufferRef& payload) {
 void ReplicationFollower::on_heartbeat(serde::FrameView payload) {
   serde::Reader r(payload);
   const auto epoch = r.varint();
-  // Stale incarnations must not refresh liveness: their heartbeats would
-  // suppress the watchdog against a dead current primary.
-  if (!epoch || !advance_epoch(static_cast<std::uint32_t>(*epoch))) return;
   const auto head = r.varint();
-  if (head) primary_head_ = std::max(primary_head_, *head);
-  last_heard_ = network_.simulator().now();
-  heard_once_ = true;
-  // A current-epoch heartbeat means the primary is alive: any earlier
-  // promote request was a false alarm (and the facade declined it), so
-  // re-arm the watchdog for the next silence episode.
-  promoted_ = false;
+  const auto remote_fp = r.varint();
+  const auto seq = r.varint();
+  if (!epoch || !head || !remote_fp || !seq) return;
+  const auto e = static_cast<std::uint32_t>(*epoch);
+  if (!accept_epoch(e)) return;
+  primary_head_ = std::max(primary_head_, *head);
+  if (e < max_voted_epoch_) {
+    // THE fencing rule: this voter pledged a higher epoch, so the deposed
+    // primary must never again assemble a lease majority through it.
+    m_lease_acks_refused_->inc();
+    SCI_DEBUG(kTag, "%s: refusing lease ack for epoch %u (pledged %u)",
+              self_.short_string().c_str(), e, max_voted_epoch_);
+  } else {
+    ack(*seq);
+    m_lease_acks_sent_->inc();
+  }
+  // Trailing group view: the full standby list, self included.
+  const auto count = r.varint();
+  if (count && *count > 0 && *count <= 64) {
+    std::vector<Guid> fresh;
+    fresh.reserve(static_cast<std::size_t>(*count));
+    for (std::uint64_t i = 0; i < *count; ++i) {
+      const auto member = r.guid();
+      if (!member) break;
+      fresh.push_back(*member);
+    }
+    if (fresh.size() == *count) view_ = std::move(fresh);
+  }
   // Divergence check: only meaningful when fully caught up — a mid-stream
   // comparison would flag ordinary lag as corruption. The flag is sticky per
   // episode so one divergence bumps the counter once, not once per beat.
-  const auto remote_fp = r.varint();
-  if (!fingerprint_ || !head || !remote_fp || *remote_fp == 0) return;
+  if (!fingerprint_ || *remote_fp == 0) return;
   if (await_snapshot_ || applied_ != *head || !gap_.empty()) return;
   const std::uint64_t local_fp = fingerprint_();
   if (local_fp != *remote_fp) {
@@ -520,20 +556,24 @@ void ReplicationFollower::seed(std::uint32_t epoch, std::uint64_t applied) {
   gap_.clear();
 }
 
-void ReplicationFollower::ack() {
-  last_heard_ = network_.simulator().now();  // records count as liveness too
-  heard_once_ = true;
+void ReplicationFollower::ack(std::uint64_t beat_seq) {
   // The epoch pins the ack to the index space it was measured against: a
   // late ack generated under a dead incarnation (whose indices ran much
   // higher) must not inflate the new primary's applied watermark.
-  serde::Writer w(12);
+  serde::Writer w(16);
   w.varint(stream_epoch_);
   w.varint(applied_);
+  if (beat_seq != 0) w.varint(beat_seq);
+  send_raw(primary_, kReplApplied, w.take_ref());
+}
+
+void ReplicationFollower::send_raw(Guid to, std::uint32_t type,
+                                   serde::BufferRef payload) {
   net::Message msg;
-  msg.type = kReplApplied;
+  msg.type = type;
   msg.from = self_;
-  msg.to = primary_;
-  msg.payload = w.take_ref();
+  msg.to = to;
+  msg.payload = std::move(payload);
   (void)network_.send(std::move(msg));
 }
 
@@ -543,10 +583,7 @@ void ReplicationFollower::watchdog_tick() {
   // or stale — taking over would silently lose the range's registrar,
   // subscription and configuration state.
   if (!heard_once_ || await_snapshot_) return;
-  const Duration silence = network_.simulator().now() - last_heard_;
-  if (silence.count_micros() <=
-      config_.promote_timeout().count_micros())
-    return;
+  if (primary_recently_alive()) return;
   if (promoted_) {
     // A request is already outstanding. If silence persists a full further
     // timeout (e.g. the facade declined during a partition that then became
@@ -560,8 +597,16 @@ void ReplicationFollower::watchdog_tick() {
   last_request_ = network_.simulator().now();
   SCI_INFO(kTag, "%s: primary %s silent for %lldms — promoting",
            self_.short_string().c_str(), primary_.short_string().c_str(),
-           static_cast<long long>(silence.count_micros() / 1000));
-  if (promote_) promote_();
+           static_cast<long long>(
+               (network_.simulator().now() - last_heard_).count_micros() /
+               1000));
+  request_promotion();
+}
+
+void ReplicationFollower::request_promotion() {
+  // Elections first: only a majority winner (or a group too small to hold
+  // one) may promote.
+  if (!start_candidacy() && promote_) promote_(0);
 }
 
 }  // namespace sci::replicate

@@ -1,4 +1,5 @@
-// SCI — primary/backup replication of Context Server state.
+// SCI — primary/backup replication of Context Server state, the replica
+// group's fencing lease and its standby elections.
 //
 // The paper's Range layer assumes "a single always-on Context Server" per
 // range. PR 2's reliable channel makes a CS crash survivable for in-flight
@@ -19,19 +20,50 @@
 //    index (kReplApplied, raw, epoch-stamped — acks from superseded
 //    incarnations are ignored); a record commits once sync_acks standbys
 //    applied it, and the `repl.lag{node=…}` gauge tracks head − min(applied).
-//    The log also holds the replica group's fencing lease (election.h): its
-//    heartbeat is the lease request, and a majority ack of one beat extends
-//    the lease to that beat's send time plus promote_timeout.
+//    The log also holds the group's fencing lease: every heartbeat is a
+//    lease request, and a majority ack of one beat extends the lease to
+//    that beat's send time plus promote_timeout.
 //
 //  * ReplicationFollower (standby side) — applies records strictly in index
 //    order (out-of-order arrivals wait in a gap buffer), hands snapshots
-//    and records to CS-supplied callbacks, and watches primary heartbeats
-//    (kReplHeartbeat, raw): after `promote_timeout` of silence it fires the
-//    promote callback — once per silence episode, re-armed when liveness
-//    resumes (a fresh current-epoch heartbeat, or a new incarnation's
-//    stream) and re-fired if silence persists a full further timeout after
-//    an ignored request. A follower still awaiting the epoch's snapshot
-//    never requests promotion: it has nothing safe to take over with.
+//    and records to CS-supplied callbacks, answers every current-epoch
+//    heartbeat with kReplApplied (epoch, applied, beat seq) — one frame
+//    that is both its progress report and its lease vote — and watches the
+//    primary on one liveness clock: any record, snapshot or beat of the
+//    current incarnation refreshes it. After promote_timeout of silence the
+//    follower requests promotion — once per silence episode, re-armed when
+//    liveness resumes and re-fired if silence persists a full further
+//    timeout after an ignored request. A follower still awaiting the
+//    epoch's snapshot never requests promotion: it has nothing safe to take
+//    over with. The request runs a majority-vote election among the
+//    standbys; a group too small to elect (< 3 members counting the dead
+//    primary) falls back to the facade's liveness oracle.
+//
+// The election, Raft-style. A candidate picks an epoch above anything it
+// has seen or voted for, votes for itself and solicits the group
+// (kReplVoteRequest). Voters grant (kReplVoteGrant) only when all four
+// rules hold:
+//  1. the candidacy epoch is news — a sitting incarnation's epoch (or
+//     older) can never be re-elected;
+//  2. the primary looks dead from the voter's own seat too (its liveness
+//     clock is past promote_timeout), so an impatient sibling cannot depose
+//     a healthy primary;
+//  3. one vote per epoch (re-grants to the same candidate are idempotent,
+//     and epochs below an existing pledge are refused outright);
+//  4. the candidate's applied watermark is at least the voter's — a stale
+//     standby can never win, and with sync_acks >= 1 the winner provably
+//     holds every client-acked op (majority ∩ majority ≠ ∅).
+// Ties are broken by GUID: candidacies launch staggered by rank so the
+// first-ranked live standby usually wins before a sibling even starts. The
+// winner promotes through the normal path under the elected epoch.
+//
+// The fencing rule ties the two halves together: a voter that pledged
+// epoch E answers no beat of an epoch below E (`repl.lease.acks_refused`),
+// so once a majority elects a successor the deposed primary can never
+// again assemble a lease majority — its lease runs out from the last
+// majority-acked send and it stops admitting: the ex-primary fences
+// *itself*. Two holders of the *same* epoch are impossible outright (two
+// same-epoch majorities would have to intersect in a double-voting member).
 //
 // Every shipped frame is prefixed with the primary channel's incarnation
 // epoch. A follower drops frames from superseded epochs, clears its gap
@@ -42,16 +74,19 @@
 // fresh log, whose indices restart from its own snapshot base.
 //
 // The module deliberately knows nothing about the Context Server: state
-// semantics enter only through std::function callbacks, so sci_replicate
-// sits below sci_range in the dependency graph.
+// semantics enter only through std::function callbacks, and the CS routes
+// the frame kinds here, so sci_replicate sits below sci_range in the
+// dependency graph.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -67,14 +102,15 @@ namespace sci::replicate {
 
 // Replication frame types on net::Message::type. kReplRecord/kReplSnapshot
 // travel as inner types inside the primary's reliable channel envelopes;
-// kReplHeartbeat/kReplApplied are raw fire-and-forget (they are periodic /
-// cumulative, so losing one is harmless). A heartbeat doubles as the
-// fencing-lease request: election agents answer it with kReplLeaseAck.
+// the rest are raw fire-and-forget (periodic or cumulative, so losing one
+// costs one beat or one candidacy retry). A heartbeat doubles as the
+// fencing-lease request, and kReplApplied answers it.
 inline constexpr std::uint32_t kReplRecord = 0xAE01;
 inline constexpr std::uint32_t kReplSnapshot = 0xAE02;
 inline constexpr std::uint32_t kReplHeartbeat = 0xAE03;
 inline constexpr std::uint32_t kReplApplied = 0xAE04;
-// 0xAE06–0xAE08 belong to the election (election.h).
+inline constexpr std::uint32_t kReplVoteRequest = 0xAE07;
+inline constexpr std::uint32_t kReplVoteGrant = 0xAE08;
 
 // What kind of state mutation a log record carries. The payload encoding is
 // owned by the Context Server; the log ships it opaquely.
@@ -115,11 +151,11 @@ struct LogRecord {
 // Heartbeats a standby may miss before it declares the primary dead.
 inline constexpr std::int64_t kMissedBeats = 4;
 
-// Replication timing. The same period times the quorum failover
-// (election.h): every heartbeat is a fencing-lease request, and one majority
-// ack holds the lease for promote_timeout(), exactly the silence a voter
-// requires before granting a rival's candidacy, so a held lease never
-// overlaps a majority election.
+// Replication timing. The same period times the quorum failover: every
+// heartbeat is a fencing-lease request, and one majority ack holds the
+// lease for promote_timeout(), exactly the silence a voter requires before
+// granting a rival's candidacy, so a held lease never overlaps a majority
+// election.
 struct ReplicationConfig {
   // Heartbeat cadence (records ship at append, not on the beat).
   Duration heartbeat_period = Duration::millis(500);
@@ -144,9 +180,12 @@ class ReplicationLog {
   using SnapshotProvider = std::function<std::vector<std::byte>()>;
 
   // `channel` is the primary CS's reliable channel (envelopes carry the CS
-  // node identity and epoch).
+  // node identity and epoch). `metrics_label` is the owner's label slot
+  // (e.g. "node=<GUID>"), which the log's counters and `repl.lag` gauge
+  // share with it.
   ReplicationLog(net::Network& network, reliable::ReliableChannel& channel,
-                 ReplicationConfig config, SnapshotProvider snapshot,
+                 std::string_view metrics_label, ReplicationConfig config,
+                 SnapshotProvider snapshot,
                  FingerprintProvider fingerprint = {});
   ~ReplicationLog();
 
@@ -173,16 +212,15 @@ class ReplicationLog {
   // attached standby at once as a kReplRecord. Returns the assigned index.
   std::uint64_t append(LogRecord record);
 
-  // Raw kReplApplied (varint epoch, varint index) from `standby`: it has
-  // applied everything through that index of that incarnation. Acks against
-  // other epochs are ignored — their index space does not line up with this
-  // log's.
+  // Raw kReplApplied (varint epoch, varint index[, varint beat seq]) from
+  // `standby`: it has applied everything through that index of that
+  // incarnation. Acks against other epochs are ignored — their index space
+  // does not line up with this log's. A trailing beat seq makes the ack
+  // the answer to that heartbeat: a majority of the members the beat was
+  // sent to (the primary counts itself) extends the lease to the beat's
+  // send time plus lease_duration(), whether or not `standby` is still
+  // attached.
   void on_applied(serde::FrameView payload, Guid standby);
-
-  // Raw kReplLeaseAck (varint epoch, varint beat seq) from `standby`. A
-  // majority of the members a beat was sent to (the primary counts itself)
-  // extends the lease to that beat's send time plus lease_duration().
-  void on_lease_ack(serde::FrameView payload, Guid standby);
   // Admission predicate: the log holds one lease term from construction,
   // and the extension a majority last granted has not yet run out. Purely
   // time-based, so it is precise between beats too; with no standby
@@ -255,8 +293,7 @@ class ReplicationLog {
   std::optional<sim::PeriodicTimer> snapshot_timer_;
   std::optional<sim::PeriodicTimer> heartbeat_timer_;
 
-  // Deployment totals plus the "node=<channel's node>" slot, the label the
-  // owning Context Server counts under.
+  // Deployment totals plus the owner's label slot.
   obs::TwinCounter m_records_appended_;
   obs::TwinCounter m_records_shipped_;  // record × standby sends
   obs::TwinCounter m_snapshots_;
@@ -267,24 +304,30 @@ class ReplicationLog {
   obs::TwinCounter m_snapshot_bytes_;
   obs::TwinCounter m_lease_acks_;
   obs::TwinCounter m_lease_lapses_;  // held → lapsed, detected at a beat
-  obs::Gauge* m_lag_ = nullptr;      // this log's "node=" slot only
+  obs::Gauge* m_lag_ = nullptr;      // this log's labelled slot only
 };
 
-// Standby-side apply loop + failure detector. Owned by a Context Server in
-// the standby role.
+// Standby-side apply loop, failure detector, lease voter and election
+// candidate. Owned by a Context Server in the standby role.
 class ReplicationFollower {
  public:
   using ApplyRecord = std::function<void(const LogRecord&)>;
   // (blob, base_index): replace local state with the snapshot.
   using ApplySnapshot =
       std::function<void(const std::vector<std::byte>&, std::uint64_t)>;
-  using PromoteCallback = std::function<void()>;
+  // Promote this standby. `elected_epoch` is the epoch a majority voted
+  // for (stamp it on the new incarnation: voters pledged to it), or 0 for a
+  // request the facade adjudicates: the group is too small to elect.
+  using PromoteCallback = std::function<void(std::uint32_t elected_epoch)>;
 
-  // `self` is the standby's own network node (acks originate there);
-  // `primary` is the primary CS node heartbeats come from and acks go to.
+  // `self` is the standby's own network node (acks and votes originate
+  // there); `primary` is the primary CS node heartbeats come from and acks
+  // go to. `epoch` is the incarnation the standby was created under: frames
+  // of older epochs are dropped, and candidacies start above it.
   ReplicationFollower(net::Network& network, Guid self, Guid primary,
-                      ReplicationConfig config, ApplyRecord apply_record,
-                      ApplySnapshot apply_snapshot, PromoteCallback promote,
+                      std::uint32_t epoch, ReplicationConfig config,
+                      ApplyRecord apply_record, ApplySnapshot apply_snapshot,
+                      PromoteCallback promote,
                       FingerprintProvider local_fingerprint = {});
   ~ReplicationFollower();
 
@@ -296,13 +339,24 @@ class ReplicationFollower {
   void on_record(const serde::BufferRef& payload);
   // Inner kReplSnapshot frame.
   void on_snapshot(const serde::BufferRef& payload);
-  // Raw kReplHeartbeat frame.
+  // Raw kReplHeartbeat (epoch, head, fingerprint, beat seq, group view):
+  // refreshes liveness and the group view, and answers with kReplApplied
+  // unless this standby pledged a higher epoch.
   void on_heartbeat(serde::FrameView payload);
+  // Raw kReplVoteRequest (epoch, applied watermark) from a candidate.
+  void on_vote_request(serde::FrameView payload, Guid from);
+  // Raw kReplVoteGrant (epoch) from a voter.
+  void on_vote_grant(serde::FrameView payload, Guid from);
+
+  // Run for election now (the watchdog fired, or an operator asked);
+  // idempotent while a candidacy or a win is pending. Falls back to
+  // promote(0) when the known group is under 3 members.
+  void request_promotion();
 
   // Adopts locally recovered state (docs/DURABILITY.md): the follower
   // already holds everything through `applied` of incarnation `epoch`, so it
   // does not await a snapshot and expects records above that watermark. If
-  // the primary's stream turns out to carry a higher epoch, advance_epoch
+  // the primary's stream turns out to carry a higher epoch, accept_epoch
   // falls back to the normal await-snapshot resync and the recovered state
   // is replaced wholesale.
   void seed(std::uint32_t epoch, std::uint64_t applied);
@@ -319,18 +373,40 @@ class ReplicationFollower {
   [[nodiscard]] std::uint32_t stream_epoch() const { return stream_epoch_; }
   // Still waiting for the current epoch's snapshot before applying records.
   [[nodiscard]] bool awaiting_snapshot() const { return await_snapshot_; }
+  // Highest epoch this standby voted in (its pledge).
+  [[nodiscard]] std::uint32_t max_voted_epoch() const {
+    return max_voted_epoch_;
+  }
 
  private:
-  // Returns false when `epoch` belongs to a superseded incarnation; on an
-  // advance, discards gap leftovers and re-enters the await-snapshot state.
-  bool advance_epoch(std::uint32_t epoch);
+  // Returns false when `epoch` predates max(creation epoch, stream epoch):
+  // a superseded incarnation's frame, which must neither apply nor count as
+  // liveness. Otherwise the frame proves the primary alive (the one
+  // liveness clock), and on an advance the gap leftovers are discarded and
+  // the follower re-enters the await-snapshot state.
+  bool accept_epoch(std::uint32_t epoch);
+  [[nodiscard]] std::uint32_t current_epoch() const {
+    return std::max(epoch_, stream_epoch_);
+  }
+  [[nodiscard]] bool primary_recently_alive() const;
   void drain_gap();
-  void ack();
+  // kReplApplied to the primary; a non-zero `beat_seq` answers that beat.
+  void ack(std::uint64_t beat_seq = 0);
   void watchdog_tick();
+  // Election (election.cpp).
+  bool start_candidacy();
+  void launch();
+  void retry_check(std::uint32_t launched_epoch);
+  [[nodiscard]] bool electable() const;
+  [[nodiscard]] std::size_t quorum() const {
+    return (view_.size() + 1) / 2 + 1;
+  }
+  void send_raw(Guid to, std::uint32_t type, serde::BufferRef payload);
 
   net::Network& network_;
   Guid self_;
   Guid primary_;
+  std::uint32_t epoch_;  // creation epoch
   ReplicationConfig config_;
   ApplyRecord apply_record_;
   ApplySnapshot apply_snapshot_;
@@ -342,16 +418,41 @@ class ReplicationFollower {
   std::map<std::uint64_t, LogRecord> gap_;  // out-of-order arrivals
   std::uint32_t stream_epoch_ = 0;
   bool await_snapshot_ = true;  // records buffer until the epoch's snapshot
-  SimTime last_heard_;
+  SimTime last_heard_;    // the one liveness clock, started at construction
   SimTime last_request_;  // when the outstanding promote request fired
   bool heard_once_ = false;
   bool promoted_ = false;
   bool diverged_ = false;
 
+  // Voter state.
+  std::vector<Guid> view_;  // standby nodes from the heartbeat group view
+  SimTime last_grant_;      // when this standby last granted a sibling's vote
+  bool granted_once_ = false;
+  std::map<std::uint32_t, Guid> voted_;  // one vote per epoch
+  std::uint32_t max_voted_epoch_ = 0;
+  std::uint32_t epoch_floor_ = 0;  // next candidacy launches above this
+
+  // Candidate state.
+  bool launch_pending_ = false;
+  bool active_ = false;
+  std::uint32_t cand_epoch_ = 0;
+  std::set<Guid> grants_;  // voters for cand_epoch_ (incl. self)
+  bool elected_ = false;
+
   std::optional<sim::PeriodicTimer> watchdog_;
+  // Pending one-shot callbacks (staggered launch, candidacy retry), owned
+  // so the destructor can cancel them: the CS destroys the follower on
+  // promote and fence while a retry_check is typically still scheduled.
+  sim::TimerHandle stagger_timer_;
+  sim::TimerHandle retry_timer_;
 
   obs::Counter* m_records_applied_ = nullptr;
   obs::Counter* m_divergence_ = nullptr;
+  obs::Counter* m_candidacies_ = nullptr;
+  obs::Counter* m_votes_granted_ = nullptr;
+  obs::Counter* m_won_ = nullptr;
+  obs::Counter* m_lease_acks_sent_ = nullptr;
+  obs::Counter* m_lease_acks_refused_ = nullptr;  // pledged-epoch refusals
 };
 
 // Wire envelopes shared by log and follower. Records: varint epoch, then

@@ -2,12 +2,13 @@
 // of Context Server state and the facade's failover workflow.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/sci.h"
-#include "replicate/election.h"
 #include "replicate/replication.h"
 #include "serde/buffer.h"
 
@@ -22,14 +23,26 @@ serde::BufferRef bytes(std::initializer_list<int> values) {
   return serde::BufferRef::copy_of(out);
 }
 
-// A raw (varint epoch, varint n) frame: kReplApplied carries the applied
-// index, kReplLeaseAck the acked beat's sequence number.
+// A raw kReplApplied payload (varint epoch, varint applied index).
 serde::BufferRef epoch_frame(std::uint32_t epoch, std::uint64_t n) {
   serde::Writer w(16);
   w.varint(epoch);
   w.varint(n);
   return w.take_ref();
 }
+
+// A kReplApplied payload answering beat `seq`.
+serde::BufferRef beat_ack(std::uint32_t epoch, std::uint64_t applied,
+                          std::uint64_t seq) {
+  serde::Writer w(24);
+  w.varint(epoch);
+  w.varint(applied);
+  w.varint(seq);
+  return w.take_ref();
+}
+
+// The metrics label a test log counts under.
+constexpr std::string_view kLogLabel = "node=test-primary";
 
 // A kReplHeartbeat payload: epoch, head, fingerprint (0 = none), beat
 // sequence number and an empty group view.
@@ -69,7 +82,7 @@ TEST(ReplicateTest, FollowerAppliesInOrderAcrossGapsAndEpochs) {
   std::vector<std::uint64_t> applied;
   std::vector<std::uint64_t> snapshot_bases;
   replicate::ReplicationFollower follower(
-      network, Guid::random(rng), Guid::random(rng),
+      network, Guid::random(rng), Guid::random(rng), 0,
       replicate::ReplicationConfig{},
       [&](const replicate::LogRecord& r) { applied.push_back(r.index); },
       [&](const std::vector<std::byte>&, std::uint64_t base) {
@@ -128,10 +141,10 @@ TEST(ReplicateTest, WatchdogGatesOnSnapshotAndRearmsAfterFalseAlarm) {
   replicate::ReplicationConfig config;
   config.heartbeat_period = Duration::millis(75);  // promote_timeout 300 ms
   replicate::ReplicationFollower follower(
-      network, Guid::random(rng), Guid::random(rng), config,
+      network, Guid::random(rng), Guid::random(rng), 0, config,
       [](const replicate::LogRecord&) {},
       [](const std::vector<std::byte>&, std::uint64_t) {},
-      [&] { ++promote_requests; });
+      [&](std::uint32_t) { ++promote_requests; });
 
   const auto record = [](std::uint64_t index) {
     replicate::LogRecord r;
@@ -165,6 +178,15 @@ TEST(ReplicateTest, WatchdogGatesOnSnapshotAndRearmsAfterFalseAlarm) {
   EXPECT_GT(promote_requests, after_first);
   EXPECT_TRUE(follower.promote_fired());
 
+  // A current-epoch record proves the primary alive just as a beat does:
+  // it clears the request and re-arms the watchdog on the same clock.
+  follower.on_record(replicate::frame_record(0, record(2)));
+  EXPECT_FALSE(follower.promote_fired());
+  const int after_second = promote_requests;
+  simulator.run_until(simulator.now() + Duration::millis(500));
+  EXPECT_GT(promote_requests, after_second);
+  EXPECT_TRUE(follower.promote_fired());
+
   // Losing a promotion race re-arms too: the sibling's new-epoch stream
   // clears the outstanding request along with the stale log state.
   follower.on_record(replicate::frame_record(1, record(1)));
@@ -178,7 +200,7 @@ TEST(ReplicateTest, LogIgnoresAppliedAcksFromOtherEpochs) {
   Rng rng{7};
   reliable::ReliableChannel channel(network, Guid::random(rng), {});
   channel.set_epoch(1);  // this log belongs to a promoted incarnation
-  replicate::ReplicationLog log(network, channel,
+  replicate::ReplicationLog log(network, channel, kLogLabel,
                                 replicate::ReplicationConfig{},
                                 [] { return std::vector<std::byte>{}; });
   const Guid standby = Guid::random(rng);
@@ -208,7 +230,7 @@ TEST(ReplicateTest, LogCommitsAtTheNthHighestAppliedIndex) {
   net::Network network{simulator};
   Rng rng{7};
   reliable::ReliableChannel channel(network, Guid::random(rng), {});
-  replicate::ReplicationLog log(network, channel,
+  replicate::ReplicationLog log(network, channel, kLogLabel,
                                 replicate::ReplicationConfig{},
                                 [] { return std::vector<std::byte>{}; });
   std::vector<std::uint64_t> commits;
@@ -241,21 +263,30 @@ TEST(ReplicateTest, VoterGatesOnLivenessWatermarkAndPledgedEpoch) {
   Rng rng{7};
   const Guid voter = Guid::random(rng);
   const Guid candidate = Guid::random(rng);
+  const Guid primary = Guid::random(rng);
   std::vector<net::Message> at_candidate;
+  std::vector<net::Message> at_primary;
   ASSERT_TRUE(network
                   .attach(candidate,
                           [&](const net::Message& m) {
                             at_candidate.push_back(m);
                           })
                   .is_ok());
+  ASSERT_TRUE(network
+                  .attach(primary,
+                          [&](const net::Message& m) {
+                            at_primary.push_back(m);
+                          })
+                  .is_ok());
   ASSERT_TRUE(network.attach(voter, [](const net::Message&) {}).is_ok());
 
   replicate::ReplicationConfig repl;
   repl.heartbeat_period = Duration::millis(75);  // promote_timeout 300 ms
-  replicate::ElectionAgent agent(
-      network, voter, repl,
-      [] { return std::uint64_t{5}; },  // this voter's applied watermark
-      [] { return std::uint32_t{0}; }, [](std::uint32_t) {});
+  replicate::ReplicationFollower follower(
+      network, voter, primary, 0, repl, [](const replicate::LogRecord&) {},
+      [](const std::vector<std::byte>&, std::uint64_t) {},
+      [](std::uint32_t) {});
+  follower.seed(0, 5);  // this voter's applied watermark
 
   const auto vote_req = [](std::uint32_t epoch, std::uint64_t watermark) {
     serde::Writer w(16);
@@ -263,50 +294,51 @@ TEST(ReplicateTest, VoterGatesOnLivenessWatermarkAndPledgedEpoch) {
     w.varint(watermark);
     return w.take_ref();
   };
-  const auto count = [&](std::uint32_t type) {
+  const auto count = [](const std::vector<net::Message>& inbox,
+                        std::uint32_t type) {
     std::size_t n = 0;
-    for (const auto& m : at_candidate)
+    for (const auto& m : inbox)
       if (m.type == type) ++n;
     return n;
   };
 
   // Construction counts as hearing the primary: candidacies against a
   // recently-live primary are refused.
-  agent.on_vote_request(vote_req(1, 9), candidate);
+  follower.on_vote_request(vote_req(1, 9), candidate);
   simulator.run_until(simulator.now() + Duration::millis(50));
-  EXPECT_EQ(count(replicate::kReplVoteGrant), 0u);
+  EXPECT_EQ(count(at_candidate, replicate::kReplVoteGrant), 0u);
 
   // After promote_timeout of silence, a stale candidate (watermark below
   // this voter's) is still refused — the Raft freshness restriction.
   simulator.run_until(simulator.now() + Duration::millis(400));
-  agent.on_vote_request(vote_req(1, 4), candidate);
+  follower.on_vote_request(vote_req(1, 4), candidate);
   simulator.run_until(simulator.now() + Duration::millis(50));
-  EXPECT_EQ(count(replicate::kReplVoteGrant), 0u);
+  EXPECT_EQ(count(at_candidate, replicate::kReplVoteGrant), 0u);
 
   // A fresh-enough candidate is granted, and the pledge is recorded.
-  agent.on_vote_request(vote_req(1, 5), candidate);
+  follower.on_vote_request(vote_req(1, 5), candidate);
   simulator.run_until(simulator.now() + Duration::millis(50));
-  EXPECT_EQ(count(replicate::kReplVoteGrant), 1u);
-  EXPECT_EQ(agent.max_voted_epoch(), 1u);
+  EXPECT_EQ(count(at_candidate, replicate::kReplVoteGrant), 1u);
+  EXPECT_EQ(follower.max_voted_epoch(), 1u);
 
   // One vote per epoch: a different same-epoch candidate is refused.
   const Guid rival = Guid::random(rng);
   ASSERT_TRUE(network.attach(rival, [](const net::Message&) {}).is_ok());
-  agent.on_vote_request(vote_req(1, 99), rival);
+  follower.on_vote_request(vote_req(1, 99), rival);
   simulator.run_until(simulator.now() + Duration::millis(50));
-  EXPECT_EQ(count(replicate::kReplVoteGrant), 1u);
+  EXPECT_EQ(count(at_candidate, replicate::kReplVoteGrant), 1u);
   EXPECT_EQ(registry_count(simulator.metrics(), "repl.election.votes_granted"),
             1u);
 
   // The fencing half of the pledge: beats below the pledged epoch are not
-  // acked, so the deposed primary can never reassemble a lease majority.
-  agent.on_heartbeat(beat(0, 0, 7), candidate);
+  // answered, so the deposed primary can never reassemble a lease majority.
+  follower.on_heartbeat(beat(0, 0, 7));
   simulator.run_until(simulator.now() + Duration::millis(50));
-  EXPECT_EQ(count(replicate::kReplLeaseAck), 0u);
+  EXPECT_EQ(count(at_primary, replicate::kReplApplied), 0u);
   EXPECT_EQ(registry_count(simulator.metrics(), "repl.lease.acks_refused"), 1u);
-  agent.on_heartbeat(beat(1, 0, 8), candidate);
+  follower.on_heartbeat(beat(1, 0, 8));
   simulator.run_until(simulator.now() + Duration::millis(50));
-  EXPECT_EQ(count(replicate::kReplLeaseAck), 1u);
+  EXPECT_EQ(count(at_primary, replicate::kReplApplied), 1u);
   EXPECT_EQ(registry_count(simulator.metrics(), "repl.lease.acks_sent"), 1u);
 }
 
@@ -326,9 +358,9 @@ TEST(ReplicateTest, LogLeaseAcquiresOnMajorityAndLapsesWithoutIt) {
   ASSERT_TRUE(network
                   .attach(primary,
                           [&](const net::Message& m) {
-                            if (m.type == replicate::kReplLeaseAck &&
+                            if (m.type == replicate::kReplApplied &&
                                 log_ptr != nullptr)
-                              log_ptr->on_lease_ack(m.payload, m.from);
+                              log_ptr->on_applied(m.payload, m.from);
                           })
                   .is_ok());
   bool s1_acks = true;
@@ -344,11 +376,11 @@ TEST(ReplicateTest, LogLeaseAcquiresOnMajorityAndLapsesWithoutIt) {
                             (void)r.varint();  // fingerprint
                             const auto seq = r.varint();
                             net::Message ack;
-                            ack.type = replicate::kReplLeaseAck;
+                            ack.type = replicate::kReplApplied;
                             ack.from = s1;
                             ack.to = primary;
-                            ack.payload = epoch_frame(
-                                static_cast<std::uint32_t>(*epoch), *seq);
+                            ack.payload = beat_ack(
+                                static_cast<std::uint32_t>(*epoch), 0, *seq);
                             (void)network.send(std::move(ack));
                           })
                   .is_ok());
@@ -357,7 +389,7 @@ TEST(ReplicateTest, LogLeaseAcquiresOnMajorityAndLapsesWithoutIt) {
   reliable::ReliableChannel channel(network, primary, {});
   replicate::ReplicationConfig repl;
   repl.heartbeat_period = Duration::millis(100);  // promote_timeout 400 ms
-  replicate::ReplicationLog log(network, channel, repl,
+  replicate::ReplicationLog log(network, channel, kLogLabel, repl,
                                 [] { return std::vector<std::byte>{}; });
   log_ptr = &log;
   log.attach_standby(s1);
@@ -405,7 +437,7 @@ TEST(ReplicateTest, LogLeaseRenewsEveryHeartbeatForOnePromoteTimeout) {
   replicate::ReplicationConfig repl;
   repl.heartbeat_period = Duration::millis(75);  // promote_timeout 300 ms
   const SimTime start = simulator.now();
-  replicate::ReplicationLog log(network, channel, repl,
+  replicate::ReplicationLog log(network, channel, kLogLabel, repl,
                                 [] { return std::vector<std::byte>{}; });
   log.attach_standby(s1);
   log.attach_standby(s2);
@@ -445,7 +477,7 @@ TEST(ReplicateTest, LeaseQuorumJudgedAgainstSendTimeMemberSnapshot) {
   reliable::ReliableChannel channel(network, primary, {});
   replicate::ReplicationConfig repl;
   repl.heartbeat_period = Duration::millis(100);  // promote_timeout 400 ms
-  replicate::ReplicationLog log(network, channel, repl,
+  replicate::ReplicationLog log(network, channel, kLogLabel, repl,
                                 [] { return std::vector<std::byte>{}; });
   for (const Guid g : {s1, s2, s3, s4}) log.attach_standby(g);
 
@@ -457,8 +489,9 @@ TEST(ReplicateTest, LeaseQuorumJudgedAgainstSendTimeMemberSnapshot) {
 
   // A lone ack for the pre-shrink beat must be judged against the 5-member
   // snapshot it was sent to (no majority), not the live 2-member group it
-  // would now dominate.
-  log.on_lease_ack(epoch_frame(0, 1), s1);
+  // would now dominate. s1 is detached by now, yet its answer still counts
+  // toward that beat's quorum.
+  log.on_applied(beat_ack(0, 0, 1), s1);
   EXPECT_EQ(registry_count(simulator.metrics(), "repl.lease.acks"), 1u);
   EXPECT_TRUE(log.holds_lease());  // initial term runs to t=400ms
 
@@ -471,9 +504,81 @@ TEST(ReplicateTest, LeaseQuorumJudgedAgainstSendTimeMemberSnapshot) {
 
   // An ack from a node outside the beat's snapshot is ignored outright.
   const Guid stranger = Guid::random(rng);
-  log.on_lease_ack(epoch_frame(0, 1), stranger);
+  log.on_applied(beat_ack(0, 0, 1), stranger);
   EXPECT_EQ(registry_count(simulator.metrics(), "repl.lease.acks"), 1u);
   EXPECT_FALSE(log.holds_lease());
+}
+
+// A beat's answer carries the applied index, so a lost record ack holds the
+// commit watermark (and the admit acks behind it) for at most one beat.
+TEST(ReplicateTest, NextBeatRepairsALostAppliedAck) {
+  sim::Simulator simulator{42};
+  net::Network network{simulator};
+  Rng rng{7};
+  const Guid primary = Guid::random(rng);
+  const Guid standby = Guid::random(rng);
+  reliable::ReliableChannel primary_channel(network, primary, {});
+  reliable::ReliableChannel standby_channel(network, standby, {});
+  replicate::ReplicationConfig repl;
+  repl.heartbeat_period = Duration::millis(100);
+  replicate::ReplicationLog log(network, primary_channel, kLogLabel, repl,
+                                [] { return std::vector<std::byte>{}; });
+  log.set_sync_acks(1, [](std::uint64_t) {});
+  replicate::ReplicationFollower follower(
+      network, standby, primary, 0, repl, [](const replicate::LogRecord&) {},
+      [](const std::vector<std::byte>&, std::uint64_t) {},
+      [](std::uint32_t) {});
+
+  // The primary drops the first kReplApplied after `drop_next` is set.
+  bool drop_next = false;
+  int dropped = 0;
+  ASSERT_TRUE(network
+                  .attach(primary,
+                          [&](const net::Message& m) {
+                            if (primary_channel.on_message(
+                                    m, [](const net::Message&) {}))
+                              return;
+                            if (m.type != replicate::kReplApplied) return;
+                            if (drop_next) {
+                              drop_next = false;
+                              ++dropped;
+                              return;
+                            }
+                            log.on_applied(m.payload, m.from);
+                          })
+                  .is_ok());
+  ASSERT_TRUE(network
+                  .attach(standby,
+                          [&](const net::Message& m) {
+                            const auto inner = [&](const net::Message& in) {
+                              if (in.type == replicate::kReplRecord)
+                                follower.on_record(in.payload);
+                              if (in.type == replicate::kReplSnapshot)
+                                follower.on_snapshot(in.payload);
+                            };
+                            if (standby_channel.on_message(m, inner)) return;
+                            if (m.type == replicate::kReplHeartbeat)
+                              follower.on_heartbeat(m.payload);
+                          })
+                  .is_ok());
+  log.attach_standby(standby);
+  // Settle the catch-up, then append 2 ms after a beat went out.
+  simulator.run_until(simulator.now() + Duration::millis(1002));
+  ASSERT_FALSE(follower.awaiting_snapshot());
+  ASSERT_EQ(log.committed(), log.head());
+
+  drop_next = true;
+  log.append(replicate::LogRecord{});
+  simulator.run_until(simulator.now() + Duration::millis(10));
+  EXPECT_EQ(dropped, 1);
+  EXPECT_EQ(follower.applied(), log.head());
+  EXPECT_LT(log.committed(), log.head());  // the ack was lost
+
+  // The next beat's answer reports the applied index again.
+  simulator.run_until(simulator.now() +
+                      (repl.heartbeat_period - Duration::millis(10)));
+  EXPECT_EQ(log.committed(), log.head());
+  EXPECT_EQ(log.lag(), 0u);
 }
 
 // Advertises the "pulse" output so a pattern subscription composes onto it.
@@ -530,8 +635,8 @@ struct FailoverFixture {
 };
 
 // The heartbeat is the fencing-lease request: an idle primary sends each
-// standby exactly one raw frame per heartbeat_period and hears one lease
-// ack back from each.
+// standby exactly one raw frame per heartbeat_period and hears one answer
+// back from each.
 TEST(ReplicateTest, IdlePrimarySendsOneBeatPerStandbyPerPeriod) {
   FailoverFixture f(2);
   f.sci.run_for(Duration::seconds(2));  // catch-up settles
@@ -567,6 +672,73 @@ TEST(ReplicateTest, IdlePrimarySendsOneBeatPerStandbyPerPeriod) {
                   standby_before[i],
               kPeriods);
   }
+}
+
+// Census of what an idle primary hears: each standby answers each beat
+// with exactly one frame, and that frame is kReplApplied (the progress
+// report and the lease vote in one).
+TEST(ReplicateTest, IdleStandbysAnswerEachBeatWithOneAppliedAck) {
+  FailoverFixture f(2);
+  f.sci.run_for(Duration::seconds(2));  // catch-up settles
+  const auto standby_list = f.sci.standbys("levelB");
+  ASSERT_EQ(standby_list.size(), 2u);
+  const net::Network& network = f.sci.network();
+  const Guid primary = f.level_b->attached_node();
+  // Open the window half a period after a beat, once its answers are in.
+  const std::uint64_t sent_settled = network.stats(primary).messages_sent;
+  while (network.stats(primary).messages_sent == sent_settled)
+    f.sci.run_for(Duration::millis(1));
+  f.sci.run_for(Duration::millis(100));
+  const obs::TraceBuffer& trace = f.sci.trace();
+  const std::uint64_t recorded_before = trace.total_recorded();
+  const SimTime start = f.sci.simulator().now();
+
+  constexpr std::uint64_t kPeriods = 10;
+  f.sci.run_for(Duration::millis(200) * static_cast<std::int64_t>(kPeriods));
+  // The window must still be in the ring to be counted.
+  ASSERT_LT(trace.total_recorded() - recorded_before, trace.capacity());
+  std::map<Guid, std::uint64_t> frames_from;
+  std::uint64_t other_frames = 0;
+  for (const obs::TraceRecord& record : trace.snapshot()) {
+    if (record.at <= start || record.kind != obs::TraceKind::kMessageDeliver ||
+        record.b != primary)
+      continue;
+    if (record.detail == replicate::kReplApplied) {
+      ++frames_from[record.a];
+    } else {
+      ++other_frames;
+    }
+  }
+  EXPECT_EQ(other_frames, 0u);
+  ASSERT_EQ(frames_from.size(), standby_list.size());
+  for (const range::ContextServer* standby : standby_list) {
+    EXPECT_EQ(frames_from[standby->attached_node()], kPeriods);
+  }
+}
+
+// A promoted server's log counts under the server's own label, so
+// node_counter reads the successor's beats, and the fenced ex-primary's
+// slot stops moving.
+TEST(ReplicateTest, PromotedServerCountsItsLogUnderItsOwnSlot) {
+  FailoverFixture f(2);
+  f.sci.run_for(Duration::seconds(2));
+  range::ContextServer* old_primary = f.level_b;
+  ASSERT_TRUE(f.sci.network().set_crashed(old_primary->id(), true).is_ok());
+  ASSERT_TRUE(
+      f.sci.network().set_crashed(old_primary->server_node(), true).is_ok());
+  f.sci.run_for(Duration::seconds(4));
+
+  range::ContextServer* fresh = f.sci.find_range("levelB");
+  ASSERT_NE(fresh, nullptr);
+  ASSERT_NE(fresh, old_primary);
+  ASSERT_TRUE(fresh->promoted_by_election());
+  ASSERT_NE(fresh->node_counter("repl.heartbeats"), nullptr);
+  const std::uint64_t fresh_before = node_count(*fresh, "repl.heartbeats");
+  const std::uint64_t old_before = node_count(*old_primary, "repl.heartbeats");
+  f.sci.run_for(Duration::seconds(2));
+  // The re-attached sibling hears one beat per 200 ms period.
+  EXPECT_GE(node_count(*fresh, "repl.heartbeats") - fresh_before, 9u);
+  EXPECT_EQ(node_count(*old_primary, "repl.heartbeats"), old_before);
 }
 
 TEST(ReplicateTest, FailoverPreservesSubscriptionsWithoutReRegistration) {
