@@ -261,8 +261,6 @@ void BM_Failover(benchmark::State& state) {
                 static_cast<std::int64_t>(snap.counter("repl.records_shipped")));
     doc.emplace("repl_records_applied",
                 static_cast<std::int64_t>(snap.counter("repl.records_applied")));
-    doc.emplace("repl_snapshots",
-                static_cast<std::int64_t>(snap.counter("repl.snapshots")));
     doc.emplace("repl_state_divergence",
                 static_cast<std::int64_t>(snap.counter("repl.state_divergence")));
     doc.emplace("retransmits",

@@ -121,8 +121,9 @@ class Sci {
 
   // --- replication & failover (docs/REPLICATION.md) ---------------------------
   // Creates one more standby for an existing range and brings it up to date
-  // (snapshot + tail catch-up). create_range calls this standby_count
-  // times; later calls add cold standbys to a live deployment.
+  // (a snapshot taken now, or the log delta above a recovered watermark).
+  // create_range calls this standby_count times; later calls add cold
+  // standbys to a live deployment.
   Expected<range::ContextServer*> add_standby(std::string_view range);
 
   // Standbys currently attached to `range` (empty when none / unknown).

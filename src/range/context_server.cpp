@@ -320,14 +320,13 @@ ContextServer::ContextServer(net::Network& network, RangeConfig config,
     follower_ = std::make_unique<replicate::ReplicationFollower>(
         network_, attached_as_, config_.context_server, config_.epoch,
         config_.replication,
-        [this](const replicate::LogRecord& record) {
+        [this](const replicate::LogRecord& record,
+               const serde::BufferRef& bytes) {
           // WAL before apply: once applied() claims this index, it must
           // survive a crash of this node.
-          if (pstore_ != nullptr) {
-            pstore_->append(follower_->stream_epoch(), record.index,
-                            record.encode());
-          }
-          if (record.index > local_head_) local_head_ = record.index;
+          if (pstore_ != nullptr)
+            pstore_->append(follower_->stream_epoch(), record.index, bytes);
+          log_head_ = std::max(log_head_, record.index);
           apply_record(record);
         },
         [this](const std::vector<std::byte>& blob, std::uint64_t base) {
@@ -384,7 +383,7 @@ ContextServer::ContextServer(net::Network& network, RangeConfig config,
 
 ContextServer::~ContextServer() {
   *alive_ = false;
-  for (DeferredQuery& d : deferred_) network_.simulator().cancel(d.expiry);
+  cancel_query_timers();
   beacon_timer_.reset();
   ping_timer_.reset();
   rate_timer_.reset();
@@ -1088,7 +1087,7 @@ void ContextServer::admit_query(query::Query q, Guid app) {
     return;
   }
   if (q.when.not_before_seconds) {
-    schedule_not_before(q, app);
+    schedule_not_before(std::move(q), app);
     return;
   }
   execute_query(q, app);
@@ -1107,13 +1106,7 @@ void ContextServer::arm_deferred_expiry(DeferredQuery& deferred) {
   // cancel_query/fence/departure/snapshot restore retire it eagerly.
   deferred.expiry = network_.simulator().schedule_at(
       due, [this, alive = alive_, query_id, app] {
-        if (!*alive) return;
-        const auto it = std::find_if(
-            deferred_.begin(), deferred_.end(), [&](const DeferredQuery& d) {
-              return d.query.id == query_id && d.app == app;
-            });
-        if (it == deferred_.end()) return;
-        deferred_.erase(it);
+        if (!*alive || !take_parked(deferred_, app, query_id)) return;
         reply_result(app, query_id,
                      make_error(ErrorCode::kTimeout,
                                 "deferred query expired unanswered"),
@@ -1121,24 +1114,46 @@ void ContextServer::arm_deferred_expiry(DeferredQuery& deferred) {
       });
 }
 
-void ContextServer::schedule_not_before(const query::Query& q, Guid app) {
+void ContextServer::arm_not_before(DeferredQuery& held) {
+  const SimTime at = SimTime::from_micros(
+      static_cast<std::int64_t>(*held.query.when.not_before_seconds * 1e6));
+  // Guarded and retired like a deferred query's expiry.
+  held.expiry = network_.simulator().schedule_at(
+      std::max(network_.simulator().now(), at),
+      [this, alive = alive_, query_id = held.query.id, app = held.app] {
+        if (!*alive) return;
+        auto ready = take_parked(not_before_, app, query_id);
+        if (!ready) return;
+        ready->query.when = query::WhenClause{};
+        execute_query(ready->query, app);
+      });
+}
+
+std::optional<ContextServer::DeferredQuery> ContextServer::take_parked(
+    std::vector<DeferredQuery>& list, Guid app, const std::string& query_id) {
+  const auto it =
+      std::find_if(list.begin(), list.end(), [&](const DeferredQuery& d) {
+        return d.query.id == query_id && d.app == app;
+      });
+  if (it == list.end()) return std::nullopt;
+  DeferredQuery taken = std::move(*it);
+  list.erase(it);
+  return taken;
+}
+
+void ContextServer::schedule_not_before(query::Query q, Guid app) {
   const SimTime at =
       SimTime::from_micros(static_cast<std::int64_t>(
           *q.when.not_before_seconds * 1e6));
   const SimTime now = network_.simulator().now();
-  query::Query ready = q;
-  ready.when = query::WhenClause{};
   if (at <= now) {
-    execute_query(ready, app);
+    q.when = query::WhenClause{};
+    execute_query(q, app);
     return;
   }
   m_queries_deferred_.inc();
-  ++not_before_timers_;
-  network_.simulator().schedule_at(at, [this, alive = alive_, ready, app] {
-    if (!*alive) return;
-    --not_before_timers_;
-    execute_query(ready, app);
-  });
+  not_before_.push_back(DeferredQuery{std::move(q), app, now, {}});
+  arm_not_before(not_before_.back());
 }
 
 void ContextServer::execute_query(const query::Query& q, Guid app) {
@@ -2044,19 +2059,31 @@ bool ContextServer::cancel_query(Guid app, const std::string& query_id) {
     retire_configuration(outcome->config_tag);
     cancelled = cancelled || mediator_.table().size() != before;
   }
-  // Deferred trigger watches (and their expiry timers) and parked retries.
-  std::erase_if(deferred_, [&](DeferredQuery& d) {
-    if (d.app != app || d.query.id != query_id) return false;
-    network_.simulator().cancel(d.expiry);
+  // Parked queries: the standbys withdraw them through the same erase.
+  if (erase_parked_query(app, query_id)) {
     cancelled = true;
-    return true;
-  });
-  std::erase_if(pending_, [&](const DeferredQuery& d) {
-    if (d.app != app || d.query.id != query_id) return false;
-    cancelled = true;
-    return true;
-  });
+    serde::Writer w;
+    w.string(query_id);
+    log_record(replicate::RecordKind::kQueryCancel, app, 0, w.take_ref());
+  }
   return cancelled;
+}
+
+void ContextServer::cancel_query_timers() {
+  for (const auto* list : {&deferred_, &pending_, &not_before_}) {
+    for (const DeferredQuery& d : *list) network_.simulator().cancel(d.expiry);
+  }
+}
+
+bool ContextServer::erase_parked_query(Guid app, const std::string& query_id) {
+  bool erased = false;
+  for (auto* list : {&deferred_, &pending_, &not_before_}) {
+    while (const auto parked = take_parked(*list, app, query_id)) {
+      network_.simulator().cancel(parked->expiry);
+      erased = true;
+    }
+  }
+  return erased;
 }
 
 // ---------------------------------------------------------------------------
@@ -2320,8 +2347,7 @@ void ContextServer::mirror_pull_answered(unsigned sibling) {
     const std::uint64_t index = log_query(p.app, std::move(p.wire));
     admit_query(std::move(p.query), p.app);
     if (p.hold_until_committed && index != 0 && !admit_complete(index)) {
-      sync_waiting_[index].push_back(
-          [this, ack = p.ack] { channel_.release_ack(ack); });
+      held_admits_.push_back(HeldAdmit{index, p.ack, {}});
     } else {
       channel_.release_ack(p.ack);
     }
@@ -3153,29 +3179,16 @@ std::uint64_t ContextServer::log_record(replicate::RecordKind kind,
       kind == replicate::RecordKind::kDeparture) {
     unlogged_mirrors_.erase(subject);
   }
-  replicate::LogRecord record;
-  record.kind = kind;
-  record.subject = subject;
-  record.flag = flag;
-  record.payload = std::move(payload);
-  if (repl_log_ != nullptr) {
-    record.index = repl_log_->head() + 1;
-    persist_record(record);
-    const std::uint64_t index = repl_log_->append(std::move(record));
-    local_head_ = index;
-    return index;
-  }
-  // No standbys yet: the WAL alone carries the op. Indices continue the
-  // same per-node sequence so a repl log created later (attach_standby)
-  // seeds its head from local_head_ and stays contiguous.
-  record.index = ++local_head_;
-  persist_record(record);
-  return record.index;
-}
-
-void ContextServer::persist_record(const replicate::LogRecord& record) {
-  if (pstore_ == nullptr) return;
-  pstore_->append(channel_.epoch(), record.index, record.encode());
+  // Minted and encoded once: the WAL entry is the record inside the frame
+  // the standbys receive.
+  const replicate::LogRecord record{++log_head_, kind, subject, flag,
+                                    std::move(payload)};
+  const serde::BufferRef frame =
+      replicate::frame_record(channel_.epoch(), record);
+  if (pstore_ != nullptr)
+    pstore_->append(channel_.epoch(), log_head_, replicate::record_bytes(frame));
+  if (repl_log_ != nullptr) repl_log_->append(log_head_, frame);
+  return log_head_;
 }
 
 bool ContextServer::admit_complete(std::uint64_t index) const {
@@ -3189,43 +3202,30 @@ bool ContextServer::admit_complete(std::uint64_t index) const {
   return repl_ok && durable_ok;
 }
 
-void ContextServer::hold_admit_until_committed(
-    std::uint64_t index, std::function<void()> completion) {
+void ContextServer::hold_admit_until_committed(std::uint64_t index,
+                                               std::function<void()> reply) {
   if (index == 0 || admit_complete(index)) {
     // No log, or already committed and durable (a degraded group commits
     // at append): complete immediately.
-    if (completion) completion();
+    if (reply) reply();
     return;
   }
-  auto& waiters = sync_waiting_[index];
   // The channel-level ack is the admit signal for ops whose only reply is
   // the ack itself (publish, renew); hold it until the commit watermark
   // passes this record. Raw-path ops have no ack to hold (invalid ticket).
-  if (const reliable::AckTicket ticket = channel_.hold_current_ack();
-      ticket.valid) {
-    waiters.push_back([this, ticket] { channel_.release_ack(ticket); });
-  }
-  if (completion) waiters.push_back(std::move(completion));
+  held_admits_.push_back(
+      HeldAdmit{index, channel_.hold_current_ack(), std::move(reply)});
 }
 
 void ContextServer::release_completed_admits() {
-  while (!sync_waiting_.empty() &&
-         admit_complete(sync_waiting_.begin()->first)) {
-    std::vector<std::function<void()>> waiters =
-        std::move(sync_waiting_.begin()->second);
-    sync_waiting_.erase(sync_waiting_.begin());
-    for (const auto& waiter : waiters) waiter();
+  // Indices are held in minting order, so the front completes first.
+  while (!held_admits_.empty() &&
+         admit_complete(held_admits_.front().index)) {
+    const HeldAdmit held = std::move(held_admits_.front());
+    held_admits_.pop_front();
+    channel_.release_ack(held.ack);
+    if (held.reply) held.reply();
   }
-}
-
-void ContextServer::on_commit_advanced(std::uint64_t committed) {
-  (void)committed;
-  release_completed_admits();
-}
-
-void ContextServer::on_durable_advanced(std::uint64_t watermark) {
-  (void)watermark;
-  release_completed_admits();
 }
 
 void ContextServer::init_durable_store() {
@@ -3236,7 +3236,7 @@ void ContextServer::init_durable_store() {
       config_.durability);
   pstore_->set_snapshot_provider([this] { return snapshot_state(); });
   pstore_->set_durable_callback(
-      [this](std::uint64_t watermark) { on_durable_advanced(watermark); });
+      [this](std::uint64_t) { release_completed_admits(); });
   recover_from_store();
   pstore_->start_checkpoint_timer([this] { return channel_.epoch(); });
 }
@@ -3269,7 +3269,7 @@ void ContextServer::recover_from_store() {
   // gets a replacing snapshot instead of a delta over divergent indices.
   recovered_epoch_ = rec.epoch;
   recovered_watermark_ = rec.watermark;
-  local_head_ = rec.watermark;
+  log_head_ = rec.watermark;
   if (rec.tail_truncated) {
     SCI_WARN(kTag, "%s: WAL tail damaged (%s) — truncated at watermark %llu",
              config_.name.c_str(), serde::to_string(rec.stop),
@@ -3338,6 +3338,13 @@ void ContextServer::apply_record(const replicate::LogRecord& record) {
       auto parsed = query::Query::parse(wire->xml);
       if (!parsed) return;
       admit_query(std::move(*parsed), wire->app);
+      return;
+    }
+    case replicate::RecordKind::kQueryCancel: {
+      serde::Reader r(record.payload);
+      if (const auto query_id = r.string()) {
+        (void)erase_parked_query(record.subject, *query_id);
+      }
       return;
     }
     case replicate::RecordKind::kConfigRetire:
@@ -3508,8 +3515,9 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
     w.varint(edge_subscriptions_.at(key));
   }
 
-  // Parked queries (trigger-deferred, then unresolvable-pending).
-  for (const std::vector<DeferredQuery>* list : {&deferred_, &pending_}) {
+  // Parked queries (trigger-deferred, unresolvable-pending, not-before).
+  for (const std::vector<DeferredQuery>* list :
+       {&deferred_, &pending_, &not_before_}) {
     w.varint(list->size());
     for (const DeferredQuery& d : *list) {
       w.string(d.query.to_xml());
@@ -3575,7 +3583,8 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
 void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
                                          std::uint64_t base_index) {
   // Replace local state wholesale. A decode failure abandons the apply with
-  // a warning — the next periodic snapshot retries from scratch.
+  // a warning and leaves the state cleared: nothing re-ships a snapshot to
+  // an attached standby, so only a re-attach repairs it.
   registrar_.clear();
   profiles_.clear();
   mediator_.mutable_table().clear();
@@ -3584,9 +3593,8 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
   tracked_.clear();
   app_edges_.clear();
   edge_subscriptions_.clear();
-  for (DeferredQuery& d : deferred_) network_.simulator().cancel(d.expiry);
-  deferred_.clear();
-  pending_.clear();
+  cancel_query_timers();
+  for (auto* list : {&deferred_, &pending_, &not_before_}) list->clear();
   publish_seen_.clear();
   recent_events_.clear();
   mirrored_subs_.clear();
@@ -3671,7 +3679,8 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
       edge_subscriptions_[std::move(key)] = id;
     }
 
-    for (std::vector<DeferredQuery>* list : {&deferred_, &pending_}) {
+    for (std::vector<DeferredQuery>* list :
+         {&deferred_, &pending_, &not_before_}) {
       SCI_TRY_ASSIGN(n, r.varint());
       for (std::uint64_t i = 0; i < n; ++i) {
         SCI_TRY_ASSIGN(xml, r.string());
@@ -3682,6 +3691,7 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
         list->push_back(DeferredQuery{std::move(*parsed), app,
                                       SimTime::from_micros(stored_at), {}});
         if (list == &deferred_) arm_deferred_expiry(deferred_.back());
+        if (list == &not_before_) arm_not_before(not_before_.back());
       }
     }
 
@@ -3775,9 +3785,9 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
              applied.error().message().c_str());
     return;
   }
-  // The snapshot defines the index space from its base: re-seat the local
-  // head (recovery tail replay or follower records move it forward again).
-  local_head_ = base_index;
+  // The snapshot defines the index space from its base: re-seat the head
+  // (recovery tail replay or follower records move it forward again).
+  log_head_ = base_index;
   SCI_DEBUG(kTag, "%s: applied snapshot at base %llu (%zu members, %zu subs)",
             config_.name.c_str(), static_cast<unsigned long long>(base_index),
             registrar_.size(), mediator_.table().size());
@@ -3818,16 +3828,16 @@ void ContextServer::attach_standby(Guid standby_node, std::uint32_t from_epoch,
   SCI_ASSERT_MSG(config_.role == RangeConfig::Role::kPrimary && !fenced_,
                  "only an active primary replicates");
   if (repl_log_ == nullptr) {
+    // The log continues this server's index sequence: ops minted while no
+    // standby was attached (WAL-only mode) or recovered from disk keep
+    // their indices.
     repl_log_ = std::make_unique<replicate::ReplicationLog>(
         network_, channel_, metrics_label_, config_.replication,
         [this] { return snapshot_state(); },
-        [this] { return state_fingerprint(); });
-    // Ops minted while no standby was attached (WAL-only mode) used the same
-    // per-node index sequence: continue it rather than restarting at zero.
-    if (local_head_ > 0) repl_log_->seed_head(local_head_);
+        [this] { return state_fingerprint(); }, log_head_);
     repl_log_->set_sync_acks(
         config_.replication.sync_acks,
-        [this](std::uint64_t c) { on_commit_advanced(c); });
+        [this](std::uint64_t) { release_completed_admits(); });
     // Replicating under elections means the right to admit is leased from
     // the group, not assumed: the log holds the fencing lease from creation
     // under this epoch, which it keeps for its lifetime.
@@ -3844,7 +3854,7 @@ void ContextServer::promote(Guid join_via) {
   SCI_ASSERT_MSG(config_.role == RangeConfig::Role::kStandby && !fenced_,
                  "promote() is a standby-only transition");
   if (follower_ != nullptr) {
-    local_head_ = std::max(local_head_, follower_->applied());
+    log_head_ = std::max(log_head_, follower_->applied());
   }
   // The follower's job is done: the win (if any) is recorded in
   // elected_epoch_, and a primary must not keep answering vote traffic
@@ -3922,7 +3932,7 @@ void ContextServer::fence() {
   // never run against a fenced instance: cancel what we can reach and flip
   // the liveness flag for the rest.
   *alive_ = false;
-  for (DeferredQuery& d : deferred_) network_.simulator().cancel(d.expiry);
+  cancel_query_timers();
   beacon_timer_.reset();
   ping_timer_.reset();
   rate_timer_.reset();
@@ -3952,7 +3962,7 @@ void ContextServer::fence() {
   // Held admit acks die unsent: the ops were never acknowledged, so clients
   // retransmit them to the successor. channel_.halt() below drops the
   // deferred-ack bookkeeping to match.
-  sync_waiting_.clear();
+  held_admits_.clear();
   mediator_.set_silent(true);
   channel_.halt();
   scinet_.reset();  // releases the range overlay id for the successor

@@ -268,9 +268,10 @@ class ContextServer {
   // Primary: enrol `standby_node` as a replica and bring it up to date.
   // A rejoining node that recovered state from its WAL announces the
   // incarnation and index it reached as (from_epoch, from_index); when they
-  // match this log's index space only the delta above the watermark ships
-  // (docs/DURABILITY.md), otherwise the full snapshot + retained tail.
-  // Creates the replication log on first use.
+  // match this log's index space and the log's tail still reaches back to
+  // the watermark, only the delta above it ships (docs/DURABILITY.md),
+  // otherwise a snapshot taken now. Creates the replication log on first
+  // use.
   void attach_standby(Guid standby_node, std::uint32_t from_epoch = 0,
                       std::uint64_t from_index = 0);
   void detach_standby(Guid standby_node);
@@ -424,8 +425,9 @@ class ContextServer {
   [[nodiscard]] std::optional<QueryOutcome> query_outcome(
       Guid app, const std::string& query_id) const;
   // Tears down whatever (app, query_id) left behind: tracked configurations
-  // and their subscriptions, deferred trigger watches, parked pending
-  // retries. Returns true when anything was cancelled.
+  // and their subscriptions, deferred trigger watches, not_before waits,
+  // parked pending retries. Replicated: the standbys drop the same state.
+  // Returns true when anything was cancelled.
   bool cancel_query(Guid app, const std::string& query_id);
 
   // --- direct subscriptions ------------------------------------------------
@@ -584,7 +586,12 @@ class ContextServer {
   // --- deferred queries -----------------------------------------------------------
   void check_triggers(const event::Event& event,
                       const location::LocRef& new_location);
-  void schedule_not_before(const query::Query& q, Guid app);
+  // Runs `q` now when its not_before time has passed, else parks it in
+  // not_before_ until then.
+  void schedule_not_before(query::Query q, Guid app);
+  // Withdraws (app, query_id) from every parked-query list, timers
+  // included. Returns true when anything was erased.
+  bool erase_parked_query(Guid app, const std::string& query_id);
 
   // --- sharding internals (docs/SHARDING.md) -------------------------------
   [[nodiscard]] Guid shard_node(unsigned index) const {
@@ -644,11 +651,11 @@ class ContextServer {
   // the caller runs its follow-on work now.
   bool note_mirror_change(Guid subject, bool must_log);
   // True while this server holds state that re-resolves over mirrors when
-  // a log record replays: configurations, parked or deferred queries, or a
-  // not-before timer.
+  // a log record replays: configurations, or parked, deferred or
+  // not-before queries.
   [[nodiscard]] bool reads_mirrors() const {
     return !tracked_.empty() || !pending_.empty() || !deferred_.empty() ||
-           not_before_timers_ > 0;
+           !not_before_.empty();
   }
   // Writes one kShardProfile/kShardDrop record per unlogged mirror, encoded
   // from the current profile, then clears the set.
@@ -743,9 +750,10 @@ class ContextServer {
   void note_view_drops(std::size_t dropped);
 
   // --- replication ---------------------------------------------------------
-  // Appends a record to the replication log when one exists (primary with
-  // standbys) and returns its log index; returns 0 (no sync wait possible)
-  // otherwise, so the hot path costs one branch.
+  // Mints the next index for a record, encodes it once into its
+  // replication frame, and hands that frame to the replication log and its
+  // record bytes to the WAL, whichever exist. Returns the index; 0 (no sync
+  // wait possible) when neither exists, so the hot path costs one branch.
   std::uint64_t log_record(replicate::RecordKind kind, Guid subject,
                            std::uint64_t flag, serde::BufferRef payload);
   // Follower apply callback: replays one primary operation locally.
@@ -758,12 +766,11 @@ class ContextServer {
   // apply_record (standby) so both sides mutate state identically.
   Status admit_registration(Guid component,
                             const entity::RegisterRequestBody& body);
-  // Replication commit (ReplicationOptions::sync_acks): defer the admit
-  // ack of the record at `index` until enough standbys applied it. `ack` is the
-  // client-visible completion (held channel ack and/or a reply thunk).
+  // Replication commit (ReplicationOptions::sync_acks): defer the admit of
+  // the record at `index` — the current frame's channel ack and `reply`,
+  // if any — until enough standbys applied it and it is durable.
   void hold_admit_until_committed(std::uint64_t index,
-                                  std::function<void()> completion);
-  void on_commit_advanced(std::uint64_t committed);
+                                  std::function<void()> reply);
   // --- durability internals (docs/DURABILITY.md) ---------------------------
   // An admitted op completes (acks release) only when BOTH its replication
   // commit requirement (sync_acks) and its durability requirement
@@ -772,8 +779,6 @@ class ContextServer {
   void release_completed_admits();
   void init_durable_store();
   void recover_from_store();
-  void persist_record(const replicate::LogRecord& record);
-  void on_durable_advanced(std::uint64_t watermark);
   // Store + dispatch + trigger stage of handle_publish, shared with
   // apply_record.
   void ingest_publish(const entity::PublishBody& body);
@@ -803,22 +808,37 @@ class ContextServer {
   compose::ConfigurationStore store_;
   std::unique_ptr<overlay::ScinetNode> scinet_;
 
-  // Queries waiting on a when-trigger.
+  // A parked query: waiting on a when-trigger, a not_before time or its
+  // sources.
   struct DeferredQuery {
     query::Query query;
     Guid app;
     SimTime stored_at;
-    // Expiry timer, cancelled when the query fires, is cancelled, or the
-    // server is fenced/destroyed (the closure would otherwise outlive us).
+    // Its expiry or not_before timer, cancelled when the query fires, is
+    // cancelled, or the server is fenced/destroyed (the closure would
+    // otherwise outlive us).
     sim::TimerHandle expiry;
   };
   // Schedules the kTimeout reply at stored_at + expires_after (now, if that
   // has passed); a no-op for queries without an expiry.
   void arm_deferred_expiry(DeferredQuery& deferred);
+  // Schedules the query's run at its not_before time (now, if that has
+  // passed).
+  void arm_not_before(DeferredQuery& held);
+  // Removes the first entry of `list` for (app, query_id) and returns it;
+  // nullopt when there is none (cancelled, fired or restored away).
+  std::optional<DeferredQuery> take_parked(std::vector<DeferredQuery>& list,
+                                           Guid app,
+                                           const std::string& query_id);
+  // Cancels every parked query's timer (the lists stay as they are).
+  void cancel_query_timers();
+  // Queries waiting on a when-trigger.
   std::vector<DeferredQuery> deferred_;
   // Subscription queries that could not be resolved yet (waiting for
   // sources to arrive).
   std::vector<DeferredQuery> pending_;
+  // Queries waiting for their not_before time.
+  std::vector<DeferredQuery> not_before_;
 
   // Edge bookkeeping: share-key -> subscription id, so retired plan edges
   // can find their subscriptions.
@@ -876,9 +896,9 @@ class ContextServer {
 
   // --- durability state (docs/DURABILITY.md) -------------------------------
   std::unique_ptr<persist::ShardStore> pstore_;  // nullptr = durability off
-  // Indices minted for durable records before any replication log exists (a
-  // lone durable primary); a later repl log continues above it (seed_head).
-  std::uint64_t local_head_ = 0;
+  // The last log index minted, applied or recovered here: the one index
+  // sequence of WAL and replication log alike (log_record mints above it).
+  std::uint64_t log_head_ = 0;
   bool recovering_ = false;      // constructor replaying WAL — stay silent
   bool recovered_any_ = false;
   std::uint32_t recovered_epoch_ = 0;
@@ -890,8 +910,14 @@ class ContextServer {
   std::unique_ptr<replicate::ReplicationFollower> follower_;
   std::uint32_t elected_epoch_ = 0;  // epoch of the vote that promoted us
   std::set<std::uint32_t> lease_epochs_;
-  // Admit acks held for the replication commit, keyed by log index.
-  std::map<std::uint64_t, std::vector<std::function<void()>>> sync_waiting_;
+  // Admits held for the replication commit and the WAL fsync, in index
+  // order: the held channel ack (invalid when there is none) and the reply.
+  struct HeldAdmit {
+    std::uint64_t index = 0;
+    reliable::AckTicket ack;
+    std::function<void()> reply;
+  };
+  std::deque<HeldAdmit> held_admits_;
   PromoteRequestHandler on_promote_requested_;
   Guid attached_as_;     // current network identity (CS node or standby node)
   bool fenced_ = false;
@@ -928,8 +954,6 @@ class ContextServer {
   // Sibling mirrors applied here but not yet logged, in GUID order. Held
   // only while a log exists; empty whenever reads_mirrors().
   std::set<Guid> unlogged_mirrors_;
-  // Outstanding schedule_not_before timers.
-  std::size_t not_before_timers_ = 0;
   // Mirror rebuild: siblings yet to answer the pull tagged
   // mirror_pull_id_, subjects whose mirror frames arrived since it started,
   // and the queries parked until it is done (arrival order).

@@ -11,8 +11,6 @@ namespace sci::replicate {
 namespace {
 
 constexpr const char* kTag = "replicate";
-// Periodic snapshot cadence (truncates the retained tail).
-constexpr Duration kSnapshotInterval = Duration::seconds(10);
 // How many recent beats stay correlatable with late answers. Beyond one
 // lease_duration of beats the extension an old ack could grant is already
 // in the past, so a short window loses nothing.
@@ -52,19 +50,19 @@ const char* to_string(RecordKind kind) {
       return "handoff_commit";
     case RecordKind::kHandoffAbort:
       return "handoff_abort";
+    case RecordKind::kQueryCancel:
+      return "query_cancel";
   }
   return "unknown";
 }
 
-serde::BufferRef LogRecord::encode() const {
-  serde::Writer w(payload.size() + 48);
+void LogRecord::encode(serde::Writer& w) const {
   w.varint(index);
   w.u8(static_cast<std::uint8_t>(kind));
   w.guid(subject);
   w.varint(flag);
   w.varint(payload.size());
   w.raw(payload.data(), payload.size());
-  return w.take_ref();
 }
 
 Expected<LogRecord> LogRecord::decode(const serde::BufferRef& bytes) {
@@ -87,11 +85,16 @@ Expected<LogRecord> LogRecord::decode(const serde::BufferRef& bytes) {
 }
 
 serde::BufferRef frame_record(std::uint32_t epoch, const LogRecord& record) {
-  const serde::BufferRef inner = record.encode();
-  serde::Writer w(inner.size() + 8);
+  serde::Writer w(record.payload.size() + 56);
   w.varint(epoch);
-  w.raw(inner.data(), inner.size());
+  record.encode(w);
   return w.take_ref();
+}
+
+serde::BufferRef record_bytes(const serde::BufferRef& frame) {
+  serde::Reader r(frame);
+  (void)r.varint();  // epoch
+  return frame.slice(frame.size() - r.remaining(), r.remaining());
 }
 
 serde::BufferRef encode_snapshot(std::uint32_t epoch,
@@ -113,12 +116,14 @@ ReplicationLog::ReplicationLog(net::Network& network,
                                std::string_view metrics_label,
                                ReplicationConfig config,
                                SnapshotProvider snapshot,
-                               FingerprintProvider fingerprint)
+                               FingerprintProvider fingerprint,
+                               std::uint64_t head)
     : network_(network),
       channel_(channel),
       config_(config),
       snapshot_(std::move(snapshot)),
       fingerprint_(std::move(fingerprint)),
+      head_(head),
       // Initial grace term: at creation the primary is by construction the
       // only incarnation (standbys need a full promote_timeout of silence
       // before any candidacy), so it holds the lease for one term and must
@@ -131,7 +136,6 @@ ReplicationLog::ReplicationLog(net::Network& network,
   };
   m_records_appended_ = twin("repl.records_appended");
   m_records_shipped_ = twin("repl.records_shipped");
-  m_snapshots_ = twin("repl.snapshots");
   m_heartbeats_ = twin("repl.heartbeats");
   m_delta_catchups_ = twin("repl.catchup.delta");
   m_delta_bytes_ = twin("repl.catchup.delta_bytes");
@@ -140,17 +144,9 @@ ReplicationLog::ReplicationLog(net::Network& network,
   m_lease_acks_ = twin("repl.lease.acks");
   m_lease_lapses_ = twin("repl.lease.lapses");
   m_lag_ = &metrics.gauge("repl.lag", metrics_label);
-  snapshot_timer_.emplace(network_.simulator(), kSnapshotInterval,
-                          [this] { take_snapshot(); });
-  snapshot_timer_->start();
   heartbeat_timer_.emplace(network_.simulator(), config_.heartbeat_period,
                            [this] { heartbeat_tick(); });
   heartbeat_timer_->start();
-}
-
-ReplicationLog::~ReplicationLog() {
-  snapshot_timer_.reset();
-  heartbeat_timer_.reset();
 }
 
 void ReplicationLog::attach_standby(Guid node, std::uint32_t from_epoch,
@@ -158,38 +154,34 @@ void ReplicationLog::attach_standby(Guid node, std::uint32_t from_epoch,
   SCI_ASSERT(!node.is_nil());
   if (applied_.contains(node)) return;
   // Delta catch-up: the rejoiner's recovered watermark names a prefix of
-  // *this* log (same incarnation, at or above the snapshot base), so only
-  // the records above it need to travel. A watermark from another epoch is
-  // meaningless here — and possibly a fenced incarnation's — so anything
-  // else takes the full snapshot path, which replaces the rejoiner's state.
-  const bool delta = from_index > 0 && from_epoch == channel_.epoch() &&
-                     from_index >= snapshot_base_ && from_index <= head_;
-  std::uint64_t floor = snapshot_base_;
-  if (delta) {
-    floor = from_index;
+  // *this* log (same incarnation), and the tail still holds every frame
+  // above it. A watermark from another epoch is meaningless here — and
+  // possibly a fenced incarnation's — so anything else takes the full path,
+  // whose snapshot replaces the rejoiner's state.
+  const std::uint64_t tail_base = head_ - tail_.size();
+  if (from_index > 0 && from_epoch == channel_.epoch() &&
+      from_index >= tail_base && from_index <= head_) {
     m_delta_catchups_.inc();
+    for (std::size_t i = from_index - tail_base; i < tail_.size(); ++i) {
+      m_records_shipped_.inc();
+      m_delta_bytes_.inc(tail_[i].size());
+      channel_.send(node, kReplRecord, tail_[i]);
+    }
+    applied_[node] = from_index;
   } else {
     m_full_catchups_.inc();
-    ship_snapshot(node);
+    const serde::BufferRef wire =
+        encode_snapshot(channel_.epoch(), head_, snapshot_());
+    snapshot_bytes_ = wire.size();
+    m_snapshot_bytes_.inc(wire.size());
+    channel_.send(node, kReplSnapshot, wire);
+    trim_tail();
+    // The standby holds nothing until it says so: counting the snapshot's
+    // base as applied would commit records no standby has yet.
+    applied_[node] = 0;
   }
-  for (const LogRecord& record : tail_) {
-    if (record.index <= floor) continue;
-    m_records_shipped_.inc();
-    const serde::BufferRef wire = frame_record(channel_.epoch(), record);
-    if (delta) m_delta_bytes_.inc(wire.size());
-    channel_.send(node, kReplRecord, wire);
-  }
-  applied_[node] = floor;
   update_lag();
   update_committed();
-}
-
-void ReplicationLog::seed_head(std::uint64_t head) {
-  if (head <= head_) return;
-  SCI_ASSERT_MSG(tail_.empty() && !have_snapshot_,
-                 "seed_head on a log that already appended");
-  head_ = head;
-  snapshot_base_ = head;
 }
 
 void ReplicationLog::detach_standby(Guid node) {
@@ -200,21 +192,28 @@ void ReplicationLog::detach_standby(Guid node) {
   update_committed();
 }
 
-std::uint64_t ReplicationLog::append(LogRecord record) {
-  record.index = ++head_;
+void ReplicationLog::append(std::uint64_t index, serde::BufferRef frame) {
+  SCI_ASSERT_MSG(index == head_ + 1, "log indices are minted contiguously");
+  head_ = index;
   m_records_appended_.inc();
-  tail_.push_back(std::move(record));
   // Ship at once: the client admit ack waits on the standbys' apply.
-  if (!applied_.empty()) {
-    const serde::BufferRef wire = frame_record(channel_.epoch(), tail_.back());
-    for (const auto& [standby, applied] : applied_) {
-      m_records_shipped_.inc();
-      channel_.send(standby, kReplRecord, wire);
-    }
+  for (const auto& [standby, applied] : applied_) {
+    m_records_shipped_.inc();
+    channel_.send(standby, kReplRecord, frame);
   }
+  tail_bytes_ += frame.size();
+  tail_.push_back(std::move(frame));
+  trim_tail();
   update_lag();
   update_committed();  // a degraded group commits at append
-  return head_;
+}
+
+void ReplicationLog::trim_tail() {
+  // Keep history only while resending it is cheaper than a snapshot.
+  while (!tail_.empty() && tail_bytes_ >= snapshot_bytes_) {
+    tail_bytes_ -= tail_.front().size();
+    tail_.pop_front();
+  }
 }
 
 void ReplicationLog::on_applied(serde::FrameView payload, Guid standby) {
@@ -306,25 +305,6 @@ std::vector<Guid> ReplicationLog::standbys() const {
   for (const auto& [standby, applied] : applied_) out.push_back(standby);
   std::sort(out.begin(), out.end());
   return out;
-}
-
-void ReplicationLog::take_snapshot() {
-  snapshot_blob_ = snapshot_();
-  snapshot_base_ = head_;
-  have_snapshot_ = true;
-  tail_.clear();
-  m_snapshots_.inc();
-  SCI_DEBUG(kTag, "snapshot at index %llu (%zu bytes)",
-            static_cast<unsigned long long>(snapshot_base_),
-            snapshot_blob_.size());
-}
-
-void ReplicationLog::ship_snapshot(Guid standby) {
-  if (!have_snapshot_) take_snapshot();
-  const serde::BufferRef wire =
-      encode_snapshot(channel_.epoch(), snapshot_base_, snapshot_blob_);
-  m_snapshot_bytes_.inc(wire.size());
-  channel_.send(standby, kReplSnapshot, wire);
 }
 
 void ReplicationLog::heartbeat_tick() {
@@ -447,11 +427,11 @@ void ReplicationFollower::drain_gap() {
   while (!gap_.empty() && gap_.begin()->first <= applied_)
     gap_.erase(gap_.begin());
   while (!gap_.empty() && gap_.begin()->first == applied_ + 1) {
-    const LogRecord head = std::move(gap_.begin()->second);
+    const auto [record, bytes] = std::move(gap_.begin()->second);
     gap_.erase(gap_.begin());
-    applied_ = head.index;
+    applied_ = record.index;
     m_records_applied_->inc();
-    apply_record_(head);
+    apply_record_(record, bytes);
   }
 }
 
@@ -471,7 +451,7 @@ void ReplicationFollower::on_record(const serde::BufferRef& payload) {
   // the snapshot lands. Otherwise an index at or below applied_ is a
   // duplicate.
   if (await_snapshot_ || record->index > applied_)
-    gap_.emplace(record->index, std::move(*record));
+    gap_.emplace(record->index, std::make_pair(std::move(*record), inner));
   drain_gap();  // applies the contiguous run at applied_ + 1, if formed
   ack();
 }

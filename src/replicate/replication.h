@@ -10,16 +10,18 @@
 //
 // Split of responsibilities:
 //
-//  * ReplicationLog (primary side) — assigns a monotonically increasing
-//    index to every state-mutating operation the CS admits, retains the
-//    tail since the last snapshot, and ships each record to every attached
-//    standby over the CS's ReliableChannel (kReplRecord) the moment it is
-//    appended. A periodic snapshot (kReplSnapshot, bytes produced by a
-//    provider callback the CS supplies) truncates the tail and lets a cold
-//    standby catch up without replaying history. Standbys ack their applied
-//    index (kReplApplied, raw, epoch-stamped — acks from superseded
-//    incarnations are ignored); a record commits once sync_acks standbys
-//    applied it, and the `repl.lag{node=…}` gauge tracks head − min(applied).
+//  * ReplicationLog (primary side) — ships every record the CS appends (the
+//    CS mints its index and builds its kReplRecord frame once) to every
+//    attached standby over the CS's ReliableChannel the moment it is
+//    appended. A standby that attaches cold gets a snapshot of the state at
+//    that moment (kReplSnapshot, bytes produced by a provider callback the
+//    CS supplies); the log keeps no copy of it. The log keeps only a tail
+//    of recent frames, smaller in bytes than the last snapshot it shipped,
+//    so a WAL-recovered standby rejoins by delta only while that is the
+//    cheaper transfer. Standbys ack their applied index (kReplApplied, raw,
+//    epoch-stamped — acks from superseded incarnations are ignored); a
+//    record commits once sync_acks standbys applied it, and the
+//    `repl.lag{node=…}` gauge tracks head − min(applied).
 //    The log also holds the group's fencing lease: every heartbeat is a
 //    lease request, and a majority ack of one beat extends the lease to
 //    that beat's send time plus promote_timeout.
@@ -71,7 +73,7 @@
 // incarnation must never satisfy a new-incarnation gap), and buffers
 // records until it has a snapshot of the current epoch — so a standby that
 // survives a failover resynchronises cleanly against the promoted primary's
-// fresh log, whose indices restart from its own snapshot base.
+// fresh log, whose indices continue from the promoted server's own head.
 //
 // The module deliberately knows nothing about the Context Server: state
 // semantics enter only through std::function callbacks, and the CS routes
@@ -88,6 +90,7 @@
 #include <set>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/expected.h"
@@ -130,20 +133,21 @@ enum class RecordKind : std::uint8_t {
   kHandoffStaged = 15,    // publish/profile op parked during a freeze
   kHandoffCommit = 17,    // handoff committed: map epoch bump + new owner
   kHandoffAbort = 18,     // handoff abandoned: staged ops re-ingested
+  kQueryCancel = 19,      // an app withdrew a parked query (payload: its id)
 };
 const char* to_string(RecordKind kind);
 
 struct LogRecord {
-  std::uint64_t index = 0;  // assigned by ReplicationLog::append
+  std::uint64_t index = 0;  // minted by the Context Server
   RecordKind kind = RecordKind::kRegister;
   Guid subject;             // the component/entity the record is about
   std::uint64_t flag = 0;   // kind-specific scalar (e.g. failure bit)
-  // Opaque CS-owned body. Shared by reference along the whole pipeline:
-  // the primary's retained tail, shipped frames, the follower's gap buffer
-  // and the WAL append all hold the same pooled block (docs/MEMORY.md).
+  // Opaque CS-owned body. Shared by reference along the follower's
+  // pipeline: the received frame, the gap buffer and the WAL append all
+  // hold the same pooled block (docs/MEMORY.md).
   serde::BufferRef payload;
 
-  [[nodiscard]] serde::BufferRef encode() const;
+  void encode(serde::Writer& w) const;
   // The decoded payload is a zero-copy slice of `bytes`.
   static Expected<LogRecord> decode(const serde::BufferRef& bytes);
 };
@@ -175,19 +179,21 @@ using FingerprintProvider = std::function<std::uint64_t()>;
 // least one standby attached.
 class ReplicationLog {
  public:
-  // Produces the full-state blob a cold standby needs; called for periodic
-  // snapshots and when a standby attaches.
+  // Produces the full-state blob a cold standby needs; called once per
+  // full catch-up, between message handlers.
   using SnapshotProvider = std::function<std::vector<std::byte>()>;
 
   // `channel` is the primary CS's reliable channel (envelopes carry the CS
   // node identity and epoch). `metrics_label` is the owner's label slot
   // (e.g. "node=<GUID>"), which the log's counters and `repl.lag` gauge
-  // share with it.
+  // share with it. `head` is the owner's last minted index: a node that
+  // logged to its WAL before any standby attached, or recovered state from
+  // disk, continues that sequence.
   ReplicationLog(net::Network& network, reliable::ReliableChannel& channel,
                  std::string_view metrics_label, ReplicationConfig config,
                  SnapshotProvider snapshot,
-                 FingerprintProvider fingerprint = {});
-  ~ReplicationLog();
+                 FingerprintProvider fingerprint = {},
+                 std::uint64_t head = 0);
 
   ReplicationLog(const ReplicationLog&) = delete;
   ReplicationLog& operator=(const ReplicationLog&) = delete;
@@ -195,22 +201,26 @@ class ReplicationLog {
   // Registers `node` as a standby and brings it up to date. A node that
   // recovered state from its local WAL (docs/DURABILITY.md) announces the
   // incarnation and index it reached as (from_epoch, from_index); when that
-  // watermark lies inside this log's own index space — same epoch, at or
-  // above the snapshot base — only the tail records *above* it are shipped
-  // (delta catch-up, `repl.catchup.delta`). Any mismatch (different epoch,
-  // watermark below the snapshot base, or the default 0/0 of a cold standby)
-  // falls back to the full transfer: the most recent snapshot (taking a
-  // fresh one if none exists yet) followed by the retained tail. The epoch
-  // check is also a safety rail — a fenced ex-primary's WAL watermark names
-  // a dead index space, and the snapshot fallback *replaces* whatever it
-  // recovered, so fenced-epoch ops cannot resurrect.
+  // watermark lies inside this log's own index space — same epoch, and no
+  // record above it trimmed from the tail — the stored frames *above* it
+  // are resent (delta catch-up, `repl.catchup.delta`). Anything else (a
+  // different epoch, a watermark below the tail, or the default 0/0 of a
+  // cold standby) takes the full transfer: a snapshot of the state at
+  // head(), taken now (`repl.catchup.full`). A standby fed that way counts
+  // for the commit rule only from its first ack. The epoch check is also a
+  // safety rail — a fenced ex-primary's WAL watermark names a dead index
+  // space, and the snapshot *replaces* whatever it recovered, so
+  // fenced-epoch ops cannot resurrect.
   void attach_standby(Guid node, std::uint32_t from_epoch = 0,
                       std::uint64_t from_index = 0);
   void detach_standby(Guid node);
 
-  // Assigns the next index to `record`, retains it and ships it to every
-  // attached standby at once as a kReplRecord. Returns the assigned index.
-  std::uint64_t append(LogRecord record);
+  // Ships `frame` (a frame_record of the record at `index`, which must be
+  // head() + 1) to every attached standby at once as a kReplRecord, and
+  // keeps it for delta catch-ups. The tail drops its oldest frames while it
+  // holds at least as many bytes as the last snapshot shipped, so a delta
+  // is only ever served when it is the smaller transfer.
+  void append(std::uint64_t index, serde::BufferRef frame);
 
   // Raw kReplApplied (varint epoch, varint index[, varint beat seq]) from
   // `standby`: it has applied everything through that index of that
@@ -241,21 +251,16 @@ class ReplicationLog {
   // group is degraded below it).
   [[nodiscard]] std::uint64_t committed() const;
 
-  // Seeds the index space of a log created on a node that recovered state
-  // from disk: indices continue above the recovered watermark instead of
-  // restarting at 1 (which would collide with what peers and the WAL
-  // already hold under this epoch).
-  void seed_head(std::uint64_t head);
-
   [[nodiscard]] std::uint64_t head() const { return head_; }
   // head − min(applied) over attached standbys; 0 with none attached.
   [[nodiscard]] std::uint64_t lag() const;
   [[nodiscard]] std::vector<Guid> standbys() const;
-  [[nodiscard]] std::size_t tail_size() const { return tail_.size(); }
+  // Bytes of the frames kept for delta catch-ups; always below the last
+  // snapshot frame's size.
+  [[nodiscard]] std::size_t tail_bytes() const { return tail_bytes_; }
 
  private:
-  void take_snapshot();
-  void ship_snapshot(Guid standby);
+  void trim_tail();
   void heartbeat_tick();
   void extend_lease(SimTime sent_at);
   void update_lag();
@@ -267,11 +272,11 @@ class ReplicationLog {
   SnapshotProvider snapshot_;
   FingerprintProvider fingerprint_;
 
-  std::uint64_t head_ = 0;
-  std::deque<LogRecord> tail_;  // records since the last snapshot
-  std::uint64_t snapshot_base_ = 0;
-  std::vector<std::byte> snapshot_blob_;
-  bool have_snapshot_ = false;
+  std::uint64_t head_;
+  // kReplRecord frames of indices head_ - tail_.size() + 1 .. head_.
+  std::deque<serde::BufferRef> tail_;
+  std::size_t tail_bytes_ = 0;
+  std::size_t snapshot_bytes_ = 0;  // the last snapshot frame shipped
   std::unordered_map<Guid, std::uint64_t> applied_;
 
   // Commit watermark + rise notification.
@@ -290,13 +295,11 @@ class ReplicationLog {
   SimTime lease_until_;
   bool held_ = true;
 
-  std::optional<sim::PeriodicTimer> snapshot_timer_;
   std::optional<sim::PeriodicTimer> heartbeat_timer_;
 
   // Deployment totals plus the owner's label slot.
   obs::TwinCounter m_records_appended_;
   obs::TwinCounter m_records_shipped_;  // record × standby sends
-  obs::TwinCounter m_snapshots_;
   obs::TwinCounter m_heartbeats_;
   obs::TwinCounter m_delta_catchups_;
   obs::TwinCounter m_delta_bytes_;
@@ -311,7 +314,10 @@ class ReplicationLog {
 // candidate. Owned by a Context Server in the standby role.
 class ReplicationFollower {
  public:
-  using ApplyRecord = std::function<void(const LogRecord&)>;
+  // (record, bytes): `bytes` is the record's encoding as received, which
+  // the owner persists verbatim.
+  using ApplyRecord =
+      std::function<void(const LogRecord&, const serde::BufferRef&)>;
   // (blob, base_index): replace local state with the snapshot.
   using ApplySnapshot =
       std::function<void(const std::vector<std::byte>&, std::uint64_t)>;
@@ -415,7 +421,8 @@ class ReplicationFollower {
 
   std::uint64_t applied_ = 0;
   std::uint64_t primary_head_ = 0;
-  std::map<std::uint64_t, LogRecord> gap_;  // out-of-order arrivals
+  // Out-of-order arrivals, each with its received encoding.
+  std::map<std::uint64_t, std::pair<LogRecord, serde::BufferRef>> gap_;
   std::uint32_t stream_epoch_ = 0;
   bool await_snapshot_ = true;  // records buffer until the epoch's snapshot
   SimTime last_heard_;    // the one liveness clock, started at construction
@@ -456,9 +463,12 @@ class ReplicationFollower {
 };
 
 // Wire envelopes shared by log and follower. Records: varint epoch, then
-// the LogRecord encoding. Snapshots: varint epoch, varint base_index,
-// varint blob length, raw blob.
+// the LogRecord encoding, written once. Snapshots: varint epoch, varint
+// base_index, varint blob length, raw blob.
 serde::BufferRef frame_record(std::uint32_t epoch, const LogRecord& record);
+// The LogRecord encoding inside a record frame, as a zero-copy slice: the
+// bytes a WAL entry holds.
+serde::BufferRef record_bytes(const serde::BufferRef& frame);
 serde::BufferRef encode_snapshot(std::uint32_t epoch,
                                  std::uint64_t base_index,
                                  const std::vector<std::byte>& blob);

@@ -57,6 +57,17 @@ serde::BufferRef beat(std::uint32_t epoch, std::uint64_t head,
   return w.take_ref();
 }
 
+// Appends a kLeaseRenew record (`payload_size` zero bytes) at the log's
+// next index, framed under `epoch` as the Context Server frames it.
+void append_next(replicate::ReplicationLog& log, std::uint32_t epoch = 0,
+                 std::size_t payload_size = 0) {
+  replicate::LogRecord r;
+  r.index = log.head() + 1;
+  r.kind = replicate::RecordKind::kLeaseRenew;
+  r.payload = serde::BufferRef::copy_of(std::vector<std::byte>(payload_size));
+  log.append(r.index, replicate::frame_record(epoch, r));
+}
+
 TEST(ReplicateTest, LogRecordRoundTrip) {
   Rng rng{7};
   replicate::LogRecord record;
@@ -66,7 +77,9 @@ TEST(ReplicateTest, LogRecordRoundTrip) {
   record.flag = 9;
   record.payload = bytes({1, 2, 3, 4});
 
-  const auto decoded = replicate::LogRecord::decode(record.encode());
+  // Through the frame: the record bytes a WAL entry holds decode back.
+  const auto decoded = replicate::LogRecord::decode(
+      replicate::record_bytes(replicate::frame_record(3, record)));
   ASSERT_TRUE(bool(decoded));
   EXPECT_EQ(decoded->index, record.index);
   EXPECT_EQ(decoded->kind, record.kind);
@@ -84,7 +97,9 @@ TEST(ReplicateTest, FollowerAppliesInOrderAcrossGapsAndEpochs) {
   replicate::ReplicationFollower follower(
       network, Guid::random(rng), Guid::random(rng), 0,
       replicate::ReplicationConfig{},
-      [&](const replicate::LogRecord& r) { applied.push_back(r.index); },
+      [&](const replicate::LogRecord& r, const serde::BufferRef&) {
+        applied.push_back(r.index);
+      },
       [&](const std::vector<std::byte>&, std::uint64_t base) {
         snapshot_bases.push_back(base);
       },
@@ -142,7 +157,7 @@ TEST(ReplicateTest, WatchdogGatesOnSnapshotAndRearmsAfterFalseAlarm) {
   config.heartbeat_period = Duration::millis(75);  // promote_timeout 300 ms
   replicate::ReplicationFollower follower(
       network, Guid::random(rng), Guid::random(rng), 0, config,
-      [](const replicate::LogRecord&) {},
+      [](const replicate::LogRecord&, const serde::BufferRef&) {},
       [](const std::vector<std::byte>&, std::uint64_t) {},
       [&](std::uint32_t) { ++promote_requests; });
 
@@ -205,11 +220,7 @@ TEST(ReplicateTest, LogIgnoresAppliedAcksFromOtherEpochs) {
                                 [] { return std::vector<std::byte>{}; });
   const Guid standby = Guid::random(rng);
   log.attach_standby(standby);
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    replicate::LogRecord r;
-    r.kind = replicate::RecordKind::kLeaseRenew;
-    log.append(std::move(r));
-  }
+  for (std::uint64_t i = 0; i < 3; ++i) append_next(log, 1);
   EXPECT_EQ(log.lag(), 3u);
 
   // A straggler ack generated against the dead incarnation's (much higher)
@@ -239,7 +250,7 @@ TEST(ReplicateTest, LogCommitsAtTheNthHighestAppliedIndex) {
   const Guid b = Guid::random(rng);
   const Guid c = Guid::random(rng);
   log.attach_standby(a);
-  for (std::uint64_t i = 0; i < 5; ++i) log.append(replicate::LogRecord{});
+  for (std::uint64_t i = 0; i < 5; ++i) append_next(log);
   EXPECT_EQ(log.committed(), 5u);  // one standby, two acks asked: degraded
 
   log.attach_standby(b);
@@ -255,6 +266,72 @@ TEST(ReplicateTest, LogCommitsAtTheNthHighestAppliedIndex) {
   // on_commit fires only on a rise: once per degraded append, and not again
   // while the two-standby quorum catches up to 5.
   EXPECT_EQ(commits, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+}
+
+// A standby caught up by snapshot holds nothing until it says so: counting
+// the snapshot's base as applied would commit records that no standby
+// has acknowledged, and an admit ack released on that commit could be lost.
+TEST(ReplicateTest, SnapshotCaughtUpStandbyCountsOnlyOnceAcked) {
+  sim::Simulator simulator{42};
+  net::Network network{simulator};
+  Rng rng{7};
+  reliable::ReliableChannel channel(network, Guid::random(rng), {});
+  replicate::ReplicationLog log(network, channel, kLogLabel,
+                                replicate::ReplicationConfig{},
+                                [] { return std::vector<std::byte>(64); });
+  log.set_sync_acks(1, [](std::uint64_t) {});
+  const Guid s1 = Guid::random(rng);
+  const Guid s2 = Guid::random(rng);
+  log.attach_standby(s1);  // attached, never acks
+  for (int i = 0; i < 5; ++i) append_next(log);
+  simulator.run_until(simulator.now() + Duration::seconds(11));
+  EXPECT_EQ(log.committed(), 0u);
+
+  log.attach_standby(s2);
+  EXPECT_EQ(log.committed(), 0u);
+  simulator.run_until(simulator.now() + Duration::seconds(1));
+  EXPECT_EQ(log.committed(), 0u);
+  log.on_applied(epoch_frame(0, 5), s2);
+  EXPECT_EQ(log.committed(), 5u);
+}
+
+// The tail is history kept for delta rejoins, and only while resending it
+// is cheaper than a snapshot: it never holds as many bytes as the last
+// snapshot shipped, and a rejoin older than the tail takes the full path.
+TEST(ReplicateTest, DeltaOnlyWhileCheaperThanASnapshot) {
+  sim::Simulator simulator{42};
+  net::Network network{simulator};
+  Rng rng{7};
+  reliable::ReliableChannel channel(network, Guid::random(rng), {});
+  replicate::ReplicationLog log(network, channel, kLogLabel,
+                                replicate::ReplicationConfig{},
+                                [] { return std::vector<std::byte>(200); });
+  const auto count = [&](const char* name) {
+    return registry_count(simulator.metrics(), name);
+  };
+  log.attach_standby(Guid::random(rng));  // cold: a full catch-up
+  const std::uint64_t snapshot_bytes = count("repl.catchup.snapshot_bytes");
+  ASSERT_GT(snapshot_bytes, 200u);
+
+  // Several snapshots' worth of records.
+  for (int i = 0; i < 40; ++i) {
+    append_next(log, 0, 16);
+    EXPECT_LT(log.tail_bytes(), snapshot_bytes) << "record " << i + 1;
+  }
+  ASSERT_EQ(log.head(), 40u);
+
+  // Resending everything above index 1 would cost more than a snapshot.
+  log.attach_standby(Guid::random(rng), 0, 1);
+  EXPECT_EQ(count("repl.catchup.full"), 2u);
+  EXPECT_EQ(count("repl.catchup.delta"), 0u);
+  EXPECT_EQ(count("repl.catchup.snapshot_bytes"), 2 * snapshot_bytes);
+
+  // A recent watermark gets the delta, strictly smaller than a snapshot.
+  log.attach_standby(Guid::random(rng), 0, log.head() - 2);
+  EXPECT_EQ(count("repl.catchup.delta"), 1u);
+  EXPECT_GT(count("repl.catchup.delta_bytes"), 0u);
+  EXPECT_LT(count("repl.catchup.delta_bytes"), snapshot_bytes);
+  EXPECT_LT(log.tail_bytes(), snapshot_bytes);
 }
 
 TEST(ReplicateTest, VoterGatesOnLivenessWatermarkAndPledgedEpoch) {
@@ -283,7 +360,8 @@ TEST(ReplicateTest, VoterGatesOnLivenessWatermarkAndPledgedEpoch) {
   replicate::ReplicationConfig repl;
   repl.heartbeat_period = Duration::millis(75);  // promote_timeout 300 ms
   replicate::ReplicationFollower follower(
-      network, voter, primary, 0, repl, [](const replicate::LogRecord&) {},
+      network, voter, primary, 0, repl,
+      [](const replicate::LogRecord&, const serde::BufferRef&) {},
       [](const std::vector<std::byte>&, std::uint64_t) {},
       [](std::uint32_t) {});
   follower.seed(0, 5);  // this voter's applied watermark
@@ -525,7 +603,8 @@ TEST(ReplicateTest, NextBeatRepairsALostAppliedAck) {
                                 [] { return std::vector<std::byte>{}; });
   log.set_sync_acks(1, [](std::uint64_t) {});
   replicate::ReplicationFollower follower(
-      network, standby, primary, 0, repl, [](const replicate::LogRecord&) {},
+      network, standby, primary, 0, repl,
+      [](const replicate::LogRecord&, const serde::BufferRef&) {},
       [](const std::vector<std::byte>&, std::uint64_t) {},
       [](std::uint32_t) {});
 
@@ -568,7 +647,7 @@ TEST(ReplicateTest, NextBeatRepairsALostAppliedAck) {
   ASSERT_EQ(log.committed(), log.head());
 
   drop_next = true;
-  log.append(replicate::LogRecord{});
+  append_next(log);
   simulator.run_until(simulator.now() + Duration::millis(10));
   EXPECT_EQ(dropped, 1);
   EXPECT_EQ(follower.applied(), log.head());
@@ -913,6 +992,91 @@ TEST(ReplicateTest, SnapshotRestoredDeferredQueryExpiresAfterPromotion) {
   ASSERT_EQ(app.results.size(), 1u);
   EXPECT_EQ(app.results[0], ErrorCode::kTimeout);
   EXPECT_EQ(standby->deferred_queries(), 0u);
+}
+
+// A not_before query parked before a cold standby joined reaches that
+// standby only through its catch-up snapshot. After promotion the
+// successor still runs it, once, at its due time.
+TEST(ReplicateTest, SnapshotRestoredNotBeforeQueryRunsAfterPromotion) {
+  FailoverFixture f(0);
+  ResultApp app(f.sci.network(), f.sci.new_guid(), "app",
+                entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(app, *f.level_b).is_ok());
+  f.sci.run_for(Duration::seconds(1));
+  const double due = f.sci.now().seconds_f() + 6.0;
+  ASSERT_TRUE(app.submit_query("later", query::Builder("later", app.id())
+                                            .what_entity_type("printing")
+                                            .not_before(due)
+                                            .advertisement()
+                                            .to_xml())
+                  .is_ok());
+  f.sci.run_for(Duration::seconds(1));
+
+  auto added = f.sci.add_standby("levelB");
+  ASSERT_TRUE(bool(added));
+  range::ContextServer* standby = *added;
+  f.sci.run_for(Duration::seconds(1));
+  ASSERT_NE(standby->replication_follower(), nullptr);
+  ASSERT_FALSE(standby->replication_follower()->awaiting_snapshot());
+
+  ASSERT_TRUE(f.sci.promote(standby->attached_node()).is_ok());
+  f.sci.run_for(Duration::seconds(1));
+  EXPECT_LT(f.sci.now().seconds_f(), due);
+  EXPECT_TRUE(app.results.empty());
+  f.sci.run_for(Duration::seconds(6));
+  EXPECT_EQ(app.results.size(), 1u);
+}
+
+// Cancelling withdraws a query that is still waiting for its not_before
+// time: it never runs.
+TEST(ReplicateTest, CancelStopsANotBeforeQuery) {
+  FailoverFixture f(0);
+  ResultApp app(f.sci.network(), f.sci.new_guid(), "app",
+                entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(app, *f.level_b).is_ok());
+  f.sci.run_for(Duration::seconds(1));
+  auto handle = f.sci.submit_query(
+      app, query::Builder("later", app.id())
+               .what_entity_type("printing")
+               .not_before(f.sci.now().seconds_f() + 3.0)
+               .advertisement());
+  ASSERT_TRUE(bool(handle));
+  f.sci.run_for(Duration::seconds(1));
+  EXPECT_TRUE(handle->cancel());
+  f.sci.run_for(Duration::seconds(5));
+  EXPECT_TRUE(app.results.empty());
+}
+
+// A cancellation is replicated: the standby drops the withdrawn trigger
+// watch too, so its promoted successor never answers it.
+TEST(ReplicateTest, CancelledDeferredQueryStaysCancelledAfterPromotion) {
+  FailoverFixture f(1);
+  ResultApp app(f.sci.network(), f.sci.new_guid(), "app",
+                entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(app, *f.level_b).is_ok());
+  f.sci.run_for(Duration::seconds(1));
+  const auto standby_list = f.sci.standbys("levelB");
+  ASSERT_EQ(standby_list.size(), 1u);
+  range::ContextServer* standby = standby_list.front();
+  auto handle = f.sci.submit_query(
+      app, query::Builder("watch", app.id())
+               .what_entity_type("printing")
+               .when_enters(f.sci.new_guid(), f.building.room_path(1, 0))
+               .expires_after(4.0)
+               .advertisement());
+  ASSERT_TRUE(bool(handle));
+  f.sci.run_for(Duration::millis(500));
+  ASSERT_EQ(f.level_b->deferred_queries(), 1u);
+  ASSERT_EQ(standby->deferred_queries(), 1u);
+
+  EXPECT_TRUE(handle->cancel());
+  f.sci.run_for(Duration::millis(500));
+  EXPECT_EQ(f.level_b->deferred_queries(), 0u);
+  EXPECT_EQ(standby->deferred_queries(), 0u);
+
+  ASSERT_TRUE(f.sci.promote(standby->attached_node()).is_ok());
+  f.sci.run_for(Duration::seconds(6));
+  EXPECT_TRUE(app.results.empty());
 }
 
 // ISSUE split-brain scenario: symmetric partition isolates the live primary
