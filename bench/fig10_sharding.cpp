@@ -7,10 +7,14 @@
 // plus 16 hot producers that publish fast with nobody listening. Every
 // publish pays the mediator's same-type scan; named subscriptions migrate
 // to their producer's owner shard, so with 4 shards each Context Server
-// scans ~1/4 of the subscription population. The report carries wall-clock publish
-// throughput per configuration and their ratio; CI fails the chaos job
-// when any seed scales below 1.5x from 1 to 4 shards, loses a delivery,
-// or duplicates one.
+// scans ~1/4 of the subscription population. The report counts, per
+// configuration, the same-type subscriptions the window's publishes scan
+// (each shard's "pulse" table entries times the publishes of the producers
+// it owns) and their ratio, scan_scale; the wall-clock publish throughput
+// ratio (throughput_scale) is reported beside it. CI fails the chaos job
+// when any seed's scan_scale is below 3.5 (copying the named subscriptions
+// to every shard instead of moving them pulls it toward 1.0), or a
+// configuration loses a delivery or duplicates one.
 //
 // BM_ShardFailoverIsolation/seed — 4 shards, each with 2 synchronous-ack
 // standbys. Two cross-shard producer/monitor pairs run a steady cadence;
@@ -129,6 +133,8 @@ struct ScalingResult {
   int max_per_monitor = 0;
   double wall_ms = 0.0;
   double throughput_per_s = 0.0;  // publishes per wall-clock second
+  // Same-type subscriptions scanned by the window's publishes.
+  std::int64_t scans = 0;
 };
 
 constexpr int kColdProducers = 96;
@@ -193,24 +199,38 @@ ScalingResult run_scaling(std::uint64_t seed, unsigned shard_count) {
   std::int64_t failed_subs = 0;
   for (const auto& m : monitors) failed_subs += m->failed_queries;
 
+  // Every publish scans its owner shard's "pulse" subscriptions.
+  std::vector<std::int64_t> pulse_subs;
+  for (const auto* shard : sci.shards("mall")) {
+    const auto subs = shard->mediator().table().all();
+    pulse_subs.push_back(std::count_if(
+        subs.begin(), subs.end(),
+        [](const event::Subscription& s) { return s.event_type == "pulse"; }));
+  }
+  std::vector<std::int64_t> shard_published(shard_count, 0);
+
   std::int64_t cold_published = 0;
   std::int64_t hot_published = 0;
   std::vector<std::unique_ptr<sim::PeriodicTimer>> timers;
   for (auto& ce : cold) {
     PulseCE* p = ce.get();
+    std::int64_t* owned = &shard_published[lead.shard_of(p->id())];
     timers.push_back(std::make_unique<sim::PeriodicTimer>(
-        sci.simulator(), Duration::millis(5000), [p, &cold_published] {
+        sci.simulator(), Duration::millis(5000), [p, owned, &cold_published] {
           p->publish("pulse", Value(cold_published));
           ++cold_published;
+          ++*owned;
         }));
     timers.back()->start();
   }
   for (auto& ce : hot) {
     PulseCE* p = ce.get();
+    std::int64_t* owned = &shard_published[lead.shard_of(p->id())];
     timers.push_back(std::make_unique<sim::PeriodicTimer>(
-        sci.simulator(), Duration::millis(10), [p, &hot_published] {
+        sci.simulator(), Duration::millis(10), [p, owned, &hot_published] {
           p->publish("pulse", Value(hot_published));
           ++hot_published;
+          ++*owned;
         }));
     timers.back()->start();
   }
@@ -225,6 +245,8 @@ ScalingResult run_scaling(std::uint64_t seed, unsigned shard_count) {
 
   ScalingResult r;
   r.publishes = cold_published + hot_published;
+  for (unsigned i = 0; i < shard_count; ++i)
+    r.scans += pulse_subs[i] * shard_published[i];
   r.expected_deliveries = cold_published * kMonitors;
   for (const auto& m : monitors) {
     r.delivered_unique += m->unique_events;
@@ -271,6 +293,7 @@ void scaling_doc(ValueMap& doc, const std::string& key,
   m.emplace("max_per_monitor", static_cast<std::int64_t>(r.max_per_monitor));
   m.emplace("wall_ms", r.wall_ms);
   m.emplace("throughput_per_s", r.throughput_per_s);
+  m.emplace("scans", r.scans);
   doc.emplace(key, Value(ValueMap(m)));
 }
 
@@ -283,6 +306,11 @@ void BM_ShardScaling(benchmark::State& state) {
     const double scale = one.throughput_per_s <= 0.0
                              ? 0.0
                              : four.throughput_per_s / one.throughput_per_s;
+    const double scan_scale =
+        four.scans <= 0 ? 0.0
+                        : static_cast<double>(one.scans) /
+                              static_cast<double>(four.scans);
+    state.counters["scan_scale"] = scan_scale;
     state.counters["throughput_scale"] = scale;
     state.counters["throughput_1shard"] = one.throughput_per_s;
     state.counters["throughput_4shard"] = four.throughput_per_s;
@@ -291,6 +319,7 @@ void BM_ShardScaling(benchmark::State& state) {
     doc.emplace("seed", static_cast<std::int64_t>(seed));
     scaling_doc(doc, "shards1", one);
     scaling_doc(doc, "shards4", four);
+    doc.emplace("scan_scale", scan_scale);
     doc.emplace("throughput_scale", scale);
     doc.emplace(
         "delivery_ratio_1shard",

@@ -60,8 +60,9 @@ struct Profile {
   std::vector<TypeSig> outputs;  // event types this CE produces
   Value metadata;                // free-form descriptive attributes
   location::LocRef location;     // last known location (may be empty)
-  // Monotonic per-entity update counter: the Profile Manager discards
-  // updates that arrive out of order on the network.
+  // Monotonic per-entity update counter: the Profile Manager and mirror
+  // ingest discard an older version that arrives from a second sender (a
+  // vnode's previous owner) after a newer one.
   std::uint64_t version = 0;
 
   [[nodiscard]] bool produces(std::string_view type_name) const;

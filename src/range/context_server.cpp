@@ -2123,10 +2123,10 @@ Guid ContextServer::ingest_shard_profile(serde::FrameView payload) {
   auto record = entity::ProfileRecord::decode(r);
   if (!record) return Guid();
   const entity::Profile& profile = record->profile;
-  // Never go backwards. The channel dedups but does not order, so a
-  // retransmitted older mirror can land after a newer one; and a late
-  // mirror from a vnode's previous owner must not overwrite a profile this
-  // shard now owns.
+  // Never go backwards. The channel orders each sender's frames, but a
+  // vnode's old and new owners are different senders: a late mirror from
+  // the previous owner can land after the new owner's newer one, and must
+  // not overwrite a profile this shard now owns.
   if (owns_entity(profile.entity)) return Guid();
   if (const entity::Profile* held = profiles_.profile(profile.entity);
       held != nullptr && profile.version < held->version) {
@@ -2184,7 +2184,6 @@ bool ContextServer::ingest_shard_drop(Guid subject) {
 }
 
 bool ContextServer::note_mirror_change(Guid subject, bool must_log) {
-  if (rebuilding()) rebuild_arrivals_.insert(subject);
   if (repl_log_ == nullptr && pstore_ == nullptr) return true;
   unlogged_mirrors_.insert(subject);
   // Nothing here can re-resolve from a log record, so no replica reads the
@@ -2233,7 +2232,6 @@ std::optional<unsigned> ContextServer::sibling_at(Guid node) const {
 void ContextServer::begin_mirror_rebuild() {
   if (!sharded()) return;
   mirror_pull_id_ = config_.epoch;
-  rebuild_arrivals_.clear();
   for (unsigned i = 0; i < config_.shard_map->size(); ++i) {
     if (i != config_.shard_index) mirror_pulls_.insert(i);
   }
@@ -2323,13 +2321,14 @@ void ContextServer::handle_shard_mirror_set(const net::Message& message) {
     accept_mirror_put(bytes);
   }
   // Ghost sweep: a held mirror of this sibling's entity that the answer
-  // leaves out departed while its drop went unlogged, unless a mirror frame
-  // for it arrived after the pull.
+  // leaves out departed while its drop went unlogged. The answer was sent
+  // after every mirror frame that reached us ahead of it, so it is the
+  // newer word.
   std::vector<Guid> ghosts;
   for (const entity::Profile& profile : profiles_.snapshot()) {
     const Guid id = profile.entity;
     if (shard_of(id) == *sibling && !registrar_.contains(id) &&
-        !listed.contains(id) && !rebuild_arrivals_.contains(id)) {
+        !listed.contains(id)) {
       ghosts.push_back(id);
     }
   }
@@ -2340,7 +2339,6 @@ void ContextServer::handle_shard_mirror_set(const net::Message& message) {
 void ContextServer::mirror_pull_answered(unsigned sibling) {
   if (mirror_pulls_.erase(sibling) == 0 || rebuilding()) return;
   m_mirror_rebuilds_.inc();
-  rebuild_arrivals_.clear();
   std::vector<ParkedQuery> parked = std::move(rebuild_parked_);
   rebuild_parked_.clear();
   for (ParkedQuery& p : parked) {

@@ -955,11 +955,10 @@ class ContextServer {
   // only while a log exists; empty whenever reads_mirrors().
   std::set<Guid> unlogged_mirrors_;
   // Mirror rebuild: siblings yet to answer the pull tagged
-  // mirror_pull_id_, subjects whose mirror frames arrived since it started,
-  // and the queries parked until it is done (arrival order).
+  // mirror_pull_id_, and the queries parked until it is done (arrival
+  // order).
   std::set<unsigned> mirror_pulls_;
   std::uint64_t mirror_pull_id_ = 0;
-  std::set<Guid> rebuild_arrivals_;
   // Per sibling, the pull id of the incarnation our pull was re-sent to.
   std::map<unsigned, std::uint64_t> mirror_repulls_;
   struct ParkedQuery {

@@ -113,8 +113,9 @@ Status ProfileManager::update(const entity::Profile& profile) {
   if (it == profiles_.end())
     return make_error(ErrorCode::kNotFound,
                       "no profile for " + profile.entity.short_string());
-  // Discard out-of-order updates: the network does not guarantee frame
-  // ordering, and an older snapshot must never overwrite a newer one.
+  // Discard older versions. The channel orders each sender's frames, but
+  // after a vnode moves, the old owner's replay of a staged update and the
+  // component's newer one reach the new owner from two senders.
   if (profile.version < it->second.profile.version) return Status::ok();
   it->second.profile = profile;
   ++updates_;

@@ -20,14 +20,15 @@ constexpr Duration kMaxRto = Duration::seconds(5);
 constexpr double kJitter = 0.1;
 constexpr unsigned kMaxAttempts = 8;
 
-// kRelData payload: varint epoch, varint seq, u32 inner type, varint length,
-// raw body.
+// kRelData payload: varint epoch, varint seq, varint seq - floor, u32
+// inner type, varint length, raw body.
 serde::BufferRef encode_data(std::uint32_t epoch, std::uint64_t seq,
-                             std::uint32_t inner_type,
+                             std::uint64_t floor, std::uint32_t inner_type,
                              const serde::BufferRef& payload) {
   serde::Writer w(payload.size() + 20);
   w.varint(epoch);
   w.varint(seq);
+  w.varint(seq - floor);
   w.u32(inner_type);
   w.varint(payload.size());
   w.raw(payload.data(), payload.size());
@@ -37,6 +38,7 @@ serde::BufferRef encode_data(std::uint32_t epoch, std::uint64_t seq,
 struct DataWire {
   std::uint32_t epoch = 0;
   std::uint64_t seq = 0;
+  std::uint64_t floor = 0;
   std::uint32_t inner_type = 0;
   serde::BufferRef payload;
 };
@@ -50,6 +52,10 @@ Expected<DataWire> decode_data(const serde::BufferRef& bytes) {
   out.epoch = static_cast<std::uint32_t>(epoch);
   SCI_TRY_ASSIGN(seq, r.varint());
   out.seq = seq;
+  SCI_TRY_ASSIGN(behind, r.varint());
+  if (behind >= seq)
+    return make_error(ErrorCode::kParseError, "reliable floor past seq");
+  out.floor = seq - behind;
   SCI_TRY_ASSIGN(inner_type, r.u32());
   out.inner_type = inner_type;
   SCI_TRY_ASSIGN(len, r.varint());
@@ -197,11 +203,14 @@ void ReliableChannel::transmit(Guid to, std::uint64_t seq) {
   }
 
   // First transmit encodes the envelope once; retransmits reuse the same
-  // pooled frame by reference (re-encoded only if the epoch moved).
-  if (pending.envelope.empty() || pending.envelope_epoch != epoch_) {
+  // pooled frame by reference (re-encoded only if the epoch or the floor
+  // moved; a floor is never 0, so the first transmit always encodes).
+  const std::uint64_t floor = peer_it->second.pending.begin()->first;
+  if (pending.envelope_floor != floor || pending.envelope_epoch != epoch_) {
     pending.envelope =
-        encode_data(epoch_, seq, pending.inner_type, pending.payload);
+        encode_data(epoch_, seq, floor, pending.inner_type, pending.payload);
     pending.envelope_epoch = epoch_;
+    pending.envelope_floor = floor;
   }
   net::Message envelope;
   envelope.type = kRelData;
@@ -312,7 +321,7 @@ std::size_t ReliableChannel::fail_all(Guid to, DeadLetterCause cause) {
   // be wrong (missed pings under loss), and a live peer's same-epoch
   // retransmits of already-delivered frames must stay suppressed. A genuine
   // new incarnation (promoted standby) announces itself with a higher
-  // epoch, which on_message() answers by resetting the dedup window.
+  // epoch, which on_message() answers by restarting the stream.
   const auto peer_it = peers_.find(to);
   if (peer_it == peers_.end() || peer_it->second.pending.empty()) return 0;
   // Cancel every retransmit timer up front — give_up() may trigger handlers
@@ -339,13 +348,42 @@ AckTicket ReliableChannel::hold_current_ack() {
 void ReliableChannel::release_ack(const AckTicket& ticket) {
   if (!ticket.valid) return;
   if (deferred_.erase({ticket.from, ticket.seq}) == 0) return;  // orphaned
+  send_ack(ticket.from, ticket.epoch, ticket.seq);
+  ++stats_.acks_released;
+}
+
+void ReliableChannel::send_ack(Guid to, std::uint32_t epoch,
+                               std::uint64_t seq) {
   net::Message ack;
   ack.type = kRelAck;
   ack.from = self_;
-  ack.to = ticket.from;
-  ack.payload = encode_ack(ticket.epoch, ticket.seq);
+  ack.to = to;
+  ack.payload = encode_ack(epoch, seq);
   (void)network_.send(std::move(ack));
-  ++stats_.acks_released;
+}
+
+void ReliableChannel::deliver_next(Inbound& in, const net::Message& inner,
+                                   const DeliverHandler& deliver) {
+  const AckTicket ticket{inner.from, in.epoch, in.next++, true};
+  ++stats_.delivered;
+  m_delivered_.inc();
+  // Expose the frame's ack for hold_current_ack() during delivery
+  // (save/restore in case delivery re-enters on_message).
+  const std::optional<AckTicket> prev_current = rx_current_;
+  const bool prev_held = rx_held_;
+  rx_current_ = ticket;
+  rx_held_ = false;
+  if (deliver) deliver(inner);
+  if (!rx_held_) send_ack(ticket.from, ticket.epoch, ticket.seq);
+  rx_current_ = prev_current;
+  rx_held_ = prev_held;
+}
+
+void ReliableChannel::drain(Inbound& in, const DeliverHandler& deliver) {
+  while (!in.ahead.empty() && in.ahead.begin()->first <= in.next) {
+    auto node = in.ahead.extract(in.ahead.begin());
+    if (node.key() == in.next) deliver_next(in, node.mapped(), deliver);
+  }
 }
 
 bool ReliableChannel::on_message(const net::Message& message,
@@ -370,61 +408,43 @@ bool ReliableChannel::on_message(const net::Message& message,
       // New incarnation: its sequence space starts over, and acks owed to
       // the old incarnation are moot.
       in.epoch = wire->epoch;
-      in.dedup.reset();
+      in.next = 0;
+      in.ahead.clear();
       std::erase_if(deferred_, [&](const auto& key) {
         return key.first == message.from;
       });
     }
     if (gate_ && !gate_(wire->inner_type)) {
-      // Refused outright: no ack and no dedup entry, so the sender keeps
+      // Refused outright: no ack and no stream state, so the sender keeps
       // retransmitting and the frame lands wherever admission reopens (or
       // at this identity's successor).
       ++stats_.gated;
       return true;
     }
-    const bool fresh = in.dedup.accept(wire->seq);
-    if (!fresh) {
+    const net::Message inner{wire->inner_type, message.from, self_,
+                             std::move(wire->payload)};
+    // Join the stream at the floor, skipping what the sender gave up on.
+    in.next = std::max(in.next, wire->floor);
+    if (wire->seq == in.next) {
+      deliver_next(in, inner, deliver);  // in order: no map, no allocation
+    } else if (wire->seq < in.next) {
       ++stats_.dup_suppressed;
       m_dup_suppressed_.inc();
       // Re-ack the duplicate (the earlier ack may have been lost) — unless
       // the original's ack is deliberately held, in which case duplicates
       // must stay silent too.
-      if (!deferred_.contains({message.from, wire->seq})) {
-        net::Message ack;
-        ack.type = kRelAck;
-        ack.from = self_;
-        ack.to = message.from;
-        ack.payload = encode_ack(wire->epoch, wire->seq);
-        (void)network_.send(std::move(ack));
-      }
-      return true;
+      if (!deferred_.contains({message.from, wire->seq}))
+        send_ack(message.from, wire->epoch, wire->seq);
+    } else if (in.ahead.size() >= kMaxReordered) {
+      // Ahead of a gap with the reorder map full: dropped unacked, back by
+      // retransmit.
+    } else if (in.ahead.try_emplace(wire->seq, inner).second) {
+      ++stats_.reordered;  // ahead of a gap: waits, unacked
+    } else {
+      ++stats_.dup_suppressed;  // still waiting: its ack is not yet owed
+      m_dup_suppressed_.inc();
     }
-    ++stats_.delivered;
-    m_delivered_.inc();
-    // Expose the frame's ack for hold_current_ack() during delivery
-    // (save/restore in case delivery re-enters on_message).
-    const std::optional<AckTicket> prev_current = rx_current_;
-    const bool prev_held = rx_held_;
-    rx_current_ = AckTicket{message.from, wire->epoch, wire->seq, true};
-    rx_held_ = false;
-    if (deliver) {
-      net::Message inner;
-      inner.type = wire->inner_type;
-      inner.from = message.from;
-      inner.to = self_;
-      inner.payload = std::move(wire->payload);
-      deliver(inner);
-    }
-    if (!rx_held_) {
-      net::Message ack;
-      ack.type = kRelAck;
-      ack.from = self_;
-      ack.to = message.from;
-      ack.payload = encode_ack(wire->epoch, wire->seq);
-      (void)network_.send(std::move(ack));
-    }
-    rx_current_ = prev_current;
-    rx_held_ = prev_held;
+    drain(in, deliver);
     return true;
   }
 
@@ -473,8 +493,8 @@ void ReliableChannel::rebind(Guid new_self, std::uint32_t epoch) {
   peers_.clear();  // sequence spaces restart under the new epoch
   self_ = new_self;
   epoch_ = epoch;
-  // Receive-side dedup survives: senders keep their own identity and epoch,
-  // so frames already accepted from them must stay suppressed.
+  // Receive-side streams survive: senders keep their own identity and
+  // epoch, so frames already released from them must stay suppressed.
 }
 
 std::size_t ReliableChannel::replay_dead_letters() {

@@ -3,27 +3,38 @@
 // The paper claims "adaptivity to environmental changes (e.g. component
 // failure)" (§2), but a raw net::Network send is fire-and-forget: crashes,
 // partitions and link loss silently eat frames. ReliableChannel upgrades
-// point-to-point sends to at-least-once delivery with exactly-once
-// processing:
+// point-to-point sends to at-least-once delivery with exactly-once,
+// in-order processing per (sender, epoch):
 //
 //  * every frame to a destination carries a per-destination sequence
 //    number and is wrapped in a kRelData envelope;
-//  * the receiver immediately acks (kRelAck) and deduplicates, so the
-//    application handler sees each (sender, seq) exactly once even when
-//    retransmissions race a slow ack;
+//  * the receiver hands frames to the application in seq order. A frame
+//    that arrives ahead of a gap waits, unacked, in a per-stream reorder
+//    map of at most kMaxReordered frames (beyond it the frame is dropped
+//    unacked and comes back by retransmit); an in-order arrival bypasses
+//    the map. A released frame is acked (kRelAck) at once, and a
+//    duplicate of it is re-acked, not delivered;
+//  * every envelope also carries the sender's floor: its lowest seq still
+//    pending to that destination, as in TCP's cumulative ack (RFC 9293).
+//    The receiver joins a stream at the floor and skips up to it, so a
+//    frame the sender gave up on, or one whose ack a previous receiver
+//    incarnation sent, never wedges the frames behind it;
 //  * unacked frames are retransmitted on a timer with exponential backoff
 //    plus deterministic jitter; after 8 transmissions the frame becomes a
 //    dead letter: it is parked in the channel's bounded DeadLetterQueue
 //    (when enabled) and handed to the optional give-up handler (the overlay
 //    uses the handler to re-route around dead hops).
 //
+// A frame the receive gate refuses is not delivered, so it also holds back
+// that sender's later frames until it is admitted or given up.
+//
 // Incarnation epochs (docs/REPLICATION.md): every envelope additionally
 // carries the sender's epoch. A node identity that is taken over by a new
 // incarnation — a standby Context Server promoted under the dead primary's
-// GUID — bumps its epoch; receivers reset their dedup window when a sender's
-// epoch advances and silently drop frames from older epochs, so the fresh
-// sequence space of the new incarnation is neither suppressed as duplicate
-// nor confused with the old one's stale retransmissions.
+// GUID — bumps its epoch; receivers restart the stream at the floor when a
+// sender's epoch advances and silently drop frames from older epochs, so
+// the fresh sequence space of the new incarnation is neither suppressed as
+// duplicate nor confused with the old one's stale retransmissions.
 //
 // The channel does not own a network node: its owner stays attached and
 // funnels every incoming frame through on_message(), which consumes channel
@@ -56,6 +67,8 @@ namespace sci::reliable {
 // 0xCE01 (component), 0x5C10 (overlay) and 0xF0xx/0xBEAC (range) spaces.
 inline constexpr std::uint32_t kRelData = 0xAC01;
 inline constexpr std::uint32_t kRelAck = 0xAC02;
+// Frames per (sender, epoch) stream that may wait ahead of a gap.
+inline constexpr std::size_t kMaxReordered = 256;
 
 // The retransmit schedule is fixed (reliable.cpp): 200 ms doubled per
 // attempt up to 5 s, plus up to 10% jitter; a frame dead-letters after 8
@@ -81,6 +94,7 @@ struct ChannelStats {
   std::uint64_t acked = 0;
   std::uint64_t delivered = 0;       // inner frames handed to the handler
   std::uint64_t dup_suppressed = 0;
+  std::uint64_t reordered = 0;       // frames that waited ahead of a gap
   std::uint64_t stale_epoch = 0;     // frames from a superseded incarnation
   std::uint64_t dead_letters = 0;    // gave up after kMaxAttempts
   std::uint64_t failovers = 0;       // handed back early via fail_all()
@@ -91,23 +105,20 @@ struct ChannelStats {
   std::uint64_t acks_released = 0;   // deferred acks later released
 };
 
-// Receiver-side dedup window: `floor` is the highest seq below which
-// everything has been accepted; `above` holds accepted seqs past a gap.
-// The window self-compacts as gaps fill, so memory tracks the sender's
-// outstanding frames, not history. Public because the same sliding-window
-// shape deduplicates at other layers too (the Context Server keys it by
-// publisher over event sequence numbers, components by subscription over
-// delivered events — see docs/REPLICATION.md).
+// Sliding dedup window over sequence numbers that may arrive out of
+// order: `floor` is the highest seq below which everything has been
+// accepted; `above` holds accepted seqs past a gap. The window
+// self-compacts as gaps fill, so memory tracks the outstanding seqs, not
+// history. The channel itself needs none (it releases in order); the
+// Context Server keys one by publisher over event sequence numbers, and
+// components one by subscription over delivered events — see
+// docs/REPLICATION.md.
 struct SeqDedup {
   std::uint64_t floor = 0;
   std::unordered_set<std::uint64_t> above;
 
   // Returns true the first time `seq` is seen.
   bool accept(std::uint64_t seq);
-  void reset() {
-    floor = 0;
-    above.clear();
-  }
 
   // Snapshot and vnode-handoff wire form: the floor, then `above` sorted so
   // equal windows encode to equal bytes.
@@ -183,7 +194,8 @@ struct AckTicket {
 
 class ReliableChannel {
  public:
-  // Receives the unwrapped inner frame, exactly once per (sender, seq).
+  // Receives the unwrapped inner frame, exactly once per (sender, seq) and
+  // in seq order per (sender, epoch).
   using DeliverHandler = std::function<void(const net::Message&)>;
   // Receives the reconstructed inner frame of an abandoned send plus the
   // number of transmissions attempted.
@@ -228,16 +240,15 @@ class ReliableChannel {
                      serde::BufferRef payload);
 
   // Funnel for the owner's network handler. Returns true when the frame was
-  // a channel envelope (consumed): data frames are acked, deduplicated and
-  // delivered through `deliver`; ack frames settle pending sends.
+  // a channel envelope (consumed): data frames are released in seq order
+  // through `deliver` and acked; ack frames settle pending sends.
   bool on_message(const net::Message& message, const DeliverHandler& deliver);
 
   // Declares `to` failed: every pending frame to it is handed to the
   // give-up handler immediately (counted as failovers, not dead letters)
-  // and parked in the dead-letter queue. Also cancels the retransmit timers
-  // and drops receive-side dedup state for `to`, so frames from its next
-  // incarnation (a promoted standby reusing the GUID) are not suppressed as
-  // stale duplicates. Returns the number of frames handed back. `cause`
+  // and parked in the dead-letter queue. Also cancels the retransmit
+  // timers; the next frame to `to` carries a floor past every frame handed
+  // back. Returns the number of frames handed back. `cause`
   // tags the parked entries (kMediator when a subscription-lease reaper,
   // not a failover, abandoned the destination).
   std::size_t fail_all(Guid to,
@@ -249,8 +260,8 @@ class ReliableChannel {
 
   // Identity takeover: this channel now speaks for `new_self` at `epoch`.
   // Pending frames are dropped without callbacks and per-destination
-  // sequence counters restart; receivers reset their dedup window when they
-  // see the higher epoch. Used when a standby Context Server adopts the
+  // sequence counters restart; receivers restart the stream when they see
+  // the higher epoch. Used when a standby Context Server adopts the
   // failed primary's node identity.
   void rebind(Guid new_self, std::uint32_t epoch);
 
@@ -285,11 +296,11 @@ class ReliableChannel {
     std::uint32_t inner_type = 0;
     serde::BufferRef payload;
     // The encoded kRelData envelope, built once on first transmit and
-    // shared by every retransmission (the pre-refactor path re-encoded —
-    // and so re-copied the payload — per attempt). Invalidated when the
-    // channel epoch moves under it.
+    // shared by every retransmission. Re-encoded only when the channel
+    // epoch or the peer's floor moved under it.
     serde::BufferRef envelope;
     std::uint32_t envelope_epoch = 0;
+    std::uint64_t envelope_floor = 0;
     unsigned attempts = 0;
     SimTime first_sent;
     sim::TimerHandle retry;
@@ -301,11 +312,13 @@ class ReliableChannel {
     std::map<std::uint64_t, Pending> pending;
   };
 
-  // Receive-side state per sender: last seen incarnation plus the dedup
-  // window scoped to it.
+  // Receive-side state per sender: last seen incarnation, the next seq to
+  // release in it (0 until the stream is joined) and the frames that
+  // arrived ahead of a gap, ready to deliver.
   struct Inbound {
     std::uint32_t epoch = 0;
-    SeqDedup dedup;
+    std::uint64_t next = 0;
+    std::map<std::uint64_t, net::Message> ahead;
   };
 
   void transmit(Guid to, std::uint64_t seq);
@@ -315,6 +328,14 @@ class ReliableChannel {
             DeadLetterCause cause);
   [[nodiscard]] Duration retry_delay(unsigned attempts);
   [[nodiscard]] net::Message inner_message(Guid to, const Pending& p) const;
+  void send_ack(Guid to, std::uint32_t epoch, std::uint64_t seq);
+  // Hands `inner`, the frame at in.next, to `deliver` and acks it unless
+  // the handler held the ack.
+  void deliver_next(Inbound& in, const net::Message& inner,
+                    const DeliverHandler& deliver);
+  // Releases the run of waiting frames that starts at in.next; those below
+  // it were given up by the sender and go undelivered.
+  void drain(Inbound& in, const DeliverHandler& deliver);
 
   net::Network& network_;
   Guid self_;

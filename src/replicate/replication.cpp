@@ -396,11 +396,9 @@ bool ReplicationFollower::accept_epoch(std::uint32_t epoch) {
   // suppress the watchdog against a dead current primary.
   if (epoch < current_epoch()) return false;
   if (epoch > stream_epoch_) {
-    // New incarnation: leftovers from the dead one must never satisfy a gap
-    // in the new log (indices restart), and nothing applies until the new
-    // primary's snapshot resyncs us.
+    // New incarnation: its indices restart, and nothing applies until the
+    // new primary's snapshot resyncs us.
     stream_epoch_ = epoch;
-    gap_.clear();
     await_snapshot_ = true;
     primary_head_ = 0;
   }
@@ -419,22 +417,6 @@ bool ReplicationFollower::primary_recently_alive() const {
   return silence.count_micros() <= config_.promote_timeout().count_micros();
 }
 
-void ReplicationFollower::drain_gap() {
-  // While the epoch's snapshot is outstanding, applied_ still describes the
-  // previous incarnation: trimming against it would eat buffered records of
-  // the new log (whose indices restart below the old head).
-  if (await_snapshot_) return;
-  while (!gap_.empty() && gap_.begin()->first <= applied_)
-    gap_.erase(gap_.begin());
-  while (!gap_.empty() && gap_.begin()->first == applied_ + 1) {
-    const auto [record, bytes] = std::move(gap_.begin()->second);
-    gap_.erase(gap_.begin());
-    applied_ = record.index;
-    m_records_applied_->inc();
-    apply_record_(record, bytes);
-  }
-}
-
 void ReplicationFollower::on_record(const serde::BufferRef& payload) {
   serde::Reader r(payload);
   const auto epoch = r.varint();
@@ -447,12 +429,14 @@ void ReplicationFollower::on_record(const serde::BufferRef& payload) {
              record.error().message().c_str());
     return;
   }
-  // Jitter can let a record overtake the epoch's snapshot: hold it until
-  // the snapshot lands. Otherwise an index at or below applied_ is a
-  // duplicate.
-  if (await_snapshot_ || record->index > applied_)
-    gap_.emplace(record->index, std::make_pair(std::move(*record), inner));
-  drain_gap();  // applies the contiguous run at applied_ + 1, if formed
+  // The channel hands records over in send order, after the epoch's
+  // snapshot: anything but applied_ + 1 is a duplicate or follows a record
+  // the primary gave up on.
+  if (!await_snapshot_ && record->index == applied_ + 1) {
+    applied_ = record->index;
+    m_records_applied_->inc();
+    apply_record_(*record, inner);
+  }
   ack();
 }
 
@@ -474,7 +458,6 @@ void ReplicationFollower::on_snapshot(const serde::BufferRef& payload) {
   // below where this follower had reached under the old incarnation).
   applied_ = *base;
   await_snapshot_ = false;
-  drain_gap();
   ack();
 }
 
@@ -514,7 +497,7 @@ void ReplicationFollower::on_heartbeat(serde::FrameView payload) {
   // comparison would flag ordinary lag as corruption. The flag is sticky per
   // episode so one divergence bumps the counter once, not once per beat.
   if (!fingerprint_ || *remote_fp == 0) return;
-  if (await_snapshot_ || applied_ != *head || !gap_.empty()) return;
+  if (await_snapshot_ || applied_ != *head) return;
   const std::uint64_t local_fp = fingerprint_();
   if (local_fp != *remote_fp) {
     if (!diverged_) {
@@ -533,7 +516,6 @@ void ReplicationFollower::seed(std::uint32_t epoch, std::uint64_t applied) {
   stream_epoch_ = epoch;
   applied_ = applied;
   await_snapshot_ = false;
-  gap_.clear();
 }
 
 void ReplicationFollower::ack(std::uint64_t beat_seq) {
@@ -558,8 +540,8 @@ void ReplicationFollower::send_raw(Guid to, std::uint32_t type,
 }
 
 void ReplicationFollower::watchdog_tick() {
-  // Never promote while still awaiting the epoch's snapshot: records
-  // buffered ahead of it satisfy heard_once_, but the local state is empty
+  // Never promote while still awaiting the epoch's snapshot: beats and
+  // records of the epoch satisfy heard_once_, but the local state is empty
   // or stale — taking over would silently lose the range's registrar,
   // subscription and configuration state.
   if (!heard_once_ || await_snapshot_) return;

@@ -27,7 +27,8 @@
 //    that beat's send time plus promote_timeout.
 //
 //  * ReplicationFollower (standby side) — applies records strictly in index
-//    order (out-of-order arrivals wait in a gap buffer), hands snapshots
+//    order (the channel hands them over in send order, so it applies the
+//    record at applied + 1 and drops anything else), hands snapshots
 //    and records to CS-supplied callbacks, answers every current-epoch
 //    heartbeat with kReplApplied (epoch, applied, beat seq) — one frame
 //    that is both its progress report and its lease vote — and watches the
@@ -68,10 +69,9 @@
 // same-epoch majorities would have to intersect in a double-voting member).
 //
 // Every shipped frame is prefixed with the primary channel's incarnation
-// epoch. A follower drops frames from superseded epochs, clears its gap
-// buffer when the epoch advances (leftover records from the dead
-// incarnation must never satisfy a new-incarnation gap), and buffers
-// records until it has a snapshot of the current epoch — so a standby that
+// epoch. A follower drops frames from superseded epochs, and when the
+// epoch advances it applies nothing until the new epoch's snapshot, which
+// the primary sends ahead of that epoch's records — so a standby that
 // survives a failover resynchronises cleanly against the promoted primary's
 // fresh log, whose indices continue from the promoted server's own head.
 //
@@ -143,8 +143,8 @@ struct LogRecord {
   Guid subject;             // the component/entity the record is about
   std::uint64_t flag = 0;   // kind-specific scalar (e.g. failure bit)
   // Opaque CS-owned body. Shared by reference along the follower's
-  // pipeline: the received frame, the gap buffer and the WAL append all
-  // hold the same pooled block (docs/MEMORY.md).
+  // pipeline: the received frame and the WAL append hold the same pooled
+  // block (docs/MEMORY.md).
   serde::BufferRef payload;
 
   void encode(serde::Writer& w) const;
@@ -369,7 +369,6 @@ class ReplicationFollower {
 
   [[nodiscard]] std::uint64_t applied() const { return applied_; }
   [[nodiscard]] std::uint64_t primary_head() const { return primary_head_; }
-  [[nodiscard]] std::size_t gap_size() const { return gap_.size(); }
   // A promote request is outstanding for the current silence episode
   // (cleared when primary liveness resumes).
   [[nodiscard]] bool promote_fired() const { return promoted_; }
@@ -388,14 +387,13 @@ class ReplicationFollower {
   // Returns false when `epoch` predates max(creation epoch, stream epoch):
   // a superseded incarnation's frame, which must neither apply nor count as
   // liveness. Otherwise the frame proves the primary alive (the one
-  // liveness clock), and on an advance the gap leftovers are discarded and
-  // the follower re-enters the await-snapshot state.
+  // liveness clock), and on an advance the follower re-enters the
+  // await-snapshot state.
   bool accept_epoch(std::uint32_t epoch);
   [[nodiscard]] std::uint32_t current_epoch() const {
     return std::max(epoch_, stream_epoch_);
   }
   [[nodiscard]] bool primary_recently_alive() const;
-  void drain_gap();
   // kReplApplied to the primary; a non-zero `beat_seq` answers that beat.
   void ack(std::uint64_t beat_seq = 0);
   void watchdog_tick();
@@ -421,10 +419,8 @@ class ReplicationFollower {
 
   std::uint64_t applied_ = 0;
   std::uint64_t primary_head_ = 0;
-  // Out-of-order arrivals, each with its received encoding.
-  std::map<std::uint64_t, std::pair<LogRecord, serde::BufferRef>> gap_;
   std::uint32_t stream_epoch_ = 0;
-  bool await_snapshot_ = true;  // records buffer until the epoch's snapshot
+  bool await_snapshot_ = true;  // records drop until the epoch's snapshot
   SimTime last_heard_;    // the one liveness clock, started at construction
   SimTime last_request_;  // when the outstanding promote request fired
   bool heard_once_ = false;

@@ -494,5 +494,154 @@ TEST(ReliableTest, MediatorFailAllParksWithMediatorCause) {
   EXPECT_EQ(a.channel.stats().dead_letters, 0u);
 }
 
+// --- ordered delivery per (sender, epoch) -----------------------------------
+
+std::vector<int> payload_values(const std::vector<net::Message>& frames) {
+  std::vector<int> out;
+  for (const auto& m : frames) {
+    EXPECT_EQ(m.payload.size(), 1u);
+    out.push_back(std::to_integer<int>(m.payload.data()[0]));
+  }
+  return out;
+}
+
+// Sends one frame from `a` to `b` that the link loses (its first
+// transmission only: the retransmit 200 ms later gets through).
+void send_lost(Fixture& f, Endpoint& a, const Endpoint& b, int value) {
+  f.network.set_partition_group(b.id, 1);
+  a.channel.send(b.id, 0x42, bytes({value}));
+  f.network.heal_partitions();
+}
+
+TEST(ReliableTest, OvertakingFrameWaitsUnackedUntilReleasedInOrder) {
+  Fixture f;
+  Endpoint a(f.network, Guid::random(f.rng));
+  Endpoint b(f.network, Guid::random(f.rng));
+
+  send_lost(f, a, b, 1);
+  a.channel.send(b.id, 0x42, bytes({2}));
+  f.simulator.run_until(f.simulator.now() + Duration::millis(10));
+  // Frame 2 arrived first: it waits for frame 1, and is not acked yet.
+  EXPECT_TRUE(b.delivered.empty());
+  EXPECT_EQ(b.channel.stats().reordered, 1u);
+  EXPECT_EQ(a.raw_count(kRelAck), 0u);
+  EXPECT_EQ(a.channel.in_flight(), 2u);
+
+  f.simulator.run_all();
+  EXPECT_EQ(payload_values(b.delivered), (std::vector<int>{1, 2}));
+  EXPECT_EQ(a.channel.stats().acked, 2u);
+  EXPECT_EQ(a.channel.in_flight(), 0u);
+}
+
+TEST(ReliableTest, AbandonedFramesDoNotWedgeTheFramesBehindThem) {
+  Fixture f;
+  Endpoint a(f.network, Guid::random(f.rng));
+  Endpoint b(f.network, Guid::random(f.rng));
+  b.channel.set_receive_gate(
+      [](std::uint32_t inner_type) { return inner_type != 0x41; });
+
+  a.channel.send(b.id, 0x42, bytes({1}));
+  f.simulator.run_all();
+  ASSERT_EQ(b.delivered.size(), 1u);
+
+  // Seq 2 is refused on every attempt and dead-letters after kMaxAttempts;
+  // seq 3 carries a floor past it and is delivered.
+  a.channel.send(b.id, 0x41, bytes({2}));
+  f.simulator.run_all();
+  EXPECT_EQ(a.channel.stats().dead_letters, 1u);
+  a.channel.send(b.id, 0x42, bytes({3}));
+  f.simulator.run_all();
+  EXPECT_EQ(payload_values(b.delivered), (std::vector<int>{1, 3}));
+
+  // Seq 4 is refused and seq 5 waits behind it; fail_all hands both back,
+  // and seq 6 is delivered, not stuck behind them.
+  a.channel.send(b.id, 0x41, bytes({4}));
+  a.channel.send(b.id, 0x42, bytes({5}));
+  f.simulator.run_until(f.simulator.now() + Duration::millis(10));
+  EXPECT_EQ(b.channel.stats().reordered, 1u);
+  EXPECT_EQ(a.channel.fail_all(b.id), 2u);
+  a.channel.send(b.id, 0x42, bytes({6}));
+  f.simulator.run_all();
+  EXPECT_EQ(payload_values(b.delivered), (std::vector<int>{1, 3, 6}));
+  EXPECT_EQ(a.channel.in_flight(), 0u);
+}
+
+TEST(ReliableTest, ReceiverWithNoStateJoinsTheStreamAtTheFloor) {
+  Fixture f;
+  Endpoint a(f.network, Guid::random(f.rng));
+  const Guid b_id = Guid::random(f.rng);
+  {
+    Endpoint predecessor(f.network, b_id);
+    a.channel.send(b_id, 0x42, bytes({1}));
+    a.channel.send(b_id, 0x42, bytes({2}));
+    f.simulator.run_all();
+    ASSERT_EQ(predecessor.delivered.size(), 2u);
+    ASSERT_TRUE(f.network.detach(b_id).is_ok());
+  }
+  // A successor under the same identity (a promoted standby) has no state
+  // for `a`: seq 3 carries floor 3, so it is delivered without waiting for
+  // seqs 1 and 2, which the predecessor acked.
+  Endpoint successor(f.network, b_id);
+  a.channel.send(b_id, 0x42, bytes({3}));
+  f.simulator.run_all();
+  EXPECT_EQ(payload_values(successor.delivered), (std::vector<int>{3}));
+  EXPECT_EQ(a.channel.in_flight(), 0u);
+}
+
+TEST(ReliableTest, DuplicateIsReAckedOnlyOnceReleased) {
+  Fixture f;
+  Endpoint a(f.network, Guid::random(f.rng));
+  Endpoint b(f.network, Guid::random(f.rng));
+
+  send_lost(f, a, b, 1);
+  a.channel.send(b.id, 0x42, bytes({2}));
+  f.simulator.run_until(f.simulator.now() + Duration::millis(10));
+  ASSERT_EQ(b.raw_count(kRelData), 1u);
+  const net::Message second = b.raw.front();
+
+  // A duplicate of frame 2 while it waits in the reorder map: no ack.
+  net::Message replay = second;
+  EXPECT_TRUE(f.network.send(std::move(replay)).is_ok());
+  f.simulator.run_until(f.simulator.now() + Duration::millis(10));
+  EXPECT_EQ(b.channel.stats().dup_suppressed, 1u);
+  EXPECT_EQ(a.raw_count(kRelAck), 0u);
+
+  // Once released it is acked, and a later duplicate is re-acked (a held
+  // ack stays silent instead: HeldAckDefersSettlementUntilRelease).
+  f.simulator.run_all();
+  ASSERT_EQ(payload_values(b.delivered), (std::vector<int>{1, 2}));
+  const std::size_t acks = a.raw_count(kRelAck);
+  const std::uint64_t dups = b.channel.stats().dup_suppressed;
+  replay = second;
+  EXPECT_TRUE(f.network.send(std::move(replay)).is_ok());
+  f.simulator.run_all();
+  EXPECT_EQ(b.delivered.size(), 2u);
+  EXPECT_EQ(b.channel.stats().dup_suppressed, dups + 1);
+  EXPECT_EQ(a.raw_count(kRelAck), acks + 1);
+}
+
+TEST(ReliableTest, FrameBeyondTheReorderBoundComesBackByRetransmit) {
+  Fixture f;
+  Endpoint a(f.network, Guid::random(f.rng));
+  Endpoint b(f.network, Guid::random(f.rng));
+
+  // Behind one lost frame, one more frame than the reorder map holds.
+  const int frames = static_cast<int>(kMaxReordered) + 2;
+  send_lost(f, a, b, 0);
+  for (int i = 1; i < frames; ++i) a.channel.send(b.id, 0x42, bytes({i}));
+  f.simulator.run_until(f.simulator.now() + Duration::millis(10));
+  EXPECT_TRUE(b.delivered.empty());
+  EXPECT_EQ(b.channel.stats().reordered, kMaxReordered);
+  EXPECT_EQ(a.raw_count(kRelAck), 0u);
+
+  f.simulator.run_all();
+  std::vector<int> expected(static_cast<std::size_t>(frames));
+  for (int i = 0; i < frames; ++i)
+    expected[static_cast<std::size_t>(i)] = i & 0xFF;
+  EXPECT_EQ(payload_values(b.delivered), expected);
+  EXPECT_EQ(a.channel.stats().dead_letters, 0u);
+  EXPECT_EQ(a.channel.in_flight(), 0u);
+}
+
 }  // namespace
 }  // namespace sci::reliable

@@ -88,15 +88,24 @@ TEST(ReplicateTest, LogRecordRoundTrip) {
   EXPECT_EQ(decoded->payload, record.payload);
 }
 
-TEST(ReplicateTest, FollowerAppliesInOrderAcrossGapsAndEpochs) {
+// The primary's channel reorders nothing it hands over: records that
+// overtake the epoch's snapshot on the wire still apply after it, in index
+// order, and a new incarnation restarts the stream.
+TEST(ReplicateTest, FollowerAppliesInSendOrderAcrossReorderingAndEpochs) {
   sim::Simulator simulator{42};
   net::Network network{simulator};
   Rng rng{7};
+  const Guid primary = Guid::random(rng);
+  const Guid standby = Guid::random(rng);
+  reliable::ReliableChannel out(network, primary);
+  reliable::ReliableChannel in(network, standby);
+  ASSERT_TRUE(network.attach(primary, [&](const net::Message& m) {
+                       (void)out.on_message(m, {});
+                     }).is_ok());
   std::vector<std::uint64_t> applied;
   std::vector<std::uint64_t> snapshot_bases;
   replicate::ReplicationFollower follower(
-      network, Guid::random(rng), Guid::random(rng), 0,
-      replicate::ReplicationConfig{},
+      network, standby, primary, 0, replicate::ReplicationConfig{},
       [&](const replicate::LogRecord& r, const serde::BufferRef&) {
         applied.push_back(r.index);
       },
@@ -104,6 +113,14 @@ TEST(ReplicateTest, FollowerAppliesInOrderAcrossGapsAndEpochs) {
         snapshot_bases.push_back(base);
       },
       {});
+  ASSERT_TRUE(network.attach(standby, [&](const net::Message& m) {
+                       (void)in.on_message(m, [&](const net::Message& inner) {
+                         if (inner.type == replicate::kReplRecord)
+                           follower.on_record(inner.payload);
+                         if (inner.type == replicate::kReplSnapshot)
+                           follower.on_snapshot(inner.payload);
+                       });
+                     }).is_ok());
 
   const auto record = [](std::uint64_t index) {
     replicate::LogRecord r;
@@ -111,41 +128,60 @@ TEST(ReplicateTest, FollowerAppliesInOrderAcrossGapsAndEpochs) {
     r.kind = replicate::RecordKind::kLeaseRenew;
     return r;
   };
+  // The snapshot's first transmission is lost; the records sent behind it
+  // arrive first and retransmit 200 ms later.
+  const auto ship_behind_lost_snapshot = [&](std::uint32_t epoch,
+                                             std::uint64_t base,
+                                             std::vector<std::uint64_t> ids) {
+    network.set_partition_group(standby, 1);
+    out.send(standby, replicate::kReplSnapshot,
+             replicate::encode_snapshot(epoch, base, {}));
+    network.heal_partitions();
+    for (const std::uint64_t id : ids)
+      out.send(standby, replicate::kReplRecord,
+               replicate::frame_record(epoch, record(id)));
+  };
 
-  // Records before the epoch's snapshot only buffer.
-  follower.on_record(replicate::frame_record(0, record(2)));
+  ship_behind_lost_snapshot(0, 0, {1, 2});
+  simulator.run_until(simulator.now() + Duration::millis(10));
+  EXPECT_EQ(in.stats().reordered, 2u);
+  // Nothing applies before the epoch's snapshot.
   EXPECT_TRUE(follower.awaiting_snapshot());
+  EXPECT_TRUE(snapshot_bases.empty());
   EXPECT_TRUE(applied.empty());
-  EXPECT_EQ(follower.gap_size(), 1u);
-
-  follower.on_snapshot(replicate::encode_snapshot(0, 0, {}));
-  ASSERT_EQ(snapshot_bases.size(), 1u);
+  simulator.run_until(simulator.now() + Duration::seconds(1));
+  EXPECT_EQ(snapshot_bases, (std::vector<std::uint64_t>{0}));
   EXPECT_FALSE(follower.awaiting_snapshot());
-  EXPECT_TRUE(applied.empty());  // 2 still gapped behind the missing 1
-
-  follower.on_record(replicate::frame_record(0, record(1)));
   EXPECT_EQ(applied, (std::vector<std::uint64_t>{1, 2}));
   EXPECT_EQ(follower.applied(), 2u);
-  EXPECT_EQ(follower.gap_size(), 0u);
 
-  // Duplicate is ignored.
-  follower.on_record(replicate::frame_record(0, record(2)));
+  // A duplicate is ignored.
+  out.send(standby, replicate::kReplRecord,
+           replicate::frame_record(0, record(2)));
+  simulator.run_until(simulator.now() + Duration::seconds(1));
   EXPECT_EQ(applied.size(), 2u);
 
-  // A higher epoch (promoted primary) resets the stream: buffered leftovers
-  // vanish and nothing applies until its snapshot arrives — even records
-  // whose indices replay below what this follower had reached.
-  follower.on_record(replicate::frame_record(1, record(1)));
+  // A higher epoch (promoted primary, first heard by its beat) resets the
+  // stream: its records replay indices below what this follower reached,
+  // and apply only after its snapshot.
+  out.rebind(primary, 1);
+  follower.on_heartbeat(beat(1, 0, 1));
+  EXPECT_TRUE(follower.awaiting_snapshot());
+  ship_behind_lost_snapshot(1, 0, {1});
+  simulator.run_until(simulator.now() + Duration::millis(10));
   EXPECT_TRUE(follower.awaiting_snapshot());
   EXPECT_EQ(applied.size(), 2u);
-  follower.on_snapshot(replicate::encode_snapshot(1, 0, {}));
-  EXPECT_EQ(follower.applied(), 1u);  // reset to base, then drained record 1
+  simulator.run_until(simulator.now() + Duration::seconds(1));
+  EXPECT_EQ(snapshot_bases, (std::vector<std::uint64_t>{0, 0}));
+  EXPECT_EQ(follower.applied(), 1u);  // reset to base, then record 1
   EXPECT_EQ(applied, (std::vector<std::uint64_t>{1, 2, 1}));
 
   // Stale epoch-0 stragglers are dropped.
-  follower.on_record(replicate::frame_record(0, record(3)));
+  out.send(standby, replicate::kReplRecord,
+           replicate::frame_record(0, record(2)));
+  simulator.run_until(simulator.now() + Duration::seconds(1));
   EXPECT_EQ(applied.size(), 3u);
-  EXPECT_EQ(follower.gap_size(), 0u);
+  EXPECT_EQ(out.in_flight(), 0u);
 }
 
 TEST(ReplicateTest, WatchdogGatesOnSnapshotAndRearmsAfterFalseAlarm) {

@@ -1057,10 +1057,11 @@ std::string profile_tag(const range::ContextServer& server, Guid entity) {
   return p == nullptr ? "<none>" : p->metadata.string_or("");
 }
 
-// The channel dedups but does not order: an older mirror landing after a
-// newer one must not roll the profile back, and a mirror of an entity this
-// shard owns (say, a late one from a vnode's previous owner) must not
-// overwrite the owned profile.
+// The channel orders each sender's frames, but a vnode's old and new owners
+// are different senders: an older mirror landing after a newer one must not
+// roll the profile back, and a mirror of an entity this shard owns (say, a
+// late one from a vnode's previous owner) must not overwrite the owned
+// profile.
 TEST(ShardTest, MirrorIngestNeverGoesBackwards) {
   ShardFixture f(2);
   PulseCE remote(f.sci.network(), f.guid_owned_by(1), "remote",
@@ -1095,6 +1096,100 @@ TEST(ShardTest, MirrorIngestNeverGoesBackwards) {
   EXPECT_EQ(f.lead->profiles().profile(remote.id())->version, v2.version);
   EXPECT_NE(profile_tag(*f.lead, local.id()), "impostor");
   EXPECT_EQ(f.lead->profiles().profile(local.id())->version, owned_version);
+}
+
+// A sibling's mirror put loses its first transmission and is overtaken by
+// the entity's drop, sent later in a frame of its own. The channel hands
+// the two over in send order, so the drop lands last and no sibling keeps
+// the departed entity.
+TEST(ShardTest, MirrorPutOvertakenByItsDropLeavesNoGhost) {
+  ShardFixture f(2);
+  PulseCE remote(f.sci.network(), f.guid_owned_by(1), "remote",
+                 entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(remote, *f.lead).is_ok());
+  f.sci.run_for(Duration::millis(300));
+  ASSERT_NE(f.lead->profiles().profile(remote.id()), nullptr);
+
+  // The lead (shard 0) is cut off for 3 ms: the mirror of this profile
+  // update (flushed within 1 ms of its arrival at shard 1) is lost and
+  // retransmits 200 ms later.
+  sim::FaultPlan plan;
+  plan.partition(Duration::micros(0), "mall", 1).heal(Duration::millis(3));
+  f.sci.inject_faults(plan);
+  remote.set_metadata(Value("last words"));
+  f.sci.run_for(Duration::millis(5));
+  remote.stop();
+  f.sci.run_for(Duration::seconds(2));
+
+  for (const range::ContextServer* shard : f.sci.shards("mall")) {
+    EXPECT_EQ(shard->registrar().find(remote.id()), nullptr);
+    EXPECT_EQ(shard->profiles().profile(remote.id()), nullptr);
+  }
+}
+
+// The subscription twin: a wildcard mirror's install loses its first
+// transmission and is overtaken by its teardown. Released in send order,
+// the teardown lands last, and the departed mirror delivers nothing.
+TEST(ShardTest, WildcardMirrorOvertakenByItsTeardownStopsDelivering) {
+  ShardFixture f(2);
+  const auto shards = f.sci.shards("mall");
+  PulseCE local(f.sci.network(), f.guid_owned_by(0), "local",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(local, *f.lead).is_ok());
+  ShardMonitor monitor(f.sci.network(), f.guid_owned_by(1), "monitor",
+                       entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(monitor, *f.lead).is_ok());
+  f.sci.run_for(Duration::millis(500));
+
+  // The lead (shard 0) is cut off while shard 1 flushes the mirror.
+  sim::FaultPlan plan;
+  plan.partition(Duration::micros(0), "mall", 1).heal(Duration::millis(3));
+  f.sci.inject_faults(plan);
+  const event::SubscriptionId sub =
+      shards[1]->subscribe_pattern(monitor.id(), "pulse");
+  f.sci.run_for(Duration::millis(5));
+  ASSERT_TRUE(shards[1]->unsubscribe(sub).is_ok());
+  f.sci.run_for(Duration::seconds(2));
+
+  EXPECT_TRUE(shards[0]->mediator().table().all().empty());
+  local.publish("pulse", Value(static_cast<std::int64_t>(1)));
+  f.sci.run_for(Duration::seconds(1));
+  EXPECT_EQ(monitor.unique_events, 0);
+}
+
+// The one profile race the channel's order cannot settle: after a vnode
+// moves, the old owner's replay of a staged update (kHandoffReplay) and the
+// redirected component's newer update reach the new owner from different
+// senders. The replay is modelled as a late raw frame; the Profile
+// Manager's version check keeps the newer profile.
+TEST(ShardTest, LateHandoffReplayNeverRollsAProfileBack) {
+  ShardFixture f(2);
+  PulseCE pulse(f.sci.network(), f.guid_owned_by(0), "pulse",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(pulse, *f.lead).is_ok());
+  f.sci.run_for(Duration::millis(300));
+  ASSERT_TRUE(f.lead->begin_handoff(f.lead->shard_map().vnode_of(pulse.id()),
+                                    1));
+  f.sci.run_for(Duration::seconds(2));
+  const range::ContextServer* owner = f.sci.shards("mall")[1];
+  ASSERT_EQ(pulse.registration().context_server, owner->server_node());
+
+  pulse.set_metadata(Value("newer"));
+  f.sci.run_for(Duration::millis(50));
+  const entity::Profile* held = owner->profiles().profile(pulse.id());
+  ASSERT_NE(held, nullptr);
+  entity::Profile staged = *held;
+  staged.version -= 1;
+  staged.metadata = Value("staged");
+  serde::Writer w;
+  range::StagedOp{pulse.id(), entity::kProfileUpdate,
+                  entity::ProfileUpdateBody{staged}.encode()}
+      .encode(w);
+  send_raw(f, f.lead->server_node(), owner->server_node(),
+           range::kHandoffReplay, w.take_ref());
+  f.sci.run_for(Duration::millis(50));
+
+  EXPECT_EQ(profile_tag(*owner, pulse.id()), "newer");
 }
 
 // Sibling registrations with no query in sight log nothing; the first query
