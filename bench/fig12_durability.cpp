@@ -17,7 +17,9 @@
 //     replacement standby recovers the dead one's WAL and rejoins by
 //     presenting its recovered (epoch, watermark). The gated claim is that
 //     the rejoin ships strictly fewer bytes than the initial full snapshot
-//     (repl.catchup.delta_bytes < repl.catchup.snapshot_bytes).
+//     (repl.catchup.delta_bytes < repl.catchup.snapshot_bytes), and that the
+//     WAL-recovered standby never counts a repl.state_divergence against the
+//     primary's heartbeat fingerprint.
 //
 //   corruption — the dormant WAL is damaged through the declarative fault
 //     plan (torn tail, then a flipped byte; a sync-failure burst also runs
@@ -28,8 +30,8 @@
 //     so this scenario gates liveness, not zero loss.
 //
 // CI (chaos job) fails when any seed loses an acked op across the cold
-// restart, ships a delta at least as large as the snapshot, or fails to
-// recover from the damaged WAL.
+// restart, ships a delta at least as large as the snapshot, diverges after
+// the rejoin, or fails to recover from the damaged WAL.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -222,6 +224,9 @@ void BM_Durability(benchmark::State& state) {
                       (*second)->recovered_from_disk() ? 1 : 0));
       doc.emplace("rejoin_replication_lag",
                   static_cast<std::int64_t>(d.level_b->replication_lag()));
+      doc.emplace("repl_state_divergence",
+                  static_cast<std::int64_t>(
+                      snap.counter("repl.state_divergence")));
       state.counters["delta_bytes"] = static_cast<double>(delta_bytes);
       state.counters["snapshot_bytes"] = static_cast<double>(snapshot_bytes);
     }

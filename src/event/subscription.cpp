@@ -123,16 +123,13 @@ std::size_t SubscriptionTable::renew_subscriber(Guid subscriber,
   return renewed;
 }
 
-std::vector<Subscription> SubscriptionTable::expire_before(SimTime now) {
-  std::vector<Subscription> expired;
+std::vector<SubscriptionId> SubscriptionTable::lapsed_at(SimTime now) const {
+  std::vector<SubscriptionId> lapsed;
   for (const auto& [id, subscription] : subscriptions_) {
-    if (subscription.expires_at.is_infinite()) continue;
-    if (!(now < subscription.expires_at)) expired.push_back(subscription);
+    if (!(now < subscription.expires_at)) lapsed.push_back(id);
   }
-  for (const Subscription& subscription : expired) {
-    (void)remove(subscription.id);
-  }
-  return expired;
+  std::sort(lapsed.begin(), lapsed.end());
+  return lapsed;
 }
 
 void SubscriptionTable::collect_matches_into(const Event& event,

@@ -83,11 +83,11 @@ class SubscriptionTable {
 
   // Lease maintenance. set_expiry stamps one subscription; renew_subscriber
   // pushes every lease held by `subscriber` to `new_expiry` (a renewal
-  // covers all of an entity's subscriptions); expire_before removes and
-  // returns every subscription whose lease lapsed at or before `now`.
+  // covers all of an entity's subscriptions); lapsed_at lists, in id order,
+  // every subscription whose lease lapsed at or before `now`.
   Status set_expiry(SubscriptionId id, SimTime expires_at);
   std::size_t renew_subscriber(Guid subscriber, SimTime new_expiry);
-  std::vector<Subscription> expire_before(SimTime now);
+  [[nodiscard]] std::vector<SubscriptionId> lapsed_at(SimTime now) const;
 
   // Fills `out` (cleared, capacity reused across calls) with the
   // subscriptions matching `event`, bumping their delivery counters and

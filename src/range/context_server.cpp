@@ -284,11 +284,7 @@ ContextServer::ContextServer(net::Network& network, RangeConfig config,
   if (config_.reliability.acked_delivery) {
     mediator_.set_channel(&channel_);
   }
-  if (config_.reliability.lease_ttl.count_micros() > 0) {
-    mediator_.set_lease_ttl(config_.reliability.lease_ttl);
-    mediator_.set_lease_expired_handler(
-        [this](const event::Subscription& s) { on_lease_expired(s); });
-  }
+  mediator_.set_lease_ttl(config_.reliability.lease_ttl);
   if (sharded()) {
     // Disjoint per-shard subscription-id spaces: ids minted here can never
     // collide with ids mirrored in (verbatim) from sibling shards.
@@ -404,6 +400,15 @@ ContextServer::~ContextServer() {
 }
 
 void ContextServer::start_primary_duties() {
+  // Only a server running primary duties runs timers (docs/REPLICATION.md,
+  // "Who runs timers"): leases start a fresh term, and every parked query
+  // and bounded configuration re-arms from replicated state.
+  mediator_.start_reaper(
+      [this](event::SubscriptionId id) { expire_lease(id); });
+  for (auto* list : {&deferred_, &not_before_}) {
+    for (DeferredQuery& parked : *list) arm_parked(parked);
+  }
+  for (auto& [tag, tracked] : tracked_) arm_bounded_expiry(tag, tracked);
   ping_timer_.emplace(network_.simulator(), config_.liveness.ping_period,
                       [this] { ping_tick(); });
   ping_timer_->start();
@@ -538,38 +543,31 @@ void ContextServer::on_channel_give_up(const net::Message& message,
   }
 }
 
-void ContextServer::on_lease_expired(const event::Subscription& subscription) {
+void ContextServer::expire_lease(event::SubscriptionId id) {
+  const auto subscription = mediator_.expire(id);
+  if (!subscription) return;
+  // Logged as the subscriber's teardown of its own subscription.
+  log_record(replicate::RecordKind::kShardUnsubscribe, subscription->subscriber,
+             id, {});
   // Drop CS bookkeeping that referenced the reaped subscription so later
   // teardown does not double-unsubscribe.
-  for (auto it = edge_subscriptions_.begin();
-       it != edge_subscriptions_.end();) {
-    if (it->second == subscription.id) {
-      it = edge_subscriptions_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = app_edges_.begin(); it != app_edges_.end();) {
-    if (it->second == subscription.id) {
-      it = app_edges_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  const auto names_it = [id](const auto& entry) { return entry.second == id; };
+  std::erase_if(edge_subscriptions_, names_it);
+  std::erase_if(app_edges_, names_it);
   // Mediator-level delivery failure: the reaper just dropped this
   // subscriber's last subscription while deliveries to it were still in
   // flight. Those frames can never be consumed under a live subscription,
   // so park them now as mediator dead letters — same bounded replayable DLQ
   // as channel give-ups, distinguished by cause (Sci::dead_letters).
-  if (mediator_.table().ids_for_subscriber(subscription.subscriber).empty() &&
-      channel_.in_flight_to(subscription.subscriber) > 0) {
+  if (mediator_.table().ids_for_subscriber(subscription->subscriber).empty() &&
+      channel_.in_flight_to(subscription->subscriber) > 0) {
     const std::size_t parked = channel_.fail_all(
-        subscription.subscriber, reliable::DeadLetterCause::kMediator);
+        subscription->subscriber, reliable::DeadLetterCause::kMediator);
     SCI_INFO(kTag,
              "%s: lease expiry parked %zu undeliverable frame(s) to %s as "
              "mediator dead letters",
              config_.name.c_str(), parked,
-             subscription.subscriber.short_string().c_str());
+             subscription->subscriber.short_string().c_str());
   }
 }
 
@@ -642,13 +640,11 @@ void ContextServer::on_component_message(const net::Message& message) {
       registrar_.touch(message.from, network_.simulator().now());
       return;
     case entity::kLeaseRenew:
-      // Keep-alive for subscription leases; doubles as a sign of life for
-      // the Range Service's failure detector.
+      // Keep-alive for subscription leases: soft state like a pong, never
+      // logged, since a new primary starts every lease afresh. Doubles as a
+      // sign of life for the Range Service's failure detector.
       registrar_.touch(message.from, network_.simulator().now());
       mediator_.renew(message.from);
-      hold_admit_until_committed(
-          log_record(replicate::RecordKind::kLeaseRenew, message.from, 0, {}),
-          {});
       return;
     case kForwardedQueryDirect: {
       auto wire = ForwardedQueryWire::decode(message.payload);
@@ -872,19 +868,8 @@ void ContextServer::ingest_publish(const entity::PublishBody& body) {
   // recorded under its subject for later pull queries.
   context_store_.record(event);
 
-  // 1. Fan out to subscribers; one-time configurations retire after their
-  // first delivery. The matches live in the mediator's scratch vector, so
-  // harvest the owner tags before anything here can dispatch again.
-  const auto& matched = mediator_.dispatch_shared(event);
-  retire_scratch_.clear();
-  for (const event::MatchRef& match : matched) {
-    if (match.one_time && match.owner_tag != 0) {
-      retire_scratch_.push_back(match.owner_tag);
-    }
-  }
-  for (const std::uint64_t owner_tag : retire_scratch_) {
-    retire_configuration(owner_tag);
-  }
+  // 1. Fan out to subscribers.
+  dispatch(event);
   remember_recent(event);
 
   // 2. Location Service keeps profiles current from location-bearing events.
@@ -902,6 +887,22 @@ void ContextServer::ingest_publish(const entity::PublishBody& body) {
 
   // 3. Deferred-query triggers ("when Bob enters L10.01").
   if (new_location) check_triggers(event, *new_location);
+}
+
+void ContextServer::dispatch(const event::Event& event) {
+  // One-time configurations retire after their first delivery. The matches
+  // live in the mediator's scratch vector, so harvest the owner tags before
+  // anything here can dispatch again.
+  const auto& matched = mediator_.dispatch_shared(event);
+  retire_scratch_.clear();
+  for (const event::MatchRef& match : matched) {
+    if (match.one_time && match.owner_tag != 0) {
+      retire_scratch_.push_back(match.owner_tag);
+    }
+  }
+  for (const std::uint64_t owner_tag : retire_scratch_) {
+    retire_configuration(owner_tag);
+  }
 }
 
 void ContextServer::check_triggers(const event::Event& event,
@@ -1078,82 +1079,60 @@ void ContextServer::admit_query(query::Query q, Guid app) {
     return;
   }
 
-  // Temporal constraints: hold the query until they are satisfied.
-  if (q.when.trigger) {
+  // Temporal constraints: park the query until they are satisfied. A
+  // standby or a WAL replay arms no timer: it waits for the primary's
+  // record of what the timer did.
+  if (!q.when.is_immediate()) {
     m_queries_deferred_.inc();
-    deferred_.push_back(
+    auto& list = q.when.trigger ? deferred_ : not_before_;
+    list.push_back(
         DeferredQuery{std::move(q), app, network_.simulator().now(), {}});
-    arm_deferred_expiry(deferred_.back());
-    return;
-  }
-  if (q.when.not_before_seconds) {
-    schedule_not_before(std::move(q), app);
+    if (!passive()) arm_parked(list.back());
     return;
   }
   execute_query(q, app);
 }
 
-void ContextServer::arm_deferred_expiry(DeferredQuery& deferred) {
-  const double expires_after = deferred.query.when.expires_after_seconds;
-  if (expires_after <= 0.0) return;
-  const SimTime now = network_.simulator().now();
-  const SimTime due = std::max(
-      now, deferred.stored_at + Duration::from_seconds_f(expires_after));
-  const std::string query_id = deferred.query.id;
-  const Guid app = deferred.app;
+void ContextServer::arm_parked(DeferredQuery& parked) {
+  const query::WhenClause& when = parked.query.when;
+  const bool trigger = when.trigger.has_value();
+  SimTime due = SimTime::from_micros(
+      static_cast<std::int64_t>(when.not_before_seconds.value_or(0.0) * 1e6));
+  if (trigger) {
+    if (when.expires_after_seconds <= 0.0) return;
+    due = parked.stored_at +
+          Duration::from_seconds_f(when.expires_after_seconds);
+  }
   // The closure may outlive a fenced/destroyed server (the simulator owns
   // it): the alive flag makes it a no-op in that case, and the handle lets
-  // cancel_query/fence/departure/snapshot restore retire it eagerly.
-  deferred.expiry = network_.simulator().schedule_at(
-      due, [this, alive = alive_, query_id, app] {
-        if (!*alive || !take_parked(deferred_, app, query_id)) return;
-        reply_result(app, query_id,
-                     make_error(ErrorCode::kTimeout,
-                                "deferred query expired unanswered"),
-                     Value());
-      });
-}
-
-void ContextServer::arm_not_before(DeferredQuery& held) {
-  const SimTime at = SimTime::from_micros(
-      static_cast<std::int64_t>(*held.query.when.not_before_seconds * 1e6));
-  // Guarded and retired like a deferred query's expiry.
-  held.expiry = network_.simulator().schedule_at(
-      std::max(network_.simulator().now(), at),
-      [this, alive = alive_, query_id = held.query.id, app = held.app] {
+  // cancel_query/fence/departure retire it eagerly.
+  parked.expiry = network_.simulator().schedule_at(
+      std::max(network_.simulator().now(), due),
+      [this, alive = alive_, trigger, query_id = parked.query.id,
+       app = parked.app] {
         if (!*alive) return;
-        auto ready = take_parked(not_before_, app, query_id);
-        if (!ready) return;
-        ready->query.when = query::WhenClause{};
-        execute_query(ready->query, app);
+        const auto& list = trigger ? deferred_ : not_before_;
+        const auto it = std::find_if(
+            list.begin(), list.end(), [&](const DeferredQuery& d) {
+              return d.app == app && d.query.id == query_id;
+            });
+        if (it == list.end()) return;
+        query::Query fired = it->query;
+        (void)withdraw_parked_query(app, query_id);
+        if (trigger) {
+          reply_result(app, query_id,
+                       make_error(ErrorCode::kTimeout,
+                                  "deferred query expired unanswered"),
+                       Value());
+          return;
+        }
+        // Released through the intake step as a fresh kQuery without the
+        // constraint, which a standby admits exactly as this server does.
+        fired.when = query::WhenClause{};
+        serde::BufferRef wire =
+            ForwardedQueryWire{app, fired.to_xml()}.encode();
+        accept_query(std::move(fired), app, std::move(wire), false);
       });
-}
-
-std::optional<ContextServer::DeferredQuery> ContextServer::take_parked(
-    std::vector<DeferredQuery>& list, Guid app, const std::string& query_id) {
-  const auto it =
-      std::find_if(list.begin(), list.end(), [&](const DeferredQuery& d) {
-        return d.query.id == query_id && d.app == app;
-      });
-  if (it == list.end()) return std::nullopt;
-  DeferredQuery taken = std::move(*it);
-  list.erase(it);
-  return taken;
-}
-
-void ContextServer::schedule_not_before(query::Query q, Guid app) {
-  const SimTime at =
-      SimTime::from_micros(static_cast<std::int64_t>(
-          *q.when.not_before_seconds * 1e6));
-  const SimTime now = network_.simulator().now();
-  if (at <= now) {
-    q.when = query::WhenClause{};
-    execute_query(q, app);
-    return;
-  }
-  m_queries_deferred_.inc();
-  not_before_.push_back(DeferredQuery{std::move(q), app, now, {}});
-  arm_not_before(not_before_.back());
 }
 
 void ContextServer::execute_query(const query::Query& q, Guid app) {
@@ -1331,24 +1310,9 @@ void ContextServer::execute_subscription(const query::Query& q, Guid app,
                  view_hit);
     return;
   }
-  // Bounded subscriptions: retire automatically at expiry and tell the
-  // application its stream has ended.
-  if (q.when.expires_after_seconds > 0.0) {
-    const std::uint64_t expiring_tag = *tag;
-    const std::string query_id = q.id;
-    const Guid app_copy = app;
-    network_.simulator().schedule(
-        Duration::from_seconds_f(q.when.expires_after_seconds),
-        [this, alive = alive_, expiring_tag, query_id, app_copy] {
-          if (!*alive) return;
-          if (store_.find(expiring_tag) == nullptr) return;  // already gone
-          retire_configuration(expiring_tag);
-          reply_result(app_copy, query_id,
-                       make_error(ErrorCode::kTimeout,
-                                  "subscription expired"),
-                       Value());
-        });
-  }
+  // Bounded subscriptions retire at their due time and tell the application
+  // its stream has ended.
+  arm_bounded_expiry(*tag, tracked_.at(*tag));
 
   const compose::ActiveConfiguration* active = store_.find(*tag);
   SCI_ASSERT(active != nullptr);
@@ -1360,6 +1324,21 @@ void ContextServer::execute_subscription(const query::Query& q, Guid app,
                  static_cast<std::int64_t>(active->plan.entities.size()));
   finish_query(app, q.id, Error(), Value(std::move(result)),
                elapsed_micros(started), view_hit, *tag);
+}
+
+void ContextServer::arm_bounded_expiry(std::uint64_t tag,
+                                       TrackedQuery& tracked) {
+  if (passive() || tracked.expires_at.is_infinite()) return;
+  tracked.expiry = network_.simulator().schedule_at(
+      std::max(network_.simulator().now(), tracked.expires_at),
+      [this, alive = alive_, tag, app = tracked.app,
+       query_id = tracked.query.id] {
+        if (!*alive || store_.find(tag) == nullptr) return;
+        retire_configuration(tag);
+        reply_result(app, query_id,
+                     make_error(ErrorCode::kTimeout, "subscription expired"),
+                     Value());
+      });
 }
 
 void ContextServer::finish_query(Guid app, const std::string& query_id,
@@ -1695,7 +1674,14 @@ Expected<std::uint64_t> ContextServer::build_configuration(
     }
   }
 
-  const TrackedQuery& tracked = tracked_[tag] = TrackedQuery{q, app, one_time};
+  // A bounded subscription's due time is replicated state.
+  const SimTime due =
+      q.when.expires_after_seconds > 0.0
+          ? network_.simulator().now() +
+                Duration::from_seconds_f(q.when.expires_after_seconds)
+          : SimTime::infinity();
+  const TrackedQuery& tracked = tracked_[tag] =
+      TrackedQuery{q, app, one_time, due, {}};
   rewire(tag, plan, tracked);
   bind_app_edge(tag, plan, request, tracked);
   m_configurations_.inc();
@@ -1774,7 +1760,7 @@ void ContextServer::retire_configuration(std::uint64_t tag) {
     // standby's table unwinds identically; double-retire is a no-op.
     std::vector<event::SubscriptionId> direct;
     for (const event::Subscription& s : mediator_.table().all()) {
-      if (s.owner_tag == tag) direct.push_back(s.id);
+      if (s.owner_tag == tag && minted_here(s.id)) direct.push_back(s.id);
     }
     if (direct.empty()) return;
     log_record(replicate::RecordKind::kConfigRetire, Guid(), tag, {});
@@ -1796,7 +1782,10 @@ void ContextServer::retire_configuration(std::uint64_t tag) {
     (void)mediator_.unsubscribe(it->second);
     app_edges_.erase(it);
   }
-  tracked_.erase(tag);
+  if (const auto it = tracked_.find(tag); it != tracked_.end()) {
+    network_.simulator().cancel(it->second.expiry);
+    tracked_.erase(it);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1829,16 +1818,10 @@ void ContextServer::departure(Guid component, bool failure) {
       if (tracked.app == component) owned.push_back(tag);
     }
     for (const std::uint64_t tag : owned) retire_configuration(tag);
-    // Parked/deferred queries from this app die with it (expiry timers
-    // included — their closures must not fire for a gone app).
-    std::erase_if(pending_, [&](const DeferredQuery& d) {
-      return d.app == component;
-    });
-    std::erase_if(deferred_, [&](const DeferredQuery& d) {
-      if (d.app != component) return false;
-      network_.simulator().cancel(d.expiry);
-      return true;
-    });
+    // Its parked queries die with it, timers included: a not-before query
+    // must not fire and wire subscriptions for a gone app.
+    (void)erase_parked(
+        [&](const DeferredQuery& d) { return d.app == component; });
   } else {
     mediator_.remove_producer(component);
     recompose_after_loss(component);
@@ -2059,31 +2042,43 @@ bool ContextServer::cancel_query(Guid app, const std::string& query_id) {
     retire_configuration(outcome->config_tag);
     cancelled = cancelled || mediator_.table().size() != before;
   }
-  // Parked queries: the standbys withdraw them through the same erase.
-  if (erase_parked_query(app, query_id)) {
-    cancelled = true;
-    serde::Writer w;
-    w.string(query_id);
-    log_record(replicate::RecordKind::kQueryCancel, app, 0, w.take_ref());
-  }
-  return cancelled;
+  // Parked queries: the standbys withdraw them through the same step.
+  return withdraw_parked_query(app, query_id) || cancelled;
 }
 
 void ContextServer::cancel_query_timers() {
   for (const auto* list : {&deferred_, &pending_, &not_before_}) {
     for (const DeferredQuery& d : *list) network_.simulator().cancel(d.expiry);
   }
+  for (const auto& [tag, tracked] : tracked_) {
+    network_.simulator().cancel(tracked.expiry);
+  }
 }
 
-bool ContextServer::erase_parked_query(Guid app, const std::string& query_id) {
-  bool erased = false;
+bool ContextServer::erase_parked(
+    const std::function<bool(const DeferredQuery&)>& match) {
+  std::size_t erased = 0;
   for (auto* list : {&deferred_, &pending_, &not_before_}) {
-    while (const auto parked = take_parked(*list, app, query_id)) {
-      network_.simulator().cancel(parked->expiry);
-      erased = true;
-    }
+    erased += std::erase_if(*list, [&](const DeferredQuery& d) {
+      if (!match(d)) return false;
+      network_.simulator().cancel(d.expiry);
+      return true;
+    });
   }
-  return erased;
+  return erased > 0;
+}
+
+bool ContextServer::withdraw_parked_query(Guid app,
+                                          const std::string& query_id) {
+  if (!erase_parked([&](const DeferredQuery& d) {
+        return d.app == app && d.query.id == query_id;
+      })) {
+    return false;
+  }
+  serde::Writer w;
+  w.string(query_id);
+  log_record(replicate::RecordKind::kQueryCancel, app, 0, w.take_ref());
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -2380,9 +2375,11 @@ void ContextServer::ingest_shard_subscribe(serde::FrameView payload,
     table.set_next_id(next);
     return;
   }
-  // A replayed subscribe_pattern: rebuild the sibling-mirror bookkeeping the
-  // primary set up (passive, so nothing is sent), which keeps the heartbeat
-  // fingerprint in step and lets a promoted standby tear the copies down.
+  // A replayed subscribe_pattern: leased as on the primary, and with the
+  // sibling-mirror bookkeeping the primary set up (passive, so nothing is
+  // sent), which keeps the heartbeat fingerprint in step and lets a promoted
+  // standby tear the copies down.
+  mediator_.lease(sub);
   mirror_subscription_if_remote(sub);
 }
 
@@ -3326,10 +3323,6 @@ void ContextServer::apply_record(const replicate::LogRecord& record) {
       invalidate_views_matching(body->profile);
       return;
     }
-    case replicate::RecordKind::kLeaseRenew:
-      registrar_.touch(record.subject, now);
-      mediator_.renew(record.subject);
-      return;
     case replicate::RecordKind::kQuery: {
       auto wire = ForwardedQueryWire::decode(record.payload);
       if (!wire) return;
@@ -3341,7 +3334,7 @@ void ContextServer::apply_record(const replicate::LogRecord& record) {
     case replicate::RecordKind::kQueryCancel: {
       serde::Reader r(record.payload);
       if (const auto query_id = r.string()) {
-        (void)erase_parked_query(record.subject, *query_id);
+        (void)withdraw_parked_query(record.subject, *query_id);
       }
       return;
     }
@@ -3363,12 +3356,19 @@ void ContextServer::apply_record(const replicate::LogRecord& record) {
     case replicate::RecordKind::kShardSubscribe:
       ingest_shard_subscribe(record.payload, record.flag == 1);
       return;
-    case replicate::RecordKind::kShardUnsubscribe:
+    case replicate::RecordKind::kShardUnsubscribe: {
       // A nil subject marks this shard's own unsubscribe(), which also
-      // dropped the mirror bookkeeping; a sibling's teardown names its node.
+      // dropped the mirror bookkeeping; the subscriber marks its lapsed
+      // lease; a sibling's teardown names the sibling's node.
       if (record.subject.is_nil()) drop_mirror(record.flag);
+      const event::Subscription* s = mediator_.table().find(record.flag);
+      if (s != nullptr && s->subscriber == record.subject) {
+        expire_lease(record.flag);
+        return;
+      }
       (void)mediator_.unsubscribe(record.flag);
       return;
+    }
     case replicate::RecordKind::kHandoffIntent: {
       // A standby (or the WAL replay) mirrors the primary's in-flight
       // handoff so a successor can resolve it deterministically.
@@ -3491,6 +3491,7 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
     w.string(tracked.query.to_xml());
     w.guid(tracked.app);
     w.boolean(tracked.one_time);
+    w.svarint(tracked.expires_at.micros());
   }
 
   // Edge bookkeeping.
@@ -3591,7 +3592,6 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
   tracked_.clear();
   app_edges_.clear();
   edge_subscriptions_.clear();
-  cancel_query_timers();
   for (auto* list : {&deferred_, &pending_, &not_before_}) list->clear();
   publish_seen_.clear();
   recent_events_.clear();
@@ -3659,9 +3659,11 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
       SCI_TRY_ASSIGN(xml, r.string());
       SCI_TRY_ASSIGN(app, r.guid());
       SCI_TRY_ASSIGN(one_time, r.boolean());
+      SCI_TRY_ASSIGN(expires_at, r.svarint());
       auto parsed = query::Query::parse(xml);
       if (!parsed) return parsed.error();
-      tracked_[tag] = TrackedQuery{std::move(*parsed), app, one_time};
+      tracked_[tag] = TrackedQuery{std::move(*parsed), app, one_time,
+                                   SimTime::from_micros(expires_at), {}};
     }
 
     SCI_TRY_ASSIGN(n_app_edges, r.varint());
@@ -3688,8 +3690,6 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
         if (!parsed) return parsed.error();
         list->push_back(DeferredQuery{std::move(*parsed), app,
                                       SimTime::from_micros(stored_at), {}});
-        if (list == &deferred_) arm_deferred_expiry(deferred_.back());
-        if (list == &not_before_) arm_not_before(not_before_.back());
       }
     }
 
@@ -3792,9 +3792,10 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
 }
 
 std::uint64_t ContextServer::state_fingerprint() const {
-  // Cheap structural digest, not a full state hash: enough to catch the
-  // known divergence mode (timer-driven query executions racing log records
-  // inside the ship latency) without hashing every profile and event.
+  // Cheap structural digest, not a full state hash: table sizes and
+  // counters that any unlogged change to replicated state (a replica acting
+  // on its own clock, say) would move, without hashing every profile and
+  // event.
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto mix = [&h](std::uint64_t v) {
     h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
@@ -3812,6 +3813,9 @@ std::uint64_t ContextServer::state_fingerprint() const {
   mix(mediator_.table().next_id());
   mix(store_.size());
   mix(tracked_.size());
+  for (const auto* list : {&deferred_, &pending_, &not_before_}) {
+    mix(list->size());
+  }
   mix(app_edges_.size());
   mix(mirrored_subs_.size());
   mix(map_.epoch());
@@ -3913,7 +3917,7 @@ void ContextServer::promote(Guid join_via) {
   // Close the delivery hole the dead primary left: anything it had sent but
   // not finished retransmitting died with its channel. Components dedup the
   // overlap by (subscription, source, sequence).
-  redispatch_recent();
+  for (const event::Event& event : recent_events_) dispatch(event);
   // An in-flight handoff mirrored from the dead primary resolves here:
   // committed completes, uncommitted aborts (docs/SHARDING.md crash matrix).
   resolve_recovered_handoff();
@@ -3931,6 +3935,7 @@ void ContextServer::fence() {
   // the liveness flag for the rest.
   *alive_ = false;
   cancel_query_timers();
+  mediator_.stop_reaper();
   beacon_timer_.reset();
   ping_timer_.reset();
   rate_timer_.reset();
@@ -3973,21 +3978,6 @@ void ContextServer::remember_recent(const event::Event& event) {
   recent_events_.push_back(event);
   while (recent_events_.size() > kRecentEventWindow) {
     recent_events_.pop_front();
-  }
-}
-
-void ContextServer::redispatch_recent() {
-  for (const event::Event& event : recent_events_) {
-    const auto& matched = mediator_.dispatch_shared(event);
-    retire_scratch_.clear();
-    for (const event::MatchRef& match : matched) {
-      if (match.one_time && match.owner_tag != 0) {
-        retire_scratch_.push_back(match.owner_tag);
-      }
-    }
-    for (const std::uint64_t owner_tag : retire_scratch_) {
-      retire_configuration(owner_tag);
-    }
   }
 }
 

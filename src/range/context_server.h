@@ -401,8 +401,9 @@ class ContextServer {
   }
   [[nodiscard]] overlay::ScinetNode& scinet() { return *scinet_; }
   [[nodiscard]] LocationService& location_service() { return locations_; }
+  // Queries parked on a when-clause: a trigger or a not_before time.
   [[nodiscard]] std::size_t deferred_queries() const {
-    return deferred_.size();
+    return deferred_.size() + not_before_.size();
   }
   [[nodiscard]] std::size_t pending_queries() const {
     return pending_.size();
@@ -450,6 +451,11 @@ class ContextServer {
     return config_.shard_map != nullptr && config_.shard_map->size() > 1;
   }
   [[nodiscard]] unsigned shard_index() const { return config_.shard_index; }
+  // Subscription ids this shard minted. A sibling's mirror keeps its home
+  // shard's id, and owner tags, minted per shard, collide across shards.
+  [[nodiscard]] bool minted_here(event::SubscriptionId id) const {
+    return (id >> 48) == config_.shard_index;
+  }
   // The shard index owning `entity` per the local ownership table (0 when
   // unsharded). The ring is shared and immutable; the vnode → shard table
   // is this server's epoch-versioned copy, advanced by committed handoffs.
@@ -492,6 +498,10 @@ class ContextServer {
     query::Query query;
     Guid app;
     bool one_time = false;
+    // A bounded subscription's due time (replicated state) and, on a
+    // primary, the timer that retires it then.
+    SimTime expires_at = SimTime::infinity();
+    sim::TimerHandle expiry;
   };
 
   // --- message plumbing ----------------------------------------------------
@@ -502,7 +512,9 @@ class ContextServer {
   void send_component(Guid to, std::uint32_t type,
                       serde::BufferRef payload);
   void on_channel_give_up(const net::Message& message, unsigned attempts);
-  void on_lease_expired(const event::Subscription& subscription);
+  // Reaps one lapsed lease: the primary's reaper logs it (as the
+  // subscriber's kShardUnsubscribe) and a replica replays the same step.
+  void expire_lease(event::SubscriptionId id);
   void reply_result(Guid app, const std::string& query_id, const Error& error,
                     Value result);
   // The reply step of a selection or subscription query: records its
@@ -534,6 +546,9 @@ class ContextServer {
   void execute_context_pull(const query::Query& q, Guid app);
   void execute_advertisement_request(const query::Query& q, Guid app);
   void execute_subscription(const query::Query& q, Guid app, bool one_time);
+  // Schedules a primary's kTimeout retirement of a bounded configuration at
+  // its due time (now, if that has passed).
+  void arm_bounded_expiry(std::uint64_t tag, TrackedQuery& tracked);
 
   // --- selection (which clause) ------------------------------------------------
   // The selection step of the profile, advertisement and direct
@@ -586,12 +601,10 @@ class ContextServer {
   // --- deferred queries -----------------------------------------------------------
   void check_triggers(const event::Event& event,
                       const location::LocRef& new_location);
-  // Runs `q` now when its not_before time has passed, else parks it in
-  // not_before_ until then.
-  void schedule_not_before(query::Query q, Guid app);
-  // Withdraws (app, query_id) from every parked-query list, timers
-  // included. Returns true when anything was erased.
-  bool erase_parked_query(Guid app, const std::string& query_id);
+  // Withdraws (app, query_id) from every parked list and logs that as a
+  // kQueryCancel, which a replica replays through this same step. Returns
+  // true when anything was withdrawn.
+  bool withdraw_parked_query(Guid app, const std::string& query_id);
 
   // --- sharding internals (docs/SHARDING.md) -------------------------------
   [[nodiscard]] Guid shard_node(unsigned index) const {
@@ -782,8 +795,10 @@ class ContextServer {
   // Store + dispatch + trigger stage of handle_publish, shared with
   // apply_record.
   void ingest_publish(const entity::PublishBody& body);
+  // Fans `event` out and retires the one-time configurations it satisfied;
+  // also the redelivery step of promote().
+  void dispatch(const event::Event& event);
   void remember_recent(const event::Event& event);
-  void redispatch_recent();
   void start_primary_duties();
   // Standbys, fenced instances and a server mid-WAL-replay stay silent: the
   // replayed operations already produced their sends in a past life.
@@ -819,17 +834,14 @@ class ContextServer {
     // otherwise outlive us).
     sim::TimerHandle expiry;
   };
-  // Schedules the kTimeout reply at stored_at + expires_after (now, if that
-  // has passed); a no-op for queries without an expiry.
-  void arm_deferred_expiry(DeferredQuery& deferred);
-  // Schedules the query's run at its not_before time (now, if that has
-  // passed).
-  void arm_not_before(DeferredQuery& held);
-  // Removes the first entry of `list` for (app, query_id) and returns it;
-  // nullopt when there is none (cancelled, fired or restored away).
-  std::optional<DeferredQuery> take_parked(std::vector<DeferredQuery>& list,
-                                           Guid app,
-                                           const std::string& query_id);
+  // The primary's timer on a parked query: a trigger watch's kTimeout at
+  // stored_at + expires_after (none without an expiry), or a not_before
+  // query's release at its time; now, if that has passed. Each logs what it
+  // changes: a kQueryCancel, and for a release the released kQuery.
+  void arm_parked(DeferredQuery& parked);
+  // Erases every parked query `match` accepts, from every list, timers
+  // included. Returns true when anything was erased.
+  bool erase_parked(const std::function<bool(const DeferredQuery&)>& match);
   // Cancels every parked query's timer (the lists stay as they are).
   void cancel_query_timers();
   // Queries waiting on a when-trigger.

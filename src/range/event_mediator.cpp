@@ -42,12 +42,20 @@ void EventMediator::deliver_to(Guid subscriber, serde::BufferRef body) {
   }
 }
 
-void EventMediator::set_lease_ttl(Duration ttl) {
-  lease_ttl_ = ttl;
-  reaper_.reset();
+void EventMediator::start_reaper(
+    std::function<void(event::SubscriptionId)> on_lapsed) {
   if (lease_ttl_.count_micros() <= 0) return;
+  const SimTime fresh = network_.simulator().now() + lease_ttl_;
+  for (const event::Subscription& s : table_.all()) {
+    if (!s.expires_at.is_infinite()) (void)table_.set_expiry(s.id, fresh);
+  }
   reaper_.emplace(network_.simulator(), kLeaseRenewPeriod,
-                  [this] { reap_expired(); });
+                  [this, on_lapsed = std::move(on_lapsed)] {
+                    for (const event::SubscriptionId id :
+                         table_.lapsed_at(network_.simulator().now())) {
+                      on_lapsed(id);
+                    }
+                  });
   reaper_->start();
 }
 
@@ -60,17 +68,18 @@ void EventMediator::renew(Guid subscriber) {
   }
 }
 
-void EventMediator::reap_expired() {
-  const std::vector<event::Subscription> expired =
-      table_.expire_before(network_.simulator().now());
-  for (const event::Subscription& subscription : expired) {
-    m_leases_expired_->inc();
-    m_unsubscribed_->inc();
-    trace_->record(network_.simulator().now(), obs::TraceKind::kLeaseExpire,
-                   subscription.subscriber,
-                   subscription.producer.value_or(Guid()), subscription.id);
-    if (on_lease_expired_) on_lease_expired_(subscription);
-  }
+std::optional<event::Subscription> EventMediator::expire(
+    event::SubscriptionId id) {
+  const event::Subscription* found = table_.find(id);
+  if (found == nullptr) return std::nullopt;
+  event::Subscription subscription = *found;
+  (void)table_.remove(id);
+  m_leases_expired_->inc();
+  m_unsubscribed_->inc();
+  trace_->record(network_.simulator().now(), obs::TraceKind::kLeaseExpire,
+                 subscription.subscriber,
+                 subscription.producer.value_or(Guid()), id);
+  return subscription;
 }
 
 }  // namespace sci::range

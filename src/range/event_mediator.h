@@ -47,10 +47,16 @@ class EventMediator {
   // same node identity.
   void set_channel(reliable::ReliableChannel* channel) { channel_ = channel; }
 
-  // Enables subscription leases (off by default for a bare mediator) and
-  // starts the reaper (period = kLeaseRenewPeriod). Pass ttl == 0 to disable
-  // again.
-  void set_lease_ttl(Duration ttl);
+  // Enables subscription leases (off by default for a bare mediator): new
+  // subscriptions carry one. Only start_reaper() ever expires them.
+  void set_lease_ttl(Duration ttl) { lease_ttl_ = ttl; }
+
+  // Primary duties (docs/REPLICATION.md): gives every leased subscription a
+  // fresh ttl from now, then every kLeaseRenewPeriod hands each lapsed
+  // lease's id to `on_lapsed`, which decides (and logs) its expire(). A
+  // standby never reaps: its leases are whatever its log says.
+  void start_reaper(std::function<void(event::SubscriptionId)> on_lapsed);
+  void stop_reaper() { reaper_.reset(); }
 
   // Standby mode (docs/REPLICATION.md): dispatch_shared() performs all table
   // bookkeeping — match counters, one-time removal — but sends no kDeliver
@@ -59,15 +65,19 @@ class EventMediator {
   void set_silent(bool silent) { silent_ = silent; }
   [[nodiscard]] bool silent() const { return silent_; }
 
-  // Invoked for each reaped subscription so the owner (the Context Server)
-  // can drop dependent state.
-  using LeaseExpiredHandler = std::function<void(const event::Subscription&)>;
-  void set_lease_expired_handler(LeaseExpiredHandler handler) {
-    on_lease_expired_ = std::move(handler);
+  // Stamps a lease of one ttl on subscription `id` (a no-op with leases off).
+  void lease(event::SubscriptionId id) {
+    if (lease_ttl_.count_micros() > 0) {
+      (void)table_.set_expiry(id, network_.simulator().now() + lease_ttl_);
+    }
   }
 
-  // Pushes every lease held by `subscriber` forward by one ttl. Called on
-  // kLeaseRenew and on any other sign of life from the subscriber.
+  // Removes one subscription as a lapsed lease (counted and traced as an
+  // expiry); nullopt when it is gone already.
+  std::optional<event::Subscription> expire(event::SubscriptionId id);
+
+  // Pushes every lease held by `subscriber` forward by one ttl. Soft state:
+  // a renewal is never logged, and a new primary starts a fresh term.
   void renew(Guid subscriber);
 
   event::SubscriptionId subscribe(Guid subscriber, std::optional<Guid> producer,
@@ -79,9 +89,7 @@ class EventMediator {
     const event::SubscriptionId id =
         table_.add(subscriber, producer, std::move(event_type),
                    std::move(filter), one_time, owner_tag);
-    if (lease_ttl_.count_micros() > 0) {
-      (void)table_.set_expiry(id, network_.simulator().now() + lease_ttl_);
-    }
+    lease(id);
     trace_->record(network_.simulator().now(), obs::TraceKind::kSubscribe,
                    subscriber, producer.value_or(Guid()), id);
     return id;
@@ -147,8 +155,6 @@ class EventMediator {
                    subscriber, producer, detail);
   }
 
-  void reap_expired();
-
   // Sends one encoded kDeliver body over the channel (retransmit on loss)
   // or the raw network, counting em.deliveries on success.
   void deliver_to(Guid subscriber, serde::BufferRef body);
@@ -160,7 +166,6 @@ class EventMediator {
   reliable::ReliableChannel* channel_ = nullptr;  // nullptr = raw sends
   Duration lease_ttl_;  // 0 = leases off
   std::optional<sim::PeriodicTimer> reaper_;
-  LeaseExpiredHandler on_lease_expired_;
   obs::Counter* m_events_in_ = nullptr;
   obs::Counter* m_deliveries_ = nullptr;
   obs::Counter* m_subscribed_ = nullptr;

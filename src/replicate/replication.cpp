@@ -28,8 +28,6 @@ const char* to_string(RecordKind kind) {
       return "publish";
     case RecordKind::kProfileUpdate:
       return "profile_update";
-    case RecordKind::kLeaseRenew:
-      return "lease_renew";
     case RecordKind::kQuery:
       return "query";
     case RecordKind::kConfigRetire:

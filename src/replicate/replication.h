@@ -122,7 +122,6 @@ enum class RecordKind : std::uint8_t {
   kDeparture = 2,     // deregistration or failure eviction
   kPublish = 3,       // context event (store write + mediator dispatch)
   kProfileUpdate = 4, // profile/advertisement change
-  kLeaseRenew = 5,    // subscription lease keep-alive
   kQuery = 6,         // externally admitted query (subscription wiring)
   kConfigRetire = 7,  // configuration teardown
   kShardProfile = 9,      // sibling shard's profile mirror (put/update)

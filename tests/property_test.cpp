@@ -6,9 +6,10 @@
 //  * the registrar view equals ground truth under arbitrary
 //    arrival/departure interleavings;
 //  * on a sharded, replicated, durable Range, replicas compose over the
-//    same sibling mirrors as their primaries, and every shard's mirror set
-//    converges on its siblings' owned profiles, across a promotion or a
-//    whole-Range cold restart.
+//    same sibling mirrors as their primaries, hold the same parked queries
+//    and subscription table, never count a state divergence, and every
+//    shard's mirror set converges on its siblings' owned profiles, across a
+//    promotion or a whole-Range cold restart.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -362,6 +363,15 @@ std::map<Guid, std::uint64_t> owned_profiles_of(
   return out;
 }
 
+std::vector<event::SubscriptionId> subscription_ids_of(
+    const range::ContextServer& server) {
+  std::vector<event::SubscriptionId> out;
+  for (const event::Subscription& s : server.mediator().table().all()) {
+    out.push_back(s.id);
+  }
+  return out;
+}
+
 class MirrorDeterminismProperty
     : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -375,6 +385,9 @@ TEST_P(MirrorDeterminismProperty, ReplicasComposeOverTheSameMirrors) {
   options.replication.standby_count = 1;
   options.replication.heartbeat_period = Duration::millis(200);
   options.durability.enable = true;
+  // Components renew every 5 s, so a 6 s lease keeps them, while a
+  // subscriber that never renews is reaped within this run.
+  options.reliability.lease_ttl = Duration::seconds(6);
   range::ContextServer* lead =
       sci.create_range("mall", building.floor_path(0), options).value();
   const std::vector<std::string> names = {"mall", "mall#1", "mall#2",
@@ -394,6 +407,10 @@ TEST_P(MirrorDeterminismProperty, ReplicasComposeOverTheSameMirrors) {
         entity::EntityKind::kSoftware));
     ASSERT_TRUE(sci.enroll(*apps.back(), *lead).is_ok());
   }
+
+  // The lease action: the lead's reaper logs this lease's expiry.
+  const event::SubscriptionId silent =
+      lead->subscribe_pattern(sci.new_guid(), "lease-probe");
 
   const std::vector<std::string> types = {"pulse", "temp", "noise"};
   std::vector<std::unique_ptr<TypedProducer>> producers;
@@ -475,7 +492,9 @@ TEST_P(MirrorDeterminismProperty, ReplicasComposeOverTheSameMirrors) {
     sci.run_for(Duration::millis(
         static_cast<std::int64_t>(50 + rng.next_below(250))));
   }
-  sci.run_for(Duration::seconds(5));  // timers fire, records ship, acks land
+  // Timers fire, records ship, acks land; a lease restarted by the
+  // disruption lapses within two 5 s reaper periods.
+  sci.run_for(Duration::seconds(11));
 
   const auto shards = sci.shards("mall");
   ASSERT_EQ(shards.size(), 4u);
@@ -487,6 +506,10 @@ TEST_P(MirrorDeterminismProperty, ReplicasComposeOverTheSameMirrors) {
         << names[i] << " seed " << seed;
     EXPECT_EQ(primary.pending_queries(), standbys[0]->pending_queries())
         << names[i] << " seed " << seed;
+    EXPECT_EQ(primary.deferred_queries(), standbys[0]->deferred_queries())
+        << names[i] << " seed " << seed;
+    EXPECT_EQ(subscription_ids_of(primary), subscription_ids_of(*standbys[0]))
+        << names[i] << " seed " << seed;
 
     std::map<Guid, std::uint64_t> siblings_owned;
     for (unsigned j = 0; j < shards.size(); ++j) {
@@ -495,6 +518,12 @@ TEST_P(MirrorDeterminismProperty, ReplicasComposeOverTheSameMirrors) {
     EXPECT_EQ(mirror_set_of(primary), siblings_owned)
         << names[i] << " seed " << seed;
   }
+  EXPECT_EQ(shards[0]->mediator().table().find(silent), nullptr)
+      << "seed " << seed;
+  EXPECT_GE(sci.metrics().snapshot().counter("em.leases.expired"), 1u)
+      << "seed " << seed;
+  EXPECT_EQ(sci.metrics().snapshot().counter("repl.state_divergence"), 0u)
+      << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MirrorDeterminismProperty,

@@ -2,6 +2,7 @@
 // of Context Server state and the facade's failover workflow.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string_view>
@@ -57,13 +58,13 @@ serde::BufferRef beat(std::uint32_t epoch, std::uint64_t head,
   return w.take_ref();
 }
 
-// Appends a kLeaseRenew record (`payload_size` zero bytes) at the log's
+// Appends a kPublish record (`payload_size` zero bytes) at the log's
 // next index, framed under `epoch` as the Context Server frames it.
 void append_next(replicate::ReplicationLog& log, std::uint32_t epoch = 0,
                  std::size_t payload_size = 0) {
   replicate::LogRecord r;
   r.index = log.head() + 1;
-  r.kind = replicate::RecordKind::kLeaseRenew;
+  r.kind = replicate::RecordKind::kPublish;
   r.payload = serde::BufferRef::copy_of(std::vector<std::byte>(payload_size));
   log.append(r.index, replicate::frame_record(epoch, r));
 }
@@ -125,7 +126,7 @@ TEST(ReplicateTest, FollowerAppliesInSendOrderAcrossReorderingAndEpochs) {
   const auto record = [](std::uint64_t index) {
     replicate::LogRecord r;
     r.index = index;
-    r.kind = replicate::RecordKind::kLeaseRenew;
+    r.kind = replicate::RecordKind::kPublish;
     return r;
   };
   // The snapshot's first transmission is lost; the records sent behind it
@@ -200,7 +201,7 @@ TEST(ReplicateTest, WatchdogGatesOnSnapshotAndRearmsAfterFalseAlarm) {
   const auto record = [](std::uint64_t index) {
     replicate::LogRecord r;
     r.index = index;
-    r.kind = replicate::RecordKind::kLeaseRenew;
+    r.kind = replicate::RecordKind::kPublish;
     return r;
   };
   // A record buffered ahead of the epoch's snapshot counts as liveness, but
@@ -1113,6 +1114,210 @@ TEST(ReplicateTest, CancelledDeferredQueryStaysCancelledAfterPromotion) {
   ASSERT_TRUE(f.sci.promote(standby->attached_node()).is_ok());
   f.sci.run_for(Duration::seconds(6));
   EXPECT_TRUE(app.results.empty());
+}
+
+// Parked queries, configuration tags and subscription ids: the replicated
+// state a timer changes.
+struct TimedState {
+  std::size_t parked = 0;
+  std::vector<std::uint64_t> configurations;
+  std::vector<event::SubscriptionId> subscriptions;
+};
+
+TimedState timed_state_of(const range::ContextServer& server) {
+  TimedState out;
+  out.parked = server.deferred_queries() + server.pending_queries();
+  out.configurations = server.configurations().all_tags();
+  std::sort(out.configurations.begin(), out.configurations.end());
+  for (const event::Subscription& s : server.mediator().table().all()) {
+    out.subscriptions.push_back(s.id);
+  }
+  return out;
+}
+
+void expect_same_state(const TimedState& a, const TimedState& b,
+                       const char* when) {
+  EXPECT_EQ(a.parked, b.parked) << when;
+  EXPECT_EQ(a.configurations, b.configurations) << when;
+  EXPECT_EQ(a.subscriptions, b.subscriptions) << when;
+}
+
+// Only the primary runs timers. A standby cut off from it past four due
+// points (a trigger watch's expiry, a not_before time, a bounded
+// subscription's lifetime and a lease ttl) keeps its parked queries,
+// configurations and subscription table until the primary's records
+// arrive, and then holds exactly the primary's.
+TEST(ReplicateTest, PartitionedStandbyChangesOnlyThroughThePrimarysRecords) {
+  Sci sci{42};
+  mobility::Building building{{.floors = 2, .rooms_per_floor = 4}};
+  sci.set_location_directory(&building.directory());
+  RangeOptions options;
+  options.replication.standby_count = 1;
+  // A 20 s promote timeout outlasts the partition: nobody runs an election.
+  options.replication.heartbeat_period = Duration::seconds(5);
+  options.reliability.lease_ttl = Duration::seconds(6);
+  range::ContextServer* primary =
+      sci.create_range("levelB", building.floor_path(1), options).value();
+  const auto standby_list = sci.standbys("levelB");
+  ASSERT_EQ(standby_list.size(), 1u);
+  range::ContextServer* standby = standby_list.front();
+  PulseCE pulse(sci.network(), sci.new_guid(), "pulse",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(sci.enroll(pulse, *primary).is_ok());
+  ResultApp app(sci.network(), sci.new_guid(), "app",
+                entity::EntityKind::kSoftware);
+  ASSERT_TRUE(sci.enroll(app, *primary).is_ok());
+
+  const double now = sci.now().seconds_f();
+  ASSERT_TRUE(bool(sci.submit_query(
+      app, query::Builder("watch", app.id())
+               .what_entity_type("printing")
+               .when_enters(sci.new_guid(), building.room_path(1, 0))
+               .expires_after(2.0)
+               .advertisement())));
+  ASSERT_TRUE(bool(sci.submit_query(
+      app, query::Builder("later", app.id())
+               .what_pattern("pulse")
+               .not_before(now + 3.0)
+               .subscribe())));
+  ASSERT_TRUE(bool(sci.submit_query(
+      app, query::Builder("bounded", app.id())
+               .what_pattern("pulse")
+               .expires_after(4.0)
+               .subscribe())));
+  // Nobody renews this lease: the reaper's 5 s tick after t = 6 s takes it.
+  const event::SubscriptionId silent =
+      primary->subscribe_pattern(sci.new_guid(), "lease-probe");
+  sci.run_for(Duration::seconds(1));
+  const TimedState before = timed_state_of(*standby);
+  ASSERT_EQ(before.parked, 2u);
+  ASSERT_EQ(before.configurations.size(), 1u);
+  expect_same_state(timed_state_of(*primary), before, "before the partition");
+
+  sci.network().set_partition_group(standby->attached_node(), 1);
+  sci.run_for(Duration::seconds(10));
+  // Every due point passed on the primary...
+  const TimedState after = timed_state_of(*primary);
+  EXPECT_EQ(after.parked, 0u);
+  EXPECT_EQ(after.configurations.size(), 1u);
+  EXPECT_NE(after.configurations, before.configurations);
+  EXPECT_EQ(primary->mediator().table().find(silent), nullptr);
+  // ...and none of them moved the standby.
+  expect_same_state(timed_state_of(*standby), before, "during the partition");
+
+  sci.network().heal_partitions();
+  sci.run_for(Duration::seconds(10));
+  ASSERT_EQ(standby->role(), range::RangeConfig::Role::kStandby);
+  expect_same_state(timed_state_of(*standby), timed_state_of(*primary),
+                    "after the heal");
+  EXPECT_EQ(registry_count(sci.metrics(), "repl.state_divergence"), 0u);
+}
+
+// A bounded subscription admitted before a cold standby joined reaches that
+// standby only through its catch-up snapshot. Its due time is snapshot
+// state: after promotion the configuration still retires on schedule and
+// the app gets its kTimeout.
+TEST(ReplicateTest, SnapshotRestoredBoundedSubscriptionExpiresAfterPromotion) {
+  FailoverFixture f(0);
+  PulseCE pulse(f.sci.network(), f.sci.new_guid(), "pulse",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(pulse, *f.level_b).is_ok());
+  ResultApp app(f.sci.network(), f.sci.new_guid(), "app",
+                entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(app, *f.level_b).is_ok());
+  ASSERT_TRUE(bool(f.sci.submit_query(
+      app, query::Builder("bounded", app.id())
+               .what_pattern("pulse")
+               .expires_after(6.0)
+               .subscribe())));
+  f.sci.run_for(Duration::seconds(1));
+  ASSERT_EQ(app.results, std::vector<ErrorCode>{ErrorCode::kOk});
+
+  auto added = f.sci.add_standby("levelB");
+  ASSERT_TRUE(bool(added));
+  range::ContextServer* standby = *added;
+  f.sci.run_for(Duration::seconds(1));
+  ASSERT_NE(standby->replication_follower(), nullptr);
+  ASSERT_FALSE(standby->replication_follower()->awaiting_snapshot());
+  ASSERT_EQ(standby->configurations().size(), 1u);
+
+  ASSERT_TRUE(f.sci.promote(standby->attached_node()).is_ok());
+  f.sci.run_for(Duration::seconds(2));
+  EXPECT_EQ(app.results.size(), 1u);  // not due yet (t ~ 4 s of 6)
+  f.sci.run_for(Duration::seconds(6));
+  EXPECT_EQ(app.results,
+            (std::vector<ErrorCode>{ErrorCode::kOk, ErrorCode::kTimeout}));
+  EXPECT_EQ(standby->configurations().size(), 0u);
+}
+
+// Lease renewals are soft state: a promoted standby starts every lease on a
+// fresh ttl. A subscriber that keeps renewing keeps its subscription across
+// the promotion; one that never renews is reaped one ttl after it.
+TEST(ReplicateTest, PromotionStartsEveryLeaseOnAFreshTerm) {
+  Sci sci{42};
+  mobility::Building building{{.floors = 2, .rooms_per_floor = 4}};
+  sci.set_location_directory(&building.directory());
+  RangeOptions options;
+  options.replication.standby_count = 1;
+  options.replication.heartbeat_period = Duration::millis(200);
+  // Two reaper periods, so the reap lands on a reaper tick.
+  options.reliability.lease_ttl = range::kLeaseRenewPeriod * 2;
+  range::ContextServer* primary =
+      sci.create_range("levelB", building.floor_path(1), options).value();
+  PulseCE pulse(sci.network(), sci.new_guid(), "pulse",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(sci.enroll(pulse, *primary).is_ok());
+  PulseMonitor monitor(sci.network(), sci.new_guid(), "monitor",
+                       entity::EntityKind::kSoftware);
+  ASSERT_TRUE(sci.enroll(monitor, *primary).is_ok());
+  ASSERT_TRUE(bool(sci.submit_query(
+      monitor,
+      query::Builder("sub", monitor.id()).what_pattern("pulse").subscribe())));
+  const event::SubscriptionId silent =
+      primary->subscribe_pattern(sci.new_guid(), "lease-probe");
+  sci.run_for(Duration::seconds(2));
+  const auto standby_list = sci.standbys("levelB");
+  ASSERT_EQ(standby_list.size(), 1u);
+  range::ContextServer* standby = standby_list.front();
+  ASSERT_NE(standby->mediator().table().find(silent), nullptr);
+
+  ASSERT_TRUE(sci.promote(standby->attached_node()).is_ok());
+  sci.run_for(options.reliability.lease_ttl - Duration::millis(100));
+  EXPECT_NE(standby->mediator().table().find(silent), nullptr);
+  sci.run_for(Duration::millis(200));
+  EXPECT_EQ(standby->mediator().table().find(silent), nullptr);
+
+  // Two more terms: the renewing monitor still hears every publish.
+  sci.run_for(options.reliability.lease_ttl * 2);
+  for (int i = 0; i < 3; ++i) {
+    pulse.publish("pulse", Value(static_cast<std::int64_t>(i)));
+    sci.run_for(Duration::millis(100));
+  }
+  sci.run_for(Duration::seconds(1));
+  EXPECT_EQ(monitor.unique_events, 3);
+}
+
+// An app that leaves takes its not-before queries with it: the parked
+// query never runs, so nothing is wired for the departed app.
+TEST(ReplicateTest, DepartedAppsNotBeforeQueryNeverRuns) {
+  FailoverFixture f(0);
+  PulseCE pulse(f.sci.network(), f.sci.new_guid(), "pulse",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(pulse, *f.level_b).is_ok());
+  ResultApp app(f.sci.network(), f.sci.new_guid(), "app",
+                entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(app, *f.level_b).is_ok());
+  ASSERT_TRUE(bool(f.sci.submit_query(
+      app, query::Builder("later", app.id())
+               .what_pattern("pulse")
+               .not_before(f.sci.now().seconds_f() + 2.0)
+               .subscribe())));
+  f.sci.run_for(Duration::millis(500));
+  app.stop();
+  f.sci.run_for(Duration::seconds(3));
+  EXPECT_EQ(f.level_b->deferred_queries(), 0u);
+  EXPECT_EQ(f.level_b->configurations().size(), 0u);
+  EXPECT_TRUE(f.level_b->mediator().table().all().empty());
 }
 
 // ISSUE split-brain scenario: symmetric partition isolates the live primary

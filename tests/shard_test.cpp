@@ -276,6 +276,50 @@ TEST(ShardTest, WildcardSubscriptionHearsProducersOnBothShards) {
   EXPECT_EQ(monitor.unique_events, before);
 }
 
+// Owner tags are minted per shard, so a sibling's mirrored subscription
+// can carry the same tag as one of this shard's direct subscriptions.
+// Cancelling the local one retires only the subscriptions this shard owns.
+TEST(ShardTest, RetiringADirectSubscriptionSparesASiblingsMirrorOfItsTag) {
+  ShardFixture f(2);
+  PulseCE pulse(f.sci.network(), f.guid_owned_by(0), "pulse",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(pulse, *f.lead).is_ok());
+  ShardMonitor local(f.sci.network(), f.guid_owned_by(0), "local",
+                     entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(local, *f.lead).is_ok());
+  ShardMonitor remote(f.sci.network(), f.guid_owned_by(1), "remote",
+                      entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(remote, *f.lead).is_ok());
+  f.sci.run_for(Duration::millis(500));
+
+  // Each shard mints its first tag for its own app's named subscription;
+  // shard 1 moves its copy onto the producer's shard 0.
+  const auto subscribe = [&](ShardMonitor& app) {
+    return f.sci.submit_query(app, query::Builder("sub", app.id())
+                                       .what_named(pulse.id())
+                                       .subscribe());
+  };
+  ASSERT_TRUE(bool(subscribe(remote)));
+  f.sci.run_for(Duration::seconds(1));
+  auto handle = subscribe(local);
+  ASSERT_TRUE(bool(handle));
+  f.sci.run_for(Duration::seconds(1));
+  const auto shards = f.sci.shards("mall");
+  const auto table = shards[0]->mediator().table().all();
+  ASSERT_EQ(table.size(), 2u);
+  ASSERT_EQ(table[0].owner_tag, table[1].owner_tag);
+
+  EXPECT_TRUE(handle->cancel());
+  f.sci.run_for(Duration::seconds(1));
+  for (int i = 0; i < 5; ++i) {
+    pulse.publish("pulse", Value(static_cast<std::int64_t>(i)));
+    f.sci.run_for(Duration::millis(100));
+  }
+  f.sci.run_for(Duration::seconds(1));
+  EXPECT_EQ(local.unique_events, 0);
+  EXPECT_EQ(remote.unique_events, 5);
+}
+
 TEST(ShardTest, ForwardedContextPullAnswersFromOwnerShard) {
   ShardFixture f(4);
   PulseCE pulse(f.sci.network(), f.guid_owned_by(3), "pulse",
