@@ -28,11 +28,22 @@
 // must include the sibling-owned one, whose mirror the dead primary never
 // logged, so the successor holds it only through its mirror rebuild
 // (post_failover_query_ok).
+//
+// BM_ShardLease/seed — subscriber leases on a partitioned Range: 2 shards
+// with 1 standby each and a 6 s lease_ttl. A monitor homed on shard 1
+// holds a wildcard installed through the lead, and an app on shard 0 holds
+// a tick -> beat composition whose intermediate relay CE is homed on
+// shard 1. Shard 1's primary is killed and its standby elected before the
+// ttl runs out, then every producer publishes for 20 s. Each lease lives
+// on the subscriber's own shard, so every publish reaches its subscriber
+// exactly once (lease_delivery_ratio), and the monitor's departure at the
+// end leaves none of its rows on any shard (rows_after_departure).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <set>
@@ -106,6 +117,40 @@ class ShardMonitor final : public entity::ContextAwareApp {
 
  private:
   std::set<std::pair<Guid, std::uint64_t>> seen_;
+};
+
+// A single-output producer of `type`.
+class TypedCE final : public entity::ContextEntity {
+ public:
+  TypedCE(net::Network& network, Guid id, std::string name, std::string type)
+      : ContextEntity(network, id, std::move(name),
+                      entity::EntityKind::kDevice),
+        type_(std::move(type)) {}
+
+ protected:
+  [[nodiscard]] std::vector<entity::TypeSig> profile_outputs() const override {
+    return {{type_, "", type_}};
+  }
+
+ private:
+  std::string type_;
+};
+
+// Relays every tick as a beat: the intermediate CE of a composition.
+class RelayCE final : public entity::ContextEntity {
+ public:
+  using ContextEntity::ContextEntity;
+
+ protected:
+  [[nodiscard]] std::vector<entity::TypeSig> profile_inputs() const override {
+    return {{"tick", "", "tick"}};
+  }
+  [[nodiscard]] std::vector<entity::TypeSig> profile_outputs() const override {
+    return {{"beat", "", "beat"}};
+  }
+  void on_event(const event::Event& event, std::uint64_t) override {
+    if (event.type == "tick") publish("beat", event.payload);
+  }
 };
 
 // Deterministically mints a GUID owned by `shard` under `lead`'s map.
@@ -517,6 +562,105 @@ void BM_ShardFailoverIsolation(benchmark::State& state) {
                  Value(ValueMap(doc)));
 }
 
+void BM_ShardLease(benchmark::State& state) {
+  const auto seed = static_cast<std::uint64_t>(state.range(0));
+  ValueMap doc;
+  for (auto _ : state) {
+    Sci sci(seed);
+    mobility::Building building({.floors = 2, .rooms_per_floor = 4});
+    sci.set_location_directory(&building.directory());
+    RangeOptions options;
+    options.sharding.shard_count = 2;
+    options.replication.standby_count = 1;
+    options.replication.heartbeat_period = Duration::millis(200);
+    options.reliability.lease_ttl = Duration::seconds(6);
+    auto& lead = *sci.create_range("mall", building.floor_path(0), options)
+                      .value();
+
+    TypedCE local(sci.network(), guid_owned_by(sci, lead, 0), "local",
+                  "pulse");
+    TypedCE remote(sci.network(), guid_owned_by(sci, lead, 1), "remote",
+                   "pulse");
+    TypedCE tick(sci.network(), guid_owned_by(sci, lead, 0), "tick", "tick");
+    RelayCE relay(sci.network(), guid_owned_by(sci, lead, 1), "relay",
+                  entity::EntityKind::kSoftware);
+    ShardMonitor monitor(sci.network(), guid_owned_by(sci, lead, 1),
+                         "monitor", entity::EntityKind::kSoftware);
+    ShardMonitor app(sci.network(), guid_owned_by(sci, lead, 0), "app",
+                     entity::EntityKind::kSoftware);
+    for (entity::Component* c : std::initializer_list<entity::Component*>{
+             &local, &remote, &tick, &relay, &monitor, &app}) {
+      SCI_ASSERT(sci.enroll(*c, lead).is_ok());
+    }
+    (void)lead.subscribe_pattern(monitor.id(), "pulse");
+    SCI_ASSERT(sci.submit_query(app, query::Builder("beats", app.id())
+                                         .what_pattern("beat")
+                                         .subscribe())
+                   .has_value());
+    sci.run_for(Duration::seconds(1));
+
+    // Kill shard 1's primary; its standby takes over well inside the ttl.
+    range::ContextServer* doomed = sci.shards("mall")[1];
+    SCI_ASSERT(sci.network().set_crashed(doomed->server_node(), true).is_ok());
+    sci.run_for(Duration::seconds(4));
+    range::ContextServer* fresh = sci.find_range("mall#1");
+    const bool failed_over =
+        fresh != nullptr && fresh != doomed &&
+        fresh->role() == range::RangeConfig::Role::kPrimary;
+
+    std::int64_t pulses = 0;
+    std::int64_t ticks = 0;
+    sim::PeriodicTimer publisher(sci.simulator(), Duration::millis(250), [&] {
+      local.publish("pulse", Value(pulses));
+      remote.publish("pulse", Value(pulses));
+      pulses += 2;
+      tick.publish("tick", Value(ticks));
+      ++ticks;
+    });
+    publisher.start();
+    sci.run_for(Duration::seconds(20));
+    publisher.stop();
+    sci.run_for(Duration::seconds(2));  // drain in-flight deliveries
+
+    const std::int64_t expected = pulses + ticks;
+    const std::int64_t delivered = monitor.unique_events + app.unique_events;
+    monitor.stop();
+    sci.run_for(Duration::seconds(1));
+    std::int64_t rows_after_departure = 0;
+    for (const range::ContextServer* shard : sci.shards("mall")) {
+      rows_after_departure += static_cast<std::int64_t>(
+          shard->mediator().table().ids_for_subscriber(monitor.id()).size());
+    }
+
+    const double ratio =
+        expected == 0 ? 0.0
+                      : static_cast<double>(delivered) /
+                            static_cast<double>(expected);
+    state.counters["lease_delivery_ratio"] = ratio;
+    const obs::MetricsSnapshot snap = sci.metrics().snapshot();
+    doc.clear();
+    doc.emplace("seed", static_cast<std::int64_t>(seed));
+    doc.emplace("failed_over", failed_over ? std::int64_t{1} : std::int64_t{0});
+    doc.emplace("expected_deliveries", expected);
+    doc.emplace("monitor_delivered_unique",
+                static_cast<std::int64_t>(monitor.unique_events));
+    doc.emplace("app_delivered_unique",
+                static_cast<std::int64_t>(app.unique_events));
+    doc.emplace("duplicates",
+                static_cast<std::int64_t>(monitor.duplicate_events +
+                                          app.duplicate_events));
+    doc.emplace("lease_delivery_ratio", ratio);
+    doc.emplace("rows_after_departure", rows_after_departure);
+    doc.emplace("leases_expired",
+                static_cast<std::int64_t>(snap.counter("em.leases.expired")));
+    doc.emplace(
+        "repl_state_divergence",
+        static_cast<std::int64_t>(snap.counter("repl.state_divergence")));
+  }
+  bench::add_run("sharding/lease/" + std::to_string(seed),
+                 Value(ValueMap(doc)));
+}
+
 }  // namespace
 
 BENCHMARK(BM_ShardScaling)
@@ -527,6 +671,13 @@ BENCHMARK(BM_ShardScaling)
     ->Iterations(1);
 
 BENCHMARK(BM_ShardFailoverIsolation)
+    ->Arg(42)
+    ->Arg(1337)
+    ->Arg(20260806)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(1);
+
+BENCHMARK(BM_ShardLease)
     ->Arg(42)
     ->Arg(1337)
     ->Arg(20260806)

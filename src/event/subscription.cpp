@@ -102,36 +102,6 @@ std::size_t SubscriptionTable::remove_owner(std::uint64_t owner_tag) {
   return to_remove.size();
 }
 
-Status SubscriptionTable::set_expiry(SubscriptionId id, SimTime expires_at) {
-  const auto it = subscriptions_.find(id);
-  if (it == subscriptions_.end())
-    return make_error(ErrorCode::kNotFound,
-                      "no subscription " + std::to_string(id));
-  it->second.expires_at = expires_at;
-  return Status::ok();
-}
-
-std::size_t SubscriptionTable::renew_subscriber(Guid subscriber,
-                                                SimTime new_expiry) {
-  std::size_t renewed = 0;
-  for (auto& [id, subscription] : subscriptions_) {
-    if (subscription.subscriber != subscriber) continue;
-    if (subscription.expires_at.is_infinite()) continue;  // not leased
-    subscription.expires_at = new_expiry;
-    ++renewed;
-  }
-  return renewed;
-}
-
-std::vector<SubscriptionId> SubscriptionTable::lapsed_at(SimTime now) const {
-  std::vector<SubscriptionId> lapsed;
-  for (const auto& [id, subscription] : subscriptions_) {
-    if (!(now < subscription.expires_at)) lapsed.push_back(id);
-  }
-  std::sort(lapsed.begin(), lapsed.end());
-  return lapsed;
-}
-
 void SubscriptionTable::collect_matches_into(const Event& event,
                                              std::vector<MatchRef>& out) {
   out.clear();

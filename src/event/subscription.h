@@ -19,7 +19,6 @@
 
 #include "common/expected.h"
 #include "common/guid.h"
-#include "common/time.h"
 #include "event/event.h"
 
 namespace sci::event {
@@ -38,13 +37,10 @@ struct Subscription {
   // Configurations tag their subscriptions so teardown can find them.
   std::uint64_t owner_tag = 0;
 
-  // Lease expiry: the subscription is reaped once simulated time passes
-  // this point unless the subscriber renews. Infinity = no lease.
-  SimTime expires_at = SimTime::infinity();
-
   // The kShardSubscribe wire form, shared by sibling mirrors, vnode handoff,
-  // the replication log and snapshots: every field but `delivered` and
-  // `expires_at`, which decode leaves at their defaults.
+  // the replication log and snapshots: every field but `delivered`, which
+  // decode leaves at 0. Leases belong to subscribers, not to rows
+  // (range::EventMediator).
   void encode(serde::Writer& w) const;
   static Expected<Subscription> decode(serde::Reader& r);
 };
@@ -80,14 +76,6 @@ class SubscriptionTable {
   // Removes every subscription tagged with `owner_tag` (configuration
   // teardown).
   std::size_t remove_owner(std::uint64_t owner_tag);
-
-  // Lease maintenance. set_expiry stamps one subscription; renew_subscriber
-  // pushes every lease held by `subscriber` to `new_expiry` (a renewal
-  // covers all of an entity's subscriptions); lapsed_at lists, in id order,
-  // every subscription whose lease lapsed at or before `now`.
-  Status set_expiry(SubscriptionId id, SimTime expires_at);
-  std::size_t renew_subscriber(Guid subscriber, SimTime new_expiry);
-  [[nodiscard]] std::vector<SubscriptionId> lapsed_at(SimTime now) const;
 
   // Fills `out` (cleared, capacity reused across calls) with the
   // subscriptions matching `event`, bumping their delivery counters and

@@ -35,7 +35,7 @@ enum class TraceKind : std::uint8_t {
   kQueryAnswer,       // a=range, b=app, detail=1 ok / 0 failed
   kArrival,           // a=range, b=component
   kDeparture,         // a=range, b=component, detail=1 when failure-detected
-  kLeaseExpire,       // a=subscriber, b=producer (nil=any), detail=sub id
+  kLeaseExpire,       // a=subscriber, b=nil, detail=rows removed
   kFaultInject,       // a=target node (nil for fabric-wide), detail=FaultKind
   kViewDecodeFail,    // a=context server, b=range: view snapshot tail lost
 };

@@ -148,6 +148,7 @@ constexpr std::uint8_t kStateProfile = 2;  // profile + advertisement
 constexpr std::uint8_t kStateEvent = 3;    // context-store event
 constexpr std::uint8_t kStateSub = 4;      // producer-keyed subscription
 constexpr std::uint8_t kStateDedup = 5;    // publish_seen window
+constexpr std::uint8_t kStateLease = 6;    // subscriber lease + expiry
 
 // Staged ops beyond this abort the handoff rather than buffer unboundedly.
 constexpr std::size_t kMaxStagedOps = 256;
@@ -284,7 +285,8 @@ ContextServer::ContextServer(net::Network& network, RangeConfig config,
   if (config_.reliability.acked_delivery) {
     mediator_.set_channel(&channel_);
   }
-  mediator_.set_lease_ttl(config_.reliability.lease_ttl);
+  mediator_.set_leases(config_.reliability.lease_ttl,
+                       [this](Guid s) { return owns_entity(s); });
   if (sharded()) {
     // Disjoint per-shard subscription-id spaces: ids minted here can never
     // collide with ids mirrored in (verbatim) from sibling shards.
@@ -403,8 +405,7 @@ void ContextServer::start_primary_duties() {
   // Only a server running primary duties runs timers (docs/REPLICATION.md,
   // "Who runs timers"): leases start a fresh term, and every parked query
   // and bounded configuration re-arms from replicated state.
-  mediator_.start_reaper(
-      [this](event::SubscriptionId id) { expire_lease(id); });
+  mediator_.start_reaper([this](Guid subscriber) { expire_lease(subscriber); });
   for (auto* list : {&deferred_, &not_before_}) {
     for (DeferredQuery& parked : *list) arm_parked(parked);
   }
@@ -543,32 +544,49 @@ void ContextServer::on_channel_give_up(const net::Message& message,
   }
 }
 
-void ContextServer::expire_lease(event::SubscriptionId id) {
-  const auto subscription = mediator_.expire(id);
-  if (!subscription) return;
-  // Logged as the subscriber's teardown of its own subscription.
-  log_record(replicate::RecordKind::kShardUnsubscribe, subscription->subscriber,
-             id, {});
-  // Drop CS bookkeeping that referenced the reaped subscription so later
-  // teardown does not double-unsubscribe.
-  const auto names_it = [id](const auto& entry) { return entry.second == id; };
-  std::erase_if(edge_subscriptions_, names_it);
-  std::erase_if(app_edges_, names_it);
-  // Mediator-level delivery failure: the reaper just dropped this
-  // subscriber's last subscription while deliveries to it were still in
-  // flight. Those frames can never be consumed under a live subscription,
-  // so park them now as mediator dead letters — same bounded replayable DLQ
-  // as channel give-ups, distinguished by cause (Sci::dead_letters).
-  if (mediator_.table().ids_for_subscriber(subscription->subscriber).empty() &&
-      channel_.in_flight_to(subscription->subscriber) > 0) {
-    const std::size_t parked = channel_.fail_all(
-        subscription->subscriber, reliable::DeadLetterCause::kMediator);
+void ContextServer::expire_lease(Guid subscriber) {
+  // Logged as the subscriber's teardown; a replica replays this same step.
+  log_record(replicate::RecordKind::kShardUnsubscribe, subscriber, 0, {});
+  // The owner tells every sibling once; a sibling's copies of the
+  // subscriber's rows, and the rows it minted for it, go by that message.
+  if (sharded() && mediator_.leases().contains(subscriber)) {
+    serde::Writer w;
+    w.varint(0);  // no id: every row of the subscriber
+    w.guid(subscriber);
+    queue_to_siblings(kShardUnsubscribe, w.take_ref());
+  }
+  drop_subscriber(subscriber, /*lapsed=*/true);
+  // Mediator-level delivery failure: the subscriber's rows are gone while
+  // deliveries to it were still in flight. Those frames can never be
+  // consumed under a live subscription, so park them now as mediator dead
+  // letters — same bounded replayable DLQ as channel give-ups, distinguished
+  // by cause (Sci::dead_letters).
+  if (channel_.in_flight_to(subscriber) > 0) {
+    const std::size_t parked =
+        channel_.fail_all(subscriber, reliable::DeadLetterCause::kMediator);
     SCI_INFO(kTag,
              "%s: lease expiry parked %zu undeliverable frame(s) to %s as "
              "mediator dead letters",
              config_.name.c_str(), parked,
-             subscription->subscriber.short_string().c_str());
+             subscriber.short_string().c_str());
   }
+}
+
+void ContextServer::drop_subscriber(Guid subscriber, bool lapsed) {
+  // Each sibling drops its own rows of the subscriber, so the mirror
+  // bookkeeping goes without a message.
+  std::erase_if(mirrored_subs_, [&](const auto& entry) {
+    return entry.second.subscriber == subscriber;
+  });
+  (void)mediator_.remove_subscriber(subscriber, lapsed);
+  // Drop CS bookkeeping that names a row gone from here and from the
+  // mirrors, so later teardown does not double-unsubscribe.
+  const auto names_gone = [this](const auto& entry) {
+    return mediator_.table().find(entry.second) == nullptr &&
+           !mirrored_subs_.contains(entry.second);
+  };
+  std::erase_if(edge_subscriptions_, names_gone);
+  std::erase_if(app_edges_, names_gone);
 }
 
 void ContextServer::reply_result(Guid app, const std::string& query_id,
@@ -1752,23 +1770,27 @@ void ContextServer::configure_entities(const compose::ConfigurationPlan& plan) {
   }
 }
 
-void ContextServer::retire_configuration(std::uint64_t tag) {
+bool ContextServer::retire_configuration(std::uint64_t tag) {
   const compose::ActiveConfiguration* active = store_.find(tag);
   if (active == nullptr) {
     // Direct (non-pattern) subscriptions own a tag but no stored plan:
-    // retiring one means dropping its mediator entries. Logged so a
-    // standby's table unwinds identically; double-retire is a no-op.
-    std::vector<event::SubscriptionId> direct;
+    // retiring one means dropping its mediator entries, here and those moved
+    // to a sibling. Logged so a standby's table unwinds identically;
+    // double-retire is a no-op.
+    std::set<event::SubscriptionId> direct;
     for (const event::Subscription& s : mediator_.table().all()) {
-      if (s.owner_tag == tag && minted_here(s.id)) direct.push_back(s.id);
+      if (s.owner_tag == tag && minted_here(s.id)) direct.insert(s.id);
     }
-    if (direct.empty()) return;
+    for (const auto& [id, s] : mirrored_subs_) {
+      if (s.owner_tag == tag && minted_here(id)) direct.insert(id);
+    }
+    if (direct.empty()) return false;
     log_record(replicate::RecordKind::kConfigRetire, Guid(), tag, {});
     for (const event::SubscriptionId id : direct) {
       drop_mirror(id);
       (void)mediator_.unsubscribe(id);
     }
-    return;
+    return true;
   }
   log_record(replicate::RecordKind::kConfigRetire, active->app, tag, {});
   // Unconfigure parameterised entities first.
@@ -1786,6 +1808,7 @@ void ContextServer::retire_configuration(std::uint64_t tag) {
     network_.simulator().cancel(it->second.expiry);
     tracked_.erase(it);
   }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -1797,12 +1820,11 @@ void ContextServer::departure(Guid component, bool failure) {
   log_record(replicate::RecordKind::kDeparture, component, failure ? 1 : 0,
              {});
   const bool is_app = record->is_app;
-  // Sibling shards drop the mirrored profile and any subscriptions this
-  // component parked in their tables before local state unwinds.
+  // Sibling shards drop the mirrored profile and every row this component
+  // holds in their tables before local state unwinds.
   broadcast_profile_remove(component);
-  drop_mirrors_for_subscriber(component);
   (void)registrar_.remove(component);
-  mediator_.remove_subscriber(component);
+  drop_subscriber(component, /*lapsed=*/false);
   // Stop retransmitting toward the departed component; anything in flight
   // is handed to the give-up handler for accounting.
   channel_.fail_all(component);
@@ -2038,9 +2060,7 @@ bool ContextServer::cancel_query(Guid app, const std::string& query_id) {
   if (const auto outcome = query_outcome(app, query_id);
       outcome && outcome->config_tag != 0 &&
       tracked_.find(outcome->config_tag) == tracked_.end()) {
-    const std::size_t before = mediator_.table().size();
-    retire_configuration(outcome->config_tag);
-    cancelled = cancelled || mediator_.table().size() != before;
+    cancelled = retire_configuration(outcome->config_tag) || cancelled;
   }
   // Parked queries: the standbys withdraw them through the same step.
   return withdraw_parked_query(app, query_id) || cancelled;
@@ -2092,24 +2112,22 @@ void ContextServer::broadcast_profile_mirror(Guid subject) {
   if (profile == nullptr) return;
   serde::Writer w;
   profile->encode(w);
-  const serde::BufferRef wire = w.take_ref();
-  for (unsigned i = 0; i < config_.shard_map->size(); ++i) {
-    if (i == config_.shard_index) continue;
-    queue_mirror(shard_node(i), kShardProfile, wire);
-    m_shard_profile_mirrors_.inc();
-  }
+  queue_to_siblings(kShardProfile, w.take_ref());
+  m_shard_profile_mirrors_.inc(config_.shard_map->size() - 1);
 }
 
 void ContextServer::broadcast_profile_remove(Guid subject) {
-  if (!sharded() || passive()) return;
-  const MemberRecord* record = registrar_.find(subject);
-  if (record == nullptr || record->is_app) return;
+  if (!sharded() || passive() || !registrar_.contains(subject)) return;
+  // Sent for apps too: a sibling may hold rows of theirs.
   serde::Writer w;
   w.guid(subject);
-  const serde::BufferRef wire = w.take_ref();
+  queue_to_siblings(kShardProfileRemove, w.take_ref());
+}
+
+void ContextServer::queue_to_siblings(std::uint32_t type,
+                                      const serde::BufferRef& payload) {
   for (unsigned i = 0; i < config_.shard_map->size(); ++i) {
-    if (i == config_.shard_index) continue;
-    queue_mirror(shard_node(i), kShardProfileRemove, wire);
+    if (i != config_.shard_index) queue_mirror(shard_node(i), type, payload);
   }
 }
 
@@ -2156,12 +2174,13 @@ void ContextServer::handle_shard_profile_remove(const net::Message& message) {
 }
 
 void ContextServer::accept_mirror_drop(Guid subject) {
-  const std::size_t subscriptions = mediator_.table().size();
+  const std::size_t rows = mediator_.table().size() + mirrored_subs_.size();
   if (!ingest_shard_drop(subject)) return;
-  // Subscriptions that named the subject went with it: the subscription
-  // table is replicated state, so that change is logged at once.
-  if (!note_mirror_change(subject,
-                          mediator_.table().size() != subscriptions)) {
+  // Subscriptions that named the subject, or that it held, went with it:
+  // the subscription table is replicated state, so that change is logged
+  // at once.
+  if (!note_mirror_change(
+          subject, mediator_.table().size() + mirrored_subs_.size() != rows)) {
     return;
   }
   recompose_after_loss(subject);
@@ -2170,6 +2189,7 @@ void ContextServer::accept_mirror_drop(Guid subject) {
 bool ContextServer::ingest_shard_drop(Guid subject) {
   if (registrar_.contains(subject)) return false;
   mediator_.remove_producer(subject);
+  drop_subscriber(subject, /*lapsed=*/false);
   if (const entity::Profile* old = profiles_.profile(subject);
       old != nullptr) {
     invalidate_views_matching(*old);
@@ -2357,11 +2377,11 @@ void ContextServer::park_query(query::Query q, Guid app, serde::BufferRef wire,
 void ContextServer::ingest_shard_subscribe(serde::FrameView payload,
                                            bool own_id_space) {
   serde::Reader r(payload);
-  // Mirrors are torn down explicitly by their home shard (unsubscribe or
-  // subscriber departure), never by the local lease reaper: decode leaves
-  // expires_at at infinity.
   auto s = event::Subscription::decode(r);
   if (!s) return;
+  // A row installed on the subscriber's own shard, a sibling's copy
+  // included, starts its lease there: the one shard it renews with.
+  mediator_.lease(s->subscriber);
   // The mirrored id lives in its home shard's id space. restore() bumps the
   // mint counter past any id it sees; letting a sibling's (higher) id space
   // leak into this shard's counter would make later local mints collide
@@ -2375,11 +2395,9 @@ void ContextServer::ingest_shard_subscribe(serde::FrameView payload,
     table.set_next_id(next);
     return;
   }
-  // A replayed subscribe_pattern: leased as on the primary, and with the
-  // sibling-mirror bookkeeping the primary set up (passive, so nothing is
-  // sent), which keeps the heartbeat fingerprint in step and lets a promoted
-  // standby tear the copies down.
-  mediator_.lease(sub);
+  // A replayed subscribe_pattern, with the sibling-mirror bookkeeping the
+  // primary set up (passive, so nothing is sent), which keeps the heartbeat
+  // fingerprint in step and lets a promoted standby tear the copies down.
   mirror_subscription_if_remote(sub);
 }
 
@@ -2393,6 +2411,10 @@ void ContextServer::handle_shard_unsubscribe(const net::Message& message) {
   serde::Reader r(message.payload);
   auto id = r.varint();
   if (!id) return;
+  if (*id == 0) {  // the subscriber's lease lapsed at its owner
+    if (const auto subscriber = r.guid()) expire_lease(*subscriber);
+    return;
+  }
   log_record(replicate::RecordKind::kShardUnsubscribe, message.from, *id, {});
   (void)mediator_.unsubscribe(*id);
 }
@@ -2434,16 +2456,14 @@ void ContextServer::mirror_subscription_if_remote(event::SubscriptionId id) {
   if (owner == config_.shard_index) return;
   serde::Writer w;
   s->encode(w);
-  const Guid remote = shard_node(owner);
-  const Guid producer = *s->producer;
   // Move, not copy: the producer's publishes land on its owner shard, so a
   // local table entry could never match and would only slow dispatch down.
-  mirrored_subs_[id] = MirroredSub{remote, s->subscriber, producer};
+  mirrored_subs_[id] = *s;
   (void)mediator_.unsubscribe(id);
   // Standby replay keeps the same bookkeeping but stays silent; a promoted
   // standby inherits mirrored_subs_ and can still tear the copies down.
   if (!passive()) {
-    queue_mirror(remote, kShardSubscribe, w.take_ref());
+    queue_mirror(shard_node(owner), kShardSubscribe, w.take_ref());
     m_shard_sub_mirrors_.inc();
   }
 }
@@ -2459,45 +2479,29 @@ void ContextServer::mirror_wildcard_subscription(const event::Subscription& s) {
   if (s.one_time) return;
   serde::Writer w;
   s.encode(w);  // no named producer — stays a wildcard remotely
-  // producer == Guid() marks the mirror as broadcast: teardown fans out to
-  // every sibling instead of one owner node, and handoff re-pointing skips
-  // it (every shard already holds a copy, wherever the vnode lands).
-  mirrored_subs_[s.id] = MirroredSub{Guid(), s.subscriber, Guid()};
+  // Its teardown fans out to every sibling instead of one owner node.
+  mirrored_subs_[s.id] = s;
   if (passive()) return;
-  const serde::BufferRef frame = w.take_ref();
-  for (unsigned i = 0; i < config_.shard_map->size(); ++i) {
-    if (i == config_.shard_index) continue;
-    queue_mirror(shard_node(i), kShardSubscribe, frame);
-    m_shard_sub_mirrors_.inc();
-  }
+  queue_to_siblings(kShardSubscribe, w.take_ref());
+  m_shard_sub_mirrors_.inc(config_.shard_map->size() - 1);
 }
 
 void ContextServer::drop_mirror(event::SubscriptionId id) {
   const auto it = mirrored_subs_.find(id);
   if (it == mirrored_subs_.end()) return;
-  if (!passive()) {
-    serde::Writer w;
-    w.varint(id);
-    if (it->second.producer == Guid()) {
-      // Wildcard mirror: one encoded unsubscribe shared across all siblings.
-      const serde::BufferRef frame = w.take_ref();
-      for (unsigned i = 0; i < config_.shard_map->size(); ++i) {
-        if (i == config_.shard_index) continue;
-        queue_mirror(shard_node(i), kShardUnsubscribe, frame);
-      }
-    } else {
-      queue_mirror(it->second.remote_node, kShardUnsubscribe, w.take_ref());
-    }
-  }
+  const std::optional<Guid> producer = it->second.producer;
   mirrored_subs_.erase(it);
-}
-
-void ContextServer::drop_mirrors_for_subscriber(Guid subscriber) {
-  std::vector<event::SubscriptionId> owned;
-  for (const auto& [id, mirror] : mirrored_subs_) {
-    if (mirror.subscriber == subscriber) owned.push_back(id);
+  serde::Writer w;
+  w.varint(id);
+  // A wildcard's copies live on every sibling; a moved subscription lives
+  // on its producer's owner, per the current map (a handoff may have moved
+  // it since, even back here, where the local unsubscribe removes it).
+  if (!producer) {
+    queue_to_siblings(kShardUnsubscribe, w.take_ref());
+  } else if (const unsigned owner = shard_of(*producer);
+             owner != config_.shard_index) {
+    queue_mirror(shard_node(owner), kShardUnsubscribe, w.take_ref());
   }
-  for (const event::SubscriptionId id : owned) drop_mirror(id);
 }
 
 void ContextServer::forward_to_shard(const query::Query& q, Guid app,
@@ -2731,6 +2735,15 @@ void ContextServer::ship_handoff_state(serde::FrameView header) {
     serde::Writer w;
     w.u8(kStateSub);
     s.encode(w);
+    add(w);
+  }
+  // The slice's subscriber leases, which its new owner renews from now on.
+  for (const auto& [subscriber, expires_at] : mediator_.leases()) {
+    if (map_.vnode_of(subscriber) != vnode) continue;
+    serde::Writer w;
+    w.u8(kStateLease);
+    w.guid(subscriber);
+    w.svarint(expires_at.micros());
     add(w);
   }
   // One frame: [header][varint record count][the CRC-framed records].
@@ -3070,6 +3083,16 @@ void ContextServer::install_incoming_handoff() {
         }
         break;
       }
+      case kStateLease: {
+        serde::Reader r(rest);
+        const auto subscriber = r.guid();
+        const auto expires_at = r.svarint();
+        if (subscriber && expires_at) {
+          mediator_.restore_lease(*subscriber,
+                                  SimTime::from_micros(*expires_at));
+        }
+        break;
+      }
       default:
         SCI_DEBUG(kTag, "%s: unknown handoff state category %u",
                   config_.name.c_str(), static_cast<unsigned>(category));
@@ -3090,27 +3113,21 @@ void ContextServer::apply_handoff_commit(unsigned vnode, unsigned new_owner,
   map_.assign(vnode, new_owner);
   map_.set_epoch(epoch);
 
-  const Guid new_node = shard_node(new_owner);
-  // Subscriptions mirrored onto the moving vnode's old owner follow it.
-  // Wildcard mirrors (producer == Guid()) live on every shard already and
-  // carry no owner node to re-point.
-  for (auto& [id, mirror] : mirrored_subs_) {
-    if (mirror.producer == Guid()) continue;
-    if (map_.vnode_of(mirror.producer) == vnode) {
-      mirror.remote_node = new_node;
-    }
-  }
-
   if (old_owner == config_.shard_index && new_owner != config_.shard_index) {
     // Shedding branch: this shard lost the slice. Producer-keyed
     // subscriptions moved with the producer — record them as mirrors FIRST
-    // so unsubscribe/departure teardown still reaches the remote copies —
-    // then drop the slice. Profiles stay: every shard mirrors all profiles.
+    // so unsubscribe and retire teardown still reach the remote copies —
+    // then drop the slice, leases included (they moved with it). Profiles
+    // stay: every shard mirrors all profiles.
     for (const event::Subscription& s : mediator_.table().all()) {
       if (!s.producer || map_.vnode_of(*s.producer) != vnode) continue;
-      if (mirrored_subs_.contains(s.id)) continue;
-      mirrored_subs_[s.id] = MirroredSub{new_node, s.subscriber, *s.producer};
+      mirrored_subs_.try_emplace(s.id, s);
     }
+    std::vector<Guid> moved;
+    for (const auto& [subscriber, expires_at] : mediator_.leases()) {
+      if (map_.vnode_of(subscriber) == vnode) moved.push_back(subscriber);
+    }
+    for (const Guid subscriber : moved) mediator_.drop_lease(subscriber);
     for (const Guid subject : subjects_in_vnode(vnode)) {
       (void)registrar_.remove(subject);
       mediator_.remove_producer(subject);
@@ -3356,19 +3373,18 @@ void ContextServer::apply_record(const replicate::LogRecord& record) {
     case replicate::RecordKind::kShardSubscribe:
       ingest_shard_subscribe(record.payload, record.flag == 1);
       return;
-    case replicate::RecordKind::kShardUnsubscribe: {
-      // A nil subject marks this shard's own unsubscribe(), which also
-      // dropped the mirror bookkeeping; the subscriber marks its lapsed
-      // lease; a sibling's teardown names the sibling's node.
-      if (record.subject.is_nil()) drop_mirror(record.flag);
-      const event::Subscription* s = mediator_.table().find(record.flag);
-      if (s != nullptr && s->subscriber == record.subject) {
-        expire_lease(record.flag);
+    case replicate::RecordKind::kShardUnsubscribe:
+      // No id: every row of the subject, a subscriber whose lease lapsed.
+      // Else a nil subject marks this shard's own unsubscribe(), which also
+      // dropped the mirror bookkeeping, and a sibling's teardown of one row
+      // names the sibling's node.
+      if (record.flag == 0) {
+        expire_lease(record.subject);
         return;
       }
+      if (record.subject.is_nil()) drop_mirror(record.flag);
       (void)mediator_.unsubscribe(record.flag);
       return;
-    }
     case replicate::RecordKind::kHandoffIntent: {
       // A standby (or the WAL replay) mirrors the primary's in-flight
       // handoff so a successor can resolve it deterministically.
@@ -3459,7 +3475,11 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
   for (const event::Subscription& s : subscriptions) {
     s.encode(w);
     w.varint(s.delivered);
-    w.svarint(s.expires_at.micros());
+  }
+  // The subscribers leased here; a promotion starts each on a fresh term.
+  w.varint(mediator_.leases().size());
+  for (const auto& [subscriber, expires_at] : mediator_.leases()) {
+    w.guid(subscriber);
   }
 
   // Context store contents, re-ingested through record() on restore.
@@ -3542,12 +3562,7 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
 
   // Subscriptions mirrored out to sibling shards (std::map — id order).
   w.varint(mirrored_subs_.size());
-  for (const auto& [id, mirror] : mirrored_subs_) {
-    w.varint(id);
-    w.guid(mirror.remote_node);
-    w.guid(mirror.subscriber);
-    w.guid(mirror.producer);
-  }
+  for (const auto& [id, mirror] : mirrored_subs_) mirror.encode(w);
 
   // Vnode ownership map + any in-flight handoff (docs/SHARDING.md): a
   // standby bootstrapped mid-migration must resolve it exactly as one that
@@ -3586,7 +3601,7 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
   // an attached standby, so only a re-attach repairs it.
   registrar_.clear();
   profiles_.clear();
-  mediator_.mutable_table().clear();
+  mediator_.clear();
   context_store_.clear();
   store_ = compose::ConfigurationStore(config_.reuse.enable);
   tracked_.clear();
@@ -3625,11 +3640,15 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
       SCI_TRY_ASSIGN(s, event::Subscription::decode(r));
       SCI_TRY_ASSIGN(delivered, r.varint());
       s.delivered = delivered;
-      SCI_TRY_ASSIGN(expires_at, r.svarint());
-      s.expires_at = SimTime::from_micros(expires_at);
       mediator_.mutable_table().restore(std::move(s));
     }
     mediator_.mutable_table().set_next_id(next_sub_id);
+    SCI_TRY_ASSIGN(n_leases, r.varint());
+    for (std::uint64_t i = 0; i < n_leases; ++i) {
+      SCI_TRY_ASSIGN(subscriber, r.guid());
+      mediator_.restore_lease(subscriber, network_.simulator().now() +
+                                              config_.reliability.lease_ttl);
+    }
 
     SCI_TRY_ASSIGN(n_events, r.varint());
     for (std::uint64_t i = 0; i < n_events; ++i) {
@@ -3708,11 +3727,8 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
 
     SCI_TRY_ASSIGN(n_mirrored, r.varint());
     for (std::uint64_t i = 0; i < n_mirrored; ++i) {
-      SCI_TRY_ASSIGN(id, r.varint());
-      SCI_TRY_ASSIGN(remote, r.guid());
-      SCI_TRY_ASSIGN(subscriber, r.guid());
-      SCI_TRY_ASSIGN(producer, r.guid());
-      mirrored_subs_[id] = MirroredSub{remote, subscriber, producer};
+      SCI_TRY_ASSIGN(mirror, event::Subscription::decode(r));
+      mirrored_subs_[mirror.id] = std::move(mirror);
     }
 
     SCI_TRY_ASSIGN(map_epoch, r.varint());
@@ -3811,6 +3827,7 @@ std::uint64_t ContextServer::state_fingerprint() const {
   mix(member_profiles);
   mix(mediator_.table().size());
   mix(mediator_.table().next_id());
+  mix(mediator_.leases().size());
   mix(store_.size());
   mix(tracked_.size());
   for (const auto* list : {&deferred_, &pending_, &not_before_}) {

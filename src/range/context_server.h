@@ -132,9 +132,10 @@ struct DiscoveryOptions {
 // Reliable delivery (docs/ROBUSTNESS.md). acked_delivery routes event
 // deliveries, query replies and configure frames over the CS node's
 // reliable channel and forwards inter-range queries with end-to-end
-// receipts (route_acked). Subscription leases expire after lease_ttl
-// without a renewal (components renew every kLeaseRenewPeriod); a zero ttl
-// disables them.
+// receipts (route_acked). A subscriber's lease, held by the shard that owns
+// it, expires after lease_ttl without a renewal (components renew every
+// kLeaseRenewPeriod) and takes every row it holds range-wide; a zero ttl
+// disables leases.
 struct ReliabilityOptions {
   bool acked_delivery = true;
   Duration lease_ttl = Duration::seconds(30);
@@ -512,9 +513,15 @@ class ContextServer {
   void send_component(Guid to, std::uint32_t type,
                       serde::BufferRef payload);
   void on_channel_give_up(const net::Message& message, unsigned attempts);
-  // Reaps one lapsed lease: the primary's reaper logs it (as the
-  // subscriber's kShardUnsubscribe) and a replica replays the same step.
-  void expire_lease(event::SubscriptionId id);
+  // The teardown of a subscriber whose lease lapsed: the owner's reaper
+  // logs it (as the subscriber's kShardUnsubscribe) and tells every sibling
+  // once; a sibling and a replica run the same step.
+  void expire_lease(Guid subscriber);
+  // The range-wide step of a lapse and a departure alike, run on every
+  // shard: drops every row `subscriber` holds here, the mirror bookkeeping
+  // of the rows this shard minted for it, and the edge bookkeeping naming
+  // them.
+  void drop_subscriber(Guid subscriber, bool lapsed);
   void reply_result(Guid app, const std::string& query_id, const Error& error,
                     Value result);
   // The reply step of a selection or subscription query: records its
@@ -589,7 +596,8 @@ class ContextServer {
                        std::uint64_t tag);
   void tear_down_edges(const std::vector<compose::PlanEdge>& edges);
   void configure_entities(const compose::ConfigurationPlan& plan);
-  void retire_configuration(std::uint64_t tag);
+  // True when anything was torn down.
+  bool retire_configuration(std::uint64_t tag);
 
   // --- adaptation (Range Service) -----------------------------------------------
   void departure(Guid component, bool failure);
@@ -615,6 +623,8 @@ class ContextServer {
   // shard so find_candidates/resolve run locally on each of them.
   void broadcast_profile_mirror(Guid subject);
   void broadcast_profile_remove(Guid subject);
+  // Queues one mirror record to every sibling shard.
+  void queue_to_siblings(std::uint32_t type, const serde::BufferRef& payload);
   void handle_shard_profile(const net::Message& message);
   void handle_shard_profile_remove(const net::Message& message);
   void handle_shard_subscribe(const net::Message& message);
@@ -628,9 +638,8 @@ class ContextServer {
   // sibling shard so publishes landing there still reach the subscriber;
   // the local entry stays for locally-owned producers.
   void mirror_wildcard_subscription(const event::Subscription& s);
-  // Tears down the remote copy of a mirrored subscription, if any.
+  // Tears down the remote copies of a mirrored subscription, if any.
   void drop_mirror(event::SubscriptionId id);
-  void drop_mirrors_for_subscriber(Guid subscriber);
   // Forwards a query to the shard owning `subject` (context pulls, trigger
   // watches); results go straight back to `app`.
   void forward_to_shard(const query::Query& q, Guid app, unsigned shard);
@@ -952,17 +961,11 @@ class ContextServer {
   std::optional<SimTime> promoted_at_;
 
   // --- sharding state ------------------------------------------------------
-  // Subscriptions this shard created but installed on the producer's owner
-  // shard (id -> where + whose + on whom). Replicated via the snapshot so a
-  // promoted standby can still tear the remote copies down; the producer is
-  // kept so a committed handoff can re-point remote_node when the producer's
-  // vnode moves shards.
-  struct MirroredSub {
-    Guid remote_node;  // owner shard's CS node
-    Guid subscriber;
-    Guid producer;
-  };
-  std::map<event::SubscriptionId, MirroredSub> mirrored_subs_;
+  // Subscriptions this shard created whose copies live on siblings: a
+  // wildcard's on every sibling, a moved one's on its producer's owner per
+  // the current map. Replicated via the snapshot so a promoted standby can
+  // still tear the remote copies down.
+  std::map<event::SubscriptionId, event::Subscription> mirrored_subs_;
   // Sibling mirrors applied here but not yet logged, in GUID order. Held
   // only while a log exists; empty whenever reads_mirrors().
   std::set<Guid> unlogged_mirrors_;

@@ -42,44 +42,41 @@ void EventMediator::deliver_to(Guid subscriber, serde::BufferRef body) {
   }
 }
 
-void EventMediator::start_reaper(
-    std::function<void(event::SubscriptionId)> on_lapsed) {
+void EventMediator::start_reaper(std::function<void(Guid)> on_lapsed) {
   if (lease_ttl_.count_micros() <= 0) return;
   const SimTime fresh = network_.simulator().now() + lease_ttl_;
-  for (const event::Subscription& s : table_.all()) {
-    if (!s.expires_at.is_infinite()) (void)table_.set_expiry(s.id, fresh);
-  }
+  for (auto& [subscriber, expires_at] : leases_) expires_at = fresh;
   reaper_.emplace(network_.simulator(), kLeaseRenewPeriod,
                   [this, on_lapsed = std::move(on_lapsed)] {
-                    for (const event::SubscriptionId id :
-                         table_.lapsed_at(network_.simulator().now())) {
-                      on_lapsed(id);
+                    const SimTime now = network_.simulator().now();
+                    std::vector<Guid> lapsed;
+                    for (const auto& [subscriber, expires_at] : leases_) {
+                      if (!(now < expires_at)) lapsed.push_back(subscriber);
                     }
+                    for (const Guid subscriber : lapsed) on_lapsed(subscriber);
                   });
   reaper_->start();
 }
 
 void EventMediator::renew(Guid subscriber) {
-  if (lease_ttl_.count_micros() <= 0) return;
-  const std::size_t renewed = table_.renew_subscriber(
-      subscriber, network_.simulator().now() + lease_ttl_);
-  if (renewed > 0) {
-    m_leases_renewed_->inc(renewed);
-  }
+  const auto it = leases_.find(subscriber);
+  if (it == leases_.end()) return;
+  it->second = network_.simulator().now() + lease_ttl_;
+  m_leases_renewed_->inc();
 }
 
-std::optional<event::Subscription> EventMediator::expire(
-    event::SubscriptionId id) {
-  const event::Subscription* found = table_.find(id);
-  if (found == nullptr) return std::nullopt;
-  event::Subscription subscription = *found;
-  (void)table_.remove(id);
-  m_leases_expired_->inc();
-  m_unsubscribed_->inc();
-  trace_->record(network_.simulator().now(), obs::TraceKind::kLeaseExpire,
-                 subscription.subscriber,
-                 subscription.producer.value_or(Guid()), id);
-  return subscription;
+std::size_t EventMediator::remove_subscriber(Guid subscriber, bool lapsed) {
+  const bool expired = leases_.erase(subscriber) > 0 && lapsed;
+  const std::size_t n = table_.remove_subscriber(subscriber);
+  if (expired) {
+    m_leases_expired_->inc();
+    m_unsubscribed_->inc(n);
+    trace_->record(network_.simulator().now(), obs::TraceKind::kLeaseExpire,
+                   subscriber, Guid(), n);
+  } else {
+    note_bulk_removal(n, subscriber);
+  }
+  return n;
 }
 
 }  // namespace sci::range

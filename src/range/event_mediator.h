@@ -5,14 +5,16 @@
 // The mediator wraps the SubscriptionTable and performs the actual
 // network deliveries (kDeliver frames) from the Context Server's node.
 // Deliveries optionally ride a ReliableChannel (set_channel) so lost
-// kDeliver frames retransmit, and subscriptions optionally carry leases
-// (set_lease_ttl): a subscriber that stops renewing — typically
-// because it crashed — has its subscriptions reaped instead of black-
-// holing deliveries forever.
+// kDeliver frames retransmit, and subscribers optionally hold leases
+// (set_leases): a subscriber that stops renewing — typically because it
+// crashed — loses every subscription it holds instead of black-holing
+// deliveries forever. The lease belongs to the subscriber, not to its
+// rows: one per subscriber, on the shard that owns it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 
 #include "common/guid.h"
@@ -47,15 +49,20 @@ class EventMediator {
   // same node identity.
   void set_channel(reliable::ReliableChannel* channel) { channel_ = channel; }
 
-  // Enables subscription leases (off by default for a bare mediator): new
-  // subscriptions carry one. Only start_reaper() ever expires them.
-  void set_lease_ttl(Duration ttl) { lease_ttl_ = ttl; }
+  // Enables subscriber leases (off by default for a bare mediator). A
+  // lease is one per subscriber, held only where `owns` says the subscriber
+  // lives: the one shard its kLeaseRenew reaches. Only start_reaper() ever
+  // expires one.
+  void set_leases(Duration ttl, std::function<bool(Guid)> owns) {
+    lease_ttl_ = ttl;
+    owns_ = std::move(owns);
+  }
 
-  // Primary duties (docs/REPLICATION.md): gives every leased subscription a
-  // fresh ttl from now, then every kLeaseRenewPeriod hands each lapsed
-  // lease's id to `on_lapsed`, which decides (and logs) its expire(). A
-  // standby never reaps: its leases are whatever its log says.
-  void start_reaper(std::function<void(event::SubscriptionId)> on_lapsed);
+  // Primary duties (docs/REPLICATION.md): gives every lease a fresh ttl
+  // from now, then every kLeaseRenewPeriod hands each lapsed subscriber to
+  // `on_lapsed`, which decides (and logs) its teardown. A standby never
+  // reaps: its leases are whatever its log says.
+  void start_reaper(std::function<void(Guid)> on_lapsed);
   void stop_reaper() { reaper_.reset(); }
 
   // Standby mode (docs/REPLICATION.md): dispatch_shared() performs all table
@@ -65,20 +72,33 @@ class EventMediator {
   void set_silent(bool silent) { silent_ = silent; }
   [[nodiscard]] bool silent() const { return silent_; }
 
-  // Stamps a lease of one ttl on subscription `id` (a no-op with leases off).
-  void lease(event::SubscriptionId id) {
-    if (lease_ttl_.count_micros() > 0) {
-      (void)table_.set_expiry(id, network_.simulator().now() + lease_ttl_);
+  // Starts `subscriber`'s lease when this shard owns it and it holds none
+  // yet: every row minted or installed for a subscriber calls this.
+  void lease(Guid subscriber) {
+    if (lease_ttl_.count_micros() > 0 && owns_(subscriber)) {
+      leases_.try_emplace(subscriber,
+                          network_.simulator().now() + lease_ttl_);
     }
   }
 
-  // Removes one subscription as a lapsed lease (counted and traced as an
-  // expiry); nullopt when it is gone already.
-  std::optional<event::Subscription> expire(event::SubscriptionId id);
-
-  // Pushes every lease held by `subscriber` forward by one ttl. Soft state:
-  // a renewal is never logged, and a new primary starts a fresh term.
+  // Pushes `subscriber`'s lease forward by one ttl. Soft state: a renewal
+  // is never logged, and a new primary starts a fresh term.
   void renew(Guid subscriber);
+
+  // Removes every row `subscriber` holds here, and its lease: on a departure,
+  // or as a lapsed lease, counted and traced as one expiry where the lease
+  // was held. Returns the rows removed.
+  std::size_t remove_subscriber(Guid subscriber, bool lapsed = false);
+
+  // The subscribers leased here, with their expiries (GUID order). The
+  // snapshot carries the set, a vnode handoff the moving slice of it.
+  [[nodiscard]] const std::map<Guid, SimTime>& leases() const {
+    return leases_;
+  }
+  void restore_lease(Guid subscriber, SimTime expires_at) {
+    leases_[subscriber] = expires_at;
+  }
+  void drop_lease(Guid subscriber) { leases_.erase(subscriber); }
 
   event::SubscriptionId subscribe(Guid subscriber, std::optional<Guid> producer,
                                   std::string event_type,
@@ -89,7 +109,7 @@ class EventMediator {
     const event::SubscriptionId id =
         table_.add(subscriber, producer, std::move(event_type),
                    std::move(filter), one_time, owner_tag);
-    lease(id);
+    lease(subscriber);
     trace_->record(network_.simulator().now(), obs::TraceKind::kSubscribe,
                    subscriber, producer.value_or(Guid()), id);
     return id;
@@ -109,12 +129,6 @@ class EventMediator {
                      subscriber, producer, id);
     }
     return removed;
-  }
-
-  std::size_t remove_subscriber(Guid subscriber) {
-    const std::size_t n = table_.remove_subscriber(subscriber);
-    note_bulk_removal(n, subscriber);
-    return n;
   }
 
   std::size_t remove_producer(Guid producer) {
@@ -145,6 +159,10 @@ class EventMediator {
   }
   // Replication snapshots restore the table verbatim (ids preserved).
   [[nodiscard]] event::SubscriptionTable& mutable_table() { return table_; }
+  void clear() {
+    table_.clear();
+    leases_.clear();
+  }
 
  private:
   void note_bulk_removal(std::size_t n, Guid subscriber = Guid(),
@@ -165,6 +183,8 @@ class EventMediator {
   bool silent_ = false;
   reliable::ReliableChannel* channel_ = nullptr;  // nullptr = raw sends
   Duration lease_ttl_;  // 0 = leases off
+  std::function<bool(Guid)> owns_;
+  std::map<Guid, SimTime> leases_;  // subscriber -> expiry
   std::optional<sim::PeriodicTimer> reaper_;
   obs::Counter* m_events_in_ = nullptr;
   obs::Counter* m_deliveries_ = nullptr;

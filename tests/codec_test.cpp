@@ -239,19 +239,17 @@ TEST(CodecWireTest, ShardSubscribeBytesArePinned) {
             "2a");                              // owner tag
 }
 
-// A mirror never carries delivery counts or a lease: decode leaves both at
-// their defaults so the local reaper cannot expire a mirrored copy.
-TEST(CodecWireTest, SubscriptionDecodeLeavesCountAndLeaseAtDefaults) {
+// A mirror never carries delivery counts: decode leaves them at 0, so a
+// copy counts only the deliveries it makes itself.
+TEST(CodecWireTest, SubscriptionDecodeLeavesCountAtZero) {
   event::Subscription s = pinned_subscription();
   s.delivered = 12;
-  s.expires_at = SimTime::from_micros(5'000'000);
   serde::Writer w;
   s.encode(w);
   serde::Reader r(w.view());
   const auto decoded = event::Subscription::decode(r);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->delivered, 0u);
-  EXPECT_EQ(decoded->expires_at, SimTime::infinity());
   EXPECT_EQ(decoded->producer, kProducer);
   EXPECT_EQ(decoded->owner_tag, 42u);
 }

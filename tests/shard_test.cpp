@@ -4,6 +4,7 @@
 // surface (DLQ + metric aggregation under shard labels).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -64,12 +65,14 @@ struct ShardFixture {
   mobility::Building building{{.floors = 2, .rooms_per_floor = 4}};
   range::ContextServer* lead = nullptr;
 
-  explicit ShardFixture(unsigned shard_count, unsigned standby_count = 0) {
+  explicit ShardFixture(unsigned shard_count, unsigned standby_count = 0,
+                        const std::function<void(RangeOptions&)>& tune = {}) {
     sci.set_location_directory(&building.directory());
     RangeOptions options;
     options.sharding.shard_count = shard_count;
     options.replication.standby_count = standby_count;
     options.replication.heartbeat_period = Duration::millis(200);
+    if (tune) tune(options);
     lead = sci.create_range("mall", building.floor_path(0), options).value();
   }
 
@@ -1199,6 +1202,225 @@ TEST(ShardTest, WildcardMirrorOvertakenByItsTeardownStopsDelivering) {
   local.publish("pulse", Value(static_cast<std::int64_t>(1)));
   f.sci.run_for(Duration::seconds(1));
   EXPECT_EQ(monitor.unique_events, 0);
+}
+
+// Subscriber leases (docs/ROBUSTNESS.md): components renew every 5 s, so
+// a 6 s ttl keeps every renewing subscriber while a silent one lapses
+// within a run.
+void short_lease(RangeOptions& options) {
+  options.reliability.lease_ttl = Duration::seconds(6);
+}
+
+// Each shard's rows of `subscriber`, lead first.
+std::vector<std::size_t> rows_of(Sci& sci, Guid subscriber) {
+  std::vector<std::size_t> rows;
+  for (const range::ContextServer* shard : sci.shards("mall")) {
+    rows.push_back(shard->mediator().table().ids_for_subscriber(subscriber)
+                       .size());
+  }
+  return rows;
+}
+
+// A wildcard installed through the lead for a subscriber homed on shard 1:
+// the lease lives where the subscriber renews, so the lead's row outlives
+// the ttl and every shard's producers keep delivering exactly once, across
+// a promotion of the home shard too. Unsubscribing then removes every copy.
+TEST(ShardTest, WildcardThroughTheLeadIsLeasedAtTheSubscribersHome) {
+  ShardFixture f(2, /*standby_count=*/1, short_lease);
+  PulseCE local(f.sci.network(), f.guid_owned_by(0), "local",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(local, *f.lead).is_ok());
+  PulseCE remote(f.sci.network(), f.guid_owned_by(1), "remote",
+                 entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(remote, *f.lead).is_ok());
+  ShardMonitor monitor(f.sci.network(), f.guid_owned_by(1), "monitor",
+                       entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(monitor, *f.lead).is_ok());
+  const event::SubscriptionId sub =
+      f.lead->subscribe_pattern(monitor.id(), "pulse");
+  f.sci.run_for(Duration::seconds(20));
+  auto shards = f.sci.shards("mall");
+  EXPECT_FALSE(shards[0]->mediator().leases().contains(monitor.id()));
+  EXPECT_TRUE(shards[1]->mediator().leases().contains(monitor.id()));
+  const auto publish_both = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      local.publish("pulse", Value(static_cast<std::int64_t>(i)));
+      remote.publish("pulse", Value(static_cast<std::int64_t>(i)));
+      f.sci.run_for(Duration::millis(100));
+    }
+    f.sci.run_for(Duration::seconds(1));
+  };
+  publish_both(5);
+  EXPECT_EQ(monitor.unique_events, 10);
+  EXPECT_EQ(monitor.duplicate_events, 0);
+
+  // The home standby takes over and starts the lease on a fresh term,
+  // which the monitor's renewals keep.
+  ASSERT_TRUE(f.sci.promote_range("mall#1").is_ok());
+  f.sci.run_for(Duration::seconds(10));
+  shards = f.sci.shards("mall");
+  EXPECT_TRUE(shards[1]->mediator().leases().contains(monitor.id()));
+  publish_both(5);
+  EXPECT_EQ(monitor.unique_events, 20);
+  EXPECT_EQ(monitor.duplicate_events, 0);
+
+  ASSERT_TRUE(f.lead->unsubscribe(sub).is_ok());
+  f.sci.run_for(Duration::seconds(1));
+  EXPECT_EQ(rows_of(f.sci, monitor.id()), (std::vector<std::size_t>{0, 0}));
+  publish_both(2);
+  EXPECT_EQ(monitor.unique_events, 20);
+}
+
+// A subscriber that departs takes every row it holds with it, including
+// the row a sibling minted for it: the departure's kShardProfileRemove
+// reaches every shard.
+TEST(ShardTest, DepartedSubscriberLeavesNoRowOnAnyShard) {
+  ShardFixture f(2);
+  ShardMonitor monitor(f.sci.network(), f.guid_owned_by(1), "monitor",
+                       entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(monitor, *f.lead).is_ok());
+  (void)f.lead->subscribe_pattern(monitor.id(), "pulse");
+  f.sci.run_for(Duration::seconds(1));
+  ASSERT_EQ(rows_of(f.sci, monitor.id()), (std::vector<std::size_t>{1, 1}));
+
+  monitor.stop();
+  f.sci.run_for(Duration::seconds(1));
+  EXPECT_EQ(rows_of(f.sci, monitor.id()), (std::vector<std::size_t>{0, 0}));
+}
+
+// Relays every pulse as a beat: the intermediate CE of a pulse -> beat
+// composition.
+class RelayCE final : public entity::ContextEntity {
+ public:
+  using ContextEntity::ContextEntity;
+
+ protected:
+  [[nodiscard]] std::vector<entity::TypeSig> profile_inputs() const override {
+    return {{"pulse", "", "pulse"}};
+  }
+  [[nodiscard]] std::vector<entity::TypeSig> profile_outputs() const override {
+    return {{"beat", "", "beat"}};
+  }
+  void on_event(const event::Event& event, std::uint64_t) override {
+    if (event.type == "pulse") publish("beat", event.payload);
+  }
+};
+
+// A composition whose intermediate CE lives on another shard: the edge
+// feeding it stays on the configuration's shard, which does not hold the
+// CE's lease, so the edge outlives the ttl and the app keeps hearing.
+TEST(ShardTest, CompositionThroughASiblingsCeOutlivesTheLeaseTtl) {
+  ShardFixture f(2, /*standby_count=*/0, short_lease);
+  PulseCE pulse(f.sci.network(), f.guid_owned_by(0), "pulse",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(pulse, *f.lead).is_ok());
+  RelayCE relay(f.sci.network(), f.guid_owned_by(1), "relay",
+                entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(relay, *f.lead).is_ok());
+  ShardMonitor app(f.sci.network(), f.guid_owned_by(0), "app",
+                   entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(app, *f.lead).is_ok());
+  f.sci.run_for(Duration::millis(500));
+  ASSERT_TRUE(bool(f.sci.submit_query(
+      app,
+      query::Builder("beats", app.id()).what_pattern("beat").subscribe())));
+  f.sci.run_for(Duration::seconds(1));
+  ASSERT_TRUE(app.results.contains("beats"));
+  ASSERT_TRUE(app.results["beats"].ok()) << app.results["beats"].message();
+  ASSERT_EQ(app.result_values["beats"].at("entities"),
+            Value(static_cast<std::int64_t>(2)));
+
+  const auto publish = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      pulse.publish("pulse", Value(static_cast<std::int64_t>(i)));
+      f.sci.run_for(Duration::millis(100));
+    }
+    f.sci.run_for(Duration::seconds(1));
+  };
+  publish(3);
+  EXPECT_EQ(app.unique_events, 3);
+  f.sci.run_for(Duration::seconds(20));
+  publish(3);
+  EXPECT_EQ(app.unique_events, 6);
+}
+
+// A lease moves with its subscriber's vnode: the new owner renews it, so
+// the subscriptions survive past the ttl, and once the subscriber falls
+// silent that shard reaps it range-wide one ttl later. Pings are slowed
+// down so the failure detector cannot evict the subscriber first.
+TEST(ShardTest, LeaseMovesWithItsSubscribersVnode) {
+  ShardFixture f(2, /*standby_count=*/0, [](RangeOptions& options) {
+    short_lease(options);
+    options.liveness.ping_period = Duration::seconds(60);
+  });
+  PulseCE local(f.sci.network(), f.guid_owned_by(0), "local",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(local, *f.lead).is_ok());
+  PulseCE remote(f.sci.network(), f.guid_owned_by(1), "remote",
+                 entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(remote, *f.lead).is_ok());
+  ShardMonitor monitor(f.sci.network(), f.guid_owned_by(0), "monitor",
+                       entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(monitor, *f.lead).is_ok());
+  (void)f.lead->subscribe_pattern(monitor.id(), "pulse");
+  f.sci.run_for(Duration::seconds(1));
+
+  const auto shards = f.sci.shards("mall");
+  ASSERT_TRUE(f.lead->begin_handoff(
+      f.lead->shard_map().vnode_of(monitor.id()), 1));
+  f.sci.run_for(Duration::seconds(2));
+  ASSERT_EQ(f.lead->shard_of(monitor.id()), 1u);
+  EXPECT_EQ(monitor.registration().context_server, shards[1]->server_node());
+  EXPECT_FALSE(shards[0]->mediator().leases().contains(monitor.id()));
+  EXPECT_TRUE(shards[1]->mediator().leases().contains(monitor.id()));
+
+  f.sci.run_for(Duration::seconds(20));
+  for (int i = 0; i < 5; ++i) {
+    local.publish("pulse", Value(static_cast<std::int64_t>(i)));
+    remote.publish("pulse", Value(static_cast<std::int64_t>(i)));
+    f.sci.run_for(Duration::millis(100));
+  }
+  f.sci.run_for(Duration::seconds(1));
+  EXPECT_EQ(monitor.unique_events, 10);
+  EXPECT_EQ(rows_of(f.sci, monitor.id()), (std::vector<std::size_t>{1, 1}));
+
+  // Silent from now on: the last renewal was at most 5 s ago.
+  ASSERT_TRUE(f.sci.network().set_crashed(monitor.id(), true).is_ok());
+  f.sci.run_for(Duration::seconds(1));
+  EXPECT_EQ(rows_of(f.sci, monitor.id()), (std::vector<std::size_t>{1, 1}));
+  // Lapsed by 6 s after the crash, reaped by the next 5 s reaper tick.
+  f.sci.run_for(Duration::seconds(11));
+  EXPECT_EQ(rows_of(f.sci, monitor.id()), (std::vector<std::size_t>{0, 0}));
+  EXPECT_EQ(f.sci.metrics().snapshot().counter("em.leases.expired"), 1u);
+  EXPECT_NE(shards[1]->registrar().find(monitor.id()), nullptr);
+}
+
+// Cancelling a direct subscription whose producer lives on a sibling tears
+// the moved copy down there.
+TEST(ShardTest, CancellingAMovedDirectSubscriptionTearsItsCopyDown) {
+  ShardFixture f(2);
+  PulseCE pulse(f.sci.network(), f.guid_owned_by(0), "pulse",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(pulse, *f.lead).is_ok());
+  ShardMonitor app(f.sci.network(), f.guid_owned_by(1), "app",
+                   entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(app, *f.lead).is_ok());
+  f.sci.run_for(Duration::millis(500));
+  auto handle = f.sci.submit_query(
+      app, query::Builder("sub", app.id()).what_named(pulse.id()).subscribe());
+  ASSERT_TRUE(bool(handle));
+  f.sci.run_for(Duration::seconds(1));
+  ASSERT_EQ(rows_of(f.sci, app.id()), (std::vector<std::size_t>{1, 0}));
+
+  EXPECT_TRUE(handle->cancel());
+  f.sci.run_for(Duration::seconds(1));
+  EXPECT_EQ(rows_of(f.sci, app.id()), (std::vector<std::size_t>{0, 0}));
+  for (int i = 0; i < 5; ++i) {
+    pulse.publish("pulse", Value(static_cast<std::int64_t>(i)));
+    f.sci.run_for(Duration::millis(100));
+  }
+  f.sci.run_for(Duration::seconds(1));
+  EXPECT_EQ(app.unique_events, 0);
 }
 
 // The one profile race the channel's order cannot settle: after a vnode
