@@ -111,13 +111,12 @@ void SubscriptionTable::collect_matches_into(const Event& event,
   for (const SubscriptionId id : it->second) {
     auto sub_it = subscriptions_.find(id);
     if (sub_it == subscriptions_.end()) continue;
-    Subscription& subscription = sub_it->second;
+    const Subscription& subscription = sub_it->second;
     if (subscription.producer.has_value() &&
         *subscription.producer != event.source) {
       continue;
     }
     if (!subscription.filter.matches(event)) continue;
-    subscription.delivered += 1;
     ++total_delivered_;
     out.push_back({id, subscription.subscriber, subscription.owner_tag,
                    subscription.one_time});

@@ -5,7 +5,7 @@
 // Applications" (paper §3.1). SubscriptionTable is its core data structure:
 // an index from (producer, event type) to interested subscribers, with
 // filters, one-shot semantics (the paper's "one-time subscription" query
-// mode) and per-subscription delivery statistics.
+// mode) and a table-wide delivery count.
 #pragma once
 
 #include <cstddef>
@@ -32,15 +32,13 @@ struct Subscription {
   std::string event_type;
   EventFilter filter;
   bool one_time = false;         // cancel after first delivery
-  std::uint64_t delivered = 0;
 
   // Configurations tag their subscriptions so teardown can find them.
   std::uint64_t owner_tag = 0;
 
   // The kShardSubscribe wire form, shared by sibling mirrors, vnode handoff,
-  // the replication log and snapshots: every field but `delivered`, which
-  // decode leaves at 0. Leases belong to subscribers, not to rows
-  // (range::EventMediator).
+  // the replication log and the state slice. Leases belong to subscribers,
+  // not to rows (range::EventMediator).
   void encode(serde::Writer& w) const;
   static Expected<Subscription> decode(serde::Reader& r);
 };
@@ -78,7 +76,7 @@ class SubscriptionTable {
   std::size_t remove_owner(std::uint64_t owner_tag);
 
   // Fills `out` (cleared, capacity reused across calls) with the
-  // subscriptions matching `event`, bumping their delivery counters and
+  // subscriptions matching `event`, counting each in total_delivered() and
   // dropping the one-time ones. Flat per-match records instead of whole
   // Subscriptions keep the fan-out hot path free of string or filter
   // copies, and `out` stays safe to iterate while the table mutates.

@@ -142,13 +142,29 @@ Expected<serde::BufferRef> read_blob(serde::Reader& r) {
   return serde::BufferRef::copy_of(s.data(), s.size());
 }
 
-// Record categories inside a kHandoffFreeze slice (u8 tag per CRC frame).
+// Record categories inside a state slice (u8 tag per CRC frame), the one
+// form of per-subject state in a kHandoffFreeze frame and a snapshot.
 constexpr std::uint8_t kStateMember = 1;   // registrar MemberRecord
 constexpr std::uint8_t kStateProfile = 2;  // profile + advertisement
 constexpr std::uint8_t kStateEvent = 3;    // context-store event
-constexpr std::uint8_t kStateSub = 4;      // producer-keyed subscription
+constexpr std::uint8_t kStateSub = 4;      // subscription row
 constexpr std::uint8_t kStateDedup = 5;    // publish_seen window
 constexpr std::uint8_t kStateLease = 6;    // subscriber lease + expiry
+
+// Walks the state slice at `r`'s position in `bytes` (which `r` reads from
+// its start): a record count, then that many CRC frames, each handed to
+// `fn`. False when a frame is damaged or missing, or `fn` refuses one.
+template <typename Fn>
+bool walk_state_slice(serde::FrameView bytes, serde::Reader& r, Fn&& fn) {
+  const auto count = r.varint();
+  if (!count) return false;
+  serde::FrameCursor cursor(bytes.data() + r.position(), r.remaining());
+  std::vector<std::byte> record;
+  for (std::uint64_t i = 0; i < *count; ++i) {
+    if (!cursor.next(record) || !fn(serde::FrameView(record))) return false;
+  }
+  return r.skip(cursor.stop_offset()).is_ok();
+}
 
 // Staged ops beyond this abort the handoff rather than buffer unboundedly.
 constexpr std::size_t kMaxStagedOps = 256;
@@ -2135,19 +2151,23 @@ Guid ContextServer::ingest_shard_profile(serde::FrameView payload) {
   serde::Reader r(payload);
   auto record = entity::ProfileRecord::decode(r);
   if (!record) return Guid();
-  const entity::Profile& profile = record->profile;
-  // Never go backwards. The channel orders each sender's frames, but a
-  // vnode's old and new owners are different senders: a late mirror from
-  // the previous owner can land after the new owner's newer one, and must
-  // not overwrite a profile this shard now owns.
-  if (owns_entity(profile.entity)) return Guid();
+  // The channel orders each sender's frames, but a vnode's old and new
+  // owners are different senders: a late mirror from the previous owner
+  // can land after the new owner's newer one, and must not overwrite a
+  // profile this shard now owns.
+  if (owns_entity(record->profile.entity)) return Guid();
+  return put_profile(std::move(*record));
+}
+
+Guid ContextServer::put_profile(entity::ProfileRecord record) {
+  const entity::Profile& profile = record.profile;
   if (const entity::Profile* held = profiles_.profile(profile.entity);
       held != nullptr && profile.version < held->version) {
-    return Guid();
+    return Guid();  // never go backwards
   }
-  profiles_.put(profile, std::move(record->advertisement));
-  // Mirror-record ingestion feeds the same invalidation path as a local
-  // profile change: a sibling shard's entity is a composition source here.
+  profiles_.put(profile, std::move(record.advertisement));
+  // Feeds the same invalidation path as a local profile change: a mirrored
+  // or installed entity is a composition source here.
   invalidate_views_matching(profile);
   return profile.entity;
 }
@@ -2374,11 +2394,11 @@ void ContextServer::park_query(query::Query q, Guid app, serde::BufferRef wire,
                                         channel_.hold_current_ack()});
 }
 
-void ContextServer::ingest_shard_subscribe(serde::FrameView payload,
+bool ContextServer::ingest_shard_subscribe(serde::FrameView payload,
                                            bool own_id_space) {
   serde::Reader r(payload);
   auto s = event::Subscription::decode(r);
-  if (!s) return;
+  if (!s) return false;
   // A row installed on the subscriber's own shard, a sibling's copy
   // included, starts its lease there: the one shard it renews with.
   mediator_.lease(s->subscriber);
@@ -2393,18 +2413,19 @@ void ContextServer::ingest_shard_subscribe(serde::FrameView payload,
   table.restore(std::move(*s));  // bumps the mint counter past the id
   if (!own_id_space) {
     table.set_next_id(next);
-    return;
+    return true;
   }
   // A replayed subscribe_pattern, with the sibling-mirror bookkeeping the
   // primary set up (passive, so nothing is sent), which keeps the heartbeat
   // fingerprint in step and lets a promoted standby tear the copies down.
   mirror_subscription_if_remote(sub);
+  return true;
 }
 
 void ContextServer::handle_shard_subscribe(const net::Message& message) {
   log_record(replicate::RecordKind::kShardSubscribe, message.from, 0,
              message.payload);
-  ingest_shard_subscribe(message.payload);
+  (void)ingest_shard_subscribe(message.payload);
 }
 
 void ContextServer::handle_shard_unsubscribe(const net::Message& message) {
@@ -2640,9 +2661,9 @@ bool ContextServer::begin_handoff(unsigned vnode, unsigned target_shard) {
   }
   if (map_.owner_of_vnode(vnode) != config_.shard_index) return false;
 
-  // Queued mirror traffic leaves ahead of the freeze. The channel does not
-  // order frames, so a mirror may still land after the slice; the target
-  // then owns its subject and refuses it (ingest_shard_profile).
+  // Queued mirror traffic leaves ahead of the freeze: the channel hands
+  // this shard's frames to the target in send order, so every mirror
+  // flushed here is applied before the slice.
   flush_mirrors();
 
   OutgoingHandoff handoff;
@@ -2667,7 +2688,11 @@ bool ContextServer::begin_handoff(unsigned vnode, unsigned target_shard) {
   log_record(replicate::RecordKind::kHandoffIntent, Guid(),
              outgoing_handoff_->id, header);
   if (!handoff_probe_step("ship")) return true;
-  ship_handoff_state(header);
+  // One frame: the header, then the vnode's state slice.
+  serde::Writer frame;
+  frame.raw(header.data(), header.size());
+  write_state_slice(frame, vnode);
+  channel_.send(shard_node(target_shard), kHandoffFreeze, frame.take_ref());
 
   // A silent or partitioned target must not freeze the vnode forever.
   const std::uint64_t id = outgoing_handoff_->id;
@@ -2682,77 +2707,129 @@ bool ContextServer::begin_handoff(unsigned vnode, unsigned target_shard) {
   return true;
 }
 
-void ContextServer::ship_handoff_state(serde::FrameView header) {
-  const unsigned vnode = outgoing_handoff_->vnode;
-  // Encode the vnode's slice: membership, profiles, stored context,
-  // producer-keyed subscriptions, publish-dedup windows. Each record is its
-  // own crc32+length frame, so a damaged slice is detected at the target
-  // rather than installed.
-  std::vector<std::byte> slice;
-  std::size_t count = 0;
-  const auto add = [&](serde::Writer& w) {
-    serde::append_frame(slice, w.view());
-    ++count;
+void ContextServer::write_state_slice(serde::Writer& out,
+                                      std::optional<unsigned> vnode) const {
+  // Member, profile, event and dedup records cover every subject held here,
+  // or the vnode's members; a row goes with its producer's vnode and a
+  // lease with its subscriber's.
+  const auto in_vnode = [&](Guid id) {
+    return !vnode || map_.vnode_of(id) == *vnode;
   };
-  for (const Guid subject : subjects_in_vnode(vnode)) {
-    {
-      serde::Writer w;
-      w.u8(kStateMember);
-      registrar_.find(subject)->encode(w);
-      add(w);
-    }
-    if (const entity::ProfileRecord* profile = profiles_.record(subject);
-        profile != nullptr) {
-      serde::Writer w;
-      w.u8(kStateProfile);
-      profile->encode(w);
-      add(w);
-    }
-    for (const std::string& type : context_store_.types_for(subject)) {
-      auto history = context_store_.history(
-          subject, type, std::numeric_limits<std::size_t>::max());
-      // history() is newest-first; re-ingestion must run oldest-first so the
-      // target's ring buffers evict in the same order as ours.
-      for (auto it = history.rbegin(); it != history.rend(); ++it) {
-        serde::Writer w;
-        w.u8(kStateEvent);
-        it->encode(w);
-        add(w);
+  const auto holds = [&](Guid subject) {
+    return !vnode || (in_vnode(subject) && registrar_.contains(subject));
+  };
+  const std::vector<Guid> members =
+      vnode ? subjects_in_vnode(*vnode) : registrar_.members();
+  std::vector<entity::Profile> profiles = profiles_.snapshot();
+  std::erase_if(profiles,
+                [&](const entity::Profile& p) { return !holds(p.entity); });
+  // Oldest first per (subject, type), so the installer's ring buffers evict
+  // as ours did. The whole store is walked once; a vnode reads only its
+  // members' buffers.
+  std::vector<event::Event> events;
+  if (!vnode) {
+    events = context_store_.export_all();
+  } else {
+    for (const Guid subject : members) {
+      for (const std::string& type : context_store_.types_for(subject)) {
+        const auto history = context_store_.history(
+            subject, type, std::numeric_limits<std::size_t>::max());
+        events.insert(events.end(), history.rbegin(), history.rend());
       }
     }
-    if (const auto dedup = publish_seen_.find(subject);
-        dedup != publish_seen_.end()) {
-      serde::Writer w;
-      w.u8(kStateDedup);
-      w.guid(subject);
-      dedup->second.encode(w);
-      add(w);
+  }
+  std::vector<Guid> sources;
+  sources.reserve(publish_seen_.size());
+  for (const auto& [source, dedup] : publish_seen_) {
+    if (holds(source)) sources.push_back(source);
+  }
+  std::sort(sources.begin(), sources.end());
+  std::vector<event::Subscription> rows = mediator_.table().all();
+  std::erase_if(rows, [&](const event::Subscription& s) {
+    return vnode && (!s.producer || !in_vnode(*s.producer));
+  });
+  const auto leased = [&](const auto& lease) { return in_vnode(lease.first); };
+  const auto& leases = mediator_.leases();
+
+  out.varint(members.size() + profiles.size() + events.size() +
+             sources.size() + rows.size() +
+             static_cast<std::size_t>(
+                 std::count_if(leases.begin(), leases.end(), leased)));
+  // Each record is its own crc32+length frame, so a damaged slice is
+  // detected rather than installed.
+  const auto add = [&](std::uint8_t category, const auto& encode) {
+    serde::Writer w;
+    w.u8(category);
+    encode(w);
+    serde::append_frame(out, w.view());
+  };
+  for (const Guid id : members) {
+    add(kStateMember,
+        [&](serde::Writer& w) { registrar_.find(id)->encode(w); });
+  }
+  for (const entity::Profile& p : profiles) {
+    add(kStateProfile,
+        [&](serde::Writer& w) { profiles_.record(p.entity)->encode(w); });
+  }
+  for (const event::Event& e : events) {
+    add(kStateEvent, [&](serde::Writer& w) { e.encode(w); });
+  }
+  for (const Guid source : sources) {
+    add(kStateDedup, [&](serde::Writer& w) {
+      w.guid(source);
+      publish_seen_.at(source).encode(w);
+    });
+  }
+  for (const event::Subscription& s : rows) {
+    add(kStateSub, [&](serde::Writer& w) { s.encode(w); });
+  }
+  // After the rows, whose install starts a fresh lease: the record's expiry
+  // replaces it.
+  for (const auto& lease : leases) {
+    if (!leased(lease)) continue;
+    add(kStateLease, [&](serde::Writer& w) {
+      w.guid(lease.first);
+      w.svarint(lease.second.micros());
+    });
+  }
+}
+
+Status ContextServer::install_state_record(serde::FrameView record) {
+  serde::Reader r(record);
+  SCI_TRY_ASSIGN(category, r.u8());
+  switch (category) {
+    case kStateMember: {
+      SCI_TRY_ASSIGN(member, MemberRecord::decode(r));
+      registrar_.restore(member);
+      return Status::ok();
+    }
+    case kStateProfile: {
+      SCI_TRY_ASSIGN(profile, entity::ProfileRecord::decode(r));
+      (void)put_profile(std::move(profile));
+      return Status::ok();
+    }
+    case kStateEvent: {
+      SCI_TRY_ASSIGN(e, event::Event::decode(r));
+      (void)context_store_.record(e);
+      return Status::ok();
+    }
+    case kStateDedup: {
+      SCI_TRY_ASSIGN(source, r.guid());
+      SCI_TRY_ASSIGN(dedup, reliable::SeqDedup::decode(r));
+      publish_seen_[source] = std::move(dedup);
+      return Status::ok();
+    }
+    case kStateSub:
+      if (!ingest_shard_subscribe(record.subview(1, record.size() - 1))) break;
+      return Status::ok();
+    case kStateLease: {
+      SCI_TRY_ASSIGN(subscriber, r.guid());
+      SCI_TRY_ASSIGN(expires_at, r.svarint());
+      mediator_.restore_lease(subscriber, SimTime::from_micros(expires_at));
+      return Status::ok();
     }
   }
-  // Producer-keyed subscriptions on the moving slice.
-  for (const event::Subscription& s : mediator_.table().all()) {
-    if (!s.producer || map_.vnode_of(*s.producer) != vnode) continue;
-    serde::Writer w;
-    w.u8(kStateSub);
-    s.encode(w);
-    add(w);
-  }
-  // The slice's subscriber leases, which its new owner renews from now on.
-  for (const auto& [subscriber, expires_at] : mediator_.leases()) {
-    if (map_.vnode_of(subscriber) != vnode) continue;
-    serde::Writer w;
-    w.u8(kStateLease);
-    w.guid(subscriber);
-    w.svarint(expires_at.micros());
-    add(w);
-  }
-  // One frame: [header][varint record count][the CRC-framed records].
-  serde::Writer frame(header.size() + 10 + slice.size());
-  frame.raw(header.data(), header.size());
-  frame.varint(count);
-  frame.raw(slice.data(), slice.size());
-  channel_.send(shard_node(outgoing_handoff_->target), kHandoffFreeze,
-                frame.take_ref());
+  return make_error(ErrorCode::kParseError, "undecodable state record");
 }
 
 void ContextServer::handle_handoff_freeze(const net::Message& message) {
@@ -2782,7 +2859,7 @@ void ContextServer::handle_handoff_freeze(const net::Message& message) {
   SCI_INFO(kTag, "%s: handoff %llu — staged %zu records of vnode %u from "
            "shard %u",
            config_.name.c_str(), static_cast<unsigned long long>(wire->id),
-           incoming_handoff_->records.size(), wire->vnode, wire->source);
+           incoming_handoff_->records, wire->vnode, wire->source);
   if (!handoff_probe_step("ready")) return;
   send_handoff_ready();
 }
@@ -2790,24 +2867,18 @@ void ContextServer::handle_handoff_freeze(const net::Message& message) {
 bool ContextServer::stage_incoming_handoff(const serde::BufferRef& frame) {
   serde::Reader r(frame);
   const auto wire = HandoffWire::decode(r);
-  const auto count = r.varint();
-  if (!wire || !count) return false;
+  if (!wire) return false;
   IncomingHandoff in;
   in.id = wire->id;
   in.vnode = wire->vnode;
   in.source = wire->source;
   in.epoch = wire->epoch;
   in.frame = frame;
-  const std::size_t offset = frame.size() - r.remaining();
-  serde::FrameCursor cursor(frame.data() + offset, frame.size() - offset);
-  std::vector<std::byte> record;
-  while (cursor.next(record)) {
-    in.records.push_back(serde::BufferRef::copy_of(record));
-  }
-  if (cursor.stop() != serde::FrameStop::kClean ||
-      in.records.size() != *count) {
-    return false;
-  }
+  const bool intact = walk_state_slice(frame, r, [&](serde::FrameView) {
+    ++in.records;
+    return true;
+  });
+  if (!intact || !r.at_end()) return false;
   incoming_handoff_ = std::move(in);
   return true;
 }
@@ -3051,57 +3122,19 @@ void ContextServer::install_incoming_handoff() {
   IncomingHandoff in = std::move(*incoming_handoff_);
   incoming_handoff_.reset();
   network_.simulator().cancel(in.deadline);
-  for (const serde::BufferRef& record : in.records) {
-    if (record.empty()) continue;
-    const auto category = std::to_integer<std::uint8_t>(record.data()[0]);
-    const serde::BufferRef rest = record.slice(1, record.size() - 1);
-    switch (category) {
-      case kStateMember: {
-        serde::Reader r(rest);
-        if (auto member = MemberRecord::decode(r)) registrar_.restore(*member);
-        break;
-      }
-      case kStateProfile:
-        ingest_shard_profile(rest);
-        break;
-      case kStateEvent: {
-        serde::Reader r(rest);
-        if (auto e = event::Event::decode(r)) {
-          (void)context_store_.record(*e);
-        }
-        break;
-      }
-      case kStateSub:
-        ingest_shard_subscribe(rest);
-        break;
-      case kStateDedup: {
-        serde::Reader r(rest);
-        const auto source = r.guid();
-        if (!source) break;
-        if (auto dedup = reliable::SeqDedup::decode(r)) {
-          publish_seen_[*source] = std::move(*dedup);
-        }
-        break;
-      }
-      case kStateLease: {
-        serde::Reader r(rest);
-        const auto subscriber = r.guid();
-        const auto expires_at = r.svarint();
-        if (subscriber && expires_at) {
-          mediator_.restore_lease(*subscriber,
-                                  SimTime::from_micros(*expires_at));
-        }
-        break;
-      }
-      default:
-        SCI_DEBUG(kTag, "%s: unknown handoff state category %u",
-                  config_.name.c_str(), static_cast<unsigned>(category));
-        break;
+  // Staged intact: the header decodes and every frame checks.
+  serde::Reader r(in.frame);
+  (void)HandoffWire::decode(r);
+  (void)walk_state_slice(in.frame, r, [this](serde::FrameView record) {
+    if (!install_state_record(record).is_ok()) {
+      SCI_DEBUG(kTag, "%s: undecodable handoff state record dropped",
+                config_.name.c_str());
     }
-  }
+    return true;
+  });
   SCI_INFO(kTag, "%s: handoff %llu — installed %zu state records for vnode %u",
            config_.name.c_str(), static_cast<unsigned long long>(in.id),
-           in.records.size(), in.vnode);
+           in.records, in.vnode);
   // The gained members are new composition sources here.
   retry_pending_queries();
 }
@@ -3371,7 +3404,7 @@ void ContextServer::apply_record(const replicate::LogRecord& record) {
       }
       return;
     case replicate::RecordKind::kShardSubscribe:
-      ingest_shard_subscribe(record.payload, record.flag == 1);
+      (void)ingest_shard_subscribe(record.payload, record.flag == 1);
       return;
     case replicate::RecordKind::kShardUnsubscribe:
       // No id: every row of the subject, a subscriber whose lease lapsed.
@@ -3452,78 +3485,46 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
   serde::Writer w(1024);
   w.varint(config_.epoch);
   w.varint(next_tag_);
-
-  // Registrar membership (GUID order — deterministic).
-  const auto members = registrar_.members();
-  w.varint(members.size());
-  for (const Guid id : members) registrar_.find(id)->encode(w);
-
-  // Profiles + advertisements (GUID order; restore goes through put(),
-  // which is order-independent).
-  const auto profiles = profiles_.snapshot();
-  w.varint(profiles.size());
-  for (const entity::Profile& profile : profiles) {
-    profiles_.record(profile.entity)->encode(w);
+  w.varint(mediator_.table().next_id());
+  // Vnode ownership map, ahead of the slice: installing a row starts its
+  // lease only where the map says the subscriber lives.
+  w.varint(map_.epoch());
+  w.varint(map_.vnode_count());
+  for (unsigned v = 0; v < map_.vnode_count(); ++v) {
+    w.varint(map_.owner_of_vnode(v));
   }
 
-  // Subscription table, verbatim: components and configurations hold the
-  // ids, so they must survive failover unchanged.
-  const auto& table = mediator_.table();
-  w.varint(table.next_id());
-  const auto subscriptions = table.all();
-  w.varint(subscriptions.size());
-  for (const event::Subscription& s : subscriptions) {
-    s.encode(w);
-    w.varint(s.delivered);
-  }
-  // The subscribers leased here; a promotion starts each on a fresh term.
-  w.varint(mediator_.leases().size());
-  for (const auto& [subscriber, expires_at] : mediator_.leases()) {
-    w.guid(subscriber);
-  }
+  // Members, profiles, stored context, dedup windows, subscription rows and
+  // leases: the same records a vnode handoff ships.
+  write_state_slice(w, std::nullopt);
 
-  // Context store contents, re-ingested through record() on restore.
-  const auto events = context_store_.export_all();
-  w.varint(events.size());
-  for (const event::Event& e : events) e.encode(w);
-
-  // Active configurations.
-  auto tags = store_.all_tags();
+  // Active configurations, one entry per tag: its plan, the tracked query
+  // it answers (app and one-time flag included), the due time of a bounded
+  // subscription, and the app edge (0 once drop_subscriber erased it).
+  // build_configuration and retire_configuration make and erase a tag's
+  // store and tracked entries together.
+  std::vector<std::uint64_t> tags;
+  tags.reserve(tracked_.size());
+  for (const auto& [tag, tracked] : tracked_) tags.push_back(tag);
   std::sort(tags.begin(), tags.end());
+  SCI_ASSERT(store_.size() == tags.size());
+  std::size_t app_edges = 0;
   w.varint(tags.size());
   for (const std::uint64_t tag : tags) {
-    const compose::ActiveConfiguration* active = store_.find(tag);
-    active->plan.encode(w);
-    w.guid(active->app);
-    w.string(active->query_id);
-    w.boolean(active->one_time);
-  }
-
-  // Tracked queries (recomposition inputs), as XML round-trips.
-  std::vector<std::uint64_t> tracked_tags;
-  tracked_tags.reserve(tracked_.size());
-  for (const auto& [tag, tracked] : tracked_) tracked_tags.push_back(tag);
-  std::sort(tracked_tags.begin(), tracked_tags.end());
-  w.varint(tracked_tags.size());
-  for (const std::uint64_t tag : tracked_tags) {
     const TrackedQuery& tracked = tracked_.at(tag);
+    const compose::ActiveConfiguration* active = store_.find(tag);
+    SCI_ASSERT(active != nullptr);
     w.varint(tag);
+    active->plan.encode(w);
     w.string(tracked.query.to_xml());
-    w.guid(tracked.app);
     w.boolean(tracked.one_time);
+    w.guid(tracked.app);
     w.svarint(tracked.expires_at.micros());
+    const auto edge = app_edges_.find(tag);
+    w.varint(edge == app_edges_.end() ? 0 : edge->second);
+    if (edge != app_edges_.end()) ++app_edges;
   }
-
-  // Edge bookkeeping.
-  std::vector<std::uint64_t> edge_tags;
-  edge_tags.reserve(app_edges_.size());
-  for (const auto& [tag, id] : app_edges_) edge_tags.push_back(tag);
-  std::sort(edge_tags.begin(), edge_tags.end());
-  w.varint(edge_tags.size());
-  for (const std::uint64_t tag : edge_tags) {
-    w.varint(tag);
-    w.varint(app_edges_.at(tag));
-  }
+  SCI_ASSERT(app_edges == app_edges_.size());
   std::vector<std::string> edge_keys;
   edge_keys.reserve(edge_subscriptions_.size());
   for (const auto& [key, id] : edge_subscriptions_) edge_keys.push_back(key);
@@ -3545,17 +3546,6 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
     }
   }
 
-  // Publish dedup windows.
-  std::vector<Guid> sources;
-  sources.reserve(publish_seen_.size());
-  for (const auto& [source, dedup] : publish_seen_) sources.push_back(source);
-  std::sort(sources.begin(), sources.end());
-  w.varint(sources.size());
-  for (const Guid source : sources) {
-    w.guid(source);
-    publish_seen_.at(source).encode(w);
-  }
-
   // Recent-event redelivery window.
   w.varint(recent_events_.size());
   for (const event::Event& e : recent_events_) e.encode(w);
@@ -3564,14 +3554,8 @@ std::vector<std::byte> ContextServer::snapshot_state() const {
   w.varint(mirrored_subs_.size());
   for (const auto& [id, mirror] : mirrored_subs_) mirror.encode(w);
 
-  // Vnode ownership map + any in-flight handoff (docs/SHARDING.md): a
-  // standby bootstrapped mid-migration must resolve it exactly as one that
-  // followed the log.
-  w.varint(map_.epoch());
-  w.varint(map_.vnode_count());
-  for (unsigned v = 0; v < map_.vnode_count(); ++v) {
-    w.varint(map_.owner_of_vnode(v));
-  }
+  // Any in-flight handoff (docs/SHARDING.md): a standby bootstrapped
+  // mid-migration must resolve it exactly as one that followed the log.
   w.boolean(outgoing_handoff_.has_value());
   if (outgoing_handoff_) {
     w.varint(outgoing_handoff_->id);
@@ -3621,75 +3605,47 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
     config_.epoch = static_cast<std::uint32_t>(epoch);
     SCI_TRY_ASSIGN(next_tag, r.varint());
     next_tag_ = next_tag;
-
-    SCI_TRY_ASSIGN(n_members, r.varint());
-    for (std::uint64_t i = 0; i < n_members; ++i) {
-      SCI_TRY_ASSIGN(record, MemberRecord::decode(r));
-      registrar_.restore(record);
-    }
-
-    SCI_TRY_ASSIGN(n_profiles, r.varint());
-    for (std::uint64_t i = 0; i < n_profiles; ++i) {
-      SCI_TRY_ASSIGN(record, entity::ProfileRecord::decode(r));
-      profiles_.put(record.profile, std::move(record.advertisement));
-    }
-
     SCI_TRY_ASSIGN(next_sub_id, r.varint());
-    SCI_TRY_ASSIGN(n_subs, r.varint());
-    for (std::uint64_t i = 0; i < n_subs; ++i) {
-      SCI_TRY_ASSIGN(s, event::Subscription::decode(r));
-      SCI_TRY_ASSIGN(delivered, r.varint());
-      s.delivered = delivered;
-      mediator_.mutable_table().restore(std::move(s));
+    SCI_TRY_ASSIGN(map_epoch, r.varint());
+    SCI_TRY_ASSIGN(n_vnodes, r.varint());
+    for (std::uint64_t v = 0; v < n_vnodes; ++v) {
+      SCI_TRY_ASSIGN(owner, r.varint());
+      if (v < map_.vnode_count()) {
+        map_.assign(static_cast<unsigned>(v), static_cast<unsigned>(owner));
+      }
     }
-    mediator_.mutable_table().set_next_id(next_sub_id);
-    SCI_TRY_ASSIGN(n_leases, r.varint());
-    for (std::uint64_t i = 0; i < n_leases; ++i) {
-      SCI_TRY_ASSIGN(subscriber, r.guid());
-      mediator_.restore_lease(subscriber, network_.simulator().now() +
-                                              config_.reliability.lease_ttl);
-    }
+    map_.set_epoch(map_epoch);
 
-    SCI_TRY_ASSIGN(n_events, r.varint());
-    for (std::uint64_t i = 0; i < n_events; ++i) {
-      SCI_TRY_ASSIGN(e, event::Event::decode(r));
-      (void)context_store_.record(e);
+    if (!walk_state_slice(blob, r, [this](serde::FrameView record) {
+          return install_state_record(record).is_ok();
+        })) {
+      return make_error(ErrorCode::kParseError, "state slice damaged");
     }
+    // Installing keeps this table's mint counter; the primary's is the
+    // header's.
+    mediator_.mutable_table().set_next_id(next_sub_id);
 
     SCI_TRY_ASSIGN(n_configs, r.varint());
     for (std::uint64_t i = 0; i < n_configs; ++i) {
+      SCI_TRY_ASSIGN(tag, r.varint());
       SCI_TRY_ASSIGN(plan, compose::ConfigurationPlan::decode(r));
+      SCI_TRY_ASSIGN(xml, r.string());
+      SCI_TRY_ASSIGN(one_time, r.boolean());
+      SCI_TRY_ASSIGN(app, r.guid());
+      SCI_TRY_ASSIGN(expires_at, r.svarint());
+      SCI_TRY_ASSIGN(app_edge, r.varint());
+      SCI_TRY_ASSIGN(query, query::Query::parse(xml));
       compose::ActiveConfiguration active;
       active.plan = std::move(plan);
-      SCI_TRY_ASSIGN(app, r.guid());
       active.app = app;
-      SCI_TRY_ASSIGN(query_id, r.string());
-      active.query_id = std::move(query_id);
-      SCI_TRY_ASSIGN(one_time, r.boolean());
+      active.query_id = query.id;
       active.one_time = one_time;
-      // Edges returned by admit() are ignored: the subscription table was
-      // restored verbatim above.
+      // Edges returned by admit() are ignored: the subscription rows were
+      // installed with the slice.
       (void)store_.admit(std::move(active));
-    }
-
-    SCI_TRY_ASSIGN(n_tracked, r.varint());
-    for (std::uint64_t i = 0; i < n_tracked; ++i) {
-      SCI_TRY_ASSIGN(tag, r.varint());
-      SCI_TRY_ASSIGN(xml, r.string());
-      SCI_TRY_ASSIGN(app, r.guid());
-      SCI_TRY_ASSIGN(one_time, r.boolean());
-      SCI_TRY_ASSIGN(expires_at, r.svarint());
-      auto parsed = query::Query::parse(xml);
-      if (!parsed) return parsed.error();
-      tracked_[tag] = TrackedQuery{std::move(*parsed), app, one_time,
+      tracked_[tag] = TrackedQuery{std::move(query), app, one_time,
                                    SimTime::from_micros(expires_at), {}};
-    }
-
-    SCI_TRY_ASSIGN(n_app_edges, r.varint());
-    for (std::uint64_t i = 0; i < n_app_edges; ++i) {
-      SCI_TRY_ASSIGN(tag, r.varint());
-      SCI_TRY_ASSIGN(id, r.varint());
-      app_edges_[tag] = id;
+      if (app_edge != 0) app_edges_[tag] = app_edge;
     }
     SCI_TRY_ASSIGN(n_edge_subs, r.varint());
     for (std::uint64_t i = 0; i < n_edge_subs; ++i) {
@@ -3705,18 +3661,10 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
         SCI_TRY_ASSIGN(xml, r.string());
         SCI_TRY_ASSIGN(app, r.guid());
         SCI_TRY_ASSIGN(stored_at, r.svarint());
-        auto parsed = query::Query::parse(xml);
-        if (!parsed) return parsed.error();
-        list->push_back(DeferredQuery{std::move(*parsed), app,
+        SCI_TRY_ASSIGN(parsed, query::Query::parse(xml));
+        list->push_back(DeferredQuery{std::move(parsed), app,
                                       SimTime::from_micros(stored_at), {}});
       }
-    }
-
-    SCI_TRY_ASSIGN(n_sources, r.varint());
-    for (std::uint64_t i = 0; i < n_sources; ++i) {
-      SCI_TRY_ASSIGN(source, r.guid());
-      SCI_TRY_ASSIGN(dedup, reliable::SeqDedup::decode(r));
-      publish_seen_[source] = std::move(dedup);
     }
 
     SCI_TRY_ASSIGN(n_recent, r.varint());
@@ -3731,15 +3679,6 @@ void ContextServer::apply_snapshot_state(const std::vector<std::byte>& blob,
       mirrored_subs_[mirror.id] = std::move(mirror);
     }
 
-    SCI_TRY_ASSIGN(map_epoch, r.varint());
-    SCI_TRY_ASSIGN(n_vnodes, r.varint());
-    for (std::uint64_t v = 0; v < n_vnodes; ++v) {
-      SCI_TRY_ASSIGN(owner, r.varint());
-      if (v < map_.vnode_count()) {
-        map_.assign(static_cast<unsigned>(v), static_cast<unsigned>(owner));
-      }
-    }
-    map_.set_epoch(map_epoch);
     SCI_TRY_ASSIGN(has_outgoing, r.boolean());
     if (has_outgoing) {
       OutgoingHandoff handoff;

@@ -387,6 +387,14 @@ class ContextServer {
   [[nodiscard]] const ContextStore& context_store() const {
     return context_store_;
   }
+  // Cross-incarnation publish dedup windows, by source.
+  [[nodiscard]] const std::unordered_map<Guid, reliable::SeqDedup>&
+  publish_windows() const {
+    return publish_seen_;
+  }
+  // This server's state as one snapshot blob (docs/REPLICATION.md): what a
+  // standby catching up and a checkpoint receive.
+  [[nodiscard]] std::vector<std::byte> snapshot_state() const;
   // This server's slot of a node-labelled counter family: every counter
   // the server bumps (cs.*, view.*, reshard.*, repl.failovers, ...; see
   // docs/OBSERVABILITY.md), or nullptr for a name it does not count. The
@@ -648,11 +656,15 @@ class ContextServer {
   // the subject, or nil when the mirror was refused: it is older than the
   // profile held, or its subject is owned here.
   Guid ingest_shard_profile(serde::FrameView payload);
+  // Stores a profile unless it is older than the one held, then
+  // invalidates the views it could change. Returns the subject, or nil.
+  Guid put_profile(entity::ProfileRecord record);
   // `own_id_space` distinguishes a self-logged direct subscription (the
   // standby's mint counter must advance past its id, and its sibling
-  // mirrors are rebuilt) from a sibling mirror (foreign id space that must
-  // not leak into the local counter).
-  void ingest_shard_subscribe(serde::FrameView payload,
+  // mirrors are rebuilt) from a sibling mirror or installed row (an id
+  // space that must not leak into the local counter). False when the row
+  // does not decode.
+  bool ingest_shard_subscribe(serde::FrameView payload,
                               bool own_id_space = false);
   // Entity ids / profiles the selection and composition stages scan. On a
   // monolithic CS these are the registrar's non-apps; on a shard they also
@@ -722,10 +734,15 @@ class ContextServer {
   // (Re)schedules the incoming handoff's silence watchdog (see
   // IncomingHandoff::deadline).
   void arm_incoming_deadline();
-  // Ships the frozen vnode's registrar/profile/store/subscription/dedup
-  // slice to the target: one kHandoffFreeze frame, `header` followed by the
-  // CRC-framed records.
-  void ship_handoff_state(serde::FrameView header);
+  // Writes a state slice: a record count, then one CRC frame per member,
+  // profile, stored event, publish-dedup window, subscription row and
+  // subscriber lease. One vnode's slice is what a handoff ships; the whole
+  // server's is the snapshot's entity state (docs/SHARDING.md).
+  void write_state_slice(serde::Writer& out,
+                         std::optional<unsigned> vnode) const;
+  // Installs one slice record, on a handoff's commit or a snapshot's apply.
+  // An error when it does not decode.
+  Status install_state_record(serde::FrameView record);
   // Stages the slice a kHandoffFreeze frame (or the target's kHandoffIntent
   // record) carries as the incoming handoff. False when it is damaged.
   bool stage_incoming_handoff(const serde::BufferRef& frame);
@@ -737,8 +754,7 @@ class ContextServer {
   // successor that recovered a committed-but-unfinished handoff.
   void complete_outgoing_handoff();
   void abort_outgoing_handoff(const char* why);
-  // Installs the staged incoming state slice (registrar records, profiles,
-  // events, subscriptions, dedup windows) at the target.
+  // Installs the staged incoming state slice at the target.
   void install_incoming_handoff();
   // Applies a committed ownership change to the local map and sheds/repoints
   // state accordingly. Idempotent: stale epochs are ignored.
@@ -780,7 +796,6 @@ class ContextServer {
                            std::uint64_t flag, serde::BufferRef payload);
   // Follower apply callback: replays one primary operation locally.
   void apply_record(const replicate::LogRecord& record);
-  [[nodiscard]] std::vector<std::byte> snapshot_state() const;
   void apply_snapshot_state(const std::vector<std::byte>& blob,
                             std::uint64_t base_index);
   [[nodiscard]] std::uint64_t state_fingerprint() const;
@@ -1012,7 +1027,7 @@ class ContextServer {
     unsigned source = 0;
     std::uint64_t epoch = 0;
     serde::BufferRef frame;                 // the kHandoffFreeze frame
-    std::vector<serde::BufferRef> records;  // its staged state records
+    std::size_t records = 0;                // state records in its slice
     // Re-nudges kHandoffReady at the source (or its successor) while no
     // commit or abort has come.
     sim::TimerHandle deadline;

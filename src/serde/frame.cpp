@@ -33,16 +33,21 @@ void put_varint(std::vector<std::byte>& out, std::uint64_t v) {
   out.push_back(std::byte{static_cast<std::uint8_t>(v)});
 }
 
-}  // namespace
-
-std::uint32_t crc32(const std::byte* data, std::size_t size) {
+// Folds `data` into a running (pre-inverted) CRC-32.
+std::uint32_t crc_update(std::uint32_t crc, const std::byte* data,
+                         std::size_t size) {
   static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
   for (std::size_t i = 0; i < size; ++i) {
     crc = table[(crc ^ static_cast<std::uint8_t>(data[i])) & 0xFFu] ^
           (crc >> 8);
   }
-  return crc ^ 0xFFFFFFFFu;
+  return crc;
+}
+
+}  // namespace
+
+std::uint32_t crc32(const std::byte* data, std::size_t size) {
+  return crc_update(0xFFFFFFFFu, data, size) ^ 0xFFFFFFFFu;
 }
 
 void append_frame(std::vector<std::byte>& out, FrameView payload) {
@@ -58,6 +63,20 @@ void append_frame(std::vector<std::byte>& out, FrameView payload) {
   for (std::size_t i = 0; i < 4; ++i) {
     out[start + i] = std::byte{static_cast<std::uint8_t>(crc >> (8 * i))};
   }
+}
+
+void append_frame(Writer& out, FrameView payload) {
+  // Same bytes as above, straight into the Writer: the CRC runs over the
+  // length varint and then the payload where it lies.
+  Writer length;
+  length.varint(payload.size());
+  const std::uint32_t crc =
+      crc_update(crc_update(0xFFFFFFFFu, length.view().data(), length.size()),
+                 payload.data(), payload.size()) ^
+      0xFFFFFFFFu;
+  out.u32(crc);
+  out.raw(length.view().data(), length.size());
+  out.raw(payload.data(), payload.size());
 }
 
 const char* to_string(FrameStop stop) {

@@ -35,6 +35,7 @@ namespace sci::serde {
 
 // Appends one framed record to `out`.
 void append_frame(std::vector<std::byte>& out, FrameView payload);
+void append_frame(Writer& out, FrameView payload);
 
 // Why the cursor stopped. kClean means the last frame ended exactly at the
 // end of the buffer; everything else names the defect found at stop_offset()

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <string_view>
 #include <utility>
@@ -12,6 +13,7 @@
 #include "core/sci.h"
 #include "replicate/replication.h"
 #include "serde/buffer.h"
+#include "serde/frame.h"
 
 #include "metric_counts.h"
 
@@ -1295,6 +1297,166 @@ TEST(ReplicateTest, PromotionStartsEveryLeaseOnAFreshTerm) {
   }
   sci.run_for(Duration::seconds(1));
   EXPECT_EQ(monitor.unique_events, 3);
+}
+
+template <typename T>
+std::vector<std::byte> encoded(const T& value) {
+  serde::Writer w;
+  value.encode(w);
+  return w.view().to_vector();
+}
+
+// The state a snapshot restores, record by record. Member liveness stamps
+// and lease expiries move on a primary without a record (pings, renewals),
+// so members are compared without the stamps and leases by subscriber.
+struct RestorableState {
+  std::map<Guid, std::vector<std::byte>> members;
+  std::map<Guid, std::vector<std::byte>> profiles;
+  std::vector<std::vector<std::byte>> events;
+  std::map<Guid, std::vector<std::byte>> dedup;
+  std::vector<std::vector<std::byte>> rows;
+  event::SubscriptionId next_id = 0;
+  std::set<Guid> leased;
+  bool operator==(const RestorableState&) const = default;
+};
+
+RestorableState restorable_state(const range::ContextServer& server) {
+  RestorableState out;
+  for (const Guid id : server.registrar().members()) {
+    range::MemberRecord member = *server.registrar().find(id);
+    member.last_seen = SimTime::zero();
+    member.missed_pings = 0;
+    out.members[id] = encoded(member);
+  }
+  for (const entity::Profile& profile : server.profiles().snapshot()) {
+    out.profiles[profile.entity] =
+        encoded(*server.profiles().record(profile.entity));
+  }
+  for (const event::Event& e : server.context_store().export_all()) {
+    out.events.push_back(encoded(e));
+  }
+  for (const auto& [source, window] : server.publish_windows()) {
+    out.dedup[source] = encoded(window);
+  }
+  for (const event::Subscription& s : server.mediator().table().all()) {
+    out.rows.push_back(encoded(s));
+  }
+  out.next_id = server.mediator().table().next_id();
+  for (const auto& [subscriber, expires_at] : server.mediator().leases()) {
+    out.leased.insert(subscriber);
+  }
+  return out;
+}
+
+// A durable two-shard range whose lead holds a wildcard for a subscriber on
+// the sibling, a composition, a parked not-before query, and events and
+// dedup windows from a producer on each shard.
+struct LoadedShardedRange {
+  Sci sci{42};
+  mobility::Building building{{.floors = 2, .rooms_per_floor = 4}};
+  range::ContextServer* lead = nullptr;
+  std::vector<std::unique_ptr<entity::Component>> components;
+
+  LoadedShardedRange() {
+    sci.set_location_directory(&building.directory());
+    RangeOptions options;
+    options.sharding.shard_count = 2;
+    options.durability.enable = true;
+    options.replication.heartbeat_period = Duration::millis(200);
+    options.liveness.ping_period = Duration::seconds(60);
+    lead = sci.create_range("mall", building.floor_path(0), options).value();
+    auto* near = add<PulseCE>(0, "near", entity::EntityKind::kDevice);
+    auto* far = add<PulseCE>(1, "far", entity::EntityKind::kDevice);
+    auto* wild = add<PulseMonitor>(1, "wild", entity::EntityKind::kSoftware);
+    auto* composer =
+        add<PulseMonitor>(0, "composer", entity::EntityKind::kSoftware);
+    auto* waiter = add<ResultApp>(0, "waiter", entity::EntityKind::kSoftware);
+    sci.run_for(Duration::millis(500));
+    (void)lead->subscribe_pattern(wild->id(), "pulse");
+    EXPECT_TRUE(bool(sci.submit_query(
+        *composer, query::Builder("sub", composer->id())
+                       .what_pattern("pulse")
+                       .subscribe())));
+    EXPECT_TRUE(bool(sci.submit_query(
+        *waiter, query::Builder("later", waiter->id())
+                     .what_entity_type("printing")
+                     .not_before(sci.now().seconds_f() + 60.0)
+                     .advertisement())));
+    sci.run_for(Duration::seconds(1));
+    for (int i = 0; i < 10; ++i) {
+      near->publish("pulse", Value(static_cast<std::int64_t>(i)));
+      far->publish("pulse", Value(static_cast<std::int64_t>(i)));
+      sci.run_for(Duration::millis(100));
+    }
+    sci.run_for(Duration::seconds(1));
+    EXPECT_EQ(wild->unique_events, 20);
+    EXPECT_EQ(lead->configurations().size(), 1u);
+    EXPECT_EQ(lead->deferred_queries(), 1u);
+  }
+
+  template <typename T>
+  T* add(unsigned shard, const char* name, entity::EntityKind kind) {
+    Guid id = sci.new_guid();
+    while (lead->shard_of(id) != shard) id = sci.new_guid();
+    auto component = std::make_unique<T>(sci.network(), id, name, kind);
+    T* raw = component.get();
+    EXPECT_TRUE(sci.enroll(*raw, *lead).is_ok());
+    components.push_back(std::move(component));
+    return raw;
+  }
+};
+
+// A standby caught up by snapshot holds the lead's state at the snapshot
+// index, and snapshotting it again yields the bytes it was shipped (which
+// it persisted as its checkpoint).
+TEST(ReplicateTest, SnapshotCaughtUpStandbyHoldsThePrimarysState) {
+  LoadedShardedRange r;
+  const RestorableState at_snapshot = restorable_state(*r.lead);
+  ASSERT_FALSE(at_snapshot.rows.empty());
+  ASSERT_FALSE(at_snapshot.leased.empty());
+  ASSERT_EQ(at_snapshot.dedup.size(), 1u);
+
+  auto added = r.sci.add_standby("mall");
+  ASSERT_TRUE(bool(added));
+  range::ContextServer* standby = *added;
+  r.sci.run_for(Duration::seconds(1));
+  ASSERT_FALSE(standby->replication_follower()->awaiting_snapshot());
+  EXPECT_TRUE(restorable_state(*r.lead) == at_snapshot);
+  EXPECT_TRUE(restorable_state(*standby) == at_snapshot);
+  EXPECT_EQ(standby->configurations().size(), 1u);
+  EXPECT_EQ(standby->deferred_queries(), 1u);
+
+  const std::vector<std::byte> file = r.sci.storage().read(
+      standby->durable_store()->checkpoint_file());
+  serde::FrameCursor cursor(file);
+  std::vector<std::byte> payload;
+  ASSERT_TRUE(cursor.next(payload));
+  serde::Reader reader(payload);
+  ASSERT_TRUE(reader.varint().has_value());  // epoch
+  ASSERT_TRUE(reader.varint().has_value());  // base index
+  const std::vector<std::byte> shipped(
+      payload.end() - static_cast<std::ptrdiff_t>(reader.remaining()),
+      payload.end());
+  EXPECT_EQ(standby->snapshot_state(), shipped);
+}
+
+// A lead recovered from its WAL checkpoint holds the state it had when it
+// went down.
+TEST(ReplicateTest, CheckpointRecoveredServerHoldsThePrimarysState) {
+  LoadedShardedRange r;
+  // The checkpoint timer (every 5 s, given 16 records since the last one)
+  // writes a checkpoint covering everything above.
+  r.sci.run_for(Duration::seconds(6));
+  ASSERT_TRUE(r.sci.storage().exists("mall.ckpt"));
+  const RestorableState at_checkpoint = restorable_state(*r.lead);
+
+  ASSERT_TRUE(r.sci.shutdown_range("mall").is_ok());
+  ASSERT_TRUE(bool(r.sci.recover_range("mall")));
+  range::ContextServer* lead = r.sci.find_range("mall");
+  ASSERT_NE(lead, nullptr);
+  EXPECT_TRUE(restorable_state(*lead) == at_checkpoint);
+  EXPECT_EQ(lead->configurations().size(), 1u);
+  EXPECT_EQ(lead->deferred_queries(), 1u);
 }
 
 // An app that leaves takes its not-before queries with it: the parked

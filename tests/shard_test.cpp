@@ -1395,6 +1395,124 @@ TEST(ShardTest, LeaseMovesWithItsSubscribersVnode) {
   EXPECT_NE(shards[1]->registrar().find(monitor.id()), nullptr);
 }
 
+template <typename T>
+std::vector<std::byte> encoded(const T& value) {
+  serde::Writer w;
+  value.encode(w);
+  return w.view().to_vector();
+}
+
+// One vnode's state on a shard, record by record: its members with their
+// profiles, stored events and publish dedup windows, the rows keyed by its
+// producers, and the leases of its subscribers.
+struct VnodeState {
+  std::map<Guid, std::vector<std::byte>> members;
+  std::map<Guid, std::vector<std::byte>> profiles;
+  std::vector<std::vector<std::byte>> events;
+  std::map<Guid, std::vector<std::byte>> dedup;
+  std::map<event::SubscriptionId, std::vector<std::byte>> rows;
+  std::map<Guid, SimTime> leases;
+  bool operator==(const VnodeState&) const = default;
+};
+
+VnodeState vnode_state(const range::ContextServer& server, unsigned vnode) {
+  const range::ShardMap& map = server.shard_map();
+  VnodeState out;
+  for (const Guid id : server.registrar().members()) {
+    if (map.vnode_of(id) != vnode) continue;
+    out.members[id] = encoded(*server.registrar().find(id));
+    if (const entity::ProfileRecord* profile = server.profiles().record(id)) {
+      out.profiles[id] = encoded(*profile);
+    }
+    const range::ContextStore& store = server.context_store();
+    for (const std::string& type : store.types_for(id)) {
+      for (const event::Event& e : store.history(id, type, 1000)) {
+        out.events.push_back(encoded(e));
+      }
+    }
+    if (const auto it = server.publish_windows().find(id);
+        it != server.publish_windows().end()) {
+      out.dedup[id] = encoded(it->second);
+    }
+  }
+  for (const event::Subscription& s : server.mediator().table().all()) {
+    if (s.producer && map.vnode_of(*s.producer) == vnode) {
+      out.rows[s.id] = encoded(s);
+    }
+  }
+  for (const auto& [subscriber, expires_at] : server.mediator().leases()) {
+    if (map.vnode_of(subscriber) == vnode) out.leases[subscriber] = expires_at;
+  }
+  return out;
+}
+
+// A live handoff installs at the target exactly the vnode's state the
+// source held when it froze, leases with their expiries included, and the
+// source keeps none of it.
+TEST(ShardTest, HandoffInstallsTheVnodeStateTheSourceHeldAtTheFreeze) {
+  ShardFixture f(2, /*standby_count=*/0, [](RangeOptions& options) {
+    short_lease(options);
+    options.liveness.ping_period = Duration::seconds(60);
+  });
+  PulseCE pulse(f.sci.network(), f.guid_owned_by(0), "pulse",
+                entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(pulse, *f.lead).is_ok());
+  const unsigned vnode = f.lead->shard_map().vnode_of(pulse.id());
+  Guid neighbour;
+  while (neighbour.is_nil() ||
+         f.lead->shard_map().vnode_of(neighbour) != vnode) {
+    neighbour = f.sci.new_guid();
+  }
+  // Subscribes to a producer on shard 1, so its row lives there and only
+  // its lease moves with the vnode.
+  ShardMonitor monitor(f.sci.network(), neighbour, "monitor",
+                       entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(monitor, *f.lead).is_ok());
+  PulseCE remote(f.sci.network(), f.guid_owned_by(1), "remote",
+                 entity::EntityKind::kDevice);
+  ASSERT_TRUE(f.sci.enroll(remote, *f.lead).is_ok());
+  ShardMonitor watcher(f.sci.network(), f.guid_owned_by(1), "watcher",
+                       entity::EntityKind::kSoftware);
+  ASSERT_TRUE(f.sci.enroll(watcher, *f.lead).is_ok());
+  f.sci.run_for(Duration::millis(500));
+  ASSERT_TRUE(bool(f.sci.submit_query(
+      watcher,
+      query::Builder("sub", watcher.id()).what_named(pulse.id()).subscribe())));
+  ASSERT_TRUE(bool(f.sci.submit_query(
+      monitor, query::Builder("sub", monitor.id())
+                   .what_named(remote.id())
+                   .subscribe())));
+  f.sci.run_for(Duration::seconds(1));
+  for (int i = 0; i < 5; ++i) {
+    pulse.publish("pulse", Value(static_cast<std::int64_t>(i)));
+    f.sci.run_for(Duration::millis(100));
+  }
+  f.sci.run_for(Duration::seconds(1));
+  ASSERT_EQ(watcher.unique_events, 5);
+
+  VnodeState at_freeze;
+  f.lead->set_handoff_probe([&](const char* step) {
+    if (std::string(step) == "freeze") at_freeze = vnode_state(*f.lead, vnode);
+  });
+  ASSERT_TRUE(f.lead->begin_handoff(vnode, 1));
+  f.sci.run_for(Duration::millis(200));
+  const auto shards = f.sci.shards("mall");
+  ASSERT_EQ(shards[1]->shard_map().owner_of_vnode(vnode), 1u);
+
+  EXPECT_EQ(at_freeze.members.size(), 2u);
+  EXPECT_EQ(at_freeze.profiles.size(), 2u);
+  EXPECT_EQ(at_freeze.events.size(), 5u);
+  EXPECT_EQ(at_freeze.dedup.size(), 1u);
+  EXPECT_EQ(at_freeze.rows.size(), 1u);
+  EXPECT_EQ(at_freeze.leases.size(), 1u);
+  EXPECT_TRUE(vnode_state(*shards[1], vnode) == at_freeze);
+  const VnodeState shed = vnode_state(*shards[0], vnode);
+  EXPECT_TRUE(shed.members.empty());
+  EXPECT_TRUE(shed.events.empty());
+  EXPECT_TRUE(shed.dedup.empty());
+  EXPECT_TRUE(shed.leases.empty());
+}
+
 // Cancelling a direct subscription whose producer lives on a sibling tears
 // the moved copy down there.
 TEST(ShardTest, CancellingAMovedDirectSubscriptionTearsItsCopyDown) {
