@@ -11,7 +11,10 @@
 //     context store and views from checkpoint + WAL tail alone. The gated
 //     claim is zero acked-op loss across the cut: every client-acked publish
 //     surfaces at the monitor exactly once over the full run, and nobody
-//     re-registers.
+//     re-registers. It also reports the sizes of the WAL and checkpoint the
+//     recovery reads: the store checkpoints whenever its log reaches 8x the
+//     last checkpoint, so after the idle second before the cut the WAL is
+//     below that bound.
 //
 //   rejoin — a standby is cold-stopped, the primary keeps serving, and the
 //     replacement standby recovers the dead one's WAL and rejoins by
@@ -30,8 +33,9 @@
 //     so this scenario gates liveness, not zero loss.
 //
 // CI (chaos job) fails when any seed loses an acked op across the cold
-// restart, ships a delta at least as large as the snapshot, diverges after
-// the rejoin, or fails to recover from the damaged WAL.
+// restart, recovers a WAL at or above 8x its checkpoint, ships a delta at
+// least as large as the snapshot, diverges after the rejoin, or fails to
+// recover from the damaged WAL.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -153,6 +157,12 @@ void BM_Durability(benchmark::State& state) {
       d.sci.run_for(Duration::seconds(1));  // every admit acked + committed
 
       SCI_ASSERT(d.sci.shutdown_range("levelB").is_ok());
+      // What recovery is about to read: the checkpoint and the WAL written
+      // since it, which the store keeps below 8x the checkpoint.
+      const auto wal_bytes =
+          static_cast<std::int64_t>(d.sci.storage().size("levelB.wal"));
+      const auto ckpt_bytes =
+          static_cast<std::int64_t>(d.sci.storage().size("levelB.ckpt"));
       auto revived = d.sci.recover_range("levelB");
       SCI_ASSERT(revived.has_value());
       d.sci.run_for(Duration::seconds(1));
@@ -162,6 +172,8 @@ void BM_Durability(benchmark::State& state) {
 
       const obs::MetricsSnapshot snap = d.sci.metrics().snapshot();
       doc.emplace("cold_published", static_cast<std::int64_t>(d.published));
+      doc.emplace("cold_wal_bytes", wal_bytes);
+      doc.emplace("cold_checkpoint_bytes", ckpt_bytes);
       doc.emplace("cold_delivered_unique",
                   static_cast<std::int64_t>(d.monitor.unique_events));
       doc.emplace("cold_duplicates",

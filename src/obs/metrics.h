@@ -162,9 +162,6 @@ class MetricsRegistry {
 
   [[nodiscard]] std::size_t counter_count() const { return counters_.size(); }
   [[nodiscard]] std::size_t gauge_count() const { return gauges_.size(); }
-  [[nodiscard]] std::size_t histogram_count() const {
-    return histograms_.size();
-  }
 
   // Runs just before every snapshot() copies the metrics out. Lets an owner
   // mirror state that lives outside the registry — the Simulator installs

@@ -27,12 +27,13 @@ serde::BufferRef encode_ckpt_payload(std::uint32_t epoch, std::uint64_t base,
   return w.take_ref();
 }
 
-// Checkpoint cadence. A checkpoint also fires on promote() so each
-// incarnation's WAL holds only its own epoch's records.
-constexpr Duration kCheckpointInterval = Duration::seconds(5);
-// Skip a timed checkpoint when the WAL tail is shorter than this many
-// records — rewriting the full snapshot to save a tiny tail is wasted IO.
-constexpr std::uint64_t kCheckpointMinRecords = 16;
+// A completed sync checkpoints once the WAL holds this many times the last
+// checkpoint's bytes: Raft-style log compaction (snapshot when the log is
+// well above the snapshot's size), so rewriting the snapshot costs about an
+// eighth of what the log writes (docs/DURABILITY.md has the measured
+// ratios). A checkpoint also fires on promote() so each incarnation's WAL
+// holds only its own epoch's records.
+constexpr std::size_t kWalPerCheckpoint = 8;
 
 }  // namespace
 
@@ -61,13 +62,13 @@ ShardStore::ShardStore(sim::Simulator& sim, StorageEnv& env, std::string name,
 ShardStore::~ShardStore() {
   // A sync still in flight dies with the store: a power cut mid-fsync.
   sim_.cancel(sync_timer_);
-  sim_.cancel(checkpoint_timer_);
 }
 
 void ShardStore::append(std::uint32_t epoch, std::uint64_t index,
                         serde::BufferRef record_bytes) {
   buffer_.push_back({epoch, index, std::move(record_bytes)});
   if (index > appended_index_) appended_index_ = index;
+  appended_epoch_ = epoch;
   m_appends_->inc();
   start_sync();
 }
@@ -95,7 +96,6 @@ void ShardStore::write_batch() {
   env_.append(wal_file(), batch_);
   m_bytes_->inc(batch_.size());
   unsynced_bytes_ += batch_.size();
-  wal_records_ += buffer_.size();
   buffer_.clear();
 }
 
@@ -120,9 +120,15 @@ void ShardStore::start_sync() {
   m_flushes_->inc();
   sync_timer_ = sim_.schedule(StorageEnv::sync_cost(unsynced_bytes_), [this] {
     sync_timer_ = sim::TimerHandle{};
+    // The log outgrew its last checkpoint: fold it (and the buffer) into a
+    // fresh one. A completion is a sim event, so this always runs between
+    // message handlers, never inside one.
+    if (sync_written() &&
+        env_.size(wal_file()) >= kWalPerCheckpoint * checkpoint_bytes_) {
+      (void)checkpoint(appended_epoch_);
+    }
     // Success or failure, the disk is idle again: the next batch (or the
     // retry of this one) goes out at once.
-    (void)sync_written();
     start_sync();
   });
 }
@@ -151,6 +157,7 @@ bool ShardStore::checkpoint_with(std::uint32_t epoch, std::uint64_t base,
   }
   m_checkpoints_->inc();
   m_checkpoint_bytes_->inc(file_size);
+  checkpoint_bytes_ = file_size;
   // The checkpoint supersedes the log: restart it empty. The snapshot also
   // *defines* the index space from here on (a standby adopting another
   // incarnation's snapshot may move to a lower base), so the write-side
@@ -159,9 +166,9 @@ bool ShardStore::checkpoint_with(std::uint32_t epoch, std::uint64_t base,
   env_.remove(wal_file());
   buffer_.clear();
   unsynced_bytes_ = 0;
-  wal_records_ = 0;
   const bool rose = base > durable_index_;
   appended_index_ = base;
+  appended_epoch_ = epoch;
   written_index_ = base;
   durable_index_ = base;
   if (rose && durable_) durable_(durable_index_);
@@ -189,6 +196,7 @@ RecoveredState ShardStore::recover() {
                                                             r.remaining()),
                             payload.end());
         out.any = true;
+        checkpoint_bytes_ = ckpt.size();
       }
     }
     // A damaged checkpoint is treated as absent: the WAL alone (or a peer
@@ -234,24 +242,12 @@ RecoveredState ShardStore::recover() {
 
   // Re-seat the write side on the recovered image.
   appended_index_ = out.watermark;
+  appended_epoch_ = out.epoch;
   durable_index_ = out.watermark;
   written_index_ = out.watermark;
-  wal_records_ = out.records.size();
   buffer_.clear();
   unsynced_bytes_ = 0;
   return out;
-}
-
-void ShardStore::start_checkpoint_timer(
-    std::function<std::uint32_t()> epoch_source) {
-  if (epoch_source) epoch_source_ = std::move(epoch_source);
-  sim_.cancel(checkpoint_timer_);
-  checkpoint_timer_ = sim_.schedule(kCheckpointInterval, [this] {
-    if (wal_records_ + buffer_.size() >= kCheckpointMinRecords) {
-      checkpoint(epoch_source_ ? epoch_source_() : 0);
-    }
-    start_checkpoint_timer({});
-  });
 }
 
 }  // namespace sci::persist

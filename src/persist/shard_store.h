@@ -2,9 +2,9 @@
 //
 // One ShardStore backs one Context Server node (a shard primary or a
 // standby). It persists the node's applied replication records into an
-// append-only, CRC-framed write-ahead log (serde/frame.h) plus a periodic
-// checkpoint, both living in the facade-owned StorageEnv that survives the
-// node object itself:
+// append-only, CRC-framed write-ahead log (serde/frame.h) plus a checkpoint
+// taken whenever the log outgrows the last one, both living in the
+// facade-owned StorageEnv that survives the node object itself:
 //
 //   <name>.ckpt   one atomic frame: [epoch][base_index][snapshot blob]
 //   <name>.wal    frames of [epoch][index][record bytes], indices > base
@@ -29,6 +29,13 @@
 // becomes durable. A checkpoint supersedes the whole log tail: once the
 // atomic checkpoint write succeeds, everything up to its base index is
 // durable by definition and the WAL is restarted empty.
+//
+// The store has no clock of its own. Each completed sync checks the log
+// against the last checkpoint: once the WAL holds kWalPerCheckpoint times
+// that checkpoint's bytes (or no checkpoint exists yet), it checkpoints
+// under the epoch of the newest record, so rewriting the snapshot costs a
+// bounded share of the bytes the log itself writes, and disk use and replay
+// stay bounded by the size of the state they protect.
 //
 // recover() is the read side: parse checkpoint, then walk the WAL with a
 // FrameCursor, stopping at the first torn/corrupt frame and truncating the
@@ -127,9 +134,6 @@ class ShardStore {
   RecoveredState recover();
 
   [[nodiscard]] std::uint64_t durable_index() const { return durable_index_; }
-  [[nodiscard]] std::uint64_t appended_index() const {
-    return appended_index_;
-  }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const DurabilityConfig& config() const { return config_; }
   [[nodiscard]] const std::string& wal_file() const { return wal_file_; }
@@ -138,10 +142,6 @@ class ShardStore {
   }
   [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
   [[nodiscard]] bool sync_in_flight() const { return sync_timer_.valid(); }
-
-  // Arms the periodic checkpoint timer (caller supplies the epoch source via
-  // the provider's closure; the timer re-reads it each tick).
-  void start_checkpoint_timer(std::function<std::uint32_t()> epoch_source);
 
  private:
   // Frames the buffered records into batch_ and appends them to the WAL
@@ -164,7 +164,6 @@ class ShardStore {
 
   DurableCallback durable_;
   SnapshotProvider snapshot_provider_;
-  std::function<std::uint32_t()> epoch_source_;
 
   struct Buffered {
     std::uint32_t epoch = 0;
@@ -174,13 +173,13 @@ class ShardStore {
   std::vector<Buffered> buffer_;
   std::vector<std::byte> batch_;  // reused framing buffer for write_batch()
   std::uint64_t appended_index_ = 0;  // highest index handed to append()
+  std::uint32_t appended_epoch_ = 0;  // epoch of that newest record
   std::uint64_t durable_index_ = 0;   // highest index known durable
   std::uint64_t written_index_ = 0;   // highest index written to the WAL
-  std::uint64_t wal_records_ = 0;     // records in the current WAL file
   std::size_t unsynced_bytes_ = 0;    // written to the WAL, not yet synced
+  std::size_t checkpoint_bytes_ = 0;  // the last checkpoint's file; 0 = none
 
   sim::TimerHandle sync_timer_;  // the in-flight sync's completion
-  sim::TimerHandle checkpoint_timer_;
 
   obs::Counter* m_appends_ = nullptr;
   obs::Counter* m_flushes_ = nullptr;

@@ -3283,7 +3283,6 @@ void ContextServer::init_durable_store() {
   pstore_->set_durable_callback(
       [this](std::uint64_t) { release_completed_admits(); });
   recover_from_store();
-  pstore_->start_checkpoint_timer([this] { return channel_.epoch(); });
 }
 
 void ContextServer::recover_from_store() {

@@ -180,7 +180,7 @@ struct RangeOptions {
   ShardingOptions sharding;
   ViewOptions views;
   // Durable per-instance store (docs/DURABILITY.md): a CRC-framed WAL plus
-  // periodic checkpoints in the facade-owned StorageEnv.
+  // checkpoints in the facade-owned StorageEnv.
   persist::DurabilityConfig durability;
   double x = 0.0;  // coordinates of the CS machine
   double y = 0.0;
@@ -218,8 +218,9 @@ struct RangeConfig : RangeOptions {
   // Durability (docs/DURABILITY.md): when `storage` is set and
   // durability.enable, every applied replication record is appended to a
   // per-node write-ahead log under `store_name` (default: `name`) in the
-  // StorageEnv (which outlives this server), checkpointed periodically, and
-  // replayed by the constructor of the next incarnation.
+  // StorageEnv (which outlives this server), checkpointed whenever it
+  // outgrows its last checkpoint, and replayed by the constructor of the
+  // next incarnation.
   persist::StorageEnv* storage = nullptr;
   std::string store_name;
 };
@@ -359,9 +360,6 @@ class ContextServer {
   [[nodiscard]] std::uint64_t recovered_watermark() const {
     return recovered_watermark_;
   }
-  // Forces the buffered WAL tail durable now (orderly-shutdown path; crash
-  // paths skip it deliberately). Returns false if a sync failed.
-  bool flush_durable() { return pstore_ == nullptr || pstore_->flush(); }
 
   // --- Range Service (arrival/departure) ----------------------------------
   // Arrival detection: the world (or a test) tells the Range Service that a

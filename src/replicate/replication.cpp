@@ -398,7 +398,6 @@ bool ReplicationFollower::accept_epoch(std::uint32_t epoch) {
     // new primary's snapshot resyncs us.
     stream_epoch_ = epoch;
     await_snapshot_ = true;
-    primary_head_ = 0;
   }
   last_heard_ = network_.simulator().now();
   heard_once_ = true;
@@ -468,7 +467,6 @@ void ReplicationFollower::on_heartbeat(serde::FrameView payload) {
   if (!epoch || !head || !remote_fp || !seq) return;
   const auto e = static_cast<std::uint32_t>(*epoch);
   if (!accept_epoch(e)) return;
-  primary_head_ = std::max(primary_head_, *head);
   if (e < max_voted_epoch_) {
     // THE fencing rule: this voter pledged a higher epoch, so the deposed
     // primary must never again assemble a lease majority through it.

@@ -367,12 +367,9 @@ class ReplicationFollower {
   void seed(std::uint32_t epoch, std::uint64_t applied);
 
   [[nodiscard]] std::uint64_t applied() const { return applied_; }
-  [[nodiscard]] std::uint64_t primary_head() const { return primary_head_; }
   // A promote request is outstanding for the current silence episode
   // (cleared when primary liveness resumes).
   [[nodiscard]] bool promote_fired() const { return promoted_; }
-  // Currently observing a fingerprint mismatch while fully caught up.
-  [[nodiscard]] bool diverged() const { return diverged_; }
   // Highest incarnation epoch seen on the replication stream.
   [[nodiscard]] std::uint32_t stream_epoch() const { return stream_epoch_; }
   // Still waiting for the current epoch's snapshot before applying records.
@@ -417,7 +414,6 @@ class ReplicationFollower {
   FingerprintProvider fingerprint_;
 
   std::uint64_t applied_ = 0;
-  std::uint64_t primary_head_ = 0;
   std::uint32_t stream_epoch_ = 0;
   bool await_snapshot_ = true;  // records drop until the epoch's snapshot
   SimTime last_heard_;    // the one liveness clock, started at construction

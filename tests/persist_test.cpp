@@ -5,6 +5,7 @@
 // torn/corrupt-tail fault injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <set>
@@ -430,6 +431,86 @@ TEST(PersistTest, StoreRecoverSurvivesCorruptionAndShortReads) {
   EXPECT_GE(short_rec.watermark, 1u);
 }
 
+// The checkpoint rule lives in the sync completion: once the last sync has
+// landed (and taken the first checkpoint), an idle store has nothing queued
+// and schedules nothing, however long the disk stays quiet.
+TEST(PersistTest, StoreIdleSchedulesNothingOnceItsLastSyncLands) {
+  StoreFixture f;
+  auto store = f.make("s", f.config());
+  store->set_snapshot_provider([] { return std::vector<std::byte>(64); });
+  for (std::uint64_t i = 1; i <= 3; ++i) store->append(1, i, frame({int(i)}));
+  f.advance(Duration::millis(10));
+  ASSERT_EQ(store->durable_index(), 3u);
+  EXPECT_EQ(f.counter("persist.checkpoints"), 1u);  // none existed yet
+
+  EXPECT_EQ(f.simulator.pending_events(), 0u);
+  const std::uint64_t scheduled = f.simulator.scheduled_events();
+  f.advance(Duration::seconds(60));
+  EXPECT_EQ(f.simulator.scheduled_events() - scheduled, 0u);
+}
+
+// Fixed-size snapshot, 2,400 records appended four to a sync: after every
+// completion the synced part of the WAL stays below kWalPerCheckpoint (8)
+// times the checkpoint file, so the whole file is at most that plus the one
+// batch written since the last check; the checkpoint count follows the WAL
+// bytes; and each checkpoint carries the epoch of the newest record it
+// covers. As on the e2e workloads, a batch is small next to the checkpoint,
+// so the batch a checkpoint overshoots by barely moves the count.
+TEST(PersistTest, StoreCheckpointsWhenTheWalOutgrowsTheLastCheckpoint) {
+  StoreFixture f;
+  auto store = f.make("s", f.config());
+  store->set_snapshot_provider([] { return std::vector<std::byte>(1500); });
+  const auto epoch_of = [](std::uint64_t index) {
+    return static_cast<std::uint32_t>(1 + index / 300);
+  };
+  const std::vector<std::byte> payload(60, std::byte{0x5a});
+  const std::string& wal = store->wal_file();
+  const std::string& ckpt = store->checkpoint_file();
+
+  std::size_t max_batch = 0;
+  std::uint64_t checkpoints_seen = 0;
+  SimTime next = f.simulator.now();
+  for (std::uint64_t i = 1; i <= 2400; ++i) {
+    store->append(epoch_of(i), i, serde::BufferRef::copy_of(payload));
+    next = next + Duration::micros(250);
+    while (f.simulator.step(next)) {
+      // Whatever is not yet synced is the one batch in flight.
+      const std::size_t batch = f.env.size(wal) - f.env.durable_size(wal);
+      max_batch = std::max(max_batch, batch);
+      ASSERT_GT(f.env.size(ckpt), 0u);
+      EXPECT_LT(f.env.durable_size(wal), 8 * f.env.size(ckpt)) << "record " << i;
+      EXPECT_LE(f.env.size(wal), 8 * f.env.size(ckpt) + batch);
+
+      const std::uint64_t checkpoints = f.counter("persist.checkpoints");
+      if (checkpoints == checkpoints_seen) continue;
+      checkpoints_seen = checkpoints;
+      const std::vector<std::byte> file = f.env.read(ckpt);
+      serde::FrameCursor cursor(file);
+      std::vector<std::byte> body;
+      ASSERT_TRUE(cursor.next(body));
+      serde::Reader r(body);
+      const auto epoch = r.varint();
+      const auto base = r.varint();
+      ASSERT_TRUE(epoch && base);
+      EXPECT_EQ(*base, store->durable_index());
+      EXPECT_EQ(*epoch, epoch_of(*base)) << "checkpoint at " << *base;
+    }
+    f.simulator.run_until(next);
+  }
+  // Four appends per 1 ms sync: a batch is a handful of frames, under a
+  // sixteenth of the bound it rides on.
+  EXPECT_GT(max_batch, 0u);
+  EXPECT_LT(16 * max_batch, 8 * f.env.size(ckpt));
+
+  const double wal_bytes = static_cast<double>(f.counter("persist.wal_bytes"));
+  const double ckpt_bytes =
+      static_cast<double>(f.counter("persist.checkpoint_bytes")) /
+      static_cast<double>(checkpoints_seen);
+  EXPECT_GE(checkpoints_seen, 10u);
+  EXPECT_NEAR(static_cast<double>(checkpoints_seen),
+              wal_bytes / (8 * ckpt_bytes), 1.0);
+}
+
 // ---------------------------------------------------------------------------
 // Facade-level durability: cold restart, delta rejoin, fault plans
 
@@ -491,6 +572,35 @@ struct DurableFixture {
         sci.create_range("levelB", building.floor_path(1), options).value();
   }
 };
+
+// A durable store keeps no clock: once its traffic stops, a durable range
+// schedules exactly the events a volatile one does (liveness pings, rate
+// ticks), and no checkpoint tick on top.
+TEST(PersistTest, IdleDurableRangeSchedulesNoMoreThanAVolatileOne) {
+  const auto idle_events = [](bool durable) {
+    Sci sci{42};
+    mobility::Building building{{.floors = 2, .rooms_per_floor = 4}};
+    sci.set_location_directory(&building.directory());
+    RangeOptions options;
+    options.durability.enable = durable;
+    range::ContextServer* level =
+        sci.create_range("levelB", building.floor_path(1), options).value();
+    PulseCE pulse(sci.network(), sci.new_guid(), "pulse",
+                  entity::EntityKind::kDevice);
+    EXPECT_TRUE(sci.enroll(pulse, *level).is_ok());
+    for (int i = 0; i < 5; ++i) {
+      pulse.publish("pulse", Value(static_cast<std::int64_t>(i)));
+      sci.run_for(Duration::millis(100));
+    }
+    sci.run_for(Duration::seconds(1));
+    const std::uint64_t before = sci.simulator().scheduled_events();
+    sci.run_for(Duration::seconds(30));
+    return sci.simulator().scheduled_events() - before;
+  };
+  const std::uint64_t volatile_events = idle_events(false);
+  EXPECT_GT(volatile_events, 0u);
+  EXPECT_EQ(idle_events(true), volatile_events);
+}
 
 TEST(PersistTest, ColdRestartRecoversAckedOpsAndSubscriptions) {
   DurableFixture f;
@@ -739,6 +849,9 @@ TEST(PersistTest, TornAndCorruptWalRecoveryNeverPanics) {
   ASSERT_EQ(monitor.unique_events, 8);
 
   ASSERT_TRUE(f.sci.shutdown_range("levelB").is_ok());
+  // The damage needs a WAL tail: the log holds every record since the
+  // checkpoint the store took at its first sync.
+  ASSERT_GT(f.sci.storage().durable_size("levelB.wal"), 5u);
 
   // Damage the dormant WAL through the declarative fault plan: tear the
   // durable tail AND flip a byte further in. Recovery must truncate at the

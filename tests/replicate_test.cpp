@@ -1444,9 +1444,16 @@ TEST(ReplicateTest, SnapshotCaughtUpStandbyHoldsThePrimarysState) {
 // went down.
 TEST(ReplicateTest, CheckpointRecoveredServerHoldsThePrimarysState) {
   LoadedShardedRange r;
-  // The checkpoint timer (every 5 s, given 16 records since the last one)
-  // writes a checkpoint covering everything above.
-  r.sci.run_for(Duration::seconds(6));
+  // Publish on the lead until its WAL outgrows the last checkpoint: the sync
+  // that crosses the bound folds the log into a checkpoint covering
+  // everything above and restarts the WAL empty.
+  auto& near = static_cast<PulseCE&>(*r.components.front());
+  ASSERT_GT(r.sci.storage().size("mall.wal"), 0u);
+  for (int i = 0; i < 1000 && r.sci.storage().size("mall.wal") > 0; ++i) {
+    near.publish("pulse", Value(static_cast<std::int64_t>(i)));
+    r.sci.run_for(Duration::millis(10));
+  }
+  ASSERT_EQ(r.sci.storage().size("mall.wal"), 0u);
   ASSERT_TRUE(r.sci.storage().exists("mall.ckpt"));
   const RestorableState at_checkpoint = restorable_state(*r.lead);
 
